@@ -16,6 +16,7 @@ from .errors import (  # noqa: F401
     InvalidInput,
     NotPositive,
     NotSelfAdjoint,
+    NumericalFailure,
     OvmError,
     ShapeMismatch,
     SizeLimit,

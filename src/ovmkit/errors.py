@@ -62,5 +62,11 @@ class TargetNotInHull(OvmError):
         super().__init__(message)
 
 
+class NumericalFailure(OvmError):
+    """An invariant a solver relies on failed under floating point, e.g.
+    two formulations of one quantity disagree or a loop stopped making
+    progress."""
+
+
 class SizeLimit(OvmError):
     """Instance too large for exhaustive enumeration."""

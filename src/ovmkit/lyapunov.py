@@ -10,7 +10,15 @@ nonatomic measures, made algorithmic:
 2.  Purify: while the cell masses on the fractional support are linearly
     dependent, move h along a kernel direction until a coordinate hits
     {0, 1}.  The fiber value is conserved; at most d^2 fractional cells
-    survive (the coordinate matrix has rank at most d^2).
+    survive (the coordinate matrix has rank at most d^2).  The direction
+    is the null-space projection of a basis vector.  When the D x n
+    coordinate block (D = d^2) has n > D and a well-conditioned Gram
+    matrix G = cols cols^T, the projector is I - cols^T G^(-1) cols,
+    built from one D x D eigendecomposition; rank-deficient blocks (zero
+    coordinate rows of a direct sum, say) and blocks with n <= D take an
+    SVD.  A move is accepted when sum c_k M_k stays below the drift
+    tolerance: first through its Frobenius norm ||cols c||, an upper
+    bound, and only when that fails through the operator norm itself.
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
     exact under the constant-density convention.
 
@@ -29,6 +37,7 @@ from .errors import (
     AtomicObstruction,
     InvalidInput,
     NotPositive,
+    NumericalFailure,
     ShapeMismatch,
     SizeLimit,
     TargetNotInHull,
@@ -49,6 +58,10 @@ from .ovm import (
 SNAP_TOL = 1e-12
 # Relative singular-value cutoff for kernel detection.
 KERNEL_RCOND = 1e-10
+# Relative eigenvalue floor of the Gram matrix above which the D x D
+# projector replaces the SVD; sqrt(GRAM_RCOND) >> KERNEL_RCOND, so full
+# row rank is certain under the singular-value cut.
+GRAM_RCOND = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,24 +101,35 @@ class AttainResult:
     fractional_count: int = 0
 
 
-def _coords_stack(stack: np.ndarray) -> np.ndarray:
-    """herm_coords of every matrix in a Hermitian stack; shape (count, d^2)."""
-    count, d, _ = stack.shape
-    out = np.empty((count, d * d))
-    out[:, :d] = stack[:, np.arange(d), np.arange(d)].real
-    iu, ju = np.triu_indices(d, k=1)
-    off = stack[:, iu, ju]
-    out[:, d::2] = np.sqrt(2.0) * off.real
-    out[:, d + 1 :: 2] = np.sqrt(2.0) * off.imag
-    return out
-
-
 def coordinate_matrix(nu: OVM, support) -> np.ndarray:
     """Columns herm_coords(M_k) for k in support; shape (d^2, |support|)."""
     support = list(support)
     if not support:
         return np.zeros((nu.dim * nu.dim, 0))
-    return _coords_stack(nu.cell_masses[support]).T
+    return opcore.herm_coords(nu.cell_masses[support]).T
+
+
+def _row_basis(cols: np.ndarray) -> np.ndarray | None:
+    """Orthonormal rows spanning the row space of a (D, n) real matrix, or
+    None when its columns are independent.
+
+    With n > D and a well-conditioned Gram matrix G = cols cols^T
+    (lambda_min >= GRAM_RCOND * lambda_max), cols has full row rank under
+    KERNEL_RCOND, and Lambda^(-1/2) Q^T cols from G = Q Lambda Q^T is such
+    a basis: D^2 n flops instead of an SVD of the whole block.  Rank-
+    deficient blocks and n <= D take the SVD with the KERNEL_RCOND cut.
+    """
+    d_rows, n = cols.shape
+    if n > d_rows:
+        lam, q = np.linalg.eigh(cols @ cols.T)
+        if lam[0] >= GRAM_RCOND * lam[-1] > 0.0:
+            return (q.T @ cols) / np.sqrt(lam)[:, None]
+    _, sing, vt = np.linalg.svd(cols, full_matrices=False)
+    smax = sing[0] if sing.size else 0.0
+    rank = int(np.sum(sing > KERNEL_RCOND * smax)) if smax > 0 else 0
+    if rank >= n:
+        return None
+    return vt[:rank]
 
 
 def _null_direction(cols: np.ndarray) -> np.ndarray | None:
@@ -116,16 +140,20 @@ def _null_direction(cols: np.ndarray) -> np.ndarray | None:
     independent, so the output does not depend on how LAPACK orders a
     degenerate null basis.  Sign is fixed so the first nonzero entry is
     positive.
+
+    The projector is I - Vr^T Vr for an orthonormal row-space basis Vr
+    (see _row_basis).  On the Gram branch Vr^T Vr = cols^T G^(-1) cols
+    exactly, so the leverage diagonal is 1 - colsum(cols * G^(-1) cols)
+    and the direction is e_pick - cols^T G^(-1) cols[:, pick], followed
+    by one re-projection that strips what round-off left in the row space.
     """
     n = cols.shape[1]
     if n == 0:
         return None
-    _, sing, vt = np.linalg.svd(cols, full_matrices=False)
-    smax = sing[0] if sing.size else 0.0
-    rank = int(np.sum(sing > KERNEL_RCOND * smax)) if smax > 0 else 0
-    if rank >= n:
+    vr = _row_basis(cols)
+    if vr is None:
         return None
-    vr = vt[:rank]
+    rank = vr.shape[0]
     # diag of the null projector I - Vr^T Vr without forming it.
     diag = np.clip(1.0 - (vr * vr).sum(axis=0), 0.0, None)
     pick = int(np.argmax(diag >= 0.5 * diag.max()))
@@ -143,11 +171,24 @@ def _null_direction(cols: np.ndarray) -> np.ndarray | None:
     return c
 
 
+def _drift_within(nu: OVM, support, cols: np.ndarray, c: np.ndarray, tol: float) -> bool:
+    """Whether ||sum_k c_k M_k|| <= tol in operator norm, k over support.
+
+    herm_coords is an isometry for the Frobenius norm, so ||cols c||_2 is
+    the Frobenius norm of the sum, an upper bound on its operator norm;
+    the eigenvalue test runs only when that bound exceeds tol.
+    """
+    if np.linalg.norm(cols @ c) <= tol:
+        return True
+    return opcore.op_norm(np.tensordot(c, nu.cell_masses[support], axes=1)) <= tol
+
+
 def kernel_witness(nu: OVM, support) -> KernelWitness | None:
     """A canonical null vector of the cell masses on ``support``, or None.
 
-    Dependence is detected through the singular values of the coordinate
-    matrix (cutoff KERNEL_RCOND relative to the largest); the witness is
+    Dependence is detected through the coordinate matrix (full row rank
+    through its Gram matrix, otherwise singular values with cutoff
+    KERNEL_RCOND relative to the largest; see _row_basis); the witness is
     additionally validated to keep sum c_k M_k below 1e-10 of the total
     mass scale.
     """
@@ -156,12 +197,12 @@ def kernel_witness(nu: OVM, support) -> KernelWitness | None:
         raise InvalidInput("kernel support must be nonempty")
     if any(not 0 <= k < nu.space.n_cells for k in support):
         raise InvalidInput("kernel support indices out of range")
-    c = _null_direction(coordinate_matrix(nu, support))
+    cols = coordinate_matrix(nu, support)
+    c = _null_direction(cols)
     if c is None:
         return None
-    drift = opcore.op_norm(np.tensordot(c, nu.cell_masses[list(support)], axes=1))
-    total_norm = opcore.op_norm(nu.total_mass())
-    if drift > 1e-10 * max(1.0, total_norm):
+    drift_tol = 1e-10 * max(1.0, opcore.op_norm(nu.total_mass()))
+    if not _drift_within(nu, list(support), cols, c, drift_tol):
         return None
     coeffs = np.zeros(nu.space.n_cells)
     coeffs[list(support)] = c
@@ -204,17 +245,17 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
     start_value = evaluate_fractional(nu, FractionalSet(tuple(vec), h.atom_mask))
 
     divisible = np.asarray(nu.space.divisible, dtype=bool)
-    all_coords = _coords_stack(nu.cell_masses).T
+    all_coords = opcore.herm_coords(nu.cell_masses).T
     drift_tol = 1e-10 * max(1.0, opcore.op_norm(nu.total_mass()))
 
     def witness_on(indices):
         if indices.size == 0:
             return None
-        c_sub = _null_direction(all_coords[:, indices])
+        cols = all_coords[:, indices]
+        c_sub = _null_direction(cols)
         if c_sub is None:
             return None
-        drift = opcore.op_norm(np.tensordot(c_sub, nu.cell_masses[indices], axes=1))
-        if drift > drift_tol:
+        if not _drift_within(nu, indices, cols, c_sub, drift_tol):
             return None
         c = np.zeros(nu.space.n_cells)
         c[indices] = c_sub
@@ -250,7 +291,7 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
         vec = _snap(vec + step * c)
         iterations += 1
         if iterations >= limit:
-            raise AssertionError("purification failed to pin a coordinate per step")
+            raise NumericalFailure("purification failed to pin a coordinate per step")
 
     final = FractionalSet(tuple(vec), h.atom_mask)
     residual = opcore.op_norm(evaluate_fractional(nu, final) - start_value)

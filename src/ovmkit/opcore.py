@@ -14,6 +14,7 @@ the symmetric/antisymmetric pair for each i < j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,11 +63,6 @@ def is_hermitian(a, tol: float = HERM_TOL) -> bool:
     m = as_matrix(a)
     asym = np.linalg.norm(m - m.conj().T)
     return asym <= tol * max(1.0, np.linalg.norm(m))
-
-
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(hermitian(a))[0])
 
 
 def psd_check(a, tol: float = TOL_PSD) -> bool:
@@ -122,17 +118,48 @@ def herm_coords(a) -> np.ndarray:
 
     Order: the d diagonal units, then for each i < j (row-major) the pair
     (e_ij + e_ji)/sqrt(2) and i(e_ij - e_ji)/sqrt(2), so that
-    dot(herm_coords(A), herm_coords(B)) == tr(AB).
+    dot(herm_coords(A), herm_coords(B)) == tr(AB).  A (..., d, d) stack
+    maps to (..., d^2), each matrix validated as :func:`hermitian` does.
     """
-    m = hermitian(a)
-    d = m.shape[0]
-    iu, ju = np.triu_indices(d, k=1)
-    off = m[iu, ju]
-    coords = np.empty(d * d)
-    coords[:d] = m.diagonal().real
-    coords[d::2] = np.sqrt(2.0) * off.real
-    coords[d + 1 :: 2] = np.sqrt(2.0) * off.imag
+    m = np.asarray(a)
+    m = hermitian(m) if m.ndim <= 2 else _hermitian_stack(m)
+    d = m.shape[-1]
+    iu, ju = _upper_pairs(d)
+    off = m[..., iu, ju]
+    coords = np.empty(m.shape[:-2] + (d * d,))
+    coords[..., :d] = np.diagonal(m, axis1=-2, axis2=-1).real
+    coords[..., d::2] = np.sqrt(2.0) * off.real
+    coords[..., d + 1 :: 2] = np.sqrt(2.0) * off.imag
     return coords
+
+
+def _hermitian_stack(a, tol: float = HERM_TOL) -> np.ndarray:
+    """:func:`hermitian` applied to every matrix of a (..., d, d) stack."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.shape[-1] != m.shape[-2]:
+        raise InvalidInput(f"expected a stack of square matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidInput("matrix stack has non-finite entries")
+    adj = np.conj(np.swapaxes(m, -1, -2))
+    if (m == adj).all():
+        return m
+    asym = np.linalg.norm(m - adj, axis=(-2, -1))
+    if np.any(asym > tol * np.linalg.norm(m, axis=(-2, -1))):
+        raise InvalidInput(f"matrix stack is not Hermitian (asymmetry {asym.max():.3e})")
+    return (m + adj) / 2
+
+
+@lru_cache(maxsize=64)
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle, row-major.
+
+    np.triu_indices costs more than the coordinatization of a small
+    stack, so the pairs are built once per dimension (read-only).
+    """
+    iu, ju = np.triu_indices(d, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def coords_to_herm(v) -> np.ndarray:
@@ -143,7 +170,7 @@ def coords_to_herm(v) -> np.ndarray:
         raise InvalidInput(f"coordinate vector length {vec.size} is not a square")
     m = np.zeros((d, d), dtype=np.complex128)
     np.fill_diagonal(m, vec[:d])
-    iu, ju = np.triu_indices(d, k=1)
+    iu, ju = _upper_pairs(d)
     off = (vec[d::2] + 1j * vec[d + 1 :: 2]) / np.sqrt(2.0)
     m[iu, ju] = off
     m[ju, iu] = off.conj()

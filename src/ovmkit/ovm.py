@@ -164,7 +164,8 @@ class FractionalSet:
     """[0, 1]-relaxation of a measurable set.
 
     Cell coordinates are real fractions; atoms are indivisible and stay
-    boolean.  Fractions outside [0, 1] by at most 1e-12 are clamped.
+    boolean.  Fractions outside [0, 1] by at most 1e-12 are clamped; NaN
+    and infinite fractions are rejected.
     """
 
     cell_fractions: tuple[float, ...]
@@ -174,7 +175,7 @@ class FractionalSet:
         fr = []
         for h in self.cell_fractions:
             h = float(h)
-            if h < -1e-12 or h > 1.0 + 1e-12:
+            if not -1e-12 <= h <= 1.0 + 1e-12:
                 raise InvalidInput(f"cell fraction {h!r} outside [0, 1]")
             fr.append(min(1.0, max(0.0, h)))
         object.__setattr__(self, "cell_fractions", tuple(fr))

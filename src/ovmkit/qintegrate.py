@@ -22,6 +22,7 @@ from .errors import (
     DimMismatch,
     InvalidInput,
     NotSelfAdjoint,
+    NumericalFailure,
     ShapeMismatch,
     Unsupported,
 )
@@ -292,7 +293,7 @@ def ess_sup(f: QuantumRandomVariable, nu: OVM) -> float:
     ])
     by_threshold = float(live_norms.max()) if live_norms.size else 0.0
     if abs(by_range - by_threshold) > 1e-10 * max(1.0, by_threshold):
-        raise AssertionError("essential supremum formulations disagree")
+        raise NumericalFailure("essential supremum formulations disagree")
     return by_threshold
 
 

@@ -1,11 +1,14 @@
 """Scenario runner: exit codes, determinism, report contents."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ovmkit
 from ovmkit import cli, ovm
 from ovmkit.models import lebesgue_identity, single_atom_measure
 
@@ -219,9 +222,13 @@ class TestMain:
     def test_console_entry_point(self, tmp_path):
         config = tmp_path / "s.json"
         config.write_text(json.dumps({"kind": "uhl", "cells": 4}), encoding="utf-8")
+        # The child imports the same ovmkit as this process, however it
+        # was put on the path.
+        src = str(Path(ovmkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ovmkit.cli", "run", "--config", str(config)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["pass"] is True
 

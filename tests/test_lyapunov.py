@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ovmkit import errors, opcore
+from ovmkit import errors, lyapunov, opcore
 from ovmkit.lyapunov import (
+    _null_direction,
     attain,
     attain_to_json,
     brute_force_range,
@@ -32,6 +33,7 @@ from ovmkit.ovm import (
     FractionalSet,
     MeasurableSet,
     SampleSpace,
+    direct_sum,
     evaluate,
     evaluate_fractional,
     grid_ovm,
@@ -166,6 +168,109 @@ class TestPurify:
         with pytest.raises(errors.AtomicObstruction) as err:
             purify(nu, FractionalSet((0.5, 0.5)))
         assert err.value.cells == (0, 1)
+
+    def test_pivot_limit_raises_typed_error(self, monkeypatch):
+        # A snap that never pins a coordinate keeps a kernel move open
+        # forever; the loop must stop at its pivot limit.
+        monkeypatch.setattr(lyapunov, "_snap", lambda h: np.full_like(h, 0.5))
+        nu = scalar_grid([0.25, 0.25, 0.25, 0.25])
+        with pytest.raises(errors.NumericalFailure) as err:
+            purify(nu, FractionalSet((0.5, 0.5, 0.5, 0.5)))
+        assert isinstance(err.value, errors.OvmError)
+
+
+def svd_null_direction(cols):
+    """Reference kernel direction: null projector of a full-support SVD."""
+    n = cols.shape[1]
+    if n == 0:
+        return None
+    _, sing, vt = np.linalg.svd(cols, full_matrices=False)
+    smax = sing[0] if sing.size else 0.0
+    rank = int(np.sum(sing > lyapunov.KERNEL_RCOND * smax)) if smax > 0 else 0
+    if rank >= n:
+        return None
+    vr = vt[:rank]
+    diag = np.clip(1.0 - (vr * vr).sum(axis=0), 0.0, None)
+    pick = int(np.argmax(diag >= 0.5 * diag.max()))
+    c = np.zeros(n)
+    c[pick] = 1.0
+    c -= vr.T @ vr[:, pick]
+    c -= vr.T @ (vr @ c)
+    c /= np.abs(c).max()
+    lead = int(np.argmax(np.abs(c) > 1e-12))
+    return -c if c[lead] < 0 else c
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts np.linalg.svd calls, to tell which branch of _null_direction ran."""
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+class TestNullDirectionEquivalence:
+    def test_gram_branch_matches_svd_reference(self, svd_calls):
+        rng = rng_from_seed(4242)
+        for big_d in (1, 4, 9, 16):
+            for n in sorted({big_d + 1, 2 * big_d + 3, 97, 400, 2000}):
+                cols = rng.standard_normal((big_d, n)) * rng.uniform(0.1, 10.0, n)
+                got = _null_direction(cols)
+                assert not svd_calls, (big_d, n)
+                want = svd_null_direction(cols)
+                svd_calls.clear()
+                assert np.abs(got - want).max() <= 1e-10, (big_d, n)
+                assert np.linalg.norm(cols @ got) <= 1e-12 * np.linalg.norm(cols)
+
+    def test_gram_branch_on_povm_coordinates(self, svd_calls):
+        for d, m in ((1, 50), (2, 300), (3, 120), (4, 2000)):
+            nu = random_povm(d, m, rng_from_seed(50 + d))
+            cols = coordinate_matrix(nu, range(m))
+            svd_calls.clear()
+            got = _null_direction(cols)
+            assert not svd_calls
+            assert np.abs(got - svd_null_direction(cols)).max() <= 1e-10
+
+    def test_rank_deficient_direct_sum_takes_svd(self, svd_calls):
+        # Three scalar blocks fill 3 of the 9 coordinate rows.
+        nu = direct_sum(*singular_blocks(3))
+        cols = coordinate_matrix(nu, range(nu.space.n_cells))
+        assert cols.shape == (9, 12)
+        svd_calls.clear()
+        got = _null_direction(cols)
+        assert svd_calls
+        assert np.array_equal(got, svd_null_direction(cols))
+
+    def test_narrow_blocks_take_svd(self, svd_calls):
+        rng = rng_from_seed(4343)
+        independent = rng.standard_normal((16, 10))
+        assert _null_direction(independent) is None
+        dependent = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 5))
+        got = _null_direction(dependent)
+        assert len(svd_calls) == 2
+        assert np.array_equal(got, svd_null_direction(dependent))
+
+    def test_purify_matches_svd_reference(self, monkeypatch):
+        for trial in range(12):
+            rng = rng_from_seed(3100 + trial)
+            d = 1 + trial % 4
+            m = int(rng.integers(d * d + 2, 160))
+            nu = random_povm(d, m, rng)
+            h0 = FractionalSet(tuple(rng.random(m)))
+            got = purify(nu, h0)
+            with monkeypatch.context() as patch:
+                patch.setattr(lyapunov, "_null_direction", svd_null_direction)
+                want = purify(nu, h0)
+            assert got.iterations == want.iterations
+            assert got.fractional_indices == want.fractional_indices
+            gap = np.abs(got.h_final.fractions() - want.h_final.fractions()).max()
+            assert gap <= 1e-11
 
 
 class TestRealize:

@@ -168,6 +168,34 @@ class TestHermCoords:
         with pytest.raises(errors.InvalidInput):
             opcore.coords_to_herm(np.ones(5))
 
+    def test_stack_matches_single_matrices(self):
+        for d in (1, 2, 3, 4):
+            stack = np.stack([random_hermitian(d, RNG) for _ in range(6)])
+            coords = opcore.herm_coords(stack)
+            assert coords.shape == (6, d * d)
+            for a, row in zip(stack, coords):
+                assert np.array_equal(row, opcore.herm_coords(a))
+            nested = opcore.herm_coords(stack.reshape(2, 3, d, d))
+            assert np.array_equal(nested, coords.reshape(2, 3, d * d))
+
+    def test_stack_symmetrizes_round_off(self):
+        a = random_hermitian(3, RNG)
+        nudged = a.copy()
+        nudged[0, 1] += 1e-15
+        stack = opcore.herm_coords(np.stack([a, nudged]))
+        assert np.array_equal(stack[1], opcore.herm_coords(nudged))
+
+    def test_stack_validated(self):
+        good = random_hermitian(2, RNG)
+        bad = good.copy()
+        bad[0, 1] += 1.0
+        with pytest.raises(errors.InvalidInput):
+            opcore.herm_coords(np.stack([good, bad]))
+        with pytest.raises(errors.InvalidInput):
+            opcore.herm_coords(np.stack([good, np.full((2, 2), np.nan)]))
+        with pytest.raises(errors.InvalidInput):
+            opcore.herm_coords(np.zeros((3, 2, 4)))
+
 
 class TestTracePair:
     def test_half_identity(self):

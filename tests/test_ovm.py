@@ -155,6 +155,11 @@ class TestEvaluateFractional:
         with pytest.raises(errors.InvalidInput):
             FractionalSet((1.5,))
 
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(errors.InvalidInput):
+                FractionalSet((0.5, bad))
+
 
 class TestInducedMeasure:
     def test_probability_total(self):

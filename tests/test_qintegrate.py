@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ovmkit import errors, opcore
+from ovmkit import errors, opcore, qintegrate
 from ovmkit.models import (
     lebesgue_identity,
     random_hermitian,
@@ -331,6 +331,15 @@ class TestEssentialSup:
         nu = grid_ovm(SampleSpace.uniform(2), masses)
         cv = np.array([[[100.0]], [[1.0]]], dtype=complex)
         assert ess_sup(qrv(nu.space, cv), nu) == pytest.approx(1.0)
+
+    def test_disagreeing_formulations_raise_typed_error(self, monkeypatch):
+        # An empty essential range contradicts the nonzero threshold value.
+        nu = lebesgue_identity(4, 2)
+        f = constant_qrv(nu.space, np.eye(2))
+        monkeypatch.setattr(qintegrate, "ess_range", lambda f, nu: [])
+        with pytest.raises(errors.NumericalFailure) as err:
+            ess_sup(f, nu)
+        assert isinstance(err.value, errors.OvmError)
 
 
 class TestEssEqual:
