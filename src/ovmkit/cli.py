@@ -5,77 +5,122 @@ Reports are key-sorted JSON; identical scenario inputs (seeds included)
 produce byte-identical report files.  Wall-clock duration is therefore
 logged to stderr, never serialized into the artifact.  Exit codes:
 0 all checks pass, 2 some check failed, 1 malformed input or error.
+
+Each scenario kind is declared once, in ``SCENARIOS``; the argument
+parser, the key checks, the flag handling and the CSV writer read it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import __version__, models, opcore
+from . import __version__, demos, models, opcore
+from .demos import check, failed
 from .errors import AtomicObstruction, InvalidInput, OvmError, TargetNotInHull
-from .lyapunov import (
-    attain,
-    attain_to_json,
-    brute_force_range,
-    convexity_certificate,
-    joint_attain,
-    kernel_witness,
-)
-from .ovm import (
-    MeasurableSet,
-    check_ovm_properties,
-    induced_measure,
-    ovm_from_json,
-    set_from_json,
-)
-from .rnderiv import rn_consistency, rn_derivative
+from .lyapunov import attain, attain_to_json, convexity_certificate
+from .ovm import MeasurableSet, check_ovm_properties, ovm_from_json, set_from_json
 
 REPORT_SCHEMA = "ovm-report/1"
 
-KINDS = ("attain", "convexity", "paper_example_13", "uhl",
-         "singular_34", "classical", "properties")
 
-_COMMON_KEYS = {"kind", "out", "format", "tol"}
-_ALLOWED_KEYS = {
-    "attain": _COMMON_KEYS | {"ovm", "target", "seed"},
-    "convexity": _COMMON_KEYS | {"ovm", "trials", "seed", "expect"},
-    "paper_example_13": _COMMON_KEYS | {"levels"},
-    "uhl": _COMMON_KEYS | {"cells"},
-    "singular_34": _COMMON_KEYS | {"measures", "lambdas", "cells"},
-    "classical": _COMMON_KEYS | {"measures", "cells", "trials", "seed", "targets"},
-    "properties": _COMMON_KEYS | {"ovm", "sets", "seed", "expect"},
-}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
+
+def _is_number(value) -> bool:
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _list_of(test) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+class Type(NamedTuple):
+    """What a key's JSON value must be, a test for it, and its conversion."""
+
+    what: str
+    accepts: Callable[[object], bool]
+    convert: Callable = lambda value: value
+
+
+_INT = Type("an integer", _is_int)
+_NUMBER = Type("a finite number", _is_number, float)
+_NUMBERS = Type("a list of numbers", _list_of(_is_number))
+_NUMBER_LISTS = Type("a list of number lists", _list_of(_NUMBERS.accepts))
+_OBJECT = Type("a JSON object", lambda value: isinstance(value, dict))
+_OBJECTS = Type("a list of JSON objects", _list_of(_OBJECT.accepts))
+_TEXT = Type("a string", lambda value: isinstance(value, str))
+_FORMAT = Type("json or csv", lambda value: value in ("json", "csv"))
+_OVM_SPEC = Type("an ovm spec: a JSON object or a file path",
+                 lambda value: isinstance(value, (dict, str)))
+_MEASURES = Type(
+    "an integer >= 1 or a non-empty list of ovm specs",
+    lambda value: (_is_int(value) and value >= 1)
+    or (isinstance(value, list) and len(value) > 0 and _list_of(_OVM_SPEC.accepts)(value)))
+_FAILURES = Type(
+    "a JSON object whose failures is an integer",
+    lambda value: isinstance(value, dict) and _is_int(value.get("failures", 0)))
+
+
+@dataclass(frozen=True)
+class Key:
+    """A scenario or model key: its type, its value when absent, and the
+    lower bound its runner needs (bounds the library checks stay there)."""
+
+    type: Type
+    default: object = None
+    low: int | None = None
+    required: bool = False
+
+    def read(self, name, value):
+        if not self.type.accepts(value):
+            raise InvalidInput(f"{name} must be {self.type.what}")
+        if self.low is not None and value < self.low:
+            raise InvalidInput(f"{name} must be at least {self.low}")
+        return self.type.convert(value)
+
+
+def _read_keys(spec: dict, keys: dict[str, Key]) -> dict:
+    """Each declared key's checked value from ``spec``, else its default."""
+    out = {}
+    for name, key in keys.items():
+        if name in spec:
+            out[name] = key.read(name, spec[name])
+        elif key.required:
+            raise InvalidInput(f"scenario needs {name}")
+        else:
+            out[name] = key.default
+    return out
+
+
+_SEED = Key(_INT, 0, low=0)
+
+# Builder shorthands for an ovm spec {"model": name, parameter: value, ...}:
+# the parameters, then the builder.
 _MODELS = {
-    "lebesgue_identity": lambda spec: models.lebesgue_identity(
-        int(spec.get("cells", 16)), int(spec.get("dim", 1))),
-    "uhl": lambda spec: models.uhl_model(int(spec.get("cells", 12))),
-    "random_povm": lambda spec: models.random_povm(
-        int(spec.get("dim", 2)), int(spec.get("cells", 40)),
-        models.rng_from_seed(int(spec.get("seed", 0)))),
-    "single_atom": lambda spec: models.single_atom_measure(
-        float(spec.get("mass", 1.0)), float(spec.get("site", 0.5))),
+    "lebesgue_identity": (
+        {"cells": Key(_INT, 16), "dim": Key(_INT, 1, low=1)},
+        lambda p: models.lebesgue_identity(p["cells"], p["dim"])),
+    "uhl": ({"cells": Key(_INT, 12)}, lambda p: models.uhl_model(p["cells"])),
+    "random_povm": (
+        {"dim": Key(_INT, 2, low=1), "cells": Key(_INT, 40), "seed": _SEED},
+        lambda p: models.random_povm(p["dim"], p["cells"], models.rng_from_seed(p["seed"]))),
+    "single_atom": (
+        {"mass": Key(_NUMBER, 1.0), "site": Key(_NUMBER, 0.5)},
+        lambda p: models.single_atom_measure(p["mass"], p["site"])),
 }
-
-
-def validate_scenario(sc) -> dict:
-    if not isinstance(sc, dict):
-        raise InvalidInput("scenario must be a JSON object")
-    kind = sc.get("kind")
-    if kind not in KINDS:
-        raise InvalidInput(f"unknown scenario kind {kind!r}")
-    allowed = _ALLOWED_KEYS[kind]
-    for key in sc:
-        if key not in allowed:
-            raise InvalidInput(f"unknown key {key!r} for kind {kind!r}")
-    return dict(sc)
 
 
 def _load_ovm(spec):
@@ -84,19 +129,18 @@ def _load_ovm(spec):
             spec = json.load(fh)
     if not isinstance(spec, dict):
         raise InvalidInput("ovm spec must be a JSON object or a file path")
-    if "model" in spec:
-        name = spec["model"]
-        if name not in _MODELS:
-            raise InvalidInput(f"unknown ovm model {name!r}")
-        return _MODELS[name](spec)
-    return ovm_from_json(spec)
+    if "model" not in spec:
+        return ovm_from_json(spec)
+    name = spec["model"]
+    if not isinstance(name, str) or name not in _MODELS:
+        raise InvalidInput(f"unknown ovm model {name!r}")
+    keys, build = _MODELS[name]
+    return build(_read_keys(spec, keys))
 
 
-def _load_target(spec, nu):
-    if spec is None:
-        raise InvalidInput("scenario needs a target")
-    if isinstance(spec, dict) and "total_fraction" in spec:
-        return float(spec["total_fraction"]) * nu.total_mass()
+def _load_target(spec: dict, nu):
+    if "total_fraction" in spec:
+        return Key(_NUMBER).read("total_fraction", spec["total_fraction"]) * nu.total_mass()
     return opcore.matrix_from_json(spec)
 
 
@@ -106,395 +150,68 @@ def _free_dim(nu) -> int:
     return nu.dim * nu.dim
 
 
-def _residual_tol(sc, default: float) -> float:
-    tol = sc.get("tol")
-    if tol is None:
-        return default
-    return float(tol)
-
-
-def _check(name, passed, value, limit=None) -> dict:
-    entry = {"name": name, "passed": bool(passed), "value": value}
-    if limit is not None:
-        entry["limit"] = limit
-    return entry
-
-
-def _run_attain(sc):
-    nu = _load_ovm(sc.get("ovm"))
-    target = _load_target(sc.get("target"), nu)
-    tol = _residual_tol(sc, 1e-9)
+def _run_attain(p):
+    nu = _load_ovm(p["ovm"])
+    target = _load_target(p["target"], nu)
+    tol = p["tol"]
     bound = nu.space.n_cells + _free_dim(nu)
     try:
         result = attain(nu, target)
     except (TargetNotInHull, AtomicObstruction) as exc:
-        return ({"error": f"{type(exc).__name__}: {exc}"},
-                [_check("attained", False, f"{type(exc).__name__}: {exc}")])
+        return failed(exc)
     results = {"attain": attain_to_json(result),
                "target": opcore.matrix_to_json(target)}
     checks = [
-        _check("residual", result.residual <= tol, result.residual, tol),
-        _check("interval_count", result.interval_count <= bound,
-               result.interval_count, bound),
+        check("residual", result.residual <= tol, result.residual, tol),
+        check("interval_count", result.interval_count <= bound,
+              result.interval_count, bound),
     ]
     return results, checks
 
 
-def _run_convexity(sc):
-    nu = _load_ovm(sc.get("ovm"))
-    trials = int(sc.get("trials", 100))
-    seed = int(sc.get("seed", 0))
-    tol = _residual_tol(sc, 1e-9)
-    expected_failures = int(sc.get("expect", {}).get("failures", 0))
+def _run_convexity(p):
+    nu = _load_ovm(p["ovm"])
+    tol = p["tol"]
+    expected_failures = (p["expect"] or {}).get("failures", 0)
     bound = nu.space.n_cells + _free_dim(nu)
-    report = convexity_certificate(nu, trials, seed)
-    results = {
-        "trials": report.trials,
-        "seed": report.seed,
-        "max_residual": report.max_residual,
-        "max_interval_count": report.max_interval_count,
-        "failures": [
-            {"trial": f.trial, "e1": f.e1, "e2": f.e2, "t": f.t, "reason": f.reason}
-            for f in report.failures
-        ],
-    }
-    checks = [_check("failures", len(report.failures) == expected_failures,
-                     len(report.failures), expected_failures)]
+    results = asdict(convexity_certificate(nu, p["trials"], p["seed"]))
+    failures = len(results["failures"])
+    checks = [check("failures", failures == expected_failures, failures, expected_failures)]
     if expected_failures == 0:
-        checks.append(_check("max_residual", report.max_residual <= tol,
-                             report.max_residual, tol))
-        checks.append(_check("max_interval_count",
-                             report.max_interval_count <= bound,
-                             report.max_interval_count, bound))
+        checks.append(check("max_residual", results["max_residual"] <= tol,
+                            results["max_residual"], tol))
+        checks.append(check("max_interval_count", results["max_interval_count"] <= bound,
+                            results["max_interval_count"], bound))
     return results, checks
 
 
-_RN_NOTE = (
-    "The familiar closed form for this derivative displays only the (n, n) "
-    "diagonal entries; the definitional entrywise formula also places the "
-    "same coefficient in entry (0, 0), because the first coordinate's "
-    "measure is supported on every cell. Both entries are reported here."
-)
+def _run_classical(p):
+    measures = p["measures"]
+    if isinstance(measures, list):
+        measures = [_load_ovm(spec) for spec in measures]
+    return demos.classical_demo(measures, p["cells"], p["trials"], p["seed"],
+                                p["targets"], p["tol"])
 
 
-def paper_example_13(levels: int):
-    """Reproduce the harmonic-cell diagonal model's induced density and
-    operator derivative coefficients; returns (results, checks)."""
-    levels = int(levels)
-    nu, rho = models.harmonic_diag_model(levels)
-    ind = induced_measure(nu, rho)
-    dens = rn_derivative(nu, rho)
-    rows = []
-    worst_density = 0.0
-    worst_entry = 0.0
-    for cell in range(nu.space.n_cells):
-        n = levels - cell
-        width = float(nu.space.weights[cell])
-        density = float(ind.cells[cell]) / width
-        expected_density = (2.0**n + 1.0) / 2.0 ** (n + 1)
-        r = dens.cells[cell]
-        rn_00 = float(r[0, 0].real)
-        rn_nn = float(r[n, n].real)
-        expected_rn = 2.0 ** (n + 1) / (2.0**n + 1.0)
-        worst_density = max(worst_density, abs(density - expected_density))
-        worst_entry = max(worst_entry,
-                          abs(rn_00 - expected_rn), abs(rn_nn - expected_rn))
-        rows.append({
-            "n": n,
-            "cell": [nu.space.breakpoints[cell], nu.space.breakpoints[cell + 1]],
-            "density": density,
-            "expected_density": expected_density,
-            "rn_entry_00": rn_00,
-            "rn_entry_nn": rn_nn,
-            "expected_rn_entry": expected_rn,
-        })
-    if levels <= 12:
-        sets = [MeasurableSet(tuple(bool(idx >> k & 1) for k in range(levels)))
-                for idx in range(1 << levels)]
-    else:
-        sets = [MeasurableSet.from_indices(nu.space, cells=[k]) for k in range(levels)]
-        sets += [MeasurableSet(tuple(k <= j for k in range(levels)))
-                 for j in range(levels)]
-    consistency = rn_consistency(nu, rho, sets)
-    results = {
-        "levels": levels,
-        "cells": rows,
-        "rn_consistency_residual": consistency,
-        "display_formula_discrepancy": {"flagged": True, "note": _RN_NOTE},
-    }
-    checks = [
-        _check("density_error", worst_density <= 1e-12, worst_density, 1e-12),
-        _check("rn_entry_error", worst_entry <= 1e-12, worst_entry, 1e-12),
-        _check("rn_consistency", consistency <= 1e-11, consistency, 1e-11),
-    ]
-    return results, checks
-
-
-def _run_paper_example_13(sc):
-    return paper_example_13(sc.get("levels", 8))
-
-
-def uhl_demo(cells: int):
-    """Indicator-valued model: no kernel on any support, range bounded away
-    from the midpoint of [0, nu(X)], spectral; returns (results, checks)."""
-    m = int(cells)
-    if not 2 <= m <= 20:
-        raise InvalidInput("cells must lie in [2, 20]")
-    nu = models.uhl_model(m)
-    half = nu.total_mass() / 2
-
-    witnesses = 0
-    if m <= 12:
-        supports = [
-            [k for k in range(m) if idx >> k & 1]
-            for idx in range(1, 1 << m)
-        ]
-    else:
-        supports = [[k] for k in range(m)]
-        supports += [[i, j] for i in range(m) for j in range(i + 1, m)]
-        supports.append(list(range(m)))
-        rng = models.rng_from_seed(0)
-        for _ in range(200):
-            mask = rng.integers(0, 2, m).astype(bool)
-            if mask.any():
-                supports.append(list(np.flatnonzero(mask)))
-    for support in supports:
-        if kernel_witness(nu, support) is not None:
-            witnesses += 1
-
-    if m <= 12:
-        distances = [float(opcore.op_norm(value - half))
-                     for _, value in brute_force_range(nu)]
-        min_distance = min(distances)
-    else:
-        # The model is diagonal, so ||nu(E) - nu(X)/2|| reduces to the
-        # largest |bit - 1/2| over the diagonal; enumerate in chunks.
-        diag = nu.cell_masses.diagonal(axis1=1, axis2=2).real  # (m, m)
-        min_distance = np.inf
-        total_diag = half.diagonal().real
-        for start in range(0, 1 << m, 1 << 16):
-            idx = np.arange(start, min(start + (1 << 16), 1 << m))
-            bits = (idx[:, None] >> np.arange(m)[None, :]) & 1
-            sums = bits @ diag
-            min_distance = min(min_distance,
-                               float(np.abs(sums - total_diag).max(axis=1).min()))
-
-    sample_sets = [MeasurableSet.empty(nu.space), MeasurableSet.full(nu.space)]
-    sample_sets += [MeasurableSet.from_indices(nu.space, cells=[k]) for k in range(m)]
-    sample_sets += [MeasurableSet(tuple(k % 2 == 0 for k in range(m))),
-                    MeasurableSet(tuple(k < m // 2 for k in range(m)))]
-    props = check_ovm_properties(nu, sample_sets)
-
-    results = {
-        "cells": m,
-        "supports_tested": len(supports),
-        "kernel_witnesses_found": witnesses,
-        "min_distance_to_half_total": min_distance,
-        "properties": {
-            "bounded": props.bounded,
-            "self_adjoint": props.self_adjoint,
-            "positive": props.positive,
-            "spectral": props.spectral,
-            "probability": props.probability,
-        },
-    }
-    checks = [
-        _check("kernel_absent", witnesses == 0, witnesses, 0),
-        _check("min_distance", abs(min_distance - 0.5) <= 1e-12, min_distance, 0.5),
-        _check("spectral", props.spectral, props.spectral),
-    ]
-    return results, checks
-
-
-def _run_uhl(sc):
-    return uhl_demo(sc.get("cells", 12))
-
-
-def singular_demo(measures: int, lambdas, cells_per_block: int = 4):
-    """Joint attainment over mutually singular scalar measures; the achieved
-    operator is the diagonal of the requested tuple."""
-    n = int(measures)
-    if n < 2:
-        raise InvalidInput("need at least two measures")
-    lam = [float(x) for x in lambdas]
-    if len(lam) != n or any(not 0.0 <= x <= 1.0 for x in lam):
-        raise InvalidInput("lambdas must be n values in [0, 1]")
-    mus = models.singular_blocks(n, cells_per_block)
-    targets = [np.array([[x]], dtype=np.complex128) for x in lam]
-    try:
-        result = joint_attain(mus, targets)
-    except (TargetNotInHull, AtomicObstruction) as exc:
-        return ({"error": f"{type(exc).__name__}: {exc}"},
-                [_check("attained", False, f"{type(exc).__name__}: {exc}")])
-    achieved_diag = [float(x) for x in result.achieved.diagonal().real]
-    component_error = max(abs(a - x) for a, x in zip(achieved_diag, lam))
-    results = {
-        "measures": n,
-        "lambdas": lam,
-        "achieved_diagonal": achieved_diag,
-        "attain": attain_to_json(result),
-    }
-    checks = [
-        _check("residual", result.residual <= 1e-10, result.residual, 1e-10),
-        _check("component_error", component_error <= 1e-9, component_error, 1e-9),
-    ]
-    return results, checks
-
-
-def _run_singular(sc):
-    if "lambdas" not in sc:
-        raise InvalidInput("scenario needs lambdas")
-    results, checks = singular_demo(sc.get("measures", 4), sc["lambdas"],
-                                    int(sc.get("cells", 4)))
-    tol = sc.get("tol")
-    if tol is not None and checks and checks[0]["name"] == "residual":
-        checks[0] = _check("residual", checks[0]["value"] <= float(tol),
-                           checks[0]["value"], float(tol))
-    return results, checks
-
-
-def classical_demo(measures, cells: int = 64, trials: int = 1, seed: int = 0,
-                   targets=None, tol: float = 1e-9):
-    """Classical Lyapunov attainment on scalar measures; returns
-    (results, checks)."""
-    rng = models.rng_from_seed(seed)
-    if isinstance(measures, int):
-        mus = models.overlapping_measures(measures, cells, rng)
-    else:
-        mus = [_load_ovm(spec) for spec in measures]
-        if any(mu.dim != 1 for mu in mus):
-            raise InvalidInput("classical measures must have dimension 1")
-    n = len(mus)
-    m = mus[0].space.n_cells
-    totals = [float(mu.total_mass()[0, 0].real) for mu in mus]
-
-    if targets is None:
-        drawn = []
-        for _ in range(int(trials)):
-            h = rng.random(m)
-            drawn.append([float(np.tensordot(h, mu.cell_masses[:, 0, 0].real, axes=1))
-                          for mu in mus])
-        targets = drawn
-    rows = []
-    worst_residual = 0.0
-    worst_fractional = 0
-    failure = None
-    for tup in targets:
-        if len(tup) != n:
-            raise InvalidInput("each target tuple needs one value per measure")
-        try:
-            result = joint_attain(mus, [np.array([[float(x)]]) for x in tup])
-        except (TargetNotInHull, AtomicObstruction) as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-            rows.append({"target": [float(x) for x in tup], "error": failure})
-            break
-        worst_residual = max(worst_residual, result.residual)
-        worst_fractional = max(worst_fractional, result.fractional_count)
-        rows.append({
-            "target": [float(x) for x in tup],
-            "achieved": [float(x) for x in result.achieved.diagonal().real],
-            "residual": result.residual,
-            "fractional_count": result.fractional_count,
-            "interval_count": result.interval_count,
-        })
-    results = {
-        "measures": n,
-        "cells": m,
-        "totals": totals,
-        "targets": rows,
-    }
-    if failure is not None:
-        return results, [_check("attained", False, failure)]
-    checks = [
-        _check("max_residual", worst_residual <= tol, worst_residual, tol),
-        _check("max_fractional", worst_fractional <= n, worst_fractional, n),
-    ]
-    return results, checks
-
-
-def _run_classical(sc):
-    return classical_demo(
-        sc.get("measures", 3),
-        cells=int(sc.get("cells", 64)),
-        trials=int(sc.get("trials", 1)),
-        seed=int(sc.get("seed", 0)),
-        targets=sc.get("targets"),
-        tol=_residual_tol(sc, 1e-9),
-    )
-
-
-def _run_properties(sc):
-    nu = _load_ovm(sc.get("ovm"))
-    if "sets" in sc:
-        sample_sets = [set_from_json(nu.space, obj) for obj in sc["sets"]]
+def _run_properties(p):
+    nu = _load_ovm(p["ovm"])
+    if p["sets"] is not None:
+        sample_sets = [set_from_json(nu.space, obj) for obj in p["sets"]]
     else:
         sample_sets = [MeasurableSet.empty(nu.space), MeasurableSet.full(nu.space)]
         sample_sets += [MeasurableSet.from_indices(nu.space, cells=[k])
                         for k in range(min(nu.space.n_cells, 16))]
-        rng = models.rng_from_seed(int(sc.get("seed", 0)))
-        for _ in range(8):
-            sample_sets.append(MeasurableSet(
-                tuple(bool(b) for b in rng.integers(0, 2, nu.space.n_cells)),
-                tuple(bool(b) for b in rng.integers(0, 2, nu.space.n_atoms))))
-    props = check_ovm_properties(nu, sample_sets)
-    flags = {
-        "bounded": props.bounded,
-        "self_adjoint": props.self_adjoint,
-        "positive": props.positive,
-        "spectral": props.spectral,
-        "probability": props.probability,
-    }
+        rng = models.rng_from_seed(p["seed"])
+        sample_sets += [MeasurableSet(rng.integers(0, 2, nu.space.n_cells),
+                                      rng.integers(0, 2, nu.space.n_atoms)) for _ in range(8)]
+    flags = asdict(check_ovm_properties(nu, sample_sets))
     results = {"properties": flags, "sets_tested": len(sample_sets)}
-    expect = sc.get("expect")
-    if expect:
-        checks = [_check(f"flag_{name}", flags.get(name) == bool(val),
-                         flags.get(name), bool(val)) for name, val in sorted(expect.items())]
+    if p["expect"]:
+        checks = [check(f"flag_{name}", flags.get(name) == bool(val), flags.get(name), bool(val))
+                  for name, val in sorted(p["expect"].items())]
     else:
-        checks = [_check("computed", True, True)]
+        checks = [check("computed", True, True)]
     return results, checks
-
-
-_RUNNERS = {
-    "attain": _run_attain,
-    "convexity": _run_convexity,
-    "paper_example_13": _run_paper_example_13,
-    "uhl": _run_uhl,
-    "singular_34": _run_singular,
-    "classical": _run_classical,
-    "properties": _run_properties,
-}
-
-
-def run_scenario(scenario) -> tuple[dict, int]:
-    """Run one scenario (dict or config file path); returns (report, code)."""
-    try:
-        if isinstance(scenario, (str, os.PathLike)):
-            with open(scenario, encoding="utf-8") as fh:
-                scenario = json.load(fh)
-        scenario = validate_scenario(scenario)
-        results, checks = _RUNNERS[scenario["kind"]](scenario)
-    except (OvmError, ValueError, OSError, json.JSONDecodeError) as exc:
-        report = {
-            "schema": REPORT_SCHEMA,
-            "version": __version__,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        return report, 1
-    passed = all(c["passed"] for c in checks)
-    report = {
-        "schema": REPORT_SCHEMA,
-        "version": __version__,
-        "scenario": scenario,
-        "results": results,
-        "checks": checks,
-        "pass": passed,
-    }
-    return report, 0 if passed else 2
-
-
-def report_to_json(report: dict) -> str:
-    """Canonical serialization: key-sorted, locale-independent."""
-    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
 def _fmt(x) -> str:
@@ -503,50 +220,173 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _interval_rows(results):
+    return results["attain"]["intervals"]
+
+
+def _classical_rows(results):
+    def joined(values):
+        return ";".join(_fmt(v) for v in values)
+
+    return [(joined(row["target"]), "", "", "") if "error" in row else
+            (joined(row["target"]), joined(row["achieved"]), row["residual"],
+             row["fractional_count"]) for row in results["targets"]]
+
+
+def _comma_floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",") if x]
+
+
+class Flag(NamedTuple):
+    """A subcommand flag; without a default it takes its key's."""
+
+    name: str
+    type: Callable
+    default: object = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One scenario kind: its keys (besides ``kind`` and ``_COMMON``), its
+    subcommand's flags (each fills the key of its own name, unless ``fill``
+    maps the parsed flags to keys), its runner (all keys, defaults filled
+    in, to results and checks) and its CSV header and rows."""
+
+    help: str
+    keys: dict[str, Key]
+    flags: tuple[Flag, ...]
+    run: Callable[[dict], tuple[dict, list]]
+    csv_header: str
+    csv_rows: Callable[[dict], list]
+    fill: Callable | None = None
+
+    def flag_keys(self, args) -> dict:
+        if self.fill is not None:
+            return self.fill(args)
+        return {f.dest: getattr(args, f.dest) for f in self.flags}
+
+
+_COMMON = {"out": Key(_TEXT), "format": Key(_FORMAT, "json"), "tol": Key(_NUMBER, 1e-9)}
+_OVM = Key(_OVM_SPEC, required=True)
+
+SCENARIOS = {
+    "attain": Kind(
+        "realize a target operator",
+        {"ovm": _OVM, "target": Key(_OBJECT, required=True), "seed": _SEED},
+        (Flag("--dim", int, 2), Flag("--cells", int, 16),
+         Flag("--target-fraction", float, 0.5, "target = fraction * nu(X)"),
+         Flag("--seed", int)),
+        _run_attain, "interval_lo,interval_hi", _interval_rows,
+        fill=lambda a: {"ovm": {"model": "lebesgue_identity", "dim": a.dim, "cells": a.cells},
+                        "target": {"total_fraction": a.target_fraction},
+                        "seed": a.seed}),
+    "convexity": Kind(
+        "seeded convexity certificate",
+        {"ovm": _OVM, "trials": Key(_INT, 100, low=0), "seed": _SEED,
+         "expect": Key(_FAILURES)},
+        (Flag("--dim", int, 2), Flag("--cells", int, 40), Flag("--trials", int),
+         Flag("--seed", int)),
+        _run_convexity, "trials,failures,max_residual,max_interval_count",
+        lambda r: [(r["trials"], len(r["failures"]), r["max_residual"],
+                    r["max_interval_count"])],
+        fill=lambda a: {"ovm": {"model": "random_povm", "dim": a.dim, "cells": a.cells,
+                                "seed": a.seed},
+                        "trials": a.trials, "seed": a.seed}),
+    "paper_example_13": Kind(
+        "harmonic diagonal model reproduction",
+        {"levels": Key(_INT, 8)},
+        (Flag("--levels", int),),
+        lambda p: demos.paper_example_13(p["levels"]),
+        "n,cell_lo,cell_hi,density,expected_density,rn_entry_00,rn_entry_nn,"
+        "expected_rn_entry",
+        lambda r: [(row["n"], *row["cell"], row["density"], row["expected_density"],
+                    row["rn_entry_00"], row["rn_entry_nn"], row["expected_rn_entry"])
+                   for row in r["cells"]]),
+    "uhl": Kind(
+        "indicator-valued counterexample model",
+        {"cells": Key(_INT, 12)},
+        (Flag("--cells", int),),
+        lambda p: demos.uhl_demo(p["cells"]),
+        "cells,supports_tested,kernel_witnesses_found,min_distance",
+        lambda r: [(r["cells"], r["supports_tested"], r["kernel_witnesses_found"],
+                    r["min_distance_to_half_total"])]),
+    "singular_34": Kind(
+        "joint attainment on singular measures",
+        {"measures": Key(_INT, 4), "lambdas": Key(_NUMBERS, required=True),
+         "cells": Key(_INT, 4), "tol": Key(_NUMBER, 1e-10)},
+        (Flag("--measures", int),
+         Flag("--lambdas", _comma_floats, "0.1,0.5,0.9,0.3",
+              "comma-separated targets in [0, 1]"),
+         Flag("--cells", int, help="cells per block")),
+        lambda p: demos.singular_demo(p["measures"], p["lambdas"], p["cells"], p["tol"]),
+        "interval_lo,interval_hi", _interval_rows),
+    "classical": Kind(
+        "classical Lyapunov attainment",
+        {"measures": Key(_MEASURES, 3), "cells": Key(_INT, 64),
+         "trials": Key(_INT, 1, low=0), "seed": _SEED, "targets": Key(_NUMBER_LISTS)},
+        (Flag("--measures", int), Flag("--cells", int), Flag("--trials", int),
+         Flag("--seed", int)),
+        _run_classical, "target,achieved,residual,fractional_count", _classical_rows),
+    "properties": Kind(
+        "axiom checks on an OVM",
+        {"ovm": _OVM, "sets": Key(_OBJECTS), "seed": _SEED, "expect": Key(_OBJECT)},
+        (Flag("--seed", int),),
+        _run_properties, "flag,value",
+        lambda r: sorted(r["properties"].items())),
+}
+
+
+def validate_scenario(sc) -> dict:
+    """Type- and range-check every key of a scenario before it runs;
+    returns all of its kind's keys, defaults filled in."""
+    if not isinstance(sc, dict):
+        raise InvalidInput("scenario must be a JSON object")
+    name = sc.get("kind")
+    if not isinstance(name, str) or name not in SCENARIOS:
+        raise InvalidInput(f"unknown scenario kind {name!r}")
+    keys = {**_COMMON, **SCENARIOS[name].keys}
+    for key in sc:
+        if key != "kind" and key not in keys:
+            raise InvalidInput(f"unknown key {key!r} for kind {name!r}")
+    return {"kind": name, **_read_keys(sc, keys)}
+
+
+def run_scenario(scenario) -> tuple[dict, int]:
+    """Run one scenario (dict or config file path); returns (report, code)."""
+    try:
+        if isinstance(scenario, (str, os.PathLike)):
+            with open(scenario, encoding="utf-8") as fh:
+                scenario = json.load(fh)
+        params = validate_scenario(scenario)
+        results, checks = SCENARIOS[params["kind"]].run(params)
+    except (OvmError, ValueError, OverflowError, OSError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return {"schema": REPORT_SCHEMA, "version": __version__, "error": error}, 1
+    passed = all(c["passed"] for c in checks)
+    report = {"schema": REPORT_SCHEMA, "version": __version__, "scenario": dict(scenario),
+              "results": results, "checks": checks, "pass": passed}
+    return report, 0 if passed else 2
+
+
+def report_to_json(report: dict) -> str:
+    """Canonical serialization: key-sorted, locale-independent."""
+    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
 def report_to_csv(report: dict) -> str:
-    """Flat point-cloud view of the kind-specific results."""
-    if "error" in report:
-        return "error\n" + report["error"].replace("\n", " ") + "\n"
-    kind = report["scenario"]["kind"]
-    results = report["results"]
-    lines = []
-    if kind == "paper_example_13":
-        lines.append("n,cell_lo,cell_hi,density,expected_density,"
-                     "rn_entry_00,rn_entry_nn,expected_rn_entry")
-        for row in results["cells"]:
-            lines.append(",".join(_fmt(v) for v in (
-                row["n"], row["cell"][0], row["cell"][1], row["density"],
-                row["expected_density"], row["rn_entry_00"],
-                row["rn_entry_nn"], row["expected_rn_entry"])))
-    elif kind in ("attain", "singular_34"):
-        lines.append("interval_lo,interval_hi")
-        for lo, hi in results["attain"]["intervals"]:
-            lines.append(f"{_fmt(lo)},{_fmt(hi)}")
-    elif kind == "classical":
-        lines.append("target,achieved,residual,fractional_count")
-        for row in results["targets"]:
-            if "error" in row:
-                lines.append(";".join(_fmt(v) for v in row["target"]) + ",,," )
-            else:
-                lines.append(",".join((
-                    ";".join(_fmt(v) for v in row["target"]),
-                    ";".join(_fmt(v) for v in row["achieved"]),
-                    _fmt(row["residual"]), _fmt(row["fractional_count"]))))
-    elif kind == "convexity":
-        lines.append("trials,failures,max_residual,max_interval_count")
-        lines.append(",".join(_fmt(v) for v in (
-            results["trials"], len(results["failures"]),
-            results["max_residual"], results["max_interval_count"])))
-    elif kind == "uhl":
-        lines.append("cells,supports_tested,kernel_witnesses_found,min_distance")
-        lines.append(",".join(_fmt(v) for v in (
-            results["cells"], results["supports_tested"],
-            results["kernel_witnesses_found"],
-            results["min_distance_to_half_total"])))
-    elif kind == "properties":
-        lines.append("flag,value")
-        for name, val in sorted(results["properties"].items()):
-            lines.append(f"{name},{val}")
+    """Flat point-cloud view of the kind-specific results; a report whose
+    scenario or operation failed gives its error."""
+    error = report["error"] if "error" in report else report["results"].get("error")
+    if error is not None:
+        return "error\n" + error.replace("\n", " ") + "\n"
+    kind = SCENARIOS[report["scenario"]["kind"]]
+    lines = [kind.csv_header]
+    lines += [",".join(_fmt(v) for v in row) for row in kind.csv_rows(report["results"])]
     return "\n".join(lines) + "\n"
 
 
@@ -587,103 +427,49 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out")
     run.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("attain", help="realize a target operator")
-    _add_common(p)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--cells", type=int, default=16)
-    p.add_argument("--target-fraction", type=float, default=0.5,
-                   help="target = fraction * nu(X)")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("convexity", help="seeded convexity certificate")
-    _add_common(p)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--cells", type=int, default=40)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("paper-example-13", help="harmonic diagonal model reproduction")
-    _add_common(p)
-    p.add_argument("--levels", type=int, default=8)
-
-    p = sub.add_parser("uhl", help="indicator-valued counterexample model")
-    _add_common(p)
-    p.add_argument("--cells", type=int, default=12)
-
-    p = sub.add_parser("singular-34", help="joint attainment on singular measures")
-    _add_common(p)
-    p.add_argument("--measures", type=int, default=4)
-    p.add_argument("--lambdas", default="0.1,0.5,0.9,0.3",
-                   help="comma-separated targets in [0, 1]")
-    p.add_argument("--cells", type=int, default=4, help="cells per block")
-
-    p = sub.add_parser("classical", help="classical Lyapunov attainment")
-    _add_common(p)
-    p.add_argument("--measures", type=int, default=3)
-    p.add_argument("--cells", type=int, default=64)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("properties", help="axiom checks on an OVM")
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=0)
+    for name, kind in SCENARIOS.items():
+        p = sub.add_parser(name.replace("_", "-"), help=kind.help)
+        _add_common(p)
+        for flag in kind.flags:
+            default = kind.keys[flag.dest].default if flag.default is None else flag.default
+            p.add_argument(flag.name, type=flag.type, default=default, help=flag.help)
     return parser
 
 
 def _scenario_from_args(args) -> dict:
     scenario = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             scenario = json.load(fh)
         if not isinstance(scenario, dict):
             raise InvalidInput("scenario config must be a JSON object")
-    command = args.command
-    if command == "run":
+    if args.command == "run":
         return scenario
-    kind = command.replace("-", "_")
-    scenario.setdefault("kind", kind)
-    if getattr(args, "tol", None) is not None:
+    name = args.command.replace("-", "_")
+    scenario.setdefault("kind", name)
+    if args.tol is not None:
         scenario["tol"] = args.tol
-    if kind == "attain":
-        scenario.setdefault("ovm", {"model": "lebesgue_identity",
-                                    "dim": args.dim, "cells": args.cells})
-        scenario.setdefault("target", {"total_fraction": args.target_fraction})
-        scenario.setdefault("seed", args.seed)
-    elif kind == "convexity":
-        scenario.setdefault("ovm", {"model": "random_povm", "dim": args.dim,
-                                    "cells": args.cells, "seed": args.seed})
-        scenario.setdefault("trials", args.trials)
-        scenario.setdefault("seed", args.seed)
-    elif kind == "paper_example_13":
-        scenario.setdefault("levels", args.levels)
-    elif kind == "uhl":
-        scenario.setdefault("cells", args.cells)
-    elif kind == "singular_34":
-        scenario.setdefault("measures", args.measures)
-        if "lambdas" not in scenario:
-            scenario["lambdas"] = [float(x) for x in str(args.lambdas).split(",") if x]
-        scenario.setdefault("cells", args.cells)
-    elif kind == "classical":
-        scenario.setdefault("measures", args.measures)
-        scenario.setdefault("cells", args.cells)
-        scenario.setdefault("trials", args.trials)
-        scenario.setdefault("seed", args.seed)
+    for key, value in SCENARIOS[name].flag_keys(args).items():
+        scenario.setdefault(key, value)
     return scenario
 
 
+def _setting(scenario, name):
+    """A scenario's own ``out`` or ``format`` when it is well formed."""
+    value = scenario.get(name) if isinstance(scenario, dict) else None
+    return value if _COMMON[name].type.accepts(value) else None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         scenario = _scenario_from_args(args)
-    except (OvmError, OSError, json.JSONDecodeError) as exc:
+    except (OvmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_path = getattr(args, "out", None) or (scenario.get("out") if isinstance(scenario, dict) else None)
-    fmt = scenario.get("format", getattr(args, "format", "json")) if isinstance(scenario, dict) else "json"
-    if getattr(args, "format", None) and args.format != "json":
-        fmt = args.format
+    out_path = args.out or _setting(scenario, "out") or None
+    fmt = args.format if args.format != "json" else _setting(scenario, "format")
     report, code = run_scenario(scenario)
     text = report_to_csv(report) if fmt == "csv" else report_to_json(report)
     write_report(text, out_path)

@@ -38,12 +38,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def hermitian_part(a) -> np.ndarray:
-    """(A + A*) / 2."""
-    m = as_matrix(a)
-    return (m + m.conj().T) / 2
-
-
 def hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
     """Validate and symmetrize a Hermitian matrix.
 
@@ -100,7 +94,7 @@ def op_norm(a) -> float:
     if m.size == 0:
         return 0.0
     if is_hermitian(m):
-        return float(np.abs(np.linalg.eigvalsh(hermitian_part(m))).max())
+        return float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2)).max())
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
@@ -252,9 +246,12 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or not {"dim", "re", "im"} <= set(obj):
         raise InvalidInput("matrix JSON must have keys dim, re, im")
-    d = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=np.float64)
-    im = np.asarray(obj["im"], dtype=np.float64)
+    try:
+        d = int(obj["dim"])
+        re = np.asarray(obj["re"], dtype=np.float64)
+        im = np.asarray(obj["im"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"matrix JSON must hold numbers: {exc}") from exc
     if re.shape != (d, d) or im.shape != (d, d):
         raise InvalidInput(f"matrix JSON arrays must be {d}x{d}")
     return as_matrix(re + 1j * im)

@@ -140,17 +140,24 @@ class MeasurableSet:
         return MeasurableSet(tuple(not x for x in self.cell_mask),
                              tuple(not x for x in self.atom_mask))
 
+    def _pairs(self, other: "MeasurableSet"):
+        """Cell and atom mask pairs of two sets on one layout."""
+        if (len(self.cell_mask) != len(other.cell_mask)
+                or len(self.atom_mask) != len(other.atom_mask)):
+            raise ShapeMismatch("sets have masks of different lengths")
+        return zip(self.cell_mask, other.cell_mask), zip(self.atom_mask, other.atom_mask)
+
     def intersection(self, other: "MeasurableSet") -> "MeasurableSet":
-        return MeasurableSet(tuple(x and y for x, y in zip(self.cell_mask, other.cell_mask)),
-                             tuple(x and y for x, y in zip(self.atom_mask, other.atom_mask)))
+        cells, atoms = self._pairs(other)
+        return MeasurableSet(tuple(x and y for x, y in cells), tuple(x and y for x, y in atoms))
 
     def union(self, other: "MeasurableSet") -> "MeasurableSet":
-        return MeasurableSet(tuple(x or y for x, y in zip(self.cell_mask, other.cell_mask)),
-                             tuple(x or y for x, y in zip(self.atom_mask, other.atom_mask)))
+        cells, atoms = self._pairs(other)
+        return MeasurableSet(tuple(x or y for x, y in cells), tuple(x or y for x, y in atoms))
 
     def is_disjoint(self, other: "MeasurableSet") -> bool:
-        return not (any(x and y for x, y in zip(self.cell_mask, other.cell_mask))
-                    or any(x and y for x, y in zip(self.atom_mask, other.atom_mask)))
+        cells, atoms = self._pairs(other)
+        return not (any(x and y for x, y in cells) or any(x and y for x, y in atoms))
 
     def cell_indices(self) -> tuple[int, ...]:
         return tuple(k for k, x in enumerate(self.cell_mask) if x)
@@ -500,15 +507,18 @@ def space_to_json(space: SampleSpace) -> dict:
 
 
 def space_from_json(obj) -> SampleSpace:
-    if not isinstance(obj, dict) or "breakpoints" not in obj:
-        raise InvalidInput("space JSON must carry breakpoints")
-    return SampleSpace(
-        a=float(obj["a"]),
-        b=float(obj["b"]),
-        breakpoints=tuple(obj["breakpoints"]),
-        atom_sites=tuple(obj.get("atoms", ())),
-        divisible=tuple(obj.get("divisible", ())),
-    )
+    if not isinstance(obj, dict) or not {"a", "b", "breakpoints"} <= obj.keys():
+        raise InvalidInput("space JSON must carry a, b and breakpoints")
+    try:
+        return SampleSpace(
+            a=float(obj["a"]),
+            b=float(obj["b"]),
+            breakpoints=tuple(obj["breakpoints"]),
+            atom_sites=tuple(obj.get("atoms", ())),
+            divisible=tuple(obj.get("divisible", ())),
+        )
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed space JSON: {exc}") from exc
 
 
 def ovm_to_json(nu: OVM) -> dict:
@@ -531,13 +541,20 @@ def ovm_from_json(obj) -> OVM:
     space = space_from_json(obj["space"])
     variant = obj.get("variant", "grid")
     if variant == "direct_sum":
-        comps = [ovm_from_json(c) for c in obj.get("components", [])]
-        return direct_sum(*comps)
-    d = int(obj["dim"])
-    cm = [opcore.matrix_from_json(x) for x in obj.get("cell_masses", [])]
-    am = [opcore.matrix_from_json(x) for x in obj.get("atom_masses", [])]
-    cell = np.stack(cm) if cm else _zero_masses(space.n_cells, d)
-    atom = np.stack(am) if am else _zero_masses(space.n_atoms, d)
+        comps = obj.get("components", [])
+        if not isinstance(comps, list):
+            raise InvalidInput("OVM JSON components must be a list")
+        return direct_sum(*[ovm_from_json(c) for c in comps])
+    if "dim" not in obj:
+        raise InvalidInput("OVM JSON must carry a dim")
+    try:
+        d = int(obj["dim"])
+        cm = [opcore.matrix_from_json(x) for x in obj.get("cell_masses", [])]
+        am = [opcore.matrix_from_json(x) for x in obj.get("atom_masses", [])]
+        cell = np.stack(cm) if cm else _zero_masses(space.n_cells, d)
+        atom = np.stack(am) if am else _zero_masses(space.n_atoms, d)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"malformed OVM JSON: {exc}") from exc
     return OVM(space, d, cell, atom, variant)
 
 
@@ -548,4 +565,7 @@ def set_to_json(e: MeasurableSet) -> dict:
 def set_from_json(space: SampleSpace, obj) -> MeasurableSet:
     if not isinstance(obj, dict):
         raise InvalidInput("set JSON must be an object")
-    return MeasurableSet.from_indices(space, obj.get("cells", ()), obj.get("atoms", ()))
+    cells, atoms = obj.get("cells", []), obj.get("atoms", [])
+    if not all(isinstance(x, list) and all(isinstance(k, int) for k in x) for x in (cells, atoms)):
+        raise InvalidInput("set JSON cells and atoms must be lists of indices")
+    return MeasurableSet.from_indices(space, cells, atoms)

@@ -133,19 +133,12 @@ def indicator(space: SampleSpace, dim: int, e: MeasurableSet) -> QuantumRandomVa
     return QuantumRandomVariable(space, dim, cv, av)
 
 
-def scalar_lift(space: SampleSpace, dim: int, cell_scalars, atom_scalars=None) -> QuantumRandomVariable:
-    """Scalars h_k lifted to h_k * I, e.g. elements of the fractional cube."""
-    h = np.asarray(cell_scalars, dtype=np.complex128)
-    a = (np.zeros(space.n_atoms, dtype=np.complex128) if atom_scalars is None
-         else np.asarray(atom_scalars, dtype=np.complex128))
+def from_fractional(space: SampleSpace, dim: int, h: FractionalSet) -> QuantumRandomVariable:
+    """An element h of the fractional cube lifted to the step function h_k * I."""
     eye = np.eye(dim, dtype=np.complex128)
     return QuantumRandomVariable(space, dim,
-                                 h[:, None, None] * eye,
-                                 a[:, None, None] * eye)
-
-
-def from_fractional(space: SampleSpace, dim: int, h: FractionalSet) -> QuantumRandomVariable:
-    return scalar_lift(space, dim, h.fractions(), h.atoms().astype(float))
+                                 h.fractions()[:, None, None] * eye,
+                                 h.atoms()[:, None, None] * eye)
 
 
 def _split_psd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,15 +261,15 @@ def ess_range(f: QuantumRandomVariable, nu: OVM) -> list[np.ndarray]:
     """
     if f.space != nu.space:
         raise ShapeMismatch("step function and measure live on different spaces")
-    out: list[np.ndarray] = []
-    for live_values in (
+    live = np.concatenate([
         f.cell_values[nu.cell_norms() > MASS_TOL],
         f.atom_values[nu.atom_norms() > MASS_TOL],
-    ):
-        for value in live_values:
-            if all(opcore.op_norm(value - seen) > DEDUP_TOL for seen in out):
-                out.append(value.copy())
-    return out
+    ])
+    kept: list[int] = []
+    for i, value in enumerate(live):
+        if not kept or _value_norms(value - live[kept]).min() > DEDUP_TOL:
+            kept.append(i)
+    return list(live[kept])
 
 
 def ess_sup(f: QuantumRandomVariable, nu: OVM) -> float:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from ovmkit import opcore
-from ovmkit.cli import paper_example_13, uhl_demo
+from ovmkit.demos import paper_example_13, uhl_demo
 from ovmkit.lyapunov import (
     brute_force_range,
     convexity_certificate,

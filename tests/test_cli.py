@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ovmkit
 from ovmkit import cli, ovm
@@ -272,3 +274,122 @@ class TestOvmLoading:
             "kind": "attain", "ovm": {"model": "nope"},
             "target": {"total_fraction": 0.5}})
         assert code == 1
+
+
+SMALL_OVM = {"model": "lebesgue_identity", "dim": 2, "cells": 4}
+POVM = {"model": "random_povm", "dim": 2, "cells": 8}
+NO_DIM = {k: v for k, v in ovm.ovm_to_json(lebesgue_identity(4, 2)).items() if k != "dim"}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("scenario", [
+        {"kind": "singular_34", "measures": 4, "lambdas": 5},
+        {"kind": "convexity", "ovm": POVM, "trials": 2, "expect": 3},
+        {"kind": "properties", "ovm": SMALL_OVM, "expect": [1, 2]},
+        {"kind": "properties", "ovm": SMALL_OVM, "sets": 5},
+        {"kind": "classical", "measures": 2, "cells": 8, "targets": 5},
+        {"kind": "classical", "measures": 0},
+        {"kind": "attain", "ovm": {"model": "random_povm", "dim": 0},
+         "target": {"total_fraction": 0.5}},
+        {"kind": "attain", "ovm": NO_DIM, "target": {"total_fraction": 0.5}},
+        {"kind": "convexity", "ovm": POVM, "trials": 2.7},
+        {"kind": "convexity", "ovm": POVM, "trials": -3},
+        {"kind": "uhl", "cells": 4, "format": "xml"},
+        {"kind": "classical", "measures": "abc"},
+    ], ids=["lambdas_scalar", "convexity_expect_scalar", "properties_expect_list",
+            "sets_scalar", "targets_scalar", "measures_zero", "povm_dim_zero",
+            "inline_ovm_without_dim", "trials_float", "trials_negative",
+            "format_xml", "measures_text"])
+    def test_exit_one_invalid_input(self, scenario):
+        report, code = cli.run_scenario(scenario)
+        assert code == 1
+        assert report["error"].startswith("InvalidInput: ")
+
+    def test_properties_seed_flag_reaches_scenario(self, tmp_path):
+        config = tmp_path / "props.json"
+        config.write_text(json.dumps({"ovm": POVM}), encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert cli.main(["properties", "--config", str(config), "--seed", "5",
+                         "--out", str(out)]) == 0
+        report, _ = cli.run_scenario({"kind": "properties", "ovm": POVM, "seed": 5})
+        assert json.loads(out.read_text(encoding="utf-8"))["scenario"]["seed"] == 5
+        assert out.read_text(encoding="utf-8") == cli.report_to_json(report)
+
+    def test_malformed_out_reports_to_stdout(self, tmp_path, capsys):
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps({"kind": "uhl", "cells": 4, "out": 5}), encoding="utf-8")
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert "out must be a string" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_csv_of_failed_operation_gives_its_error():
+    report, code = cli.run_scenario(dict(LEBESGUE_SCENARIO, target={"total_fraction": 2.0}))
+    assert code == 2
+    assert cli.report_to_csv(report).startswith("error\nTargetNotInHull: ")
+
+
+# Scenario fuzzing.  Sizes stay small (every model and runner stays cheap
+# and allocates little: the key checks set no upper bounds) and seeds
+# within [-3, 64].
+_SIZES = st.integers(-3, 6)
+_NUMBERS = _SIZES | st.floats()
+_LEAVES = (st.none() | st.booleans() | _NUMBERS | st.text(max_size=3)
+           | st.sampled_from(["json", "csv", "xml", *cli._MODELS]))
+_NESTED_KEYS = ["model", "dim", "cells", "seed", "mass", "site", "total_fraction",
+                "re", "im", "failures", "positive", "spectral", "atoms", "space"]
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=8)
+    | st.dictionaries(st.sampled_from(_NESTED_KEYS), inner, max_size=4),
+    max_leaves=12)
+_MODEL_SPECS = st.fixed_dictionaries(
+    {"model": st.sampled_from(sorted(cli._MODELS))},
+    optional={"dim": _SIZES, "cells": _SIZES, "seed": st.integers(-3, 64),
+              "mass": _NUMBERS, "site": _NUMBERS})
+_INLINE = ovm.ovm_to_json(lebesgue_identity(3, 2))
+_INLINE_SPECS = (
+    st.builds(lambda key, value: {**_INLINE, key: value}, st.sampled_from(sorted(_INLINE)), _JSON)
+    | st.builds(lambda key, value: {**_INLINE, "space": {**_INLINE["space"], key: value}},
+                st.sampled_from(sorted(_INLINE["space"])), _JSON))
+_VALUES = {
+    "out": st.just("report.json"),
+    "format": st.sampled_from(["json", "csv"]),
+    "tol": st.floats(0.0, 1.0),
+    "ovm": _MODEL_SPECS | _INLINE_SPECS,
+    "target": st.fixed_dictionaries({"total_fraction": _NUMBERS}),
+    "seed": st.integers(-3, 64),
+    "lambdas": st.lists(st.floats(0.0, 1.0), max_size=8),
+    "targets": st.lists(st.lists(_NUMBERS, max_size=4), max_size=4),
+    "measures": _SIZES | st.lists(_MODEL_SPECS, min_size=1, max_size=3),
+    "sets": st.lists(st.fixed_dictionaries({}, optional={
+        "cells": st.lists(_SIZES, max_size=8), "atoms": st.lists(_SIZES, max_size=2)}),
+        max_size=4),
+    "expect": st.dictionaries(
+        st.sampled_from(["failures", "positive", "spectral", "probability", "other"]),
+        _LEAVES, max_size=3),
+}
+
+
+@st.composite
+def _scenarios(draw):
+    kind = draw(st.sampled_from(sorted(cli.SCENARIOS)))
+    keys = {**cli._COMMON, **cli.SCENARIOS[kind].keys}
+    # Required keys always, and the sizes too: the defaults of uhl cells
+    # and convexity trials cost most of a second a run.
+    always = [name for name, key in keys.items()
+              if key.required or name in ("cells", "trials")]
+    optional = sorted(set(keys) - set(always))
+    chosen = always + draw(st.lists(st.sampled_from(optional), unique=True))
+    scenario = {key: draw(_VALUES.get(key, _SIZES)) for key in chosen}
+    if chosen and draw(st.booleans()):  # one key takes any JSON value
+        scenario[draw(st.sampled_from(chosen))] = draw(_JSON)
+    return {"kind": kind, **scenario}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_scenarios())
+def test_run_scenario_fuzz(scenario):
+    report, code = cli.run_scenario(scenario)
+    assert code in (0, 1, 2)
+    assert "schema" in report
+    assert ("error" in report) == (code == 1)

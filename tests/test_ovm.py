@@ -127,6 +127,15 @@ class TestEvaluate:
             assert box.contains(evaluate(nu, e), 1e-10)
 
 
+@pytest.mark.parametrize("method", ["intersection", "union", "is_disjoint"])
+def test_set_operation_rejects_masks_of_other_lengths(method):
+    e = MeasurableSet((True, False, True), (False,))
+    for other in (MeasurableSet((True, False), (False,)),
+                  MeasurableSet((True, False, True), ())):
+        with pytest.raises(errors.ShapeMismatch):
+            getattr(e, method)(other)
+
+
 class TestEvaluateFractional:
     def test_zero(self):
         nu = lebesgue_identity(4, 2)

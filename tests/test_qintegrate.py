@@ -8,6 +8,7 @@ import pytest
 from ovmkit import errors, opcore, qintegrate
 from ovmkit.models import (
     lebesgue_identity,
+    random_complex,
     random_hermitian,
     random_povm,
     random_qrv_values,
@@ -313,6 +314,41 @@ class TestEssentialRange:
             lam = value[0, 0].real
             assert 0.0 <= lam <= 1.0
             assert opcore.op_norm(value - lam * np.eye(2)) <= 1e-12
+
+
+def ess_range_pairwise(f, nu):
+    """Reference for ess_range's dedup: one op_norm per (value, kept value)
+    pair, first occurrence kept, cells before atoms."""
+    out = []
+    for live_values in (f.cell_values[nu.cell_norms() > qintegrate.MASS_TOL],
+                        f.atom_values[nu.atom_norms() > qintegrate.MASS_TOL]):
+        for value in live_values:
+            if all(opcore.op_norm(value - seen) > qintegrate.DEDUP_TOL for seen in out):
+                out.append(value.copy())
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ess_range_matches_pairwise_reference(seed):
+    """Seeded stacks drawn from a pool holding, besides four base values,
+    copies moved by DEDUP_TOL / 2 (the same value) and by 2 * DEDUP_TOL (a
+    new one); Hermitian and general values, null cells and atoms."""
+    rng = rng_from_seed(900 + seed)
+    d, m, n = 1 + seed % 3, 40, 4
+    space = SampleSpace.uniform(m, atom_sites=tuple((k + 0.5) / n for k in range(n)))
+    base = random_qrv_values(d, 4, rng) if seed % 2 else random_complex(rng, (4, d, d))
+    nudge = random_complex(rng, (d, d))
+    nudge /= opcore.op_norm(nudge)
+    tol = qintegrate.DEDUP_TOL
+    pool = np.concatenate([base, base + tol / 2 * nudge, base + 2 * tol * nudge])
+    values = pool[rng.integers(0, len(pool), m + n)]
+    masses = random_qrv_values(d, m + n, rng, positive=True)
+    masses[rng.integers(0, m + n, 6)] = 0.0
+    nu = grid_ovm(space, masses[:m], atom_masses=masses[m:])
+    f = qrv(space, values[:m], values[m:])
+    got, want = ess_range(f, nu), ess_range_pairwise(f, nu)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestEssentialSup:
