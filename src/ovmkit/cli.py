@@ -277,14 +277,12 @@ _OVM = Key(_OVM_SPEC, required=True)
 SCENARIOS = {
     "attain": Kind(
         "realize a target operator",
-        {"ovm": _OVM, "target": Key(_OBJECT, required=True), "seed": _SEED},
+        {"ovm": _OVM, "target": Key(_OBJECT, required=True)},
         (Flag("--dim", int, 2), Flag("--cells", int, 16),
-         Flag("--target-fraction", float, 0.5, "target = fraction * nu(X)"),
-         Flag("--seed", int)),
+         Flag("--target-fraction", float, 0.5, "target = fraction * nu(X)")),
         _run_attain, "interval_lo,interval_hi", _interval_rows,
         fill=lambda a: {"ovm": {"model": "lebesgue_identity", "dim": a.dim, "cells": a.cells},
-                        "target": {"total_fraction": a.target_fraction},
-                        "seed": a.seed}),
+                        "target": {"total_fraction": a.target_fraction}}),
     "convexity": Kind(
         "seeded convexity certificate",
         {"ovm": _OVM, "trials": Key(_INT, 100, low=0), "seed": _SEED,

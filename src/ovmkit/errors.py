@@ -53,12 +53,15 @@ class AtomicObstruction(OvmError):
 
 
 class TargetNotInHull(OvmError):
-    """The feasibility solver failed to reach the target operator.
+    """The target operator A lies outside {sum_k h_k M_k : 0 <= h_k <= 1}.
 
-    Advisory only: this is not a separation certificate."""
+    Raised with a certificate anyone can recheck in O(m d^2): a Hermitian
+    ``witness`` W and ``gap`` = tr(W A) - sum_k max(0, tr(W M_k)) > 0.  The
+    sum is the largest tr(W B) over that set, so no B in it equals A."""
 
-    def __init__(self, message, residual=None):
-        self.residual = residual
+    def __init__(self, message, witness=None, gap=None):
+        self.witness = witness
+        self.gap = gap
         super().__init__(message)
 
 

@@ -5,20 +5,25 @@ divisible grid measure can be attained as nu(E) for an explicit interval
 set E.  The route is the classical extreme-point argument for ranges of
 nonatomic measures, made algorithmic:
 
-1.  Find a feasible fractional set h (alternating projections between the
-    affine fiber and the unit box, Dykstra-corrected).
-2.  Purify: while the cell masses on the fractional support are linearly
-    dependent, move h along a kernel direction until a coordinate hits
-    {0, 1}.  The fiber value is conserved; at most d^2 fractional cells
-    survive (the coordinate matrix has rank at most d^2).  The direction
-    is the null-space projection of a basis vector.  When the D x n
-    coordinate block (D = d^2) has n > D and a well-conditioned Gram
-    matrix G = cols cols^T, the projector is I - cols^T G^(-1) cols,
-    built from one D x D eigendecomposition; rank-deficient blocks (zero
-    coordinate rows of a direct sum, say) and blocks with n <= D take an
-    SVD.  A move is accepted when sum c_k M_k stays below the drift
-    tolerance: first through its Frobenius norm ||cols c||, an upper
-    bound, and only when that fails through the operator norm itself.
+1.  attain: phase 1 of Dantzig's bounded-variable revised simplex on the
+    d^2 coordinate rows sum_k h_k M_k = A, 0 <= h_k <= 1, one artificial
+    per row.  Its basic solution is a vertex of the fiber, with at most
+    d^2 fractional cells, and goes straight to step 3.  At a phase-1
+    optimum with positive artificial sum the simplex multipliers give a
+    witness W separating A from the range (see TargetNotInHull).
+2.  Purify (convex_combine's mixed set): while the cell masses on the
+    fractional support are linearly dependent, move h along a kernel
+    direction until a coordinate hits {0, 1}.  The fiber value is
+    conserved; at most d^2 fractional cells survive (the coordinate matrix
+    has rank at most d^2).  The direction is the null-space projection of
+    a basis vector.  When the D x n coordinate block (D = d^2) has n > D
+    and a well-conditioned Gram matrix G = cols cols^T, the projector is
+    I - cols^T G^(-1) cols, built from one D x D eigendecomposition;
+    rank-deficient blocks (zero coordinate rows of a direct sum, say) and
+    blocks with n <= D take an SVD.  A move is accepted when sum c_k M_k
+    stays below the drift tolerance: first through its Frobenius norm
+    ||cols c||, an upper bound, and only when that fails through the
+    operator norm itself.
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
     exact under the constant-density convention.
 
@@ -28,7 +33,7 @@ cell raises AtomicObstruction instead of silently splitting an atom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,6 +67,16 @@ KERNEL_RCOND = 1e-10
 # projector replaces the SVD; sqrt(GRAM_RCOND) >> KERNEL_RCOND, so full
 # row rank is certain under the singular-value cut.
 GRAM_RCOND = 1e-6
+# Simplex tolerance in units of ||nu(X)||: the artificial sum that counts
+# as attained, the least entering gain and the ratio-test tie width.
+SIMPLEX_TOL = 1e-12
+# Smallest basis-column entry a ratio test divides by.
+PIVOT_TOL = 1e-9
+# Pivots between refactorizations of the d^2 x d^2 basis inverse.
+REFACTOR_EVERY = 64
+# Degenerate pivots in a row after which pricing follows Bland's rule
+# until a pivot makes progress; Bland's rule cannot cycle.
+BLAND_AFTER = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +103,8 @@ class PurifyResult:
 class AttainResult:
     """Interval realization of a target operator.
 
-    ``fractional_count`` is how many cells were still strictly fractional
-    after purification, i.e. how many cells had to be split.
+    ``fractional_count`` is how many cells were strictly fractional in the
+    realized set, i.e. how many cells had to be split.
     """
 
     intervals: tuple[tuple[float, float], ...]
@@ -395,28 +410,96 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
     )
     target = evaluate_fractional(nu, h0)
     pure = purify(nu, h0)
-    result = realize_intervals(nu, pure.h_final, target=target)
-    return AttainResult(
-        intervals=result.intervals,
-        atom_indices=result.atom_indices,
-        achieved=result.achieved,
-        residual=result.residual,
-        interval_count=result.interval_count,
-        iterations=pure.iterations,
-        fractional_count=len(pure.fractional_indices),
-    )
+    return replace(realize_intervals(nu, pure.h_final, target=target),
+                   iterations=pure.iterations)
 
 
-def attain(nu: OVM, target, *, stop_tol: float = 1e-10, fail_tol: float = 1e-6,
-           max_iter: int = 100000) -> AttainResult:
-    """Realize a target operator in the range hull of a nonatomic measure.
+def _entering(gain: np.ndarray, bland: bool) -> int | None:
+    """Dantzig's largest gain, lowest index on ties, or under Bland's rule
+    the lowest index with any gain; None at a phase-1 optimum."""
+    q = int(np.argmax(gain > SIMPLEX_TOL) if bland else np.argmax(gain))
+    return q if gain[q] > SIMPLEX_TOL else None
 
-    Feasibility (find h in [0,1]^m with sum h_k M_k = target) runs as
-    Dykstra-corrected alternating projections between the affine fiber,
-    applied through a precomputed least-squares factorization in Hermitian
-    coordinates, and the unit box.  Failure to converge below ``fail_tol``
-    raises TargetNotInHull; that is a heuristic report, never a
-    certificate that the target lies outside the hull.
+
+def _phase_one(coords: np.ndarray, goal: np.ndarray):
+    """Phase 1 of the bounded-variable revised simplex: minimize the sum of
+    artificials a_i >= 0, one per row, subject to coords h + s a = goal
+    and 0 <= h <= 1 (s_i = +-1 makes the starting a_i nonnegative).
+
+    Cells start at the bound the goal favours over the centre nu(X)/2,
+    which is already the vertex for nu(X).  A bound flip moves a nonbasic
+    cell across its box and keeps the basis; a departing artificial never
+    re-enters.  Returns (h, duals, objective, steps): a basic solution, the
+    simplex multipliers, sum a, and the pivots plus bound flips taken.
+    """
+    n_rows, m = coords.shape
+    h = (((goal - coords.sum(axis=1) / 2) @ coords) > 0.0).astype(float)
+    sign = np.where(goal - coords @ h >= 0.0, 1.0, -1.0)
+    cols = np.hstack([coords, np.diag(sign)])
+    value = np.concatenate([h, np.zeros(n_rows)])
+    upper = np.concatenate([np.ones(m), np.full(n_rows, np.inf)])
+    move = np.concatenate([1.0 - 2.0 * h, np.zeros(n_rows)])  # +1 at 0, -1 at 1, else 0
+    basis = np.arange(m, m + n_rows)
+    steps = degenerate = 0
+    since_refactor = REFACTOR_EVERY
+    while True:
+        if since_refactor >= REFACTOR_EVERY:
+            binv = np.linalg.inv(cols[:, basis])
+            value[basis] = binv @ (goal - cols[:, move < 0].sum(axis=1))
+            since_refactor = 0
+        cost = (basis >= m).astype(float)
+        objective = float(cost @ value[basis])
+        if objective <= SIMPLEX_TOL:
+            break
+        bland = degenerate >= BLAND_AFTER
+        q = _entering((cost @ binv @ cols) * move, bland)
+        if q is None:
+            if since_refactor == 0:
+                break
+            since_refactor = REFACTOR_EVERY  # confirm the optimum on a fresh factor
+            continue
+        steps += 1
+        if steps > 100 * (m + n_rows):
+            raise NumericalFailure(f"simplex took more than {100 * (m + n_rows)} steps")
+        column = binv @ cols[:, q]
+        fall = move[q] * column  # basic values fall by t * fall as cell q moves by t
+        room = np.full(n_rows, np.inf)
+        down, up = fall > PIVOT_TOL, fall < -PIVOT_TOL
+        room[down] = value[basis[down]] / fall[down]
+        room[up] = (value[basis[up]] - upper[basis[up]]) / fall[up]
+        room = np.maximum(room, 0.0)
+        t = min(float(room.min()), 1.0)
+        value[basis] -= t * fall
+        value[q] += move[q] * t
+        if t == 1.0:  # bound flip
+            move[q] = -move[q]
+            degenerate = 0
+            continue
+        ties = np.flatnonzero(room <= t + SIMPLEX_TOL)
+        r = int(ties[np.argmin(basis[ties])] if bland else ties[np.argmax(np.abs(fall[ties]))])
+        out = basis[r]
+        value[out] = 1.0 if fall[r] < 0.0 else 0.0
+        move[out] = -1.0 if fall[r] < 0.0 else float(out < m)
+        basis[r], move[q] = q, 0.0
+        binv[r] /= column[r]
+        column[r] = 0.0
+        binv -= np.outer(column, binv[r])
+        since_refactor += 1
+        degenerate = degenerate + 1 if t <= SIMPLEX_TOL else 0
+    return value[:m], cost @ binv, objective, steps
+
+
+def attain(nu: OVM, target) -> AttainResult:
+    """Realize a target operator in the range of a nonatomic measure.
+
+    Phase 1 of the bounded-variable simplex finds a vertex h of the fiber
+    {h in [0,1]^m : sum_k h_k M_k = target} in Hermitian coordinates; it
+    has at most d^2 fractional cells, realized as leftmost sub-intervals.
+    ``iterations`` counts the simplex steps (pivots plus bound flips).
+    Tolerances are relative to ||nu(X)||.  A phase-1 optimum with positive
+    artificial sum raises TargetNotInHull with a separating witness W:
+    tr(W A) exceeds sum_k max(0, tr(W M_k)), the largest tr(W B) over the
+    range, by ``gap`` > 0.
     """
     if not nu.positive:
         raise NotPositive("attainment is defined for positive OVMs")
@@ -428,63 +511,20 @@ def attain(nu: OVM, target, *, stop_tol: float = 1e-10, fail_tol: float = 1e-6,
         raise ShapeMismatch(f"target dim {a_mat.shape[0]} vs measure dim {nu.dim}")
     coords = coordinate_matrix(nu, range(nu.space.n_cells))
     goal = opcore.herm_coords(a_mat)
-    scale = max(1.0, float(np.linalg.norm(goal)))
-
-    u, sing, vt = np.linalg.svd(coords, full_matrices=False)
-    keep = sing > 1e-12 * (sing[0] if sing.size else 0.0)
-    ur, sr, vr = u[:, keep], sing[keep], vt[keep]
-
-    def project_fiber(x):
-        # x - pinv(coords) @ (coords @ x - goal)
-        resid = coords @ x - goal
-        return x - vr.T @ ((ur.T @ resid) / sr)
-
-    x = np.clip(project_fiber(np.zeros(nu.space.n_cells)), 0.0, 1.0)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    best = np.inf
-    stall = 0
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        y = project_fiber(x + p)
-        p = x + p - y
-        xb = np.clip(y + q, 0.0, 1.0)
-        q = y + q - xb
-        x = xb
-        resid = float(np.linalg.norm(coords @ x - goal))
-        if resid <= stop_tol * scale:
-            break
-        # Plateau detection: alternating projections have stabilized at a
-        # positive gap, so the box and the fiber do not intersect.
-        if resid < best - 1e-15 * scale:
-            best = resid
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 500:
-                break
-    resid = float(np.linalg.norm(coords @ x - goal))
-    if resid > fail_tol * scale:
+    scale = opcore.op_norm(nu.total_mass()) or 1.0
+    h, duals, objective, steps = _phase_one(coords / scale, goal / scale)
+    if objective > SIMPLEX_TOL:
+        gap = float(duals @ goal - np.maximum(duals @ coords, 0.0).sum())
+        if not gap > 0.0:
+            raise NumericalFailure(f"phase-1 optimum {objective:.3e} without a separation")
         raise TargetNotInHull(
-            f"projection residual {resid:.3e} after {iterations} iterations",
-            residual=resid,
-        )
-
-    h = FractionalSet(tuple(_snap(x)), (False,) * nu.space.n_atoms)
-    pure = purify(nu, h)
-    result = realize_intervals(nu, pure.h_final, target=a_mat)
-    return AttainResult(
-        intervals=result.intervals,
-        atom_indices=result.atom_indices,
-        achieved=result.achieved,
-        residual=result.residual,
-        interval_count=result.interval_count,
-        iterations=iterations + pure.iterations,
-        fractional_count=len(pure.fractional_indices),
-    )
+            f"target outside the range: separation gap {gap:.3e} after {steps} simplex steps",
+            witness=opcore.coords_to_herm(duals), gap=gap)
+    h_set = FractionalSet(tuple(_snap(h)), (False,) * nu.space.n_atoms)
+    return replace(realize_intervals(nu, h_set, target=a_mat), iterations=steps)
 
 
-def joint_attain(ovms, targets, **opts) -> AttainResult:
+def joint_attain(ovms, targets) -> AttainResult:
     """One set E with nu_i(E) = A_i for every component, via the direct sum."""
     ovms = tuple(ovms)
     targets = tuple(targets)
@@ -502,7 +542,7 @@ def joint_attain(ovms, targets, **opts) -> AttainResult:
             raise ShapeMismatch(f"target dim {t_mat.shape[0]} vs component dim {d}")
         block[lo:lo + d, lo:lo + d] = t_mat
         lo += d
-    return attain(joint, block, **opts)
+    return attain(joint, block)
 
 
 def brute_force_range(nu: OVM) -> list[tuple[MeasurableSet, np.ndarray]]:

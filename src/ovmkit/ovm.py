@@ -431,7 +431,13 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     self_adjoint = all(opcore.is_hermitian(x) for x in all_masses)
     positive = nu.positive
     spectral = True
-    tol = 1e-9 * max(1.0, total_norm**2)
+    tol = 1e-9 * max(1.0, total_norm) * max(1.0, total_norm)
+    # No set value exceeds the summed mass norms; a product of two values,
+    # less a third, with its adjoint added, stays below 4 reach^2.
+    reach = float(nu.cell_norms().sum() + nu.atom_norms().sum())
+    if not np.isfinite(4.0 * reach * reach):
+        raise InvalidInput(f"masses too large: products of set values near {reach:.3e}^2 "
+                           "overflow float64")
     values = [evaluate(nu, e) for e in sample_sets]
     for e1, v1 in zip(sample_sets, values):
         for e2, v2 in zip(sample_sets, values):

@@ -296,10 +296,12 @@ class TestMalformedInput:
         {"kind": "convexity", "ovm": POVM, "trials": -3},
         {"kind": "uhl", "cells": 4, "format": "xml"},
         {"kind": "classical", "measures": "abc"},
+        {"kind": "attain", "ovm": SMALL_OVM, "target": {"total_fraction": 0.5}, "seed": 3},
+        {"kind": "properties", "ovm": {"model": "single_atom", "mass": 1.34e154}},
     ], ids=["lambdas_scalar", "convexity_expect_scalar", "properties_expect_list",
             "sets_scalar", "targets_scalar", "measures_zero", "povm_dim_zero",
             "inline_ovm_without_dim", "trials_float", "trials_negative",
-            "format_xml", "measures_text"])
+            "format_xml", "measures_text", "attain_seed", "properties_overflow"])
     def test_exit_one_invalid_input(self, scenario):
         report, code = cli.run_scenario(scenario)
         assert code == 1

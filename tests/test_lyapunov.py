@@ -399,6 +399,76 @@ class TestAttain:
             attain(uhl_model(4), np.eye(4) / 2)
 
 
+def _target_classes(nu, rng):
+    """Interior, 0.999, face, nu(X) and 1.01 targets: the face is
+    nu({k : tr(W M_k) > 0}) for a random Hermitian W, and 0.999 and 1.01
+    lie that far along the segment from the interior point to it."""
+    masses = nu.cell_masses
+    interior = np.tensordot(rng.random(len(masses)), masses, axes=1)
+    x = rng.standard_normal((nu.dim, nu.dim)) + 1j * rng.standard_normal((nu.dim, nu.dim))
+    face = masses[np.einsum("ij,kji->k", x + x.conj().T, masses).real > 0].sum(axis=0)
+    return {"interior": interior, "0.999": interior + 0.999 * (face - interior),
+            "face": face, "total": masses.sum(axis=0),
+            "1.01": interior + 1.01 * (face - interior)}
+
+
+class TestAttainOracle:
+    """attain against scipy's HiGHS on the feasibility LP of each target."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [200, 1000, 2000])
+    def test_attains_or_certifies(self, d, m):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        nu = random_povm(d, m, rng_from_seed(1000 * d + m))
+        masses = nu.cell_masses
+        coords = opcore.herm_coords(masses).T
+        for name, target in _target_classes(nu, rng_from_seed(m + d)).items():
+            lp = linprog(np.zeros(m), A_eq=coords, b_eq=opcore.herm_coords(target),
+                         bounds=(0.0, 1.0), method="highs-ipm")
+            assert lp.status == (2 if name == "1.01" else 0), (name, lp.message)
+            if lp.status == 0:
+                result = attain(nu, target)
+                lo, hi = np.asarray(result.intervals).reshape(-1, 2).T[:, :, None]
+                bp = np.asarray(nu.space.breakpoints)
+                overlap = np.minimum(hi, bp[1:]) - np.maximum(lo, bp[:-1])
+                share = np.clip(overlap, 0.0, None).sum(axis=0) / np.diff(bp)
+                realized = np.tensordot(share, masses, axes=1)
+                limit = 1e-9 * max(1.0, opcore.op_norm(target))
+                assert result.residual <= limit, name
+                assert opcore.op_norm(realized - target) <= limit, name
+                assert result.fractional_count <= d * d, name
+                continue
+            with pytest.raises(errors.TargetNotInHull) as caught:
+                attain(nu, target)
+            w = caught.value.witness
+            gap = (np.einsum("ij,ji->", w, target).real
+                   - np.maximum(np.einsum("ij,kji->k", w, masses).real, 0.0).sum())
+            assert gap > 0.0
+            assert gap == pytest.approx(caught.value.gap, rel=1e-9)
+
+
+def test_degenerate_vertex_switches_to_bland(monkeypatch):
+    # Twenty cells repeated twenty times each: ties everywhere, and runs of
+    # degenerate pivots long enough to hand pricing to Bland's rule.
+    base = random_povm(4, 20, rng_from_seed(3)).cell_masses
+    nu = grid_ovm(SampleSpace.uniform(400), np.repeat(base, 20, axis=0) / 20)
+    target = nu.total_mass() / 3
+    bland_calls = []
+    entering = lyapunov._entering
+
+    def spy(gain, bland):
+        bland_calls.append(bland)
+        return entering(gain, bland)
+
+    monkeypatch.setattr(lyapunov, "_entering", spy)
+    first = attain(nu, target)
+    assert sum(bland_calls) > 0
+    assert first.residual <= 1e-9
+    again = attain(nu, target)
+    assert again.intervals == first.intervals
+    assert again.iterations == first.iterations
+
+
 class TestJointAttain:
     def test_three_scalar_halves(self):
         mus = singular_blocks(3)

@@ -10,6 +10,7 @@ from ovmkit.models import (
     random_povm,
     random_state,
     rng_from_seed,
+    single_atom_measure,
     singular_blocks,
     uhl_model,
 )
@@ -311,6 +312,13 @@ class TestProperties:
         sets = [MeasurableSet.empty(nu.space), MeasurableSet.full(nu.space)]
         report = check_ovm_properties(nu, sets)
         assert report.positive and report.probability
+
+    def test_overflowing_products_are_typed(self):
+        # Twice ||nu(X)||^2 overflows float64: a typed error, not a raw one.
+        nu = single_atom_measure(1.34e154)
+        sets = [MeasurableSet.empty(nu.space), MeasurableSet.full(nu.space)]
+        with pytest.raises(errors.OvmError):
+            check_ovm_properties(nu, sets)
 
 
 class TestAbsContinuous:
