@@ -89,6 +89,7 @@ from .lyapunov import (  # noqa: F401
     PurifyResult,
     attain,
     brute_force_range,
+    check_separation,
     convex_combine,
     convexity_certificate,
     joint_attain,

@@ -52,7 +52,6 @@ from .ovm import (
     OVM,
     FractionalSet,
     MeasurableSet,
-    SampleSpace,
     direct_sum,
     evaluate,
     evaluate_fractional,
@@ -363,23 +362,6 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
     )
 
 
-def fractional_from_intervals(space: SampleSpace, intervals, atom_indices=()) -> FractionalSet:
-    """Per-cell overlap fractions of a disjoint interval list (inverse of
-    the realization, up to round-off)."""
-    fr = np.zeros(space.n_cells)
-    bp = space.breakpoints
-    for lo, hi in intervals:
-        for k in range(space.n_cells):
-            left = max(float(lo), bp[k])
-            right = min(float(hi), bp[k + 1])
-            if right > left:
-                fr[k] += (right - left) / (bp[k + 1] - bp[k])
-    am = [False] * space.n_atoms
-    for k in atom_indices:
-        am[k] = True
-    return FractionalSet(tuple(np.clip(fr, 0.0, 1.0)), tuple(am))
-
-
 def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> AttainResult:
     """Realize t * nu(E1) + (1 - t) * nu(E2) as nu(E) for an interval set E.
 
@@ -514,14 +496,27 @@ def attain(nu: OVM, target) -> AttainResult:
     scale = opcore.op_norm(nu.total_mass()) or 1.0
     h, duals, objective, steps = _phase_one(coords / scale, goal / scale)
     if objective > SIMPLEX_TOL:
-        gap = float(duals @ goal - np.maximum(duals @ coords, 0.0).sum())
+        witness = opcore.coords_to_herm(duals)
+        gap = check_separation(nu, a_mat, witness)
         if not gap > 0.0:
             raise NumericalFailure(f"phase-1 optimum {objective:.3e} without a separation")
         raise TargetNotInHull(
             f"target outside the range: separation gap {gap:.3e} after {steps} simplex steps",
-            witness=opcore.coords_to_herm(duals), gap=gap)
+            witness=witness, gap=gap)
     h_set = FractionalSet(tuple(_snap(h)), (False,) * nu.space.n_atoms)
     return replace(realize_intervals(nu, h_set, target=a_mat), iterations=steps)
+
+
+def check_separation(nu: OVM, target, witness) -> float:
+    """TargetNotInHull's ``gap``: tr(W A) - sum_k max(0, tr(W M_k)) over cells
+    and atoms, for (d, d) A and Hermitian W.  The sum is the largest tr(W B)
+    over the range, so a positive gap certifies that no set attains A."""
+    a_mat = opcore.hermitian(target)
+    w = opcore.herm_coords(opcore.as_matrix(witness))
+    if a_mat.shape[0] != nu.dim or w.size != nu.dim * nu.dim:
+        raise ShapeMismatch(f"target and witness must be {nu.dim} x {nu.dim}")
+    masses = opcore.herm_coords(np.concatenate([nu.cell_masses, nu.atom_masses]))
+    return float(w @ opcore.herm_coords(a_mat) - np.maximum(masses @ w, 0.0).sum())
 
 
 def joint_attain(ovms, targets) -> AttainResult:

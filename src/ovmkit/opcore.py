@@ -1,9 +1,18 @@
 """Dense complex linear algebra for small Hermitian matrices.
 
-Matrices are numpy ``complex128`` arrays of shape ``(d, d)``.  Hermitian
+Matrices are numpy ``complex128`` arrays of shape ``(d, d)``; a stack is
+an array of shape ``(..., d, d)``.  Each rule is written once, in stack
+form, as batched numpy calls: the Hermitian test and symmetrization
+(:func:`hermitian_flags`, :func:`hermitian_stack`), the PSD verdict
+(:func:`psd_flags`) and the PSD square root (:func:`psd_roots`).  These,
+:func:`as_stack` and :func:`herm_coords` take stacks (a single matrix is
+a stack too).  Everything else takes one ``(d, d)`` matrix and rejects
+any other shape with InvalidInput; :func:`hermitian`,
+:func:`is_hermitian`, :func:`psd_check`, :func:`psd_sqrt` and
+:func:`make_state` apply the stack rules to it.  Hermitian
 eigendecomposition is the single primitive behind the PSD check, the PSD
-square root, and the Hermitian operator norm; non-Hermitian operator norms
-go through a dedicated singular-value path.
+square root, and the Hermitian operator norm; non-Hermitian operator
+norms go through a dedicated singular-value path.
 
 Also provides the real coordinatization of the d^2-dimensional real space
 of Hermitian matrices used by the feasibility solver: an orthonormal basis
@@ -24,78 +33,134 @@ from .errors import DimMismatch, InvalidInput, NotPositive
 TOL_PSD = 1e-9
 # Strict-positivity threshold for full-rank flags and derivative existence.
 RANK_TOL = 1e-10
-# Relative asymmetry below which a matrix is silently symmetrized.
+# Asymmetry ||A - A*||_F, relative to max(1, ||A||_F), below which a
+# matrix is silently symmetrized.
 HERM_TOL = 1e-12
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+def as_stack(a) -> np.ndarray:
+    """Coerce to a (..., d, d) stack of complex matrices with finite entries."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise InvalidInput(f"expected a stack of square matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise InvalidInput("matrix has non-finite entries")
     return m
 
 
-def hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
-    """Validate and symmetrize a Hermitian matrix.
+def as_matrix(a) -> np.ndarray:
+    """:func:`as_stack` for one (d, d) matrix."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
+    return as_stack(m)
 
-    Asymmetry up to ``tol * ||A||_F`` is absorbed by (A + A*)/2; anything
-    larger is rejected as a likely bug rather than round-off.
+
+def readonly(a, dtype) -> np.ndarray:
+    """A non-writeable copy of ``a`` as a ``dtype`` array."""
+    out = np.array(a, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def _asymmetry(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of a finite stack: ||A - A*||_F <= tol * max(1, ||A||_F),
+    and ||A - A*||_F.  The norms are taken of (A - A*) / 2^k and A / 2^k,
+    2^k at most the largest entry modulus, so their squares cannot
+    overflow; the scale is a power of two, so the verdict is the unscaled
+    formula's."""
+    diff = m - np.conj(np.swapaxes(m, -1, -2))
+    scale = np.ldexp(1.0, np.frexp(np.abs(m).max(axis=(-2, -1), initial=0.0))[1] - 1)
+    asym = np.linalg.norm(diff / scale[..., None, None], axis=(-2, -1))
+    size = np.linalg.norm(m / scale[..., None, None], axis=(-2, -1))
+    return asym <= tol * np.maximum(1.0 / scale, size), asym * scale
+
+
+def hermitian_stack(a, tol: float = HERM_TOL) -> np.ndarray:
+    """Validate and symmetrize a (..., d, d) stack.
+
+    Asymmetry ||A - A*||_F up to ``tol * max(1, ||A||_F)`` is absorbed by
+    (A + A*)/2; anything larger is rejected as a likely bug rather than
+    round-off, naming the first such matrix.  An exactly Hermitian stack
+    is returned as given.
     """
-    m = as_matrix(a)
-    asym = np.linalg.norm(m - m.conj().T)
-    if asym == 0.0:
+    m = as_stack(a)
+    adj = np.conj(np.swapaxes(m, -1, -2))
+    if (m == adj).all():
         return m
-    if asym > tol * np.linalg.norm(m):
-        raise InvalidInput(f"matrix is not Hermitian (asymmetry {asym:.3e})")
-    return (m + m.conj().T) / 2
+    ok, asym = _asymmetry(m, tol)
+    if not ok.all():
+        raise InvalidInput(f"matrix is not Hermitian (asymmetry {asym[~ok][0]:.3e})")
+    return (m + adj) / 2
+
+
+def hermitian_flags(a, tol: float = HERM_TOL) -> np.ndarray:
+    """Per matrix of a (..., d, d) stack: does :func:`hermitian_stack` accept it?"""
+    return _asymmetry(as_stack(a), tol)[0]
+
+
+def _psd_ok(w: np.ndarray, tol: float) -> np.ndarray:
+    """Per ascending spectrum w (..., d): min w >= -tol * max(1, max |w|)."""
+    scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+    return (w >= -tol * scale[..., None]).all(axis=-1)
+
+
+def psd_flags(a, tol: float = TOL_PSD) -> np.ndarray:
+    """Per matrix of a (..., d, d) stack validated by :func:`hermitian_stack`:
+    is it PSD within ``tol``, min eigenvalue >= -tol * max(1, ||A||)?"""
+    if tol < 0:
+        raise InvalidInput("tol must be nonnegative")
+    return _psd_ok(np.linalg.eigvalsh(hermitian_stack(a)), tol)
+
+
+def psd_roots(a) -> np.ndarray:
+    """PSD square roots of a (..., d, d) stack validated by
+    :func:`hermitian_stack`, from one batched eigendecomposition.
+
+    Eigenvalues within the PSD tolerance below 0 are clamped to 0; a
+    genuinely negative spectrum raises NotPositive, naming the first.
+    """
+    w, v = np.linalg.eigh(hermitian_stack(a))
+    bad = ~_psd_ok(w, TOL_PSD)
+    if bad.any():
+        raise NotPositive(f"matrix has eigenvalue {w[bad][0, 0]:.3e}")
+    root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    return (root + np.conj(np.swapaxes(root, -1, -2))) / 2
+
+
+def hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
+    """:func:`hermitian_stack` of one (d, d) matrix."""
+    return hermitian_stack(as_matrix(a), tol)
 
 
 def is_hermitian(a, tol: float = HERM_TOL) -> bool:
-    m = as_matrix(a)
-    asym = np.linalg.norm(m - m.conj().T)
-    return asym <= tol * max(1.0, np.linalg.norm(m))
+    """:func:`hermitian_flags` of one (d, d) matrix."""
+    return bool(hermitian_flags(as_matrix(a), tol))
 
 
 def psd_check(a, tol: float = TOL_PSD) -> bool:
-    """True iff min eigenvalue >= -tol * max(1, ||A||)."""
-    if tol < 0:
-        raise InvalidInput("tol must be nonnegative")
-    w = np.linalg.eigvalsh(hermitian(a))
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    return bool(w.size == 0 or w[0] >= -tol * scale)
+    """:func:`psd_flags` of one (d, d) matrix."""
+    return bool(psd_flags(as_matrix(a), tol))
 
 
 def psd_sqrt(a) -> np.ndarray:
-    """PSD square root via eigendecomposition.
-
-    Eigenvalues in [-tol, 0) are clamped to 0; a genuinely negative
-    spectrum raises NotPositive.
-    """
-    m = hermitian(a)
-    w, v = np.linalg.eigh(m)
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    if w[0] < -TOL_PSD * scale:
-        raise NotPositive(f"matrix has eigenvalue {w[0]:.3e}")
-    w = np.maximum(w, 0.0)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2
+    """:func:`psd_roots` of one (d, d) matrix."""
+    return psd_roots(as_matrix(a))
 
 
 def op_norm(a) -> float:
     """Operator (spectral) norm: largest singular value.
 
-    Hermitian inputs take the eigenvalue path, everything else the
-    singular-value path.
+    Inputs :func:`hermitian_stack` accepts take the eigenvalue path,
+    everything else the singular-value path.
     """
     m = as_matrix(a)
     if m.size == 0:
         return 0.0
-    if is_hermitian(m):
-        return float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2)).max())
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    try:
+        return float(np.abs(np.linalg.eigvalsh(hermitian_stack(m))).max())
+    except InvalidInput:
+        return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def loewner_leq(a, b, tol: float = TOL_PSD) -> bool:
@@ -113,10 +178,9 @@ def herm_coords(a) -> np.ndarray:
     Order: the d diagonal units, then for each i < j (row-major) the pair
     (e_ij + e_ji)/sqrt(2) and i(e_ij - e_ji)/sqrt(2), so that
     dot(herm_coords(A), herm_coords(B)) == tr(AB).  A (..., d, d) stack
-    maps to (..., d^2), each matrix validated as :func:`hermitian` does.
+    maps to (..., d^2), validated by :func:`hermitian_stack`.
     """
-    m = np.asarray(a)
-    m = hermitian(m) if m.ndim <= 2 else _hermitian_stack(m)
+    m = hermitian_stack(a)
     d = m.shape[-1]
     iu, ju = _upper_pairs(d)
     off = m[..., iu, ju]
@@ -127,22 +191,6 @@ def herm_coords(a) -> np.ndarray:
     return coords
 
 
-def _hermitian_stack(a, tol: float = HERM_TOL) -> np.ndarray:
-    """:func:`hermitian` applied to every matrix of a (..., d, d) stack."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.shape[-1] != m.shape[-2]:
-        raise InvalidInput(f"expected a stack of square matrices, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidInput("matrix stack has non-finite entries")
-    adj = np.conj(np.swapaxes(m, -1, -2))
-    if (m == adj).all():
-        return m
-    asym = np.linalg.norm(m - adj, axis=(-2, -1))
-    if np.any(asym > tol * np.linalg.norm(m, axis=(-2, -1))):
-        raise InvalidInput(f"matrix stack is not Hermitian (asymmetry {asym.max():.3e})")
-    return (m + adj) / 2
-
-
 @lru_cache(maxsize=64)
 def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the strict upper triangle, row-major.
@@ -150,10 +198,7 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     np.triu_indices costs more than the coordinatization of a small
     stack, so the pairs are built once per dimension (read-only).
     """
-    iu, ju = np.triu_indices(d, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+    return tuple(readonly(x, np.intp) for x in np.triu_indices(d, k=1))
 
 
 def coords_to_herm(v) -> np.ndarray:
@@ -199,15 +244,12 @@ def make_state(a, trace_tol: float = 1e-12) -> State:
     """Validate a matrix as a density operator."""
     m = hermitian(a)
     w = np.linalg.eigvalsh(m)
-    scale = max(1.0, float(np.abs(w).max()))
-    if w[0] < -TOL_PSD * scale:
+    if not _psd_ok(w, TOL_PSD):
         raise NotPositive(f"state has eigenvalue {w[0]:.3e}")
     tr = float(m.trace().real)
     if abs(tr - 1.0) > trace_tol:
         raise InvalidInput(f"state trace {tr!r} is not 1")
-    m = m.copy()
-    m.setflags(write=False)
-    return State(matrix=m, full_rank=bool(w[0] > RANK_TOL))
+    return State(matrix=readonly(m, np.complex128), full_rank=bool(w[0] > RANK_TOL))
 
 
 @dataclass(frozen=True)
@@ -224,10 +266,8 @@ class OperatorInterval:
             raise DimMismatch("interval endpoints have different dimensions")
         if not psd_check(hi - lo, TOL_PSD):
             raise NotPositive("upper - lower is not PSD")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "lower", readonly(lo, np.complex128))
+        object.__setattr__(self, "upper", readonly(hi, np.complex128))
 
     def contains(self, a, tol: float = TOL_PSD) -> bool:
         return loewner_leq(self.lower, a, tol) and loewner_leq(a, self.upper, tol)

@@ -216,12 +216,8 @@ class InducedMeasure:
     atoms: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.cells, dtype=np.float64).copy()
-        a = np.asarray(self.atoms, dtype=np.float64).copy()
-        c.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "cells", c)
-        object.__setattr__(self, "atoms", a)
+        object.__setattr__(self, "cells", opcore.readonly(self.cells, np.float64))
+        object.__setattr__(self, "atoms", opcore.readonly(self.atoms, np.float64))
 
     @property
     def total(self) -> float:
@@ -271,11 +267,9 @@ class OVM:
             raise ShapeMismatch(f"atom masses must have shape {(n, d, d)}, got {am.shape}")
         if self.variant not in ("grid", "atomic", "mixed", "direct_sum"):
             raise InvalidInput(f"unknown variant {self.variant!r}")
-        cm = np.stack([opcore.hermitian(x) for x in cm]) if m else cm
-        am = np.stack([opcore.hermitian(x) for x in am]) if n else am
-        cm.setflags(write=False)
-        am.setflags(write=False)
-        pos = all(opcore.psd_check(x) for x in cm) and all(opcore.psd_check(x) for x in am)
+        cm = opcore.readonly(opcore.hermitian_stack(cm), np.complex128)
+        am = opcore.readonly(opcore.hermitian_stack(am), np.complex128)
+        pos = opcore.psd_flags(cm).all() and opcore.psd_flags(am).all()
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "cell_masses", cm)
         object.__setattr__(self, "atom_masses", am)
@@ -289,30 +283,20 @@ class OVM:
         return out
 
     @cached_property
-    def _cached_cell_norms(self) -> np.ndarray:
-        return _hermitian_stack_norms(self.cell_masses)
-
-    @cached_property
-    def _cached_atom_norms(self) -> np.ndarray:
-        return _hermitian_stack_norms(self.atom_masses)
+    def _norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Operator norms of the cell masses and of the atom masses."""
+        return tuple(opcore.readonly(np.abs(np.linalg.eigvalsh(s)).max(axis=-1, initial=0.0),
+                                     np.float64) for s in (self.cell_masses, self.atom_masses))
 
     def cell_norms(self) -> np.ndarray:
-        return self._cached_cell_norms
+        return self._norms[0]
 
     def atom_norms(self) -> np.ndarray:
-        return self._cached_atom_norms
+        return self._norms[1]
 
 
 def _zero_masses(count: int, dim: int) -> np.ndarray:
     return np.zeros((count, dim, dim), dtype=np.complex128)
-
-
-def _hermitian_stack_norms(stack: np.ndarray) -> np.ndarray:
-    if stack.shape[0] == 0:
-        return np.zeros(0)
-    out = np.abs(np.linalg.eigvalsh(stack)).max(axis=1)
-    out.setflags(write=False)
-    return out
 
 
 def grid_ovm(space: SampleSpace, cell_masses, atom_masses=None) -> OVM:
@@ -384,11 +368,8 @@ def entry_measure(nu: OVM, i: int, j: int) -> EntryMeasure:
     """The complex scalar measure of matrix entry (i, j)."""
     if not (0 <= i < nu.dim and 0 <= j < nu.dim):
         raise InvalidInput(f"entry ({i}, {j}) out of range for dim {nu.dim}")
-    cells = nu.cell_masses[:, i, j].copy()
-    atoms = nu.atom_masses[:, i, j].copy()
-    cells.setflags(write=False)
-    atoms.setflags(write=False)
-    return EntryMeasure(cells, atoms)
+    return EntryMeasure(opcore.readonly(nu.cell_masses[:, i, j], np.complex128),
+                        opcore.readonly(nu.atom_masses[:, i, j], np.complex128))
 
 
 def atoms(nu: OVM) -> list[tuple[float, np.ndarray]]:
@@ -427,8 +408,8 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     """
     total = nu.total_mass()
     total_norm = opcore.op_norm(total)
-    all_masses = list(nu.cell_masses) + list(nu.atom_masses)
-    self_adjoint = all(opcore.is_hermitian(x) for x in all_masses)
+    self_adjoint = bool(opcore.hermitian_flags(nu.cell_masses).all()
+                        and opcore.hermitian_flags(nu.atom_masses).all())
     positive = nu.positive
     spectral = True
     tol = 1e-9 * max(1.0, total_norm) * max(1.0, total_norm)

@@ -20,7 +20,6 @@ import numpy as np
 from . import opcore
 from .errors import (
     DimMismatch,
-    InvalidInput,
     NotSelfAdjoint,
     NumericalFailure,
     ShapeMismatch,
@@ -46,20 +45,14 @@ class QuantumRandomVariable:
 
     def __post_init__(self):
         d = int(self.dim)
-        cv = np.asarray(self.cell_values, dtype=np.complex128)
-        av = np.asarray(self.atom_values, dtype=np.complex128)
+        cv = opcore.readonly(self.cell_values, np.complex128)
+        av = opcore.readonly(self.atom_values, np.complex128)
         if cv.shape != (self.space.n_cells, d, d):
             raise ShapeMismatch(f"cell values must have shape {(self.space.n_cells, d, d)}")
         if av.shape != (self.space.n_atoms, d, d):
             raise ShapeMismatch(f"atom values must have shape {(self.space.n_atoms, d, d)}")
-        if not (np.all(np.isfinite(cv)) and np.all(np.isfinite(av))):
-            raise InvalidInput("step values must be finite")
-        cv = cv.copy()
-        av = av.copy()
-        cv.setflags(write=False)
-        av.setflags(write=False)
-        herm = all(opcore.is_hermitian(x) for x in cv) and all(opcore.is_hermitian(x) for x in av)
-        pos = herm and all(opcore.psd_check(x) for x in cv) and all(opcore.psd_check(x) for x in av)
+        herm = bool(opcore.hermitian_flags(cv).all() and opcore.hermitian_flags(av).all())
+        pos = bool(herm and opcore.psd_flags(cv).all() and opcore.psd_flags(av).all())
         object.__setattr__(self, "cell_values", cv)
         object.__setattr__(self, "atom_values", av)
         object.__setattr__(self, "self_adjoint", herm)
@@ -92,12 +85,8 @@ class ScalarStepFunction:
     atoms: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.cells, dtype=np.complex128).copy()
-        a = np.asarray(self.atoms, dtype=np.complex128).copy()
-        c.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "cells", c)
-        object.__setattr__(self, "atoms", a)
+        object.__setattr__(self, "cells", opcore.readonly(self.cells, np.complex128))
+        object.__setattr__(self, "atoms", opcore.readonly(self.atoms, np.complex128))
 
 
 def _check_same(f: QuantumRandomVariable, g: QuantumRandomVariable):
@@ -111,14 +100,6 @@ def qrv(space: SampleSpace, cell_values, atom_values=None, dim=None) -> QuantumR
     if atom_values is None:
         atom_values = np.zeros((space.n_atoms, d, d), dtype=np.complex128)
     return QuantumRandomVariable(space, d, cv, np.asarray(atom_values, dtype=np.complex128))
-
-
-def constant_qrv(space: SampleSpace, value) -> QuantumRandomVariable:
-    v = opcore.as_matrix(value)
-    d = v.shape[0]
-    cv = np.broadcast_to(v, (space.n_cells, d, d)).copy()
-    av = np.broadcast_to(v, (space.n_atoms, d, d)).copy()
-    return QuantumRandomVariable(space, d, cv, av)
 
 
 def indicator(space: SampleSpace, dim: int, e: MeasurableSet) -> QuantumRandomVariable:
@@ -143,8 +124,6 @@ def from_fractional(space: SampleSpace, dim: int, h: FractionalSet) -> QuantumRa
 
 def _split_psd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cellwise spectral positive/negative parts of a Hermitian stack."""
-    if stack.shape[0] == 0:
-        return stack.copy(), stack.copy()
     w, v = np.linalg.eigh(stack)
     vh = v.conj().transpose(0, 2, 1)
     plus = (v * np.maximum(w, 0.0)[:, None, :]) @ vh
@@ -174,15 +153,6 @@ def real_imag_parts(f: QuantumRandomVariable):
             QuantumRandomVariable(f.space, f.dim, skew(f.cell_values), skew(f.atom_values)))
 
 
-def _sqrt_stack(stack: np.ndarray) -> np.ndarray:
-    """PSD square roots of a stack of (near-)PSD Hermitian matrices."""
-    if stack.shape[0] == 0:
-        return stack.copy()
-    w, v = np.linalg.eigh(stack)
-    roots = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    return (roots + roots.conj().transpose(0, 2, 1)) / 2
-
-
 def integrate(nu: OVM, f: QuantumRandomVariable) -> np.ndarray:
     """Quantum expected value: sum_k M_k^(1/2) F_k M_k^(1/2) plus atoms.
 
@@ -199,9 +169,7 @@ def integrate(nu: OVM, f: QuantumRandomVariable) -> np.ndarray:
         raise Unsupported("integration is defined against positive OVMs")
     out = np.zeros((nu.dim, nu.dim), dtype=np.complex128)
     for masses, values in ((nu.cell_masses, f.cell_values), (nu.atom_masses, f.atom_values)):
-        if masses.shape[0] == 0:
-            continue
-        roots = _sqrt_stack(masses)
+        roots = opcore.psd_roots(masses)
         out += np.add.reduce(roots @ values @ roots, axis=0)
     if f.self_adjoint:
         out = (out + out.conj().T) / 2
@@ -224,7 +192,7 @@ def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunctio
         out = np.zeros(len(density_slots), dtype=np.complex128)
         defined = [k for k, r in enumerate(density_slots) if r is not None]
         if defined:
-            roots = _sqrt_stack(np.stack([density_slots[k] for k in defined]))
+            roots = opcore.psd_roots(np.stack([density_slots[k] for k in defined]))
             conj = roots @ step_values[defined] @ roots
             out[defined] = np.einsum("ij,kji->k", s_mat, conj)
         return out
@@ -237,8 +205,6 @@ def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunctio
 
 
 def _value_norms(stack: np.ndarray) -> np.ndarray:
-    if stack.shape[0] == 0:
-        return np.zeros(0)
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
@@ -294,29 +260,3 @@ def ess_equal(f: QuantumRandomVariable, g: QuantumRandomVariable, nu: OVM) -> bo
     """Equality in the L-infinity quotient: ess_sup(f - g) below tolerance."""
     gap = ess_sup(f - g, nu)
     return gap <= 1e-10 * max(1.0, ess_sup(f, nu), ess_sup(g, nu))
-
-
-def qrv_to_json(f: QuantumRandomVariable) -> dict:
-    return {
-        "cells": [opcore.matrix_to_json(x) for x in f.cell_values],
-        "atoms": [opcore.matrix_to_json(x) for x in f.atom_values],
-    }
-
-
-def qrv_from_json(space: SampleSpace, obj) -> QuantumRandomVariable:
-    if not isinstance(obj, dict) or "cells" not in obj:
-        raise InvalidInput("step function JSON must carry cells")
-    cells = [opcore.matrix_from_json(x) for x in obj["cells"]]
-    atoms = [opcore.matrix_from_json(x) for x in obj.get("atoms", [])]
-    d = cells[0].shape[0] if cells else (atoms[0].shape[0] if atoms else 1)
-    cv = np.stack(cells) if cells else np.zeros((0, d, d), dtype=np.complex128)
-    av = np.stack(atoms) if atoms else np.zeros((space.n_atoms, d, d), dtype=np.complex128)
-    return QuantumRandomVariable(space, d, cv, av)
-
-
-def scalar_to_json(f: ScalarStepFunction) -> dict:
-    scale = max(1.0, float(np.abs(f.cells).max()) if f.cells.size else 0.0)
-    if (np.abs(f.cells.imag).max(initial=0.0) > 1e-12 * scale
-            or np.abs(f.atoms.imag).max(initial=0.0) > 1e-12 * scale):
-        raise Unsupported("scalar step JSON carries real values only")
-    return {"cells": f.cells.real.tolist(), "atoms": f.atoms.real.tolist()}

@@ -45,15 +45,12 @@ def rn_exists(nu: OVM, rho) -> tuple[bool, tuple[tuple[str, int], ...]]:
     if not nu.positive:
         raise NotPositive("derivative is defined for positive OVMs")
     ind = induced_measure(nu, rho)
-    failures = []
-    for kind, norms, traces in (
-        ("cell", nu.cell_norms(), ind.cells),
-        ("atom", nu.atom_norms(), ind.atoms),
-    ):
-        for k, (norm, tr) in enumerate(zip(norms, traces)):
-            if norm > MASS_TOL and tr <= opcore.RANK_TOL * norm:
-                failures.append((kind, k))
-    return not failures, tuple(failures)
+    failures = tuple(
+        (kind, int(k))
+        for kind, norms, traces in (("cell", nu.cell_norms(), ind.cells),
+                                    ("atom", nu.atom_norms(), ind.atoms))
+        for k in np.flatnonzero((norms > MASS_TOL) & (traces <= opcore.RANK_TOL * norms)))
+    return not failures, failures
 
 
 def rn_derivative(nu: OVM, rho) -> StepDensity:
@@ -69,15 +66,9 @@ def rn_derivative(nu: OVM, rho) -> StepDensity:
     ind = induced_measure(nu, rho)
 
     def density(masses, norms, traces):
-        out = []
-        for mass, norm, tr in zip(masses, norms, traces):
-            if tr <= MASS_TOL and norm <= MASS_TOL:
-                out.append(None)
-                continue
-            r = mass / tr
-            r.setflags(write=False)
-            out.append(r)
-        return tuple(out)
+        defined = (traces > MASS_TOL) | (norms > MASS_TOL)
+        rs = iter(opcore.readonly(masses[defined] / traces[defined, None, None], np.complex128))
+        return tuple(next(rs) if k else None for k in defined)
 
     return StepDensity(
         space=nu.space,
@@ -108,10 +99,3 @@ def rn_consistency(nu: OVM, rho, sets: list[MeasurableSet]) -> float:
                 rhs += dens.atoms[k] * ind.atoms[k]
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
-
-
-def density_to_json(dens: StepDensity) -> dict:
-    return {
-        "cells": [None if r is None else opcore.matrix_to_json(r) for r in dens.cells],
-        "atoms": [None if r is None else opcore.matrix_to_json(r) for r in dens.atoms],
-    }

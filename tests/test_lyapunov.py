@@ -12,10 +12,10 @@ from ovmkit.lyapunov import (
     attain,
     attain_to_json,
     brute_force_range,
+    check_separation,
     convex_combine,
     convexity_certificate,
     coordinate_matrix,
-    fractional_from_intervals,
     joint_attain,
     kernel_witness,
     purify,
@@ -23,6 +23,7 @@ from ovmkit.lyapunov import (
 )
 from ovmkit.models import (
     lebesgue_identity,
+    random_hermitian,
     random_povm,
     rng_from_seed,
     single_atom_measure,
@@ -40,6 +41,23 @@ from ovmkit.ovm import (
 )
 
 RNG = rng_from_seed(717273)
+
+
+def fractional_from_intervals(space: SampleSpace, intervals, atom_indices=()) -> FractionalSet:
+    """Per-cell overlap fractions of a disjoint interval list (inverse of
+    the realization, up to round-off)."""
+    fr = np.zeros(space.n_cells)
+    bp = space.breakpoints
+    for lo, hi in intervals:
+        for k in range(space.n_cells):
+            left = max(float(lo), bp[k])
+            right = min(float(hi), bp[k + 1])
+            if right > left:
+                fr[k] += (right - left) / (bp[k + 1] - bp[k])
+    am = [False] * space.n_atoms
+    for k in atom_indices:
+        am[k] = True
+    return FractionalSet(tuple(np.clip(fr, 0.0, 1.0)), tuple(am))
 
 
 def scalar_grid(masses, **kw):
@@ -364,6 +382,19 @@ class TestConvexCombine:
 
 
 class TestAttain:
+    def test_stacked_target_or_witness_rejected(self):
+        nu = random_povm(2, 24, RNG)
+        half = nu.total_mass() / 2
+        stack = np.stack([half] * 2)
+        with pytest.raises(errors.InvalidInput):
+            attain(nu, stack)
+        with pytest.raises(errors.InvalidInput):
+            check_separation(nu, stack, np.eye(2))
+        with pytest.raises(errors.InvalidInput):
+            check_separation(nu, half, np.stack([np.eye(2)] * 2))
+        with pytest.raises(errors.ShapeMismatch):
+            check_separation(nu, half, np.eye(3))
+
     def test_half_total(self):
         nu = random_povm(2, 24, RNG)
         result = attain(nu, nu.total_mass() / 2)
@@ -437,6 +468,9 @@ class TestAttainOracle:
                 assert result.residual <= limit, name
                 assert opcore.op_norm(realized - target) <= limit, name
                 assert result.fractional_count <= d * d, name
+                w = random_hermitian(d, rng_from_seed(7 * m + d))
+                scale = max(1.0, opcore.op_norm(nu.total_mass()))
+                assert check_separation(nu, target, w) <= 1e-9 * scale, name
                 continue
             with pytest.raises(errors.TargetNotInHull) as caught:
                 attain(nu, target)
@@ -445,6 +479,7 @@ class TestAttainOracle:
                    - np.maximum(np.einsum("ij,kji->k", w, masses).real, 0.0).sum())
             assert gap > 0.0
             assert gap == pytest.approx(caught.value.gap, rel=1e-9)
+            assert check_separation(nu, target, w) == pytest.approx(caught.value.gap, rel=1e-9)
 
 
 def test_degenerate_vertex_switches_to_bland(monkeypatch):

@@ -1,5 +1,7 @@
 """Linear-algebra kernel: frozen examples plus sampled invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -272,3 +274,89 @@ class TestMatrixJson:
     def test_bad_payload(self):
         with pytest.raises(errors.InvalidInput):
             opcore.matrix_from_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]})
+
+
+class TestStackRules:
+    """Each Hermitian/PSD rule is one stack function; the single-matrix
+    functions apply it to one (d, d) matrix."""
+
+    def probes(self):
+        """Matrices at scales 1e-6 to 1e6 with asymmetries around the
+        tolerance, non-Hermitian, PSD and indefinite ones."""
+        out = []
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            for d in (1, 2, 3):
+                a = scale * random_hermitian(d, RNG)
+                out += [a, scale * random_gram(d, RNG), scale * random_gram(d, RNG, 0.1)]
+                for eps in (3e-13, 3e-12, 1e-6):
+                    nudged = a.astype(complex)
+                    nudged[0, -1] += eps * max(1.0, scale)
+                    out.append(nudged)
+        return out
+
+    def test_is_hermitian_exactly_when_hermitian_returns(self):
+        for a in self.probes():
+            try:
+                opcore.hermitian(a)
+                accepted = True
+            except errors.InvalidInput:
+                accepted = False
+            assert opcore.is_hermitian(a) == accepted
+
+    def test_stack_forms_match_single_matrices(self):
+        for d in (1, 2, 3, 4):
+            stack = np.stack([random_gram(d, RNG) - 0.3 * np.eye(d) for _ in range(50)])
+            stack[::7, 0, -1] += 1e-13
+            flags = opcore.hermitian_flags(stack)
+            sym = opcore.hermitian_stack(stack)
+            psd = opcore.psd_flags(stack)
+            assert psd.any() and not psd.all()
+            for k, a in enumerate(stack):
+                assert flags[k] == opcore.is_hermitian(a)
+                assert np.array_equal(sym[k], opcore.hermitian(a))
+                assert psd[k] == opcore.psd_check(a)
+            roots = opcore.psd_roots(stack[psd])
+            for a, root in zip(stack[psd], roots):
+                assert np.array_equal(root, opcore.psd_sqrt(a))
+
+    def test_stack_names_first_offender(self):
+        good = random_hermitian(2, RNG)
+        bad = good.copy()
+        bad[0, 1] += 0.5
+        worse = good.copy()
+        worse[0, 1] += 2.0
+        with pytest.raises(errors.InvalidInput, match=r"asymmetry 7\.071e-01"):
+            opcore.hermitian_stack(np.stack([good, bad, worse]))
+        with pytest.raises(errors.NotPositive, match=r"eigenvalue -1\.000e\+00"):
+            opcore.psd_roots(np.stack([np.eye(2), np.diag([1.0, -1.0]), np.diag([1.0, -2.0])]))
+
+    def test_single_matrix_functions_reject_stacks(self):
+        stack = np.stack([np.eye(3)] * 3)
+        for fn in (opcore.hermitian, opcore.is_hermitian, opcore.psd_check,
+                   opcore.psd_sqrt, opcore.make_state, opcore.op_norm):
+            with pytest.raises(errors.InvalidInput, match="square matrix"):
+                fn(stack)
+        for fn in (opcore.hermitian_stack, opcore.hermitian_flags, opcore.psd_flags,
+                   opcore.psd_roots):
+            with pytest.raises(errors.InvalidInput):
+                fn(np.ones(3))
+
+    def test_huge_entries_do_not_overflow(self):
+        a = np.array([[1e160, 0.0], [5e159, 1e160]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not opcore.is_hermitian(a)
+            with pytest.raises(errors.InvalidInput):
+                opcore.hermitian(a)
+            largest = np.linalg.svd(a, compute_uv=False)[0]
+            assert opcore.op_norm(a) == pytest.approx(largest, rel=1e-12)
+            assert opcore.is_hermitian(a + a.T)
+            assert opcore.op_norm(a + a.T) == pytest.approx(2.5e160, rel=1e-12)
+
+    def test_tiny_asymmetry_absorbed_below_unit_norm(self):
+        # ||A - A*||_F = 7.07e-13 <= 1e-12 * max(1, ||A||_F): symmetrized,
+        # and so a PSD step value rather than an error from psd_check.
+        a = np.array([[1e-3, 1e-3 + 5e-13], [1e-3, 1e-3]])
+        assert opcore.is_hermitian(a)
+        assert opcore.psd_check(a)
+        assert np.array_equal(opcore.hermitian(a), opcore.hermitian(a).conj().T)

@@ -321,6 +321,32 @@ class TestProperties:
             check_ovm_properties(nu, sets)
 
 
+class TestStackValidation:
+    def test_first_non_hermitian_mass_named(self):
+        masses = random_povm(2, 5, RNG).cell_masses.copy()
+        masses[3, 0, 1] += 0.25
+        with pytest.raises(errors.InvalidInput) as caught:
+            grid_ovm(SampleSpace.uniform(5), masses)
+        with pytest.raises(errors.InvalidInput) as single:
+            opcore.hermitian(masses[3])
+        assert str(caught.value) == str(single.value)
+
+    def test_positive_flag_per_mass(self):
+        masses = random_povm(3, 8, RNG).cell_masses.copy()
+        assert grid_ovm(SampleSpace.uniform(8), masses).positive
+        masses[5] = -masses[5]
+        nu = grid_ovm(SampleSpace.uniform(8), masses)
+        assert not nu.positive
+        assert check_ovm_properties(nu, [MeasurableSet.full(nu.space)]).self_adjoint
+
+    def test_caller_masses_stay_writeable(self):
+        masses = np.stack([np.eye(2, dtype=complex)] * 4) / 4
+        nu = grid_ovm(SampleSpace.uniform(4), masses)
+        masses[0, 0, 0] = 7.0
+        assert nu.cell_masses[0, 0, 0] == 0.25
+        assert not nu.cell_masses.flags.writeable
+
+
 class TestAbsContinuous:
     def test_full_rank_mutual(self):
         nu = random_povm(3, 10, RNG)

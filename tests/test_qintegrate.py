@@ -24,7 +24,8 @@ from ovmkit.ovm import (
     induced_measure,
 )
 from ovmkit.qintegrate import (
-    constant_qrv,
+    QuantumRandomVariable,
+    ScalarStepFunction,
     ess_equal,
     ess_range,
     ess_sup,
@@ -35,13 +36,44 @@ from ovmkit.qintegrate import (
     integrate,
     pos_neg_parts,
     qrv,
-    qrv_from_json,
-    qrv_to_json,
     real_imag_parts,
-    scalar_to_json,
 )
 
 RNG = rng_from_seed(616263)
+
+
+def constant_qrv(space: SampleSpace, value) -> QuantumRandomVariable:
+    v = opcore.as_matrix(value)
+    d = v.shape[0]
+    cv = np.broadcast_to(v, (space.n_cells, d, d)).copy()
+    av = np.broadcast_to(v, (space.n_atoms, d, d)).copy()
+    return QuantumRandomVariable(space, d, cv, av)
+
+
+def qrv_to_json(f: QuantumRandomVariable) -> dict:
+    return {
+        "cells": [opcore.matrix_to_json(x) for x in f.cell_values],
+        "atoms": [opcore.matrix_to_json(x) for x in f.atom_values],
+    }
+
+
+def qrv_from_json(space: SampleSpace, obj) -> QuantumRandomVariable:
+    if not isinstance(obj, dict) or "cells" not in obj:
+        raise errors.InvalidInput("step function JSON must carry cells")
+    cells = [opcore.matrix_from_json(x) for x in obj["cells"]]
+    atoms = [opcore.matrix_from_json(x) for x in obj.get("atoms", [])]
+    d = cells[0].shape[0] if cells else (atoms[0].shape[0] if atoms else 1)
+    cv = np.stack(cells) if cells else np.zeros((0, d, d), dtype=np.complex128)
+    av = np.stack(atoms) if atoms else np.zeros((space.n_atoms, d, d), dtype=np.complex128)
+    return QuantumRandomVariable(space, d, cv, av)
+
+
+def scalar_to_json(f: ScalarStepFunction) -> dict:
+    scale = max(1.0, float(np.abs(f.cells).max()) if f.cells.size else 0.0)
+    if (np.abs(f.cells.imag).max(initial=0.0) > 1e-12 * scale
+            or np.abs(f.atoms.imag).max(initial=0.0) > 1e-12 * scale):
+        raise errors.Unsupported("scalar step JSON carries real values only")
+    return {"cells": f.cells.real.tolist(), "atoms": f.atoms.real.tolist()}
 
 
 def random_set(space, rng):
@@ -466,3 +498,21 @@ class TestJson:
         bad = ScalarStepFunction(space, np.array([1.0 + 1j, 2.0]), np.zeros(0))
         with pytest.raises(errors.Unsupported):
             scalar_to_json(bad)
+
+
+def test_tiny_asymmetry_builds_a_step_function():
+    # is_hermitian and psd_check's Hermitian validation apply one rule, so a
+    # value accepted as Hermitian is never rejected by the PSD check.
+    f = qrv(SampleSpace.uniform(1), [[[1e-3, 1e-3 + 5e-13], [1e-3, 1e-3]]])
+    assert f.self_adjoint and f.positive
+
+
+def test_density_outside_the_psd_slack_is_rejected():
+    # M = diag(1e-3, -5e-10) is PSD within 1e-9 * max(1, ||M||); its
+    # density M / tr(rho M) = diag(2e6, -1) is not, at its own scale.
+    nu = grid_ovm(SampleSpace.uniform(1), np.array([np.diag([1e-3, -5e-10])], dtype=complex))
+    rho = opcore.make_state(np.diag([1e-6, 1 - 1e-6]))
+    f = qrv(nu.space, np.array([np.eye(2)], dtype=complex))
+    assert nu.positive
+    with pytest.raises(errors.NotPositive):
+        integrand_fs(f, rho, nu, rho)

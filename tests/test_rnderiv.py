@@ -18,7 +18,15 @@ from ovmkit.ovm import (
     grid_ovm,
     induced_measure,
 )
-from ovmkit.rnderiv import density_to_json, rn_consistency, rn_derivative, rn_exists
+from ovmkit.rnderiv import StepDensity, rn_consistency, rn_derivative, rn_exists
+
+
+def density_to_json(dens: StepDensity) -> dict:
+    return {
+        "cells": [None if r is None else opcore.matrix_to_json(r) for r in dens.cells],
+        "atoms": [None if r is None else opcore.matrix_to_json(r) for r in dens.atoms],
+    }
+
 
 RNG = rng_from_seed(515253)
 
