@@ -28,7 +28,7 @@ from .errors import AtomicObstruction, InvalidInput, OvmError, TargetNotInHull
 from .lyapunov import attain, attain_to_json, convexity_certificate
 from .ovm import MeasurableSet, check_ovm_properties, ovm_from_json, set_from_json
 
-REPORT_SCHEMA = "ovm-report/1"
+REPORT_SCHEMA = "ovm-report/2"
 
 
 def _is_int(value) -> bool:
@@ -205,10 +205,14 @@ def _run_properties(p):
         sample_sets += [MeasurableSet(rng.integers(0, 2, nu.space.n_cells),
                                       rng.integers(0, 2, nu.space.n_atoms)) for _ in range(8)]
     flags = asdict(check_ovm_properties(nu, sample_sets))
+    expect = p["expect"] or {}
+    unknown = sorted(set(expect) - flags.keys())
+    if unknown:
+        raise InvalidInput(f"expect names unknown flags {unknown}; the flags are {sorted(flags)}")
     results = {"properties": flags, "sets_tested": len(sample_sets)}
-    if p["expect"]:
-        checks = [check(f"flag_{name}", flags.get(name) == bool(val), flags.get(name), bool(val))
-                  for name, val in sorted(p["expect"].items())]
+    if expect:
+        checks = [check(f"flag_{name}", flags[name] == bool(val), flags[name], bool(val))
+                  for name, val in sorted(expect.items())]
     else:
         checks = [check("computed", True, True)]
     return results, checks

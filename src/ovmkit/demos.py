@@ -7,9 +7,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import models, opcore
+from . import models
 from .errors import AtomicObstruction, InvalidInput, SpaceMismatch, TargetNotInHull
-from .lyapunov import attain_to_json, brute_force_range, joint_attain, kernel_witness
+from .lyapunov import attain_to_json, joint_attain, kernel_witness
 from .ovm import MeasurableSet, check_ovm_properties, induced_measure
 from .rnderiv import rn_consistency, rn_derivative
 
@@ -96,7 +96,6 @@ def uhl_demo(cells: int):
     if not 2 <= m <= 20:
         raise InvalidInput("cells must lie in [2, 20]")
     nu = models.uhl_model(m)
-    half = nu.total_mass() / 2
 
     if m <= 12:
         supports = [
@@ -114,21 +113,16 @@ def uhl_demo(cells: int):
                 supports.append(list(np.flatnonzero(mask)))
     witnesses = sum(kernel_witness(nu, support) is not None for support in supports)
 
-    if m <= 12:
-        min_distance = min(float(opcore.op_norm(value - half))
-                           for _, value in brute_force_range(nu))
-    else:
-        # The model is diagonal, so ||nu(E) - nu(X)/2|| reduces to the
-        # largest |bit - 1/2| over the diagonal; enumerate in chunks.
-        diag = nu.cell_masses.diagonal(axis1=1, axis2=2).real  # (m, m)
-        min_distance = np.inf
-        total_diag = half.diagonal().real
-        for start in range(0, 1 << m, 1 << 16):
-            idx = np.arange(start, min(start + (1 << 16), 1 << m))
-            bits = (idx[:, None] >> np.arange(m)[None, :]) & 1
-            sums = bits @ diag
-            min_distance = min(min_distance,
-                               float(np.abs(sums - total_diag).max(axis=1).min()))
+    # The model is diagonal, so ||nu(E) - nu(X)/2|| is the largest entry
+    # of |diag nu(E) - diag nu(X)/2|; enumerate the 2^m sets E in chunks.
+    diag = nu.cell_masses.diagonal(axis1=1, axis2=2).real  # (m, m)
+    half_diag = nu.total_mass().diagonal().real / 2
+    min_distance = np.inf
+    for start in range(0, 1 << m, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), 1 << m))
+        bits = (idx[:, None] >> np.arange(m)[None, :]) & 1
+        min_distance = min(min_distance,
+                           float(np.abs(bits @ diag - half_diag).max(axis=1).min()))
 
     sample_sets = [MeasurableSet.empty(nu.space), MeasurableSet.full(nu.space)]
     sample_sets += [MeasurableSet.from_indices(nu.space, cells=[k]) for k in range(m)]

@@ -27,6 +27,10 @@ nonatomic measures, made algorithmic:
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
     exact under the constant-density convention.
 
+Every step reads the cell masses in Hermitian coordinates and scales its
+tolerances by ||nu(X)||; both are computed once per measure and cached on
+it (OVM.cell_coords, OVM.total_norm).
+
 Atoms obstruct step 2: a kernel direction that must move an indivisible
 cell raises AtomicObstruction instead of silently splitting an atom.
 """
@@ -52,6 +56,7 @@ from .ovm import (
     OVM,
     FractionalSet,
     MeasurableSet,
+    _check_masks,
     direct_sum,
     evaluate,
     evaluate_fractional,
@@ -117,10 +122,7 @@ class AttainResult:
 
 def coordinate_matrix(nu: OVM, support) -> np.ndarray:
     """Columns herm_coords(M_k) for k in support; shape (d^2, |support|)."""
-    support = list(support)
-    if not support:
-        return np.zeros((nu.dim * nu.dim, 0))
-    return opcore.herm_coords(nu.cell_masses[support]).T
+    return nu.cell_coords[list(support)].T
 
 
 def _row_basis(cols: np.ndarray) -> np.ndarray | None:
@@ -185,16 +187,27 @@ def _null_direction(cols: np.ndarray) -> np.ndarray | None:
     return c
 
 
-def _drift_within(nu: OVM, support, cols: np.ndarray, c: np.ndarray, tol: float) -> bool:
-    """Whether ||sum_k c_k M_k|| <= tol in operator norm, k over support.
+def _kernel(nu: OVM, support: np.ndarray) -> np.ndarray | None:
+    """m coefficients, zero off the index array ``support``, of the
+    canonical null vector c of the cell masses on it (see _null_direction),
+    or None when there is none or sum_k c_k M_k exceeds the drift tolerance
+    1e-10 * max(1, ||nu(X)||) in operator norm.
 
     herm_coords is an isometry for the Frobenius norm, so ||cols c||_2 is
     the Frobenius norm of the sum, an upper bound on its operator norm;
-    the eigenvalue test runs only when that bound exceeds tol.
+    the eigenvalue test runs only when that bound exceeds the tolerance.
     """
-    if np.linalg.norm(cols @ c) <= tol:
-        return True
-    return opcore.op_norm(np.tensordot(c, nu.cell_masses[support], axes=1)) <= tol
+    cols = nu.cell_coords[support].T
+    c = _null_direction(cols)
+    if c is None:
+        return None
+    tol = 1e-10 * max(1.0, nu.total_norm)
+    if (np.linalg.norm(cols @ c) > tol
+            and opcore.op_norm(np.tensordot(c, nu.cell_masses[support], axes=1)) > tol):
+        return None
+    coeffs = np.zeros(nu.space.n_cells)
+    coeffs[support] = c
+    return coeffs
 
 
 def kernel_witness(nu: OVM, support) -> KernelWitness | None:
@@ -211,15 +224,9 @@ def kernel_witness(nu: OVM, support) -> KernelWitness | None:
         raise InvalidInput("kernel support must be nonempty")
     if any(not 0 <= k < nu.space.n_cells for k in support):
         raise InvalidInput("kernel support indices out of range")
-    cols = coordinate_matrix(nu, support)
-    c = _null_direction(cols)
-    if c is None:
+    coeffs = _kernel(nu, np.array(support))
+    if coeffs is None:
         return None
-    drift_tol = 1e-10 * max(1.0, opcore.op_norm(nu.total_mass()))
-    if not _drift_within(nu, list(support), cols, c, drift_tol):
-        return None
-    coeffs = np.zeros(nu.space.n_cells)
-    coeffs[list(support)] = c
     coeffs.setflags(write=False)
     return KernelWitness(coefficients=coeffs, support=support)
 
@@ -233,6 +240,18 @@ def _snap(h: np.ndarray) -> np.ndarray:
 
 def _fractional_indices(h: np.ndarray) -> np.ndarray:
     return np.flatnonzero((h > 0.0) & (h < 1.0))
+
+
+def _cell_fractions(nu: OVM, h: FractionalSet) -> np.ndarray:
+    """The cell fractions of ``h``, snapped onto {0, 1} within SNAP_TOL,
+    with fractions on zero-mass cells dropped to 0: they change no value
+    of the measure."""
+    if len(h.cell_fractions) != nu.space.n_cells or len(h.atom_mask) != nu.space.n_atoms:
+        raise ShapeMismatch("fractional set does not match the sample space")
+    vec = _snap(h.fractions())
+    frac = _fractional_indices(vec)
+    vec[frac[nu.cell_norms()[frac] <= MASS_TOL]] = 0.0
+    return vec
 
 
 def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
@@ -250,39 +269,18 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
     """
     if not nu.positive:
         raise NotPositive("purification is defined for positive OVMs")
-    if len(h.cell_fractions) != nu.space.n_cells or len(h.atom_mask) != nu.space.n_atoms:
-        raise ShapeMismatch("fractional set does not match the sample space")
-    vec = _snap(h.fractions().copy())
-    live = nu.cell_norms() > MASS_TOL
-    frac = _fractional_indices(vec)
-    vec[frac[~live[frac]]] = 0.0
+    vec = _cell_fractions(nu, h)
     start_value = evaluate_fractional(nu, FractionalSet(tuple(vec), h.atom_mask))
 
     divisible = np.asarray(nu.space.divisible, dtype=bool)
-    all_coords = opcore.herm_coords(nu.cell_masses).T
-    drift_tol = 1e-10 * max(1.0, opcore.op_norm(nu.total_mass()))
-
-    def witness_on(indices):
-        if indices.size == 0:
-            return None
-        cols = all_coords[:, indices]
-        c_sub = _null_direction(cols)
-        if c_sub is None:
-            return None
-        if not _drift_within(nu, indices, cols, c_sub, drift_tol):
-            return None
-        c = np.zeros(nu.space.n_cells)
-        c[indices] = c_sub
-        return c
-
     iterations = 0
     limit = nu.space.n_cells + 1
     while True:
         frac = _fractional_indices(vec)
         movable = frac[divisible[frac]]
-        c = witness_on(movable)
+        c = _kernel(nu, movable)
         if c is None:
-            if movable.size != frac.size and witness_on(frac) is not None:
+            if movable.size != frac.size and _kernel(nu, frac) is not None:
                 blocked = tuple(int(k) for k in frac if not divisible[k])
                 raise AtomicObstruction(
                     f"kernel move requires splitting indivisible cells {blocked}",
@@ -325,12 +323,7 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
     merge.  Under constant densities the realized set carries exactly
     evaluate_fractional(nu, h).
     """
-    if len(h.cell_fractions) != nu.space.n_cells or len(h.atom_mask) != nu.space.n_atoms:
-        raise ShapeMismatch("fractional set does not match the sample space")
-    vec = _snap(h.fractions().copy())
-    live = nu.cell_norms() > MASS_TOL
-    frac = _fractional_indices(vec)
-    vec[frac[~live[frac]]] = 0.0
+    vec = _cell_fractions(nu, h)
     blocked = [int(k) for k in _fractional_indices(vec) if not nu.space.divisible[k]]
     if blocked:
         raise AtomicObstruction(
@@ -371,8 +364,7 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
     if not 0.0 <= t <= 1.0:
         raise InvalidInput(f"mixing weight {t!r} outside [0, 1]")
     for e in (e1, e2):
-        if len(e.cell_mask) != nu.space.n_cells or len(e.atom_mask) != nu.space.n_atoms:
-            raise ShapeMismatch("set masks do not match the sample space")
+        _check_masks(nu.space, e)
     if t == 0.0:
         return realize_intervals(nu, FractionalSet.from_measurable(e2), target=evaluate(nu, e2))
     if t == 1.0:
@@ -491,10 +483,9 @@ def attain(nu: OVM, target) -> AttainResult:
     a_mat = opcore.hermitian(target)
     if a_mat.shape[0] != nu.dim:
         raise ShapeMismatch(f"target dim {a_mat.shape[0]} vs measure dim {nu.dim}")
-    coords = coordinate_matrix(nu, range(nu.space.n_cells))
     goal = opcore.herm_coords(a_mat)
-    scale = opcore.op_norm(nu.total_mass()) or 1.0
-    h, duals, objective, steps = _phase_one(coords / scale, goal / scale)
+    scale = nu.total_norm or 1.0
+    h, duals, objective, steps = _phase_one(nu.cell_coords.T / scale, goal / scale)
     if objective > SIMPLEX_TOL:
         witness = opcore.coords_to_herm(duals)
         gap = check_separation(nu, a_mat, witness)
@@ -515,7 +506,7 @@ def check_separation(nu: OVM, target, witness) -> float:
     w = opcore.herm_coords(opcore.as_matrix(witness))
     if a_mat.shape[0] != nu.dim or w.size != nu.dim * nu.dim:
         raise ShapeMismatch(f"target and witness must be {nu.dim} x {nu.dim}")
-    masses = opcore.herm_coords(np.concatenate([nu.cell_masses, nu.atom_masses]))
+    masses = np.concatenate([nu.cell_coords, opcore.herm_coords(nu.atom_masses)])
     return float(w @ opcore.herm_coords(a_mat) - np.maximum(masses @ w, 0.0).sum())
 
 
@@ -594,8 +585,7 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
 
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     m, n = nu.space.n_cells, nu.space.n_atoms
-    total_norm = opcore.op_norm(nu.total_mass())
-    distinct_tol = 1e-12 * max(1.0, total_norm)
+    distinct_tol = 1e-12 * max(1.0, nu.total_norm)
 
     def draw_set():
         return MeasurableSet(

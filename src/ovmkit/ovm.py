@@ -283,6 +283,19 @@ class OVM:
         return out
 
     @cached_property
+    def cell_coords(self) -> np.ndarray:
+        """herm_coords of the cell masses, shape (m, d^2), read-only: row k
+        is M_k in the orthonormal trace-inner-product basis."""
+        coords = opcore.herm_coords(self.cell_masses)
+        coords.setflags(write=False)
+        return coords
+
+    @cached_property
+    def total_norm(self) -> float:
+        """||nu(X)||, the operator norm of the total mass."""
+        return opcore.op_norm(self.total_mass())
+
+    @cached_property
     def _norms(self) -> tuple[np.ndarray, np.ndarray]:
         """Operator norms of the cell masses and of the atom masses."""
         return tuple(opcore.readonly(np.abs(np.linalg.eigvalsh(s)).max(axis=-1, initial=0.0),
@@ -391,10 +404,9 @@ def is_nonatomic(nu: OVM) -> bool:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Axiom check results; spectrality is sampled, not proven."""
+    """Axiom check results; spectrality is sampled, not proven.  Every OVM
+    is bounded and self-adjoint by construction, so neither is a flag."""
 
-    bounded: bool
-    self_adjoint: bool
     positive: bool
     spectral: bool
     probability: bool
@@ -406,13 +418,8 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     Spectrality is tested on all ordered pairs from ``sample_sets``; a
     True flag is a non-falsification, not a certificate.
     """
-    total = nu.total_mass()
-    total_norm = opcore.op_norm(total)
-    self_adjoint = bool(opcore.hermitian_flags(nu.cell_masses).all()
-                        and opcore.hermitian_flags(nu.atom_masses).all())
-    positive = nu.positive
     spectral = True
-    tol = 1e-9 * max(1.0, total_norm) * max(1.0, total_norm)
+    tol = 1e-9 * max(1.0, nu.total_norm) * max(1.0, nu.total_norm)
     # No set value exceeds the summed mass norms; a product of two values,
     # less a third, with its adjoint added, stays below 4 reach^2.
     reach = float(nu.cell_norms().sum() + nu.atom_norms().sum())
@@ -428,14 +435,8 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
                 break
         if not spectral:
             break
-    probability = opcore.op_norm(total - np.eye(nu.dim)) <= 1e-12
-    return PropertyReport(
-        bounded=True,
-        self_adjoint=self_adjoint,
-        positive=positive,
-        spectral=spectral,
-        probability=probability,
-    )
+    probability = opcore.op_norm(nu.total_mass() - np.eye(nu.dim)) <= 1e-12
+    return PropertyReport(positive=nu.positive, spectral=spectral, probability=probability)
 
 
 def _mass_magnitudes(obj) -> tuple[SampleSpace, np.ndarray, np.ndarray]:

@@ -35,13 +35,8 @@ class StepDensity:
         return tuple(k for k, r in enumerate(self.cells) if r is not None)
 
 
-def rn_exists(nu: OVM, rho) -> tuple[bool, tuple[tuple[str, int], ...]]:
-    """Whether the derivative exists, plus the failing cells/atoms.
-
-    A cell or atom of nonzero mass whose induced trace falls below
-    RANK_TOL times its norm blocks existence.  Always true for full-rank
-    states in finite dimension.
-    """
+def _reference(nu: OVM, rho) -> tuple[InducedMeasure, tuple[tuple[str, int], ...]]:
+    """The induced measure nu_rho and the failures of rn_exists read off it."""
     if not nu.positive:
         raise NotPositive("derivative is defined for positive OVMs")
     ind = induced_measure(nu, rho)
@@ -50,6 +45,17 @@ def rn_exists(nu: OVM, rho) -> tuple[bool, tuple[tuple[str, int], ...]]:
         for kind, norms, traces in (("cell", nu.cell_norms(), ind.cells),
                                     ("atom", nu.atom_norms(), ind.atoms))
         for k in np.flatnonzero((norms > MASS_TOL) & (traces <= opcore.RANK_TOL * norms)))
+    return ind, failures
+
+
+def rn_exists(nu: OVM, rho) -> tuple[bool, tuple[tuple[str, int], ...]]:
+    """Whether the derivative exists, plus the failing cells/atoms.
+
+    A cell or atom of nonzero mass whose induced trace falls below
+    RANK_TOL times its norm blocks existence.  Always true for full-rank
+    states in finite dimension.
+    """
+    failures = _reference(nu, rho)[1]
     return not failures, failures
 
 
@@ -60,10 +66,9 @@ def rn_derivative(nu: OVM, rho) -> StepDensity:
     derivative of each entry measure; tr(rho R_k) = 1 on every defined
     cell.
     """
-    ok, failures = rn_exists(nu, rho)
-    if not ok:
+    ind, failures = _reference(nu, rho)
+    if failures:
         raise DerivativeDoesNotExist(failures)
-    ind = induced_measure(nu, rho)
 
     def density(masses, norms, traces):
         defined = (traces > MASS_TOL) | (norms > MASS_TOL)

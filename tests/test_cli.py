@@ -26,7 +26,7 @@ class TestRunScenario:
         report, code = cli.run_scenario(dict(LEBESGUE_SCENARIO))
         assert code == 0
         assert report["pass"] is True
-        assert report["schema"] == "ovm-report/1"
+        assert report["schema"] == "ovm-report/2"
         residual = next(c for c in report["checks"] if c["name"] == "residual")
         assert residual["value"] <= 1e-9
 
@@ -298,10 +298,12 @@ class TestMalformedInput:
         {"kind": "classical", "measures": "abc"},
         {"kind": "attain", "ovm": SMALL_OVM, "target": {"total_fraction": 0.5}, "seed": 3},
         {"kind": "properties", "ovm": {"model": "single_atom", "mass": 1.34e154}},
+        {"kind": "properties", "ovm": SMALL_OVM, "expect": {"bounded": True}},
     ], ids=["lambdas_scalar", "convexity_expect_scalar", "properties_expect_list",
             "sets_scalar", "targets_scalar", "measures_zero", "povm_dim_zero",
             "inline_ovm_without_dim", "trials_float", "trials_negative",
-            "format_xml", "measures_text", "attain_seed", "properties_overflow"])
+            "format_xml", "measures_text", "attain_seed", "properties_overflow",
+            "properties_expect_unknown_flag"])
     def test_exit_one_invalid_input(self, scenario):
         report, code = cli.run_scenario(scenario)
         assert code == 1

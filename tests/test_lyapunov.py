@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ovmkit import errors, lyapunov, opcore
+from ovmkit.demos import uhl_demo
 from ovmkit.lyapunov import (
     _null_direction,
     attain,
@@ -555,6 +556,14 @@ class TestBruteForce:
         with pytest.raises(errors.SizeLimit):
             brute_force_range(lebesgue_identity(23))
 
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_uhl_demo_distance_matches_enumeration(self, m):
+        nu = uhl_model(m)
+        half = nu.total_mass() / 2
+        expected = min(opcore.op_norm(v - half) for _, v in brute_force_range(nu))
+        results, _ = uhl_demo(m)
+        assert results["min_distance_to_half_total"] == expected
+
 
 class TestCertificate:
     def test_nonatomic_full_pass(self):
@@ -622,3 +631,25 @@ class TestCoordinateMatrix:
         mat = coordinate_matrix(nu, [1, 4])
         assert mat.shape == (4, 2)
         assert np.allclose(mat[:, 1], opcore.herm_coords(nu.cell_masses[4]))
+
+    def test_masses_coordinatized_once(self, monkeypatch):
+        # Every caller reads the measure's cached coordinates: however often
+        # they run, herm_coords sees the mass stack once.
+        rng = rng_from_seed(818283)
+        nu = random_povm(2, 30, rng)
+        h = FractionalSet(tuple(rng.random(30)))
+        herm_coords = opcore.herm_coords
+        stacks = []
+
+        def spy(a):
+            if np.ndim(a) == 3:
+                stacks.append(np.shape(a))
+            return herm_coords(a)
+
+        monkeypatch.setattr(opcore, "herm_coords", spy)
+        for _ in range(2):
+            coordinate_matrix(nu, range(10))
+            kernel_witness(nu, range(30))
+            purify(nu, h)
+            attain(nu, evaluate_fractional(nu, h))
+        assert stacks == [(30, 2, 2)]
