@@ -16,14 +16,20 @@ nonatomic measures, made algorithmic:
     direction until a coordinate hits {0, 1}.  The fiber value is
     conserved; at most d^2 fractional cells survive (the coordinate matrix
     has rank at most d^2).  The direction is the null-space projection of
-    a basis vector.  When the D x n coordinate block (D = d^2) has n > D
-    and a well-conditioned Gram matrix G = cols cols^T, the projector is
-    I - cols^T G^(-1) cols, built from one D x D eigendecomposition;
-    rank-deficient blocks (zero coordinate rows of a direct sum, say) and
-    blocks with n <= D take an SVD.  A move is accepted when sum c_k M_k
-    stays below the drift tolerance: first through its Frobenius norm
-    ||cols c||, an upper bound, and only when that fails through the
-    operator norm itself.
+    a basis vector: with the n x D coordinate rows A of the support
+    (D = d^2) and G = A^T A, it is e_pick - A G^(-1) a_pick, picked by the
+    projector diagonal 1 - a_k^T G^(-1) a_k.  While n > D and G is well
+    conditioned, purify keeps G^(-1) and that diagonal and downdates both
+    by Sherman-Morrison as cells pin, O(D n) per pivot; it refactors G
+    every REFACTOR_EVERY pivots and as soon as the downdates no longer
+    certify the conditioning.  The rest (n <= D, rank-deficient blocks
+    such as the zero coordinate rows of a direct sum, a failed drift test)
+    and the final test fall back to a per-pivot loop that builds each
+    direction afresh, from one D x D eigendecomposition of G or, for the
+    rank-deficient and narrow blocks, an SVD; both take the same pivots.
+    A move is accepted when sum c_k M_k stays below the drift tolerance:
+    first through its Frobenius norm ||A^T c||, an upper bound, and only
+    when that fails through the operator norm itself.
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
     exact under the constant-density convention.
 
@@ -76,7 +82,9 @@ GRAM_RCOND = 1e-6
 SIMPLEX_TOL = 1e-12
 # Smallest basis-column entry a ratio test divides by.
 PIVOT_TOL = 1e-9
-# Pivots between refactorizations of the d^2 x d^2 basis inverse.
+# Pivots between refactorizations of a D x D inverse (D = d^2) kept up to
+# date by rank-one updates: attain's simplex basis inverse and purify's
+# downdated Gram inverse.
 REFACTOR_EVERY = 64
 # Degenerate pivots in a row after which pricing follows Bland's rule
 # until a pivot makes progress; Bland's rule cannot cycle.
@@ -125,21 +133,31 @@ def coordinate_matrix(nu: OVM, support) -> np.ndarray:
     return nu.cell_coords[list(support)].T
 
 
+def _gram(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Ascending eigenpairs (lam, Q) of the Gram matrix G = cols cols^T of a
+    (D, n) real matrix with n > D when it is well conditioned,
+    lam_min >= GRAM_RCOND * lam_max > 0; otherwise None.  Under that test
+    cols has full row rank under KERNEL_RCOND."""
+    if cols.shape[1] <= cols.shape[0]:
+        return None
+    lam, q = np.linalg.eigh(cols @ cols.T)
+    return (lam, q) if lam[0] >= GRAM_RCOND * lam[-1] > 0.0 else None
+
+
 def _row_basis(cols: np.ndarray) -> np.ndarray | None:
     """Orthonormal rows spanning the row space of a (D, n) real matrix, or
     None when its columns are independent.
 
-    With n > D and a well-conditioned Gram matrix G = cols cols^T
-    (lambda_min >= GRAM_RCOND * lambda_max), cols has full row rank under
-    KERNEL_RCOND, and Lambda^(-1/2) Q^T cols from G = Q Lambda Q^T is such
-    a basis: D^2 n flops instead of an SVD of the whole block.  Rank-
-    deficient blocks and n <= D take the SVD with the KERNEL_RCOND cut.
+    When _gram accepts the block, Lambda^(-1/2) Q^T cols from
+    G = Q Lambda Q^T is such a basis: D^2 n flops instead of an SVD of the
+    whole block.  Rank-deficient blocks and n <= D take the SVD with the
+    KERNEL_RCOND cut.
     """
-    d_rows, n = cols.shape
-    if n > d_rows:
-        lam, q = np.linalg.eigh(cols @ cols.T)
-        if lam[0] >= GRAM_RCOND * lam[-1] > 0.0:
-            return (q.T @ cols) / np.sqrt(lam)[:, None]
+    gram = _gram(cols)
+    if gram is not None:
+        lam, q = gram
+        return (q.T @ cols) / np.sqrt(lam)[:, None]
+    n = cols.shape[1]
     _, sing, vt = np.linalg.svd(cols, full_matrices=False)
     smax = sing[0] if sing.size else 0.0
     rank = int(np.sum(sing > KERNEL_RCOND * smax)) if smax > 0 else 0
@@ -177,33 +195,41 @@ def _null_direction(cols: np.ndarray) -> np.ndarray | None:
     c[pick] += 1.0
     if rank:
         c -= vr.T @ (vr @ c)  # strip residual row-space components
+    return _canonical(c)
+
+
+def _canonical(c: np.ndarray) -> np.ndarray | None:
+    """c scaled to unit peak with its first nonzero entry positive, or None
+    when c is zero."""
     peak = np.abs(c).max()
     if peak <= 0.0:
         return None
     c = c / peak
     lead = int(np.argmax(np.abs(c) > 1e-12))
-    if c[lead] < 0:
-        c = -c
-    return c
+    return -c if c[lead] < 0 else c
 
 
-def _kernel(nu: OVM, support: np.ndarray) -> np.ndarray | None:
-    """m coefficients, zero off the index array ``support``, of the
-    canonical null vector c of the cell masses on it (see _null_direction),
-    or None when there is none or sum_k c_k M_k exceeds the drift tolerance
-    1e-10 * max(1, ||nu(X)||) in operator norm.
+def _within_drift(nu: OVM, support: np.ndarray, cols: np.ndarray, c: np.ndarray) -> bool:
+    """Does sum_k c_k M_k over ``support`` stay within the drift tolerance
+    1e-10 * max(1, ||nu(X)||) in operator norm?
 
     herm_coords is an isometry for the Frobenius norm, so ||cols c||_2 is
     the Frobenius norm of the sum, an upper bound on its operator norm;
     the eigenvalue test runs only when that bound exceeds the tolerance.
     """
+    tol = 1e-10 * max(1.0, nu.total_norm)
+    frobenius = cols @ c
+    return (np.sqrt(frobenius @ frobenius) <= tol
+            or opcore.op_norm(np.tensordot(c, nu.cell_masses[support], axes=1)) <= tol)
+
+
+def _kernel(nu: OVM, support: np.ndarray) -> np.ndarray | None:
+    """m coefficients, zero off the index array ``support``, of the
+    canonical null vector c of the cell masses on it (see _null_direction),
+    or None when there is none or it fails _within_drift."""
     cols = nu.cell_coords[support].T
     c = _null_direction(cols)
-    if c is None:
-        return None
-    tol = 1e-10 * max(1.0, nu.total_norm)
-    if (np.linalg.norm(cols @ c) > tol
-            and opcore.op_norm(np.tensordot(c, nu.cell_masses[support], axes=1)) > tol):
+    if c is None or not _within_drift(nu, support, cols, c):
         return None
     coeffs = np.zeros(nu.space.n_cells)
     coeffs[support] = c
@@ -232,7 +258,9 @@ def kernel_witness(nu: OVM, support) -> KernelWitness | None:
 
 
 def _snap(h: np.ndarray) -> np.ndarray:
-    h = np.clip(h, 0.0, 1.0)
+    """A copy of h with entries up to SNAP_TOL (negative ones too) set to 0
+    and entries from 1 - SNAP_TOL (above 1 too) set to 1."""
+    h = np.array(h, dtype=float)
     h[h <= SNAP_TOL] = 0.0
     h[h >= 1.0 - SNAP_TOL] = 1.0
     return h
@@ -254,15 +282,117 @@ def _cell_fractions(nu: OVM, h: FractionalSet) -> np.ndarray:
     return vec
 
 
+def _ratio_step(vec: np.ndarray, c: np.ndarray) -> float:
+    """The step t along c that first pins a coordinate of vec + t c to
+    {0, 1}: the forward one when positive, else minus the backward one;
+    inf when c moves nothing.  Entries with |c_k| <= 1e-14 do not move."""
+    moving = np.abs(c) > 1e-14
+    cm, xm = c[moving], vec[moving]
+    up = cm > 0.0
+    speed = np.abs(cm)
+    t_plus = np.minimum.reduce(np.where(up, 1.0 - xm, xm) / speed, initial=np.inf)
+    t_minus = np.minimum.reduce(np.where(up, xm, 1.0 - xm) / speed, initial=np.inf)
+    return t_plus if t_plus > 0.0 else -t_minus
+
+
+def _pivot_limit(iterations: int, limit: int) -> None:
+    if iterations >= limit:
+        raise NumericalFailure("purification failed to pin a coordinate per step")
+
+
+def _downdated_pivots(nu: OVM, vec: np.ndarray, support: np.ndarray,
+                      iterations: int, limit: int) -> tuple[int, bool]:
+    """purify's pivots on the divisible fractional ``support`` while it has
+    n > D cells and _gram accepts it, keeping G^(-1) and the null-projector
+    diagonal 1 - a_k^T G^(-1) a_k of its coordinate rows a_k instead of
+    refactoring G at every pivot; updates vec in place.
+
+    Each pivot takes _null_direction's pick, direction and re-projection
+    from them: c = e_pick - A G^(-1) a_pick.  A cell j that pins leaves by
+    Sherman-Morrison, u = G^(-1) a_j: G^(-1) += u u^T / (1 - l_j) and
+    1 - l_k -= (a_k^T u)^2 / (1 - l_j), O(D n); its row is zeroed, so it
+    drops out of every product, and the arrays are compacted when G is
+    refactored.  That happens every REFACTOR_EVERY pivots and as soon as
+    lam_min(refactor) * prod(1 - l_j), a lower bound on lam_min of the
+    downdated G, no longer certifies _gram's test, so each pivot here is
+    one the per-pivot loop would take on its Gram branch.  Returns the
+    pivot count and whether the ratio test found no bound, which ends
+    purification; otherwise the per-pivot loop takes over (n <= D, a
+    rejected Gram matrix, a zero direction or a failed drift test).
+    """
+    dim2 = nu.cell_coords.shape[1]
+    x = vec[support]
+    live = np.ones(support.size, dtype=bool)
+    n_live = support.size
+    since_refactor = REFACTOR_EVERY
+    stopped = False
+    while n_live > dim2:
+        if since_refactor >= REFACTOR_EVERY:
+            vec[support] = x
+            support, x = support[live], x[live]
+            rows = nu.cell_coords[support]
+            gram = _gram(rows.T)
+            if gram is None:
+                break
+            lam, q = gram
+            ginv = (q / lam) @ q.T
+            diag = 1.0 - np.einsum("ij,ij->i", rows @ ginv, rows)
+            live = np.ones(support.size, dtype=bool)
+            lam_min, floor = lam[0], GRAM_RCOND * lam[-1]
+            since_refactor = 0
+        pick = int(np.argmax(diag >= 0.5 * diag.max()))
+        c = -(rows @ (ginv @ rows[pick]))
+        c[pick] += 1.0
+        c -= rows @ (ginv @ (rows.T @ c))  # strip residual row-space components
+        c = _canonical(c)
+        if c is None or not _within_drift(nu, support, rows.T, c):
+            break
+        step = _ratio_step(x, c)
+        if not np.isfinite(step):
+            stopped = True
+            break
+        x = _snap(x + step * c)
+        iterations += 1
+        _pivot_limit(iterations, limit)
+        since_refactor += 1
+        keep = (x > 0.0) & (x < 1.0)  # pinned and dropped cells sit at 0 or 1
+        pinned = np.flatnonzero(live ^ keep)
+        n_live -= pinned.size
+        for j in pinned:
+            slack = diag[j]
+            lam_min *= slack
+            if not lam_min >= floor:
+                since_refactor = REFACTOR_EVERY
+                break
+            u = ginv @ rows[j]
+            ginv += (u / slack)[:, None] * u
+            diag -= (rows @ u) ** 2 / slack
+            rows[j] = 0.0
+            diag[j] = 0.0
+        live = keep
+    vec[support] = x
+    return iterations, stopped
+
+
 def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
     """Drive a fractional set to a near-extreme point of its fiber.
 
-    Kernel moves are searched on the divisible fractional cells first;
-    when none exists there but one exists once indivisible fractional
-    cells are included, the purification is atomically stuck and
-    AtomicObstruction is raised.  With no kernel at all the loop ends
-    gracefully, fractional cells and all (the non-injectivity hypothesis
-    simply fails at this resolution).
+    Each pivot moves the divisible fractional cells along the canonical
+    kernel direction of their masses (see _null_direction) until a cell
+    pins to {0, 1}.  While that support has more than D = d^2 cells and a
+    well-conditioned Gram matrix G, the pivots run on it alone with G^(-1)
+    and the leverage scores downdated as cells pin, refactored every
+    REFACTOR_EVERY pivots or when conditioning is no longer certain (see
+    _downdated_pivots); the per-pivot loop, which refactors the whole
+    support every pivot, takes the rest (n <= D, rank-deficient blocks such
+    as the zero rows of a direct sum, a failed drift test) and the final
+    test.  Both take the same pivots and count toward one limit of m + 1.
+
+    When no kernel move exists on the divisible fractional cells but one
+    exists once indivisible fractional cells are included, the
+    purification is atomically stuck and AtomicObstruction is raised.
+    With no kernel at all the loop ends gracefully, fractional cells and
+    all (the non-injectivity hypothesis simply fails at this resolution).
 
     Fractional values on zero-mass cells are dropped to 0 up front: they
     change no value of the measure.
@@ -273,9 +403,10 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
     start_value = evaluate_fractional(nu, FractionalSet(tuple(vec), h.atom_mask))
 
     divisible = np.asarray(nu.space.divisible, dtype=bool)
-    iterations = 0
     limit = nu.space.n_cells + 1
-    while True:
+    frac = _fractional_indices(vec)
+    iterations, stopped = _downdated_pivots(nu, vec, frac[divisible[frac]], 0, limit)
+    while not stopped:
         frac = _fractional_indices(vec)
         movable = frac[divisible[frac]]
         c = _kernel(nu, movable)
@@ -287,23 +418,12 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
                     cells=blocked,
                 )
             break
-        up = np.flatnonzero(c > 1e-14)
-        down = np.flatnonzero(c < -1e-14)
-        t_plus = min(
-            ((1.0 - vec[up]) / c[up]).min() if up.size else np.inf,
-            (vec[down] / -c[down]).min() if down.size else np.inf,
-        )
-        t_minus = min(
-            (vec[up] / c[up]).min() if up.size else np.inf,
-            ((1.0 - vec[down]) / -c[down]).min() if down.size else np.inf,
-        )
-        step = t_plus if t_plus > 0.0 else -t_minus
+        step = _ratio_step(vec, c)
         if not np.isfinite(step):
             break
         vec = _snap(vec + step * c)
         iterations += 1
-        if iterations >= limit:
-            raise NumericalFailure("purification failed to pin a coordinate per step")
+        _pivot_limit(iterations, limit)
 
     final = FractionalSet(tuple(vec), h.atom_mask)
     residual = opcore.op_norm(evaluate_fractional(nu, final) - start_value)

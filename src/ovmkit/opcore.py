@@ -151,16 +151,18 @@ def psd_sqrt(a) -> np.ndarray:
 def op_norm(a) -> float:
     """Operator (spectral) norm: largest singular value.
 
-    Inputs :func:`hermitian_stack` accepts take the eigenvalue path,
-    everything else the singular-value path.
+    Inputs :func:`hermitian_stack` accepts take the eigenvalue path on the
+    matrix it returns, everything else the singular-value path.
     """
     m = as_matrix(a)
     if m.size == 0:
         return 0.0
-    try:
-        return float(np.abs(np.linalg.eigvalsh(hermitian_stack(m))).max())
-    except InvalidInput:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
+    adj = m.conj().T
+    if not (m == adj).all():
+        if not _asymmetry(m, HERM_TOL)[0]:
+            return float(np.linalg.svd(m, compute_uv=False)[0])
+        m = (m + adj) / 2
+    return float(np.abs(np.linalg.eigvalsh(m)).max())
 
 
 def loewner_leq(a, b, tol: float = TOL_PSD) -> bool:

@@ -292,6 +292,164 @@ class TestNullDirectionEquivalence:
             assert gap <= 1e-11
 
 
+def purify_per_pivot(nu, h):
+    """Reference for purify's downdated pivots: the loop purify ran before
+    them, which finds every kernel direction afresh over the whole
+    divisible fractional support (lyapunov._kernel) and takes the ratio
+    test over all m cells."""
+    vec = lyapunov._cell_fractions(nu, h)
+    start_value = evaluate_fractional(nu, FractionalSet(tuple(vec), h.atom_mask))
+    divisible = np.asarray(nu.space.divisible, dtype=bool)
+    iterations = 0
+    limit = nu.space.n_cells + 1
+    while True:
+        frac = lyapunov._fractional_indices(vec)
+        movable = frac[divisible[frac]]
+        c = lyapunov._kernel(nu, movable)
+        if c is None:
+            if movable.size != frac.size and lyapunov._kernel(nu, frac) is not None:
+                blocked = tuple(int(k) for k in frac if not divisible[k])
+                raise errors.AtomicObstruction(
+                    f"kernel move requires splitting indivisible cells {blocked}",
+                    cells=blocked,
+                )
+            break
+        up = np.flatnonzero(c > 1e-14)
+        down = np.flatnonzero(c < -1e-14)
+        t_plus = min(
+            ((1.0 - vec[up]) / c[up]).min() if up.size else np.inf,
+            (vec[down] / -c[down]).min() if down.size else np.inf,
+        )
+        t_minus = min(
+            (vec[up] / c[up]).min() if up.size else np.inf,
+            ((1.0 - vec[down]) / -c[down]).min() if down.size else np.inf,
+        )
+        step = t_plus if t_plus > 0.0 else -t_minus
+        if not np.isfinite(step):
+            break
+        vec = lyapunov._snap(vec + step * c)
+        iterations += 1
+        if iterations >= limit:
+            raise errors.NumericalFailure("purification failed to pin a coordinate per step")
+    final = FractionalSet(tuple(vec), h.atom_mask)
+    residual = opcore.op_norm(evaluate_fractional(nu, final) - start_value)
+    return lyapunov.PurifyResult(
+        h_final=final,
+        fractional_indices=tuple(int(k) for k in lyapunov._fractional_indices(vec)),
+        iterations=iterations,
+        target_residual=residual,
+    )
+
+
+def assert_same_pivots(nu, h):
+    got, want = purify(nu, h), purify_per_pivot(nu, h)
+    assert got.iterations == want.iterations
+    assert got.fractional_indices == want.fractional_indices
+    assert np.abs(got.h_final.fractions() - want.h_final.fractions()).max() <= 1e-11
+    return got
+
+
+@pytest.fixture
+def fast_phase(monkeypatch):
+    """Per purify call: the pivots taken with the downdated Gram inverse and
+    the Gram factorizations made meanwhile."""
+    runs = []
+    downdated, gram = lyapunov._downdated_pivots, lyapunov._gram
+
+    def counting_gram(cols):
+        if runs and runs[-1]["open"]:
+            runs[-1]["factorizations"] += 1
+        return gram(cols)
+
+    def spy(nu, vec, support, iterations, limit):
+        runs.append({"open": True, "factorizations": 0})
+        out = downdated(nu, vec, support, iterations, limit)
+        runs[-1].update(open=False, pivots=out[0] - iterations)
+        return out
+
+    monkeypatch.setattr(lyapunov, "_gram", counting_gram)
+    monkeypatch.setattr(lyapunov, "_downdated_pivots", spy)
+    return runs
+
+
+class TestDowndatedPivots:
+    """purify against purify_per_pivot: the same pivot count, the same
+    fractional cells and fractions within 1e-11."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_random_instances(self, d):
+        # 120 instances in all, m up to 400, every cell fractional.
+        for trial in range(30):
+            rng = rng_from_seed(3000 + 10 * trial + d)
+            m = int(rng.integers(d * d + 1, 401))
+            nu = random_povm(d, m, rng)
+            assert_same_pivots(nu, FractionalSet(tuple(rng.random(m))))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [200, 1000, 2000])
+    def test_interior_grid(self, d, m, fast_phase):
+        # A convex_combine mix of two sets and an all-fractional set.
+        rng = rng_from_seed(7000 + 10 * d + m)
+        nu = random_povm(d, m, rng)
+        e1, e2, t = rng.integers(0, 2, m), rng.integers(0, 2, m), float(rng.random())
+        for h in (t * e1 + (1.0 - t) * e2, rng.random(m)):
+            assert_same_pivots(nu, FractionalSet(tuple(h)))
+        assert all(run["pivots"] > 0 for run in fast_phase)
+
+    def test_run_past_refactor_interval(self, fast_phase):
+        rng = rng_from_seed(7171)
+        nu = random_povm(2, 300, rng)
+        assert_same_pivots(nu, FractionalSet(tuple(rng.random(300))))
+        (run,) = fast_phase
+        assert run["pivots"] > 2 * lyapunov.REFACTOR_EVERY
+        assert run["factorizations"] > run["pivots"] // lyapunov.REFACTOR_EVERY
+
+    def test_twin_cells_pin_together(self, fast_phase):
+        # Each mass twice with equal fractions: twins move alike and most
+        # pivots pin two cells at once.
+        rng = rng_from_seed(7272)
+        base = random_povm(2, 40, rng).cell_masses
+        nu = grid_ovm(SampleSpace.uniform(80), np.repeat(base, 2, axis=0) / 2)
+        result = assert_same_pivots(nu, FractionalSet(tuple(np.repeat(rng.random(40), 2))))
+        pinned = 80 - len(result.fractional_indices)
+        assert result.iterations <= pinned - 10
+        assert fast_phase[0]["pivots"] > 20
+
+    def test_singular_gram_takes_per_pivot_loop(self, fast_phase):
+        # Three scalar blocks fill 3 of the 9 coordinate rows of the sum.
+        nu = direct_sum(*singular_blocks(3))
+        h = FractionalSet(tuple(rng_from_seed(7373).random(nu.space.n_cells)))
+        result = assert_same_pivots(nu, h)
+        assert result.iterations > 0
+        assert fast_phase[0]["pivots"] == 0
+
+    def test_indivisible_cells_obstruct(self, fast_phase):
+        # Equal masses: the divisible cells purify down to one fractional
+        # cell, then a kernel move needs the two indivisible ones.
+        space = SampleSpace(0.0, 1.0, tuple(np.linspace(0.0, 1.0, 7)),
+                            divisible=(True,) * 4 + (False,) * 2)
+        nu = grid_ovm(space, np.full((6, 1, 1), 1.0 / 6, dtype=complex))
+        h = FractionalSet((0.3, 0.6, 0.45, 0.7, 0.5, 0.5))
+        with pytest.raises(errors.AtomicObstruction) as want:
+            purify_per_pivot(nu, h)
+        with pytest.raises(errors.AtomicObstruction) as got:
+            purify(nu, h)
+        assert got.value.cells == want.value.cells == (4, 5)
+        assert fast_phase[0]["pivots"] > 0
+
+    def test_narrow_support_takes_per_pivot_loop(self, fast_phase):
+        # Three fractional cells, one the mean of the other two: a kernel on
+        # n = 3 <= D = 4 cells.
+        rng = rng_from_seed(7474)
+        masses = random_povm(2, 10, rng).cell_masses.copy()
+        masses[2] = (masses[0] + masses[1]) / 2
+        nu = grid_ovm(SampleSpace.uniform(10), masses)
+        h = FractionalSet((0.3, 0.6, 0.5) + (1.0, 0.0) * 3 + (1.0,))
+        result = assert_same_pivots(nu, h)
+        assert result.iterations > 0
+        assert fast_phase[0]["pivots"] == 0
+
+
 class TestRealize:
     def test_merges_adjacent_cells(self):
         nu = lebesgue_identity(4)

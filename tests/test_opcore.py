@@ -102,6 +102,35 @@ class TestOpNorm:
             expected = max(opcore.op_norm(a), opcore.op_norm(b))
             assert opcore.op_norm(block) == pytest.approx(expected, abs=1e-13)
 
+    @pytest.mark.parametrize("kind", ["exact", "near", "non"])
+    def test_path_and_value_follow_hermitian_stack(self, kind, monkeypatch):
+        # Whatever hermitian_stack accepts takes the eigenvalues of the matrix
+        # it returns, bit for bit; whatever it rejects, the largest singular
+        # value; and no exception is raised on the way.
+        rng = rng_from_seed(4545)
+        expected = []
+        for d in (1, 2, 3, 5):
+            for scale in (1e-3, 1.0, 1e4):
+                a = scale * random_hermitian(d, rng)
+                if kind != "exact" and d > 1:
+                    bump = np.zeros((d, d), dtype=complex)
+                    bump[0, 1] = (1e-14 if kind == "near" else 0.3) * max(1.0, scale)
+                    a = a + bump
+                try:
+                    want = float(np.abs(np.linalg.eigvalsh(opcore.hermitian_stack(a))).max())
+                    assert kind != "non" or d == 1
+                except errors.InvalidInput:
+                    assert kind == "non"
+                    want = float(np.linalg.svd(a, compute_uv=False)[0])
+                expected.append((a, want))
+
+        def no_exceptions(*args, **kwargs):
+            raise AssertionError("op_norm must not go through hermitian_stack")
+
+        monkeypatch.setattr(opcore, "hermitian_stack", no_exceptions)
+        for a, want in expected:
+            assert opcore.op_norm(a) == want
+
 
 class TestLoewner:
     def test_zero_below_identity(self):

@@ -5,14 +5,17 @@ set of scenarios, one line each, so that two commits can be compared with
     python3 tools/report_digests.py                  # this checkout
     python3 tools/report_digests.py --repo OTHER     # another checkout
     python3 tools/report_digests.py --drop schema --drop results.properties.bounded
+    python3 tools/report_digests.py --drop results.max_residual --drop checks.1.value
 
 The scenarios are those of the benchmark's ``scenarios`` workload
 (``perfbench/workloads.scenario_configs``) at seeds 1 and 101, plus every
 subcommand at its default flags.  Both are built and run with the
 ``src/`` and ``perfbench/`` of the checkout given by ``--repo``.  Each
-``--drop`` removes a dotted key path from every report that has it
-before both views are hashed, so that reports which differ only there
-(a schema bump, a removed field) hash the same.
+``--drop`` removes a dotted key path (numeric segments index lists) from
+every report that has it before both views are hashed, so that reports
+which differ only there (a schema bump, a removed field, a round-off
+difference) hash the same.  A key the CSV view cannot be rendered without
+is kept there as null.
 """
 
 import os
@@ -22,6 +25,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import copy  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -41,13 +45,39 @@ def scenarios(cli, workloads, inputs):
         yield f"default/{name}", cli._scenario_from_args(args)
 
 
-def drop(report: dict, path: str):
+def drop(report: dict, path: str, blank: bool = False):
+    """Remove a dotted key path, or with ``blank`` set its value to None; a
+    numeric segment indexes a list (``checks.1.value``)."""
     *parents, last = path.split(".")
+    node = report
     for key in parents:
-        report = report.get(key)
-        if not isinstance(report, dict):
+        if isinstance(node, list) and key.isdigit() and int(key) < len(node):
+            node = node[int(key)]
+        elif isinstance(node, dict):
+            node = node.get(key)
+        else:
             return
-    report.pop(last, None)
+    if not isinstance(node, dict) or last not in node:
+        return
+    if blank:
+        node[last] = None
+    else:
+        del node[last]
+
+
+def views(cli, report: dict, paths) -> tuple[str, str]:
+    """JSON and CSV text of a report with the dotted key ``paths`` dropped."""
+    dropped = copy.deepcopy(report)
+    for path in paths:
+        drop(dropped, path)
+    try:
+        csv = cli.report_to_csv(dropped)
+    except KeyError:
+        blanked = copy.deepcopy(report)
+        for path in paths:
+            drop(blanked, path, blank=True)
+        csv = cli.report_to_csv(blanked)
+    return cli.report_to_json(dropped), csv
 
 
 def digest(text: str) -> str:
@@ -68,10 +98,8 @@ def main(argv=None) -> int:
 
     for name, scenario in scenarios(cli, workloads, inputs):
         report, code = cli.run_scenario(scenario)
-        for path in args.drop:
-            drop(report, path)
-        print(f"{name} exit={code} json={digest(cli.report_to_json(report))} "
-              f"csv={digest(cli.report_to_csv(report))}")
+        json_text, csv_text = views(cli, report, args.drop)
+        print(f"{name} exit={code} json={digest(json_text)} csv={digest(csv_text)}")
     return 0
 
 
