@@ -16,20 +16,22 @@ nonatomic measures, made algorithmic:
     direction until a coordinate hits {0, 1}.  The fiber value is
     conserved; at most d^2 fractional cells survive (the coordinate matrix
     has rank at most d^2).  The direction is the null-space projection of
-    a basis vector: with the n x D coordinate rows A of the support
-    (D = d^2) and G = A^T A, it is e_pick - A G^(-1) a_pick, picked by the
-    projector diagonal 1 - a_k^T G^(-1) a_k.  While n > D and G is well
-    conditioned, purify keeps G^(-1) and that diagonal and downdates both
-    by Sherman-Morrison as cells pin, O(D n) per pivot; it refactors G
-    every REFACTOR_EVERY pivots and as soon as the downdates no longer
-    certify the conditioning.  The rest (n <= D, rank-deficient blocks
-    such as the zero coordinate rows of a direct sum, a failed drift test)
-    and the final test fall back to a per-pivot loop that builds each
-    direction afresh, from one D x D eigendecomposition of G or, for the
-    rank-deficient and narrow blocks, an SVD; both take the same pivots.
-    A move is accepted when sum c_k M_k stays below the drift tolerance:
-    first through its Frobenius norm ||A^T c||, an upper bound, and only
-    when that fails through the operator norm itself.
+    a basis vector: with n rows R spanning the row space of the support's
+    coordinate matrix and G = R^T R, it is e_pick - R G^(-1) r_pick,
+    picked by the projector diagonal 1 - r_k^T G^(-1) r_k.  R is the
+    coordinate rows themselves, with G^(-1) from one D x D
+    eigendecomposition (D = d^2), or for rank-deficient blocks (such as
+    the zero coordinate rows of a direct sum) and n <= D an orthonormal
+    basis from an SVD, with G = I.  One loop takes every pivot from one
+    such factorization and downdates G^(-1) and the diagonal by
+    Sherman-Morrison as cells pin, O(D n) per pivot; it refactors every
+    REFACTOR_EVERY pivots, when the downdates no longer certify the
+    conditioning, when no more live cells than the rank are left and when
+    a direction from a stale factor fails the drift test, and ends when a
+    fresh factor finds no kernel.  A move is accepted when sum c_k M_k
+    stays below the drift tolerance: first through its Frobenius norm
+    (the length of its coordinates), an upper bound, and only when that
+    fails through the operator norm itself.
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
     exact under the constant-density convention.
 
@@ -83,8 +85,8 @@ SIMPLEX_TOL = 1e-12
 # Smallest basis-column entry a ratio test divides by.
 PIVOT_TOL = 1e-9
 # Pivots between refactorizations of a D x D inverse (D = d^2) kept up to
-# date by rank-one updates: attain's simplex basis inverse and purify's
-# downdated Gram inverse.
+# date by rank-one updates: attain's simplex basis inverse and the Gram
+# inverse purify downdates as cells pin.
 REFACTOR_EVERY = 64
 # Degenerate pivots in a row after which pricing follows Bland's rule
 # until a pivot makes progress; Bland's rule cannot cycle.
@@ -133,80 +135,64 @@ def coordinate_matrix(nu: OVM, support) -> np.ndarray:
     return nu.cell_coords[list(support)].T
 
 
-def _gram(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Ascending eigenpairs (lam, Q) of the Gram matrix G = cols cols^T of a
-    (D, n) real matrix with n > D when it is well conditioned,
-    lam_min >= GRAM_RCOND * lam_max > 0; otherwise None.  Under that test
-    cols has full row rank under KERNEL_RCOND."""
-    if cols.shape[1] <= cols.shape[0]:
-        return None
-    lam, q = np.linalg.eigh(cols @ cols.T)
-    return (lam, q) if lam[0] >= GRAM_RCOND * lam[-1] > 0.0 else None
+def _factor(cols: np.ndarray):
+    """The factors every kernel direction of a (D, n) real matrix is built
+    from, or None when its columns are independent: n rows R spanning its
+    row space, the inverse of their Gram matrix R^T R, the null-projector
+    diagonal 1 - r_k^T (R^T R)^(-1) r_k and a headroom >= 1.
 
-
-def _row_basis(cols: np.ndarray) -> np.ndarray | None:
-    """Orthonormal rows spanning the row space of a (D, n) real matrix, or
-    None when its columns are independent.
-
-    When _gram accepts the block, Lambda^(-1/2) Q^T cols from
-    G = Q Lambda Q^T is such a basis: D^2 n flops instead of an SVD of the
-    whole block.  Rank-deficient blocks and n <= D take the SVD with the
-    KERNEL_RCOND cut.
+    When n > D and G = cols cols^T is well conditioned,
+    lam_min >= GRAM_RCOND * lam_max > 0, R = cols^T and the inverse comes
+    from the D x D eigendecomposition of G, D^2 n flops.  Otherwise
+    (rank-deficient blocks such as the zero coordinate rows of a direct
+    sum, n <= D) R is the orthonormal basis V_r of an SVD with the
+    KERNEL_RCOND cut and the inverse is I.  Deleting row j scales the
+    least eigenvalue of R^T R by at least 1 - l_j; the headroom,
+    lam_min / (GRAM_RCOND * lam_max), is how far such factors stay
+    certified as cells pin (see purify).
     """
-    gram = _gram(cols)
-    if gram is not None:
-        lam, q = gram
-        return (q.T @ cols) / np.sqrt(lam)[:, None]
-    n = cols.shape[1]
-    _, sing, vt = np.linalg.svd(cols, full_matrices=False)
-    smax = sing[0] if sing.size else 0.0
-    rank = int(np.sum(sing > KERNEL_RCOND * smax)) if smax > 0 else 0
-    if rank >= n:
-        return None
-    return vt[:rank]
+    big_d, n = cols.shape
+    headroom = 0.0
+    if n > big_d:
+        lam, q = np.linalg.eigh(cols @ cols.T)
+        if lam[-1] > 0.0:
+            headroom = lam[0] / (GRAM_RCOND * lam[-1])
+    if headroom >= 1.0:
+        rows, ginv = cols.T, (q / lam) @ q.T
+    else:
+        _, sing, vt = np.linalg.svd(cols, full_matrices=False)
+        rank = int(np.sum(sing > KERNEL_RCOND * sing.max(initial=0.0)))
+        if rank >= n:
+            return None
+        rows, ginv, headroom = vt[:rank].T, np.eye(rank), 1.0 / GRAM_RCOND
+    return rows, ginv, 1.0 - np.einsum("ij,ij->i", rows @ ginv, rows), headroom
 
 
-def _null_direction(cols: np.ndarray) -> np.ndarray | None:
-    """Canonical unit-peak null vector of a (D, n) real matrix, or None.
-
-    The vector is the null-space projection of the lowest standard basis
-    vector whose projection is not degenerate; the projector is basis
-    independent, so the output does not depend on how LAPACK orders a
-    degenerate null basis.  Sign is fixed so the first nonzero entry is
-    positive.
-
-    The projector is I - Vr^T Vr for an orthonormal row-space basis Vr
-    (see _row_basis).  On the Gram branch Vr^T Vr = cols^T G^(-1) cols
-    exactly, so the leverage diagonal is 1 - colsum(cols * G^(-1) cols)
-    and the direction is e_pick - cols^T G^(-1) cols[:, pick], followed
-    by one re-projection that strips what round-off left in the row space.
-    """
-    n = cols.shape[1]
-    if n == 0:
-        return None
-    vr = _row_basis(cols)
-    if vr is None:
-        return None
-    rank = vr.shape[0]
-    # diag of the null projector I - Vr^T Vr without forming it.
-    diag = np.clip(1.0 - (vr * vr).sum(axis=0), 0.0, None)
+def _direction(rows: np.ndarray, ginv: np.ndarray, diag: np.ndarray) -> np.ndarray | None:
+    """The canonical kernel direction from _factor's factors, or None when
+    it is zero: the null-space projection e_pick - R G^(-1) r_pick of the
+    lowest standard basis vector whose projector diagonal is at least half
+    the largest, re-projected once to strip what round-off left in the row
+    space, then scaled to unit peak with its first nonzero entry positive.
+    The projector does not depend on the basis R, so neither does the
+    output, nor on how LAPACK orders a degenerate null basis."""
     pick = int(np.argmax(diag >= 0.5 * diag.max()))
-    c = -(vr.T @ vr[:, pick]) if rank else np.zeros(n)
+    c = -(rows @ (ginv @ rows[pick]))
     c[pick] += 1.0
-    if rank:
-        c -= vr.T @ (vr @ c)  # strip residual row-space components
-    return _canonical(c)
-
-
-def _canonical(c: np.ndarray) -> np.ndarray | None:
-    """c scaled to unit peak with its first nonzero entry positive, or None
-    when c is zero."""
+    c -= rows @ (ginv @ (rows.T @ c))
     peak = np.abs(c).max()
     if peak <= 0.0:
         return None
-    c = c / peak
+    c /= peak
     lead = int(np.argmax(np.abs(c) > 1e-12))
     return -c if c[lead] < 0 else c
+
+
+def _null_direction(cols: np.ndarray) -> np.ndarray | None:
+    """Canonical unit-peak null vector of a (D, n) real matrix, or None:
+    the first direction of a fresh factorization."""
+    factors = _factor(cols)
+    return None if factors is None else _direction(*factors[:3])
 
 
 def _within_drift(nu: OVM, support: np.ndarray, cols: np.ndarray, c: np.ndarray) -> bool:
@@ -241,11 +227,11 @@ def kernel_witness(nu: OVM, support) -> KernelWitness | None:
 
     Dependence is detected through the coordinate matrix (full row rank
     through its Gram matrix, otherwise singular values with cutoff
-    KERNEL_RCOND relative to the largest; see _row_basis); the witness is
+    KERNEL_RCOND relative to the largest; see _factor); the witness is
     additionally validated to keep sum c_k M_k below 1e-10 of the total
     mass scale.
     """
-    support = tuple(sorted(set(int(k) for k in support)))
+    support = tuple(sorted({opcore.as_int(k, "kernel support index") for k in support}))
     if not support:
         raise InvalidInput("kernel support must be nonempty")
     if any(not 0 <= k < nu.space.n_cells for k in support):
@@ -295,98 +281,23 @@ def _ratio_step(vec: np.ndarray, c: np.ndarray) -> float:
     return t_plus if t_plus > 0.0 else -t_minus
 
 
-def _pivot_limit(iterations: int, limit: int) -> None:
-    if iterations >= limit:
-        raise NumericalFailure("purification failed to pin a coordinate per step")
-
-
-def _downdated_pivots(nu: OVM, vec: np.ndarray, support: np.ndarray,
-                      iterations: int, limit: int) -> tuple[int, bool]:
-    """purify's pivots on the divisible fractional ``support`` while it has
-    n > D cells and _gram accepts it, keeping G^(-1) and the null-projector
-    diagonal 1 - a_k^T G^(-1) a_k of its coordinate rows a_k instead of
-    refactoring G at every pivot; updates vec in place.
-
-    Each pivot takes _null_direction's pick, direction and re-projection
-    from them: c = e_pick - A G^(-1) a_pick.  A cell j that pins leaves by
-    Sherman-Morrison, u = G^(-1) a_j: G^(-1) += u u^T / (1 - l_j) and
-    1 - l_k -= (a_k^T u)^2 / (1 - l_j), O(D n); its row is zeroed, so it
-    drops out of every product, and the arrays are compacted when G is
-    refactored.  That happens every REFACTOR_EVERY pivots and as soon as
-    lam_min(refactor) * prod(1 - l_j), a lower bound on lam_min of the
-    downdated G, no longer certifies _gram's test, so each pivot here is
-    one the per-pivot loop would take on its Gram branch.  Returns the
-    pivot count and whether the ratio test found no bound, which ends
-    purification; otherwise the per-pivot loop takes over (n <= D, a
-    rejected Gram matrix, a zero direction or a failed drift test).
-    """
-    dim2 = nu.cell_coords.shape[1]
-    x = vec[support]
-    live = np.ones(support.size, dtype=bool)
-    n_live = support.size
-    since_refactor = REFACTOR_EVERY
-    stopped = False
-    while n_live > dim2:
-        if since_refactor >= REFACTOR_EVERY:
-            vec[support] = x
-            support, x = support[live], x[live]
-            rows = nu.cell_coords[support]
-            gram = _gram(rows.T)
-            if gram is None:
-                break
-            lam, q = gram
-            ginv = (q / lam) @ q.T
-            diag = 1.0 - np.einsum("ij,ij->i", rows @ ginv, rows)
-            live = np.ones(support.size, dtype=bool)
-            lam_min, floor = lam[0], GRAM_RCOND * lam[-1]
-            since_refactor = 0
-        pick = int(np.argmax(diag >= 0.5 * diag.max()))
-        c = -(rows @ (ginv @ rows[pick]))
-        c[pick] += 1.0
-        c -= rows @ (ginv @ (rows.T @ c))  # strip residual row-space components
-        c = _canonical(c)
-        if c is None or not _within_drift(nu, support, rows.T, c):
-            break
-        step = _ratio_step(x, c)
-        if not np.isfinite(step):
-            stopped = True
-            break
-        x = _snap(x + step * c)
-        iterations += 1
-        _pivot_limit(iterations, limit)
-        since_refactor += 1
-        keep = (x > 0.0) & (x < 1.0)  # pinned and dropped cells sit at 0 or 1
-        pinned = np.flatnonzero(live ^ keep)
-        n_live -= pinned.size
-        for j in pinned:
-            slack = diag[j]
-            lam_min *= slack
-            if not lam_min >= floor:
-                since_refactor = REFACTOR_EVERY
-                break
-            u = ginv @ rows[j]
-            ginv += (u / slack)[:, None] * u
-            diag -= (rows @ u) ** 2 / slack
-            rows[j] = 0.0
-            diag[j] = 0.0
-        live = keep
-    vec[support] = x
-    return iterations, stopped
-
-
 def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
     """Drive a fractional set to a near-extreme point of its fiber.
 
     Each pivot moves the divisible fractional cells along the canonical
-    kernel direction of their masses (see _null_direction) until a cell
-    pins to {0, 1}.  While that support has more than D = d^2 cells and a
-    well-conditioned Gram matrix G, the pivots run on it alone with G^(-1)
-    and the leverage scores downdated as cells pin, refactored every
-    REFACTOR_EVERY pivots or when conditioning is no longer certain (see
-    _downdated_pivots); the per-pivot loop, which refactors the whole
-    support every pivot, takes the rest (n <= D, rank-deficient blocks such
-    as the zero rows of a direct sum, a failed drift test) and the final
-    test.  Both take the same pivots and count toward one limit of m + 1.
+    kernel direction of their masses (see _direction) until a cell pins to
+    {0, 1}, at most m + 1 pivots in all.  One loop takes every pivot from
+    one factorization of that support (see _factor: its Gram inverse, or
+    an orthonormal row basis for rank-deficient and narrow supports); a
+    cell j that pins leaves by Sherman-Morrison, u = G^(-1) r_j:
+    G^(-1) += u u^T / (1 - l_j) and 1 - l_k -= (r_k^T u)^2 / (1 - l_j),
+    O(D n), and its row is zeroed, so it drops out of every product.
+    Pinning never lowers the rank: a cell whose column leaves the span of
+    the others has c_j = 0 and never moves.  The support is refactored
+    every REFACTOR_EVERY pivots, as soon as the headroom times
+    prod(1 - l_j) falls below 1, when no more live cells than the rank are
+    left and when a direction from a stale factor fails the drift test; a
+    fresh factor without a kernel ends the loop.
 
     When no kernel move exists on the divisible fractional cells but one
     exists once indivisible fractional cells are included, the
@@ -404,27 +315,51 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
 
     divisible = np.asarray(nu.space.divisible, dtype=bool)
     limit = nu.space.n_cells + 1
-    frac = _fractional_indices(vec)
-    iterations, stopped = _downdated_pivots(nu, vec, frac[divisible[frac]], 0, limit)
-    while not stopped:
-        frac = _fractional_indices(vec)
-        movable = frac[divisible[frac]]
-        c = _kernel(nu, movable)
-        if c is None:
-            if movable.size != frac.size and _kernel(nu, frac) is not None:
-                blocked = tuple(int(k) for k in frac if not divisible[k])
-                raise AtomicObstruction(
-                    f"kernel move requires splitting indivisible cells {blocked}",
-                    cells=blocked,
-                )
-            break
-        step = _ratio_step(vec, c)
-        if not np.isfinite(step):
-            break
-        vec = _snap(vec + step * c)
+    iterations, since_refactor = 0, REFACTOR_EVERY
+    support, x = np.zeros(0, dtype=int), np.zeros(0)
+    while True:
+        if since_refactor >= REFACTOR_EVERY:
+            vec[support] = x
+            frac = _fractional_indices(vec)
+            support = frac[divisible[frac]]
+            x, cols = vec[support], nu.cell_coords[support].T
+            factors = _factor(cols)
+            if factors is None:
+                break
+            rows, ginv, diag, headroom = factors
+            live, since_refactor = np.ones(support.size, dtype=bool), 0
+        c = _direction(rows, ginv, diag)
+        if c is None or not _within_drift(nu, support, cols, c):
+            if since_refactor == 0:
+                break
+            since_refactor = REFACTOR_EVERY
+            continue
+        x = _snap(x + _ratio_step(x, c) * c)
         iterations += 1
-        _pivot_limit(iterations, limit)
+        if iterations >= limit:
+            raise NumericalFailure("purification failed to pin a coordinate per step")
+        since_refactor += 1
+        keep = (x > 0.0) & (x < 1.0)  # pinned and dropped cells sit at 0 or 1
+        for j in np.flatnonzero(live ^ keep):
+            slack = diag[j]
+            headroom *= slack
+            if not headroom >= 1.0:
+                since_refactor = REFACTOR_EVERY
+                break
+            u = ginv @ rows[j]
+            ginv += (u / slack)[:, None] * u
+            diag -= (rows @ u) ** 2 / slack
+            rows[j], diag[j] = 0.0, 0.0
+        live = keep
+        if np.count_nonzero(live) <= rows.shape[1]:
+            since_refactor = REFACTOR_EVERY
+    vec[support] = x
 
+    frac = _fractional_indices(vec)
+    if not divisible[frac].all() and _kernel(nu, frac) is not None:
+        blocked = tuple(int(k) for k in frac if not divisible[k])
+        raise AtomicObstruction(
+            f"kernel move requires splitting indivisible cells {blocked}", cells=blocked)
     final = FractionalSet(tuple(vec), h.atom_mask)
     residual = opcore.op_norm(evaluate_fractional(nu, final) - start_value)
     return PurifyResult(
@@ -443,6 +378,10 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
     merge.  Under constant densities the realized set carries exactly
     evaluate_fractional(nu, h).
     """
+    if target is not None:
+        target = opcore.as_matrix(target)
+        if target.shape[0] != nu.dim:
+            raise ShapeMismatch(f"target dim {target.shape[0]} vs measure dim {nu.dim}")
     vec = _cell_fractions(nu, h)
     blocked = [int(k) for k in _fractional_indices(vec) if not nu.space.divisible[k]]
     if blocked:
@@ -463,7 +402,7 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
 
     final = FractionalSet(tuple(vec), h.atom_mask)
     achieved = evaluate_fractional(nu, final)
-    residual = 0.0 if target is None else opcore.op_norm(achieved - opcore.as_matrix(target))
+    residual = 0.0 if target is None else opcore.op_norm(achieved - target)
     return AttainResult(
         intervals=tuple((lo, hi) for lo, hi in intervals),
         atom_indices=tuple(k for k, x in enumerate(h.atom_mask) if x),
@@ -703,7 +642,9 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
     """
     from .ovm import set_to_json
 
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    trials = opcore.as_int(trials, "trials", low=0)
+    seed = opcore.as_int(seed, "seed", low=0)
+    rng = np.random.Generator(np.random.PCG64(seed))
     m, n = nu.space.n_cells, nu.space.n_atoms
     distinct_tol = 1e-12 * max(1.0, nu.total_norm)
 
@@ -716,7 +657,7 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
     failures = []
     max_residual = 0.0
     max_intervals = 0
-    for trial in range(int(trials)):
+    for trial in range(trials):
         e1, e2 = draw_set(), draw_set()
         for _ in range(1000):
             if opcore.op_norm(evaluate(nu, e1) - evaluate(nu, e2)) > distinct_tol:
@@ -735,8 +676,8 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
             failures.append(TrialFailure(trial, set_to_json(e1), set_to_json(e2),
                                          t, f"residual {result.residual:.3e}"))
     return CertificateReport(
-        trials=int(trials),
-        seed=int(seed),
+        trials=trials,
+        seed=seed,
         max_residual=max_residual,
         max_interval_count=max_intervals,
         failures=tuple(failures),

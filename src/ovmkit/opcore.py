@@ -56,6 +56,17 @@ def as_matrix(a) -> np.ndarray:
     return as_stack(m)
 
 
+def as_int(value, what: str, low: int | None = None) -> int:
+    """``value`` as an int, checked rather than coerced: Python and numpy
+    integers from ``low`` up pass; anything else, bools and integral floats
+    included, raises InvalidInput."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InvalidInput(f"{what} must be at least {low}, got {value}")
+    return int(value)
+
+
 def readonly(a, dtype) -> np.ndarray:
     """A non-writeable copy of ``a`` as a ``dtype`` array."""
     out = np.array(a, dtype=dtype)

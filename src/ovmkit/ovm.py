@@ -74,8 +74,7 @@ class SampleSpace:
     def uniform(cls, m: int, a: float = 0.0, b: float = 1.0,
                 atom_sites=(), divisible: bool = True) -> "SampleSpace":
         """m equal cells on [a, b)."""
-        if m < 1:
-            raise InvalidInput("need at least one cell")
+        m = opcore.as_int(m, "cell count", low=1)
         bp = tuple(a + (b - a) * k / m for k in range(m + 1))
         return cls(a, b, bp, tuple(atom_sites), (divisible,) * m)
 
@@ -121,11 +120,11 @@ class MeasurableSet:
         cm = [False] * space.n_cells
         am = [False] * space.n_atoms
         for k in cells:
-            if not 0 <= k < space.n_cells:
+            if not 0 <= opcore.as_int(k, "cell index") < space.n_cells:
                 raise InvalidInput(f"cell index {k} out of range")
             cm[k] = True
         for k in atoms:
-            if not 0 <= k < space.n_atoms:
+            if not 0 <= opcore.as_int(k, "atom index") < space.n_atoms:
                 raise InvalidInput(f"atom index {k} out of range")
             am[k] = True
         return cls(tuple(cm), tuple(am))
@@ -254,9 +253,7 @@ class OVM:
     components: tuple["OVM", ...] = ()
 
     def __post_init__(self):
-        d = int(self.dim)
-        if d < 1:
-            raise InvalidInput("dimension must be positive")
+        d = opcore.as_int(self.dim, "dimension", low=1)
         m = self.space.n_cells
         n = self.space.n_atoms
         cm = np.asarray(self.cell_masses, dtype=np.complex128)
@@ -536,7 +533,7 @@ def ovm_from_json(obj) -> OVM:
     if "dim" not in obj:
         raise InvalidInput("OVM JSON must carry a dim")
     try:
-        d = int(obj["dim"])
+        d = opcore.as_int(obj["dim"], "OVM JSON dim", low=1)
         cm = [opcore.matrix_from_json(x) for x in obj.get("cell_masses", [])]
         am = [opcore.matrix_from_json(x) for x in obj.get("atom_masses", [])]
         cell = np.stack(cm) if cm else _zero_masses(space.n_cells, d)

@@ -292,11 +292,25 @@ class TestNullDirectionEquivalence:
             assert gap <= 1e-11
 
 
+def svd_kernel(nu, support):
+    """Reference kernel move on the index array ``support``: the SVD
+    direction, kept only when sum c_k M_k stays within the drift bound
+    1e-10 * max(1, ||nu(X)||)."""
+    c = svd_null_direction(nu.cell_coords[support].T)
+    if c is None:
+        return None
+    drift = np.tensordot(c, nu.cell_masses[support], axes=1)
+    if opcore.op_norm(drift) > 1e-10 * max(1.0, nu.total_norm):
+        return None
+    coeffs = np.zeros(nu.space.n_cells)
+    coeffs[support] = c
+    return coeffs
+
+
 def purify_per_pivot(nu, h):
-    """Reference for purify's downdated pivots: the loop purify ran before
-    them, which finds every kernel direction afresh over the whole
-    divisible fractional support (lyapunov._kernel) and takes the ratio
-    test over all m cells."""
+    """Reference for purify's pivots: a fresh SVD of the whole divisible
+    fractional support at every pivot (svd_kernel) and the ratio test over
+    all m cells."""
     vec = lyapunov._cell_fractions(nu, h)
     start_value = evaluate_fractional(nu, FractionalSet(tuple(vec), h.atom_mask))
     divisible = np.asarray(nu.space.divisible, dtype=bool)
@@ -305,9 +319,9 @@ def purify_per_pivot(nu, h):
     while True:
         frac = lyapunov._fractional_indices(vec)
         movable = frac[divisible[frac]]
-        c = lyapunov._kernel(nu, movable)
+        c = svd_kernel(nu, movable)
         if c is None:
-            if movable.size != frac.size and lyapunov._kernel(nu, frac) is not None:
+            if movable.size != frac.size and svd_kernel(nu, frac) is not None:
                 blocked = tuple(int(k) for k in frac if not divisible[k])
                 raise errors.AtomicObstruction(
                     f"kernel move requires splitting indivisible cells {blocked}",
@@ -350,31 +364,24 @@ def assert_same_pivots(nu, h):
 
 
 @pytest.fixture
-def fast_phase(monkeypatch):
-    """Per purify call: the pivots taken with the downdated Gram inverse and
-    the Gram factorizations made meanwhile."""
-    runs = []
-    downdated, gram = lyapunov._downdated_pivots, lyapunov._gram
+def factorizations(monkeypatch):
+    """The supports lyapunov._factor is called on, one entry per
+    factorization: their cell counts."""
+    sizes = []
+    real = lyapunov._factor
 
-    def counting_gram(cols):
-        if runs and runs[-1]["open"]:
-            runs[-1]["factorizations"] += 1
-        return gram(cols)
+    def counting(cols):
+        sizes.append(cols.shape[1])
+        return real(cols)
 
-    def spy(nu, vec, support, iterations, limit):
-        runs.append({"open": True, "factorizations": 0})
-        out = downdated(nu, vec, support, iterations, limit)
-        runs[-1].update(open=False, pivots=out[0] - iterations)
-        return out
-
-    monkeypatch.setattr(lyapunov, "_gram", counting_gram)
-    monkeypatch.setattr(lyapunov, "_downdated_pivots", spy)
-    return runs
+    monkeypatch.setattr(lyapunov, "_factor", counting)
+    return sizes
 
 
 class TestDowndatedPivots:
     """purify against purify_per_pivot: the same pivot count, the same
-    fractional cells and fractions within 1e-11."""
+    fractional cells and fractions within 1e-11, from fewer factorizations
+    than pivots."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_random_instances(self, d):
@@ -387,24 +394,24 @@ class TestDowndatedPivots:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [200, 1000, 2000])
-    def test_interior_grid(self, d, m, fast_phase):
+    def test_interior_grid(self, d, m, factorizations):
         # A convex_combine mix of two sets and an all-fractional set.
         rng = rng_from_seed(7000 + 10 * d + m)
         nu = random_povm(d, m, rng)
         e1, e2, t = rng.integers(0, 2, m), rng.integers(0, 2, m), float(rng.random())
         for h in (t * e1 + (1.0 - t) * e2, rng.random(m)):
-            assert_same_pivots(nu, FractionalSet(tuple(h)))
-        assert all(run["pivots"] > 0 for run in fast_phase)
+            factorizations.clear()
+            result = assert_same_pivots(nu, FractionalSet(tuple(h)))
+            assert len(factorizations) < result.iterations
 
-    def test_run_past_refactor_interval(self, fast_phase):
+    def test_run_past_refactor_interval(self, factorizations):
         rng = rng_from_seed(7171)
         nu = random_povm(2, 300, rng)
-        assert_same_pivots(nu, FractionalSet(tuple(rng.random(300))))
-        (run,) = fast_phase
-        assert run["pivots"] > 2 * lyapunov.REFACTOR_EVERY
-        assert run["factorizations"] > run["pivots"] // lyapunov.REFACTOR_EVERY
+        result = assert_same_pivots(nu, FractionalSet(tuple(rng.random(300))))
+        assert result.iterations > 2 * lyapunov.REFACTOR_EVERY
+        assert result.iterations // lyapunov.REFACTOR_EVERY < len(factorizations) < 16
 
-    def test_twin_cells_pin_together(self, fast_phase):
+    def test_twin_cells_pin_together(self, factorizations):
         # Each mass twice with equal fractions: twins move alike and most
         # pivots pin two cells at once.
         rng = rng_from_seed(7272)
@@ -413,17 +420,27 @@ class TestDowndatedPivots:
         result = assert_same_pivots(nu, FractionalSet(tuple(np.repeat(rng.random(40), 2))))
         pinned = 80 - len(result.fractional_indices)
         assert result.iterations <= pinned - 10
-        assert fast_phase[0]["pivots"] > 20
+        assert len(factorizations) < result.iterations
 
-    def test_singular_gram_takes_per_pivot_loop(self, fast_phase):
-        # Three scalar blocks fill 3 of the 9 coordinate rows of the sum.
+    def test_singular_gram_downdates_row_basis(self, factorizations):
+        # Three scalar blocks fill 3 of the 9 coordinate rows of the sum:
+        # every factorization is an SVD, downdated like the Gram inverse.
         nu = direct_sum(*singular_blocks(3))
         h = FractionalSet(tuple(rng_from_seed(7373).random(nu.space.n_cells)))
         result = assert_same_pivots(nu, h)
-        assert result.iterations > 0
-        assert fast_phase[0]["pivots"] == 0
+        assert result.iterations > 1
+        assert len(factorizations) < result.iterations
 
-    def test_indivisible_cells_obstruct(self, fast_phase):
+    def test_last_rows_leave_by_refactoring(self, factorizations):
+        # One pivot pins all four equal cells.  Deleting the last row would
+        # divide by a zero slack; the headroom test refactors instead.
+        nu = scalar_grid([0.25] * 4)
+        with np.errstate(divide="raise", invalid="raise"):
+            result = assert_same_pivots(nu, FractionalSet((0.5,) * 4))
+        assert result.fractional_indices == ()
+        assert factorizations == [4, 0]
+
+    def test_indivisible_cells_obstruct(self, factorizations):
         # Equal masses: the divisible cells purify down to one fractional
         # cell, then a kernel move needs the two indivisible ones.
         space = SampleSpace(0.0, 1.0, tuple(np.linspace(0.0, 1.0, 7)),
@@ -435,9 +452,9 @@ class TestDowndatedPivots:
         with pytest.raises(errors.AtomicObstruction) as got:
             purify(nu, h)
         assert got.value.cells == want.value.cells == (4, 5)
-        assert fast_phase[0]["pivots"] > 0
+        assert factorizations[-1] == 3  # the final test includes the indivisible cells
 
-    def test_narrow_support_takes_per_pivot_loop(self, fast_phase):
+    def test_narrow_support_downdates_row_basis(self):
         # Three fractional cells, one the mean of the other two: a kernel on
         # n = 3 <= D = 4 cells.
         rng = rng_from_seed(7474)
@@ -447,7 +464,6 @@ class TestDowndatedPivots:
         h = FractionalSet((0.3, 0.6, 0.5) + (1.0, 0.0) * 3 + (1.0,))
         result = assert_same_pivots(nu, h)
         assert result.iterations > 0
-        assert fast_phase[0]["pivots"] == 0
 
 
 class TestRealize:
@@ -471,6 +487,11 @@ class TestRealize:
         nu = uhl_model(3)
         with pytest.raises(errors.AtomicObstruction):
             realize_intervals(nu, FractionalSet((0.5, 0.0, 0.0)))
+
+    def test_target_of_other_dimension_rejected(self):
+        nu = random_povm(2, 6, rng_from_seed(61))
+        with pytest.raises(errors.ShapeMismatch):
+            realize_intervals(nu, FractionalSet((0.5,) * 6), target=np.eye(3))
 
     def test_exactness_of_realization(self):
         for trial in range(20):
@@ -739,6 +760,11 @@ class TestCertificate:
     def test_indicator_model_obstructed(self):
         report = convexity_certificate(uhl_model(6), 25, 11)
         assert len(report.failures) > 0
+
+    @pytest.mark.parametrize("trials, seed", [(-3, 1), (3, -1)])
+    def test_negative_trials_or_seed_rejected(self, trials, seed):
+        with pytest.raises(errors.InvalidInput):
+            convexity_certificate(random_povm(2, 12, rng_from_seed(21)), trials, seed)
 
     def test_determinism_bitwise(self):
         nu = random_povm(2, 12, rng_from_seed(21))

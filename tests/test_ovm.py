@@ -16,6 +16,7 @@ from ovmkit.models import (
     singular_blocks,
     uhl_model,
 )
+from ovmkit.lyapunov import kernel_witness
 from ovmkit.ovm import (
     FractionalSet,
     MeasurableSet,
@@ -62,6 +63,27 @@ class TestSampleSpace:
     def test_duplicate_atoms(self):
         with pytest.raises(errors.InvalidInput):
             SampleSpace.uniform(2, atom_sites=(0.5, 0.5))
+
+
+INTEGER_ARGUMENTS = {
+    "kernel_witness support": lambda k: kernel_witness(random_povm(2, 6, RNG), [k, 1]),
+    "OVM dim": lambda k: ovm.OVM(SampleSpace.uniform(2), k, np.zeros((2, 2, 2)),
+                                 np.zeros((0, 2, 2)), "grid"),
+    "OVM JSON dim": lambda k: ovm.ovm_from_json(
+        {"space": ovm.space_to_json(SampleSpace.uniform(2)), "dim": k}),
+    "from_indices cells": lambda k: MeasurableSet.from_indices(SampleSpace.uniform(3), cells=[k]),
+    "uniform cell count": lambda k: SampleSpace.uniform(k),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_integer_arguments_checked_not_coerced(call):
+    # numpy integers pass; a fractional or boolean value is an error, not
+    # a truncated index, dimension or count.
+    call(np.int64(2))
+    for bad in (0.5, 1.5, 2.5, True):
+        with pytest.raises(errors.InvalidInput):
+            call(bad)
 
 
 class TestEvaluate:
