@@ -202,8 +202,8 @@ def _run_properties(p):
         sample_sets += [MeasurableSet.from_indices(nu.space, cells=[k])
                         for k in range(min(nu.space.n_cells, 16))]
         rng = models.rng_from_seed(p["seed"])
-        sample_sets += [MeasurableSet(rng.integers(0, 2, nu.space.n_cells),
-                                      rng.integers(0, 2, nu.space.n_atoms)) for _ in range(8)]
+        sample_sets += [MeasurableSet(rng.integers(0, 2, nu.space.n_cells) == 1,
+                                      rng.integers(0, 2, nu.space.n_atoms) == 1) for _ in range(8)]
     flags = asdict(check_ovm_properties(nu, sample_sets))
     expect = p["expect"] or {}
     unknown = sorted(set(expect) - flags.keys())

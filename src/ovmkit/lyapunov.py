@@ -11,27 +11,10 @@ nonatomic measures, made algorithmic:
     d^2 fractional cells, and goes straight to step 3.  At a phase-1
     optimum with positive artificial sum the simplex multipliers give a
     witness W separating A from the range (see TargetNotInHull).
-2.  Purify (convex_combine's mixed set): while the cell masses on the
-    fractional support are linearly dependent, move h along a kernel
-    direction until a coordinate hits {0, 1}.  The fiber value is
-    conserved; at most d^2 fractional cells survive (the coordinate matrix
-    has rank at most d^2).  The direction is the null-space projection of
-    a basis vector: with n rows R spanning the row space of the support's
-    coordinate matrix and G = R^T R, it is e_pick - R G^(-1) r_pick,
-    picked by the projector diagonal 1 - r_k^T G^(-1) r_k.  R is the
-    coordinate rows themselves, with G^(-1) from one D x D
-    eigendecomposition (D = d^2), or for rank-deficient blocks (such as
-    the zero coordinate rows of a direct sum) and n <= D an orthonormal
-    basis from an SVD, with G = I.  One loop takes every pivot from one
-    such factorization and downdates G^(-1) and the diagonal by
-    Sherman-Morrison as cells pin, O(D n) per pivot; it refactors every
-    REFACTOR_EVERY pivots, when the downdates no longer certify the
-    conditioning, when no more live cells than the rank are left and when
-    a direction from a stale factor fails the drift test, and ends when a
-    fresh factor finds no kernel.  A move is accepted when sum c_k M_k
-    stays below the drift tolerance: first through its Frobenius norm
-    (the length of its coordinates), an upper bound, and only when that
-    fails through the operator norm itself.
+2.  Purify (convex_combine's mixed set): a bounded-variable primal
+    crossover on step 1's basis engine (_Basis) walks from the feasible h
+    to a vertex of its fiber, one cell per O(d^4) step; at most
+    rank <= d^2 fractional cells survive, with independent masses.
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
     exact under the constant-density convention.
 
@@ -39,8 +22,9 @@ Every step reads the cell masses in Hermitian coordinates and scales its
 tolerances by ||nu(X)||; both are computed once per measure and cached on
 it (OVM.cell_coords, OVM.total_norm).
 
-Atoms obstruct step 2: a kernel direction that must move an indivisible
-cell raises AtomicObstruction instead of silently splitting an atom.
+Atoms obstruct step 2: when the fractional cells, indivisible ones
+included, still carry a kernel (kernel_witness's SVD test),
+AtomicObstruction is raised instead of silently splitting an atom.
 """
 
 from __future__ import annotations
@@ -73,20 +57,16 @@ from .ovm import (
 
 # Fractions within this of a bound snap onto it.
 SNAP_TOL = 1e-12
-# Relative singular-value cutoff for kernel detection.
+# Relative singular-value cutoff of the SVD kernel test.
 KERNEL_RCOND = 1e-10
-# Relative eigenvalue floor of the Gram matrix above which the D x D
-# projector replaces the SVD; sqrt(GRAM_RCOND) >> KERNEL_RCOND, so full
-# row rank is certain under the singular-value cut.
-GRAM_RCOND = 1e-6
 # Simplex tolerance in units of ||nu(X)||: the artificial sum that counts
 # as attained, the least entering gain and the ratio-test tie width.
 SIMPLEX_TOL = 1e-12
 # Smallest basis-column entry a ratio test divides by.
 PIVOT_TOL = 1e-9
-# Pivots between refactorizations of a D x D inverse (D = d^2) kept up to
-# date by rank-one updates: attain's simplex basis inverse and the Gram
-# inverse purify downdates as cells pin.
+# Exchanges between refactorizations of the D x D basis inverse (D = d^2)
+# that _Basis keeps by product-form updates, for attain's simplex and
+# purify's crossover alike.
 REFACTOR_EVERY = 64
 # Degenerate pivots in a row after which pricing follows Bland's rule
 # until a pivot makes progress; Bland's rule cannot cycle.
@@ -135,87 +115,37 @@ def coordinate_matrix(nu: OVM, support) -> np.ndarray:
     return nu.cell_coords[list(support)].T
 
 
-def _factor(cols: np.ndarray):
-    """The factors every kernel direction of a (D, n) real matrix is built
-    from, or None when its columns are independent: n rows R spanning its
-    row space, the inverse of their Gram matrix R^T R, the null-projector
-    diagonal 1 - r_k^T (R^T R)^(-1) r_k and a headroom >= 1.
-
-    When n > D and G = cols cols^T is well conditioned,
-    lam_min >= GRAM_RCOND * lam_max > 0, R = cols^T and the inverse comes
-    from the D x D eigendecomposition of G, D^2 n flops.  Otherwise
-    (rank-deficient blocks such as the zero coordinate rows of a direct
-    sum, n <= D) R is the orthonormal basis V_r of an SVD with the
-    KERNEL_RCOND cut and the inverse is I.  Deleting row j scales the
-    least eigenvalue of R^T R by at least 1 - l_j; the headroom,
-    lam_min / (GRAM_RCOND * lam_max), is how far such factors stay
-    certified as cells pin (see purify).
-    """
-    big_d, n = cols.shape
-    headroom = 0.0
-    if n > big_d:
-        lam, q = np.linalg.eigh(cols @ cols.T)
-        if lam[-1] > 0.0:
-            headroom = lam[0] / (GRAM_RCOND * lam[-1])
-    if headroom >= 1.0:
-        rows, ginv = cols.T, (q / lam) @ q.T
-    else:
-        _, sing, vt = np.linalg.svd(cols, full_matrices=False)
-        rank = int(np.sum(sing > KERNEL_RCOND * sing.max(initial=0.0)))
-        if rank >= n:
-            return None
-        rows, ginv, headroom = vt[:rank].T, np.eye(rank), 1.0 / GRAM_RCOND
-    return rows, ginv, 1.0 - np.einsum("ij,ij->i", rows @ ginv, rows), headroom
-
-
-def _direction(rows: np.ndarray, ginv: np.ndarray, diag: np.ndarray) -> np.ndarray | None:
-    """The canonical kernel direction from _factor's factors, or None when
-    it is zero: the null-space projection e_pick - R G^(-1) r_pick of the
-    lowest standard basis vector whose projector diagonal is at least half
-    the largest, re-projected once to strip what round-off left in the row
-    space, then scaled to unit peak with its first nonzero entry positive.
-    The projector does not depend on the basis R, so neither does the
-    output, nor on how LAPACK orders a degenerate null basis."""
-    pick = int(np.argmax(diag >= 0.5 * diag.max()))
-    c = -(rows @ (ginv @ rows[pick]))
-    c[pick] += 1.0
-    c -= rows @ (ginv @ (rows.T @ c))
-    peak = np.abs(c).max()
-    if peak <= 0.0:
+def _null_direction(cols: np.ndarray) -> np.ndarray | None:
+    """The canonical unit-peak null vector of a (D, n) real matrix, or None
+    when an SVD, cut at KERNEL_RCOND, finds its columns independent: with
+    V_r an orthonormal basis of the row space, the projection
+    e_pick - V_r^T V_r e_pick of the lowest e_k whose projector diagonal
+    1 - ||V_r e_k||^2 is at least half the largest, re-projected once
+    against round-off, first nonzero entry positive.  The projector, and
+    so the output, does not depend on how LAPACK picks V_r."""
+    _, sing, vt = np.linalg.svd(cols, full_matrices=False)
+    rank = int(np.sum(sing > KERNEL_RCOND * sing.max(initial=0.0)))
+    if rank >= cols.shape[1]:
         return None
-    c /= peak
+    rows = vt[:rank].T
+    diag = 1.0 - np.einsum("ij,ij->i", rows, rows)
+    pick = int(np.argmax(diag >= 0.5 * diag.max()))
+    c = -(rows @ rows[pick])
+    c[pick] += 1.0
+    c -= rows @ (rows.T @ c)
+    c /= np.abs(c).max()
     lead = int(np.argmax(np.abs(c) > 1e-12))
     return -c if c[lead] < 0 else c
 
 
-def _null_direction(cols: np.ndarray) -> np.ndarray | None:
-    """Canonical unit-peak null vector of a (D, n) real matrix, or None:
-    the first direction of a fresh factorization."""
-    factors = _factor(cols)
-    return None if factors is None else _direction(*factors[:3])
-
-
-def _within_drift(nu: OVM, support: np.ndarray, cols: np.ndarray, c: np.ndarray) -> bool:
-    """Does sum_k c_k M_k over ``support`` stay within the drift tolerance
-    1e-10 * max(1, ||nu(X)||) in operator norm?
-
-    herm_coords is an isometry for the Frobenius norm, so ||cols c||_2 is
-    the Frobenius norm of the sum, an upper bound on its operator norm;
-    the eigenvalue test runs only when that bound exceeds the tolerance.
-    """
-    tol = 1e-10 * max(1.0, nu.total_norm)
-    frobenius = cols @ c
-    return (np.sqrt(frobenius @ frobenius) <= tol
-            or opcore.op_norm(np.tensordot(c, nu.cell_masses[support], axes=1)) <= tol)
-
-
 def _kernel(nu: OVM, support: np.ndarray) -> np.ndarray | None:
     """m coefficients, zero off the index array ``support``, of the
-    canonical null vector c of the cell masses on it (see _null_direction),
-    or None when there is none or it fails _within_drift."""
-    cols = nu.cell_coords[support].T
-    c = _null_direction(cols)
-    if c is None or not _within_drift(nu, support, cols, c):
+    canonical null vector c of the cell masses on it (_null_direction), or
+    None when there is none or ||sum_k c_k M_k|| exceeds 1e-10 *
+    max(1, ||nu(X)||)."""
+    c = _null_direction(nu.cell_coords[support].T)
+    drift_tol = 1e-10 * max(1.0, nu.total_norm)
+    if c is None or opcore.op_norm(np.tensordot(c, nu.cell_masses[support], axes=1)) > drift_tol:
         return None
     coeffs = np.zeros(nu.space.n_cells)
     coeffs[support] = c
@@ -225,11 +155,10 @@ def _kernel(nu: OVM, support: np.ndarray) -> np.ndarray | None:
 def kernel_witness(nu: OVM, support) -> KernelWitness | None:
     """A canonical null vector of the cell masses on ``support``, or None.
 
-    Dependence is detected through the coordinate matrix (full row rank
-    through its Gram matrix, otherwise singular values with cutoff
-    KERNEL_RCOND relative to the largest; see _factor); the witness is
-    additionally validated to keep sum c_k M_k below 1e-10 of the total
-    mass scale.
+    Dependence is detected by an SVD of the coordinate matrix, singular
+    values with cutoff KERNEL_RCOND relative to the largest (see
+    _null_direction); the witness is additionally validated to keep
+    sum c_k M_k below 1e-10 of the total mass scale.
     """
     support = tuple(sorted({opcore.as_int(k, "kernel support index") for k in support}))
     if not support:
@@ -268,45 +197,88 @@ def _cell_fractions(nu: OVM, h: FractionalSet) -> np.ndarray:
     return vec
 
 
-def _ratio_step(vec: np.ndarray, c: np.ndarray) -> float:
-    """The step t along c that first pins a coordinate of vec + t c to
-    {0, 1}: the forward one when positive, else minus the backward one;
-    inf when c moves nothing.  Entries with |c_k| <= 1e-14 do not move."""
-    moving = np.abs(c) > 1e-14
-    cm, xm = c[moving], vec[moving]
-    up = cm > 0.0
-    speed = np.abs(cm)
-    t_plus = np.minimum.reduce(np.where(up, 1.0 - xm, xm) / speed, initial=np.inf)
-    t_minus = np.minimum.reduce(np.where(up, xm, 1.0 - xm) / speed, initial=np.inf)
-    return t_plus if t_plus > 0.0 else -t_minus
+class _Basis:
+    """A bounded-variable simplex basis over the columns of ``cols``, the
+    engine of attain's phase 1 and purify's crossover: ``basis[i]`` is row
+    i's basic column, ``value`` every column's value in [0, ``upper``].  Its
+    inverse binv is kept by product-form updates, refactored when ``due``."""
+
+    def __init__(self, cols, value, upper, basis):
+        self.cols, self.value, self.upper, self.basis = cols, value, upper, basis
+        self.binv, self.since_refactor = None, REFACTOR_EVERY
+
+    @property
+    def due(self) -> bool:
+        return self.since_refactor >= REFACTOR_EVERY
+
+    def refactor(self, rhs: np.ndarray):
+        """Invert the basic columns afresh and solve the basic values from
+        ``rhs``, the goal less the nonbasic columns' share."""
+        self.binv = np.linalg.inv(self.cols[:, self.basis])
+        self.value[self.basis] = self.binv @ rhs
+        self.since_refactor = 0
+
+    def push(self, q: int, sign: float, limit: float):
+        """Move nonbasic column q by sign * t, and the basic values with it,
+        for the longest t <= limit that keeps each basic value whose rate
+        exceeds PIVOT_TOL in its bounds.  Returns t, the basis column
+        B^(-1) a_q, the rates ``fall`` of the basic values and their room."""
+        column = self.binv @ self.cols[:, q]
+        fall = sign * column
+        basis, value = self.basis, self.value
+        room = np.full(len(basis), np.inf)
+        down, up = fall > PIVOT_TOL, fall < -PIVOT_TOL
+        room[down] = value[basis[down]] / fall[down]
+        room[up] = (value[basis[up]] - self.upper[basis[up]]) / fall[up]
+        room = np.maximum(room, 0.0)
+        t = min(float(room.min()), limit)
+        value[basis] -= t * fall
+        value[q] += sign * t
+        return t, column, fall, room
+
+    def blocking(self, room: np.ndarray, fall: np.ndarray, t: float, bland: bool = False) -> int:
+        """The row that blocks a push of length t: of the rows with room
+        within SIMPLEX_TOL of t, the largest |fall|, or under Bland's rule
+        the lowest basic column."""
+        ties = np.flatnonzero(room <= t + SIMPLEX_TOL)
+        return int(ties[np.argmin(self.basis[ties])] if bland
+                   else ties[np.argmax(np.abs(fall[ties]))])
+
+    def exchange(self, r: int, q: int, column: np.ndarray, fall: np.ndarray) -> int:
+        """Column q, with basis column ``column``, takes row r; the column
+        leaving it is set to the bound it reached (its upper one when
+        fall[r] < 0) and returned."""
+        out = self.basis[r]
+        self.value[out] = self.upper[out] if fall[r] < 0.0 else 0.0
+        self.basis[r] = q
+        self.binv[r] /= column[r]
+        column[r] = 0.0
+        self.binv -= np.outer(column, self.binv[r])
+        self.since_refactor += 1
+        return out
 
 
 def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
-    """Drive a fractional set to a near-extreme point of its fiber.
+    """Drive a fractional set to an extreme point of its fiber.
 
-    Each pivot moves the divisible fractional cells along the canonical
-    kernel direction of their masses (see _direction) until a cell pins to
-    {0, 1}, at most m + 1 pivots in all.  One loop takes every pivot from
-    one factorization of that support (see _factor: its Gram inverse, or
-    an orthonormal row basis for rank-deficient and narrow supports); a
-    cell j that pins leaves by Sherman-Morrison, u = G^(-1) r_j:
-    G^(-1) += u u^T / (1 - l_j) and 1 - l_k -= (r_k^T u)^2 / (1 - l_j),
-    O(D n), and its row is zeroed, so it drops out of every product.
-    Pinning never lowers the rank: a cell whose column leaves the span of
-    the others has c_j = 0 and never moves.  The support is refactored
-    every REFACTOR_EVERY pivots, as soon as the headroom times
-    prod(1 - l_j) falls below 1, when no more live cells than the rank are
-    left and when a direction from a stale factor fails the drift test; a
-    fresh factor without a kernel ends the loop.
+    A bounded-variable primal crossover on _Basis over the divisible
+    fractional cells, in Hermitian coordinates scaled by ||nu(X)||, from a
+    basis of artificials fixed at 0.  Each step pushes the leftmost
+    undecided cell toward its left neighbour's value when that is 0 or 1,
+    else up when its fraction is at least 1/2 and down when not.  A cell
+    that reaches its bound, ratio ties included, is pinned there; else the
+    blocking basic value leaves at its bound and the rightmost undecided
+    cell enters (the pushed one when the rightmost has no pivot in that
+    row).  So each O(D^2) step (D = d^2) decides or enters a cell.  The
+    value is conserved, and the cells left fractional, at most
+    rank <= d^2, have independent masses.  ``iterations`` counts steps of
+    positive length.
 
-    When no kernel move exists on the divisible fractional cells but one
-    exists once indivisible fractional cells are included, the
-    purification is atomically stuck and AtomicObstruction is raised.
-    With no kernel at all the loop ends gracefully, fractional cells and
-    all (the non-injectivity hypothesis simply fails at this resolution).
-
-    Fractional values on zero-mass cells are dropped to 0 up front: they
-    change no value of the measure.
+    AtomicObstruction is raised when indivisible cells are fractional too
+    and the masses on all fractional cells have a kernel (kernel_witness):
+    moving on would split an atom.  Otherwise they stay as they are (the
+    non-injectivity hypothesis fails at this resolution).  Fractions on
+    zero-mass cells are dropped to 0 up front: they change no value.
     """
     if not nu.positive:
         raise NotPositive("purification is defined for positive OVMs")
@@ -314,46 +286,46 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
     start_value = evaluate_fractional(nu, FractionalSet(tuple(vec), h.atom_mask))
 
     divisible = np.asarray(nu.space.divisible, dtype=bool)
-    limit = nu.space.n_cells + 1
-    iterations, since_refactor = 0, REFACTOR_EVERY
-    support, x = np.zeros(0, dtype=int), np.zeros(0)
-    while True:
-        if since_refactor >= REFACTOR_EVERY:
-            vec[support] = x
-            frac = _fractional_indices(vec)
-            support = frac[divisible[frac]]
-            x, cols = vec[support], nu.cell_coords[support].T
-            factors = _factor(cols)
-            if factors is None:
-                break
-            rows, ginv, diag, headroom = factors
-            live, since_refactor = np.ones(support.size, dtype=bool), 0
-        c = _direction(rows, ginv, diag)
-        if c is None or not _within_drift(nu, support, cols, c):
-            if since_refactor == 0:
-                break
-            since_refactor = REFACTOR_EVERY
+    frac = _fractional_indices(vec)
+    support = frac[divisible[frac]]
+    cols = nu.cell_coords[support].T / (nu.total_norm or 1.0)
+    big_d, n = cols.shape
+    full = np.hstack([cols, np.eye(big_d)])
+    goal = cols @ vec[support]
+    value = np.concatenate([vec[support], np.zeros(big_d)])
+    basis = _Basis(full, value, np.concatenate([np.ones(n), np.zeros(big_d)]),
+                   np.arange(n, n + big_d))
+    basis.binv, basis.since_refactor = np.eye(big_d), 0  # the artificials, at 0
+
+    def rhs():
+        y = value[:n].copy()
+        y[basis.basis[basis.basis < n]] = 0.0
+        return goal - cols @ y
+
+    lo, hi, iterations = 0, n - 1, 0
+    while lo <= hi:
+        if basis.due:
+            basis.refactor(rhs())
+        k = support[lo]
+        neighbour = value[lo - 1] if lo and support[lo - 1] == k - 1 else vec[k - 1] if k else None
+        up = neighbour == 1.0 if neighbour in (0.0, 1.0) else value[lo] >= 0.5
+        own = 1.0 - value[lo] if up else value[lo]
+        t, column, fall, room = basis.push(lo, 1.0 if up else -1.0, own)
+        iterations += int(t > 0.0)
+        if t >= own - SIMPLEX_TOL:
+            value[lo] = float(up)
+            lo += 1
             continue
-        x = _snap(x + _ratio_step(x, c) * c)
-        iterations += 1
-        if iterations >= limit:
-            raise NumericalFailure("purification failed to pin a coordinate per step")
-        since_refactor += 1
-        keep = (x > 0.0) & (x < 1.0)  # pinned and dropped cells sit at 0 or 1
-        for j in np.flatnonzero(live ^ keep):
-            slack = diag[j]
-            headroom *= slack
-            if not headroom >= 1.0:
-                since_refactor = REFACTOR_EVERY
-                break
-            u = ginv @ rows[j]
-            ginv += (u / slack)[:, None] * u
-            diag -= (rows @ u) ** 2 / slack
-            rows[j], diag[j] = 0.0, 0.0
-        live = keep
-        if np.count_nonzero(live) <= rows.shape[1]:
-            since_refactor = REFACTOR_EVERY
-    vec[support] = x
+        r, q = basis.blocking(room, fall, t), lo
+        if hi > lo and abs(basis.binv[r] @ full[:, hi]) > PIVOT_TOL:
+            q, column = hi, basis.binv @ full[:, hi]
+            hi -= 1
+        else:
+            lo += 1
+        basis.exchange(r, q, column, fall)
+    if iterations:
+        basis.refactor(rhs())
+        vec[support] = _snap(value[:n])
 
     frac = _fractional_indices(vec)
     if not divisible[frac].all() and _kernel(nu, frac) is not None:
@@ -420,6 +392,8 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
     Atom selections cannot be mixed fractionally: for t strictly inside
     (0, 1) the two sets must agree on every atom of nonzero mass.
     """
+    if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)):
+        raise InvalidInput(f"mixing weight must be a real number, got {t!r}")
     if not 0.0 <= t <= 1.0:
         raise InvalidInput(f"mixing weight {t!r} outside [0, 1]")
     for e in (e1, e2):
@@ -435,12 +409,9 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
     if differing:
         raise AtomicObstruction(
             f"atom selections differ on massive sites {differing}", cells=differing)
-    atom_mask = tuple(x and y for x, y in zip(e1.atom_mask, e2.atom_mask))
-    h0 = FractionalSet(
-        tuple(t * float(x) + (1.0 - t) * float(y)
-              for x, y in zip(e1.cell_mask, e2.cell_mask)),
-        atom_mask,
-    )
+    h0 = FractionalSet(tuple(t * float(x) + (1.0 - t) * float(y)
+                             for x, y in zip(e1.cell_mask, e2.cell_mask)),
+                       tuple(x and y for x, y in zip(e1.atom_mask, e2.atom_mask)))
     target = evaluate_fractional(nu, h0)
     pure = purify(nu, h0)
     return replace(realize_intervals(nu, pure.h_final, target=target),
@@ -455,9 +426,10 @@ def _entering(gain: np.ndarray, bland: bool) -> int | None:
 
 
 def _phase_one(coords: np.ndarray, goal: np.ndarray):
-    """Phase 1 of the bounded-variable revised simplex: minimize the sum of
-    artificials a_i >= 0, one per row, subject to coords h + s a = goal
-    and 0 <= h <= 1 (s_i = +-1 makes the starting a_i nonnegative).
+    """Phase 1 of the bounded-variable revised simplex on _Basis: minimize
+    the sum of artificials a_i >= 0, one per row, subject to
+    coords h + s a = goal and 0 <= h <= 1 (s_i = +-1 makes the starting a_i
+    nonnegative).
 
     Cells start at the bound the goal favours over the centre nu(X)/2,
     which is already the vertex for nu(X).  A bound flip moves a nonbasic
@@ -472,54 +444,36 @@ def _phase_one(coords: np.ndarray, goal: np.ndarray):
     value = np.concatenate([h, np.zeros(n_rows)])
     upper = np.concatenate([np.ones(m), np.full(n_rows, np.inf)])
     move = np.concatenate([1.0 - 2.0 * h, np.zeros(n_rows)])  # +1 at 0, -1 at 1, else 0
-    basis = np.arange(m, m + n_rows)
+    basis = _Basis(cols, value, upper, np.arange(m, m + n_rows))
     steps = degenerate = 0
-    since_refactor = REFACTOR_EVERY
     while True:
-        if since_refactor >= REFACTOR_EVERY:
-            binv = np.linalg.inv(cols[:, basis])
-            value[basis] = binv @ (goal - cols[:, move < 0].sum(axis=1))
-            since_refactor = 0
-        cost = (basis >= m).astype(float)
-        objective = float(cost @ value[basis])
+        if basis.due:
+            basis.refactor(goal - cols[:, move < 0].sum(axis=1))
+        cost = (basis.basis >= m).astype(float)
+        objective = float(cost @ value[basis.basis])
         if objective <= SIMPLEX_TOL:
             break
         bland = degenerate >= BLAND_AFTER
-        q = _entering((cost @ binv @ cols) * move, bland)
+        q = _entering((cost @ basis.binv @ cols) * move, bland)
         if q is None:
-            if since_refactor == 0:
+            if basis.since_refactor == 0:
                 break
-            since_refactor = REFACTOR_EVERY  # confirm the optimum on a fresh factor
+            basis.since_refactor = REFACTOR_EVERY  # confirm the optimum on a fresh factor
             continue
         steps += 1
         if steps > 100 * (m + n_rows):
             raise NumericalFailure(f"simplex took more than {100 * (m + n_rows)} steps")
-        column = binv @ cols[:, q]
-        fall = move[q] * column  # basic values fall by t * fall as cell q moves by t
-        room = np.full(n_rows, np.inf)
-        down, up = fall > PIVOT_TOL, fall < -PIVOT_TOL
-        room[down] = value[basis[down]] / fall[down]
-        room[up] = (value[basis[up]] - upper[basis[up]]) / fall[up]
-        room = np.maximum(room, 0.0)
-        t = min(float(room.min()), 1.0)
-        value[basis] -= t * fall
-        value[q] += move[q] * t
+        t, column, fall, room = basis.push(q, move[q], 1.0)
         if t == 1.0:  # bound flip
             move[q] = -move[q]
             degenerate = 0
             continue
-        ties = np.flatnonzero(room <= t + SIMPLEX_TOL)
-        r = int(ties[np.argmin(basis[ties])] if bland else ties[np.argmax(np.abs(fall[ties]))])
-        out = basis[r]
-        value[out] = 1.0 if fall[r] < 0.0 else 0.0
+        r = basis.blocking(room, fall, t, bland)
+        out = basis.exchange(r, q, column, fall)
         move[out] = -1.0 if fall[r] < 0.0 else float(out < m)
-        basis[r], move[q] = q, 0.0
-        binv[r] /= column[r]
-        column[r] = 0.0
-        binv -= np.outer(column, binv[r])
-        since_refactor += 1
+        move[q] = 0.0
         degenerate = degenerate + 1 if t <= SIMPLEX_TOL else 0
-    return value[:m], cost @ binv, objective, steps
+    return value[:m], cost @ basis.binv, objective, steps
 
 
 def attain(nu: OVM, target) -> AttainResult:

@@ -32,6 +32,20 @@ from .errors import (
 MASS_TOL = 1e-12
 
 
+def _flags(values, what: str) -> tuple[bool, ...]:
+    """``values`` as a tuple of bools, checked rather than coerced: Python
+    and numpy bools pass; any other entry raises InvalidInput."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise InvalidInput(f"{what} must be a sequence of bools, got {values!r}") from None
+    kinds = {bool, np.bool_}
+    if not kinds.issuperset(map(type, out)):
+        bad = next(x for x in out if type(x) not in kinds)
+        raise InvalidInput(f"{what} entries must be bools, got {bad!r}")
+    return tuple(map(bool, out))
+
+
 @dataclass(frozen=True)
 class SampleSpace:
     """Interval [a, b) with ordered cells and optional point atoms."""
@@ -59,7 +73,7 @@ class SampleSpace:
             raise InvalidInput("atom sites must be pairwise distinct")
         if any(not (a <= s <= b) for s in sites):
             raise InvalidInput("atom sites must lie in [a, b]")
-        div = tuple(bool(f) for f in self.divisible)
+        div = _flags(self.divisible, "divisible flags")
         if not div:
             div = (True,) * (len(bp) - 1)
         if len(div) != len(bp) - 1:
@@ -104,8 +118,8 @@ class MeasurableSet:
     atom_mask: tuple[bool, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "cell_mask", tuple(bool(x) for x in self.cell_mask))
-        object.__setattr__(self, "atom_mask", tuple(bool(x) for x in self.atom_mask))
+        object.__setattr__(self, "cell_mask", _flags(self.cell_mask, "cell mask"))
+        object.__setattr__(self, "atom_mask", _flags(self.atom_mask, "atom mask"))
 
     @classmethod
     def empty(cls, space: SampleSpace) -> "MeasurableSet":
@@ -185,7 +199,7 @@ class FractionalSet:
                 raise InvalidInput(f"cell fraction {h!r} outside [0, 1]")
             fr.append(min(1.0, max(0.0, h)))
         object.__setattr__(self, "cell_fractions", tuple(fr))
-        object.__setattr__(self, "atom_mask", tuple(bool(x) for x in self.atom_mask))
+        object.__setattr__(self, "atom_mask", _flags(self.atom_mask, "atom mask"))
 
     @classmethod
     def from_measurable(cls, e: MeasurableSet) -> "FractionalSet":

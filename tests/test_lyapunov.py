@@ -188,15 +188,6 @@ class TestPurify:
             purify(nu, FractionalSet((0.5, 0.5)))
         assert err.value.cells == (0, 1)
 
-    def test_pivot_limit_raises_typed_error(self, monkeypatch):
-        # A snap that never pins a coordinate keeps a kernel move open
-        # forever; the loop must stop at its pivot limit.
-        monkeypatch.setattr(lyapunov, "_snap", lambda h: np.full_like(h, 0.5))
-        nu = scalar_grid([0.25, 0.25, 0.25, 0.25])
-        with pytest.raises(errors.NumericalFailure) as err:
-            purify(nu, FractionalSet((0.5, 0.5, 0.5, 0.5)))
-        assert isinstance(err.value, errors.OvmError)
-
 
 def svd_null_direction(cols):
     """Reference kernel direction: null projector of a full-support SVD."""
@@ -220,76 +211,39 @@ def svd_null_direction(cols):
     return -c if c[lead] < 0 else c
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Counts np.linalg.svd calls, to tell which branch of _null_direction ran."""
-    calls = []
-    real = np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
-
-
 class TestNullDirectionEquivalence:
-    def test_gram_branch_matches_svd_reference(self, svd_calls):
+    def test_gram_branch_matches_svd_reference(self):
         rng = rng_from_seed(4242)
         for big_d in (1, 4, 9, 16):
             for n in sorted({big_d + 1, 2 * big_d + 3, 97, 400, 2000}):
                 cols = rng.standard_normal((big_d, n)) * rng.uniform(0.1, 10.0, n)
                 got = _null_direction(cols)
-                assert not svd_calls, (big_d, n)
                 want = svd_null_direction(cols)
-                svd_calls.clear()
                 assert np.abs(got - want).max() <= 1e-10, (big_d, n)
                 assert np.linalg.norm(cols @ got) <= 1e-12 * np.linalg.norm(cols)
 
-    def test_gram_branch_on_povm_coordinates(self, svd_calls):
+    def test_gram_branch_on_povm_coordinates(self):
         for d, m in ((1, 50), (2, 300), (3, 120), (4, 2000)):
             nu = random_povm(d, m, rng_from_seed(50 + d))
             cols = coordinate_matrix(nu, range(m))
-            svd_calls.clear()
             got = _null_direction(cols)
-            assert not svd_calls
             assert np.abs(got - svd_null_direction(cols)).max() <= 1e-10
 
-    def test_rank_deficient_direct_sum_takes_svd(self, svd_calls):
+    def test_rank_deficient_direct_sum_takes_svd(self):
         # Three scalar blocks fill 3 of the 9 coordinate rows.
         nu = direct_sum(*singular_blocks(3))
         cols = coordinate_matrix(nu, range(nu.space.n_cells))
         assert cols.shape == (9, 12)
-        svd_calls.clear()
         got = _null_direction(cols)
-        assert svd_calls
         assert np.array_equal(got, svd_null_direction(cols))
 
-    def test_narrow_blocks_take_svd(self, svd_calls):
+    def test_narrow_blocks_take_svd(self):
         rng = rng_from_seed(4343)
         independent = rng.standard_normal((16, 10))
         assert _null_direction(independent) is None
         dependent = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 5))
         got = _null_direction(dependent)
-        assert len(svd_calls) == 2
         assert np.array_equal(got, svd_null_direction(dependent))
-
-    def test_purify_matches_svd_reference(self, monkeypatch):
-        for trial in range(12):
-            rng = rng_from_seed(3100 + trial)
-            d = 1 + trial % 4
-            m = int(rng.integers(d * d + 2, 160))
-            nu = random_povm(d, m, rng)
-            h0 = FractionalSet(tuple(rng.random(m)))
-            got = purify(nu, h0)
-            with monkeypatch.context() as patch:
-                patch.setattr(lyapunov, "_null_direction", svd_null_direction)
-                want = purify(nu, h0)
-            assert got.iterations == want.iterations
-            assert got.fractional_indices == want.fractional_indices
-            gap = np.abs(got.h_final.fractions() - want.h_final.fractions()).max()
-            assert gap <= 1e-11
 
 
 def svd_kernel(nu, support):
@@ -307,163 +261,140 @@ def svd_kernel(nu, support):
     return coeffs
 
 
-def purify_per_pivot(nu, h):
-    """Reference for purify's pivots: a fresh SVD of the whole divisible
-    fractional support at every pivot (svd_kernel) and the ratio test over
-    all m cells."""
-    vec = lyapunov._cell_fractions(nu, h)
-    start_value = evaluate_fractional(nu, FractionalSet(tuple(vec), h.atom_mask))
-    divisible = np.asarray(nu.space.divisible, dtype=bool)
-    iterations = 0
-    limit = nu.space.n_cells + 1
-    while True:
-        frac = lyapunov._fractional_indices(vec)
-        movable = frac[divisible[frac]]
-        c = svd_kernel(nu, movable)
-        if c is None:
-            if movable.size != frac.size and svd_kernel(nu, frac) is not None:
-                blocked = tuple(int(k) for k in frac if not divisible[k])
-                raise errors.AtomicObstruction(
-                    f"kernel move requires splitting indivisible cells {blocked}",
-                    cells=blocked,
-                )
-            break
-        up = np.flatnonzero(c > 1e-14)
-        down = np.flatnonzero(c < -1e-14)
-        t_plus = min(
-            ((1.0 - vec[up]) / c[up]).min() if up.size else np.inf,
-            (vec[down] / -c[down]).min() if down.size else np.inf,
-        )
-        t_minus = min(
-            (vec[up] / c[up]).min() if up.size else np.inf,
-            ((1.0 - vec[down]) / -c[down]).min() if down.size else np.inf,
-        )
-        step = t_plus if t_plus > 0.0 else -t_minus
-        if not np.isfinite(step):
-            break
-        vec = lyapunov._snap(vec + step * c)
-        iterations += 1
-        if iterations >= limit:
-            raise errors.NumericalFailure("purification failed to pin a coordinate per step")
-    final = FractionalSet(tuple(vec), h.atom_mask)
-    residual = opcore.op_norm(evaluate_fractional(nu, final) - start_value)
-    return lyapunov.PurifyResult(
-        h_final=final,
-        fractional_indices=tuple(int(k) for k in lyapunov._fractional_indices(vec)),
-        iterations=iterations,
-        target_residual=residual,
-    )
+def rank_one_povm(d, m, rng):
+    """m random rank-one masses v v^* renormalized to sum to the identity."""
+    v = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    grams = np.einsum("ki,kj->kij", v, v.conj())
+    inv_root = np.linalg.inv(opcore.psd_sqrt(grams.sum(axis=0)))
+    return grid_ovm(SampleSpace.uniform(m), inv_root @ grams @ inv_root)
 
 
-def assert_same_pivots(nu, h):
-    got, want = purify(nu, h), purify_per_pivot(nu, h)
-    assert got.iterations == want.iterations
-    assert got.fractional_indices == want.fractional_indices
-    assert np.abs(got.h_final.fractions() - want.h_final.fractions()).max() <= 1e-11
+# The five families of the purification contract, each built from (d, m,
+# rng): random POVMs, each mass repeated six times, rank-one masses, a POVM
+# scaled by 1e-8 to 1e8, and the direct sum of d scalar blocks and a d = 2
+# block (zero coordinate rows between the blocks).
+FAMILIES = {
+    "random": random_povm,
+    "repeated": lambda d, m, rng: grid_ovm(
+        SampleSpace.uniform(6 * (m // 6 + 1)),
+        np.repeat(random_povm(d, m // 6 + 1, rng).cell_masses, 6, axis=0) / 6),
+    "rank_one": rank_one_povm,
+    "scaled": lambda d, m, rng: grid_ovm(
+        SampleSpace.uniform(m),
+        random_povm(d, m, rng).cell_masses * 10.0 ** rng.choice([-8, -4, 4, 8])),
+    "direct_sum": lambda d, m, rng: direct_sum(*(
+        random_povm(k, m, rng, space=SampleSpace.uniform(m)) for k in (1,) * d + (2,))),
+}
+
+
+def assert_contract(nu, h):
+    """purify's contract: the value of h, zero-mass cells dropped, kept
+    within 1e-12 * max(1, ||nu(X)||); at most rank fractional cells and no
+    kernel (svd_kernel) on the divisible ones; no more steps than
+    fractional input cells; the same output bit for bit on a second run."""
+    got = purify(nu, h)
+    again = purify(nu, h)
+    assert again.h_final.cell_fractions == got.h_final.cell_fractions
+    assert again.iterations == got.iterations
+    fr = h.fractions()
+    norms = np.linalg.norm(nu.cell_masses, ord=2, axis=(1, 2))
+    kept = FractionalSet(tuple(np.where(norms <= 1e-12, 0.0, fr)), h.atom_mask)
+    drift = evaluate_fractional(nu, got.h_final) - evaluate_fractional(nu, kept)
+    assert opcore.op_norm(drift) <= 1e-12 * max(1.0, nu.total_norm)
+    frac = np.array(got.fractional_indices, dtype=int)
+    assert frac.size <= np.linalg.matrix_rank(nu.cell_coords.T)
+    movable = frac[np.asarray(nu.space.divisible)[frac]]
+    assert movable.size == 0 or svd_kernel(nu, movable) is None
+    assert got.iterations <= np.count_nonzero((fr > 0.0) & (fr < 1.0))
     return got
 
 
-@pytest.fixture
-def factorizations(monkeypatch):
-    """The supports lyapunov._factor is called on, one entry per
-    factorization: their cell counts."""
-    sizes = []
-    real = lyapunov._factor
-
-    def counting(cols):
-        sizes.append(cols.shape[1])
-        return real(cols)
-
-    monkeypatch.setattr(lyapunov, "_factor", counting)
-    return sizes
-
-
-class TestDowndatedPivots:
-    """purify against purify_per_pivot: the same pivot count, the same
-    fractional cells and fractions within 1e-11, from fewer factorizations
-    than pivots."""
+class TestCrossoverContract:
+    """purify over the five families: conservation, at most rank fractional
+    cells, an extreme point of the fiber, at most one step per fractional
+    cell and bitwise determinism."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_random_instances(self, d):
-        # 120 instances in all, m up to 400, every cell fractional.
+        # 30 instances per d, m up to 400, every cell fractional.
         for trial in range(30):
             rng = rng_from_seed(3000 + 10 * trial + d)
             m = int(rng.integers(d * d + 1, 401))
             nu = random_povm(d, m, rng)
-            assert_same_pivots(nu, FractionalSet(tuple(rng.random(m))))
+            assert_contract(nu, FractionalSet(tuple(rng.random(m))))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_families(self, family):
+        for trial in range(24):
+            rng = rng_from_seed(5000 + trial)
+            d, m = 1 + trial % 4, int(rng.integers(2, 301))
+            nu = FAMILIES[family](d, m, rng)
+            h = rng.random(nu.space.n_cells)
+            if trial % 2:  # a convex_combine mix of two sets
+                h = np.where(rng.random(h.size) < 0.5, h[0], np.round(h))
+            assert_contract(nu, FractionalSet(tuple(h)))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [200, 1000, 2000])
-    def test_interior_grid(self, d, m, factorizations):
+    def test_interior_grid(self, d, m):
         # A convex_combine mix of two sets and an all-fractional set.
         rng = rng_from_seed(7000 + 10 * d + m)
         nu = random_povm(d, m, rng)
         e1, e2, t = rng.integers(0, 2, m), rng.integers(0, 2, m), float(rng.random())
         for h in (t * e1 + (1.0 - t) * e2, rng.random(m)):
-            factorizations.clear()
-            result = assert_same_pivots(nu, FractionalSet(tuple(h)))
-            assert len(factorizations) < result.iterations
+            result = assert_contract(nu, FractionalSet(tuple(h)))
+            assert len(result.fractional_indices) <= d * d
 
-    def test_run_past_refactor_interval(self, factorizations):
+    def test_run_past_refactor_interval(self, monkeypatch):
+        # Enough exchanges for several refactorizations of the basis inverse,
+        # one per REFACTOR_EVERY exchanges and one at the end.
+        calls = {"refactor": 0, "exchange": 0}
+        for name in calls:
+            def spy(self, *args, name=name, real=getattr(lyapunov._Basis, name)):
+                calls[name] += 1
+                return real(self, *args)
+            monkeypatch.setattr(lyapunov._Basis, name, spy)
         rng = rng_from_seed(7171)
         nu = random_povm(2, 300, rng)
-        result = assert_same_pivots(nu, FractionalSet(tuple(rng.random(300))))
-        assert result.iterations > 2 * lyapunov.REFACTOR_EVERY
-        assert result.iterations // lyapunov.REFACTOR_EVERY < len(factorizations) < 16
+        h = FractionalSet(tuple(rng.random(300)))
+        purify(nu, h)
+        assert calls["exchange"] > 2 * lyapunov.REFACTOR_EVERY
+        assert calls["refactor"] == calls["exchange"] // lyapunov.REFACTOR_EVERY + 1
+        assert_contract(nu, h)
 
-    def test_twin_cells_pin_together(self, factorizations):
-        # Each mass twice with equal fractions: twins move alike and most
-        # pivots pin two cells at once.
-        rng = rng_from_seed(7272)
-        base = random_povm(2, 40, rng).cell_masses
-        nu = grid_ovm(SampleSpace.uniform(80), np.repeat(base, 2, axis=0) / 2)
-        result = assert_same_pivots(nu, FractionalSet(tuple(np.repeat(rng.random(40), 2))))
-        pinned = 80 - len(result.fractional_indices)
-        assert result.iterations <= pinned - 10
-        assert len(factorizations) < result.iterations
-
-    def test_singular_gram_downdates_row_basis(self, factorizations):
-        # Three scalar blocks fill 3 of the 9 coordinate rows of the sum:
-        # every factorization is an SVD, downdated like the Gram inverse.
-        nu = direct_sum(*singular_blocks(3))
-        h = FractionalSet(tuple(rng_from_seed(7373).random(nu.space.n_cells)))
-        result = assert_same_pivots(nu, h)
-        assert result.iterations > 1
-        assert len(factorizations) < result.iterations
-
-    def test_last_rows_leave_by_refactoring(self, factorizations):
-        # One pivot pins all four equal cells.  Deleting the last row would
-        # divide by a zero slack; the headroom test refactors instead.
-        nu = scalar_grid([0.25] * 4)
-        with np.errstate(divide="raise", invalid="raise"):
-            result = assert_same_pivots(nu, FractionalSet((0.5,) * 4))
-        assert result.fractional_indices == ()
-        assert factorizations == [4, 0]
-
-    def test_indivisible_cells_obstruct(self, factorizations):
+    def test_indivisible_cells_obstruct(self):
         # Equal masses: the divisible cells purify down to one fractional
         # cell, then a kernel move needs the two indivisible ones.
         space = SampleSpace(0.0, 1.0, tuple(np.linspace(0.0, 1.0, 7)),
                             divisible=(True,) * 4 + (False,) * 2)
         nu = grid_ovm(space, np.full((6, 1, 1), 1.0 / 6, dtype=complex))
-        h = FractionalSet((0.3, 0.6, 0.45, 0.7, 0.5, 0.5))
-        with pytest.raises(errors.AtomicObstruction) as want:
-            purify_per_pivot(nu, h)
-        with pytest.raises(errors.AtomicObstruction) as got:
-            purify(nu, h)
-        assert got.value.cells == want.value.cells == (4, 5)
-        assert factorizations[-1] == 3  # the final test includes the indivisible cells
+        with pytest.raises(errors.AtomicObstruction) as err:
+            purify(nu, FractionalSet((0.3, 0.6, 0.45, 0.7, 0.5, 0.5)))
+        assert err.value.cells == (4, 5)
 
-    def test_narrow_support_downdates_row_basis(self):
+    def test_independent_indivisible_cells_stay(self):
+        # The divisible cells carry diag(w, 0), the indivisible one
+        # diag(0, 1): no kernel reaches it, so it stays fractional.
+        rng = rng_from_seed(7575)
+        space = SampleSpace(0.0, 1.0, tuple(np.linspace(0.0, 1.0, 12)),
+                            divisible=(True,) * 10 + (False,))
+        masses = np.zeros((11, 2, 2), dtype=complex)
+        masses[:10, 0, 0], masses[10, 1, 1] = rng.uniform(0.05, 0.15, 10), 1.0
+        nu = grid_ovm(space, masses)
+        result = assert_contract(nu, FractionalSet(tuple(rng.random(10)) + (0.5,)))
+        assert result.h_final.cell_fractions[10] == 0.5
+        assert len(result.fractional_indices) <= 2
+
+    def test_narrow_support(self):
         # Three fractional cells, one the mean of the other two: a kernel on
-        # n = 3 <= D = 4 cells.
+        # n = 3 <= D = 4 cells, and one step pins a cell.
         rng = rng_from_seed(7474)
         masses = random_povm(2, 10, rng).cell_masses.copy()
         masses[2] = (masses[0] + masses[1]) / 2
         nu = grid_ovm(SampleSpace.uniform(10), masses)
-        h = FractionalSet((0.3, 0.6, 0.5) + (1.0, 0.0) * 3 + (1.0,))
-        result = assert_same_pivots(nu, h)
+        result = assert_contract(nu, FractionalSet((0.3, 0.6, 0.5) + (1.0, 0.0) * 3 + (1.0,)))
         assert result.iterations > 0
+        assert len(result.fractional_indices) == 2
 
 
 class TestRealize:
@@ -542,6 +473,17 @@ class TestConvexCombine:
             assert opcore.op_norm(result.achieved - target) <= 1e-9
             assert result.residual <= 1e-9
             assert result.interval_count <= 44
+
+    @pytest.mark.parametrize("t", ["0.5", 0.5 + 0j, None, np.array([0.5, 0.5]),
+                                   True, np.bool_(False)],
+                             ids=["str", "complex", "None", "array", "bool", "numpy_bool"])
+    def test_weight_not_a_real_number_rejected(self, t):
+        nu = random_povm(2, 6, rng_from_seed(62))
+        e1, e2 = MeasurableSet.full(nu.space), MeasurableSet.empty(nu.space)
+        for weight in (0.25, np.float64(0.25), np.float32(0.25)):
+            assert convex_combine(nu, e1, e2, weight).residual <= 1e-12
+        with pytest.raises(errors.InvalidInput):
+            convex_combine(nu, e1, e2, t)
 
     def test_differing_atoms_obstruct(self):
         nu = single_atom_measure()

@@ -86,6 +86,25 @@ def test_integer_arguments_checked_not_coerced(call):
             call(bad)
 
 
+MASKS = {
+    "MeasurableSet cell_mask": lambda mask: MeasurableSet(mask),
+    "MeasurableSet atom_mask": lambda mask: MeasurableSet((), mask),
+    "FractionalSet atom_mask": lambda mask: FractionalSet((), mask),
+    "SampleSpace divisible": lambda mask: SampleSpace(0.0, 1.0, (0.0, 0.5, 1.0), divisible=mask),
+}
+
+
+@pytest.mark.parametrize("build", MASKS.values(), ids=MASKS.keys())
+def test_mask_entries_checked_not_coerced(build):
+    # Python and numpy bools pass; any other entry is an error, not a
+    # truthiness test: (0.5, "no") would select both cells.
+    assert build((True, np.bool_(False))) is not None
+    assert build(np.array([False, True])) is not None
+    for bad in ((0.5, "no"), (True, 1), (np.int64(0), False), (None, True), "ab", 2):
+        with pytest.raises(errors.InvalidInput):
+            build(bad)
+
+
 class TestEvaluate:
     def test_empty_set(self):
         nu = lebesgue_identity(4, 2)
