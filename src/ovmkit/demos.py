@@ -7,7 +7,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import models
+from . import models, opcore
 from .errors import AtomicObstruction, InvalidInput, SpaceMismatch, TargetNotInHull
 from .lyapunov import attain_to_json, joint_attain, kernel_witness
 from .ovm import MeasurableSet, check_ovm_properties, induced_measure
@@ -39,7 +39,7 @@ _RN_NOTE = (
 def paper_example_13(levels: int):
     """Reproduce the harmonic-cell diagonal model's induced density and
     operator derivative coefficients; returns (results, checks)."""
-    levels = int(levels)
+    levels = opcore.as_int(levels, "levels")
     nu, rho = models.harmonic_diag_model(levels)
     ind = induced_measure(nu, rho)
     dens = rn_derivative(nu, rho)
@@ -92,7 +92,7 @@ def paper_example_13(levels: int):
 def uhl_demo(cells: int):
     """Indicator-valued model: no kernel on any support, range bounded away
     from the midpoint of [0, nu(X)], spectral; returns (results, checks)."""
-    m = int(cells)
+    m = opcore.as_int(cells, "cells")
     if not 2 <= m <= 20:
         raise InvalidInput("cells must lie in [2, 20]")
     nu = models.uhl_model(m)
@@ -150,7 +150,7 @@ def singular_demo(measures: int, lambdas, cells_per_block: int = 4,
     """Joint attainment over mutually singular scalar measures; the achieved
     operator is the diagonal of the requested tuple, its residual held to
     ``tol``."""
-    n = int(measures)
+    n = opcore.as_int(measures, "measures")
     if n < 2:
         raise InvalidInput("need at least two measures")
     lam = [float(x) for x in lambdas]
@@ -196,7 +196,7 @@ def classical_demo(measures, cells: int = 64, trials: int = 1, seed: int = 0,
     totals = [float(mu.total_mass()[0, 0].real) for mu in mus]
 
     if targets is None:
-        draws = (rng.random(m) for _ in range(int(trials)))
+        draws = (rng.random(m) for _ in range(opcore.as_int(trials, "trials", low=0)))
         targets = [[float(np.tensordot(h, mu.cell_masses[:, 0, 0].real, axes=1)) for mu in mus]
                    for h in draws]
     rows = []

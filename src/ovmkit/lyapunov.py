@@ -18,9 +18,9 @@ nonatomic measures, made algorithmic:
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
     exact under the constant-density convention.
 
-Every step reads the cell masses in Hermitian coordinates and scales its
-tolerances by ||nu(X)||; both are computed once per measure and cached on
-it (OVM.cell_coords, OVM.total_norm).
+Every step reads the masses as rows of one m + n item stack in Hermitian
+coordinates (OVM.coords), scales tolerances by ||nu(X)||, and drops null
+cells, norm at most MASS_TOL * ||nu(X)|| (OVM.massive); all are cached.
 
 Atoms obstruct step 2: when the fractional cells, indivisible ones
 included, still carry a kernel (kernel_witness's SVD test),
@@ -44,11 +44,9 @@ from .errors import (
     TargetNotInHull,
 )
 from .ovm import (
-    MASS_TOL,
     OVM,
     FractionalSet,
     MeasurableSet,
-    _check_masks,
     direct_sum,
     evaluate,
     evaluate_fractional,
@@ -187,13 +185,11 @@ def _fractional_indices(h: np.ndarray) -> np.ndarray:
 
 def _cell_fractions(nu: OVM, h: FractionalSet) -> np.ndarray:
     """The cell fractions of ``h``, snapped onto {0, 1} within SNAP_TOL,
-    with fractions on zero-mass cells dropped to 0: they change no value
-    of the measure."""
-    if len(h.cell_fractions) != nu.space.n_cells or len(h.atom_mask) != nu.space.n_atoms:
-        raise ShapeMismatch("fractional set does not match the sample space")
-    vec = _snap(h.fractions())
+    with fractions on null cells (OVM.massive) dropped to 0: they change no
+    value of the measure."""
+    vec = _snap(nu.space.selector(h)[: nu.space.n_cells])
     frac = _fractional_indices(vec)
-    vec[frac[nu.cell_norms()[frac] <= MASS_TOL]] = 0.0
+    vec[frac[~nu.massive[frac]]] = 0.0
     return vec
 
 
@@ -392,26 +388,20 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
     Atom selections cannot be mixed fractionally: for t strictly inside
     (0, 1) the two sets must agree on every atom of nonzero mass.
     """
-    if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)):
-        raise InvalidInput(f"mixing weight must be a real number, got {t!r}")
-    if not 0.0 <= t <= 1.0:
+    if not 0.0 <= opcore.as_real(t, "mixing weight") <= 1.0:
         raise InvalidInput(f"mixing weight {t!r} outside [0, 1]")
-    for e in (e1, e2):
-        _check_masks(nu.space, e)
+    s1, s2 = nu.space.selector(e1), nu.space.selector(e2)
     if t == 0.0:
         return realize_intervals(nu, FractionalSet.from_measurable(e2), target=evaluate(nu, e2))
     if t == 1.0:
         return realize_intervals(nu, FractionalSet.from_measurable(e1), target=evaluate(nu, e1))
 
-    atom_norms = nu.atom_norms()
-    differing = [k for k, (x, y) in enumerate(zip(e1.atom_mask, e2.atom_mask))
-                 if x != y and atom_norms[k] > MASS_TOL]
+    m = nu.space.n_cells
+    differing = [int(k) for k in np.flatnonzero(((s1 != s2) & nu.massive)[m:])]
     if differing:
         raise AtomicObstruction(
             f"atom selections differ on massive sites {differing}", cells=differing)
-    h0 = FractionalSet(tuple(t * float(x) + (1.0 - t) * float(y)
-                             for x, y in zip(e1.cell_mask, e2.cell_mask)),
-                       tuple(x and y for x, y in zip(e1.atom_mask, e2.atom_mask)))
+    h0 = FractionalSet(tuple(t * s1[:m] + (1.0 - t) * s2[:m]), tuple((s1 & s2)[m:].tolist()))
     target = evaluate_fractional(nu, h0)
     pure = purify(nu, h0)
     return replace(realize_intervals(nu, pure.h_final, target=target),
@@ -519,8 +509,7 @@ def check_separation(nu: OVM, target, witness) -> float:
     w = opcore.herm_coords(opcore.as_matrix(witness))
     if a_mat.shape[0] != nu.dim or w.size != nu.dim * nu.dim:
         raise ShapeMismatch(f"target and witness must be {nu.dim} x {nu.dim}")
-    masses = np.concatenate([nu.cell_coords, opcore.herm_coords(nu.atom_masses)])
-    return float(w @ opcore.herm_coords(a_mat) - np.maximum(masses @ w, 0.0).sum())
+    return float(w @ opcore.herm_coords(a_mat) - np.maximum(nu.coords @ w, 0.0).sum())
 
 
 def joint_attain(ovms, targets) -> AttainResult:
@@ -550,20 +539,16 @@ def brute_force_range(nu: OVM) -> list[tuple[MeasurableSet, np.ndarray]]:
     Item k of the concatenated (cells, atoms) list corresponds to bit k
     of the enumeration index.
     """
-    m = nu.space.n_cells
-    n = nu.space.n_atoms
-    count = m + n
+    m, count = nu.space.n_cells, len(nu.masses)
     if count > 22:
         raise SizeLimit(f"{count} items exceed the enumeration limit of 22")
-    items = list(nu.cell_masses) + list(nu.atom_masses)
     values = np.zeros((1, nu.dim, nu.dim), dtype=np.complex128)
-    for mass in items:
+    for mass in nu.masses:
         values = np.concatenate([values, values + mass])
     out = []
     for idx in range(1 << count):
-        cells = tuple(bool(idx >> k & 1) for k in range(m))
-        atom_bits = tuple(bool(idx >> (m + k) & 1) for k in range(n))
-        out.append((MeasurableSet(cells, atom_bits), values[idx]))
+        bits = tuple(bool(idx >> k & 1) for k in range(count))
+        out.append((MeasurableSet(bits[:m], bits[m:]), values[idx]))
     return out
 
 

@@ -16,7 +16,7 @@ from .ovm import OVM, SampleSpace, atomic_ovm, grid_ovm
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """The toolkit's pseudo-random generator: PCG64."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    return np.random.Generator(np.random.PCG64(opcore.as_int(seed, "seed", low=0)))
 
 
 def lebesgue_identity(m: int, dim: int = 1, a: float = 0.0, b: float = 1.0) -> OVM:

@@ -67,6 +67,14 @@ def as_int(value, what: str, low: int | None = None) -> int:
     return int(value)
 
 
+def as_real(value, what: str) -> float:
+    """``value`` as a float, checked rather than coerced: Python and numpy
+    integers and floats pass; anything else, bools included, raises InvalidInput."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidInput(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def readonly(a, dtype) -> np.ndarray:
     """A non-writeable copy of ``a`` as a ``dtype`` array."""
     out = np.array(a, dtype=dtype)
@@ -299,8 +307,8 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or not {"dim", "re", "im"} <= set(obj):
         raise InvalidInput("matrix JSON must have keys dim, re, im")
+    d = as_int(obj["dim"], "matrix JSON dim", low=1)
     try:
-        d = int(obj["dim"])
         re = np.asarray(obj["re"], dtype=np.float64)
         im = np.asarray(obj["im"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -1,15 +1,18 @@
 """Operator-valued measures at finite resolution.
 
-A sample space is a real interval [a, b) split into contiguous cells plus
-a finite list of atom sites.  A grid-density measure assigns each cell a
-Hermitian mass matrix, with the density constant on the cell, so a
-sub-interval of fraction t carries exactly t times the cell mass.  That
-convention makes nonatomicity, and the Lyapunov construction downstream,
-exact at finite resolution rather than approximate.
+A sample space is a real interval [a, b) split into m contiguous cells plus
+n atom sites: m + n items, cells first.  A measure, step function or
+induced measure holds one (m + n, ...) stack over them and a set is one
+m + n selector (SampleSpace.selector), so each operation is one pass.
 
-Cells may be flagged indivisible, which models atoms that happen to be
-intervals (every proper sub-mass is forbidden); point atoms carry their
-own mass matrices and are never divisible.
+A grid-density measure gives each cell a Hermitian mass matrix, with the
+density constant on the cell, so a sub-interval of fraction t carries
+exactly t times the cell mass.  That makes nonatomicity, and the Lyapunov
+construction downstream, exact at finite resolution.  Cells may be flagged
+indivisible, which models atoms that happen to be intervals; point atoms
+are never divisible.  For atoms and the solver an item is null when its
+mass norm is at most MASS_TOL * ||nu(X)|| (OVM.massive); integration and
+derivatives keep the absolute MASS_TOL.
 """
 
 from __future__ import annotations
@@ -28,8 +31,16 @@ from .errors import (
     SpaceMismatch,
 )
 
-# Below this operator norm a mass is treated as zero (null cell/atom).
+# Below this operator norm a mass is treated as zero (null cell/atom); for
+# atoms and the solver, below this times ||nu(X)|| (OVM.massive).
 MASS_TOL = 1e-12
+
+
+def _index(k, count: int, what: str) -> int:
+    """``k`` (opcore.as_int) as an index into ``count`` items, else InvalidInput."""
+    if not 0 <= opcore.as_int(k, what) < count:
+        raise InvalidInput(f"{what} {k} out of range")
+    return int(k)
 
 
 def _flags(values, what: str) -> tuple[bool, ...]:
@@ -107,7 +118,17 @@ class SampleSpace:
         return w
 
     def cell_bounds(self, k: int) -> tuple[float, float]:
+        k = _index(k, self.n_cells, "cell index")
         return self.breakpoints[k], self.breakpoints[k + 1]
+
+    def selector(self, e: "MeasurableSet | FractionalSet") -> np.ndarray:
+        """The m + n selector of a set: its cell mask (bools) or fractions
+        (floats), then its atom mask; ShapeMismatch if its layout differs."""
+        fractional = isinstance(e, FractionalSet)
+        cells = e.cell_fractions if fractional else e.cell_mask
+        if len(cells) != self.n_cells or len(e.atom_mask) != self.n_atoms:
+            raise ShapeMismatch("set does not match the sample space")
+        return np.asarray(cells + e.atom_mask, dtype=float if fractional else bool)
 
 
 @dataclass(frozen=True)
@@ -134,13 +155,9 @@ class MeasurableSet:
         cm = [False] * space.n_cells
         am = [False] * space.n_atoms
         for k in cells:
-            if not 0 <= opcore.as_int(k, "cell index") < space.n_cells:
-                raise InvalidInput(f"cell index {k} out of range")
-            cm[k] = True
+            cm[_index(k, space.n_cells, "cell index")] = True
         for k in atoms:
-            if not 0 <= opcore.as_int(k, "atom index") < space.n_atoms:
-                raise InvalidInput(f"atom index {k} out of range")
-            am[k] = True
+            am[_index(k, space.n_atoms, "atom index")] = True
         return cls(tuple(cm), tuple(am))
 
     def cells(self) -> np.ndarray:
@@ -184,21 +201,23 @@ class FractionalSet:
     """[0, 1]-relaxation of a measurable set.
 
     Cell coordinates are real fractions; atoms are indivisible and stay
-    boolean.  Fractions outside [0, 1] by at most 1e-12 are clamped; NaN
-    and infinite fractions are rejected.
+    boolean.  Fractions are real numbers (opcore.as_real); outside [0, 1]
+    by at most 1e-12 they are clamped, and NaN and infinite ones rejected.
     """
 
     cell_fractions: tuple[float, ...]
     atom_mask: tuple[bool, ...] = ()
 
     def __post_init__(self):
-        fr = []
-        for h in self.cell_fractions:
-            h = float(h)
-            if not -1e-12 <= h <= 1.0 + 1e-12:
-                raise InvalidInput(f"cell fraction {h!r} outside [0, 1]")
-            fr.append(min(1.0, max(0.0, h)))
-        object.__setattr__(self, "cell_fractions", tuple(fr))
+        fractions = tuple(self.cell_fractions)
+        for kind in set(map(type, fractions)):  # as_real decides by type alone
+            opcore.as_real(next(h for h in fractions if type(h) is kind), "cell fraction")
+        fr = np.array(fractions, dtype=float)
+        outside = ~((fr >= -1e-12) & (fr <= 1.0 + 1e-12))  # NaN included
+        if outside.any():
+            raise InvalidInput(f"cell fraction {float(fr[outside][0])!r} outside [0, 1]")
+        clamped = np.where(fr > 0.0, np.minimum(fr, 1.0), 0.0)  # -0.0 becomes 0.0
+        object.__setattr__(self, "cell_fractions", tuple(clamped.tolist()))
         object.__setattr__(self, "atom_mask", _flags(self.atom_mask, "atom mask"))
 
     @classmethod
@@ -222,23 +241,28 @@ class FractionalSet:
 
 @dataclass(frozen=True, eq=False)
 class InducedMeasure:
-    """Scalar measure E -> tr(rho nu(E)) at cell/atom resolution."""
+    """Scalar measure E -> tr(rho nu(E)): the read-only m + n item traces
+    ``traces``, with ``cells`` and ``atoms`` views of it."""
 
     space: SampleSpace
     cells: np.ndarray
     atoms: np.ndarray
+    traces: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", opcore.readonly(self.cells, np.float64))
-        object.__setattr__(self, "atoms", opcore.readonly(self.atoms, np.float64))
+        if (len(self.cells), len(self.atoms)) != (self.space.n_cells, self.space.n_atoms):
+            raise ShapeMismatch("cell and atom traces do not match the sample space")
+        traces = opcore.readonly(np.concatenate([self.cells, self.atoms]), np.float64)
+        object.__setattr__(self, "traces", traces)
+        object.__setattr__(self, "cells", traces[: self.space.n_cells])
+        object.__setattr__(self, "atoms", traces[self.space.n_cells :])
 
     @property
     def total(self) -> float:
-        return float(self.cells.sum() + self.atoms.sum())
+        return float(self.traces.sum())
 
     def of(self, e: MeasurableSet) -> float:
-        _check_masks(self.space, e)
-        return float(self.cells[e.cells()].sum() + self.atoms[e.atoms()].sum())
+        return float(self.traces[self.space.selector(e)].sum())
 
 
 class EntryMeasure(NamedTuple):
@@ -252,10 +276,11 @@ class EntryMeasure(NamedTuple):
 class OVM:
     """Operator-valued measure at finite resolution.
 
-    ``cell_masses`` has shape (m, d, d): entry k is nu(cell_k).  The
-    density on cell k is the constant M_k / w_k.  ``atom_masses`` has
-    shape (n_atoms, d, d).  Direct sums keep their components and also
-    materialize block-diagonal masses so every operation stays uniform.
+    ``masses`` is one read-only (m + n, d, d) stack, validated once: nu of
+    cell k (density M_k / w_k on it) for k < m, then nu of each atom, with
+    ``cell_masses`` and ``atom_masses`` views of it.  ``norms``, ``coords``
+    and ``massive`` are cached over all m + n items.  Direct sums keep their
+    components and also materialize block-diagonal masses.
     """
 
     space: SampleSpace
@@ -265,11 +290,11 @@ class OVM:
     variant: str
     positive: bool = field(default=False)
     components: tuple["OVM", ...] = ()
+    masses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = opcore.as_int(self.dim, "dimension", low=1)
-        m = self.space.n_cells
-        n = self.space.n_atoms
+        m, n = self.space.n_cells, self.space.n_atoms
         cm = np.asarray(self.cell_masses, dtype=np.complex128)
         am = np.asarray(self.atom_masses, dtype=np.complex128)
         if cm.shape != (m, d, d):
@@ -278,28 +303,31 @@ class OVM:
             raise ShapeMismatch(f"atom masses must have shape {(n, d, d)}, got {am.shape}")
         if self.variant not in ("grid", "atomic", "mixed", "direct_sum"):
             raise InvalidInput(f"unknown variant {self.variant!r}")
-        cm = opcore.readonly(opcore.hermitian_stack(cm), np.complex128)
-        am = opcore.readonly(opcore.hermitian_stack(am), np.complex128)
-        pos = opcore.psd_flags(cm).all() and opcore.psd_flags(am).all()
+        masses = opcore.hermitian_stack(np.concatenate([cm, am]))  # a fresh array
+        masses.setflags(write=False)
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "cell_masses", cm)
-        object.__setattr__(self, "atom_masses", am)
-        object.__setattr__(self, "positive", bool(pos))
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "cell_masses", masses[:m])
+        object.__setattr__(self, "atom_masses", masses[m:])
+        object.__setattr__(self, "positive", bool(opcore.psd_flags(masses).all()))
         object.__setattr__(self, "components", tuple(self.components))
 
     def total_mass(self) -> np.ndarray:
         """nu(X)."""
-        out = _sum_selected(self.cell_masses, range(self.space.n_cells), self.dim)
-        out += _sum_selected(self.atom_masses, range(self.space.n_atoms), self.dim)
-        return out
+        return _sum_selected(self.masses, range(len(self.masses)), self.dim)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """herm_coords of the masses, shape (m + n, d^2), read-only: row k
+        is item k's mass in the orthonormal trace-inner-product basis."""
+        coords = opcore.herm_coords(self.masses)
+        coords.setflags(write=False)
+        return coords
 
     @cached_property
     def cell_coords(self) -> np.ndarray:
-        """herm_coords of the cell masses, shape (m, d^2), read-only: row k
-        is M_k in the orthonormal trace-inner-product basis."""
-        coords = opcore.herm_coords(self.cell_masses)
-        coords.setflags(write=False)
-        return coords
+        """The first m rows of ``coords``: the cell masses."""
+        return self.coords[: self.space.n_cells]
 
     @cached_property
     def total_norm(self) -> float:
@@ -307,16 +335,22 @@ class OVM:
         return opcore.op_norm(self.total_mass())
 
     @cached_property
-    def _norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Operator norms of the cell masses and of the atom masses."""
-        return tuple(opcore.readonly(np.abs(np.linalg.eigvalsh(s)).max(axis=-1, initial=0.0),
-                                     np.float64) for s in (self.cell_masses, self.atom_masses))
+    def norms(self) -> np.ndarray:
+        """Operator norms of the m + n masses, read-only."""
+        norms = np.abs(np.linalg.eigvalsh(self.masses)).max(axis=-1, initial=0.0)
+        return opcore.readonly(norms, np.float64)
+
+    @cached_property
+    def massive(self) -> np.ndarray:
+        """Per item: is its mass norm above MASS_TOL * ||nu(X)||?  The rest
+        are null: they change no value of the measure beyond round-off."""
+        return opcore.readonly(self.norms > MASS_TOL * self.total_norm, bool)
 
     def cell_norms(self) -> np.ndarray:
-        return self._norms[0]
+        return self.norms[: self.space.n_cells]
 
     def atom_norms(self) -> np.ndarray:
-        return self._norms[1]
+        return self.norms[self.space.n_cells :]
 
 
 def _zero_masses(count: int, dim: int) -> np.ndarray:
@@ -338,11 +372,6 @@ def atomic_ovm(space: SampleSpace, atom_masses) -> OVM:
     return OVM(space, d, _zero_masses(space.n_cells, d), am, "atomic")
 
 
-def _check_masks(space: SampleSpace, e: MeasurableSet):
-    if len(e.cell_mask) != space.n_cells or len(e.atom_mask) != space.n_atoms:
-        raise ShapeMismatch("set masks do not match the sample space")
-
-
 def _sum_selected(stack: np.ndarray, indices, dim: int) -> np.ndarray:
     # Sequential accumulation in index order: each matrix entry sees the
     # same float additions no matter how the matrices are embedded in
@@ -354,28 +383,20 @@ def _sum_selected(stack: np.ndarray, indices, dim: int) -> np.ndarray:
 
 
 def evaluate(nu: OVM, e: MeasurableSet) -> np.ndarray:
-    """nu(E): sum of selected cell and atom masses."""
-    _check_masks(nu.space, e)
-    out = _sum_selected(nu.cell_masses, np.flatnonzero(e.cells()), nu.dim)
-    out += _sum_selected(nu.atom_masses, np.flatnonzero(e.atoms()), nu.dim)
-    return out
+    """nu(E): sum of the selected masses."""
+    return _sum_selected(nu.masses, np.flatnonzero(nu.space.selector(e)), nu.dim)
 
 
 def evaluate_fractional(nu: OVM, h: FractionalSet) -> np.ndarray:
-    """sum_k h_k M_k plus the selected atom masses.
+    """sum_k h_k M_k over the cells plus the selected atom masses.
 
     Routes 0/1-valued inputs through :func:`evaluate` so agreement with
     the set function is exact, not merely within round-off.
     """
-    if len(h.cell_fractions) != nu.space.n_cells or len(h.atom_mask) != nu.space.n_atoms:
-        raise ShapeMismatch("fractional set does not match the sample space")
+    weights = nu.space.selector(h)  # checks the layout on both paths
     if h.is_indicator():
         return evaluate(nu, h.to_measurable())
-    out = np.tensordot(h.fractions(), nu.cell_masses, axes=1)
-    am = h.atoms()
-    if am.any():
-        out += np.add.reduce(nu.atom_masses[am], axis=0)
-    return out
+    return np.tensordot(weights, nu.masses, axes=1)
 
 
 def induced_measure(nu: OVM, rho) -> InducedMeasure:
@@ -383,34 +404,28 @@ def induced_measure(nu: OVM, rho) -> InducedMeasure:
     r = opcore.as_matrix(getattr(rho, "matrix", rho))
     if r.shape[0] != nu.dim:
         raise DimMismatch(f"state dim {r.shape[0]} vs measure dim {nu.dim}")
-    cells = np.einsum("ij,kji->k", r, nu.cell_masses).real
-    atoms = np.einsum("ij,kji->k", r, nu.atom_masses).real
-    return InducedMeasure(nu.space, cells, atoms)
+    traces = np.einsum("ij,kji->k", r, nu.masses).real
+    return InducedMeasure(nu.space, traces[: nu.space.n_cells], traces[nu.space.n_cells :])
 
 
 def entry_measure(nu: OVM, i: int, j: int) -> EntryMeasure:
     """The complex scalar measure of matrix entry (i, j)."""
-    if not (0 <= i < nu.dim and 0 <= j < nu.dim):
-        raise InvalidInput(f"entry ({i}, {j}) out of range for dim {nu.dim}")
-    return EntryMeasure(opcore.readonly(nu.cell_masses[:, i, j], np.complex128),
-                        opcore.readonly(nu.atom_masses[:, i, j], np.complex128))
+    i, j = _index(i, nu.dim, "entry row"), _index(j, nu.dim, "entry column")
+    entries = opcore.readonly(nu.masses[:, i, j], np.complex128)
+    return EntryMeasure(entries[: nu.space.n_cells], entries[nu.space.n_cells :])
 
 
 def atoms(nu: OVM) -> list[tuple[float, np.ndarray]]:
-    """Atom sites carrying nonzero mass, as (site, mass matrix) pairs."""
-    norms = nu.atom_norms()
+    """Atom sites carrying non-null mass (OVM.massive), as (site, mass) pairs."""
+    massive = nu.massive[nu.space.n_cells :]
     return [(site, mass)
-            for site, mass, norm in zip(nu.space.atom_sites, nu.atom_masses, norms)
-            if norm > MASS_TOL]
+            for site, mass, live in zip(nu.space.atom_sites, nu.atom_masses, massive) if live]
 
 
 def is_nonatomic(nu: OVM) -> bool:
-    """No massive atom sites, and every cell of nonzero mass is divisible."""
-    if atoms(nu):
-        return False
-    norms = nu.cell_norms()
-    return all(norm <= MASS_TOL or div
-               for norm, div in zip(norms, nu.space.divisible))
+    """No massive atom sites, and every massive cell is divisible."""
+    cells = nu.massive[: nu.space.n_cells]
+    return not atoms(nu) and bool(np.all(np.asarray(nu.space.divisible) | ~cells))
 
 
 @dataclass(frozen=True)
@@ -429,32 +444,25 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     Spectrality is tested on all ordered pairs from ``sample_sets``; a
     True flag is a non-falsification, not a certificate.
     """
-    spectral = True
     tol = 1e-9 * max(1.0, nu.total_norm) * max(1.0, nu.total_norm)
     # No set value exceeds the summed mass norms; a product of two values,
     # less a third, with its adjoint added, stays below 4 reach^2.
-    reach = float(nu.cell_norms().sum() + nu.atom_norms().sum())
+    reach = float(nu.norms.sum())
     if not np.isfinite(4.0 * reach * reach):
         raise InvalidInput(f"masses too large: products of set values near {reach:.3e}^2 "
                            "overflow float64")
     values = [evaluate(nu, e) for e in sample_sets]
-    for e1, v1 in zip(sample_sets, values):
-        for e2, v2 in zip(sample_sets, values):
-            lhs = evaluate(nu, e1.intersection(e2))
-            if opcore.op_norm(lhs - v1 @ v2) > tol:
-                spectral = False
-                break
-        if not spectral:
-            break
+    spectral = all(opcore.op_norm(evaluate(nu, e1.intersection(e2)) - v1 @ v2) <= tol
+                   for e1, v1 in zip(sample_sets, values) for e2, v2 in zip(sample_sets, values))
     probability = opcore.op_norm(nu.total_mass() - np.eye(nu.dim)) <= 1e-12
     return PropertyReport(positive=nu.positive, spectral=spectral, probability=probability)
 
 
-def _mass_magnitudes(obj) -> tuple[SampleSpace, np.ndarray, np.ndarray]:
+def _mass_magnitudes(obj) -> tuple[SampleSpace, np.ndarray]:
     if isinstance(obj, OVM):
-        return obj.space, obj.cell_norms(), obj.atom_norms()
+        return obj.space, obj.norms
     if isinstance(obj, InducedMeasure):
-        return obj.space, np.abs(obj.cells), np.abs(obj.atoms)
+        return obj.space, np.abs(obj.traces)
     raise InvalidInput(f"expected an OVM or InducedMeasure, got {type(obj).__name__}")
 
 
@@ -465,13 +473,11 @@ def abs_continuous(nu1, nu2) -> bool:
     suffices for nonnegative cellwise measures.  Either argument may be
     an OVM or an induced measure over the same space.
     """
-    s1, c1, a1 = _mass_magnitudes(nu1)
-    s2, c2, a2 = _mass_magnitudes(nu2)
+    s1, norms1 = _mass_magnitudes(nu1)
+    s2, norms2 = _mass_magnitudes(nu2)
     if s1 != s2:
         raise SpaceMismatch("measures live over different sample spaces")
-    cell_ok = np.all(c1[c2 <= MASS_TOL] <= MASS_TOL)
-    atom_ok = np.all(a1[a2 <= MASS_TOL] <= MASS_TOL)
-    return bool(cell_ok and atom_ok)
+    return bool(np.all(norms1[norms2 <= MASS_TOL] <= MASS_TOL))
 
 
 def direct_sum(*ovms: OVM) -> OVM:
@@ -486,13 +492,11 @@ def direct_sum(*ovms: OVM) -> OVM:
     dims = [o.dim for o in ovms]
     d = sum(dims)
     offsets = np.cumsum([0] + dims)
-    cm = _zero_masses(space.n_cells, d)
-    am = _zero_masses(space.n_atoms, d)
+    masses = _zero_masses(space.n_cells + space.n_atoms, d)
     for o, lo in zip(ovms, offsets):
-        hi = lo + o.dim
-        cm[:, lo:hi, lo:hi] = o.cell_masses
-        am[:, lo:hi, lo:hi] = o.atom_masses
-    return OVM(space, d, cm, am, "direct_sum", components=tuple(ovms))
+        masses[:, lo : lo + o.dim, lo : lo + o.dim] = o.masses
+    m = space.n_cells
+    return OVM(space, d, masses[:m], masses[m:], "direct_sum", components=tuple(ovms))
 
 
 def space_to_json(space: SampleSpace) -> dict:

@@ -34,7 +34,9 @@ DEDUP_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class QuantumRandomVariable:
-    """Matrix-valued step function: one value per cell plus atom values."""
+    """Matrix-valued step function: one read-only (m + n, d, d) stack
+    ``values``, the cell values then the atom values, validated once;
+    ``cell_values`` and ``atom_values`` are views of it."""
 
     space: SampleSpace
     dim: int
@@ -42,38 +44,37 @@ class QuantumRandomVariable:
     atom_values: np.ndarray
     self_adjoint: bool = field(default=False)
     positive: bool = field(default=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = int(self.dim)
-        cv = opcore.readonly(self.cell_values, np.complex128)
-        av = opcore.readonly(self.atom_values, np.complex128)
-        if cv.shape != (self.space.n_cells, d, d):
-            raise ShapeMismatch(f"cell values must have shape {(self.space.n_cells, d, d)}")
-        if av.shape != (self.space.n_atoms, d, d):
-            raise ShapeMismatch(f"atom values must have shape {(self.space.n_atoms, d, d)}")
-        herm = bool(opcore.hermitian_flags(cv).all() and opcore.hermitian_flags(av).all())
-        pos = bool(herm and opcore.psd_flags(cv).all() and opcore.psd_flags(av).all())
-        object.__setattr__(self, "cell_values", cv)
-        object.__setattr__(self, "atom_values", av)
+        d = opcore.as_int(self.dim, "dimension", low=1)
+        m, n = self.space.n_cells, self.space.n_atoms
+        cv = np.asarray(self.cell_values, dtype=np.complex128)
+        av = np.asarray(self.atom_values, dtype=np.complex128)
+        if cv.shape != (m, d, d):
+            raise ShapeMismatch(f"cell values must have shape {(m, d, d)}")
+        if av.shape != (n, d, d):
+            raise ShapeMismatch(f"atom values must have shape {(n, d, d)}")
+        values = np.concatenate([cv, av])
+        values.setflags(write=False)
+        herm = bool(opcore.hermitian_flags(values).all())
+        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "cell_values", values[:m])
+        object.__setattr__(self, "atom_values", values[m:])
         object.__setattr__(self, "self_adjoint", herm)
-        object.__setattr__(self, "positive", pos)
+        object.__setattr__(self, "positive", bool(herm and opcore.psd_flags(values).all()))
 
     def __add__(self, other):
         _check_same(self, other)
-        return QuantumRandomVariable(self.space, self.dim,
-                                     self.cell_values + other.cell_values,
-                                     self.atom_values + other.atom_values)
+        return _step(self.space, self.dim, self.values + other.values)
 
     def __sub__(self, other):
         _check_same(self, other)
-        return QuantumRandomVariable(self.space, self.dim,
-                                     self.cell_values - other.cell_values,
-                                     self.atom_values - other.atom_values)
+        return _step(self.space, self.dim, self.values - other.values)
 
     def __rmul__(self, scalar):
-        return QuantumRandomVariable(self.space, self.dim,
-                                     scalar * self.cell_values,
-                                     scalar * self.atom_values)
+        return _step(self.space, self.dim, scalar * self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,32 +95,31 @@ def _check_same(f: QuantumRandomVariable, g: QuantumRandomVariable):
         raise ShapeMismatch("step functions live on different layouts")
 
 
+def _step(space: SampleSpace, dim: int, values: np.ndarray) -> QuantumRandomVariable:
+    """The step function with the m + n stack ``values``, cells first."""
+    return QuantumRandomVariable(space, dim, values[: space.n_cells], values[space.n_cells :])
+
+
 def qrv(space: SampleSpace, cell_values, atom_values=None, dim=None) -> QuantumRandomVariable:
     cv = np.asarray(cell_values, dtype=np.complex128)
-    d = dim if dim is not None else cv.shape[-1]
+    d = opcore.as_int(cv.shape[-1] if dim is None else dim, "dimension", low=1)
     if atom_values is None:
         atom_values = np.zeros((space.n_atoms, d, d), dtype=np.complex128)
-    return QuantumRandomVariable(space, d, cv, np.asarray(atom_values, dtype=np.complex128))
+    return QuantumRandomVariable(space, d, cv, atom_values)
 
 
 def indicator(space: SampleSpace, dim: int, e: MeasurableSet) -> QuantumRandomVariable:
     """chi_E * I: the identity on E, zero elsewhere."""
-    if len(e.cell_mask) != space.n_cells or len(e.atom_mask) != space.n_atoms:
-        raise ShapeMismatch("set masks do not match the sample space")
-    eye = np.eye(dim, dtype=np.complex128)
-    cv = np.zeros((space.n_cells, dim, dim), dtype=np.complex128)
-    av = np.zeros((space.n_atoms, dim, dim), dtype=np.complex128)
-    cv[e.cells()] = eye
-    av[e.atoms()] = eye
-    return QuantumRandomVariable(space, dim, cv, av)
+    dim = opcore.as_int(dim, "dimension", low=1)
+    values = np.zeros((space.n_cells + space.n_atoms, dim, dim), dtype=np.complex128)
+    values[space.selector(e)] = np.eye(dim)
+    return _step(space, dim, values)
 
 
 def from_fractional(space: SampleSpace, dim: int, h: FractionalSet) -> QuantumRandomVariable:
     """An element h of the fractional cube lifted to the step function h_k * I."""
-    eye = np.eye(dim, dtype=np.complex128)
-    return QuantumRandomVariable(space, dim,
-                                 h.fractions()[:, None, None] * eye,
-                                 h.atoms()[:, None, None] * eye)
+    dim = opcore.as_int(dim, "dimension", low=1)
+    return _step(space, dim, space.selector(h)[:, None, None] * np.eye(dim, dtype=np.complex128))
 
 
 def _split_psd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,10 +135,8 @@ def pos_neg_parts(f: QuantumRandomVariable):
     """f = f_plus - f_minus with both parts PSD and f_plus f_minus = 0 cellwise."""
     if not f.self_adjoint:
         raise NotSelfAdjoint("positive/negative parts need a self-adjoint step function")
-    cp, cm = _split_psd(f.cell_values)
-    ap, am = _split_psd(f.atom_values)
-    return (QuantumRandomVariable(f.space, f.dim, cp, ap),
-            QuantumRandomVariable(f.space, f.dim, cm, am))
+    plus, minus = _split_psd(f.values)
+    return _step(f.space, f.dim, plus), _step(f.space, f.dim, minus)
 
 
 def real_imag_parts(f: QuantumRandomVariable):
@@ -149,8 +147,7 @@ def real_imag_parts(f: QuantumRandomVariable):
     def skew(stack):
         return (stack - stack.conj().transpose(0, 2, 1)) / (2j)
 
-    return (QuantumRandomVariable(f.space, f.dim, herm(f.cell_values), herm(f.atom_values)),
-            QuantumRandomVariable(f.space, f.dim, skew(f.cell_values), skew(f.atom_values)))
+    return _step(f.space, f.dim, herm(f.values)), _step(f.space, f.dim, skew(f.values))
 
 
 def integrate(nu: OVM, f: QuantumRandomVariable) -> np.ndarray:
@@ -167,10 +164,9 @@ def integrate(nu: OVM, f: QuantumRandomVariable) -> np.ndarray:
         raise DimMismatch(f"value dim {f.dim} vs measure dim {nu.dim}")
     if not nu.positive:
         raise Unsupported("integration is defined against positive OVMs")
+    roots = opcore.psd_roots(nu.masses)
     out = np.zeros((nu.dim, nu.dim), dtype=np.complex128)
-    for masses, values in ((nu.cell_masses, f.cell_values), (nu.atom_masses, f.atom_values)):
-        roots = opcore.psd_roots(masses)
-        out += np.add.reduce(roots @ values @ roots, axis=0)
+    out += np.add.reduce(roots @ f.values @ roots, axis=0)  # into zeros: no entry reads -0.0
     if f.self_adjoint:
         out = (out + out.conj().T) / 2
     return out
@@ -187,21 +183,13 @@ def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunctio
     if s_mat.shape[0] != nu.dim:
         raise DimMismatch(f"state dim {s_mat.shape[0]} vs measure dim {nu.dim}")
     dens = rn_derivative(nu, rho)
-
-    def values(density_slots, step_values):
-        out = np.zeros(len(density_slots), dtype=np.complex128)
-        defined = [k for k, r in enumerate(density_slots) if r is not None]
-        if defined:
-            roots = opcore.psd_roots(np.stack([density_slots[k] for k in defined]))
-            conj = roots @ step_values[defined] @ roots
-            out[defined] = np.einsum("ij,kji->k", s_mat, conj)
-        return out
-
-    return ScalarStepFunction(
-        nu.space,
-        values(dens.cells, f.cell_values),
-        values(dens.atoms, f.atom_values),
-    )
+    slots = dens.cells + dens.atoms
+    out = np.zeros(len(slots), dtype=np.complex128)
+    defined = [k for k, r in enumerate(slots) if r is not None]
+    if defined:
+        roots = opcore.psd_roots(np.stack([slots[k] for k in defined]))
+        out[defined] = np.einsum("ij,kji->k", s_mat, roots @ f.values[defined] @ roots)
+    return ScalarStepFunction(nu.space, out[: nu.space.n_cells], out[nu.space.n_cells :])
 
 
 def _value_norms(stack: np.ndarray) -> np.ndarray:
@@ -212,9 +200,8 @@ def ess_support(f: QuantumRandomVariable, nu: OVM) -> MeasurableSet:
     """Cells and atoms where f is nonzero modulo nu-null sets."""
     if f.space != nu.space:
         raise ShapeMismatch("step function and measure live on different spaces")
-    cell_live = (_value_norms(f.cell_values) > MASS_TOL) & (nu.cell_norms() > MASS_TOL)
-    atom_live = (_value_norms(f.atom_values) > MASS_TOL) & (nu.atom_norms() > MASS_TOL)
-    return MeasurableSet(tuple(bool(x) for x in cell_live), tuple(bool(x) for x in atom_live))
+    live = ((_value_norms(f.values) > MASS_TOL) & (nu.norms > MASS_TOL)).tolist()
+    return MeasurableSet(tuple(live[: nu.space.n_cells]), tuple(live[nu.space.n_cells :]))
 
 
 def ess_range(f: QuantumRandomVariable, nu: OVM) -> list[np.ndarray]:
@@ -227,10 +214,7 @@ def ess_range(f: QuantumRandomVariable, nu: OVM) -> list[np.ndarray]:
     """
     if f.space != nu.space:
         raise ShapeMismatch("step function and measure live on different spaces")
-    live = np.concatenate([
-        f.cell_values[nu.cell_norms() > MASS_TOL],
-        f.atom_values[nu.atom_norms() > MASS_TOL],
-    ])
+    live = f.values[nu.norms > MASS_TOL]
     kept: list[int] = []
     for i, value in enumerate(live):
         if not kept or _value_norms(value - live[kept]).min() > DEDUP_TOL:
@@ -246,10 +230,7 @@ def ess_sup(f: QuantumRandomVariable, nu: OVM) -> float:
     """
     values = ess_range(f, nu)
     by_range = max((opcore.op_norm(v) for v in values), default=0.0)
-    live_norms = np.concatenate([
-        _value_norms(f.cell_values)[nu.cell_norms() > MASS_TOL],
-        _value_norms(f.atom_values)[nu.atom_norms() > MASS_TOL],
-    ])
+    live_norms = _value_norms(f.values)[nu.norms > MASS_TOL]
     by_threshold = float(live_norms.max()) if live_norms.size else 0.0
     if abs(by_range - by_threshold) > 1e-10 * max(1.0, by_threshold):
         raise NumericalFailure("essential supremum formulations disagree")

@@ -40,12 +40,9 @@ def _reference(nu: OVM, rho) -> tuple[InducedMeasure, tuple[tuple[str, int], ...
     if not nu.positive:
         raise NotPositive("derivative is defined for positive OVMs")
     ind = induced_measure(nu, rho)
-    failures = tuple(
-        (kind, int(k))
-        for kind, norms, traces in (("cell", nu.cell_norms(), ind.cells),
-                                    ("atom", nu.atom_norms(), ind.atoms))
-        for k in np.flatnonzero((norms > MASS_TOL) & (traces <= opcore.RANK_TOL * norms)))
-    return ind, failures
+    m = nu.space.n_cells
+    blocked = np.flatnonzero((nu.norms > MASS_TOL) & (ind.traces <= opcore.RANK_TOL * nu.norms))
+    return ind, tuple(("cell", int(k)) if k < m else ("atom", int(k - m)) for k in blocked)
 
 
 def rn_exists(nu: OVM, rho) -> tuple[bool, tuple[tuple[str, int], ...]]:
@@ -69,19 +66,12 @@ def rn_derivative(nu: OVM, rho) -> StepDensity:
     ind, failures = _reference(nu, rho)
     if failures:
         raise DerivativeDoesNotExist(failures)
-
-    def density(masses, norms, traces):
-        defined = (traces > MASS_TOL) | (norms > MASS_TOL)
-        rs = iter(opcore.readonly(masses[defined] / traces[defined, None, None], np.complex128))
-        return tuple(next(rs) if k else None for k in defined)
-
-    return StepDensity(
-        space=nu.space,
-        dim=nu.dim,
-        cells=density(nu.cell_masses, nu.cell_norms(), ind.cells),
-        atoms=density(nu.atom_masses, nu.atom_norms(), ind.atoms),
-        reference=ind,
-    )
+    defined = (ind.traces > MASS_TOL) | (nu.norms > MASS_TOL)
+    rs = iter(opcore.readonly(nu.masses[defined] / ind.traces[defined, None, None], np.complex128))
+    slots = tuple(next(rs) if k else None for k in defined)
+    m = nu.space.n_cells
+    return StepDensity(space=nu.space, dim=nu.dim, cells=slots[:m], atoms=slots[m:],
+                       reference=ind)
 
 
 def rn_consistency(nu: OVM, rho, sets: list[MeasurableSet]) -> float:
@@ -91,16 +81,14 @@ def rn_consistency(nu: OVM, rho, sets: list[MeasurableSet]) -> float:
     DerivativeDoesNotExist.
     """
     dens = rn_derivative(nu, rho)
-    ind = dens.reference
+    slots = dens.cells + dens.atoms
+    traces = dens.reference.traces
     worst = 0.0
     for e in sets:
         lhs = evaluate(nu, e)
         rhs = np.zeros_like(lhs)
-        for k in np.flatnonzero(e.cells()):
-            if dens.cells[k] is not None:
-                rhs += dens.cells[k] * ind.cells[k]
-        for k in np.flatnonzero(e.atoms()):
-            if dens.atoms[k] is not None:
-                rhs += dens.atoms[k] * ind.atoms[k]
+        for k in np.flatnonzero(nu.space.selector(e)):
+            if slots[k] is not None:
+                rhs += slots[k] * traces[k]
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst

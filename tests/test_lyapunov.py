@@ -288,17 +288,18 @@ FAMILIES = {
 
 
 def assert_contract(nu, h):
-    """purify's contract: the value of h, zero-mass cells dropped, kept
-    within 1e-12 * max(1, ||nu(X)||); at most rank fractional cells and no
-    kernel (svd_kernel) on the divisible ones; no more steps than
-    fractional input cells; the same output bit for bit on a second run."""
+    """purify's contract: the value of h, null cells (norm at most 1e-12 *
+    ||nu(X)||) dropped, kept within 1e-12 * max(1, ||nu(X)||); at most rank
+    fractional cells and no kernel (svd_kernel) on the divisible ones; no
+    more steps than fractional input cells; the same output bit for bit on
+    a second run."""
     got = purify(nu, h)
     again = purify(nu, h)
     assert again.h_final.cell_fractions == got.h_final.cell_fractions
     assert again.iterations == got.iterations
     fr = h.fractions()
     norms = np.linalg.norm(nu.cell_masses, ord=2, axis=(1, 2))
-    kept = FractionalSet(tuple(np.where(norms <= 1e-12, 0.0, fr)), h.atom_mask)
+    kept = FractionalSet(tuple(np.where(norms <= 1e-12 * nu.total_norm, 0.0, fr)), h.atom_mask)
     drift = evaluate_fractional(nu, got.h_final) - evaluate_fractional(nu, kept)
     assert opcore.op_norm(drift) <= 1e-12 * max(1.0, nu.total_norm)
     frac = np.array(got.fractional_indices, dtype=int)
@@ -361,6 +362,18 @@ class TestCrossoverContract:
         assert calls["exchange"] > 2 * lyapunov.REFACTOR_EVERY
         assert calls["refactor"] == calls["exchange"] // lyapunov.REFACTOR_EVERY + 1
         assert_contract(nu, h)
+
+    def test_small_masses_are_not_null(self):
+        # A POVM scaled by 1e-8: six cells fall below the absolute 1e-12 of
+        # ovm.MASS_TOL, yet each carries at least 5e-5 of ||nu(X)||, so none is
+        # null and purify must keep the value of h.
+        rng = rng_from_seed(137)
+        nu = random_povm(1, 277, rng)
+        nu = grid_ovm(nu.space, nu.cell_masses * 1e-8)
+        h = FractionalSet(tuple(rng.random(277)))
+        got = assert_contract(nu, h)
+        drift = evaluate_fractional(nu, got.h_final) - evaluate_fractional(nu, h)
+        assert opcore.op_norm(drift) <= 1e-12 * nu.total_norm
 
     def test_indivisible_cells_obstruct(self):
         # Equal masses: the divisible cells purify down to one fractional
@@ -656,6 +669,16 @@ class TestBruteForce:
         values = sorted(float(v[0, 0].real) for _, v in brute_force_range(nu))
         assert values == [0.0, 0.0, 1.0, 1.0]  # cell carries nothing
         assert set(values) == {0.0, 1.0}
+
+    def test_sets_match_values_across_cells_and_atoms(self):
+        # Dyadic masses on two cells and two atoms: every one of the 16
+        # sets is listed once, and its value is exactly its measure.
+        space = SampleSpace.uniform(2, atom_sites=(0.25, 0.75))
+        masses = np.array([1.0, 2.0, 4.0, 8.0]).reshape(4, 1, 1) / 16
+        nu = grid_ovm(space, masses[:2], atom_masses=masses[2:])
+        pairs = brute_force_range(nu)
+        assert len({(e.cell_mask, e.atom_mask) for e, _ in pairs}) == 16
+        assert all(np.array_equal(v, evaluate(nu, e)) for e, v in pairs)
 
     def test_quarter_masses_subset_sums(self):
         nu = scalar_grid([0.25, 0.25, 0.25, 0.25])

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ovmkit import errors, opcore, ovm
+from ovmkit import demos, errors, opcore, ovm
 from ovmkit.models import (
     harmonic_diag_model,
     lebesgue_identity,
@@ -17,6 +17,7 @@ from ovmkit.models import (
     uhl_model,
 )
 from ovmkit.lyapunov import kernel_witness
+from ovmkit.qintegrate import QuantumRandomVariable, indicator, qrv
 from ovmkit.ovm import (
     FractionalSet,
     MeasurableSet,
@@ -82,6 +83,49 @@ def test_integer_arguments_checked_not_coerced(call):
     # a truncated index, dimension or count.
     call(np.int64(2))
     for bad in (0.5, 1.5, 2.5, True):
+        with pytest.raises(errors.InvalidInput):
+            call(bad)
+
+
+def _matrix_json(d):
+    return {"dim": d, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+# name: (call, an accepted value, rejected values)
+TYPED_INPUTS = {
+    "QuantumRandomVariable dim": (
+        lambda d: QuantumRandomVariable(SampleSpace.uniform(2), d, np.zeros((2, 2, 2)),
+                                        np.zeros((0, 2, 2))),
+        np.int64(2), ("2", 2.7, 2.0, True)),
+    "qrv dim": (lambda d: qrv(SampleSpace.uniform(2), np.zeros((2, 2, 2)), dim=d),
+                2, (2.0, "2", True)),
+    "indicator dim": (lambda d: indicator(SampleSpace.uniform(2), d, MeasurableSet((True, False))),
+                      2, (2.0, "2", True)),
+    "matrix JSON dim": (lambda d: opcore.matrix_from_json(_matrix_json(d)),
+                        2, (2.5, True, "2", 2.0)),
+    "FractionalSet fraction": (lambda x: FractionalSet((0.25, x)),
+                               np.float64(0.5), ("0.5", True, np.bool_(True), None)),
+    "entry_measure row": (lambda i: entry_measure(lebesgue_identity(3, 2), i, 0),
+                          np.int64(1), (0.5, True, -1, 2)),
+    "cell_bounds index": (lambda k: SampleSpace.uniform(3).cell_bounds(k),
+                          2, (7, 3, -1, 1.0, True)),
+    "uhl_demo cells": (demos.uhl_demo, 3, (2.9, "3", True)),
+    "paper_example_13 levels": (demos.paper_example_13, 3, ("3", 3.0)),
+    "singular_demo measures": (lambda n: demos.singular_demo(n, [0.5, 0.5]),
+                               2, (2.9, "2", True)),
+    "classical_demo trials": (lambda t: demos.classical_demo(2, 16, t, 0),
+                              1, (2.5, "1", True, -1)),
+    "rng_from_seed seed": (rng_from_seed, 3, (2.5, "3", True, -1)),
+}
+
+
+@pytest.mark.parametrize("call, good, bads", TYPED_INPUTS.values(), ids=TYPED_INPUTS.keys())
+def test_typed_inputs_checked_not_coerced(call, good, bads):
+    # An integer or real input of the wrong type, or an index out of range,
+    # is an InvalidInput: never a raw TypeError or IndexError, a truncated
+    # value, a parsed string or a negative index counted from the end.
+    call(good)
+    for bad in bads:
         with pytest.raises(errors.InvalidInput):
             call(bad)
 
@@ -215,6 +259,12 @@ class TestEvaluateFractional:
 
 
 class TestInducedMeasure:
+    def test_traces_must_match_the_space(self):
+        # Three cells and no atoms: two cell traces and one atom trace do
+        # not fit, though their count does.
+        with pytest.raises(errors.ShapeMismatch):
+            ovm.InducedMeasure(SampleSpace.uniform(3), [0.5, 0.25], [0.25])
+
     def test_probability_total(self):
         nu = random_povm(3, 12, RNG)
         rho = random_state(3, RNG)
@@ -315,6 +365,13 @@ class TestAtoms:
         # cells, so it is not nonatomic even with empty atom list.
         nu = uhl_model(6)
         assert atoms(nu) == []
+        assert not is_nonatomic(nu)
+
+    def test_null_rule_relative_to_total_mass(self):
+        # All of nu(X) = 1e-14 sits on one atom: below the absolute MASS_TOL,
+        # but not null relative to ||nu(X)||.
+        nu = single_atom_measure(1e-14)
+        assert [site for site, _ in atoms(nu)] == [0.5]
         assert not is_nonatomic(nu)
 
     def test_zero_mass_atom_ignored(self):
@@ -483,3 +540,20 @@ class TestCachedValues:
         for name in ("cell_coords", "total_norm"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(nu, name, 0.0)
+
+    def test_one_item_stack(self):
+        # Cells first, then atoms, in one read-only stack; the per-item
+        # views and cached values all index into it.
+        space = SampleSpace.uniform(2, atom_sites=(0.25, 0.5, 0.75))
+        masses = np.array([0.25, 0.125, 0.5, 0.0, 0.125]).reshape(5, 1, 1)
+        nu = grid_ovm(space, masses[:2], atom_masses=masses[2:])
+        assert nu.masses.shape == (5, 1, 1) and not nu.masses.flags.writeable
+        assert np.shares_memory(nu.cell_masses, nu.masses)
+        assert np.shares_memory(nu.atom_masses, nu.masses)
+        assert nu.norms.tolist() == [0.25, 0.125, 0.5, 0.0, 0.125]
+        assert nu.atom_norms().tolist() == [0.5, 0.0, 0.125]
+        assert nu.massive.tolist() == [True, True, True, False, True]
+        assert nu.coords[:, 0].tolist() == [0.25, 0.125, 0.5, 0.0, 0.125]
+        assert nu.cell_coords[:, 0].tolist() == [0.25, 0.125]
+        assert [site for site, _ in atoms(nu)] == [0.25, 0.75]
+        assert evaluate(nu, MeasurableSet((False, True), (False, True, True)))[0, 0] == 0.25

@@ -432,28 +432,41 @@ class TestEssEqual:
 
 
 class TestAtomHandling:
+    # Three cells, then two massive atoms with a null one between them;
+    # each item has its own mass and value, so an item read across the
+    # cell/atom split changes every result below.
+    ATOMS = [np.diag([0.1, 0.3]), np.zeros((2, 2)), np.diag([0.3, 0.4])]
+
     def mixed_measure(self):
-        space = SampleSpace.uniform(3, atom_sites=(0.25, 0.75))
-        cells = np.full((3, 2, 2), 0.0, dtype=complex)
-        for k in range(3):
-            cells[k] = np.diag([0.2, 0.1])
-        atoms = np.stack([np.diag([0.2, 0.35]), np.diag([0.2, 0.35])]).astype(complex)
-        return grid_ovm(space, cells, atom_masses=atoms)
+        space = SampleSpace.uniform(3, atom_sites=(0.25, 0.5, 0.75))
+        cells = np.stack([np.diag([0.1, 0.05]), np.diag([0.2, 0.1]), np.diag([0.3, 0.15])])
+        return grid_ovm(space, cells.astype(complex), atom_masses=np.stack(self.ATOMS))
+
+    def atom_step(self, nu):
+        """Zero on the cells; I, 5I and 3I on the atoms."""
+        return qrv(nu.space, np.zeros((3, 2, 2), dtype=complex),
+                   np.stack([np.eye(2), 5 * np.eye(2), 3 * np.eye(2)]).astype(complex))
 
     def test_integrate_includes_atoms(self):
         nu = self.mixed_measure()
-        e = MeasurableSet((True, False, False), (True, False))
-        out = integrate(nu, indicator(nu.space, 2, e))
-        assert opcore.op_norm(out - evaluate(nu, e)) <= 1e-13
+        assert np.allclose(nu.total_mass(), np.eye(2), atol=1e-15)
+        for atom_bits in [(True, False, False), (False, True, True), (True, True, True)]:
+            e = MeasurableSet((True, False, False), atom_bits)
+            expected = np.diag([0.1, 0.05]) + sum(a for a, x in zip(self.ATOMS, atom_bits) if x)
+            assert opcore.op_norm(evaluate(nu, e) - expected) <= 1e-15
+            out = integrate(nu, indicator(nu.space, 2, e))
+            assert opcore.op_norm(out - expected) <= 1e-13
+        out = integrate(nu, self.atom_step(nu))
+        assert opcore.op_norm(out - self.ATOMS[0] - 3 * self.ATOMS[2]) <= 1e-13
 
     def test_ess_range_sees_atom_values(self):
+        # 5I sits on the null atom only, so it is not essential.
         nu = self.mixed_measure()
-        f = qrv(nu.space,
-                np.zeros((3, 2, 2), dtype=complex),
-                np.stack([np.eye(2), 3 * np.eye(2)]).astype(complex))
+        f = self.atom_step(nu)
         values = ess_range(f, nu)
         assert same_value_set(values, [np.zeros((2, 2)), np.eye(2), 3 * np.eye(2)])
         assert ess_sup(f, nu) == pytest.approx(3.0)
+        assert ess_support(f, nu) == MeasurableSet((False,) * 3, (True, False, True))
 
     def test_integrand_fs_atom_identity(self):
         nu = self.mixed_measure()
@@ -462,6 +475,8 @@ class TestAtomHandling:
         f = random_step(nu.space, 2, RNG)
         ind = induced_measure(nu, rho)
         fs = integrand_fs(f, s, nu, rho)
+        assert fs.cells.shape == (3,) and fs.atoms.shape == (3,)
+        assert fs.atoms[1] == 0.0 and np.all(fs.atoms[[0, 2]] != 0.0)
         lhs = opcore.trace_pair(s.matrix, integrate(nu, f))
         rhs = np.dot(fs.cells, ind.cells) + np.dot(fs.atoms, ind.atoms)
         assert abs(lhs - rhs) <= 1e-10

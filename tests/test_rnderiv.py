@@ -74,12 +74,26 @@ class TestDerivative:
 
 class TestAtomDensity:
     def test_atom_normalization(self):
-        space = SampleSpace.uniform(2, atom_sites=(0.5,))
-        cells = np.full((2, 1, 1), 0.25, dtype=complex)
-        nu = grid_ovm(space, cells, atom_masses=np.array([[[0.5]]], dtype=complex))
-        dens = rn_derivative(nu, np.eye(1))
-        assert dens.atoms[0][0, 0].real == pytest.approx(1.0)
-        assert dens.reference.atoms[0] == pytest.approx(0.5)
+        # Two cells, then two massive atoms around a null one: each defined
+        # density has tr(rho R) = 1, and only the null atom is undefined.
+        space = SampleSpace.uniform(2, atom_sites=(0.25, 0.5, 0.75))
+        masses = np.zeros((5, 2, 2), dtype=complex)
+        masses[:, 0, 0] = [0.125, 0.25, 0.375, 0.0, 0.25]
+        masses[:, 1, 1] = [0.25, 0.125, 0.5, 0.0, 0.125]
+        nu = grid_ovm(space, masses[:2], atom_masses=masses[2:])
+        rho = np.diag([0.75, 0.25])
+        dens = rn_derivative(nu, rho)
+        traces = masses[:, 0, 0].real * 0.75 + masses[:, 1, 1].real * 0.25
+        assert dens.reference.cells.tolist() == pytest.approx(traces[:2])
+        assert dens.reference.atoms.tolist() == pytest.approx(traces[2:])
+        slots = dens.cells + dens.atoms
+        assert len(dens.cells) == 2 and len(dens.atoms) == 3 and dens.atoms[1] is None
+        for k in (0, 1, 2, 4):
+            assert np.allclose(slots[k], masses[k] / traces[k], atol=1e-15)
+            assert opcore.trace_pair(rho, slots[k]).real == pytest.approx(1.0)
+        sets = [MeasurableSet((x, not x), (True, y, not y))
+                for x in (False, True) for y in (False, True)]
+        assert rn_consistency(nu, rho, sets) <= 1e-15
 
     def test_orthogonal_atom_listed(self):
         space = SampleSpace.uniform(1, atom_sites=(0.5,))
