@@ -4,12 +4,13 @@ JSON-ready results object and named pass/fail checks with their limits."""
 from __future__ import annotations
 
 from dataclasses import asdict
+from itertools import combinations
 
 import numpy as np
 
 from . import models, opcore
 from .errors import AtomicObstruction, InvalidInput, SpaceMismatch, TargetNotInHull
-from .lyapunov import attain_to_json, joint_attain, kernel_witness
+from .lyapunov import _kernel, attain_to_json, joint_attain
 from .ovm import MeasurableSet, check_ovm_properties, induced_measure
 from .rnderiv import rn_consistency, rn_derivative
 
@@ -97,21 +98,23 @@ def uhl_demo(cells: int):
         raise InvalidInput("cells must lie in [2, 20]")
     nu = models.uhl_model(m)
 
-    if m <= 12:
-        supports = [
-            [k for k in range(m) if idx >> k & 1]
-            for idx in range(1, 1 << m)
-        ]
-    else:
-        supports = [[k] for k in range(m)]
-        supports += [[i, j] for i in range(m) for j in range(i + 1, m)]
-        supports.append(list(range(m)))
+    # Every size up to m = 12, else sizes 1, 2 and m and 200 seeded masks.
+    # Supports of one size share a shape, so they are tested in stacks of
+    # 32, one SVD per stack: a stack per size would take megabytes more.
+    sizes = range(1, m + 1) if m <= 12 else (1, 2, m)
+    by_size = {s: list(combinations(range(m), s)) for s in sizes}
+    if m > 12:
         rng = models.rng_from_seed(0)
         for _ in range(200):
             mask = rng.integers(0, 2, m).astype(bool)
             if mask.any():
-                supports.append(list(np.flatnonzero(mask)))
-    witnesses = sum(kernel_witness(nu, support) is not None for support in supports)
+                by_size.setdefault(int(mask.sum()), []).append(tuple(np.flatnonzero(mask)))
+    supports_tested = witnesses = 0
+    for group in by_size.values():
+        group = np.array(group)
+        supports_tested += len(group)
+        for start in range(0, len(group), 32):
+            witnesses += sum(c is not None for c in _kernel(nu, group[start:start + 32]))
 
     # The model is diagonal, so ||nu(E) - nu(X)/2|| is the largest entry
     # of |diag nu(E) - diag nu(X)/2|; enumerate the 2^m sets E in chunks.
@@ -132,7 +135,7 @@ def uhl_demo(cells: int):
 
     results = {
         "cells": m,
-        "supports_tested": len(supports),
+        "supports_tested": supports_tested,
         "kernel_witnesses_found": witnesses,
         "min_distance_to_half_total": min_distance,
         "properties": asdict(props),
@@ -180,17 +183,19 @@ def singular_demo(measures: int, lambdas, cells_per_block: int = 4,
 def classical_demo(measures, cells: int = 64, trials: int = 1, seed: int = 0,
                    targets=None, tol: float = 1e-9):
     """Classical Lyapunov attainment on scalar measures: ``measures`` seeded
-    random ones on ``cells`` cells, or the given list of OVMs; returns
+    random ones on ``cells`` cells, or the given list or tuple of OVMs; returns
     (results, checks)."""
     rng = models.rng_from_seed(seed)
-    if isinstance(measures, int):
-        mus = models.overlapping_measures(measures, cells, rng)
-    else:
+    if isinstance(measures, (list, tuple)):
         mus = list(measures)
+        if not mus:
+            raise InvalidInput("need at least one measure")
         if any(mu.dim != 1 for mu in mus):
             raise InvalidInput("classical measures must have dimension 1")
         if any(mu.space != mus[0].space for mu in mus):
             raise SpaceMismatch("classical measures must share one sample space")
+    else:
+        mus = models.overlapping_measures(opcore.as_int(measures, "measures", low=1), cells, rng)
     n = len(mus)
     m = mus[0].space.n_cells
     totals = [float(mu.total_mass()[0, 0].real) for mu in mus]

@@ -79,7 +79,8 @@ class QuantumRandomVariable:
 
 @dataclass(frozen=True, eq=False)
 class ScalarStepFunction:
-    """Complex-valued step function on the same cell layout."""
+    """Complex-valued step function on the same cell layout: one value per
+    cell and one per atom of ``space``."""
 
     space: SampleSpace
     cells: np.ndarray
@@ -88,6 +89,8 @@ class ScalarStepFunction:
     def __post_init__(self):
         object.__setattr__(self, "cells", opcore.readonly(self.cells, np.complex128))
         object.__setattr__(self, "atoms", opcore.readonly(self.atoms, np.complex128))
+        if (self.cells.shape, self.atoms.shape) != ((self.space.n_cells,), (self.space.n_atoms,)):
+            raise ShapeMismatch("cell and atom values do not match the sample space")
 
 
 def _check_same(f: QuantumRandomVariable, g: QuantumRandomVariable):

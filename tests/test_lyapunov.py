@@ -122,6 +122,16 @@ class TestKernelWitness:
             assert rational_nullspace_dim(cols) == 0
             assert kernel_witness(nu, support) is None
 
+    def test_uhl_demo_sampled_supports(self):
+        # Above 12 cells: the singletons, the pairs, the full support and
+        # the nonempty masks of 200 seeded draws, grouped by size.
+        rng = rng_from_seed(0)
+        drawn = sum(bool(rng.integers(0, 2, 13).any()) for _ in range(200))
+        results, checks = uhl_demo(13)
+        assert results["supports_tested"] == 13 + 78 + 1 + drawn
+        assert results["kernel_witnesses_found"] == 0
+        assert checks[0]["passed"]
+
     def test_sign_convention(self):
         nu = scalar_grid([0.5, 0.25, 0.25])
         w = kernel_witness(nu, [0, 1, 2])
@@ -211,13 +221,18 @@ def svd_null_direction(cols):
     return -c if c[lead] < 0 else c
 
 
+def lone(cols):
+    """_null_direction on one (D, n) matrix: a stack of one."""
+    return _null_direction(cols[None])[0]
+
+
 class TestNullDirectionEquivalence:
     def test_gram_branch_matches_svd_reference(self):
         rng = rng_from_seed(4242)
         for big_d in (1, 4, 9, 16):
             for n in sorted({big_d + 1, 2 * big_d + 3, 97, 400, 2000}):
                 cols = rng.standard_normal((big_d, n)) * rng.uniform(0.1, 10.0, n)
-                got = _null_direction(cols)
+                got = lone(cols)
                 want = svd_null_direction(cols)
                 assert np.abs(got - want).max() <= 1e-10, (big_d, n)
                 assert np.linalg.norm(cols @ got) <= 1e-12 * np.linalg.norm(cols)
@@ -226,7 +241,7 @@ class TestNullDirectionEquivalence:
         for d, m in ((1, 50), (2, 300), (3, 120), (4, 2000)):
             nu = random_povm(d, m, rng_from_seed(50 + d))
             cols = coordinate_matrix(nu, range(m))
-            got = _null_direction(cols)
+            got = lone(cols)
             assert np.abs(got - svd_null_direction(cols)).max() <= 1e-10
 
     def test_rank_deficient_direct_sum_takes_svd(self):
@@ -234,16 +249,39 @@ class TestNullDirectionEquivalence:
         nu = direct_sum(*singular_blocks(3))
         cols = coordinate_matrix(nu, range(nu.space.n_cells))
         assert cols.shape == (9, 12)
-        got = _null_direction(cols)
+        got = lone(cols)
         assert np.array_equal(got, svd_null_direction(cols))
 
     def test_narrow_blocks_take_svd(self):
         rng = rng_from_seed(4343)
         independent = rng.standard_normal((16, 10))
-        assert _null_direction(independent) is None
+        assert lone(independent) is None
         dependent = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 5))
-        got = _null_direction(dependent)
+        got = lone(dependent)
         assert np.array_equal(got, svd_null_direction(dependent))
+
+    def test_batch_matches_lone_calls(self):
+        # One stack of independent matrices, dependent ones of ranks 3 and
+        # 11 and the direct-sum matrix, 3 zero rows padded to 12 x 12: each
+        # output is the lone SVD direction bit for bit, or None.
+        rng = rng_from_seed(4444)
+        nu = direct_sum(*singular_blocks(3))
+        zero_rows = np.vstack([coordinate_matrix(nu, range(12)), np.zeros((3, 12))])
+        stack = np.stack([
+            rng.standard_normal((12, 12)),
+            zero_rows,
+            rng.standard_normal((12, 3)) @ rng.standard_normal((3, 12)),
+            rng.standard_normal((12, 12)) * rng.uniform(0.1, 10.0, 12),
+            rng.standard_normal((12, 11)) @ rng.standard_normal((11, 12)),
+        ])
+        got = _null_direction(stack)
+        assert [c is None for c in got] == [True, False, False, True, False]
+        for cols, c in zip(stack, got):
+            want = svd_null_direction(cols)
+            if want is None:
+                assert c is None
+            else:
+                assert np.array_equal(c, want)
 
 
 def svd_kernel(nu, support):

@@ -113,6 +113,8 @@ TYPED_INPUTS = {
     "paper_example_13 levels": (demos.paper_example_13, 3, ("3", 3.0)),
     "singular_demo measures": (lambda n: demos.singular_demo(n, [0.5, 0.5]),
                                2, (2.9, "2", True)),
+    "classical_demo measures": (lambda n: demos.classical_demo(n, 16, 1, 0),
+                                2, (2.0, True, "2", 0, [])),
     "classical_demo trials": (lambda t: demos.classical_demo(2, 16, t, 0),
                               1, (2.5, "1", True, -1)),
     "rng_from_seed seed": (rng_from_seed, 3, (2.5, "3", True, -1)),

@@ -237,6 +237,12 @@ class TestIntegrandFs:
             rhs = np.dot(fs.cells, ind.cells) + np.dot(fs.atoms, ind.atoms)
             assert abs(lhs - rhs) <= 1e-10
 
+    def test_values_must_match_the_space(self):
+        # Three cells and no atoms: one cell value and two atom values do
+        # not fit, though their count does.
+        with pytest.raises(errors.ShapeMismatch):
+            ScalarStepFunction(SampleSpace.uniform(3), [1.0], [2.0, 3.0])
+
     def test_positive_integrand_nonnegative(self):
         nu = random_povm(2, 8, RNG)
         rho = random_state(2, RNG)
