@@ -11,7 +11,7 @@ import numpy as np
 from . import models, opcore
 from .errors import AtomicObstruction, InvalidInput, SpaceMismatch, TargetNotInHull
 from .lyapunov import _kernel, attain_to_json, joint_attain
-from .ovm import MeasurableSet, check_ovm_properties, induced_measure
+from .ovm import OVM, MeasurableSet, check_ovm_properties, induced_measure
 from .rnderiv import rn_consistency, rn_derivative
 
 
@@ -190,6 +190,8 @@ def classical_demo(measures, cells: int = 64, trials: int = 1, seed: int = 0,
         mus = list(measures)
         if not mus:
             raise InvalidInput("need at least one measure")
+        if not all(isinstance(mu, OVM) for mu in mus):
+            raise InvalidInput("classical measures must be OVMs")
         if any(mu.dim != 1 for mu in mus):
             raise InvalidInput("classical measures must have dimension 1")
         if any(mu.space != mus[0].space for mu in mus):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovmkit import errors, lyapunov, opcore
 from ovmkit.demos import uhl_demo
@@ -655,12 +657,37 @@ class TestAttainOracle:
             assert check_separation(nu, target, w) == pytest.approx(caught.value.gap, rel=1e-9)
 
 
+class TestPhaseOneStart:
+    """_phase_one starts at the prefix vertex 1_[0, j) nearest the goal."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [200, 1000, 2000])
+    def test_interior_target_within_quarter_steps(self, d, m):
+        # TestAttainOracle's instances and interior targets.  From a vertex
+        # on the far side of the range, such as 1{tr((A - nu(X)/2) M_k) > 0},
+        # the simplex walks 0.27-0.69 m steps to them.
+        nu = random_povm(d, m, rng_from_seed(1000 * d + m))
+        interior = _target_classes(nu, rng_from_seed(m + d))["interior"]
+        assert attain(nu, interior).iterations <= m // 4
+        assert attain(nu, nu.total_mass()).iterations == 0
+
+
 def test_degenerate_vertex_switches_to_bland(monkeypatch):
-    # Twenty cells repeated twenty times each: ties everywhere, and runs of
-    # degenerate pivots long enough to hand pricing to Bland's rule.
-    base = random_povm(4, 20, rng_from_seed(3)).cell_masses
-    nu = grid_ovm(SampleSpace.uniform(400), np.repeat(base, 20, axis=0) / 20)
-    target = nu.total_mass() / 3
+    # The goal is 1_[0, 30) moved by 1e-3 along a direction delta of cells
+    # 25-34 in the kernel of rows 0-7, negative inside the prefix and
+    # positive past it.  The start is that prefix, with a residual on row 8
+    # only: eight artificials basic at 0, a degenerate vertex whose runs of
+    # zero-length pivots hand pricing to Bland's rule.
+    coords = rng_from_seed(57).random((9, 60)) + 0.1
+    kernel = np.linalg.svd(coords[:8, 25:35])[2][8:]
+    angles = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    deltas = np.stack([np.cos(angles), np.sin(angles)], axis=1) @ kernel
+    fit = deltas[(deltas[:, :5] < 0.0).all(axis=1) & (deltas[:, 5:] > 0.0).all(axis=1)]
+    assert len(fit) > 0
+    delta = fit.mean(axis=0)
+    h = (np.arange(60) < 30).astype(float)
+    h[25:35] += 1e-3 * delta / np.abs(delta).max()
+    goal = coords @ h
     bland_calls = []
     entering = lyapunov._entering
 
@@ -669,12 +696,67 @@ def test_degenerate_vertex_switches_to_bland(monkeypatch):
         return entering(gain, bland)
 
     monkeypatch.setattr(lyapunov, "_entering", spy)
-    first = attain(nu, target)
+    first = lyapunov._phase_one(coords, goal)
     assert sum(bland_calls) > 0
+    assert first[2] <= lyapunov.SIMPLEX_TOL
+    again = lyapunov._phase_one(coords, goal)
+    assert np.array_equal(again[0], first[0])
+    assert again[3] == first[3]
+
+
+def test_repeated_masses_attained_deterministically():
+    # Twenty cells repeated twenty times each: ties everywhere.
+    base = random_povm(4, 20, rng_from_seed(3)).cell_masses
+    nu = grid_ovm(SampleSpace.uniform(400), np.repeat(base, 20, axis=0) / 20)
+    target = nu.total_mass() / 3
+    first = attain(nu, target)
     assert first.residual <= 1e-9
     again = attain(nu, target)
     assert again.intervals == first.intervals
     assert again.iterations == first.iterations
+
+
+@st.composite
+def _fuzz_targets(draw):
+    """A measure of one of the five FAMILIES with m <= 60 and its interior,
+    face, 0.999 and 1 + 1e-6 targets (_target_classes)."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(d * d, 54))
+    seed = draw(st.integers(0, 2**32 - 1))
+    nu = FAMILIES[family](d, m, rng_from_seed(seed))
+    classes = _target_classes(nu, rng_from_seed(seed + 1))
+    interior, face = classes["interior"], classes["face"]
+    targets = {name: classes[name] for name in ("interior", "face", "0.999")}
+    targets["past"] = interior + (1.0 + 1e-6) * (face - interior)
+    return family, nu, targets
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_fuzz_targets())
+def test_attain_agrees_with_linprog(case):
+    # Targets in the range are attained within 1e-9 * max(1, ||A||) with at
+    # most D fractional cells; the one past a face is rejected with a gap
+    # that rechecks, exactly when HiGHS finds the scaled LP infeasible.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    family, nu, targets = case
+    scale = nu.total_norm
+    coords = nu.cell_coords.T / scale
+    for name, target in targets.items():
+        lp = linprog(np.zeros(coords.shape[1]), A_eq=coords,
+                     b_eq=opcore.herm_coords(target) / scale, bounds=(0.0, 1.0), method="highs",
+                     options={"primal_feasibility_tolerance": 1e-10})
+        assert lp.status == (2 if name == "past" else 0), (family, name, lp.message)
+        if lp.status == 0:
+            result = attain(nu, target)
+            assert result.residual <= 1e-9 * max(1.0, opcore.op_norm(target)), (family, name)
+            assert result.fractional_count <= nu.dim ** 2, (family, name)
+            continue
+        with pytest.raises(errors.TargetNotInHull) as caught:
+            attain(nu, target)
+        assert caught.value.gap > 0.0
+        assert check_separation(nu, target, caught.value.witness) == pytest.approx(
+            caught.value.gap, rel=1e-9)
 
 
 class TestJointAttain:

@@ -114,7 +114,7 @@ TYPED_INPUTS = {
     "singular_demo measures": (lambda n: demos.singular_demo(n, [0.5, 0.5]),
                                2, (2.9, "2", True)),
     "classical_demo measures": (lambda n: demos.classical_demo(n, 16, 1, 0),
-                                2, (2.0, True, "2", 0, [])),
+                                2, (2.0, True, "2", 0, [], [1, 2])),
     "classical_demo trials": (lambda t: demos.classical_demo(2, 16, t, 0),
                               1, (2.5, "1", True, -1)),
     "rng_from_seed seed": (rng_from_seed, 3, (2.5, "3", True, -1)),
