@@ -156,7 +156,7 @@ def singular_demo(measures: int, lambdas, cells_per_block: int = 4,
     n = opcore.as_int(measures, "measures")
     if n < 2:
         raise InvalidInput("need at least two measures")
-    lam = [float(x) for x in lambdas]
+    lam = [opcore.as_real(x, "lambda") for x in lambdas]
     if len(lam) != n or any(not 0.0 <= x <= 1.0 for x in lam):
         raise InvalidInput("lambdas must be n values in [0, 1]")
     mus = models.singular_blocks(n, cells_per_block)
@@ -211,18 +211,19 @@ def classical_demo(measures, cells: int = 64, trials: int = 1, seed: int = 0,
     worst_fractional = 0
     failure = None
     for tup in targets:
+        tup = [opcore.as_real(x, "target value") for x in tup]
         if len(tup) != n:
             raise InvalidInput("each target tuple needs one value per measure")
         try:
-            result = joint_attain(mus, [np.array([[float(x)]]) for x in tup])
+            result = joint_attain(mus, [np.array([[x]]) for x in tup])
         except (TargetNotInHull, AtomicObstruction) as exc:
             failure = f"{type(exc).__name__}: {exc}"
-            rows.append({"target": [float(x) for x in tup], "error": failure})
+            rows.append({"target": tup, "error": failure})
             break
         worst_residual = max(worst_residual, result.residual)
         worst_fractional = max(worst_fractional, result.fractional_count)
         rows.append({
-            "target": [float(x) for x in tup],
+            "target": tup,
             "achieved": [float(x) for x in result.achieved.diagonal().real],
             "residual": result.residual,
             "fractional_count": result.fractional_count,

@@ -22,7 +22,7 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 def lebesgue_identity(m: int, dim: int = 1, a: float = 0.0, b: float = 1.0) -> OVM:
     """nu(E) = |E| * I on [a, b) with m equal cells."""
     space = SampleSpace.uniform(m, a, b)
-    eye = np.eye(dim, dtype=np.complex128)
+    eye = np.eye(opcore.as_int(dim, "dimension", low=1), dtype=np.complex128)
     masses = space.weights[:, None, None] * eye
     return grid_ovm(space, masses)
 
@@ -64,7 +64,7 @@ def harmonic_diag_model(levels: int) -> tuple[OVM, opcore.State]:
     and the operator density has 2^(n+1) / (2^n + 1) in entries (0, 0)
     and (n, n).
     """
-    if not 2 <= levels <= 40:
+    if not 2 <= opcore.as_int(levels, "levels") <= 40:
         raise InvalidInput("levels must lie in [2, 40]")
     d = levels + 2
     # Cells left to right: I_N, ..., I_1 with I_n = [1/(n+1), 1/n].
@@ -81,9 +81,8 @@ def harmonic_diag_model(levels: int) -> tuple[OVM, opcore.State]:
 def singular_blocks(n: int, cells_per_block: int = 4) -> list[OVM]:
     """n mutually singular nonatomic probability measures on [0, 1):
     measure i is uniform on block i of the shared grid and zero elsewhere."""
-    if n < 1:
-        raise InvalidInput("need at least one measure")
-    m = n * cells_per_block
+    n = opcore.as_int(n, "measure count", low=1)
+    m = n * opcore.as_int(cells_per_block, "cells per block", low=1)
     space = SampleSpace.uniform(m)
     out = []
     for i in range(n):
@@ -107,8 +106,8 @@ def overlapping_measures(n: int, m: int, rng: np.random.Generator) -> list[OVM]:
 
 def single_atom_measure(mass: float = 1.0, site: float = 0.5) -> OVM:
     """One point atom on [0, 1); the single cell carries no mass."""
-    space = SampleSpace.uniform(1, atom_sites=(site,))
-    return atomic_ovm(space, np.array([[[mass]]], dtype=np.complex128))
+    mass = opcore.as_real(mass, "atom mass")
+    return atomic_ovm(SampleSpace.uniform(1, atom_sites=(site,)), np.full((1, 1, 1), mass))
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -134,6 +133,7 @@ def random_povm(dim: int, m: int, rng: np.random.Generator,
     Per-cell Gram matrices are jointly renormalized, S^(-1/2) G_k S^(-1/2),
     so the total mass is the identity up to round-off.
     """
+    dim, m = opcore.as_int(dim, "dimension", low=1), opcore.as_int(m, "cell count", low=1)
     if space is None:
         space = SampleSpace.uniform(m)
     if space.n_cells != m:

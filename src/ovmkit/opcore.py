@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimMismatch, InvalidInput, NotPositive
 
-# Relative PSD slack: accepted when min eigenvalue >= -tol * max(1, ||A||).
+# Relative PSD slack: accepted when min eigenvalue >= -TOL_PSD * max(1, ||A||).
 TOL_PSD = 1e-9
 # Strict-positivity threshold for full-rank flags and derivative existence.
 RANK_TOL = 1e-10
@@ -82,8 +82,8 @@ def readonly(a, dtype) -> np.ndarray:
     return out
 
 
-def _asymmetry(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per matrix of a finite stack: ||A - A*||_F <= tol * max(1, ||A||_F),
+def _asymmetry(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of a finite stack: ||A - A*||_F <= HERM_TOL * max(1, ||A||_F),
     and ||A - A*||_F.  The norms are taken of (A - A*) / 2^k and A / 2^k,
     2^k at most the largest entry modulus, so their squares cannot
     overflow; the scale is a power of two, so the verdict is the unscaled
@@ -92,13 +92,13 @@ def _asymmetry(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     scale = np.ldexp(1.0, np.frexp(np.abs(m).max(axis=(-2, -1), initial=0.0))[1] - 1)
     asym = np.linalg.norm(diff / scale[..., None, None], axis=(-2, -1))
     size = np.linalg.norm(m / scale[..., None, None], axis=(-2, -1))
-    return asym <= tol * np.maximum(1.0 / scale, size), asym * scale
+    return asym <= HERM_TOL * np.maximum(1.0 / scale, size), asym * scale
 
 
-def hermitian_stack(a, tol: float = HERM_TOL) -> np.ndarray:
+def hermitian_stack(a) -> np.ndarray:
     """Validate and symmetrize a (..., d, d) stack.
 
-    Asymmetry ||A - A*||_F up to ``tol * max(1, ||A||_F)`` is absorbed by
+    Asymmetry ||A - A*||_F up to ``HERM_TOL * max(1, ||A||_F)`` is absorbed by
     (A + A*)/2; anything larger is rejected as a likely bug rather than
     round-off, naming the first such matrix.  An exactly Hermitian stack
     is returned as given.
@@ -107,29 +107,27 @@ def hermitian_stack(a, tol: float = HERM_TOL) -> np.ndarray:
     adj = np.conj(np.swapaxes(m, -1, -2))
     if (m == adj).all():
         return m
-    ok, asym = _asymmetry(m, tol)
+    ok, asym = _asymmetry(m)
     if not ok.all():
         raise InvalidInput(f"matrix is not Hermitian (asymmetry {asym[~ok][0]:.3e})")
     return (m + adj) / 2
 
 
-def hermitian_flags(a, tol: float = HERM_TOL) -> np.ndarray:
+def hermitian_flags(a) -> np.ndarray:
     """Per matrix of a (..., d, d) stack: does :func:`hermitian_stack` accept it?"""
-    return _asymmetry(as_stack(a), tol)[0]
+    return _asymmetry(as_stack(a))[0]
 
 
-def _psd_ok(w: np.ndarray, tol: float) -> np.ndarray:
-    """Per ascending spectrum w (..., d): min w >= -tol * max(1, max |w|)."""
+def _psd_ok(w: np.ndarray) -> np.ndarray:
+    """Per ascending spectrum w (..., d): min w >= -TOL_PSD * max(1, max |w|)."""
     scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
-    return (w >= -tol * scale[..., None]).all(axis=-1)
+    return (w >= -TOL_PSD * scale[..., None]).all(axis=-1)
 
 
-def psd_flags(a, tol: float = TOL_PSD) -> np.ndarray:
+def psd_flags(a) -> np.ndarray:
     """Per matrix of a (..., d, d) stack validated by :func:`hermitian_stack`:
-    is it PSD within ``tol``, min eigenvalue >= -tol * max(1, ||A||)?"""
-    if tol < 0:
-        raise InvalidInput("tol must be nonnegative")
-    return _psd_ok(np.linalg.eigvalsh(hermitian_stack(a)), tol)
+    is it PSD within TOL_PSD, min eigenvalue >= -TOL_PSD * max(1, ||A||)?"""
+    return _psd_ok(np.linalg.eigvalsh(hermitian_stack(a)))
 
 
 def psd_roots(a) -> np.ndarray:
@@ -140,26 +138,26 @@ def psd_roots(a) -> np.ndarray:
     genuinely negative spectrum raises NotPositive, naming the first.
     """
     w, v = np.linalg.eigh(hermitian_stack(a))
-    bad = ~_psd_ok(w, TOL_PSD)
+    bad = ~_psd_ok(w)
     if bad.any():
         raise NotPositive(f"matrix has eigenvalue {w[bad][0, 0]:.3e}")
     root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     return (root + np.conj(np.swapaxes(root, -1, -2))) / 2
 
 
-def hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
+def hermitian(a) -> np.ndarray:
     """:func:`hermitian_stack` of one (d, d) matrix."""
-    return hermitian_stack(as_matrix(a), tol)
+    return hermitian_stack(as_matrix(a))
 
 
-def is_hermitian(a, tol: float = HERM_TOL) -> bool:
+def is_hermitian(a) -> bool:
     """:func:`hermitian_flags` of one (d, d) matrix."""
-    return bool(hermitian_flags(as_matrix(a), tol))
+    return bool(hermitian_flags(as_matrix(a)))
 
 
-def psd_check(a, tol: float = TOL_PSD) -> bool:
+def psd_check(a) -> bool:
     """:func:`psd_flags` of one (d, d) matrix."""
-    return bool(psd_flags(as_matrix(a), tol))
+    return bool(psd_flags(as_matrix(a)))
 
 
 def psd_sqrt(a) -> np.ndarray:
@@ -178,18 +176,18 @@ def op_norm(a) -> float:
         return 0.0
     adj = m.conj().T
     if not (m == adj).all():
-        if not _asymmetry(m, HERM_TOL)[0]:
+        if not _asymmetry(m)[0]:
             return float(np.linalg.svd(m, compute_uv=False)[0])
         m = (m + adj) / 2
     return float(np.abs(np.linalg.eigvalsh(m)).max())
 
 
-def loewner_leq(a, b, tol: float = TOL_PSD) -> bool:
-    """A <= B in the Loewner order, i.e. B - A is PSD within tol."""
+def loewner_leq(a, b) -> bool:
+    """A <= B in the Loewner order, i.e. B - A is PSD within TOL_PSD."""
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != mb.shape:
         raise DimMismatch(f"dimensions {ma.shape[0]} vs {mb.shape[0]}")
-    return psd_check(mb - ma, tol)
+    return psd_check(mb - ma)
 
 
 def herm_coords(a) -> np.ndarray:
@@ -261,14 +259,15 @@ class State:
         return self.matrix.shape[0]
 
 
-def make_state(a, trace_tol: float = 1e-12) -> State:
-    """Validate a matrix as a density operator."""
+def make_state(a) -> State:
+    """Validate a matrix as a density operator: PSD within TOL_PSD and of
+    trace 1 within 1e-12."""
     m = hermitian(a)
     w = np.linalg.eigvalsh(m)
-    if not _psd_ok(w, TOL_PSD):
+    if not _psd_ok(w):
         raise NotPositive(f"state has eigenvalue {w[0]:.3e}")
     tr = float(m.trace().real)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > 1e-12:
         raise InvalidInput(f"state trace {tr!r} is not 1")
     return State(matrix=readonly(m, np.complex128), full_rank=bool(w[0] > RANK_TOL))
 
@@ -285,13 +284,13 @@ class OperatorInterval:
         hi = hermitian(self.upper)
         if lo.shape != hi.shape:
             raise DimMismatch("interval endpoints have different dimensions")
-        if not psd_check(hi - lo, TOL_PSD):
+        if not psd_check(hi - lo):
             raise NotPositive("upper - lower is not PSD")
         object.__setattr__(self, "lower", readonly(lo, np.complex128))
         object.__setattr__(self, "upper", readonly(hi, np.complex128))
 
-    def contains(self, a, tol: float = TOL_PSD) -> bool:
-        return loewner_leq(self.lower, a, tol) and loewner_leq(a, self.upper, tol)
+    def contains(self, a) -> bool:
+        return loewner_leq(self.lower, a) and loewner_leq(a, self.upper)
 
 
 def matrix_to_json(a) -> dict:

@@ -57,6 +57,24 @@ def _flags(values, what: str) -> tuple[bool, ...]:
     return tuple(map(bool, out))
 
 
+def _reals(values, what: str) -> np.ndarray:
+    """``values`` as a float array, each distinct entry type checked once
+    with opcore.as_real (which decides by type alone)."""
+    for kind in set(map(type, values)):
+        opcore.as_real(next(x for x in values if type(x) is kind), what)
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise InvalidInput(f"{what} out of the float range") from None
+
+
+def item_views(stack: str) -> tuple[property, property]:
+    """Properties giving the cells part and the atoms part of the m + n item
+    stack held in attribute ``stack``, as read-only views of it."""
+    return (property(lambda self: getattr(self, stack)[: self.space.n_cells]),
+            property(lambda self: getattr(self, stack)[self.space.n_cells :]))
+
+
 @dataclass(frozen=True)
 class SampleSpace:
     """Interval [a, b) with ordered cells and optional point atoms."""
@@ -68,8 +86,12 @@ class SampleSpace:
     divisible: tuple[bool, ...] = ()
 
     def __post_init__(self):
-        a, b = float(self.a), float(self.b)
-        bp = tuple(float(x) for x in self.breakpoints)
+        bp, sites = tuple(self.breakpoints), tuple(self.atom_sites)
+        reals = _reals((self.a, self.b) + bp + sites, "sample space coordinate")
+        if not np.isfinite(reals).all():
+            raise InvalidInput("sample space coordinates must be finite")
+        a, b = reals[:2].tolist()
+        bp, sites = tuple(reals[2 : 2 + len(bp)].tolist()), tuple(reals[2 + len(bp) :].tolist())
         if not a < b:
             raise InvalidInput("need a < b")
         if len(bp) < 2 or bp[0] != a or bp[-1] != b:
@@ -79,7 +101,6 @@ class SampleSpace:
         widths = [y - x for x, y in zip(bp, bp[1:])]
         if abs(sum(widths) - (b - a)) > 1e-12 * max(1.0, b - a):
             raise InvalidInput("cell widths do not sum to b - a")
-        sites = tuple(float(s) for s in self.atom_sites)
         if len(set(sites)) != len(sites):
             raise InvalidInput("atom sites must be pairwise distinct")
         if any(not (a <= s <= b) for s in sites):
@@ -100,6 +121,7 @@ class SampleSpace:
                 atom_sites=(), divisible: bool = True) -> "SampleSpace":
         """m equal cells on [a, b)."""
         m = opcore.as_int(m, "cell count", low=1)
+        a, b = opcore.as_real(a, "interval start"), opcore.as_real(b, "interval end")
         bp = tuple(a + (b - a) * k / m for k in range(m + 1))
         return cls(a, b, bp, tuple(atom_sites), (divisible,) * m)
 
@@ -120,6 +142,20 @@ class SampleSpace:
     def cell_bounds(self, k: int) -> tuple[float, float]:
         k = _index(k, self.n_cells, "cell index")
         return self.breakpoints[k], self.breakpoints[k + 1]
+
+    def item_stack(self, values, dtype, what: str, matrices: bool = False) -> np.ndarray:
+        """``values`` as a read-only ``dtype`` copy with one entry per item,
+        cells first: shape (m + n,), or (m + n, d, d) with ``matrices``.
+        Any other shape raises ShapeMismatch, and d = 0 InvalidInput."""
+        out = opcore.readonly(values, dtype)
+        count = self.n_cells + self.n_atoms
+        want = (count, *out.shape[-1:] * 2) if matrices else (count,)
+        if out.shape != want:
+            raise ShapeMismatch(f"{what} must have shape {want} for {self.n_cells} cells "
+                                f"and {self.n_atoms} atoms, got {out.shape}")
+        if matrices and not out.shape[-1]:
+            raise InvalidInput(f"{what} must be matrices of dimension at least 1")
+        return out
 
     def selector(self, e: "MeasurableSet | FractionalSet") -> np.ndarray:
         """The m + n selector of a set: its cell mask (bools) or fractions
@@ -159,12 +195,6 @@ class MeasurableSet:
         for k in atoms:
             am[_index(k, space.n_atoms, "atom index")] = True
         return cls(tuple(cm), tuple(am))
-
-    def cells(self) -> np.ndarray:
-        return np.asarray(self.cell_mask, dtype=bool)
-
-    def atoms(self) -> np.ndarray:
-        return np.asarray(self.atom_mask, dtype=bool)
 
     def complement(self) -> "MeasurableSet":
         return MeasurableSet(tuple(not x for x in self.cell_mask),
@@ -209,10 +239,7 @@ class FractionalSet:
     atom_mask: tuple[bool, ...] = ()
 
     def __post_init__(self):
-        fractions = tuple(self.cell_fractions)
-        for kind in set(map(type, fractions)):  # as_real decides by type alone
-            opcore.as_real(next(h for h in fractions if type(h) is kind), "cell fraction")
-        fr = np.array(fractions, dtype=float)
+        fr = _reals(tuple(self.cell_fractions), "cell fraction")
         outside = ~((fr >= -1e-12) & (fr <= 1.0 + 1e-12))  # NaN included
         if outside.any():
             raise InvalidInput(f"cell fraction {float(fr[outside][0])!r} outside [0, 1]")
@@ -223,12 +250,6 @@ class FractionalSet:
     @classmethod
     def from_measurable(cls, e: MeasurableSet) -> "FractionalSet":
         return cls(tuple(1.0 if x else 0.0 for x in e.cell_mask), e.atom_mask)
-
-    def fractions(self) -> np.ndarray:
-        return np.asarray(self.cell_fractions)
-
-    def atoms(self) -> np.ndarray:
-        return np.asarray(self.atom_mask, dtype=bool)
 
     def is_indicator(self) -> bool:
         return all(h in (0.0, 1.0) for h in self.cell_fractions)
@@ -245,17 +266,13 @@ class InducedMeasure:
     ``traces``, with ``cells`` and ``atoms`` views of it."""
 
     space: SampleSpace
-    cells: np.ndarray
-    atoms: np.ndarray
-    traces: np.ndarray = field(init=False, repr=False)
+    traces: np.ndarray
 
     def __post_init__(self):
-        if (len(self.cells), len(self.atoms)) != (self.space.n_cells, self.space.n_atoms):
-            raise ShapeMismatch("cell and atom traces do not match the sample space")
-        traces = opcore.readonly(np.concatenate([self.cells, self.atoms]), np.float64)
+        traces = self.space.item_stack(self.traces, np.float64, "traces")
         object.__setattr__(self, "traces", traces)
-        object.__setattr__(self, "cells", traces[: self.space.n_cells])
-        object.__setattr__(self, "atoms", traces[self.space.n_cells :])
+
+    cells, atoms = item_views("traces")
 
     @property
     def total(self) -> float:
@@ -276,41 +293,33 @@ class EntryMeasure(NamedTuple):
 class OVM:
     """Operator-valued measure at finite resolution.
 
-    ``masses`` is one read-only (m + n, d, d) stack, validated once: nu of
-    cell k (density M_k / w_k on it) for k < m, then nu of each atom, with
-    ``cell_masses`` and ``atom_masses`` views of it.  ``norms``, ``coords``
-    and ``massive`` are cached over all m + n items.  Direct sums keep their
-    components and also materialize block-diagonal masses.
+    ``masses`` is one (m + n, d, d) stack, validated once and kept
+    read-only: nu of cell k (density M_k / w_k on it) for k < m, then nu of
+    each atom.  ``dim`` and ``positive`` are derived from it, and
+    ``cell_masses`` and ``atom_masses`` are views of it.  ``norms``,
+    ``coords`` and ``massive`` are cached over all m + n items.  Direct
+    sums keep their components as well as the block-diagonal masses.
     """
 
     space: SampleSpace
-    dim: int
-    cell_masses: np.ndarray
-    atom_masses: np.ndarray
+    masses: np.ndarray = field(repr=False)
     variant: str
-    positive: bool = field(default=False)
     components: tuple["OVM", ...] = ()
-    masses: np.ndarray = field(init=False, repr=False)
+    dim: int = field(init=False)
+    positive: bool = field(init=False)
 
     def __post_init__(self):
-        d = opcore.as_int(self.dim, "dimension", low=1)
-        m, n = self.space.n_cells, self.space.n_atoms
-        cm = np.asarray(self.cell_masses, dtype=np.complex128)
-        am = np.asarray(self.atom_masses, dtype=np.complex128)
-        if cm.shape != (m, d, d):
-            raise ShapeMismatch(f"cell masses must have shape {(m, d, d)}, got {cm.shape}")
-        if am.shape != (n, d, d):
-            raise ShapeMismatch(f"atom masses must have shape {(n, d, d)}, got {am.shape}")
+        masses = self.space.item_stack(self.masses, np.complex128, "masses", matrices=True)
         if self.variant not in ("grid", "atomic", "mixed", "direct_sum"):
             raise InvalidInput(f"unknown variant {self.variant!r}")
-        masses = opcore.hermitian_stack(np.concatenate([cm, am]))  # a fresh array
+        masses = opcore.hermitian_stack(masses)  # a new array if symmetrized
         masses.setflags(write=False)
-        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "cell_masses", masses[:m])
-        object.__setattr__(self, "atom_masses", masses[m:])
+        object.__setattr__(self, "dim", masses.shape[-1])
         object.__setattr__(self, "positive", bool(opcore.psd_flags(masses).all()))
         object.__setattr__(self, "components", tuple(self.components))
+
+    cell_masses, atom_masses = item_views("masses")
 
     def total_mass(self) -> np.ndarray:
         """nu(X)."""
@@ -346,30 +355,33 @@ class OVM:
         are null: they change no value of the measure beyond round-off."""
         return opcore.readonly(self.norms > MASS_TOL * self.total_norm, bool)
 
-    def cell_norms(self) -> np.ndarray:
-        return self.norms[: self.space.n_cells]
-
-    def atom_norms(self) -> np.ndarray:
-        return self.norms[self.space.n_cells :]
-
 
 def _zero_masses(count: int, dim: int) -> np.ndarray:
     return np.zeros((count, dim, dim), dtype=np.complex128)
 
 
+def join_items(space: SampleSpace, cells, atoms, dim: int) -> np.ndarray:
+    """The m + n stack of ``dim`` x ``dim`` cell and atom matrices, cells
+    first, for the factories that take them apart; None stands for zeros.
+    Given a scalar, a factory passes ``dim`` 0: shape () fails the check."""
+    halves = [_zero_masses(count, dim) if x is None else np.asarray(x, dtype=np.complex128)
+              for x, count in ((cells, space.n_cells), (atoms, space.n_atoms))]
+    if any(x.shape[1:] != (dim, dim) for x in halves):
+        raise ShapeMismatch(f"cell and atom matrices must be {dim} x {dim}, got shapes "
+                            f"{halves[0].shape} and {halves[1].shape}")
+    return np.concatenate(halves)
+
+
 def grid_ovm(space: SampleSpace, cell_masses, atom_masses=None) -> OVM:
     """Grid-density OVM; pass atom masses as well for the mixed variant."""
     cm = np.asarray(cell_masses, dtype=np.complex128)
-    d = cm.shape[-1]
-    if atom_masses is None:
-        return OVM(space, d, cm, _zero_masses(space.n_atoms, d), "grid")
-    return OVM(space, d, cm, np.asarray(atom_masses, dtype=np.complex128), "mixed")
+    masses = join_items(space, cm, atom_masses, cm.shape[-1] if cm.ndim else 0)
+    return OVM(space, masses, "grid" if atom_masses is None else "mixed")
 
 
 def atomic_ovm(space: SampleSpace, atom_masses) -> OVM:
     am = np.asarray(atom_masses, dtype=np.complex128)
-    d = am.shape[-1]
-    return OVM(space, d, _zero_masses(space.n_cells, d), am, "atomic")
+    return OVM(space, join_items(space, None, am, am.shape[-1] if am.ndim else 0), "atomic")
 
 
 def _sum_selected(stack: np.ndarray, indices, dim: int) -> np.ndarray:
@@ -405,7 +417,7 @@ def induced_measure(nu: OVM, rho) -> InducedMeasure:
     if r.shape[0] != nu.dim:
         raise DimMismatch(f"state dim {r.shape[0]} vs measure dim {nu.dim}")
     traces = np.einsum("ij,kji->k", r, nu.masses).real
-    return InducedMeasure(nu.space, traces[: nu.space.n_cells], traces[nu.space.n_cells :])
+    return InducedMeasure(nu.space, traces)
 
 
 def entry_measure(nu: OVM, i: int, j: int) -> EntryMeasure:
@@ -495,8 +507,7 @@ def direct_sum(*ovms: OVM) -> OVM:
     masses = _zero_masses(space.n_cells + space.n_atoms, d)
     for o, lo in zip(ovms, offsets):
         masses[:, lo : lo + o.dim, lo : lo + o.dim] = o.masses
-    m = space.n_cells
-    return OVM(space, d, masses[:m], masses[m:], "direct_sum", components=tuple(ovms))
+    return OVM(space, masses, "direct_sum", components=tuple(ovms))
 
 
 def space_to_json(space: SampleSpace) -> dict:
@@ -514,8 +525,8 @@ def space_from_json(obj) -> SampleSpace:
         raise InvalidInput("space JSON must carry a, b and breakpoints")
     try:
         return SampleSpace(
-            a=float(obj["a"]),
-            b=float(obj["b"]),
+            a=obj["a"],
+            b=obj["b"],
             breakpoints=tuple(obj["breakpoints"]),
             atom_sites=tuple(obj.get("atoms", ())),
             divisible=tuple(obj.get("divisible", ())),
@@ -552,13 +563,12 @@ def ovm_from_json(obj) -> OVM:
         raise InvalidInput("OVM JSON must carry a dim")
     try:
         d = opcore.as_int(obj["dim"], "OVM JSON dim", low=1)
-        cm = [opcore.matrix_from_json(x) for x in obj.get("cell_masses", [])]
-        am = [opcore.matrix_from_json(x) for x in obj.get("atom_masses", [])]
-        cell = np.stack(cm) if cm else _zero_masses(space.n_cells, d)
-        atom = np.stack(am) if am else _zero_masses(space.n_atoms, d)
+        cm, am = ([opcore.matrix_from_json(x) for x in obj.get(key, [])]
+                  for key in ("cell_masses", "atom_masses"))
+        cell, atom = (np.stack(x) if x else None for x in (cm, am))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed OVM JSON: {exc}") from exc
-    return OVM(space, d, cell, atom, variant)
+    return OVM(space, join_items(space, cell, atom, d), variant)
 
 
 def set_to_json(e: MeasurableSet) -> dict:

@@ -25,7 +25,8 @@ from .errors import (
     ShapeMismatch,
     Unsupported,
 )
-from .ovm import MASS_TOL, OVM, FractionalSet, MeasurableSet, SampleSpace
+from .ovm import (MASS_TOL, OVM, FractionalSet, MeasurableSet, SampleSpace, item_views,
+                  join_items)
 from .rnderiv import rn_derivative
 
 # Operator-norm gap under which two step values are considered equal.
@@ -34,63 +35,52 @@ DEDUP_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class QuantumRandomVariable:
-    """Matrix-valued step function: one read-only (m + n, d, d) stack
-    ``values``, the cell values then the atom values, validated once;
+    """Matrix-valued step function: one (m + n, d, d) stack ``values``, the
+    cell values then the atom values, validated once and kept read-only.
+    ``dim``, ``self_adjoint`` and ``positive`` are derived from it, and
     ``cell_values`` and ``atom_values`` are views of it."""
 
     space: SampleSpace
-    dim: int
-    cell_values: np.ndarray
-    atom_values: np.ndarray
-    self_adjoint: bool = field(default=False)
-    positive: bool = field(default=False)
-    values: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(repr=False)
+    dim: int = field(init=False)
+    self_adjoint: bool = field(init=False)
+    positive: bool = field(init=False)
 
     def __post_init__(self):
-        d = opcore.as_int(self.dim, "dimension", low=1)
-        m, n = self.space.n_cells, self.space.n_atoms
-        cv = np.asarray(self.cell_values, dtype=np.complex128)
-        av = np.asarray(self.atom_values, dtype=np.complex128)
-        if cv.shape != (m, d, d):
-            raise ShapeMismatch(f"cell values must have shape {(m, d, d)}")
-        if av.shape != (n, d, d):
-            raise ShapeMismatch(f"atom values must have shape {(n, d, d)}")
-        values = np.concatenate([cv, av])
-        values.setflags(write=False)
+        values = self.space.item_stack(self.values, np.complex128, "values", matrices=True)
         herm = bool(opcore.hermitian_flags(values).all())
-        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "cell_values", values[:m])
-        object.__setattr__(self, "atom_values", values[m:])
+        object.__setattr__(self, "dim", values.shape[-1])
         object.__setattr__(self, "self_adjoint", herm)
         object.__setattr__(self, "positive", bool(herm and opcore.psd_flags(values).all()))
 
+    cell_values, atom_values = item_views("values")
+
     def __add__(self, other):
         _check_same(self, other)
-        return _step(self.space, self.dim, self.values + other.values)
+        return QuantumRandomVariable(self.space, self.values + other.values)
 
     def __sub__(self, other):
         _check_same(self, other)
-        return _step(self.space, self.dim, self.values - other.values)
+        return QuantumRandomVariable(self.space, self.values - other.values)
 
     def __rmul__(self, scalar):
-        return _step(self.space, self.dim, scalar * self.values)
+        return QuantumRandomVariable(self.space, scalar * self.values)
 
 
 @dataclass(frozen=True, eq=False)
 class ScalarStepFunction:
-    """Complex-valued step function on the same cell layout: one value per
-    cell and one per atom of ``space``."""
+    """Complex-valued step function on the same layout: one read-only m + n
+    stack ``values``, cells first, with ``cells`` and ``atoms`` views of it."""
 
     space: SampleSpace
-    cells: np.ndarray
-    atoms: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", opcore.readonly(self.cells, np.complex128))
-        object.__setattr__(self, "atoms", opcore.readonly(self.atoms, np.complex128))
-        if (self.cells.shape, self.atoms.shape) != ((self.space.n_cells,), (self.space.n_atoms,)):
-            raise ShapeMismatch("cell and atom values do not match the sample space")
+        values = self.space.item_stack(self.values, np.complex128, "values")
+        object.__setattr__(self, "values", values)
+
+    cells, atoms = item_views("values")
 
 
 def _check_same(f: QuantumRandomVariable, g: QuantumRandomVariable):
@@ -98,17 +88,11 @@ def _check_same(f: QuantumRandomVariable, g: QuantumRandomVariable):
         raise ShapeMismatch("step functions live on different layouts")
 
 
-def _step(space: SampleSpace, dim: int, values: np.ndarray) -> QuantumRandomVariable:
-    """The step function with the m + n stack ``values``, cells first."""
-    return QuantumRandomVariable(space, dim, values[: space.n_cells], values[space.n_cells :])
-
-
-def qrv(space: SampleSpace, cell_values, atom_values=None, dim=None) -> QuantumRandomVariable:
+def qrv(space: SampleSpace, cell_values, atom_values=None) -> QuantumRandomVariable:
+    """The step function with these cell values and atom values (zero if None)."""
     cv = np.asarray(cell_values, dtype=np.complex128)
-    d = opcore.as_int(cv.shape[-1] if dim is None else dim, "dimension", low=1)
-    if atom_values is None:
-        atom_values = np.zeros((space.n_atoms, d, d), dtype=np.complex128)
-    return QuantumRandomVariable(space, d, cv, atom_values)
+    values = join_items(space, cv, atom_values, cv.shape[-1] if cv.ndim else 0)
+    return QuantumRandomVariable(space, values)
 
 
 def indicator(space: SampleSpace, dim: int, e: MeasurableSet) -> QuantumRandomVariable:
@@ -116,13 +100,13 @@ def indicator(space: SampleSpace, dim: int, e: MeasurableSet) -> QuantumRandomVa
     dim = opcore.as_int(dim, "dimension", low=1)
     values = np.zeros((space.n_cells + space.n_atoms, dim, dim), dtype=np.complex128)
     values[space.selector(e)] = np.eye(dim)
-    return _step(space, dim, values)
+    return QuantumRandomVariable(space, values)
 
 
 def from_fractional(space: SampleSpace, dim: int, h: FractionalSet) -> QuantumRandomVariable:
     """An element h of the fractional cube lifted to the step function h_k * I."""
     dim = opcore.as_int(dim, "dimension", low=1)
-    return _step(space, dim, space.selector(h)[:, None, None] * np.eye(dim, dtype=np.complex128))
+    return QuantumRandomVariable(space, space.selector(h)[:, None, None] * np.eye(dim))
 
 
 def _split_psd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +123,7 @@ def pos_neg_parts(f: QuantumRandomVariable):
     if not f.self_adjoint:
         raise NotSelfAdjoint("positive/negative parts need a self-adjoint step function")
     plus, minus = _split_psd(f.values)
-    return _step(f.space, f.dim, plus), _step(f.space, f.dim, minus)
+    return QuantumRandomVariable(f.space, plus), QuantumRandomVariable(f.space, minus)
 
 
 def real_imag_parts(f: QuantumRandomVariable):
@@ -150,7 +134,8 @@ def real_imag_parts(f: QuantumRandomVariable):
     def skew(stack):
         return (stack - stack.conj().transpose(0, 2, 1)) / (2j)
 
-    return _step(f.space, f.dim, herm(f.values)), _step(f.space, f.dim, skew(f.values))
+    return (QuantumRandomVariable(f.space, herm(f.values)),
+            QuantumRandomVariable(f.space, skew(f.values)))
 
 
 def integrate(nu: OVM, f: QuantumRandomVariable) -> np.ndarray:
@@ -192,7 +177,7 @@ def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunctio
     if defined:
         roots = opcore.psd_roots(np.stack([slots[k] for k in defined]))
         out[defined] = np.einsum("ij,kji->k", s_mat, roots @ f.values[defined] @ roots)
-    return ScalarStepFunction(nu.space, out[: nu.space.n_cells], out[nu.space.n_cells :])
+    return ScalarStepFunction(nu.space, out)
 
 
 def _value_norms(stack: np.ndarray) -> np.ndarray:

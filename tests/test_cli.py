@@ -279,6 +279,7 @@ class TestOvmLoading:
 SMALL_OVM = {"model": "lebesgue_identity", "dim": 2, "cells": 4}
 POVM = {"model": "random_povm", "dim": 2, "cells": 8}
 NO_DIM = {k: v for k, v in ovm.ovm_to_json(lebesgue_identity(4, 2)).items() if k != "dim"}
+TWO_CELLS = ovm.ovm_to_json(lebesgue_identity(2, 1, 0.0, 2.0))
 
 
 class TestMalformedInput:
@@ -299,11 +300,15 @@ class TestMalformedInput:
         {"kind": "attain", "ovm": SMALL_OVM, "target": {"total_fraction": 0.5}, "seed": 3},
         {"kind": "properties", "ovm": {"model": "single_atom", "mass": 1.34e154}},
         {"kind": "properties", "ovm": SMALL_OVM, "expect": {"bounded": True}},
+        {"kind": "properties",
+         "ovm": dict(TWO_CELLS, space={"a": True, "b": 2, "breakpoints": [True, 1.5, 2]})},
+        {"kind": "properties",
+         "ovm": dict(TWO_CELLS, space={"a": 0, "b": 2, "breakpoints": [0, float("nan"), 2]})},
     ], ids=["lambdas_scalar", "convexity_expect_scalar", "properties_expect_list",
             "sets_scalar", "targets_scalar", "measures_zero", "povm_dim_zero",
             "inline_ovm_without_dim", "trials_float", "trials_negative",
             "format_xml", "measures_text", "attain_seed", "properties_overflow",
-            "properties_expect_unknown_flag"])
+            "properties_expect_unknown_flag", "space_bool_coordinates", "space_nan_breakpoint"])
     def test_exit_one_invalid_input(self, scenario):
         report, code = cli.run_scenario(scenario)
         assert code == 1

@@ -68,8 +68,6 @@ class TestSampleSpace:
 
 INTEGER_ARGUMENTS = {
     "kernel_witness support": lambda k: kernel_witness(random_povm(2, 6, RNG), [k, 1]),
-    "OVM dim": lambda k: ovm.OVM(SampleSpace.uniform(2), k, np.zeros((2, 2, 2)),
-                                 np.zeros((0, 2, 2)), "grid"),
     "OVM JSON dim": lambda k: ovm.ovm_from_json(
         {"space": ovm.space_to_json(SampleSpace.uniform(2)), "dim": k}),
     "from_indices cells": lambda k: MeasurableSet.from_indices(SampleSpace.uniform(3), cells=[k]),
@@ -93,12 +91,6 @@ def _matrix_json(d):
 
 # name: (call, an accepted value, rejected values)
 TYPED_INPUTS = {
-    "QuantumRandomVariable dim": (
-        lambda d: QuantumRandomVariable(SampleSpace.uniform(2), d, np.zeros((2, 2, 2)),
-                                        np.zeros((0, 2, 2))),
-        np.int64(2), ("2", 2.7, 2.0, True)),
-    "qrv dim": (lambda d: qrv(SampleSpace.uniform(2), np.zeros((2, 2, 2)), dim=d),
-                2, (2.0, "2", True)),
     "indicator dim": (lambda d: indicator(SampleSpace.uniform(2), d, MeasurableSet((True, False))),
                       2, (2.0, "2", True)),
     "matrix JSON dim": (lambda d: opcore.matrix_from_json(_matrix_json(d)),
@@ -118,6 +110,28 @@ TYPED_INPUTS = {
     "classical_demo trials": (lambda t: demos.classical_demo(2, 16, t, 0),
                               1, (2.5, "1", True, -1)),
     "rng_from_seed seed": (rng_from_seed, 3, (2.5, "3", True, -1)),
+    "SampleSpace endpoint": (lambda a: SampleSpace(a, 2.0, (a, 1.5, 2.0)),
+                             0, (True, "0", np.nan, -np.inf, None)),
+    "SampleSpace breakpoint": (lambda x: SampleSpace(0.0, 1.0, (0.0, x, 1.0)),
+                               np.float64(0.5), (np.nan, np.inf, True, "0.5", None)),
+    "SampleSpace atom site": (lambda s: SampleSpace.uniform(2, atom_sites=(s,)),
+                              0.5, (np.nan, True, "0.5")),
+    "uniform interval start": (lambda a: SampleSpace.uniform(2, a, 1.0),
+                               np.int64(0), ("0", True, None)),
+    "space JSON coordinates": (
+        lambda a: ovm.space_from_json({"a": a, "b": 2, "breakpoints": [a, 1.5, 2]}),
+        0, (True, "0", float("nan"))),
+    "lebesgue_identity dim": (lambda d: lebesgue_identity(4, d), 2, (2.0, True, "2", 0)),
+    "random_povm dim": (lambda d: random_povm(d, 4, RNG), 2, (2.0, True, "2")),
+    "harmonic_diag_model levels": (harmonic_diag_model, 3, (3.0, True, "3")),
+    "single_atom_measure mass": (single_atom_measure, 0.5, ("x", True, None)),
+    "singular_demo lambdas": (lambda x: demos.singular_demo(2, [0.5, x]),
+                              0.5, (True, False, "0.5")),
+    "singular_demo cells per block": (lambda c: demos.singular_demo(2, [0.5, 0.5], c),
+                                      4, (True, 2.0, "4", 0)),
+    "classical_demo targets": (
+        lambda t: demos.classical_demo(2, 16, 0, 0, targets=[[0.1, t]]),
+        0.2, ("0.2", True, None)),
 }
 
 
@@ -213,8 +227,12 @@ class TestEvaluate:
         for _ in range(40):
             e = random_set(nu.space, RNG)
             f = e.union(random_set(nu.space, RNG))
-            assert opcore.loewner_leq(evaluate(nu, e), evaluate(nu, f), 1e-10)
-            assert box.contains(evaluate(nu, e), 1e-10)
+            assert opcore.loewner_leq(evaluate(nu, e), evaluate(nu, f))
+            assert box.contains(evaluate(nu, e))
+            # Within 1e-10, tighter than the TOL_PSD of both checks.
+            for gap in (evaluate(nu, e), evaluate(nu, f) - evaluate(nu, e),
+                        nu.total_mass() - evaluate(nu, e)):
+                assert np.linalg.eigvalsh(gap)[0] >= -1e-10
 
 
 @pytest.mark.parametrize("method", ["intersection", "union", "is_disjoint"])
@@ -262,10 +280,11 @@ class TestEvaluateFractional:
 
 class TestInducedMeasure:
     def test_traces_must_match_the_space(self):
-        # Three cells and no atoms: two cell traces and one atom trace do
-        # not fit, though their count does.
-        with pytest.raises(errors.ShapeMismatch):
-            ovm.InducedMeasure(SampleSpace.uniform(3), [0.5, 0.25], [0.25])
+        # Three cells and no atoms: two traces, or three in a row of a
+        # matrix, do not fit.
+        for bad in ([0.5, 0.25], [[0.5, 0.25, 0.25]]):
+            with pytest.raises(errors.ShapeMismatch):
+                ovm.InducedMeasure(SampleSpace.uniform(3), bad)
 
     def test_probability_total(self):
         nu = random_povm(3, 12, RNG)
@@ -339,7 +358,7 @@ class TestEntryMeasure:
                 for j in range(2):
                     # Same left-to-right accumulation as evaluate: exact.
                     acc = 0j
-                    for val in entry_measure(nu, i, j).cells[e.cells()]:
+                    for val in entry_measure(nu, i, j).cells[nu.space.selector(e)]:
                         acc += val
                     rebuilt[i, j] = acc
             assert np.array_equal(rebuilt, evaluate(nu, e))
@@ -378,8 +397,7 @@ class TestAtoms:
 
     def test_zero_mass_atom_ignored(self):
         space = SampleSpace.uniform(2, atom_sites=(0.5,))
-        nu = ovm.OVM(space, 1, np.full((2, 1, 1), 0.5, dtype=complex),
-                     np.zeros((1, 1, 1), dtype=complex), "mixed")
+        nu = ovm.OVM(space, np.array([0.5, 0.5, 0.0]).reshape(3, 1, 1), "mixed")
         assert atoms(nu) == []
         assert is_nonatomic(nu)
 
@@ -447,6 +465,19 @@ class TestStackValidation:
         masses[0, 0, 0] = 7.0
         assert nu.cell_masses[0, 0, 0] == 0.25
         assert not nu.cell_masses.flags.writeable
+
+    def test_layout_errors_are_typed(self):
+        # Two cells and one atom: a wrong item count or matrix shape, a
+        # scalar included, raises ShapeMismatch, and d = 0 InvalidInput.
+        space = SampleSpace.uniform(2, atom_sites=(0.5,))
+        builds = {grid_ovm: 2, atomic_ovm: 1, qrv: 2,
+                  lambda s, x: ovm.OVM(s, x, "mixed"): 3, QuantumRandomVariable: 3}
+        for build, count in builds.items():
+            for bad in (5.0, np.zeros(3), np.zeros((4, 1, 1)), np.zeros((count, 2, 3))):
+                with pytest.raises(errors.ShapeMismatch):
+                    build(space, bad)
+            with pytest.raises(errors.InvalidInput):
+                build(space, np.zeros((count, 0, 0)))
 
 
 class TestAbsContinuous:
@@ -553,7 +584,7 @@ class TestCachedValues:
         assert np.shares_memory(nu.cell_masses, nu.masses)
         assert np.shares_memory(nu.atom_masses, nu.masses)
         assert nu.norms.tolist() == [0.25, 0.125, 0.5, 0.0, 0.125]
-        assert nu.atom_norms().tolist() == [0.5, 0.0, 0.125]
+        assert nu.norms[2:].tolist() == [0.5, 0.0, 0.125]
         assert nu.massive.tolist() == [True, True, True, False, True]
         assert nu.coords[:, 0].tolist() == [0.25, 0.125, 0.5, 0.0, 0.125]
         assert nu.cell_coords[:, 0].tolist() == [0.25, 0.125]

@@ -44,10 +44,7 @@ RNG = rng_from_seed(616263)
 
 def constant_qrv(space: SampleSpace, value) -> QuantumRandomVariable:
     v = opcore.as_matrix(value)
-    d = v.shape[0]
-    cv = np.broadcast_to(v, (space.n_cells, d, d)).copy()
-    av = np.broadcast_to(v, (space.n_atoms, d, d)).copy()
-    return QuantumRandomVariable(space, d, cv, av)
+    return QuantumRandomVariable(space, [v] * (space.n_cells + space.n_atoms))
 
 
 def qrv_to_json(f: QuantumRandomVariable) -> dict:
@@ -60,12 +57,8 @@ def qrv_to_json(f: QuantumRandomVariable) -> dict:
 def qrv_from_json(space: SampleSpace, obj) -> QuantumRandomVariable:
     if not isinstance(obj, dict) or "cells" not in obj:
         raise errors.InvalidInput("step function JSON must carry cells")
-    cells = [opcore.matrix_from_json(x) for x in obj["cells"]]
-    atoms = [opcore.matrix_from_json(x) for x in obj.get("atoms", [])]
-    d = cells[0].shape[0] if cells else (atoms[0].shape[0] if atoms else 1)
-    cv = np.stack(cells) if cells else np.zeros((0, d, d), dtype=np.complex128)
-    av = np.stack(atoms) if atoms else np.zeros((space.n_atoms, d, d), dtype=np.complex128)
-    return QuantumRandomVariable(space, d, cv, av)
+    values = [opcore.matrix_from_json(x) for x in obj["cells"] + obj.get("atoms", [])]
+    return QuantumRandomVariable(space, np.stack(values))
 
 
 def scalar_to_json(f: ScalarStepFunction) -> dict:
@@ -190,8 +183,8 @@ class TestIntegrate:
             f = random_step(nu.space, 2, RNG, positive=True)
             out = integrate(nu, f)
             bound = ess_sup(f, nu) * nu.total_mass()
-            assert opcore.loewner_leq(np.zeros((2, 2)), out, 1e-9)
-            assert opcore.loewner_leq(out, bound, 1e-9)
+            assert opcore.loewner_leq(np.zeros((2, 2)), out)
+            assert opcore.loewner_leq(out, bound)
 
     def test_four_part_split_agrees(self):
         nu = random_povm(2, 8, RNG)
@@ -238,10 +231,19 @@ class TestIntegrandFs:
             assert abs(lhs - rhs) <= 1e-10
 
     def test_values_must_match_the_space(self):
-        # Three cells and no atoms: one cell value and two atom values do
-        # not fit, though their count does.
-        with pytest.raises(errors.ShapeMismatch):
-            ScalarStepFunction(SampleSpace.uniform(3), [1.0], [2.0, 3.0])
+        # Three cells and no atoms: two values, or three in a row of a
+        # matrix, do not fit.
+        for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]]):
+            with pytest.raises(errors.ShapeMismatch):
+                ScalarStepFunction(SampleSpace.uniform(3), bad)
+
+    def test_one_item_stack(self):
+        # Cells first, then atoms, in one read-only complex stack; cells and
+        # atoms are views of it.
+        fs = ScalarStepFunction(SampleSpace.uniform(2, atom_sites=(0.5,)), [1.0, 2.0, 3.0])
+        assert fs.values.dtype == np.complex128 and not fs.values.flags.writeable
+        assert fs.cells.tolist() == [1.0, 2.0] and fs.atoms.tolist() == [3.0]
+        assert np.shares_memory(fs.cells, fs.values) and np.shares_memory(fs.atoms, fs.values)
 
     def test_positive_integrand_nonnegative(self):
         nu = random_povm(2, 8, RNG)
@@ -278,8 +280,8 @@ def brute_force_ess_range(f, nu):
     zero measure.
     """
     m, n = nu.space.n_cells, nu.space.n_atoms
-    live_cells = nu.cell_norms() > 1e-12
-    live_atoms = nu.atom_norms() > 1e-12
+    live_cells = nu.norms[:m] > 1e-12
+    live_atoms = nu.norms[m:] > 1e-12
     candidates = None
     for cell_bits in itertools.product([False, True], repeat=m):
         for atom_bits in itertools.product([False, True], repeat=n):
@@ -358,8 +360,9 @@ def ess_range_pairwise(f, nu):
     """Reference for ess_range's dedup: one op_norm per (value, kept value)
     pair, first occurrence kept, cells before atoms."""
     out = []
-    for live_values in (f.cell_values[nu.cell_norms() > qintegrate.MASS_TOL],
-                        f.atom_values[nu.atom_norms() > qintegrate.MASS_TOL]):
+    m = nu.space.n_cells
+    for live_values in (f.cell_values[nu.norms[:m] > qintegrate.MASS_TOL],
+                        f.atom_values[nu.norms[m:] > qintegrate.MASS_TOL]):
         for value in live_values:
             if all(opcore.op_norm(value - seen) > qintegrate.DEDUP_TOL for seen in out):
                 out.append(value.copy())
@@ -514,9 +517,9 @@ class TestJson:
     def test_scalar_json_real_only(self):
         space = SampleSpace.uniform(2)
         from ovmkit.qintegrate import ScalarStepFunction
-        fs = ScalarStepFunction(space, np.array([1.0, 2.0]), np.zeros(0))
+        fs = ScalarStepFunction(space, np.array([1.0, 2.0]))
         assert scalar_to_json(fs) == {"cells": [1.0, 2.0], "atoms": []}
-        bad = ScalarStepFunction(space, np.array([1.0 + 1j, 2.0]), np.zeros(0))
+        bad = ScalarStepFunction(space, np.array([1.0 + 1j, 2.0]))
         with pytest.raises(errors.Unsupported):
             scalar_to_json(bad)
 

@@ -182,7 +182,7 @@ class TestConsistency:
         ind = induced_measure(nu, rho)
         worst = 0.0
         for e in sets:
-            chosen = list(np.flatnonzero(e.cells()))
+            chosen = list(np.flatnonzero(nu.space.selector(e)))
             for i in range(3):
                 for j in range(3):
                     lhs = entry_measure(nu, i, j).cells[chosen].sum()
