@@ -360,28 +360,32 @@ def _zero_masses(count: int, dim: int) -> np.ndarray:
     return np.zeros((count, dim, dim), dtype=np.complex128)
 
 
-def join_items(space: SampleSpace, cells, atoms, dim: int) -> np.ndarray:
-    """The m + n stack of ``dim`` x ``dim`` cell and atom matrices, cells
-    first, for the factories that take them apart; None stands for zeros.
-    Given a scalar, a factory passes ``dim`` 0: shape () fails the check."""
-    halves = [_zero_masses(count, dim) if x is None else np.asarray(x, dtype=np.complex128)
+def join_items(space: SampleSpace, cells, atoms, dim: int | None = None) -> np.ndarray:
+    """The m + n stack of the cell and atom matrices, cells first, for the
+    factories that take them apart; None stands for zeros.  The dimension
+    is ``dim``, else that of the first half given; a half of any shape but
+    (its item count, dim, dim) raises ShapeMismatch."""
+    halves = [(None if x is None else np.asarray(x, dtype=np.complex128), count)
               for x, count in ((cells, space.n_cells), (atoms, space.n_atoms))]
-    if any(x.shape[1:] != (dim, dim) for x in halves):
-        raise ShapeMismatch(f"cell and atom matrices must be {dim} x {dim}, got shapes "
-                            f"{halves[0].shape} and {halves[1].shape}")
-    return np.concatenate(halves)
+    for x, count in halves:
+        if x is None:
+            continue
+        dim = x.shape[-1] if dim is None and x.ndim == 3 else dim
+        if x.shape != (count, dim, dim):
+            raise ShapeMismatch(f"matrices must have shape {(count, dim, dim)} for "
+                                f"{space.n_cells} cells and {space.n_atoms} atoms, "
+                                f"got {x.shape}")
+    return np.concatenate([_zero_masses(count, dim) if x is None else x for x, count in halves])
 
 
 def grid_ovm(space: SampleSpace, cell_masses, atom_masses=None) -> OVM:
     """Grid-density OVM; pass atom masses as well for the mixed variant."""
-    cm = np.asarray(cell_masses, dtype=np.complex128)
-    masses = join_items(space, cm, atom_masses, cm.shape[-1] if cm.ndim else 0)
+    masses = join_items(space, cell_masses, atom_masses)
     return OVM(space, masses, "grid" if atom_masses is None else "mixed")
 
 
 def atomic_ovm(space: SampleSpace, atom_masses) -> OVM:
-    am = np.asarray(atom_masses, dtype=np.complex128)
-    return OVM(space, join_items(space, None, am, am.shape[-1] if am.ndim else 0), "atomic")
+    return OVM(space, join_items(space, None, atom_masses), "atomic")
 
 
 def _sum_selected(stack: np.ndarray, indices, dim: int) -> np.ndarray:

@@ -90,9 +90,7 @@ def _check_same(f: QuantumRandomVariable, g: QuantumRandomVariable):
 
 def qrv(space: SampleSpace, cell_values, atom_values=None) -> QuantumRandomVariable:
     """The step function with these cell values and atom values (zero if None)."""
-    cv = np.asarray(cell_values, dtype=np.complex128)
-    values = join_items(space, cv, atom_values, cv.shape[-1] if cv.ndim else 0)
-    return QuantumRandomVariable(space, values)
+    return QuantumRandomVariable(space, join_items(space, cell_values, atom_values))
 
 
 def indicator(space: SampleSpace, dim: int, e: MeasurableSet) -> QuantumRandomVariable:

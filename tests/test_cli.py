@@ -314,6 +314,15 @@ class TestMalformedInput:
         assert code == 1
         assert report["error"].startswith("InvalidInput: ")
 
+    def test_item_counts_swapped_between_cells_and_atoms(self):
+        # Two cells, no atoms: one cell mass and one atom mass total two
+        # items but put the second one in the wrong place.
+        swapped = dict(TWO_CELLS, variant="mixed", cell_masses=TWO_CELLS["cell_masses"][:1],
+                       atom_masses=TWO_CELLS["cell_masses"][1:])
+        report, code = cli.run_scenario({"kind": "properties", "ovm": swapped})
+        assert code == 1
+        assert report["error"].startswith("ShapeMismatch: ")
+
     def test_properties_seed_flag_reaches_scenario(self, tmp_path):
         config = tmp_path / "props.json"
         config.write_text(json.dumps({"ovm": POVM}), encoding="utf-8")

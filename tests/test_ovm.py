@@ -478,6 +478,12 @@ class TestStackValidation:
                     build(space, bad)
             with pytest.raises(errors.InvalidInput):
                 build(space, np.zeros((count, 0, 0)))
+        # Given both halves, each must hold its own item count: a right
+        # total split wrongly between cells and atoms is rejected.
+        for build in (grid_ovm, qrv):
+            for cells, atoms in ((1, 2), (3, 0), (0, 3)):
+                with pytest.raises(errors.ShapeMismatch):
+                    build(space, np.zeros((cells, 2, 2)), np.zeros((atoms, 2, 2)))
 
 
 class TestAbsContinuous:
