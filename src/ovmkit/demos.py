@@ -211,6 +211,8 @@ def classical_demo(measures, cells: int = 64, trials: int = 1, seed: int = 0,
     worst_fractional = 0
     failure = None
     for tup in targets:
+        if not isinstance(tup, (list, tuple)):
+            raise InvalidInput(f"each target must be a list or tuple of values, got {tup!r}")
         tup = [opcore.as_real(x, "target value") for x in tup]
         if len(tup) != n:
             raise InvalidInput("each target tuple needs one value per measure")

@@ -35,7 +35,7 @@ def uhl_model(m: int, normalized: bool = True) -> OVM:
     is injective and its range is a non-convex corner set, the two
     features that make it the counterexample to unconditional convexity.
     """
-    if m < 2:
+    if opcore.as_int(m, "cell count") < 2:
         raise InvalidInput("need at least two cells")
     space = SampleSpace.uniform(m, divisible=False)
     masses = np.zeros((m, m, m), dtype=np.complex128)
@@ -48,6 +48,7 @@ def dyadic_state(levels: int) -> opcore.State:
     """diag(1/2, 1/4, ..., 1/2^(N+1), 1/2^(N+1)): the tail deficit of the
     geometric diagonal is parked on the last (measure-null) coordinate,
     so the trace is exactly 1 and every coefficient stays a closed form."""
+    levels = opcore.as_int(levels, "levels", low=0)
     diag = [0.5**n for n in range(1, levels + 2)]
     diag.append(0.5 ** (levels + 1))
     return opcore.make_state(np.diag(diag))
@@ -98,7 +99,7 @@ def overlapping_measures(n: int, m: int, rng: np.random.Generator) -> list[OVM]:
     on one m-cell grid."""
     space = SampleSpace.uniform(m)
     out = []
-    for _ in range(n):
+    for _ in range(opcore.as_int(n, "measure count", low=1)):
         masses = rng.uniform(0.2, 1.0, m) * space.weights
         out.append(grid_ovm(space, masses[:, None, None].astype(np.complex128)))
     return out
@@ -112,18 +113,6 @@ def single_atom_measure(mass: float = 1.0, site: float = 0.5) -> OVM:
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
-
-
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    x = random_complex(rng, (dim, dim))
-    return scale * (x + x.conj().T) / 2
-
-
-def random_state(dim: int, rng: np.random.Generator) -> opcore.State:
-    """Full-rank random density operator (Gram plus a ridge)."""
-    x = random_complex(rng, (dim, dim))
-    rho = x @ x.conj().T + 0.1 * np.eye(dim)
-    return opcore.make_state(rho / rho.trace().real)
 
 
 def random_povm(dim: int, m: int, rng: np.random.Generator,
@@ -148,12 +137,3 @@ def random_povm(dim: int, m: int, rng: np.random.Generator,
     masses = inv_root @ grams @ inv_root
     return grid_ovm(space, masses)
 
-
-def random_qrv_values(dim: int, count: int, rng: np.random.Generator,
-                      positive: bool = False, scale: float = 1.0) -> np.ndarray:
-    """Stack of random Hermitian (optionally PSD) step values."""
-    out = np.empty((count, dim, dim), dtype=np.complex128)
-    for k in range(count):
-        x = random_complex(rng, (dim, dim))
-        out[k] = scale * (x @ x.conj().T if positive else (x + x.conj().T) / 2)
-    return out

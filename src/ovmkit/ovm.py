@@ -10,9 +10,10 @@ density constant on the cell, so a sub-interval of fraction t carries
 exactly t times the cell mass.  That makes nonatomicity, and the Lyapunov
 construction downstream, exact at finite resolution.  Cells may be flagged
 indivisible, which models atoms that happen to be intervals; point atoms
-are never divisible.  For atoms and the solver an item is null when its
-mass norm is at most MASS_TOL * ||nu(X)|| (OVM.massive); integration and
-derivatives keep the absolute MASS_TOL.
+are never divisible.  An item is null when its mass norm is at most
+MASS_TOL * ||nu(X)|| (OVM.massive), so c * nu has the null items of nu for
+every c > 0; every null test (atoms, the solver, essential range and
+support, derivatives, absolute continuity) reads that one rule.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .errors import (
     SpaceMismatch,
 )
 
-# Below this operator norm a mass is treated as zero (null cell/atom); for
-# atoms and the solver, below this times ||nu(X)|| (OVM.massive).
+# An item is null when its mass is at most this times the whole measure's
+# (OVM.massive, InducedMeasure.massive).
 MASS_TOL = 1e-12
 
 
@@ -139,10 +140,6 @@ class SampleSpace:
         w.setflags(write=False)
         return w
 
-    def cell_bounds(self, k: int) -> tuple[float, float]:
-        k = _index(k, self.n_cells, "cell index")
-        return self.breakpoints[k], self.breakpoints[k + 1]
-
     def item_stack(self, values, dtype, what: str, matrices: bool = False) -> np.ndarray:
         """``values`` as a read-only ``dtype`` copy with one entry per item,
         cells first: shape (m + n,), or (m + n, d, d) with ``matrices``.
@@ -196,10 +193,6 @@ class MeasurableSet:
             am[_index(k, space.n_atoms, "atom index")] = True
         return cls(tuple(cm), tuple(am))
 
-    def complement(self) -> "MeasurableSet":
-        return MeasurableSet(tuple(not x for x in self.cell_mask),
-                             tuple(not x for x in self.atom_mask))
-
     def _pairs(self, other: "MeasurableSet"):
         """Cell and atom mask pairs of two sets on one layout."""
         if (len(self.cell_mask) != len(other.cell_mask)
@@ -214,10 +207,6 @@ class MeasurableSet:
     def union(self, other: "MeasurableSet") -> "MeasurableSet":
         cells, atoms = self._pairs(other)
         return MeasurableSet(tuple(x or y for x, y in cells), tuple(x or y for x, y in atoms))
-
-    def is_disjoint(self, other: "MeasurableSet") -> bool:
-        cells, atoms = self._pairs(other)
-        return not (any(x and y for x, y in cells) or any(x and y for x, y in atoms))
 
     def cell_indices(self) -> tuple[int, ...]:
         return tuple(k for k, x in enumerate(self.cell_mask) if x)
@@ -263,7 +252,8 @@ class FractionalSet:
 @dataclass(frozen=True, eq=False)
 class InducedMeasure:
     """Scalar measure E -> tr(rho nu(E)): the read-only m + n item traces
-    ``traces``, with ``cells`` and ``atoms`` views of it."""
+    ``traces``, with ``cells`` and ``atoms`` views of it.  ``massive`` is
+    OVM.massive's rule with |trace| and the summed |traces|."""
 
     space: SampleSpace
     traces: np.ndarray
@@ -280,6 +270,12 @@ class InducedMeasure:
 
     def of(self, e: MeasurableSet) -> float:
         return float(self.traces[self.space.selector(e)].sum())
+
+    @cached_property
+    def massive(self) -> np.ndarray:
+        """Per item: is |trace| above MASS_TOL times the summed |traces|?"""
+        size = np.abs(self.traces)
+        return opcore.readonly(size > MASS_TOL * size.sum(), bool)
 
 
 class EntryMeasure(NamedTuple):
@@ -474,26 +470,17 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     return PropertyReport(positive=nu.positive, spectral=spectral, probability=probability)
 
 
-def _mass_magnitudes(obj) -> tuple[SampleSpace, np.ndarray]:
-    if isinstance(obj, OVM):
-        return obj.space, obj.norms
-    if isinstance(obj, InducedMeasure):
-        return obj.space, np.abs(obj.traces)
-    raise InvalidInput(f"expected an OVM or InducedMeasure, got {type(obj).__name__}")
-
-
 def abs_continuous(nu1, nu2) -> bool:
-    """nu1 << nu2 on the cell/atom algebra.
-
-    Every cell or atom where nu2 vanishes must carry zero nu1 mass; this
-    suffices for nonnegative cellwise measures.  Either argument may be
-    an OVM or an induced measure over the same space.
+    """nu1 << nu2 on the cell/atom algebra: no cell or atom is massive in
+    nu1 and null in nu2, which suffices for nonnegative cellwise measures.
+    Either argument may be an OVM or an induced measure over the same space.
     """
-    s1, norms1 = _mass_magnitudes(nu1)
-    s2, norms2 = _mass_magnitudes(nu2)
-    if s1 != s2:
+    for nu in (nu1, nu2):
+        if not isinstance(nu, (OVM, InducedMeasure)):
+            raise InvalidInput(f"expected an OVM or InducedMeasure, got {type(nu).__name__}")
+    if nu1.space != nu2.space:
         raise SpaceMismatch("measures live over different sample spaces")
-    return bool(np.all(norms1[norms2 <= MASS_TOL] <= MASS_TOL))
+    return not np.any(nu1.massive & ~nu2.massive)
 
 
 def direct_sum(*ovms: OVM) -> OVM:

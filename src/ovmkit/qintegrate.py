@@ -6,9 +6,10 @@ on a cell where the operator density is M_k / tr(rho M_k) and the induced
 mass is tr(rho M_k), the defining identity tr(s * integral) = integral of
 f_s against nu_rho forces exactly that conjugation, independent of rho.
 
-Essential support, range, and supremum are computed up to nu-null cells,
-with operator-norm balls as the neighborhood system; for step functions
-these notions are exact, and tolerances only absorb round-off.
+Essential support, range, and supremum are computed up to nu-null cells
+(OVM.massive), with operator-norm balls as the neighborhood system; for
+step functions these notions are exact, and tolerances only absorb
+round-off.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .errors import (
     ShapeMismatch,
     Unsupported,
 )
-from .ovm import (MASS_TOL, OVM, FractionalSet, MeasurableSet, SampleSpace, item_views,
-                  join_items)
+from .ovm import MASS_TOL, OVM, MeasurableSet, SampleSpace, item_views, join_items
 from .rnderiv import rn_derivative
 
 # Operator-norm gap under which two step values are considered equal.
@@ -99,12 +99,6 @@ def indicator(space: SampleSpace, dim: int, e: MeasurableSet) -> QuantumRandomVa
     values = np.zeros((space.n_cells + space.n_atoms, dim, dim), dtype=np.complex128)
     values[space.selector(e)] = np.eye(dim)
     return QuantumRandomVariable(space, values)
-
-
-def from_fractional(space: SampleSpace, dim: int, h: FractionalSet) -> QuantumRandomVariable:
-    """An element h of the fractional cube lifted to the step function h_k * I."""
-    dim = opcore.as_int(dim, "dimension", low=1)
-    return QuantumRandomVariable(space, space.selector(h)[:, None, None] * np.eye(dim))
 
 
 def _split_psd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +180,9 @@ def ess_support(f: QuantumRandomVariable, nu: OVM) -> MeasurableSet:
     """Cells and atoms where f is nonzero modulo nu-null sets."""
     if f.space != nu.space:
         raise ShapeMismatch("step function and measure live on different spaces")
-    live = ((_value_norms(f.values) > MASS_TOL) & (nu.norms > MASS_TOL)).tolist()
+    # The MASS_TOL test is on the value F_k of f, not on nu, whose null
+    # items are those OVM.massive marks False.
+    live = ((_value_norms(f.values) > MASS_TOL) & nu.massive).tolist()
     return MeasurableSet(tuple(live[: nu.space.n_cells]), tuple(live[nu.space.n_cells :]))
 
 
@@ -200,7 +196,7 @@ def ess_range(f: QuantumRandomVariable, nu: OVM) -> list[np.ndarray]:
     """
     if f.space != nu.space:
         raise ShapeMismatch("step function and measure live on different spaces")
-    live = f.values[nu.norms > MASS_TOL]
+    live = f.values[nu.massive]
     kept: list[int] = []
     for i, value in enumerate(live):
         if not kept or _value_norms(value - live[kept]).min() > DEDUP_TOL:
@@ -216,7 +212,7 @@ def ess_sup(f: QuantumRandomVariable, nu: OVM) -> float:
     """
     values = ess_range(f, nu)
     by_range = max((opcore.op_norm(v) for v in values), default=0.0)
-    live_norms = _value_norms(f.values)[nu.norms > MASS_TOL]
+    live_norms = _value_norms(f.values)[nu.massive]
     by_threshold = float(live_norms.max()) if live_norms.size else 0.0
     if abs(by_range - by_threshold) > 1e-10 * max(1.0, by_threshold):
         raise NumericalFailure("essential supremum formulations disagree")

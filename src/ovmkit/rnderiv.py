@@ -1,9 +1,9 @@
 """Radon-Nikodym derivatives of a POVM with respect to its induced measures.
 
 At step resolution the derivative is the cellwise operator density
-R_k = M_k / tr(rho M_k), defined exactly on cells and atoms of nonzero
-induced mass.  Cells the induced measure does not see stay undefined
-(None): null sets carry no information under the L-infinity quotient.
+R_k = M_k / tr(rho M_k), defined exactly on the cells and atoms that are
+not nu-null (OVM.massive).  Null ones stay undefined (None): null sets
+carry no information under the L-infinity quotient.
 """
 
 from __future__ import annotations
@@ -14,15 +14,15 @@ import numpy as np
 
 from . import opcore
 from .errors import DerivativeDoesNotExist, NotPositive
-from .ovm import MASS_TOL, OVM, InducedMeasure, MeasurableSet, evaluate, induced_measure
+from .ovm import OVM, InducedMeasure, MeasurableSet, evaluate, induced_measure
 
 
 @dataclass(frozen=True, eq=False)
 class StepDensity:
     """Cellwise operator density with its reference induced measure.
 
-    ``cells[k]`` / ``atoms[k]`` is None exactly where the reference
-    measure vanishes.
+    ``cells[k]`` / ``atoms[k]`` is None exactly where nu is null
+    (OVM.massive).
     """
 
     space: object
@@ -31,9 +31,6 @@ class StepDensity:
     atoms: tuple
     reference: InducedMeasure
 
-    def defined_cells(self) -> tuple[int, ...]:
-        return tuple(k for k, r in enumerate(self.cells) if r is not None)
-
 
 def _reference(nu: OVM, rho) -> tuple[InducedMeasure, tuple[tuple[str, int], ...]]:
     """The induced measure nu_rho and the failures of rn_exists read off it."""
@@ -41,7 +38,7 @@ def _reference(nu: OVM, rho) -> tuple[InducedMeasure, tuple[tuple[str, int], ...
         raise NotPositive("derivative is defined for positive OVMs")
     ind = induced_measure(nu, rho)
     m = nu.space.n_cells
-    blocked = np.flatnonzero((nu.norms > MASS_TOL) & (ind.traces <= opcore.RANK_TOL * nu.norms))
+    blocked = np.flatnonzero(nu.massive & (ind.traces <= opcore.RANK_TOL * nu.norms))
     return ind, tuple(("cell", int(k)) if k < m else ("atom", int(k - m)) for k in blocked)
 
 
@@ -66,7 +63,7 @@ def rn_derivative(nu: OVM, rho) -> StepDensity:
     ind, failures = _reference(nu, rho)
     if failures:
         raise DerivativeDoesNotExist(failures)
-    defined = (ind.traces > MASS_TOL) | (nu.norms > MASS_TOL)
+    defined = nu.massive
     rs = iter(opcore.readonly(nu.masses[defined] / ind.traces[defined, None, None], np.complex128))
     slots = tuple(next(rs) if k else None for k in defined)
     m = nu.space.n_cells

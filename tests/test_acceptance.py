@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from helpers import random_qrv_values, random_state
 from ovmkit import opcore
 from ovmkit.demos import paper_example_13, uhl_demo
 from ovmkit.lyapunov import (
@@ -20,8 +21,6 @@ from ovmkit.lyapunov import (
 from ovmkit.models import (
     overlapping_measures,
     random_povm,
-    random_qrv_values,
-    random_state,
     rng_from_seed,
     single_atom_measure,
     uhl_model,
@@ -185,7 +184,7 @@ def test_criterion_7_classical_attainment():
 
 def _oracle_ess_range(f, nu):
     m = nu.space.n_cells
-    live = nu.norms[:m] > 1e-12
+    live = nu.massive[:m]
     candidates = None
     for bits in itertools.product([False, True], repeat=m):
         keep = np.asarray(bits)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_hermitian
 from ovmkit import errors, lyapunov, opcore
 from ovmkit.demos import uhl_demo
 from ovmkit.lyapunov import (
@@ -26,7 +27,6 @@ from ovmkit.lyapunov import (
 )
 from ovmkit.models import (
     lebesgue_identity,
-    random_hermitian,
     random_povm,
     rng_from_seed,
     single_atom_measure,

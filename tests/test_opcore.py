@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import random_hermitian
 from ovmkit import errors, opcore
-from ovmkit.models import random_hermitian, rng_from_seed
+from ovmkit.models import rng_from_seed
 
 RNG = rng_from_seed(20260810)
 

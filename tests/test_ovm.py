@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import random_state
 from ovmkit import demos, errors, opcore, ovm
 from ovmkit.models import (
+    dyadic_state,
     harmonic_diag_model,
     lebesgue_identity,
+    overlapping_measures,
     random_povm,
-    random_state,
     rng_from_seed,
     single_atom_measure,
     singular_blocks,
@@ -55,7 +57,7 @@ class TestSampleSpace:
         space = SampleSpace.uniform(4)
         assert space.n_cells == 4
         assert np.allclose(space.weights, 0.25)
-        assert space.cell_bounds(1) == (0.25, 0.5)
+        assert space.breakpoints[1:3] == (0.25, 0.5)
 
     def test_bad_breakpoints(self):
         with pytest.raises(errors.InvalidInput):
@@ -99,8 +101,10 @@ TYPED_INPUTS = {
                                np.float64(0.5), ("0.5", True, np.bool_(True), None)),
     "entry_measure row": (lambda i: entry_measure(lebesgue_identity(3, 2), i, 0),
                           np.int64(1), (0.5, True, -1, 2)),
-    "cell_bounds index": (lambda k: SampleSpace.uniform(3).cell_bounds(k),
-                          2, (7, 3, -1, 1.0, True)),
+    "from_indices atom index": (
+        lambda k: MeasurableSet.from_indices(SampleSpace.uniform(1, atom_sites=(0.2, 0.5, 0.8)),
+                                             atoms=[k]),
+        2, (7, 3, -1, 1.0, True)),
     "uhl_demo cells": (demos.uhl_demo, 3, (2.9, "3", True)),
     "paper_example_13 levels": (demos.paper_example_13, 3, ("3", 3.0)),
     "singular_demo measures": (lambda n: demos.singular_demo(n, [0.5, 0.5]),
@@ -124,6 +128,10 @@ TYPED_INPUTS = {
     "lebesgue_identity dim": (lambda d: lebesgue_identity(4, d), 2, (2.0, True, "2", 0)),
     "random_povm dim": (lambda d: random_povm(d, 4, RNG), 2, (2.0, True, "2")),
     "harmonic_diag_model levels": (harmonic_diag_model, 3, (3.0, True, "3")),
+    "uhl_model cells": (uhl_model, 3, ("3", 3.0, True, 1)),
+    "dyadic_state levels": (dyadic_state, 3, (2.5, "3", True, -1)),
+    "overlapping_measures count": (lambda n: overlapping_measures(n, 4, RNG),
+                                   2, (2.0, "2", True, 0)),
     "single_atom_measure mass": (single_atom_measure, 0.5, ("x", True, None)),
     "singular_demo lambdas": (lambda x: demos.singular_demo(2, [0.5, x]),
                               0.5, (True, False, "0.5")),
@@ -132,6 +140,9 @@ TYPED_INPUTS = {
     "classical_demo targets": (
         lambda t: demos.classical_demo(2, 16, 0, 0, targets=[[0.1, t]]),
         0.2, ("0.2", True, None)),
+    "classical_demo target entry": (
+        lambda t: demos.classical_demo(2, 16, 0, 0, targets=[t]),
+        [0.1, 0.2], (5, 0.1, "0.1", None)),
 }
 
 
@@ -205,7 +216,6 @@ class TestEvaluate:
                     in_f.append(k)
             e = MeasurableSet.from_indices(nu.space, cells=in_e)
             f = MeasurableSet.from_indices(nu.space, cells=in_f)
-            assert e.is_disjoint(f)
             lhs = evaluate(nu, e.union(f))
             rhs = evaluate(nu, e) + evaluate(nu, f)
             assert np.array_equal(lhs, rhs)
@@ -217,7 +227,7 @@ class TestEvaluate:
             e = random_set(nu.space, RNG)
             f = MeasurableSet(
                 tuple((not a) and bool(RNG.integers(0, 2)) for a in e.cell_mask))
-            assert e.is_disjoint(f)
+            assert e.intersection(f) == MeasurableSet.empty(nu.space)
             gap = evaluate(nu, e.union(f)) - evaluate(nu, e) - evaluate(nu, f)
             assert opcore.op_norm(gap) <= 1e-14 * max(1.0, scale)
 
@@ -235,7 +245,7 @@ class TestEvaluate:
                 assert np.linalg.eigvalsh(gap)[0] >= -1e-10
 
 
-@pytest.mark.parametrize("method", ["intersection", "union", "is_disjoint"])
+@pytest.mark.parametrize("method", ["intersection", "union"])
 def test_set_operation_rejects_masks_of_other_lengths(method):
     e = MeasurableSet((True, False, True), (False,))
     for other in (MeasurableSet((True, False), (False,)),
@@ -298,7 +308,7 @@ class TestInducedMeasure:
         nu, rho = harmonic_diag_model(8)
         ind = induced_measure(nu, rho)
         last = nu.space.n_cells - 1
-        assert nu.space.cell_bounds(last) == (0.5, 1.0)
+        assert nu.space.breakpoints[last:] == (0.5, 1.0)
         assert ind.cells[last] == pytest.approx(3.0 / 8.0, abs=1e-15)
         assert ind.cells[last] / nu.space.weights[last] == pytest.approx(0.75, abs=1e-15)
 

@@ -4,21 +4,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import random_hermitian, random_qrv_values, random_state
 from ovmkit import errors, opcore, qintegrate
 from ovmkit.models import (
     lebesgue_identity,
     random_complex,
-    random_hermitian,
     random_povm,
-    random_qrv_values,
-    random_state,
     rng_from_seed,
 )
 from ovmkit.ovm import (
     FractionalSet,
     MeasurableSet,
     SampleSpace,
+    abs_continuous,
     evaluate,
     grid_ovm,
     induced_measure,
@@ -30,7 +31,6 @@ from ovmkit.qintegrate import (
     ess_range,
     ess_sup,
     ess_support,
-    from_fractional,
     indicator,
     integrand_fs,
     integrate,
@@ -38,6 +38,7 @@ from ovmkit.qintegrate import (
     qrv,
     real_imag_parts,
 )
+from ovmkit.rnderiv import rn_derivative
 
 RNG = rng_from_seed(616263)
 
@@ -210,7 +211,6 @@ class TestIntegrandFs:
         nu = random_povm(2, 6, RNG)
         rho = random_state(2, RNG)
         s = random_state(2, RNG)
-        from ovmkit.rnderiv import rn_derivative
         dens = rn_derivative(nu, rho)
         fs = integrand_fs(indicator(nu.space, 2, MeasurableSet.full(nu.space)), s, nu, rho)
         for k, r in enumerate(dens.cells):
@@ -280,8 +280,7 @@ def brute_force_ess_range(f, nu):
     zero measure.
     """
     m, n = nu.space.n_cells, nu.space.n_atoms
-    live_cells = nu.norms[:m] > 1e-12
-    live_atoms = nu.norms[m:] > 1e-12
+    live_cells, live_atoms = nu.massive[:m], nu.massive[m:]
     candidates = None
     for cell_bits in itertools.product([False, True], repeat=m):
         for atom_bits in itertools.product([False, True], repeat=n):
@@ -349,7 +348,7 @@ class TestEssentialRange:
     def test_fractional_lift_lands_in_unit_scalar_segment(self):
         nu = random_povm(2, 6, RNG)
         h = FractionalSet(tuple(RNG.random(6)))
-        f = from_fractional(nu.space, 2, h)
+        f = QuantumRandomVariable(nu.space, nu.space.selector(h)[:, None, None] * np.eye(2))
         for value in ess_range(f, nu):
             lam = value[0, 0].real
             assert 0.0 <= lam <= 1.0
@@ -361,8 +360,7 @@ def ess_range_pairwise(f, nu):
     pair, first occurrence kept, cells before atoms."""
     out = []
     m = nu.space.n_cells
-    for live_values in (f.cell_values[nu.norms[:m] > qintegrate.MASS_TOL],
-                        f.atom_values[nu.norms[m:] > qintegrate.MASS_TOL]):
+    for live_values in (f.cell_values[nu.massive[:m]], f.atom_values[nu.massive[m:]]):
         for value in live_values:
             if all(opcore.op_norm(value - seen) > qintegrate.DEDUP_TOL for seen in out):
                 out.append(value.copy())
@@ -417,6 +415,39 @@ class TestEssentialSup:
         with pytest.raises(errors.NumericalFailure) as err:
             ess_sup(f, nu)
         assert isinstance(err.value, errors.OvmError)
+
+
+def _null_reads(nu, f, rho, nu_ref):
+    """Everything that asks which items of nu are null, for f, rho and a
+    reference measure nu_ref on the same space."""
+    ind, ind_ref = induced_measure(nu, rho), induced_measure(nu_ref, rho)
+    return {
+        "ess_range": np.array(ess_range(f, nu)).tolist(),
+        "ess_sup": ess_sup(f, nu),
+        "ess_support": ess_support(f, nu),
+        "defined": tuple(r is not None for r in rn_derivative(nu, rho).cells),
+        "ovm_ac": (abs_continuous(nu, nu_ref), abs_continuous(nu_ref, nu)),
+        "induced_ac": (abs_continuous(ind, ind_ref), abs_continuous(ind_ref, ind)),
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 8))
+def test_null_items_scale_invariant(seed, d, m):
+    # c * nu has the null sets of nu for every c > 0, so the essential
+    # range, supremum and support, the cells where the derivative is
+    # defined and absolute continuity against nu are those at c = 1.
+    rng = rng_from_seed(seed)
+    masses = random_povm(d, m, rng).cell_masses.copy()
+    masses[rng.integers(0, m)] = 0.0
+    space = SampleSpace.uniform(m)
+    pool = random_qrv_values(d, 3, rng)
+    f = qrv(space, pool[rng.integers(0, 3, m)])
+    rho = random_state(d, rng)
+    nu = grid_ovm(space, masses)
+    want = _null_reads(nu, f, rho, nu)
+    for c in (1e-13, 1e-8, 1e8):
+        assert _null_reads(grid_ovm(space, c * masses), f, rho, nu) == want, c
 
 
 class TestEssEqual:
