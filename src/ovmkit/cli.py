@@ -413,7 +413,7 @@ def write_report(text: str, out_path: str | None):
 def _add_common(parser):
     parser.add_argument("--config", help="scenario JSON file; flags override its keys")
     parser.add_argument("--out", help="report output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--format", choices=("json", "csv"))
     parser.add_argument("--tol", type=float, help="primary residual tolerance override")
 
 
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a scenario config as-is")
     run.add_argument("--config", required=True)
     run.add_argument("--out")
-    run.add_argument("--format", choices=("json", "csv"), default="json")
+    run.add_argument("--format", choices=("json", "csv"))
 
     for name, kind in SCENARIOS.items():
         p = sub.add_parser(name.replace("_", "-"), help=kind.help)
@@ -471,7 +471,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_path = args.out or _setting(scenario, "out") or None
-    fmt = args.format if args.format != "json" else _setting(scenario, "format")
+    fmt = args.format or _setting(scenario, "format")
     report, code = run_scenario(scenario)
     text = report_to_csv(report) if fmt == "csv" else report_to_json(report)
     write_report(text, out_path)

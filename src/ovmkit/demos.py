@@ -52,7 +52,7 @@ def paper_example_13(levels: int):
         width = float(nu.space.weights[cell])
         density = float(ind.cells[cell]) / width
         expected_density = (2.0**n + 1.0) / 2.0 ** (n + 1)
-        r = dens.cells[cell]
+        r = dens.values[cell]
         rn_00 = float(r[0, 0].real)
         rn_nn = float(r[n, n].real)
         expected_rn = 2.0 ** (n + 1) / (2.0**n + 1.0)

@@ -34,7 +34,7 @@ one, demos.uhl_demo with stacks of 32 supports of one size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
@@ -91,26 +91,37 @@ class KernelWitness:
 @dataclass(frozen=True, eq=False)
 class PurifyResult:
     h_final: FractionalSet
-    fractional_indices: tuple[int, ...]
     iterations: int
     target_residual: float
+
+    @property
+    def fractional_indices(self) -> tuple[int, ...]:
+        """The cells of ``h_final`` strictly between 0 and 1."""
+        return tuple(_fractional_indices(np.array(self.h_final.cell_fractions)).tolist())
 
 
 @dataclass(frozen=True, eq=False)
 class AttainResult:
     """Interval realization of a target operator.
 
-    ``fractional_count`` is how many cells were strictly fractional in the
-    realized set, i.e. how many cells had to be split.
+    ``interval_count`` is len(intervals), read-only.  ``fractional_count``
+    is how many cells were strictly fractional in the realized set, i.e.
+    how many cells had to be split.
     """
 
     intervals: tuple[tuple[float, float], ...]
     atom_indices: tuple[int, ...]
     achieved: np.ndarray
     residual: float
-    interval_count: int
     iterations: int
     fractional_count: int = 0
+    # Taken and dropped, so that callers naming it (dataclasses.replace
+    # passes the property's value back in) keep working.
+    interval_count: InitVar[int | None] = None
+
+
+AttainResult.interval_count = property(lambda self: len(self.intervals),
+                                       doc="The number of intervals.")
 
 
 def coordinate_matrix(nu: OVM, support) -> np.ndarray:
@@ -345,7 +356,6 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
     residual = opcore.op_norm(evaluate_fractional(nu, final) - start_value)
     return PurifyResult(
         h_final=final,
-        fractional_indices=tuple(int(k) for k in _fractional_indices(vec)),
         iterations=iterations,
         target_residual=residual,
     )
@@ -389,7 +399,6 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
         atom_indices=tuple(k for k, x in enumerate(h.atom_mask) if x),
         achieved=achieved,
         residual=residual,
-        interval_count=len(intervals),
         iterations=0,
         fractional_count=int(_fractional_indices(vec).size),
     )
@@ -547,7 +556,7 @@ def joint_attain(ovms, targets) -> AttainResult:
     block = np.zeros((joint.dim, joint.dim), dtype=np.complex128)
     lo = 0
     for d, t in zip(dims, targets):
-        t_mat = opcore.as_matrix(np.atleast_2d(t))
+        t_mat = opcore.as_matrix(np.atleast_2d(opcore.as_array(t, np.complex128)))
         if t_mat.shape[0] != d:
             raise ShapeMismatch(f"target dim {t_mat.shape[0]} vs component dim {d}")
         block[lo:lo + d, lo:lo + d] = t_mat

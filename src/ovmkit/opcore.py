@@ -38,9 +38,19 @@ RANK_TOL = 1e-10
 HERM_TOL = 1e-12
 
 
+def as_array(a, dtype) -> np.ndarray:
+    """``a`` as a ``dtype`` array, ``a`` itself when it already is one.
+    Non-numeric, ragged or out-of-range input raises InvalidInput, not
+    numpy's ValueError, TypeError or OverflowError."""
+    try:
+        return np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"expected a numeric array: {exc}") from None
+
+
 def as_stack(a) -> np.ndarray:
     """Coerce to a (..., d, d) stack of complex matrices with finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
+    m = as_array(a, np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInput(f"expected a stack of square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -50,7 +60,7 @@ def as_stack(a) -> np.ndarray:
 
 def as_matrix(a) -> np.ndarray:
     """:func:`as_stack` for one (d, d) matrix."""
-    m = np.asarray(a, dtype=np.complex128)
+    m = as_array(a, np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
     return as_stack(m)
@@ -76,8 +86,8 @@ def as_real(value, what: str) -> float:
 
 
 def readonly(a, dtype) -> np.ndarray:
-    """A non-writeable copy of ``a`` as a ``dtype`` array."""
-    out = np.array(a, dtype=dtype)
+    """A non-writeable copy of ``a`` as a ``dtype`` array (:func:`as_array`)."""
+    out = as_array(a, dtype).copy()
     out.setflags(write=False)
     return out
 

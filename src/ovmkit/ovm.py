@@ -319,7 +319,7 @@ class OVM:
 
     def total_mass(self) -> np.ndarray:
         """nu(X)."""
-        return _sum_selected(self.masses, range(len(self.masses)), self.dim)
+        return sum_items(self.masses)
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -361,7 +361,7 @@ def join_items(space: SampleSpace, cells, atoms, dim: int | None = None) -> np.n
     factories that take them apart; None stands for zeros.  The dimension
     is ``dim``, else that of the first half given; a half of any shape but
     (its item count, dim, dim) raises ShapeMismatch."""
-    halves = [(None if x is None else np.asarray(x, dtype=np.complex128), count)
+    halves = [(None if x is None else opcore.as_array(x, np.complex128), count)
               for x, count in ((cells, space.n_cells), (atoms, space.n_atoms))]
     for x, count in halves:
         if x is None:
@@ -384,19 +384,21 @@ def atomic_ovm(space: SampleSpace, atom_masses) -> OVM:
     return OVM(space, join_items(space, None, atom_masses), "atomic")
 
 
-def _sum_selected(stack: np.ndarray, indices, dim: int) -> np.ndarray:
-    # Sequential accumulation in index order: each matrix entry sees the
-    # same float additions no matter how the matrices are embedded in
-    # blocks, which keeps direct sums and entrywise reconstructions exact.
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for k in indices:
-        out += stack[k]
+def sum_items(stack: np.ndarray) -> np.ndarray:
+    """The sum of a (k, d, d) stack, added in item order into zeros: one
+    sequential np.add.accumulate pass (np.sum and np.add.reduce add
+    pairwise), so each entry sees the same float additions however the
+    matrices sit in blocks, which keeps direct sums and entrywise
+    reconstructions exact."""
+    out = np.zeros(stack.shape[1:], dtype=np.complex128)
+    if len(stack):
+        out += np.add.accumulate(stack, axis=0)[-1]
     return out
 
 
 def evaluate(nu: OVM, e: MeasurableSet) -> np.ndarray:
     """nu(E): sum of the selected masses."""
-    return _sum_selected(nu.masses, np.flatnonzero(nu.space.selector(e)), nu.dim)
+    return sum_items(nu.masses[nu.space.selector(e)])
 
 
 def evaluate_fractional(nu: OVM, h: FractionalSet) -> np.ndarray:

@@ -155,20 +155,20 @@ def integrate(nu: OVM, f: QuantumRandomVariable) -> np.ndarray:
 def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunction:
     """The scalar integrand f_s: cellwise tr(s R_k^(1/2) F_k R_k^(1/2)).
 
-    Cells where the derivative is undefined (null cells) contribute 0.
+    Items where the derivative is undefined (null items) contribute 0.
     """
     if f.space != nu.space:
         raise ShapeMismatch("step function and measure live on different spaces")
+    if f.dim != nu.dim:
+        raise DimMismatch(f"value dim {f.dim} vs measure dim {nu.dim}")
     s_mat = opcore.as_matrix(getattr(s, "matrix", s))
     if s_mat.shape[0] != nu.dim:
         raise DimMismatch(f"state dim {s_mat.shape[0]} vs measure dim {nu.dim}")
     dens = rn_derivative(nu, rho)
-    slots = dens.cells + dens.atoms
-    out = np.zeros(len(slots), dtype=np.complex128)
-    defined = [k for k, r in enumerate(slots) if r is not None]
-    if defined:
-        roots = opcore.psd_roots(np.stack([slots[k] for k in defined]))
-        out[defined] = np.einsum("ij,kji->k", s_mat, roots @ f.values[defined] @ roots)
+    defined = dens.defined
+    roots = opcore.psd_roots(dens.values[defined])
+    out = np.zeros(len(defined), dtype=np.complex128)
+    out[defined] = np.einsum("ij,kji->k", s_mat, roots @ f.values[defined] @ roots)
     return ScalarStepFunction(nu.space, out)
 
 

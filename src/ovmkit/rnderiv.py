@@ -2,34 +2,61 @@
 
 At step resolution the derivative is the cellwise operator density
 R_k = M_k / tr(rho M_k), defined exactly on the cells and atoms that are
-not nu-null (OVM.massive).  Null ones stay undefined (None): null sets
-carry no information under the L-infinity quotient.
+not nu-null (OVM.massive) and held as one m + n stack that is zero on the
+others: null sets carry no information under the L-infinity quotient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import opcore
 from .errors import DerivativeDoesNotExist, NotPositive
-from .ovm import OVM, InducedMeasure, MeasurableSet, evaluate, induced_measure
+from .ovm import (OVM, InducedMeasure, MeasurableSet, SampleSpace, evaluate, induced_measure,
+                  sum_items)
 
 
 @dataclass(frozen=True, eq=False)
 class StepDensity:
     """Cellwise operator density with its reference induced measure.
 
-    ``cells[k]`` / ``atoms[k]`` is None exactly where nu is null
-    (OVM.massive).
+    ``values`` is one read-only (m + n, d, d) stack over the reference's
+    space, cells first, zero exactly where the density is undefined; a
+    defined R_k has tr(rho R_k) = 1, so ``defined`` marks the nonzero
+    items.  ``cells`` and ``atoms`` are tuples of the items with None
+    where the density is undefined.
     """
 
-    space: object
-    dim: int
-    cells: tuple
-    atoms: tuple
     reference: InducedMeasure
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        values = self.space.item_stack(self.values, np.complex128, "values", matrices=True)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def space(self) -> SampleSpace:
+        return self.reference.space
+
+    @cached_property
+    def defined(self) -> np.ndarray:
+        """Per item: is the density defined (nonzero) there?  Read-only."""
+        return opcore.readonly(self.values.any(axis=(-2, -1)), bool)
+
+    @cached_property
+    def _slots(self) -> tuple:
+        return tuple(r if live else None for r, live in zip(self.values, self.defined))
+
+    @property
+    def cells(self) -> tuple:
+        return self._slots[: self.space.n_cells]
+
+    @property
+    def atoms(self) -> tuple:
+        return self._slots[self.space.n_cells :]
 
 
 def _reference(nu: OVM, rho) -> tuple[InducedMeasure, tuple[tuple[str, int], ...]]:
@@ -57,18 +84,15 @@ def rn_derivative(nu: OVM, rho) -> StepDensity:
     """dnu/dnu_rho as a step density.
 
     Cellwise R_k = M_k / tr(rho M_k), which is entrywise the classical
-    derivative of each entry measure; tr(rho R_k) = 1 on every defined
-    cell.
+    derivative of each entry measure, on the massive items (OVM.massive)
+    and zero on the rest; tr(rho R_k) = 1 on every defined item.
     """
     ind, failures = _reference(nu, rho)
     if failures:
         raise DerivativeDoesNotExist(failures)
-    defined = nu.massive
-    rs = iter(opcore.readonly(nu.masses[defined] / ind.traces[defined, None, None], np.complex128))
-    slots = tuple(next(rs) if k else None for k in defined)
-    m = nu.space.n_cells
-    return StepDensity(space=nu.space, dim=nu.dim, cells=slots[:m], atoms=slots[m:],
-                       reference=ind)
+    values = np.zeros_like(nu.masses)
+    np.divide(nu.masses, ind.traces[:, None, None], out=values, where=nu.massive[:, None, None])
+    return StepDensity(ind, values)
 
 
 def rn_consistency(nu: OVM, rho, sets: list[MeasurableSet]) -> float:
@@ -78,14 +102,9 @@ def rn_consistency(nu: OVM, rho, sets: list[MeasurableSet]) -> float:
     DerivativeDoesNotExist.
     """
     dens = rn_derivative(nu, rho)
-    slots = dens.cells + dens.atoms
-    traces = dens.reference.traces
+    pieces = dens.values * dens.reference.traces[:, None, None]
     worst = 0.0
     for e in sets:
-        lhs = evaluate(nu, e)
-        rhs = np.zeros_like(lhs)
-        for k in np.flatnonzero(nu.space.selector(e)):
-            if slots[k] is not None:
-                rhs += slots[k] * traces[k]
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+        rhs = sum_items(pieces[nu.space.selector(e) & dens.defined])
+        worst = max(worst, float(np.abs(evaluate(nu, e) - rhs).max()))
     return worst

@@ -27,3 +27,24 @@ def random_qrv_values(dim: int, count: int, rng: np.random.Generator,
         x = random_complex(rng, (dim, dim))
         out[k] = scale * (x @ x.conj().T if positive else (x + x.conj().T) / 2)
     return out
+
+
+def sum_in_item_order(stack: np.ndarray, selected) -> np.ndarray:
+    """The reference set function: the selected matrices of ``stack`` added
+    one at a time, in item order, into zeros."""
+    out = np.zeros(stack.shape[1:], dtype=np.complex128)
+    for k in np.flatnonzero(selected):
+        out += stack[k]
+    return out
+
+
+def signed_zero_masses(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Random PSD masses over six orders of magnitude with -0.0 entries:
+    every third one has -0.0 off its diagonal and in its diagonal's
+    imaginary parts, and the last one is all -0.0, a null item."""
+    x = random_complex(rng, (count, dim, dim))
+    masses = x @ x.conj().swapaxes(-1, -2) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
+    masses[::3, ~np.eye(dim, dtype=bool)] = complex(-0.0, -0.0)
+    masses.imag[::3] = -0.0
+    masses[-1] = complex(-0.0, -0.0)
+    return masses

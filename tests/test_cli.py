@@ -221,6 +221,20 @@ class TestMain:
         assert lines[0].startswith("n,cell_lo")
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("command", ["run", "uhl"])
+    def test_format_flag_overrides_config(self, tmp_path, command):
+        # An explicit --format json wins over the config's "format": "csv",
+        # as every flag wins over its key; without the flag the key holds.
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps({"kind": "uhl", "cells": 4, "format": "csv"}),
+                          encoding="utf-8")
+        flagged, plain = tmp_path / "flagged.out", tmp_path / "plain.out"
+        assert cli.main([command, "--config", str(config), "--format", "json",
+                         "--out", str(flagged)]) == 0
+        assert cli.main([command, "--config", str(config), "--out", str(plain)]) == 0
+        assert json.loads(flagged.read_text(encoding="utf-8"))["pass"] is True
+        assert not plain.read_text(encoding="utf-8").startswith("{")
+
     def test_console_entry_point(self, tmp_path):
         config = tmp_path / "s.json"
         config.write_text(json.dumps({"kind": "uhl", "cells": 4}), encoding="utf-8")

@@ -1,6 +1,6 @@
 """Constructive Lyapunov solver: witnesses, purification, attainment."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -892,6 +892,27 @@ class TestAttainJson:
         assert set(obj) == {"intervals", "atoms", "achieved", "residual",
                             "interval_count", "iterations"}
         assert obj["interval_count"] == len(obj["intervals"])
+
+
+class TestDerivedCounts:
+    def test_interval_count_is_read_off_the_intervals(self):
+        nu = random_povm(2, 16, rng_from_seed(17))
+        result = attain(nu, nu.total_mass() * 0.4)
+        assert result.interval_count == len(result.intervals) > 1
+        with pytest.raises(AttributeError):
+            result.interval_count = 0
+        shorter = replace(result, intervals=result.intervals[:1])
+        assert shorter.interval_count == 1
+        assert replace(result, iterations=0).interval_count == result.interval_count
+        assert replace(result, interval_count=0).interval_count == result.interval_count
+
+    def test_fractional_indices_are_read_off_h_final(self):
+        nu = uhl_model(5)
+        result = purify(nu, FractionalSet((0.5, 1.0, 0.0, 0.25, 0.5)))
+        assert result.fractional_indices == (0, 3, 4)
+        assert replace(result, h_final=FractionalSet((1.0,) * 5)).fractional_indices == ()
+        with pytest.raises(AttributeError):
+            result.fractional_indices = ()
 
 
 class TestCoordinateMatrix:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import random_state
+from helpers import random_state, signed_zero_masses, sum_in_item_order
 from ovmkit import demos, errors, opcore, ovm
 from ovmkit.models import (
     dyadic_state,
@@ -18,7 +18,7 @@ from ovmkit.models import (
     singular_blocks,
     uhl_model,
 )
-from ovmkit.lyapunov import kernel_witness
+from ovmkit.lyapunov import attain, joint_attain, kernel_witness
 from ovmkit.qintegrate import QuantumRandomVariable, indicator, qrv
 from ovmkit.ovm import (
     FractionalSet,
@@ -143,14 +143,25 @@ TYPED_INPUTS = {
     "classical_demo target entry": (
         lambda t: demos.classical_demo(2, 16, 0, 0, targets=[t]),
         [0.1, 0.2], (5, 0.1, "0.1", None)),
+    "op_norm matrix": (opcore.op_norm, np.eye(2), ("abc", [[1, 0], [0]], [[object()]])),
+    "make_state matrix": (opcore.make_state, np.eye(2) / 2, ([[object()]], "abc", [[1, 0], [0]])),
+    "induced_measure state": (lambda r: induced_measure(lebesgue_identity(4, 2), r),
+                              np.eye(2) / 2, ([[1, 0], [0]], "abc")),
+    "grid_ovm masses": (lambda x: grid_ovm(SampleSpace.uniform(2), x),
+                        np.ones((2, 1, 1)), ("abc", [[[1]], [[1, 2]]], [[[None]], [[1]]])),
+    "attain target": (lambda t: attain(lebesgue_identity(4, 2), t),
+                      np.eye(2) / 2, ("abc", [[1, 0], [0]])),
+    "joint_attain target": (lambda t: joint_attain([lebesgue_identity(4, 2)], [t]),
+                            np.eye(2) / 2, ("x", [[1, 0], [0]])),
 }
 
 
 @pytest.mark.parametrize("call, good, bads", TYPED_INPUTS.values(), ids=TYPED_INPUTS.keys())
 def test_typed_inputs_checked_not_coerced(call, good, bads):
-    # An integer or real input of the wrong type, or an index out of range,
-    # is an InvalidInput: never a raw TypeError or IndexError, a truncated
-    # value, a parsed string or a negative index counted from the end.
+    # An integer or real input of the wrong type, an index out of range, or
+    # a non-numeric or ragged matrix is an InvalidInput: never a raw
+    # TypeError, ValueError or IndexError, a truncated value, a parsed string
+    # or a negative index counted from the end.
     call(good)
     for bad in bads:
         with pytest.raises(errors.InvalidInput):
@@ -174,6 +185,29 @@ def test_mask_entries_checked_not_coerced(build):
     for bad in ((0.5, "no"), (True, 1), (np.int64(0), False), (None, True), "ab", 2):
         with pytest.raises(errors.InvalidInput):
             build(bad)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_set_function_adds_items_in_order(d):
+    # evaluate and total_mass have the bits of adding the selected masses
+    # one at a time, in item order, into zeros, -0.0 entries included, and
+    # a direct sum repeats each component's bits in its block.  A pairwise
+    # sum (np.add.reduce, np.sum) of the 1 x 1 masses rounds differently.
+    rng = rng_from_seed(1700 + d)
+    m = 12
+    space = SampleSpace.uniform(m, atom_sites=(0.2, 0.5, 0.8))
+    masses = signed_zero_masses(d, m + 3, rng)
+    nu = grid_ovm(space, masses[:m], masses[m:])
+    joint = direct_sum(nu, grid_ovm(space, masses[::-1][:m], masses[::-1][m:]))
+    sets = [random_set(space, rng) for _ in range(40)] + [MeasurableSet.full(space)]
+    for e in sets:
+        chosen = space.selector(e)
+        value = evaluate(nu, e)
+        assert value.tobytes() == sum_in_item_order(nu.masses, chosen).tobytes()
+        assert evaluate(joint, e).tobytes() == sum_in_item_order(joint.masses, chosen).tobytes()
+        assert evaluate(joint, e)[:d, :d].tobytes() == value.tobytes()
+    everything = np.ones(m + 3, dtype=bool)
+    assert nu.total_mass().tobytes() == sum_in_item_order(nu.masses, everything).tobytes()
 
 
 class TestEvaluate:

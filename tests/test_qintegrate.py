@@ -230,6 +230,15 @@ class TestIntegrandFs:
             rhs = np.dot(fs.cells, ind.cells) + np.dot(fs.atoms, ind.atoms)
             assert abs(lhs - rhs) <= 1e-10
 
+    def test_value_dim_must_match_the_measure(self):
+        # A dimension-2 step function on a dimension-3 measure is a
+        # DimMismatch, as in integrate, not numpy's matmul error.
+        nu = random_povm(3, 6, RNG)
+        rho = random_state(3, RNG)
+        f = random_step(nu.space, 2, RNG)
+        with pytest.raises(errors.DimMismatch):
+            integrand_fs(f, rho, nu, rho)
+
     def test_values_must_match_the_space(self):
         # Three cells and no atoms: two values, or three in a row of a
         # matrix, do not fit.

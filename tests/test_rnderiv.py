@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_state
+from helpers import random_state, signed_zero_masses, sum_in_item_order
 from ovmkit import errors, opcore
 from ovmkit.models import (
     harmonic_diag_model,
@@ -14,6 +14,7 @@ from ovmkit.models import (
 from ovmkit.ovm import (
     MeasurableSet,
     SampleSpace,
+    direct_sum,
     entry_measure,
     grid_ovm,
     induced_measure,
@@ -69,6 +70,28 @@ class TestDerivative:
         dens = rn_derivative(nu, np.eye(1))
         assert dens.cells[0] is not None
         assert dens.cells[1] is None and dens.cells[2] is None
+
+    def test_density_is_one_stack(self):
+        # One read-only m + n stack, zero exactly on the null items; defined
+        # is nu.massive, and cells and atoms show None exactly there.
+        space = SampleSpace.uniform(9, atom_sites=(0.25, 0.75))
+        masses = signed_zero_masses(2, 11, RNG)
+        masses[[2, 9]] = 0.0
+        nu = grid_ovm(space, masses[:9], masses[9:])
+        dens = rn_derivative(nu, random_state(2, RNG))
+        assert not dens.values.flags.writeable and not dens.defined.flags.writeable
+        assert dens.values.shape == (11, 2, 2) and dens.space == space
+        assert np.array_equal(dens.defined, nu.massive)
+        assert nu.massive.tolist() == [k not in (2, 9, 10) for k in range(11)]
+        assert not dens.values[~nu.massive].any()
+        slots = dens.cells + dens.atoms
+        assert len(dens.cells) == 9 and len(dens.atoms) == 2
+        for k, live in enumerate(nu.massive):
+            assert (slots[k] is None) != live
+            if live:
+                assert np.array_equal(slots[k], dens.values[k])
+        with pytest.raises(errors.ShapeMismatch):
+            StepDensity(dens.reference, dens.values[:10])
 
 
 class TestAtomDensity:
@@ -189,6 +212,30 @@ class TestConsistency:
                     worst = max(worst, abs(lhs - rhs))
         assert worst <= 1e-11
         assert rn_consistency(nu, rho, sets) <= 1e-11
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_reconstruction_adds_items_in_order(self, d):
+        # The same items in the same order as adding R_k tr(rho M_k) one at a
+        # time into zeros, over the defined items of each set, -0.0 entries
+        # and a direct sum included: the residual has the same bits.
+        rng = rng_from_seed(1710 + d)
+        m = 12
+        space = SampleSpace.uniform(m, atom_sites=(0.2, 0.5, 0.8))
+        masses = signed_zero_masses(d, m + 3, rng)
+        nu = grid_ovm(space, masses[:m], masses[m:])
+        sets = [MeasurableSet(tuple(rng.integers(0, 2, m) == 1), tuple(rng.integers(0, 2, 3) == 1))
+                for _ in range(40)] + [MeasurableSet.full(space)]
+        for measure in (nu, direct_sum(nu, nu)):
+            rho = random_state(measure.dim, rng)
+            dens = rn_derivative(measure, rho)
+            pieces = np.array([r * t for r, t in zip(dens.values, dens.reference.traces)])
+            worst = 0.0
+            for e in sets:
+                chosen = space.selector(e)
+                lhs = sum_in_item_order(measure.masses, chosen)
+                rhs = sum_in_item_order(pieces, chosen & dens.defined)
+                worst = max(worst, float(np.abs(lhs - rhs).max()))
+            assert rn_consistency(measure, rho, sets) == worst
 
     def test_propagates_nonexistence(self):
         masses = np.zeros((2, 2, 2), dtype=complex)
