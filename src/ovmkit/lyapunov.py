@@ -14,10 +14,10 @@ nonatomic measures, made algorithmic:
     straight to step 3.  At a phase-1 optimum with positive artificial
     sum the simplex multipliers give a witness W separating A from the
     range (see TargetNotInHull).
-2.  Purify (convex_combine's mixed set): a bounded-variable primal
-    crossover on step 1's basis engine (_Basis) walks from the feasible h
-    to a vertex of its fiber, one cell per O(d^4) step; at most
-    rank <= d^2 fractional cells survive, with independent masses.
+2.  convex_combine: the mix t nu(E1) + (1 - t) nu(E2) lies in the range;
+    step 1 over the massive cells where E1 and E2 differ realizes it.  A
+    mix with an indivisible differing cell is purified instead: a crossover
+    on _Basis walks it to a fiber vertex, at most rank <= d^2 fractional.
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
     exact under the constant-density convention.
 
@@ -25,7 +25,7 @@ Every step reads the masses as rows of one m + n item stack in Hermitian
 coordinates (OVM.coords), scales tolerances by ||nu(X)||, and drops null
 cells, norm at most MASS_TOL * ||nu(X)|| (OVM.massive); all are cached.
 
-Atoms obstruct step 2: when the fractional cells, indivisible ones
+Atoms obstruct purify: when the fractional cells, indivisible ones
 included, still carry a kernel, AtomicObstruction is raised instead of
 silently splitting an atom.  The kernel test is one SVD per stack of
 supports (_kernel); kernel_witness and purify call it with a stack of
@@ -365,9 +365,9 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
     """Canonical Borel realization of a fractional set.
 
     Whole cells stay whole; a fraction t becomes the leftmost sub-interval
-    of length t * w_k, legal only on divisible cells.  Adjacent intervals
-    merge.  Under constant densities the realized set carries exactly
-    evaluate_fractional(nu, h).
+    of length t * w_k, legal only on divisible cells.  A cell whose start
+    equals the last interval's end, bit for bit, extends it.  Under constant
+    densities the realized set carries exactly evaluate_fractional(nu, h).
     """
     if target is not None:
         target = opcore.as_matrix(target)
@@ -379,23 +379,17 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
         raise AtomicObstruction(
             f"fractional cells {blocked} are indivisible", cells=blocked)
 
-    intervals: list[list[float]] = []
-    bp = nu.space.breakpoints
-    for k, frac_k in enumerate(vec):
-        if frac_k == 0.0:
-            continue
-        lo = bp[k]
-        hi = bp[k + 1] if frac_k == 1.0 else lo + frac_k * (bp[k + 1] - lo)
-        if intervals and intervals[-1][1] == lo:
-            intervals[-1][1] = hi
-        else:
-            intervals.append([lo, hi])
+    bp, cells = np.asarray(nu.space.breakpoints), np.flatnonzero(vec)
+    lo, right = bp[cells], bp[cells + 1]
+    hi = np.where(vec[cells] == 1.0, right, lo + vec[cells] * (right - lo))
+    starts = np.flatnonzero(np.concatenate(([np.inf], hi[:-1])) != lo)
+    ends = np.flatnonzero(hi != np.concatenate((lo[1:], [np.inf])))
 
     final = FractionalSet(tuple(vec), h.atom_mask)
     achieved = evaluate_fractional(nu, final)
     residual = 0.0 if target is None else opcore.op_norm(achieved - target)
     return AttainResult(
-        intervals=tuple((lo, hi) for lo, hi in intervals),
+        intervals=tuple(zip(lo[starts].tolist(), hi[ends].tolist())),
         atom_indices=tuple(k for k, x in enumerate(h.atom_mask) if x),
         achieved=achieved,
         residual=residual,
@@ -408,7 +402,9 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
     """Realize t * nu(E1) + (1 - t) * nu(E2) as nu(E) for an interval set E.
 
     Atom selections cannot be mixed fractionally: for t strictly inside
-    (0, 1) the two sets must agree on every atom of nonzero mass.
+    (0, 1) the sets must agree on every massive atom, and nu must be
+    positive.  E1 & E2 <= E <= E1 | E2; ``iterations`` counts phase-1 steps
+    (step 2 above), or purify's when a differing cell is indivisible.
     """
     if not 0.0 <= opcore.as_real(t, "mixing weight") <= 1.0:
         raise InvalidInput(f"mixing weight {t!r} outside [0, 1]")
@@ -419,15 +415,26 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
         return realize_intervals(nu, FractionalSet.from_measurable(e1), target=evaluate(nu, e1))
 
     m = nu.space.n_cells
-    differing = [int(k) for k in np.flatnonzero(((s1 != s2) & nu.massive)[m:])]
+    differ = (s1 != s2) & nu.massive
+    differing = [int(k) for k in np.flatnonzero(differ[m:])]
     if differing:
         raise AtomicObstruction(
             f"atom selections differ on massive sites {differing}", cells=differing)
     h0 = FractionalSet(tuple(t * s1[:m] + (1.0 - t) * s2[:m]), tuple((s1 & s2)[m:].tolist()))
     target = evaluate_fractional(nu, h0)
-    pure = purify(nu, h0)
-    return replace(realize_intervals(nu, pure.h_final, target=target),
-                   iterations=pure.iterations)
+    moving = np.flatnonzero(differ[:m])
+    if not (nu.positive and np.asarray(nu.space.divisible)[moving].all()):
+        pure = purify(nu, h0)  # raises NotPositive when nu is not positive
+        return replace(realize_intervals(nu, pure.h_final, target=target),
+                       iterations=pure.iterations)
+    coords = nu.cell_coords[moving].T / (nu.total_norm or 1.0)
+    h, _, objective, steps = _phase_one(coords, coords @ np.take(h0.cell_fractions, moving))
+    if objective > SIMPLEX_TOL:
+        raise NumericalFailure(f"phase-1 optimum {objective:.3e} on a mix in the range")
+    vec = (s1 & s2)[:m].astype(float)
+    vec[moving] = _snap(h)
+    h_set = FractionalSet(tuple(vec), h0.atom_mask)
+    return replace(realize_intervals(nu, h_set, target=target), iterations=steps)
 
 
 def _entering(gain: np.ndarray, bland: bool) -> int | None:

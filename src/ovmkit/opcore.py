@@ -40,10 +40,13 @@ HERM_TOL = 1e-12
 
 def as_array(a, dtype) -> np.ndarray:
     """``a`` as a ``dtype`` array, ``a`` itself when it already is one.
-    Non-numeric, ragged or out-of-range input raises InvalidInput, not
-    numpy's ValueError, TypeError or OverflowError."""
+    Non-numeric (strings too: never parsed), ragged or out-of-range input
+    raises InvalidInput, not numpy's ValueError, TypeError or OverflowError."""
     try:
-        return np.asarray(a, dtype=dtype)
+        raw = np.asarray(a)
+        if raw.dtype.kind in "USO" and any(isinstance(x, (str, bytes)) for x in raw.flat):
+            raise InvalidInput("expected a numeric array, not strings")
+        return np.asarray(raw, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"expected a numeric array: {exc}") from None
 

@@ -1,5 +1,6 @@
 """Seeded random inputs that only the tests draw: Hermitian matrices,
-full-rank states and step-function values."""
+full-rank states and step-function values, and the reference loops
+that vectorized library code must match bit for bit."""
 
 import numpy as np
 
@@ -48,3 +49,21 @@ def signed_zero_masses(dim: int, count: int, rng: np.random.Generator) -> np.nda
     masses.imag[::3] = -0.0
     masses[-1] = complex(-0.0, -0.0)
     return masses
+
+
+def intervals_cell_by_cell(breakpoints, fractions) -> tuple:
+    """The reference interval realization, one cell at a time: each chosen
+    cell's leftmost [lo, lo + t * width), its whole width when t is 1,
+    extends the last interval when lo equals that interval's end bit for bit."""
+    intervals: list[list[float]] = []
+    bp = breakpoints
+    for k, frac_k in enumerate(fractions):
+        if frac_k == 0.0:
+            continue
+        lo = bp[k]
+        hi = bp[k + 1] if frac_k == 1.0 else lo + frac_k * (bp[k + 1] - lo)
+        if intervals and intervals[-1][1] == lo:
+            intervals[-1][1] = hi
+        else:
+            intervals.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in intervals)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian
+from helpers import intervals_cell_by_cell, random_hermitian
 from ovmkit import errors, lyapunov, opcore
 from ovmkit.demos import uhl_demo
 from ovmkit.lyapunov import (
@@ -488,6 +488,28 @@ class TestRealize:
             scale = max(1.0, opcore.op_norm(nu.total_mass()))
             assert opcore.op_norm(value - result.achieved) <= 1e-12 * scale
 
+    def test_matches_cell_by_cell_loop(self):
+        # The array pass gives the reference loop's intervals bit for bit.
+        # Cell widths span seven orders of magnitude and some fractions lie
+        # within 1e-12 to 1e-11 of 1: on narrow cells lo + t * width rounds
+        # to the right breakpoint, so whether the next cell merges rests on
+        # float equality.
+        rounded = 0
+        for trial in range(300):
+            rng = rng_from_seed(9100 + trial)
+            m = int(rng.integers(1, 60))
+            bp = np.cumsum(np.r_[0.0, 10.0 ** rng.uniform(-7, 0, m)])
+            space = SampleSpace(0.0, float(bp[-1]), tuple(bp.tolist()))
+            nu = random_povm(1 + trial % 2, m, rng, space=space)
+            h = FractionalSet(tuple(np.choose(rng.integers(0, 4, m), [
+                np.zeros(m), np.ones(m), rng.random(m), 1.0 - 10.0 ** rng.uniform(-12, -11, m)])))
+            vec = lyapunov._cell_fractions(nu, h)
+            want = intervals_cell_by_cell(space.breakpoints, vec)
+            assert realize_intervals(nu, h).intervals == want
+            frac = np.flatnonzero((vec > 0.0) & (vec < 1.0))
+            rounded += np.count_nonzero(bp[frac] + vec[frac] * np.diff(bp)[frac] == bp[frac + 1])
+        assert rounded > 0
+
     def test_interval_count_bound_on_purified_instances(self):
         # 200 random purified instances stay below m + d^2 intervals.
         for trial in range(200):
@@ -554,6 +576,56 @@ class TestConvexCombine:
         result = convex_combine(nu, e1, e2, 0.25)
         assert result.residual <= 1e-12
         assert result.atom_indices == (0,)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_mix_takes_few_steps(self, d):
+        # Phase 1 over the differing cells from the nearest prefix vertex:
+        # at most m // 4 steps, where purifying the mix takes about m / 2.
+        m = 400
+        for trial in range(5):
+            rng = rng_from_seed(8800 + 10 * trial + d)
+            nu = random_povm(d, m, rng)
+            e1, e2 = random_set(nu.space, rng), random_set(nu.space, rng)
+            result = convex_combine(nu, e1, e2, float(rng.random()))
+            assert result.residual <= 1e-9
+            assert result.iterations <= m // 4
+
+    def test_not_positive_rejected(self):
+        nu = scalar_grid([0.5, -0.5, 0.5, 0.5])
+        e1 = MeasurableSet((True, True, False, False))
+        e2 = MeasurableSet((False, True, True, True))
+        with pytest.raises(errors.NotPositive):
+            convex_combine(nu, e1, e2, 0.4)
+
+    def test_equal_sets_return_the_set(self):
+        nu = random_povm(2, 30, rng_from_seed(63))
+        e = random_set(nu.space, rng_from_seed(64))
+        for t in (0.3, 0.5, 0.9):
+            result = convex_combine(nu, e, e, t)
+            assert result.iterations == 0
+            whole = realize_intervals(nu, FractionalSet.from_measurable(e))
+            assert result.intervals == whole.intervals
+
+    def test_agreed_null_cell_stays(self):
+        # Cell 1 is null and in both sets: it stays in E, whole.
+        nu = scalar_grid([0.25, 0.0, 0.25, 0.25, 0.25])
+        e1 = MeasurableSet((True, True, False, True, False))
+        e2 = MeasurableSet((False, True, True, False, False))
+        result = convex_combine(nu, e1, e2, 0.5)
+        assert result.residual <= 1e-12
+        assert any(lo <= 0.2 and hi >= 0.4 for lo, hi in result.intervals)
+
+    def test_indivisible_differing_cells_keep_obstruction_reasons(self):
+        # uhl_model's cells are indivisible: the mix is purified, and each
+        # trial fails with the AtomicObstruction it has always reported.
+        cells = [[0, 2, 4], [2, 4], [0, 1, 2, 4], [0, 2], [1, 2, 5], [0, 1, 3, 4],
+                 [0, 1, 4, 5], [0, 1, 4], [0, 2, 5], [0, 2, 5], [0, 1, 2, 5], [1, 2, 3, 5],
+                 [2, 5], [2, 4], [0, 2, 4, 5], [1], [0, 2, 3, 4, 5], [0, 1, 3, 4],
+                 [0, 3, 4], [0, 3, 4], [1, 3, 5], [0, 3], [2, 3, 4, 5], [0, 3, 4, 5],
+                 [0, 2, 4]]
+        report = convexity_certificate(uhl_model(6), 25, 11)
+        assert [f.reason for f in report.failures] == [
+            f"AtomicObstruction: fractional cells {c} are indivisible" for c in cells]
 
 
 class TestAttain:
@@ -757,6 +829,46 @@ def test_attain_agrees_with_linprog(case):
         assert caught.value.gap > 0.0
         assert check_separation(nu, target, caught.value.witness) == pytest.approx(
             caught.value.gap, rel=1e-9)
+
+
+@st.composite
+def _fuzz_mixes(draw):
+    """A random POVM on m <= 60 cells, about a fifth of its items null, with
+    two atoms, the second null; two sets that agree on the first atom; and a
+    weight strictly inside (0, 1)."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 60))
+    rng = rng_from_seed(draw(st.integers(0, 2**32 - 1)))
+    masses = random_povm(d, m + 2, rng).cell_masses.copy()
+    masses[rng.random(m + 2) < 0.2] = 0.0
+    masses[m + 1] = 0.0
+    nu = grid_ovm(SampleSpace.uniform(m, atom_sites=(0.25, 0.75)), masses[:m], masses[m:])
+    e1, e2 = random_set(nu.space, rng), random_set(nu.space, rng)
+    e2 = MeasurableSet(e2.cell_mask, (e1.atom_mask[0], e2.atom_mask[1]))
+    t = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return nu, e1, e2, t
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_fuzz_mixes())
+def test_convex_combine_fuzz(case):
+    # The mix is realized within 1e-9 * max(1, ||nu(X)||) with at most d^2
+    # split cells, and E1 & E2 <= E <= E1 | E2 item by item: cells in both
+    # sets are whole in E, cells in neither are absent.
+    nu, e1, e2, t = case
+    result = convex_combine(nu, e1, e2, t)
+    assert result.residual <= 1e-9 * max(1.0, nu.total_norm)
+    assert result.fractional_count <= nu.dim ** 2
+    s1, s2 = nu.space.selector(e1), nu.space.selector(e2)
+    m = nu.space.n_cells
+    bp = np.asarray(nu.space.breakpoints)
+    lo, hi = np.asarray(result.intervals).reshape(-1, 2).T[:, :, None]
+    covered = np.clip(np.minimum(hi, bp[1:]) - np.maximum(lo, bp[:-1]), 0.0, None).sum(axis=0)
+    both, neither = (s1 & s2)[:m], ~(s1 | s2)[:m]
+    assert np.array_equal(covered[both], np.diff(bp)[both])
+    assert not covered[neither].any()
+    atoms = np.isin(np.arange(nu.space.n_atoms), result.atom_indices)
+    assert (atoms >= (s1 & s2)[m:]).all() and (atoms <= (s1 | s2)[m:]).all()
 
 
 class TestJointAttain:

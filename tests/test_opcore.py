@@ -247,6 +247,26 @@ class TestTracePair:
             opcore.trace_pair(np.eye(2), np.eye(3))
 
 
+class TestAsArray:
+    @pytest.mark.parametrize("bad", [
+        [["2", "0"], ["0", "1"]], [[b"2"]], "2", np.array([["2"]]), np.array([[b"2"]]),
+        np.array([[1, "2"]], dtype=object), [[2**70, "1"]]],
+        ids=["str list", "bytes list", "str", "str array", "bytes array",
+             "object array", "str beside a big int"])
+    def test_strings_rejected_not_parsed(self, bad):
+        with pytest.raises(errors.InvalidInput):
+            opcore.as_array(bad, np.complex128)
+
+    def test_ints_beyond_int64_pass(self):
+        got = opcore.as_array([[2**70, 0], [0, 1]], np.complex128)
+        assert got.dtype == np.complex128 and got[0, 0] == 2.0**70
+        assert opcore.op_norm(np.array([[2**70, 0], [0, 1]], dtype=object)) == 2.0**70
+
+    def test_array_of_the_dtype_returned_as_is(self):
+        a = np.eye(2, dtype=np.complex128)
+        assert opcore.as_array(a, np.complex128) is a
+
+
 class TestHermitianConstruction:
     def test_small_asymmetry_symmetrized(self):
         a = np.array([[1.0, 0.5 + 1e-15], [0.5, 1.0]])

@@ -143,14 +143,16 @@ TYPED_INPUTS = {
     "classical_demo target entry": (
         lambda t: demos.classical_demo(2, 16, 0, 0, targets=[t]),
         [0.1, 0.2], (5, 0.1, "0.1", None)),
-    "op_norm matrix": (opcore.op_norm, np.eye(2), ("abc", [[1, 0], [0]], [[object()]])),
+    "op_norm matrix": (opcore.op_norm, np.eye(2),
+                       ("abc", [[1, 0], [0]], [[object()]], [["2", "0"], ["0", "1"]])),
     "make_state matrix": (opcore.make_state, np.eye(2) / 2, ([[object()]], "abc", [[1, 0], [0]])),
     "induced_measure state": (lambda r: induced_measure(lebesgue_identity(4, 2), r),
                               np.eye(2) / 2, ([[1, 0], [0]], "abc")),
     "grid_ovm masses": (lambda x: grid_ovm(SampleSpace.uniform(2), x),
-                        np.ones((2, 1, 1)), ("abc", [[[1]], [[1, 2]]], [[[None]], [[1]]])),
+                        np.ones((2, 1, 1)), ("abc", [[[1]], [[1, 2]]], [[[None]], [[1]]],
+                                             [[["1"]], [["1"]]])),
     "attain target": (lambda t: attain(lebesgue_identity(4, 2), t),
-                      np.eye(2) / 2, ("abc", [[1, 0], [0]])),
+                      np.eye(2) / 2, ("abc", [[1, 0], [0]], [["0.5", "0"], ["0", "0.5"]])),
     "joint_attain target": (lambda t: joint_attain([lebesgue_identity(4, 2)], [t]),
                             np.eye(2) / 2, ("x", [[1, 0], [0]])),
 }
