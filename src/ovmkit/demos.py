@@ -69,12 +69,11 @@ def paper_example_13(levels: int):
             "expected_rn_entry": expected_rn,
         })
     if levels <= 12:
-        sets = [MeasurableSet(tuple(bool(idx >> k & 1) for k in range(levels)))
-                for idx in range(1 << levels)]
+        masks = (np.arange(1 << levels)[:, None] >> np.arange(levels) & 1) == 1
     else:
-        sets = [MeasurableSet.from_indices(nu.space, cells=[k]) for k in range(levels)]
-        sets += [MeasurableSet(tuple(k <= j for k in range(levels)))
-                 for j in range(levels)]
+        # Each cell alone, then each prefix [0, j]
+        masks = np.vstack([np.eye(levels, dtype=bool), np.tri(levels, dtype=bool)])
+    sets = [MeasurableSet(mask) for mask in masks]
     consistency = rn_consistency(nu, rho, sets)
     results = {
         "levels": levels,
@@ -129,8 +128,7 @@ def uhl_demo(cells: int):
 
     sample_sets = [MeasurableSet.empty(nu.space), MeasurableSet.full(nu.space)]
     sample_sets += [MeasurableSet.from_indices(nu.space, cells=[k]) for k in range(m)]
-    sample_sets += [MeasurableSet(tuple(k % 2 == 0 for k in range(m))),
-                    MeasurableSet(tuple(k < m // 2 for k in range(m)))]
+    sample_sets += [MeasurableSet(np.arange(m) % 2 == 0), MeasurableSet(np.arange(m) < m // 2)]
     props = check_ovm_properties(nu, sample_sets)
 
     results = {

@@ -97,7 +97,7 @@ class PurifyResult:
     @property
     def fractional_indices(self) -> tuple[int, ...]:
         """The cells of ``h_final`` strictly between 0 and 1."""
-        return tuple(_fractional_indices(np.array(self.h_final.cell_fractions)).tolist())
+        return tuple(_fractional_indices(self.h_final.cell_fractions).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,7 +303,7 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
     if not nu.positive:
         raise NotPositive("purification is defined for positive OVMs")
     vec = _cell_fractions(nu, h)
-    start_value = evaluate_fractional(nu, FractionalSet(tuple(vec), h.atom_mask))
+    start_value = evaluate_fractional(nu, FractionalSet(vec, h.atom_mask))
 
     divisible = np.asarray(nu.space.divisible, dtype=bool)
     frac = _fractional_indices(vec)
@@ -352,7 +352,7 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
         blocked = tuple(int(k) for k in frac if not divisible[k])
         raise AtomicObstruction(
             f"kernel move requires splitting indivisible cells {blocked}", cells=blocked)
-    final = FractionalSet(tuple(vec), h.atom_mask)
+    final = FractionalSet(vec, h.atom_mask)
     residual = opcore.op_norm(evaluate_fractional(nu, final) - start_value)
     return PurifyResult(
         h_final=final,
@@ -385,12 +385,12 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
     starts = np.flatnonzero(np.concatenate(([np.inf], hi[:-1])) != lo)
     ends = np.flatnonzero(hi != np.concatenate((lo[1:], [np.inf])))
 
-    final = FractionalSet(tuple(vec), h.atom_mask)
+    final = FractionalSet(vec, h.atom_mask)
     achieved = evaluate_fractional(nu, final)
     residual = 0.0 if target is None else opcore.op_norm(achieved - target)
     return AttainResult(
         intervals=tuple(zip(lo[starts].tolist(), hi[ends].tolist())),
-        atom_indices=tuple(k for k, x in enumerate(h.atom_mask) if x),
+        atom_indices=tuple(np.flatnonzero(final.atom_mask).tolist()),
         achieved=achieved,
         residual=residual,
         iterations=0,
@@ -409,10 +409,9 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
     if not 0.0 <= opcore.as_real(t, "mixing weight") <= 1.0:
         raise InvalidInput(f"mixing weight {t!r} outside [0, 1]")
     s1, s2 = nu.space.selector(e1), nu.space.selector(e2)
-    if t == 0.0:
-        return realize_intervals(nu, FractionalSet.from_measurable(e2), target=evaluate(nu, e2))
-    if t == 1.0:
-        return realize_intervals(nu, FractionalSet.from_measurable(e1), target=evaluate(nu, e1))
+    if t in (0.0, 1.0):
+        e = e1 if t else e2
+        return realize_intervals(nu, FractionalSet.from_measurable(e), target=evaluate(nu, e))
 
     m = nu.space.n_cells
     differ = (s1 != s2) & nu.massive
@@ -420,7 +419,7 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
     if differing:
         raise AtomicObstruction(
             f"atom selections differ on massive sites {differing}", cells=differing)
-    h0 = FractionalSet(tuple(t * s1[:m] + (1.0 - t) * s2[:m]), tuple((s1 & s2)[m:].tolist()))
+    h0 = FractionalSet(t * s1[:m] + (1.0 - t) * s2[:m], (s1 & s2)[m:])
     target = evaluate_fractional(nu, h0)
     moving = np.flatnonzero(differ[:m])
     if not (nu.positive and np.asarray(nu.space.divisible)[moving].all()):
@@ -428,12 +427,12 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
         return replace(realize_intervals(nu, pure.h_final, target=target),
                        iterations=pure.iterations)
     coords = nu.cell_coords[moving].T / (nu.total_norm or 1.0)
-    h, _, objective, steps = _phase_one(coords, coords @ np.take(h0.cell_fractions, moving))
+    h, _, objective, steps = _phase_one(coords, coords @ h0.cell_fractions[moving])
     if objective > SIMPLEX_TOL:
         raise NumericalFailure(f"phase-1 optimum {objective:.3e} on a mix in the range")
     vec = (s1 & s2)[:m].astype(float)
     vec[moving] = _snap(h)
-    h_set = FractionalSet(tuple(vec), h0.atom_mask)
+    h_set = FractionalSet(vec, h0.atom_mask)
     return replace(realize_intervals(nu, h_set, target=target), iterations=steps)
 
 
@@ -535,7 +534,7 @@ def attain(nu: OVM, target) -> AttainResult:
         raise TargetNotInHull(
             f"target outside the range: separation gap {gap:.3e} after {steps} simplex steps",
             witness=witness, gap=gap)
-    h_set = FractionalSet(tuple(_snap(h)), (False,) * nu.space.n_atoms)
+    h_set = FractionalSet(_snap(h), np.zeros(nu.space.n_atoms, bool))
     return replace(realize_intervals(nu, h_set, target=a_mat), iterations=steps)
 
 
@@ -581,13 +580,11 @@ def brute_force_range(nu: OVM) -> list[tuple[MeasurableSet, np.ndarray]]:
     if count > 22:
         raise SizeLimit(f"{count} items exceed the enumeration limit of 22")
     values = np.zeros((1, nu.dim, nu.dim), dtype=np.complex128)
-    for mass in nu.masses:
+    masks = np.zeros((1, count), dtype=bool)
+    for item, mass in zip(np.eye(count, dtype=bool), nu.masses):
         values = np.concatenate([values, values + mass])
-    out = []
-    for idx in range(1 << count):
-        bits = tuple(bool(idx >> k & 1) for k in range(count))
-        out.append((MeasurableSet(bits[:m], bits[m:]), values[idx]))
-    return out
+        masks = np.concatenate([masks, masks | item])
+    return [(MeasurableSet(mask[:m], mask[m:]), value) for mask, value in zip(masks, values)]
 
 
 @dataclass(frozen=True)
@@ -626,10 +623,7 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
     distinct_tol = 1e-12 * max(1.0, nu.total_norm)
 
     def draw_set():
-        return MeasurableSet(
-            tuple(bool(b) for b in rng.integers(0, 2, m)),
-            tuple(bool(b) for b in rng.integers(0, 2, n)),
-        )
+        return MeasurableSet(rng.integers(0, 2, m) == 1, rng.integers(0, 2, n) == 1)
 
     failures = []
     max_residual = 0.0

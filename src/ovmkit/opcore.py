@@ -88,6 +88,23 @@ def as_real(value, what: str) -> float:
     return float(value)
 
 
+def as_reals(values, what: str) -> np.ndarray:
+    """``values`` as a float array: a numeric (integer or float) ndarray is
+    checked by its dtype alone, any other sequence by each distinct entry
+    type once with :func:`as_real`, so strings and bools raise InvalidInput."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        try:
+            values = tuple(values)
+        except TypeError:
+            raise InvalidInput(f"{what}s must be a sequence, got {values!r}") from None
+        for kind in set(map(type, values)):
+            as_real(next(x for x in values if type(x) is kind), what)
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise InvalidInput(f"{what} out of the float range") from None
+
+
 def readonly(a, dtype) -> np.ndarray:
     """A non-writeable copy of ``a`` as a ``dtype`` array (:func:`as_array`)."""
     out = as_array(a, dtype).copy()
@@ -317,14 +334,14 @@ def matrix_to_json(a) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """Decode :func:`matrix_to_json`'s form: "re" and "im" are d x d lists
+    of real numbers (:func:`as_reals`: strings and bools raise InvalidInput)."""
     if not isinstance(obj, dict) or not {"dim", "re", "im"} <= set(obj):
         raise InvalidInput("matrix JSON must have keys dim, re, im")
     d = as_int(obj["dim"], "matrix JSON dim", low=1)
-    try:
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"matrix JSON must hold numbers: {exc}") from exc
-    if re.shape != (d, d) or im.shape != (d, d):
-        raise InvalidInput(f"matrix JSON arrays must be {d}x{d}")
+    rows = [row for part in (obj["re"], obj["im"]) if isinstance(part, list) and len(part) == d
+            for row in part]
+    if len(rows) != 2 * d or not all(isinstance(row, list) and len(row) == d for row in rows):
+        raise InvalidInput(f"matrix JSON arrays must be {d}x{d} lists")
+    re, im = as_reals([x for row in rows for x in row], "matrix JSON entry").reshape(2, d, d)
     return as_matrix(re + 1j * im)

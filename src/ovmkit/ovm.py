@@ -2,8 +2,9 @@
 
 A sample space is a real interval [a, b) split into m contiguous cells plus
 n atom sites: m + n items, cells first.  A measure, step function or
-induced measure holds one (m + n, ...) stack over them and a set is one
-m + n selector (SampleSpace.selector), so each operation is one pass.
+induced measure holds one (m + n, ...) stack over them and a set holds
+read-only cell and atom vectors, so a set is one m + n selector
+(SampleSpace.selector) and each operation is one pass.
 
 A grid-density measure gives each cell a Hermitian mass matrix, with the
 density constant on the cell, so a sub-interval of fraction t carries
@@ -18,7 +19,7 @@ support, derivatives, absolute continuity) reads that one rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -44,29 +45,19 @@ def _index(k, count: int, what: str) -> int:
     return int(k)
 
 
-def _flags(values, what: str) -> tuple[bool, ...]:
-    """``values`` as a tuple of bools, checked rather than coerced: Python
-    and numpy bools pass; any other entry raises InvalidInput."""
+def _flags(values, what: str) -> np.ndarray:
+    """``values`` as a read-only 1-d bool vector, checked rather than
+    coerced: numpy infers bool only when every entry is a Python or numpy
+    bool, so any other entry raises InvalidInput.  Empty input passes."""
     try:
-        out = tuple(values)
-    except TypeError:
+        out = np.array(values)
+    except ValueError:  # ragged
         raise InvalidInput(f"{what} must be a sequence of bools, got {values!r}") from None
-    kinds = {bool, np.bool_}
-    if not kinds.issuperset(map(type, out)):
-        bad = next(x for x in out if type(x) not in kinds)
-        raise InvalidInput(f"{what} entries must be bools, got {bad!r}")
-    return tuple(map(bool, out))
-
-
-def _reals(values, what: str) -> np.ndarray:
-    """``values`` as a float array, each distinct entry type checked once
-    with opcore.as_real (which decides by type alone)."""
-    for kind in set(map(type, values)):
-        opcore.as_real(next(x for x in values if type(x) is kind), what)
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise InvalidInput(f"{what} out of the float range") from None
+    if out.ndim != 1 or (out.dtype != bool and out.size):
+        raise InvalidInput(f"{what} must be a 1-d sequence of bools, got {values!r}")
+    out = out.astype(bool, copy=False)
+    out.setflags(write=False)
+    return out
 
 
 def item_views(stack: str) -> tuple[property, property]:
@@ -88,7 +79,7 @@ class SampleSpace:
 
     def __post_init__(self):
         bp, sites = tuple(self.breakpoints), tuple(self.atom_sites)
-        reals = _reals((self.a, self.b) + bp + sites, "sample space coordinate")
+        reals = opcore.as_reals((self.a, self.b) + bp + sites, "sample space coordinate")
         if not np.isfinite(reals).all():
             raise InvalidInput("sample space coordinates must be finite")
         a, b = reals[:2].tolist()
@@ -106,7 +97,7 @@ class SampleSpace:
             raise InvalidInput("atom sites must be pairwise distinct")
         if any(not (a <= s <= b) for s in sites):
             raise InvalidInput("atom sites must lie in [a, b]")
-        div = _flags(self.divisible, "divisible flags")
+        div = tuple(_flags(self.divisible, "divisible flags").tolist())
         if not div:
             div = (True,) * (len(bp) - 1)
         if len(div) != len(bp) - 1:
@@ -157,96 +148,93 @@ class SampleSpace:
     def selector(self, e: "MeasurableSet | FractionalSet") -> np.ndarray:
         """The m + n selector of a set: its cell mask (bools) or fractions
         (floats), then its atom mask; ShapeMismatch if its layout differs."""
-        fractional = isinstance(e, FractionalSet)
-        cells = e.cell_fractions if fractional else e.cell_mask
+        cells = e.cell_fractions if isinstance(e, FractionalSet) else e.cell_mask
         if len(cells) != self.n_cells or len(e.atom_mask) != self.n_atoms:
             raise ShapeMismatch("set does not match the sample space")
-        return np.asarray(cells + e.atom_mask, dtype=float if fractional else bool)
+        return np.concatenate((cells, e.atom_mask))
 
 
-@dataclass(frozen=True)
+def _same_vectors(self, other) -> bool:
+    """Sets are equal when they are of one type and hold equal vectors."""
+    return type(other) is type(self) and all(
+        np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
 class MeasurableSet:
-    """Selection of whole cells and atoms (the indicator chi_E)."""
+    """Selection of whole cells and atoms (the indicator chi_E) as read-only
+    bool vectors.  Sets compare by value and are unhashable."""
 
-    cell_mask: tuple[bool, ...]
-    atom_mask: tuple[bool, ...] = ()
+    cell_mask: np.ndarray
+    atom_mask: np.ndarray = ()
 
     def __post_init__(self):
         object.__setattr__(self, "cell_mask", _flags(self.cell_mask, "cell mask"))
         object.__setattr__(self, "atom_mask", _flags(self.atom_mask, "atom mask"))
 
+    __eq__ = _same_vectors
+
     @classmethod
     def empty(cls, space: SampleSpace) -> "MeasurableSet":
-        return cls((False,) * space.n_cells, (False,) * space.n_atoms)
+        return cls(np.zeros(space.n_cells, bool), np.zeros(space.n_atoms, bool))
 
     @classmethod
     def full(cls, space: SampleSpace) -> "MeasurableSet":
-        return cls((True,) * space.n_cells, (True,) * space.n_atoms)
+        return cls(np.ones(space.n_cells, bool), np.ones(space.n_atoms, bool))
 
     @classmethod
     def from_indices(cls, space: SampleSpace, cells=(), atoms=()) -> "MeasurableSet":
-        cm = [False] * space.n_cells
-        am = [False] * space.n_atoms
+        cm, am = np.zeros(space.n_cells, bool), np.zeros(space.n_atoms, bool)
         for k in cells:
             cm[_index(k, space.n_cells, "cell index")] = True
         for k in atoms:
             am[_index(k, space.n_atoms, "atom index")] = True
-        return cls(tuple(cm), tuple(am))
+        return cls(cm, am)
 
-    def _pairs(self, other: "MeasurableSet"):
-        """Cell and atom mask pairs of two sets on one layout."""
+    def _combine(self, other: "MeasurableSet", op) -> "MeasurableSet":
+        """``op`` of the masks of two sets on one layout."""
         if (len(self.cell_mask) != len(other.cell_mask)
                 or len(self.atom_mask) != len(other.atom_mask)):
             raise ShapeMismatch("sets have masks of different lengths")
-        return zip(self.cell_mask, other.cell_mask), zip(self.atom_mask, other.atom_mask)
+        return MeasurableSet(op(self.cell_mask, other.cell_mask),
+                             op(self.atom_mask, other.atom_mask))
 
     def intersection(self, other: "MeasurableSet") -> "MeasurableSet":
-        cells, atoms = self._pairs(other)
-        return MeasurableSet(tuple(x and y for x, y in cells), tuple(x and y for x, y in atoms))
+        return self._combine(other, np.logical_and)
 
     def union(self, other: "MeasurableSet") -> "MeasurableSet":
-        cells, atoms = self._pairs(other)
-        return MeasurableSet(tuple(x or y for x, y in cells), tuple(x or y for x, y in atoms))
-
-    def cell_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, x in enumerate(self.cell_mask) if x)
-
-    def atom_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, x in enumerate(self.atom_mask) if x)
+        return self._combine(other, np.logical_or)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalSet:
-    """[0, 1]-relaxation of a measurable set.
+    """[0, 1]-relaxation of a measurable set: read-only cell fractions
+    (floats) and atom mask (bools; atoms are indivisible).
 
-    Cell coordinates are real fractions; atoms are indivisible and stay
-    boolean.  Fractions are real numbers (opcore.as_real); outside [0, 1]
-    by at most 1e-12 they are clamped, and NaN and infinite ones rejected.
+    Fractions are real numbers (opcore.as_reals); outside [0, 1] by at most
+    1e-12 they are clamped, and NaN and infinite ones rejected.
     """
 
-    cell_fractions: tuple[float, ...]
-    atom_mask: tuple[bool, ...] = ()
+    cell_fractions: np.ndarray
+    atom_mask: np.ndarray = ()
 
     def __post_init__(self):
-        fr = _reals(tuple(self.cell_fractions), "cell fraction")
+        fr = opcore.as_reals(self.cell_fractions, "cell fraction")
+        if fr.ndim != 1:
+            raise InvalidInput(f"cell fractions must be 1-d, got shape {fr.shape}")
         outside = ~((fr >= -1e-12) & (fr <= 1.0 + 1e-12))  # NaN included
         if outside.any():
             raise InvalidInput(f"cell fraction {float(fr[outside][0])!r} outside [0, 1]")
         clamped = np.where(fr > 0.0, np.minimum(fr, 1.0), 0.0)  # -0.0 becomes 0.0
-        object.__setattr__(self, "cell_fractions", tuple(clamped.tolist()))
+        clamped.setflags(write=False)
+        object.__setattr__(self, "cell_fractions", clamped)
         object.__setattr__(self, "atom_mask", _flags(self.atom_mask, "atom mask"))
+
+    __eq__ = _same_vectors
 
     @classmethod
     def from_measurable(cls, e: MeasurableSet) -> "FractionalSet":
-        return cls(tuple(1.0 if x else 0.0 for x in e.cell_mask), e.atom_mask)
-
-    def is_indicator(self) -> bool:
-        return all(h in (0.0, 1.0) for h in self.cell_fractions)
-
-    def to_measurable(self) -> MeasurableSet:
-        if not self.is_indicator():
-            raise InvalidInput("fractional set is not 0/1-valued")
-        return MeasurableSet(tuple(h == 1.0 for h in self.cell_fractions), self.atom_mask)
+        return cls(e.cell_mask.astype(float), e.atom_mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,12 +392,13 @@ def evaluate(nu: OVM, e: MeasurableSet) -> np.ndarray:
 def evaluate_fractional(nu: OVM, h: FractionalSet) -> np.ndarray:
     """sum_k h_k M_k over the cells plus the selected atom masses.
 
-    Routes 0/1-valued inputs through :func:`evaluate` so agreement with
-    the set function is exact, not merely within round-off.
+    A 0/1-valued h is summed as :func:`evaluate` sums its set, so agreement
+    with the set function is exact, not merely within round-off.
     """
-    weights = nu.space.selector(h)  # checks the layout on both paths
-    if h.is_indicator():
-        return evaluate(nu, h.to_measurable())
+    weights = nu.space.selector(h)
+    chosen = weights == 1.0
+    if (chosen | (weights == 0.0)).all():
+        return sum_items(nu.masses[chosen])
     return np.tensordot(weights, nu.masses, axes=1)
 
 
@@ -565,7 +554,8 @@ def ovm_from_json(obj) -> OVM:
 
 
 def set_to_json(e: MeasurableSet) -> dict:
-    return {"cells": list(e.cell_indices()), "atoms": list(e.atom_indices())}
+    return {"cells": np.flatnonzero(e.cell_mask).tolist(),
+            "atoms": np.flatnonzero(e.atom_mask).tolist()}
 
 
 def set_from_json(space: SampleSpace, obj) -> MeasurableSet:

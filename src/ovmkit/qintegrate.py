@@ -182,8 +182,8 @@ def ess_support(f: QuantumRandomVariable, nu: OVM) -> MeasurableSet:
         raise ShapeMismatch("step function and measure live on different spaces")
     # The MASS_TOL test is on the value F_k of f, not on nu, whose null
     # items are those OVM.massive marks False.
-    live = ((_value_norms(f.values) > MASS_TOL) & nu.massive).tolist()
-    return MeasurableSet(tuple(live[: nu.space.n_cells]), tuple(live[nu.space.n_cells :]))
+    live = (_value_norms(f.values) > MASS_TOL) & nu.massive
+    return MeasurableSet(live[: nu.space.n_cells], live[nu.space.n_cells :])
 
 
 def ess_range(f: QuantumRandomVariable, nu: OVM) -> list[np.ndarray]:

@@ -318,11 +318,17 @@ class TestMalformedInput:
          "ovm": dict(TWO_CELLS, space={"a": True, "b": 2, "breakpoints": [True, 1.5, 2]})},
         {"kind": "properties",
          "ovm": dict(TWO_CELLS, space={"a": 0, "b": 2, "breakpoints": [0, float("nan"), 2]})},
+        {"kind": "attain", "ovm": SMALL_OVM,
+         "target": {"dim": 2, "re": [["0.5", 0.0], [0.0, " 0.5 "]], "im": [[0, 0], [0, 0]]}},
+        {"kind": "attain", "ovm": dict(TWO_CELLS, cell_masses=[
+            {"dim": 1, "re": [[entry]], "im": [[0.0]]} for entry in ("0.5", True)]),
+         "target": {"total_fraction": 0.5}},
     ], ids=["lambdas_scalar", "convexity_expect_scalar", "properties_expect_list",
             "sets_scalar", "targets_scalar", "measures_zero", "povm_dim_zero",
             "inline_ovm_without_dim", "trials_float", "trials_negative",
             "format_xml", "measures_text", "attain_seed", "properties_overflow",
-            "properties_expect_unknown_flag", "space_bool_coordinates", "space_nan_breakpoint"])
+            "properties_expect_unknown_flag", "space_bool_coordinates", "space_nan_breakpoint",
+            "target_string_entries", "cell_mass_string_and_bool_entries"])
     def test_exit_one_invalid_input(self, scenario):
         report, code = cli.run_scenario(scenario)
         assert code == 1

@@ -99,6 +99,15 @@ TYPED_INPUTS = {
                         2, (2.5, True, "2", 2.0)),
     "FractionalSet fraction": (lambda x: FractionalSet((0.25, x)),
                                np.float64(0.5), ("0.5", True, np.bool_(True), None)),
+    "FractionalSet fractions": (FractionalSet, np.array([0.25, 1]),
+                                (np.array([True, False]), np.array(["0.5"]), np.array([[0.5]]),
+                                 ((0.5,),), 0.5)),
+    "matrix JSON real entry": (
+        lambda x: opcore.matrix_from_json({"dim": 1, "re": [[x]], "im": [[0.0]]}),
+        0.5, ("0.5", " 0.25 ", True, False, None, [0.5])),
+    "matrix JSON imaginary entry": (
+        lambda x: opcore.matrix_from_json({"dim": 1, "re": [[0.5]], "im": [[x]]}),
+        0, ("0", False, True)),
     "entry_measure row": (lambda i: entry_measure(lebesgue_identity(3, 2), i, 0),
                           np.int64(1), (0.5, True, -1, 2)),
     "from_indices atom index": (
@@ -184,9 +193,36 @@ def test_mask_entries_checked_not_coerced(build):
     # truthiness test: (0.5, "no") would select both cells.
     assert build((True, np.bool_(False))) is not None
     assert build(np.array([False, True])) is not None
-    for bad in ((0.5, "no"), (True, 1), (np.int64(0), False), (None, True), "ab", 2):
+    for bad in ((0.5, "no"), (True, 1), (np.int64(0), False), (None, True), "ab", 2,
+                np.array([[True], [False]]), ((True,), (False,))):
         with pytest.raises(errors.InvalidInput):
             build(bad)
+
+
+SET_VECTORS = {
+    "MeasurableSet cell_mask": (lambda x: MeasurableSet(x, (False,)), "cell_mask", [True, False]),
+    "MeasurableSet atom_mask": (lambda x: MeasurableSet((True,), x), "atom_mask", [False, True]),
+    "FractionalSet cell_fractions": (lambda x: FractionalSet(x, (True,)), "cell_fractions",
+                                     [0.25, 1.0]),
+    "FractionalSet atom_mask": (lambda x: FractionalSet((0.5,), x), "atom_mask", [True, False]),
+}
+
+
+@pytest.mark.parametrize("build, name, values", SET_VECTORS.values(), ids=SET_VECTORS.keys())
+def test_set_vectors_are_readonly_copies(build, name, values):
+    # A set holds each vector as its own read-only bool or float array,
+    # whatever sequence it was built from, and compares by value.
+    source = np.array(values)
+    e = build(source)
+    vec = getattr(e, name)
+    assert isinstance(vec, np.ndarray) and not vec.flags.writeable
+    assert vec.dtype == (float if isinstance(values[0], float) else bool)
+    source[:] = source[::-1]
+    assert vec.tolist() == values
+    assert e == build(tuple(values)) == build(values)
+    assert e != build(values[::-1])
+    with pytest.raises(TypeError):
+        hash(e)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
@@ -314,7 +350,7 @@ class TestEvaluateFractional:
 
     def test_clamping(self):
         h = FractionalSet((1.0 + 1e-13, -1e-13))
-        assert h.cell_fractions == (1.0, 0.0)
+        assert h.cell_fractions.tolist() == [1.0, 0.0]
         with pytest.raises(errors.InvalidInput):
             FractionalSet((1.5,))
 
