@@ -88,6 +88,13 @@ def _check_same(f: QuantumRandomVariable, g: QuantumRandomVariable):
         raise ShapeMismatch("step functions live on different layouts")
 
 
+def _check_pair(f: QuantumRandomVariable, nu: OVM):
+    if f.space != nu.space:
+        raise ShapeMismatch("step function and measure live on different spaces")
+    if f.dim != nu.dim:
+        raise DimMismatch(f"value dim {f.dim} vs measure dim {nu.dim}")
+
+
 def qrv(space: SampleSpace, cell_values, atom_values=None) -> QuantumRandomVariable:
     """The step function with these cell values and atom values (zero if None)."""
     return QuantumRandomVariable(space, join_items(space, cell_values, atom_values))
@@ -138,10 +145,7 @@ def integrate(nu: OVM, f: QuantumRandomVariable) -> np.ndarray:
     agrees with this direct path; the split stays available as a
     cross-check, not a code path.
     """
-    if f.space != nu.space:
-        raise ShapeMismatch("step function and measure live on different spaces")
-    if f.dim != nu.dim:
-        raise DimMismatch(f"value dim {f.dim} vs measure dim {nu.dim}")
+    _check_pair(f, nu)
     if not nu.positive:
         raise Unsupported("integration is defined against positive OVMs")
     roots = opcore.psd_roots(nu.masses)
@@ -157,10 +161,7 @@ def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunctio
 
     Items where the derivative is undefined (null items) contribute 0.
     """
-    if f.space != nu.space:
-        raise ShapeMismatch("step function and measure live on different spaces")
-    if f.dim != nu.dim:
-        raise DimMismatch(f"value dim {f.dim} vs measure dim {nu.dim}")
+    _check_pair(f, nu)
     s_mat = opcore.as_matrix(getattr(s, "matrix", s))
     if s_mat.shape[0] != nu.dim:
         raise DimMismatch(f"state dim {s_mat.shape[0]} vs measure dim {nu.dim}")
@@ -178,8 +179,7 @@ def _value_norms(stack: np.ndarray) -> np.ndarray:
 
 def ess_support(f: QuantumRandomVariable, nu: OVM) -> MeasurableSet:
     """Cells and atoms where f is nonzero modulo nu-null sets."""
-    if f.space != nu.space:
-        raise ShapeMismatch("step function and measure live on different spaces")
+    _check_pair(f, nu)
     # The MASS_TOL test is on the value F_k of f, not on nu, whose null
     # items are those OVM.massive marks False.
     live = (_value_norms(f.values) > MASS_TOL) & nu.massive
@@ -191,17 +191,39 @@ def ess_range(f: QuantumRandomVariable, nu: OVM) -> list[np.ndarray]:
 
     Exact for step functions: a value attained on positive mass has every
     neighborhood of nonzero measure, and no other operator does.
-    Deduplicated under operator-norm distance DEDUP_TOL, first occurrence
-    kept, cells before atoms.
+    Deduplicated under operator-norm distance DEDUP_TOL, cells before atoms: a
+    live value is kept when it lies farther than DEDUP_TOL from every value kept
+    before it.  The output equals that greedy first-occurrence dedup bit for
+    bit, but only pairs within sqrt(d) DEDUP_TOL along one fixed projection get
+    an operator norm: O(m log m) for m values, and O(m^2) at worst, when many
+    values share one projection but differ elsewhere.
     """
-    if f.space != nu.space:
-        raise ShapeMismatch("step function and measure live on different spaces")
+    _check_pair(f, nu)
     live = f.values[nu.massive]
-    kept: list[int] = []
-    for i, value in enumerate(live):
-        if not kept or _value_norms(value - live[kept]).min() > DEDUP_TOL:
-            kept.append(i)
-    return list(live[kept])
+    flat = live.reshape(len(live), f.dim**2)
+    # A copy of a kept value is within 0 of it, a copy of a dropped one within
+    # DEDUP_TOL of the kept value that dropped it: the greedy drops both.
+    first = np.sort(np.unique(flat, axis=0, return_index=True)[1])
+    coords = flat[first].view(np.float64)
+    u = np.sin(np.arange(1.0, coords.shape[1] + 1.0))  # any fixed direction will do
+    proj = coords @ u / np.linalg.norm(u)
+    # ||A - B||_op <= DEDUP_TOL gives |<u, A - B>| <= ||A - B||_F <= sqrt(d) DEDUP_TOL.
+    # Rounding: n eps |u|.|x| <= n^1.5 eps M per projection (n coordinates, the largest
+    # M), eps (|p| + reach) at the window's end; 1 + 1e-6 holds the norms' few eps.
+    slack = 4 * u.size**1.5 * np.finfo(float).eps * np.abs(coords).max(initial=0.0)
+    reach = np.sqrt(f.dim) * DEDUP_TOL * (1 + 1e-6) + slack
+    order = np.argsort(proj)
+    width = np.searchsorted(proj[order], proj[order] + reach, side="right")
+    width -= np.arange(1, len(order) + 1)  # partners after each sorted position
+    lo = np.repeat(np.arange(len(order)), width)
+    hi = lo + 1 + np.arange(len(lo)) - np.repeat(np.cumsum(width) - width, width)
+    earlier, later = np.minimum(order[lo], order[hi]), np.maximum(order[lo], order[hi])
+    # later - earlier is the greedy's own difference, so the norms have its bits.
+    close = _value_norms(live[first[later]] - live[first[earlier]]) <= DEDUP_TOL
+    dropped = np.zeros(len(first), dtype=bool)
+    for i, j in sorted(zip(later[close].tolist(), earlier[close].tolist())):
+        dropped[i] |= not dropped[j]  # j < i is final: its own pairs came first
+    return list(live[first[~dropped]])
 
 
 def ess_sup(f: QuantumRandomVariable, nu: OVM) -> float:
@@ -210,10 +232,8 @@ def ess_sup(f: QuantumRandomVariable, nu: OVM) -> float:
     Also evaluated through the threshold formulation
     inf{M >= 0 : nu({||f|| > M}) = 0}; the two must agree.
     """
-    values = ess_range(f, nu)
-    by_range = max((opcore.op_norm(v) for v in values), default=0.0)
-    live_norms = _value_norms(f.values)[nu.massive]
-    by_threshold = float(live_norms.max()) if live_norms.size else 0.0
+    by_range = _value_norms(np.reshape(ess_range(f, nu), (-1, f.dim, f.dim))).max(initial=0.0)
+    by_threshold = float(_value_norms(f.values[nu.massive]).max(initial=0.0))
     if abs(by_range - by_threshold) > 1e-10 * max(1.0, by_threshold):
         raise NumericalFailure("essential supremum formulations disagree")
     return by_threshold

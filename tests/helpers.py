@@ -6,6 +6,7 @@ import numpy as np
 
 from ovmkit import opcore
 from ovmkit.models import random_complex
+from ovmkit.qintegrate import DEDUP_TOL, _value_norms
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -67,3 +68,14 @@ def intervals_cell_by_cell(breakpoints, fractions) -> tuple:
         else:
             intervals.append([lo, hi])
     return tuple((lo, hi) for lo, hi in intervals)
+
+
+def ess_range_greedy(f, nu) -> list:
+    """The reference essential range: each live value against every value
+    kept so far in one batched SVD, kept when all are farther than DEDUP_TOL."""
+    live = f.values[nu.massive]
+    kept: list[int] = []
+    for i, value in enumerate(live):
+        if not kept or _value_norms(value - live[kept]).min() > DEDUP_TOL:
+            kept.append(i)
+    return list(live[kept])

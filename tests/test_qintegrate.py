@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian, random_qrv_values, random_state
+from helpers import ess_range_greedy, random_hermitian, random_qrv_values, random_state
 from ovmkit import errors, opcore, qintegrate
 from ovmkit.models import (
     lebesgue_identity,
@@ -397,6 +397,73 @@ def test_ess_range_matches_pairwise_reference(seed):
     got, want = ess_range(f, nu), ess_range_pairwise(f, nu)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), m=st.integers(1, 60),
+       n=st.integers(0, 3), hermitian=st.booleans(), scale=st.integers(-3, 8),
+       spike=st.booleans(), nulls=st.sampled_from(["none", "some", "one live", "all"]))
+def test_ess_range_matches_greedy_bit_for_bit(seed, d, m, n, hermitian, scale, spike, nulls):
+    """Values drawn from a pool of base values, their copies moved by
+    DEDUP_TOL * (1/2, 1 - 1e-3, 1 + 1e-3, 2) and signed zeros, at scales
+    1e-3 to 1e8; a spike puts 10^scale in one entry of small values, so
+    near pairs differ only far below the rounding of their projections."""
+    rng = rng_from_seed(seed)
+    base = random_complex(rng, (int(rng.integers(1, 5)), d, d))
+    if hermitian:
+        base = (base + base.conj().transpose(0, 2, 1)) / 2
+    if spike:
+        base[:, 0, 0] = 10.0**scale
+    else:
+        base *= 10.0**scale
+    nudge = random_complex(rng, (d, d))
+    nudge /= opcore.op_norm(nudge)
+    moved = [base + t * qintegrate.DEDUP_TOL * nudge for t in (0.5, 1 - 1e-3, 1 + 1e-3, 2)]
+    pool = np.concatenate([base, *moved, np.zeros_like(base), -0.0 * base])
+    values = pool[rng.integers(0, len(pool), m + n)]
+    masses = random_qrv_values(d, m + n, rng, positive=True)
+    live = {"none": np.ones(m + n, bool), "some": rng.random(m + n) < 0.7,
+            "one live": np.arange(m + n) == rng.integers(0, m + n),
+            "all": np.zeros(m + n, bool)}[nulls]
+    masses[~live] = 0.0
+    space = SampleSpace.uniform(m, atom_sites=tuple((k + 0.5) / n for k in range(n)))
+    nu = grid_ovm(space, masses[:m], atom_masses=masses[m:])
+    f = qrv(space, values[:m], values[m:])
+    got, want = ess_range(f, nu), ess_range_greedy(f, nu)
+    assert len(got) == len(want) <= live.sum()
+    assert all(np.array_equal(a, b) and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_ess_range_norms_linear_in_distinct_values(monkeypatch):
+    # m distinct values: the greedy takes one norm per (value, earlier kept
+    # value) pair, about m^2 / 2; the projection sweep confirms only the
+    # candidate pairs, and ess_sup takes its range norms in one batch.
+    m = 400
+    nu = random_povm(2, m, rng_from_seed(31))
+    f = qrv(nu.space, random_qrv_values(2, m, rng_from_seed(32)))
+    assert nu.massive.all()  # cached: its one op_norm, of nu(X), is the measure's
+    evaluated, op_norms = [], []
+    value_norms, op_norm = qintegrate._value_norms, opcore.op_norm
+    monkeypatch.setattr(qintegrate, "_value_norms",
+                        lambda stack: evaluated.append(len(stack)) or value_norms(stack))
+    monkeypatch.setattr(opcore, "op_norm", lambda a: op_norms.append(1) or op_norm(a))
+    assert len(ess_range(f, nu)) == m
+    assert sum(evaluated) <= 4 * m
+    assert ess_sup(f, nu) > 0.0
+    assert not op_norms
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, nu: integrate(nu, f), ess_support, ess_range, ess_sup, ess_equal,
+], ids=["integrate", "ess_support", "ess_range", "ess_sup", "ess_equal"])
+def test_value_dim_must_match_measure(call):
+    # A dimension-3 step function against a dimension-2 measure is a
+    # DimMismatch for every integral and essential quantity.
+    nu = random_povm(2, 5, RNG)
+    f = random_step(nu.space, 3, RNG)
+    args = (f, f, nu) if call is ess_equal else (f, nu)
+    with pytest.raises(errors.DimMismatch):
+        call(*args)
 
 
 class TestEssentialSup:
