@@ -4,13 +4,12 @@ JSON-ready results object and named pass/fail checks with their limits."""
 from __future__ import annotations
 
 from dataclasses import asdict
-from itertools import combinations
 
 import numpy as np
 
 from . import models, opcore
 from .errors import AtomicObstruction, InvalidInput, SpaceMismatch, TargetNotInHull
-from .lyapunov import _kernel, attain_to_json, joint_attain
+from .lyapunov import attain_to_json, joint_attain, kernel_witness
 from .ovm import OVM, MeasurableSet, check_ovm_properties, induced_measure
 from .rnderiv import rn_consistency, rn_derivative
 
@@ -91,29 +90,14 @@ def paper_example_13(levels: int):
 
 def uhl_demo(cells: int):
     """Indicator-valued model: no kernel on any support, range bounded away
-    from the midpoint of [0, nu(X)], spectral; returns (results, checks)."""
+    from the midpoint of [0, nu(X)], spectral; returns (results, checks).
+    One kernel_witness call on all m cells decides the 2^m - 1 supports:
+    by interlacing (see lyapunov), subsets of independent columns stay so."""
     m = opcore.as_int(cells, "cells")
     if not 2 <= m <= 20:
         raise InvalidInput("cells must lie in [2, 20]")
     nu = models.uhl_model(m)
-
-    # Every size up to m = 12, else sizes 1, 2 and m and 200 seeded masks.
-    # Supports of one size share a shape, so they are tested in stacks of
-    # 32, one SVD per stack: a stack per size would take megabytes more.
-    sizes = range(1, m + 1) if m <= 12 else (1, 2, m)
-    by_size = {s: list(combinations(range(m), s)) for s in sizes}
-    if m > 12:
-        rng = models.rng_from_seed(0)
-        for _ in range(200):
-            mask = rng.integers(0, 2, m).astype(bool)
-            if mask.any():
-                by_size.setdefault(int(mask.sum()), []).append(tuple(np.flatnonzero(mask)))
-    supports_tested = witnesses = 0
-    for group in by_size.values():
-        group = np.array(group)
-        supports_tested += len(group)
-        for start in range(0, len(group), 32):
-            witnesses += sum(c is not None for c in _kernel(nu, group[start:start + 32]))
+    witnesses = int(kernel_witness(nu, range(m)) is not None)
 
     # The model is diagonal, so ||nu(E) - nu(X)/2|| is the largest entry
     # of |diag nu(E) - diag nu(X)/2|; enumerate the 2^m sets E in chunks.
@@ -121,10 +105,8 @@ def uhl_demo(cells: int):
     half_diag = nu.total_mass().diagonal().real / 2
     min_distance = np.inf
     for start in range(0, 1 << m, 1 << 16):
-        idx = np.arange(start, min(start + (1 << 16), 1 << m))
-        bits = (idx[:, None] >> np.arange(m)[None, :]) & 1
-        min_distance = min(min_distance,
-                           float(np.abs(bits @ diag - half_diag).max(axis=1).min()))
+        bits = np.arange(start, min(start + (1 << 16), 1 << m))[:, None] >> np.arange(m) & 1
+        min_distance = min(min_distance, float(np.abs(bits @ diag - half_diag).max(axis=1).min()))
 
     sample_sets = [MeasurableSet.empty(nu.space), MeasurableSet.full(nu.space)]
     sample_sets += [MeasurableSet.from_indices(nu.space, cells=[k]) for k in range(m)]
@@ -133,7 +115,7 @@ def uhl_demo(cells: int):
 
     results = {
         "cells": m,
-        "supports_tested": supports_tested,
+        "supports_tested": (1 << m) - 1,
         "kernel_witnesses_found": witnesses,
         "min_distance_to_half_total": min_distance,
         "properties": asdict(props),

@@ -27,9 +27,11 @@ cells, norm at most MASS_TOL * ||nu(X)|| (OVM.massive); all are cached.
 
 Atoms obstruct purify: when the fractional cells, indivisible ones
 included, still carry a kernel, AtomicObstruction is raised instead of
-silently splitting an atom.  The kernel test is one SVD per stack of
-supports (_kernel); kernel_witness and purify call it with a stack of
-one, demos.uhl_demo with stacks of 32 supports of one size.
+silently splitting an atom.  The kernel test (kernel_witness) is one SVD
+of the support's coordinate columns C.  By interlacing (R. C. Thompson,
+Linear Algebra Appl. 5, 1972) a column subset has sigma_min >= sigma_min(C)
+and sigma_max <= sigma_max(C): when C clears the KERNEL_RCOND cut, every
+subset does, and one call decides them all (demos.uhl_demo).
 """
 
 from __future__ import annotations
@@ -129,69 +131,53 @@ def coordinate_matrix(nu: OVM, support) -> np.ndarray:
     return nu.cell_coords[list(support)].T
 
 
-def _null_direction(stack: np.ndarray) -> list[np.ndarray | None]:
-    """For each (D, n) real matrix of the (g, D, n) ``stack``, its canonical
-    unit-peak null vector, or None when the SVD, cut at KERNEL_RCOND of its
-    largest singular value, finds its columns independent.  One batched
-    SVD gives each matrix the same bits as a lone one.  With V_r an
+def _null_direction(cols: np.ndarray) -> np.ndarray | None:
+    """The canonical unit-peak null vector of the (D, n) real matrix
+    ``cols``, or None when the SVD, cut at KERNEL_RCOND of its largest
+    singular value, finds its columns independent.  With V_r an
     orthonormal basis of the row space, the vector is the projection
     e_pick - V_r^T V_r e_pick of the lowest e_k whose projector diagonal
     1 - ||V_r e_k||^2 is at least half the largest, re-projected once
     against round-off, first nonzero entry positive.  The projector, and
     so the output, does not depend on how LAPACK picks V_r."""
-    _, sing, vt = np.linalg.svd(stack, full_matrices=False)
-    ranks = np.sum(sing > KERNEL_RCOND * sing.max(axis=-1, initial=0.0)[:, None], axis=-1)
-    out = [None] * len(stack)
-    for i in np.flatnonzero(ranks < stack.shape[2]):
-        rows = vt[i, : ranks[i]].T
-        diag = 1.0 - np.einsum("ij,ij->i", rows, rows)
-        pick = int(np.argmax(diag >= 0.5 * diag.max()))
-        c = -(rows @ rows[pick])
-        c[pick] += 1.0
-        c -= rows @ (rows.T @ c)
-        c /= np.abs(c).max()
-        lead = int(np.argmax(np.abs(c) > 1e-12))
-        out[i] = -c if c[lead] < 0 else c
-    return out
-
-
-def _kernel(nu: OVM, supports: np.ndarray) -> list[np.ndarray | None]:
-    """For each row of the (g, n) index array ``supports``: the m
-    coefficients, zero off that row, of the canonical null vector c of the
-    cell masses on it (_null_direction, one batched SVD for all g), or None
-    when there is none or ||sum_k c_k M_k|| exceeds 1e-10 * max(1, ||nu(X)||)."""
-    directions = _null_direction(nu.cell_coords[supports].transpose(0, 2, 1))
-    drift_tol = 1e-10 * max(1.0, nu.total_norm)
-    out = []
-    for support, c in zip(supports, directions):
-        if c is None or opcore.op_norm(np.tensordot(c, nu.cell_masses[support], 1)) > drift_tol:
-            out.append(None)
-            continue
-        coeffs = np.zeros(nu.space.n_cells)
-        coeffs[support] = c
-        out.append(coeffs)
-    return out
+    _, sing, vt = np.linalg.svd(cols, full_matrices=False)
+    rank = int(np.sum(sing > KERNEL_RCOND * sing.max(initial=0.0)))
+    if rank == cols.shape[1]:
+        return None
+    rows = vt[:rank].T
+    diag = 1.0 - np.einsum("ij,ij->i", rows, rows)
+    pick = int(np.argmax(diag >= 0.5 * diag.max()))
+    c = -(rows @ rows[pick])
+    c[pick] += 1.0
+    c -= rows @ (rows.T @ c)
+    c /= np.abs(c).max()
+    lead = int(np.argmax(np.abs(c) > 1e-12))
+    return -c if c[lead] < 0 else c
 
 
 def kernel_witness(nu: OVM, support) -> KernelWitness | None:
     """A canonical null vector of the cell masses on ``support``, or None.
 
-    The indices are checked, then _kernel tests them as a stack of one:
-    dependence is detected by an SVD of the coordinate matrix, singular
-    values with cutoff KERNEL_RCOND relative to the largest (see
-    _null_direction); the witness is additionally validated to keep
-    sum c_k M_k below 1e-10 of the total mass scale.
+    Dependence is detected by an SVD of the coordinate matrix, singular
+    values cut at KERNEL_RCOND relative to the largest (_null_direction);
+    the witness is additionally validated to keep sum c_k M_k below
+    1e-10 * max(1, ||nu(X)||).  A support that is not a nonempty sequence
+    of in-range indices raises InvalidInput.
     """
-    support = tuple(sorted({opcore.as_int(k, "kernel support index") for k in support}))
-    if not support:
-        raise InvalidInput("kernel support must be nonempty")
-    if any(not 0 <= k < nu.space.n_cells for k in support):
-        raise InvalidInput("kernel support indices out of range")
-    [coeffs] = _kernel(nu, np.array([support]))
-    if coeffs is None:
+    try:
+        cells = sorted({opcore.as_int(k, "kernel support index") for k in support})
+    except TypeError:
+        raise InvalidInput(f"kernel support must be a sequence, got {support!r}") from None
+    if not cells or cells[0] < 0 or cells[-1] >= nu.space.n_cells:
+        raise InvalidInput(f"kernel support must be nonempty indices in [0, {nu.space.n_cells})")
+    c = _null_direction(nu.cell_coords[cells].T)
+    if c is None or (opcore.op_norm(np.tensordot(c, nu.cell_masses[cells], 1))
+                     > 1e-10 * max(1.0, nu.total_norm)):
         return None
+    coeffs = np.zeros(nu.space.n_cells)
+    coeffs[cells] = c
     coeffs.setflags(write=False)
-    return KernelWitness(coefficients=coeffs, support=support)
+    return KernelWitness(coefficients=coeffs, support=tuple(cells))
 
 
 def _snap(h: np.ndarray) -> np.ndarray:
@@ -295,7 +281,7 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
     positive length.
 
     AtomicObstruction is raised when indivisible cells are fractional too
-    and the masses on all fractional cells have a kernel (_kernel):
+    and the masses on all fractional cells have a kernel (kernel_witness):
     moving on would split an atom.  Otherwise they stay as they are (the
     non-injectivity hypothesis fails at this resolution).  Fractions on
     zero-mass cells are dropped to 0 up front: they change no value.
@@ -348,7 +334,7 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
         vec[support] = _snap(value[:n])
 
     frac = _fractional_indices(vec)
-    if not divisible[frac].all() and _kernel(nu, frac[None])[0] is not None:
+    if not divisible[frac].all() and kernel_witness(nu, frac) is not None:
         blocked = tuple(int(k) for k in frac if not divisible[k])
         raise AtomicObstruction(
             f"kernel move requires splitting indivisible cells {blocked}", cells=blocked)
@@ -408,6 +394,8 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
     """
     if not 0.0 <= opcore.as_real(t, "mixing weight") <= 1.0:
         raise InvalidInput(f"mixing weight {t!r} outside [0, 1]")
+    if isinstance(e1, FractionalSet) or isinstance(e2, FractionalSet):
+        raise InvalidInput("convex_combine mixes two MeasurableSets")
     s1, s2 = nu.space.selector(e1), nu.space.selector(e2)
     if t in (0.0, 1.0):
         e = e1 if t else e2

@@ -146,8 +146,10 @@ class SampleSpace:
         return out
 
     def selector(self, e: "MeasurableSet | FractionalSet") -> np.ndarray:
-        """The m + n selector of a set: its cell mask (bools) or fractions
-        (floats), then its atom mask; ShapeMismatch if its layout differs."""
+        """The m + n selector of a set: cell mask or fractions, then atom
+        mask; InvalidInput for a non-set, ShapeMismatch for another layout."""
+        if not isinstance(e, (MeasurableSet, FractionalSet)):
+            raise InvalidInput(f"expected a MeasurableSet or FractionalSet, got {e!r}")
         cells = e.cell_fractions if isinstance(e, FractionalSet) else e.cell_mask
         if len(cells) != self.n_cells or len(e.atom_mask) != self.n_atoms:
             raise ShapeMismatch("set does not match the sample space")
@@ -385,7 +387,9 @@ def sum_items(stack: np.ndarray) -> np.ndarray:
 
 
 def evaluate(nu: OVM, e: MeasurableSet) -> np.ndarray:
-    """nu(E): sum of the selected masses."""
+    """nu(E): sum of the selected masses; InvalidInput for a FractionalSet."""
+    if isinstance(e, FractionalSet):
+        raise InvalidInput("evaluate takes a MeasurableSet; use evaluate_fractional")
     return sum_items(nu.masses[nu.space.selector(e)])
 
 

@@ -105,6 +105,7 @@ def rn_consistency(nu: OVM, rho, sets: list[MeasurableSet]) -> float:
     pieces = dens.values * dens.reference.traces[:, None, None]
     worst = 0.0
     for e in sets:
+        lhs = evaluate(nu, e)  # InvalidInput for anything but a MeasurableSet
         rhs = sum_items(pieces[nu.space.selector(e) & dens.defined])
-        worst = max(worst, float(np.abs(evaluate(nu, e) - rhs).max()))
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst

@@ -1,10 +1,13 @@
 """Seeded random inputs that only the tests draw: Hermitian matrices,
 full-rank states and step-function values, and the reference loops
-that vectorized library code must match bit for bit."""
+that vectorized or one-shot library code must match."""
+
+from itertools import combinations
 
 import numpy as np
 
 from ovmkit import opcore
+from ovmkit.lyapunov import kernel_witness
 from ovmkit.models import random_complex
 from ovmkit.qintegrate import DEDUP_TOL, _value_norms
 
@@ -79,3 +82,11 @@ def ess_range_greedy(f, nu) -> list:
         if not kept or _value_norms(value - live[kept]).min() > DEDUP_TOL:
             kept.append(i)
     return list(live[kept])
+
+
+def supports_with_kernel(nu) -> list[tuple[int, ...]]:
+    """The reference kernel search: kernel_witness on each of the 2^m - 1
+    nonempty cell supports, one call each; the supports with a witness."""
+    m = nu.space.n_cells
+    return [support for size in range(1, m + 1) for support in combinations(range(m), size)
+            if kernel_witness(nu, support) is not None]

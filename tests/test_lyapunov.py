@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import intervals_cell_by_cell, random_hermitian
+from helpers import intervals_cell_by_cell, random_hermitian, supports_with_kernel
 from ovmkit import errors, lyapunov, opcore
 from ovmkit.demos import uhl_demo
 from ovmkit.lyapunov import (
@@ -125,14 +125,18 @@ class TestKernelWitness:
             assert kernel_witness(nu, support) is None
 
     def test_uhl_demo_sampled_supports(self):
-        # Above 12 cells: the singletons, the pairs, the full support and
-        # the nonempty masks of 200 seeded draws, grouped by size.
-        rng = rng_from_seed(0)
-        drawn = sum(bool(rng.integers(0, 2, 13).any()) for _ in range(200))
+        # Above 12 cells the one SVD still decides all 2^13 - 1 supports.
         results, checks = uhl_demo(13)
-        assert results["supports_tested"] == 13 + 78 + 1 + drawn
+        assert results["supports_tested"] == 8191
         assert results["kernel_witnesses_found"] == 0
         assert checks[0]["passed"]
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_uhl_demo_matches_per_support_reference(self, m):
+        results, _ = uhl_demo(m)
+        assert supports_with_kernel(uhl_model(m)) == []
+        assert results["supports_tested"] == (1 << m) - 1
+        assert results["kernel_witnesses_found"] == 0
 
     def test_sign_convention(self):
         nu = scalar_grid([0.5, 0.25, 0.25])
@@ -223,18 +227,13 @@ def svd_null_direction(cols):
     return -c if c[lead] < 0 else c
 
 
-def lone(cols):
-    """_null_direction on one (D, n) matrix: a stack of one."""
-    return _null_direction(cols[None])[0]
-
-
 class TestNullDirectionEquivalence:
     def test_gram_branch_matches_svd_reference(self):
         rng = rng_from_seed(4242)
         for big_d in (1, 4, 9, 16):
             for n in sorted({big_d + 1, 2 * big_d + 3, 97, 400, 2000}):
                 cols = rng.standard_normal((big_d, n)) * rng.uniform(0.1, 10.0, n)
-                got = lone(cols)
+                got = _null_direction(cols)
                 want = svd_null_direction(cols)
                 assert np.abs(got - want).max() <= 1e-10, (big_d, n)
                 assert np.linalg.norm(cols @ got) <= 1e-12 * np.linalg.norm(cols)
@@ -243,7 +242,7 @@ class TestNullDirectionEquivalence:
         for d, m in ((1, 50), (2, 300), (3, 120), (4, 2000)):
             nu = random_povm(d, m, rng_from_seed(50 + d))
             cols = coordinate_matrix(nu, range(m))
-            got = lone(cols)
+            got = _null_direction(cols)
             assert np.abs(got - svd_null_direction(cols)).max() <= 1e-10
 
     def test_rank_deficient_direct_sum_takes_svd(self):
@@ -251,39 +250,61 @@ class TestNullDirectionEquivalence:
         nu = direct_sum(*singular_blocks(3))
         cols = coordinate_matrix(nu, range(nu.space.n_cells))
         assert cols.shape == (9, 12)
-        got = lone(cols)
+        got = _null_direction(cols)
         assert np.array_equal(got, svd_null_direction(cols))
 
     def test_narrow_blocks_take_svd(self):
         rng = rng_from_seed(4343)
         independent = rng.standard_normal((16, 10))
-        assert lone(independent) is None
+        assert _null_direction(independent) is None
         dependent = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 5))
-        got = lone(dependent)
+        got = _null_direction(dependent)
         assert np.array_equal(got, svd_null_direction(dependent))
 
-    def test_batch_matches_lone_calls(self):
-        # One stack of independent matrices, dependent ones of ranks 3 and
-        # 11 and the direct-sum matrix, 3 zero rows padded to 12 x 12: each
-        # output is the lone SVD direction bit for bit, or None.
-        rng = rng_from_seed(4444)
-        nu = direct_sum(*singular_blocks(3))
-        zero_rows = np.vstack([coordinate_matrix(nu, range(12)), np.zeros((3, 12))])
-        stack = np.stack([
-            rng.standard_normal((12, 12)),
-            zero_rows,
-            rng.standard_normal((12, 3)) @ rng.standard_normal((3, 12)),
-            rng.standard_normal((12, 12)) * rng.uniform(0.1, 10.0, 12),
-            rng.standard_normal((12, 11)) @ rng.standard_normal((11, 12)),
-        ])
-        got = _null_direction(stack)
-        assert [c is None for c in got] == [True, False, False, True, False]
-        for cols, c in zip(stack, got):
-            want = svd_null_direction(cols)
-            if want is None:
-                assert c is None
-            else:
-                assert np.array_equal(c, want)
+
+
+class TestKernelInterlacing:
+    """Dropping columns neither lowers sigma_min nor raises sigma_max, so a
+    full support that clears the KERNEL_RCOND cut decides every support."""
+
+    @staticmethod
+    def assert_full_support_decides(nu):
+        if kernel_witness(nu, range(nu.space.n_cells)) is None:
+            assert supports_with_kernel(nu) == []
+
+    def test_random_povms_up_to_d_squared_cells(self):
+        rng = rng_from_seed(2121)
+        for d, m in ((1, 1), (2, 2), (2, 3), (2, 4), (3, 5), (3, 9)):
+            nu = random_povm(d, m, rng)
+            assert kernel_witness(nu, range(m)) is None
+            self.assert_full_support_decides(nu)
+
+    def test_direct_sums_with_rank_deficient_rows(self):
+        # Blocks of dimensions 1 and 2 fill 5 of the 9 coordinate rows;
+        # three scalar blocks fill 3 of them.
+        rng = rng_from_seed(2222)
+        for nu in (direct_sum(random_povm(1, 5, rng), random_povm(2, 5, rng)),
+                   direct_sum(*singular_blocks(3, 1))):
+            assert kernel_witness(nu, range(nu.space.n_cells)) is None
+            self.assert_full_support_decides(nu)
+
+    @pytest.mark.parametrize("ratio", [0.01, 0.1, 0.9, 1.1, 10.0, 100.0])
+    def test_columns_near_the_cut(self, ratio):
+        # Coordinate columns scaled over two orders of magnitude, then the
+        # least singular value set to ratio * KERNEL_RCOND * sigma_max.
+        rng = rng_from_seed(2323)
+        for big_d, m in ((4, 4), (9, 6)):
+            scaled = rng.standard_normal((big_d, m)) * np.geomspace(1.0, 100.0, m)
+            u, sing, vt = np.linalg.svd(scaled, full_matrices=False)
+            sing[-1] = ratio * lyapunov.KERNEL_RCOND * sing[0]
+            cols = (u * sing) @ vt
+            got = np.linalg.svd(cols, compute_uv=False)
+            assert got[-1] / got[0] / lyapunov.KERNEL_RCOND == pytest.approx(ratio, rel=1e-3)
+            masses = np.array([opcore.coords_to_herm(c) for c in cols.T])
+            nu = grid_ovm(SampleSpace.uniform(m), masses)
+            if ratio > 1.0:
+                assert kernel_witness(nu, range(m)) is None
+            self.assert_full_support_decides(nu)
 
 
 def svd_kernel(nu, support):

@@ -18,7 +18,7 @@ from ovmkit.models import (
     singular_blocks,
     uhl_model,
 )
-from ovmkit.lyapunov import attain, joint_attain, kernel_witness
+from ovmkit.lyapunov import attain, convex_combine, joint_attain, kernel_witness, purify
 from ovmkit.qintegrate import QuantumRandomVariable, indicator, qrv
 from ovmkit.ovm import (
     FractionalSet,
@@ -36,6 +36,7 @@ from ovmkit.ovm import (
     induced_measure,
     is_nonatomic,
 )
+from ovmkit.rnderiv import rn_consistency
 
 RNG = rng_from_seed(414243)
 
@@ -90,6 +91,8 @@ def test_integer_arguments_checked_not_coerced(call):
 def _matrix_json(d):
     return {"dim": d, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 
+
+_HALF = MeasurableSet((True, False))
 
 # name: (call, an accepted value, rejected values)
 TYPED_INPUTS = {
@@ -164,6 +167,19 @@ TYPED_INPUTS = {
                       np.eye(2) / 2, ("abc", [[1, 0], [0]], [["0.5", "0"], ["0", "0.5"]])),
     "joint_attain target": (lambda t: joint_attain([lebesgue_identity(4, 2)], [t]),
                             np.eye(2) / 2, ("x", [[1, 0], [0]])),
+    "kernel_witness support": (lambda s: kernel_witness(random_povm(2, 6, RNG), s),
+                               range(6), (5, None, np.int64(2), [[0, 1]])),
+    "evaluate set": (lambda e: evaluate(lebesgue_identity(2, 2), e), _HALF,
+                     (FractionalSet((1.0, 0.0)), None, (True, False), 1)),
+    "convex_combine set": (lambda e: convex_combine(lebesgue_identity(2, 2), e, _HALF, 0.5),
+                           MeasurableSet((False, True)), (FractionalSet((0.0, 1.0)), None)),
+    "purify set": (lambda h: purify(lebesgue_identity(2, 2), h), FractionalSet((0.5, 0.5)),
+                   (None, (0.5, 0.5), 1)),
+    "rn_consistency sets": (lambda sets: rn_consistency(lebesgue_identity(2, 2), np.eye(2) / 2,
+                                                        sets),
+                            [_HALF], ([1], [None], [FractionalSet((1.0, 0.0))])),
+    "check_ovm_properties sets": (lambda sets: check_ovm_properties(lebesgue_identity(2, 2), sets),
+                                  [_HALF], ([1], [FractionalSet((1.0, 0.0))])),
 }
 
 
