@@ -13,6 +13,7 @@ parser, the key checks, the flag handling and the CSV writer read it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -417,7 +418,13 @@ def _add_common(parser):
     parser.add_argument("--tol", type=float, help="primary residual tolerance override")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ovmkit`` argument parser, built on the first call and then
+    shared by the whole process: callers parse with it and must not
+    mutate it.  Every flag default is an int, float or string (argparse
+    converts a string default afresh on each parse) and each parse returns
+    a new Namespace, so the shared parser parses as a fresh one would."""
     parser = argparse.ArgumentParser(
         prog="ovmkit",
         description="Operator-valued measure scenario runner.",

@@ -394,9 +394,7 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
     """
     if not 0.0 <= opcore.as_real(t, "mixing weight") <= 1.0:
         raise InvalidInput(f"mixing weight {t!r} outside [0, 1]")
-    if isinstance(e1, FractionalSet) or isinstance(e2, FractionalSet):
-        raise InvalidInput("convex_combine mixes two MeasurableSets")
-    s1, s2 = nu.space.selector(e1), nu.space.selector(e2)
+    s1, s2 = nu.space.mask(e1), nu.space.mask(e2)
     if t in (0.0, 1.0):
         e = e1 if t else e2
         return realize_intervals(nu, FractionalSet.from_measurable(e), target=evaluate(nu, e))

@@ -104,7 +104,7 @@ def indicator(space: SampleSpace, dim: int, e: MeasurableSet) -> QuantumRandomVa
     """chi_E * I: the identity on E, zero elsewhere."""
     dim = opcore.as_int(dim, "dimension", low=1)
     values = np.zeros((space.n_cells + space.n_atoms, dim, dim), dtype=np.complex128)
-    values[space.selector(e)] = np.eye(dim)
+    values[space.mask(e)] = np.eye(dim)
     return QuantumRandomVariable(space, values)
 
 

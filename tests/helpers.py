@@ -9,6 +9,7 @@ import numpy as np
 from ovmkit import opcore
 from ovmkit.lyapunov import kernel_witness
 from ovmkit.models import random_complex
+from ovmkit.ovm import PropertyReport, evaluate
 from ovmkit.qintegrate import DEDUP_TOL, _value_norms
 
 
@@ -90,3 +91,19 @@ def supports_with_kernel(nu) -> list[tuple[int, ...]]:
     m = nu.space.n_cells
     return [support for size in range(1, m + 1) for support in combinations(range(m), size)
             if kernel_witness(nu, support) is not None]
+
+
+def spectral_tol(nu) -> float:
+    """check_ovm_properties' spectrality tolerance for ``nu``."""
+    return 1e-9 * max(1.0, nu.total_norm) * max(1.0, nu.total_norm)
+
+
+def properties_pair_by_pair(nu, sample_sets) -> PropertyReport:
+    """The reference axiom check: spectrality tested on one ordered pair of
+    sets at a time, with an evaluate and an op_norm per pair."""
+    tol = spectral_tol(nu)
+    values = [evaluate(nu, e) for e in sample_sets]
+    spectral = all(opcore.op_norm(evaluate(nu, e1.intersection(e2)) - v1 @ v2) <= tol
+                   for e1, v1 in zip(sample_sets, values) for e2, v2 in zip(sample_sets, values))
+    probability = opcore.op_norm(nu.total_mass() - np.eye(nu.dim)) <= 1e-12
+    return PropertyReport(positive=nu.positive, spectral=spectral, probability=probability)

@@ -186,6 +186,53 @@ class TestSerialization:
         assert leftovers == []
 
 
+def _uhl_config(tmp_path) -> Path:
+    config = tmp_path / "s.json"
+    config.write_text(json.dumps({"kind": "uhl", "cells": 4}), encoding="utf-8")
+    return config
+
+
+def _run_in_child(config: Path) -> subprocess.CompletedProcess:
+    """``ovmkit run --config`` in a fresh interpreter, report to stdout."""
+    # The child imports the same ovmkit as this process, however it
+    # was put on the path.
+    src = str(Path(ovmkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ovmkit.cli", "run", "--config", str(config)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+class TestParserReuse:
+    """One parser serves every main call of a process, as a fresh one would."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_do_not_carry_over(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["attain", "--dim", "3"]).dim == 3
+        assert parser.parse_args(["attain"]).dim == 2
+
+    def test_list_default_is_fresh_per_parse(self):
+        parser = cli.build_parser()
+        first = parser.parse_args(["singular-34"])
+        first.lambdas.append(0.7)
+        assert parser.parse_args(["singular-34"]).lambdas == [0.1, 0.5, 0.9, 0.3]
+
+    def test_in_process_reports_match_a_fresh_process(self, tmp_path):
+        config = _uhl_config(tmp_path)
+        child = _run_in_child(config)
+        assert child.returncode == 0
+        outs = [tmp_path / name for name in ("a.json", "b.json")]
+        assert cli.main(["attain", "--dim", "3", "--cells", "6",
+                         "--out", str(tmp_path / "attain.json")]) == 0
+        assert cli.main(["uhl", "--config", str(config), "--out", str(outs[0])]) == 0
+        assert cli.main(["run", "--config", str(config), "--out", str(outs[1])]) == 0
+        for out in outs:
+            assert out.read_bytes() == child.stdout.encode("utf-8")
+
+
 class TestMain:
     def test_main_attain(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -236,15 +283,7 @@ class TestMain:
         assert not plain.read_text(encoding="utf-8").startswith("{")
 
     def test_console_entry_point(self, tmp_path):
-        config = tmp_path / "s.json"
-        config.write_text(json.dumps({"kind": "uhl", "cells": 4}), encoding="utf-8")
-        # The child imports the same ovmkit as this process, however it
-        # was put on the path.
-        src = str(Path(ovmkit.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ovmkit.cli", "run", "--config", str(config)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        proc = _run_in_child(_uhl_config(tmp_path))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["pass"] is True
 

@@ -5,7 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import random_state, signed_zero_masses, sum_in_item_order
+from helpers import (
+    properties_pair_by_pair,
+    random_state,
+    signed_zero_masses,
+    spectral_tol,
+    sum_in_item_order,
+)
 from ovmkit import demos, errors, opcore, ovm
 from ovmkit.models import (
     dyadic_state,
@@ -169,6 +175,11 @@ TYPED_INPUTS = {
                             np.eye(2) / 2, ("x", [[1, 0], [0]])),
     "kernel_witness support": (lambda s: kernel_witness(random_povm(2, 6, RNG), s),
                                range(6), (5, None, np.int64(2), [[0, 1]])),
+    "indicator set": (lambda e: indicator(SampleSpace.uniform(2), 2, e), _HALF,
+                      (FractionalSet((0.5, 0.5)), None, 1)),
+    "InducedMeasure.of set": (
+        lambda e: induced_measure(lebesgue_identity(2, 2), np.eye(2) / 2).of(e), _HALF,
+        (FractionalSet((0.5, 0.5)), FractionalSet((1.0, 0.0)), None)),
     "evaluate set": (lambda e: evaluate(lebesgue_identity(2, 2), e), _HALF,
                      (FractionalSet((1.0, 0.0)), None, (True, False), 1)),
     "convex_combine set": (lambda e: convex_combine(lebesgue_identity(2, 2), e, _HALF, 0.5),
@@ -537,6 +548,119 @@ class TestProperties:
         sets = [MeasurableSet.empty(nu.space), MeasurableSet.full(nu.space)]
         with pytest.raises(errors.OvmError):
             check_ovm_properties(nu, sets)
+
+
+def _sample_sets(space, rng):
+    """Empty, full, every single cell and atom, and six seeded sets."""
+    return ([MeasurableSet.empty(space), MeasurableSet.full(space)]
+            + [MeasurableSet.from_indices(space, cells=[k]) for k in range(space.n_cells)]
+            + [MeasurableSet.from_indices(space, atoms=[k]) for k in range(space.n_atoms)]
+            + [random_set(space, rng) for _ in range(6)])
+
+
+def _unit_pvm(space):
+    """Item k carries the diagonal matrix unit e_kk: projection-valued."""
+    count = space.n_cells + space.n_atoms
+    return ovm.OVM(space, np.eye(count)[:, None, :] * np.eye(count)[:, :, None], "mixed")
+
+
+class TestSpectralReference:
+    """The batched spectrality rows give the per-pair reference's report."""
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_uhl_models(self, m):
+        nu = uhl_model(m)
+        sets = _sample_sets(nu.space, rng_from_seed(m))
+        report = check_ovm_properties(nu, sets)
+        assert report == properties_pair_by_pair(nu, sets)
+        assert report.spectral
+
+    def test_lebesgue_identity(self):
+        nu = lebesgue_identity(6, 2)
+        sets = _sample_sets(nu.space, rng_from_seed(6))
+        assert check_ovm_properties(nu, sets) == properties_pair_by_pair(nu, sets)
+        assert not check_ovm_properties(nu, sets).spectral
+        ends = sets[:2]
+        assert check_ovm_properties(nu, ends) == properties_pair_by_pair(nu, ends)
+        assert check_ovm_properties(nu, ends).spectral
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_povms(self, seed):
+        rng = rng_from_seed(seed)
+        nu = random_povm(1 + seed % 3, 8, rng)
+        sets = _sample_sets(nu.space, rng)
+        for sample in (sets, sets[:2]):
+            assert check_ovm_properties(nu, sample) == properties_pair_by_pair(nu, sample)
+
+    def test_direct_sums(self):
+        rng = rng_from_seed(7)
+        for nu, spectral in ((direct_sum(uhl_model(4), uhl_model(4)), True),
+                             (direct_sum(*singular_blocks(3)), False),
+                             (direct_sum(random_povm(1, 5, rng), random_povm(2, 5, rng)), False)):
+            sets = _sample_sets(nu.space, rng)
+            report = check_ovm_properties(nu, sets)
+            assert report == properties_pair_by_pair(nu, sets)
+            assert report.spectral == spectral
+
+    def test_sets_with_atoms(self):
+        rng = rng_from_seed(8)
+        space = SampleSpace.uniform(3, atom_sites=(0.25, 0.75))
+        povm = random_povm(2, 3, rng, space=space)
+        for nu, spectral in ((_unit_pvm(space), True), (povm, False)):
+            sets = _sample_sets(space, rng)
+            report = check_ovm_properties(nu, sets)
+            assert report == properties_pair_by_pair(nu, sets)
+            assert report.spectral == spectral
+
+    def test_defects_either_side_of_tol(self):
+        # Scaling projection-valued mass k by 1 + eps leaves the pair
+        # ({k}, {k}) a defect of eps (1 + eps): 0.1 tol on cell 1, 10 tol
+        # on cell 4.
+        base = uhl_model(6)
+        tol = spectral_tol(base)
+        masses = base.masses.copy()
+        masses[1] *= 1.0 + 0.1 * tol
+        masses[4] *= 1.0 + 10.0 * tol
+        nu = ovm.OVM(base.space, masses, base.variant)
+        for k, ratio in ((1, 0.1), (4, 10.0)):
+            v = evaluate(nu, MeasurableSet.from_indices(nu.space, cells=[k]))
+            assert opcore.op_norm(v - v @ v) == pytest.approx(ratio * spectral_tol(nu), rel=1e-3)
+        near = [MeasurableSet.from_indices(nu.space, cells=c) for c in ([], [1], [0, 1], [2, 3])]
+        far = near + [MeasurableSet.from_indices(nu.space, cells=[4])]
+        assert check_ovm_properties(nu, near) == properties_pair_by_pair(nu, near)
+        assert check_ovm_properties(nu, near).spectral
+        assert check_ovm_properties(nu, far) == properties_pair_by_pair(nu, far)
+        assert not check_ovm_properties(nu, far).spectral
+
+    def test_no_sets_is_spectral(self):
+        nu = random_povm(2, 4, rng_from_seed(9))
+        assert check_ovm_properties(nu, []) == properties_pair_by_pair(nu, [])
+        assert check_ovm_properties(nu, []).spectral
+
+    def test_fractional_set_rejected(self):
+        nu = lebesgue_identity(2, 2)
+        with pytest.raises(errors.InvalidInput):
+            check_ovm_properties(nu, [_HALF, MeasurableSet.full(nu.space),
+                                      FractionalSet((0.5, 0.5))])
+
+    def test_calls_per_set_not_per_pair(self, monkeypatch):
+        # s sets cost s evaluate calls and one op_norm (the probability
+        # flag), not one of each per ordered pair.
+        calls = {"evaluate": 0, "op_norm": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        nu = uhl_model(5)
+        sets = _sample_sets(nu.space, rng_from_seed(10))
+        assert nu.total_norm == 1.0  # cached before counting
+        monkeypatch.setattr(ovm, "evaluate", counted("evaluate", ovm.evaluate))
+        monkeypatch.setattr(opcore, "op_norm", counted("op_norm", opcore.op_norm))
+        assert check_ovm_properties(nu, sets).spectral
+        assert calls == {"evaluate": len(sets), "op_norm": 1}
 
 
 class TestStackValidation:
