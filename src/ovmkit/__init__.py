@@ -25,7 +25,6 @@ from .errors import (  # noqa: F401
     Unsupported,
 )
 from .opcore import (  # noqa: F401
-    OperatorInterval,
     State,
     coords_to_herm,
     herm_coords,
@@ -37,7 +36,6 @@ from .opcore import (  # noqa: F401
     op_norm,
     psd_check,
     psd_sqrt,
-    trace_pair,
 )
 from .ovm import (  # noqa: F401
     OVM,
@@ -78,9 +76,7 @@ from .qintegrate import (  # noqa: F401
     indicator,
     integrand_fs,
     integrate,
-    pos_neg_parts,
     qrv,
-    real_imag_parts,
 )
 from .lyapunov import (  # noqa: F401
     AttainResult,

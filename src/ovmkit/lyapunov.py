@@ -15,9 +15,8 @@ nonatomic measures, made algorithmic:
     sum the simplex multipliers give a witness W separating A from the
     range (see TargetNotInHull).
 2.  convex_combine: the mix t nu(E1) + (1 - t) nu(E2) lies in the range;
-    step 1 over the massive cells where E1 and E2 differ realizes it.  A
-    mix with an indivisible differing cell is purified instead: a crossover
-    on _Basis walks it to a fiber vertex, at most rank <= d^2 fractional.
+    step 1 over the massive cells where E1 and E2 differ realizes it; a
+    mix with an indivisible one among them is rejected before any solve.
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
     exact under the constant-density convention.
 
@@ -25,13 +24,12 @@ Every step reads the masses as rows of one m + n item stack in Hermitian
 coordinates (OVM.coords), scales tolerances by ||nu(X)||, and drops null
 cells, norm at most MASS_TOL * ||nu(X)|| (OVM.massive); all are cached.
 
-Atoms obstruct purify: when the fractional cells, indivisible ones
-included, still carry a kernel, AtomicObstruction is raised instead of
-silently splitting an atom.  The kernel test (kernel_witness) is one SVD
-of the support's coordinate columns C.  By interlacing (R. C. Thompson,
-Linear Algebra Appl. 5, 1972) a column subset has sigma_min >= sigma_min(C)
-and sigma_max <= sigma_max(C): when C clears the KERNEL_RCOND cut, every
-subset does, and one call decides them all (demos.uhl_demo).
+No library path calls purify; it stays public for its contract.  Its
+kernel test (kernel_witness) is one SVD of the support's coordinate
+columns C.  By interlacing (R. C. Thompson, Linear Algebra Appl. 5, 1972)
+a column subset has sigma_min >= sigma_min(C) and sigma_max <= sigma_max(C):
+when C clears the KERNEL_RCOND cut, every subset does, and one call
+decides them all (demos.uhl_demo).
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ from .ovm import (
     evaluate,
     evaluate_fractional,
     is_nonatomic,
+    set_to_json,
 )
 
 # Fractions within this of a bound snap onto it.
@@ -201,6 +200,15 @@ def _cell_fractions(nu: OVM, h: FractionalSet) -> np.ndarray:
     frac = _fractional_indices(vec)
     vec[frac[~nu.massive[frac]]] = 0.0
     return vec
+
+
+def _divisible_fractions(nu: OVM, vec: np.ndarray) -> np.ndarray:
+    """The fractional cells of ``vec``, AtomicObstruction if one is indivisible."""
+    frac = _fractional_indices(vec)
+    blocked = [k for k in frac.tolist() if not nu.space.divisible[k]]
+    if blocked:
+        raise AtomicObstruction(f"fractional cells {blocked} are indivisible", cells=blocked)
+    return frac
 
 
 class _Basis:
@@ -360,10 +368,7 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
         if target.shape[0] != nu.dim:
             raise ShapeMismatch(f"target dim {target.shape[0]} vs measure dim {nu.dim}")
     vec = _cell_fractions(nu, h)
-    blocked = [int(k) for k in _fractional_indices(vec) if not nu.space.divisible[k]]
-    if blocked:
-        raise AtomicObstruction(
-            f"fractional cells {blocked} are indivisible", cells=blocked)
+    frac = _divisible_fractions(nu, vec)
 
     bp, cells = np.asarray(nu.space.breakpoints), np.flatnonzero(vec)
     lo, right = bp[cells], bp[cells + 1]
@@ -380,17 +385,17 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
         achieved=achieved,
         residual=residual,
         iterations=0,
-        fractional_count=int(_fractional_indices(vec).size),
+        fractional_count=int(frac.size),
     )
 
 
 def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> AttainResult:
     """Realize t * nu(E1) + (1 - t) * nu(E2) as nu(E) for an interval set E.
 
-    Atom selections cannot be mixed fractionally: for t strictly inside
-    (0, 1) the sets must agree on every massive atom, and nu must be
-    positive.  E1 & E2 <= E <= E1 | E2; ``iterations`` counts phase-1 steps
-    (step 2 above), or purify's when a differing cell is indivisible.
+    Atoms and indivisible cells are never split: for t strictly inside
+    (0, 1) nu must be positive and the sets must agree on every massive atom
+    and indivisible cell (t within SNAP_TOL of 0 or 1 counts as 0 or 1).
+    E1 & E2 <= E <= E1 | E2; ``iterations`` counts phase-1 steps (step 2).
     """
     if not 0.0 <= opcore.as_real(t, "mixing weight") <= 1.0:
         raise InvalidInput(f"mixing weight {t!r} outside [0, 1]")
@@ -400,23 +405,20 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
         return realize_intervals(nu, FractionalSet.from_measurable(e), target=evaluate(nu, e))
 
     m = nu.space.n_cells
-    differ = (s1 != s2) & nu.massive
-    differing = [int(k) for k in np.flatnonzero(differ[m:])]
+    differing = np.flatnonzero((s1[m:] != s2[m:]) & nu.massive[m:]).tolist()
     if differing:
         raise AtomicObstruction(
             f"atom selections differ on massive sites {differing}", cells=differing)
+    if not nu.positive:
+        raise NotPositive("convex combination is defined for positive OVMs")
     h0 = FractionalSet(t * s1[:m] + (1.0 - t) * s2[:m], (s1 & s2)[m:])
     target = evaluate_fractional(nu, h0)
-    moving = np.flatnonzero(differ[:m])
-    if not (nu.positive and np.asarray(nu.space.divisible)[moving].all()):
-        pure = purify(nu, h0)  # raises NotPositive when nu is not positive
-        return replace(realize_intervals(nu, pure.h_final, target=target),
-                       iterations=pure.iterations)
+    vec = _cell_fractions(nu, h0)
+    moving = _divisible_fractions(nu, vec)
     coords = nu.cell_coords[moving].T / (nu.total_norm or 1.0)
-    h, _, objective, steps = _phase_one(coords, coords @ h0.cell_fractions[moving])
+    h, _, objective, steps = _phase_one(coords, coords @ vec[moving])
     if objective > SIMPLEX_TOL:
         raise NumericalFailure(f"phase-1 optimum {objective:.3e} on a mix in the range")
-    vec = (s1 & s2)[:m].astype(float)
     vec[moving] = _snap(h)
     h_set = FractionalSet(vec, h0.atom_mask)
     return replace(realize_intervals(nu, h_set, target=target), iterations=steps)
@@ -600,8 +602,6 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
     above 1e-6, recorded with its inputs.  Trials run and aggregate in
     index order, so reports are reproducible bit for bit.
     """
-    from .ovm import set_to_json
-
     trials = opcore.as_int(trials, "trials", low=0)
     seed = opcore.as_int(seed, "seed", low=0)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -624,14 +624,13 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
         try:
             result = convex_combine(nu, e1, e2, t)
         except AtomicObstruction as exc:
-            failures.append(TrialFailure(trial, set_to_json(e1), set_to_json(e2),
-                                         t, f"AtomicObstruction: {exc}"))
-            continue
-        max_residual = max(max_residual, result.residual)
-        max_intervals = max(max_intervals, result.interval_count)
-        if result.residual > 1e-6:
-            failures.append(TrialFailure(trial, set_to_json(e1), set_to_json(e2),
-                                         t, f"residual {result.residual:.3e}"))
+            reason = f"AtomicObstruction: {exc}"
+        else:
+            max_residual = max(max_residual, result.residual)
+            max_intervals = max(max_intervals, result.interval_count)
+            reason = f"residual {result.residual:.3e}" if result.residual > 1e-6 else None
+        if reason:
+            failures.append(TrialFailure(trial, set_to_json(e1), set_to_json(e2), t, reason))
     return CertificateReport(
         trials=trials,
         seed=seed,

@@ -251,8 +251,11 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def coords_to_herm(v) -> np.ndarray:
-    """Inverse of :func:`herm_coords`."""
-    vec = np.asarray(v, dtype=np.float64)
+    """Inverse of :func:`herm_coords` for a 1-d real vector
+    (:func:`as_reals`); anything else raises InvalidInput."""
+    vec = as_reals(v, "Hermitian coordinate")
+    if vec.ndim != 1:
+        raise InvalidInput(f"expected a coordinate vector, got shape {vec.shape}")
     d = int(round(np.sqrt(vec.size)))
     if d * d != vec.size:
         raise InvalidInput(f"coordinate vector length {vec.size} is not a square")
@@ -263,15 +266,6 @@ def coords_to_herm(v) -> np.ndarray:
     m[iu, ju] = off
     m[ju, iu] = off.conj()
     return m
-
-
-def trace_pair(rho, a) -> complex:
-    """tr(rho A), summed over entry products."""
-    r = as_matrix(getattr(rho, "matrix", rho))
-    m = as_matrix(a)
-    if r.shape != m.shape:
-        raise DimMismatch(f"dimensions {r.shape[0]} vs {m.shape[0]}")
-    return complex(np.einsum("ij,ji->", r, m))
 
 
 @dataclass(frozen=True)
@@ -300,27 +294,6 @@ def make_state(a) -> State:
     if abs(tr - 1.0) > 1e-12:
         raise InvalidInput(f"state trace {tr!r} is not 1")
     return State(matrix=readonly(m, np.complex128), full_rank=bool(w[0] > RANK_TOL))
-
-
-@dataclass(frozen=True)
-class OperatorInterval:
-    """Loewner interval [lower, upper]; upper - lower must be PSD."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = hermitian(self.lower)
-        hi = hermitian(self.upper)
-        if lo.shape != hi.shape:
-            raise DimMismatch("interval endpoints have different dimensions")
-        if not psd_check(hi - lo):
-            raise NotPositive("upper - lower is not PSD")
-        object.__setattr__(self, "lower", readonly(lo, np.complex128))
-        object.__setattr__(self, "upper", readonly(hi, np.complex128))
-
-    def contains(self, a) -> bool:
-        return loewner_leq(self.lower, a) and loewner_leq(a, self.upper)
 
 
 def matrix_to_json(a) -> dict:

@@ -500,6 +500,8 @@ def direct_sum(*ovms: OVM) -> OVM:
         ovms = tuple(ovms[0])
     if not ovms:
         raise InvalidInput("need at least one component")
+    if not all(isinstance(o, OVM) for o in ovms):
+        raise InvalidInput("direct sum components must be OVMs")
     space = ovms[0].space
     if any(o.space != space for o in ovms):
         raise SpaceMismatch("direct sum components must share one sample space")

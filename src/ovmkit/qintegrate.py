@@ -14,6 +14,7 @@ round-off.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import opcore
 from .errors import (
     DimMismatch,
-    NotSelfAdjoint,
+    InvalidInput,
     NumericalFailure,
     ShapeMismatch,
     Unsupported,
@@ -65,6 +66,8 @@ class QuantumRandomVariable:
         return QuantumRandomVariable(self.space, self.values - other.values)
 
     def __rmul__(self, scalar):
+        if isinstance(scalar, bool) or not isinstance(scalar, numbers.Number):
+            raise InvalidInput(f"a step function scales by a number, not {scalar!r}")
         return QuantumRandomVariable(self.space, scalar * self.values)
 
 
@@ -84,11 +87,15 @@ class ScalarStepFunction:
 
 
 def _check_same(f: QuantumRandomVariable, g: QuantumRandomVariable):
+    if not isinstance(g, QuantumRandomVariable):
+        raise InvalidInput(f"expected a QuantumRandomVariable, got {g!r}")
     if f.space != g.space or f.dim != g.dim:
         raise ShapeMismatch("step functions live on different layouts")
 
 
 def _check_pair(f: QuantumRandomVariable, nu: OVM):
+    if not (isinstance(f, QuantumRandomVariable) and isinstance(nu, OVM)):
+        raise InvalidInput("expected a QuantumRandomVariable and an OVM")
     if f.space != nu.space:
         raise ShapeMismatch("step function and measure live on different spaces")
     if f.dim != nu.dim:
@@ -108,42 +115,12 @@ def indicator(space: SampleSpace, dim: int, e: MeasurableSet) -> QuantumRandomVa
     return QuantumRandomVariable(space, values)
 
 
-def _split_psd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cellwise spectral positive/negative parts of a Hermitian stack."""
-    w, v = np.linalg.eigh(stack)
-    vh = v.conj().transpose(0, 2, 1)
-    plus = (v * np.maximum(w, 0.0)[:, None, :]) @ vh
-    minus = (v * np.maximum(-w, 0.0)[:, None, :]) @ vh
-    return plus, minus
-
-
-def pos_neg_parts(f: QuantumRandomVariable):
-    """f = f_plus - f_minus with both parts PSD and f_plus f_minus = 0 cellwise."""
-    if not f.self_adjoint:
-        raise NotSelfAdjoint("positive/negative parts need a self-adjoint step function")
-    plus, minus = _split_psd(f.values)
-    return QuantumRandomVariable(f.space, plus), QuantumRandomVariable(f.space, minus)
-
-
-def real_imag_parts(f: QuantumRandomVariable):
-    """Cellwise Hermitian decomposition f = Re f + i Im f."""
-    def herm(stack):
-        return (stack + stack.conj().transpose(0, 2, 1)) / 2
-
-    def skew(stack):
-        return (stack - stack.conj().transpose(0, 2, 1)) / (2j)
-
-    return (QuantumRandomVariable(f.space, herm(f.values)),
-            QuantumRandomVariable(f.space, skew(f.values)))
-
-
 def integrate(nu: OVM, f: QuantumRandomVariable) -> np.ndarray:
     """Quantum expected value: sum_k M_k^(1/2) F_k M_k^(1/2) plus atoms.
 
-    Hermitian (and PSD) output for self-adjoint (positive) f.  The
-    four-part split through positive/negative and real/imaginary parts
-    agrees with this direct path; the split stays available as a
-    cross-check, not a code path.
+    Hermitian (and PSD) output for self-adjoint (positive) f.  The tests
+    check it against the four-part split through positive/negative and
+    real/imaginary parts.
     """
     _check_pair(f, nu)
     if not nu.positive:

@@ -1,16 +1,20 @@
 """Seeded random inputs that only the tests draw: Hermitian matrices,
-full-rank states and step-function values, and the reference loops
-that vectorized or one-shot library code must match."""
+full-rank states and step-function values, the reference loops that
+vectorized or one-shot library code must match, and the references the
+tests check results against: tr(rho A), Loewner intervals and the
+positive/negative and real/imaginary parts of a step function."""
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from ovmkit import opcore
+from ovmkit.errors import DimMismatch, NotPositive, NotSelfAdjoint
 from ovmkit.lyapunov import kernel_witness
 from ovmkit.models import random_complex
 from ovmkit.ovm import PropertyReport, evaluate
-from ovmkit.qintegrate import DEDUP_TOL, _value_norms
+from ovmkit.qintegrate import DEDUP_TOL, QuantumRandomVariable, _value_norms
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -107,3 +111,62 @@ def properties_pair_by_pair(nu, sample_sets) -> PropertyReport:
                    for e1, v1 in zip(sample_sets, values) for e2, v2 in zip(sample_sets, values))
     probability = opcore.op_norm(nu.total_mass() - np.eye(nu.dim)) <= 1e-12
     return PropertyReport(positive=nu.positive, spectral=spectral, probability=probability)
+
+
+def trace_pair(rho, a) -> complex:
+    """tr(rho A), summed over entry products."""
+    r = opcore.as_matrix(getattr(rho, "matrix", rho))
+    m = opcore.as_matrix(a)
+    if r.shape != m.shape:
+        raise DimMismatch(f"dimensions {r.shape[0]} vs {m.shape[0]}")
+    return complex(np.einsum("ij,ji->", r, m))
+
+
+@dataclass(frozen=True)
+class OperatorInterval:
+    """Loewner interval [lower, upper]; upper - lower must be PSD."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        lo = opcore.hermitian(self.lower)
+        hi = opcore.hermitian(self.upper)
+        if lo.shape != hi.shape:
+            raise DimMismatch("interval endpoints have different dimensions")
+        if not opcore.psd_check(hi - lo):
+            raise NotPositive("upper - lower is not PSD")
+        object.__setattr__(self, "lower", opcore.readonly(lo, np.complex128))
+        object.__setattr__(self, "upper", opcore.readonly(hi, np.complex128))
+
+    def contains(self, a) -> bool:
+        return opcore.loewner_leq(self.lower, a) and opcore.loewner_leq(a, self.upper)
+
+
+def _split_psd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cellwise spectral positive/negative parts of a Hermitian stack."""
+    w, v = np.linalg.eigh(stack)
+    vh = v.conj().transpose(0, 2, 1)
+    plus = (v * np.maximum(w, 0.0)[:, None, :]) @ vh
+    minus = (v * np.maximum(-w, 0.0)[:, None, :]) @ vh
+    return plus, minus
+
+
+def pos_neg_parts(f: QuantumRandomVariable):
+    """f = f_plus - f_minus with both parts PSD and f_plus f_minus = 0 cellwise."""
+    if not f.self_adjoint:
+        raise NotSelfAdjoint("positive/negative parts need a self-adjoint step function")
+    plus, minus = _split_psd(f.values)
+    return QuantumRandomVariable(f.space, plus), QuantumRandomVariable(f.space, minus)
+
+
+def real_imag_parts(f: QuantumRandomVariable):
+    """Cellwise Hermitian decomposition f = Re f + i Im f."""
+    def herm(stack):
+        return (stack + stack.conj().transpose(0, 2, 1)) / 2
+
+    def skew(stack):
+        return (stack - stack.conj().transpose(0, 2, 1)) / (2j)
+
+    return (QuantumRandomVariable(f.space, herm(f.values)),
+            QuantumRandomVariable(f.space, skew(f.values)))

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from helpers import random_qrv_values, random_state
+from helpers import random_qrv_values, random_state, trace_pair
 from ovmkit import opcore
 from ovmkit.demos import paper_example_13, uhl_demo
 from ovmkit.lyapunov import (
@@ -81,7 +81,7 @@ def test_criterion_2_integration_identity():
         rhos = [random_state(d, rng) for _ in range(3)]
         inds = [induced_measure(nu, rho) for rho in rhos]
         for s in states:
-            lhs = opcore.trace_pair(s.matrix, expected)
+            lhs = trace_pair(s.matrix, expected)
             values = []
             for rho, ind in zip(rhos, inds):
                 fs = integrand_fs(f, s, nu, rho)

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import intervals_cell_by_cell, random_hermitian, supports_with_kernel
+from helpers import (
+    OperatorInterval,
+    intervals_cell_by_cell,
+    random_hermitian,
+    supports_with_kernel,
+)
 from ovmkit import errors, lyapunov, opcore
 from ovmkit.demos import uhl_demo
 from ovmkit.lyapunov import (
@@ -637,8 +642,9 @@ class TestConvexCombine:
         assert any(lo <= 0.2 and hi >= 0.4 for lo, hi in result.intervals)
 
     def test_indivisible_differing_cells_keep_obstruction_reasons(self):
-        # uhl_model's cells are indivisible: the mix is purified, and each
-        # trial fails with the AtomicObstruction it has always reported.
+        # uhl_model's cells are indivisible: each mix is rejected before any
+        # solve, and each trial fails with the AtomicObstruction it has always
+        # reported.
         cells = [[0, 2, 4], [2, 4], [0, 1, 2, 4], [0, 2], [1, 2, 5], [0, 1, 3, 4],
                  [0, 1, 4, 5], [0, 1, 4], [0, 2, 5], [0, 2, 5], [0, 1, 2, 5], [1, 2, 3, 5],
                  [2, 5], [2, 4], [0, 2, 4, 5], [1], [0, 2, 3, 4, 5], [0, 1, 3, 4],
@@ -647,6 +653,35 @@ class TestConvexCombine:
         report = convexity_certificate(uhl_model(6), 25, 11)
         assert [f.reason for f in report.failures] == [
             f"AtomicObstruction: fractional cells {c} are indivisible" for c in cells]
+
+    def test_one_path_without_purify(self, monkeypatch):
+        # No mix reaches purify: a fractional indivisible cell is rejected
+        # before any solve, a measure that is not positive up front, and a
+        # weight within SNAP_TOL of 0 or 1 snaps onto E2 or E1.
+        def forbidden(*args):
+            raise AssertionError("convex_combine called purify")
+
+        monkeypatch.setattr(lyapunov, "purify", forbidden)
+        space = SampleSpace(0.0, 1.0, tuple(np.linspace(0.0, 1.0, 7)),
+                            divisible=(True,) * 4 + (False,) * 2)
+        nu = grid_ovm(space, np.full((6, 1, 1), 1.0 / 6, dtype=complex))
+        e1 = MeasurableSet((True, False, True, False, True, False))
+        e2 = MeasurableSet((False, True, True, False, False, True))
+        with pytest.raises(errors.AtomicObstruction) as err:
+            convex_combine(nu, e1, e2, 0.3)
+        assert err.value.cells == (4, 5)
+        assert str(err.value) == "fractional cells [4, 5] are indivisible"
+        bp = space.breakpoints
+        assert convex_combine(nu, e1, e2, 1e-13).intervals == ((bp[1], bp[3]), (bp[5], bp[6]))
+        assert convex_combine(nu, e1, e2, 1.0 - 1e-13).intervals == (
+            (bp[0], bp[1]), (bp[2], bp[3]), (bp[4], bp[5]))
+        uhl = uhl_model(6)
+        with pytest.raises(errors.AtomicObstruction):
+            convex_combine(uhl, MeasurableSet.full(uhl.space), MeasurableSet.empty(uhl.space), 0.5)
+        signed = scalar_grid([0.5, -0.5, 0.5, 0.5])
+        with pytest.raises(errors.NotPositive):
+            convex_combine(signed, MeasurableSet((True, True, False, False)),
+                           MeasurableSet((False, True, True, True)), 0.4)
 
 
 class TestAttain:
@@ -688,7 +723,7 @@ class TestAttain:
             result = attain(nu, target)
             assert result.residual <= 1e-9 * max(1.0, opcore.op_norm(target))
             assert result.fractional_count <= 9
-            box = opcore.OperatorInterval(np.zeros((3, 3)), nu.total_mass())
+            box = OperatorInterval(np.zeros((3, 3)), nu.total_mass())
             assert box.contains(result.achieved)
 
     def test_atomic_measure_rejected(self):

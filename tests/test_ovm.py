@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    OperatorInterval,
     properties_pair_by_pair,
     random_state,
     signed_zero_masses,
     spectral_tol,
     sum_in_item_order,
+    trace_pair,
 )
 from ovmkit import demos, errors, opcore, ovm
 from ovmkit.models import (
@@ -25,7 +27,15 @@ from ovmkit.models import (
     uhl_model,
 )
 from ovmkit.lyapunov import attain, convex_combine, joint_attain, kernel_witness, purify
-from ovmkit.qintegrate import QuantumRandomVariable, indicator, qrv
+from ovmkit.qintegrate import (
+    QuantumRandomVariable,
+    ess_equal,
+    ess_range,
+    ess_sup,
+    indicator,
+    integrate,
+    qrv,
+)
 from ovmkit.ovm import (
     FractionalSet,
     MeasurableSet,
@@ -99,6 +109,7 @@ def _matrix_json(d):
 
 
 _HALF = MeasurableSet((True, False))
+_CHI = indicator(SampleSpace.uniform(2), 2, _HALF)
 
 # name: (call, an accepted value, rejected values)
 TYPED_INPUTS = {
@@ -191,6 +202,19 @@ TYPED_INPUTS = {
                             [_HALF], ([1], [None], [FractionalSet((1.0, 0.0))])),
     "check_ovm_properties sets": (lambda sets: check_ovm_properties(lebesgue_identity(2, 2), sets),
                                   [_HALF], ([1], [FractionalSet((1.0, 0.0))])),
+    "integrate step function": (lambda f: integrate(lebesgue_identity(2, 2), f), _CHI,
+                                (None, np.eye(2), lebesgue_identity(2, 2))),
+    "ess_range step function": (lambda f: ess_range(f, lebesgue_identity(2, 2)), _CHI,
+                                (None, "x")),
+    "ess_sup measure": (lambda nu: ess_sup(_CHI, nu), lebesgue_identity(2, 2), (None, _CHI)),
+    "ess_equal step function": (lambda g: ess_equal(_CHI, g, lebesgue_identity(2, 2)), _CHI,
+                                (None, 0.0)),
+    "step function sum": (lambda g: _CHI + g, _CHI, (3, None, np.eye(2))),
+    "step function scalar": (lambda c: c * _CHI, 2.0 - 1.0j, ("a", None, [1.0], True)),
+    "direct_sum component": (lambda o: direct_sum(lebesgue_identity(2, 2), o),
+                             lebesgue_identity(2, 1), ("x", None)),
+    "coords_to_herm vector": (opcore.coords_to_herm, [1.0, 0.0, 0.0, 1.0],
+                              ("x", [[1, 2], [3, 4]], ["1", "0", "0", "1"], [True, 0, 0, 1])),
 }
 
 
@@ -332,7 +356,7 @@ class TestEvaluate:
 
     def test_monotone_and_contained_in_interval(self):
         nu = random_povm(3, 24, RNG)
-        box = opcore.OperatorInterval(np.zeros((3, 3)), nu.total_mass())
+        box = OperatorInterval(np.zeros((3, 3)), nu.total_mass())
         for _ in range(40):
             e = random_set(nu.space, RNG)
             f = e.union(random_set(nu.space, RNG))
@@ -427,7 +451,7 @@ class TestInducedMeasure:
         ind = induced_measure(nu, rho)
         for _ in range(25):
             e = random_set(nu.space, RNG)
-            direct = opcore.trace_pair(rho.matrix, evaluate(nu, e)).real
+            direct = trace_pair(rho.matrix, evaluate(nu, e)).real
             assert abs(direct - ind.of(e)) <= 1e-12
 
     def test_dim_mismatch(self):

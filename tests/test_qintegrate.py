@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ess_range_greedy, random_hermitian, random_qrv_values, random_state
+from helpers import (
+    ess_range_greedy,
+    pos_neg_parts,
+    random_hermitian,
+    random_qrv_values,
+    random_state,
+    real_imag_parts,
+    trace_pair,
+)
 from ovmkit import errors, opcore, qintegrate
 from ovmkit.models import (
     lebesgue_identity,
@@ -34,9 +42,7 @@ from ovmkit.qintegrate import (
     indicator,
     integrand_fs,
     integrate,
-    pos_neg_parts,
     qrv,
-    real_imag_parts,
 )
 from ovmkit.rnderiv import rn_derivative
 
@@ -214,7 +220,7 @@ class TestIntegrandFs:
         dens = rn_derivative(nu, rho)
         fs = integrand_fs(indicator(nu.space, 2, MeasurableSet.full(nu.space)), s, nu, rho)
         for k, r in enumerate(dens.cells):
-            expected = opcore.trace_pair(s.matrix, r).real
+            expected = trace_pair(s.matrix, r).real
             assert fs.cells[k].real == pytest.approx(expected, abs=1e-12)
             assert abs(fs.cells[k].imag) <= 1e-12
 
@@ -225,7 +231,7 @@ class TestIntegrandFs:
         for _ in range(25):
             s = random_state(3, RNG)
             f = random_step(nu.space, 3, RNG)
-            lhs = opcore.trace_pair(s.matrix, integrate(nu, f))
+            lhs = trace_pair(s.matrix, integrate(nu, f))
             fs = integrand_fs(f, s, nu, rho)
             rhs = np.dot(fs.cells, ind.cells) + np.dot(fs.atoms, ind.atoms)
             assert abs(lhs - rhs) <= 1e-10
@@ -593,7 +599,7 @@ class TestAtomHandling:
         fs = integrand_fs(f, s, nu, rho)
         assert fs.cells.shape == (3,) and fs.atoms.shape == (3,)
         assert fs.atoms[1] == 0.0 and np.all(fs.atoms[[0, 2]] != 0.0)
-        lhs = opcore.trace_pair(s.matrix, integrate(nu, f))
+        lhs = trace_pair(s.matrix, integrate(nu, f))
         rhs = np.dot(fs.cells, ind.cells) + np.dot(fs.atoms, ind.atoms)
         assert abs(lhs - rhs) <= 1e-10
 

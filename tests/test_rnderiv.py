@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_state, signed_zero_masses, sum_in_item_order
+from helpers import random_state, signed_zero_masses, sum_in_item_order, trace_pair
 from ovmkit import errors, opcore
 from ovmkit.models import (
     harmonic_diag_model,
@@ -112,7 +112,7 @@ class TestAtomDensity:
         assert len(dens.cells) == 2 and len(dens.atoms) == 3 and dens.atoms[1] is None
         for k in (0, 1, 2, 4):
             assert np.allclose(slots[k], masses[k] / traces[k], atol=1e-15)
-            assert opcore.trace_pair(rho, slots[k]).real == pytest.approx(1.0)
+            assert trace_pair(rho, slots[k]).real == pytest.approx(1.0)
         sets = [MeasurableSet((x, not x), (True, y, not y))
                 for x in (False, True) for y in (False, True)]
         assert rn_consistency(nu, rho, sets) <= 1e-15
@@ -156,7 +156,7 @@ class TestNormalizationAndReweighting:
         dens = rn_derivative(nu, rho)
         for r in dens.cells:
             if r is not None:
-                assert opcore.trace_pair(rho.matrix, r).real == pytest.approx(1.0, abs=1e-12)
+                assert trace_pair(rho.matrix, r).real == pytest.approx(1.0, abs=1e-12)
                 assert opcore.psd_check(r)
 
     def test_reweighting_identity(self):
