@@ -3,16 +3,16 @@
 Matrices are numpy ``complex128`` arrays of shape ``(d, d)``; a stack is
 an array of shape ``(..., d, d)``.  Each rule is written once, in stack
 form, as batched numpy calls: the Hermitian test and symmetrization
-(:func:`hermitian_flags`, :func:`hermitian_stack`), the PSD verdict
-(:func:`psd_flags`) and the PSD square root (:func:`psd_roots`).  These,
-:func:`as_stack` and :func:`herm_coords` take stacks (a single matrix is
-a stack too).  Everything else takes one ``(d, d)`` matrix and rejects
-any other shape with InvalidInput; :func:`hermitian`,
-:func:`is_hermitian`, :func:`psd_check`, :func:`psd_sqrt` and
-:func:`make_state` apply the stack rules to it.  Hermitian
-eigendecomposition is the single primitive behind the PSD check, the PSD
-square root, and the Hermitian operator norm; non-Hermitian operator
-norms go through a dedicated singular-value path.
+(:func:`hermitian_flags`, :func:`hermitian_stack`; one private test with
+an exact-equality fast path), the operator norm (:func:`op_norms`), the
+PSD verdict (:func:`psd_flags`) and the PSD square root (:func:`psd_roots`).
+These, :func:`as_stack` and :func:`herm_coords` take stacks (a single matrix
+is a stack too).  Everything else takes one ``(d, d)`` matrix and rejects any
+other shape with InvalidInput; :func:`hermitian`, :func:`is_hermitian`,
+:func:`op_norm`, :func:`psd_check`, :func:`psd_sqrt` and :func:`make_state`
+apply the stack rules to it.  Hermitian eigendecomposition gives the PSD
+check, the PSD square root and the norm of a matrix the Hermitian test
+accepts (max |eigenvalue|); any other takes its largest singular value.
 
 Also provides the real coordinatization of the d^2-dimensional real space
 of Hermitian matrices used by the feasibility solver: an orthonormal basis
@@ -112,17 +112,19 @@ def readonly(a, dtype) -> np.ndarray:
     return out
 
 
-def _asymmetry(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hermitian_test(m: np.ndarray):
     """Per matrix of a finite stack: ||A - A*||_F <= HERM_TOL * max(1, ||A||_F),
-    and ||A - A*||_F.  The norms are taken of (A - A*) / 2^k and A / 2^k,
-    2^k at most the largest entry modulus, so their squares cannot
-    overflow; the scale is a power of two, so the verdict is the unscaled
-    formula's."""
-    diff = m - np.conj(np.swapaxes(m, -1, -2))
+    ||A - A*||_F and (A + A*)/2; an exactly Hermitian stack takes no norm:
+    (True, 0.0, m).  The norms are taken of (A - A*) / 2^k and A / 2^k, 2^k at
+    most the largest entry modulus, so their squares cannot overflow; the
+    scale is a power of two, so the verdict is the unscaled formula's."""
+    adj = m.swapaxes(-1, -2).conj()
+    if (m == adj).all():
+        return True, 0.0, m
     scale = np.ldexp(1.0, np.frexp(np.abs(m).max(axis=(-2, -1), initial=0.0))[1] - 1)
-    asym = np.linalg.norm(diff / scale[..., None, None], axis=(-2, -1))
+    asym = np.linalg.norm((m - adj) / scale[..., None, None], axis=(-2, -1))
     size = np.linalg.norm(m / scale[..., None, None], axis=(-2, -1))
-    return asym <= HERM_TOL * np.maximum(1.0 / scale, size), asym * scale
+    return asym <= HERM_TOL * np.maximum(1.0 / scale, size), asym * scale, (m + adj) / 2
 
 
 def hermitian_stack(a) -> np.ndarray:
@@ -133,19 +135,33 @@ def hermitian_stack(a) -> np.ndarray:
     round-off, naming the first such matrix.  An exactly Hermitian stack
     is returned as given.
     """
-    m = as_stack(a)
-    adj = np.conj(np.swapaxes(m, -1, -2))
-    if (m == adj).all():
-        return m
-    ok, asym = _asymmetry(m)
-    if not ok.all():
+    ok, asym, sym = _hermitian_test(as_stack(a))
+    if ok is not True and not ok.all():
         raise InvalidInput(f"matrix is not Hermitian (asymmetry {asym[~ok][0]:.3e})")
-    return (m + adj) / 2
+    return sym
 
 
 def hermitian_flags(a) -> np.ndarray:
     """Per matrix of a (..., d, d) stack: does :func:`hermitian_stack` accept it?"""
-    return _asymmetry(as_stack(a))[0]
+    m = as_stack(a)
+    return np.full(m.shape[:-2], _hermitian_test(m)[0])
+
+
+def op_norms(a) -> np.ndarray:
+    """Operator norms of a (..., d, d) stack: max |eigenvalue| of the matrix
+    :func:`hermitian_stack` returns where it accepts, else the largest singular value."""
+    return _op_norms(as_stack(a))
+
+
+def _op_norms(m: np.ndarray) -> np.ndarray:
+    ok, _, sym = _hermitian_test(m)
+    if ok is True or ok.all():
+        return np.abs(np.linalg.eigvalsh(sym)).max(axis=-1, initial=0.0)
+    out = np.empty(ok.shape)
+    out[~ok] = np.linalg.svd(m[~ok], compute_uv=False)[:, 0]
+    if ok.any():
+        out[ok] = np.abs(np.linalg.eigvalsh(sym[ok])).max(axis=-1)
+    return out
 
 
 def _psd_ok(w: np.ndarray) -> np.ndarray:
@@ -196,20 +212,8 @@ def psd_sqrt(a) -> np.ndarray:
 
 
 def op_norm(a) -> float:
-    """Operator (spectral) norm: largest singular value.
-
-    Inputs :func:`hermitian_stack` accepts take the eigenvalue path on the
-    matrix it returns, everything else the singular-value path.
-    """
-    m = as_matrix(a)
-    if m.size == 0:
-        return 0.0
-    adj = m.conj().T
-    if not (m == adj).all():
-        if not _asymmetry(m)[0]:
-            return float(np.linalg.svd(m, compute_uv=False)[0])
-        m = (m + adj) / 2
-    return float(np.abs(np.linalg.eigvalsh(m)).max())
+    """:func:`op_norms` of one (d, d) matrix."""
+    return float(_op_norms(as_matrix(a)))
 
 
 def loewner_leq(a, b) -> bool:

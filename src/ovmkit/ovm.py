@@ -338,9 +338,8 @@ class OVM:
 
     @cached_property
     def norms(self) -> np.ndarray:
-        """Operator norms of the m + n masses, read-only."""
-        norms = np.abs(np.linalg.eigvalsh(self.masses)).max(axis=-1, initial=0.0)
-        return opcore.readonly(norms, np.float64)
+        """Operator norms of the m + n masses, read-only: max |eigenvalue| (op_norms)."""
+        return opcore.readonly(opcore.op_norms(self.masses), np.float64)
 
     @cached_property
     def massive(self) -> np.ndarray:
@@ -457,8 +456,8 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     Spectrality, nu(E n F) = nu(E) nu(F), is tested on all ordered pairs
     from ``sample_sets``, one row of pairs at a time: for each E, the
     values nu(E n F) of every F come from one product of intersection
-    selectors with the mass stack, and their defects take one batched
-    norm; the check stops at the first row with a defect above ``tol``.
+    selectors with the mass stack, and their defects take one op_norms
+    call; the check stops at the first row with a defect above ``tol``.
     For s sets it holds O(s (m + n) + s d^2) numbers, never s^2 matrices.
     A True flag is a non-falsification, not a certificate.
     """
@@ -474,9 +473,8 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     values = np.array([evaluate(nu, e) for e in sample_sets]).reshape(count, d, d)
     picks = np.array([nu.space.mask(e) for e in sample_sets], bool).reshape(count, len(flat))
     spectral = all(
-        np.linalg.norm(((picks & row).astype(float) @ flat).reshape(count, d, d) - value @ values,
-                       2, axis=(1, 2)).max() <= tol
-        for row, value in zip(picks, values))
+        opcore.op_norms(((picks & row).astype(float) @ flat).reshape(count, d, d) - value @ values)
+        .max() <= tol for row, value in zip(picks, values))
     probability = opcore.op_norm(nu.total_mass() - np.eye(nu.dim)) <= 1e-12
     return PropertyReport(positive=nu.positive, spectral=spectral, probability=probability)
 

@@ -65,10 +65,12 @@ class QuantumRandomVariable:
         _check_same(self, other)
         return QuantumRandomVariable(self.space, self.values - other.values)
 
-    def __rmul__(self, scalar):
+    def __mul__(self, scalar):
         if isinstance(scalar, bool) or not isinstance(scalar, numbers.Number):
             raise InvalidInput(f"a step function scales by a number, not {scalar!r}")
         return QuantumRandomVariable(self.space, scalar * self.values)
+
+    __rmul__ = __mul__
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,16 +152,12 @@ def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunctio
     return ScalarStepFunction(nu.space, out)
 
 
-def _value_norms(stack: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
-
-
 def ess_support(f: QuantumRandomVariable, nu: OVM) -> MeasurableSet:
     """Cells and atoms where f is nonzero modulo nu-null sets."""
     _check_pair(f, nu)
     # The MASS_TOL test is on the value F_k of f, not on nu, whose null
     # items are those OVM.massive marks False.
-    live = (_value_norms(f.values) > MASS_TOL) & nu.massive
+    live = (opcore.op_norms(f.values) > MASS_TOL) & nu.massive
     return MeasurableSet(live[: nu.space.n_cells], live[nu.space.n_cells :])
 
 
@@ -195,8 +193,8 @@ def ess_range(f: QuantumRandomVariable, nu: OVM) -> list[np.ndarray]:
     lo = np.repeat(np.arange(len(order)), width)
     hi = lo + 1 + np.arange(len(lo)) - np.repeat(np.cumsum(width) - width, width)
     earlier, later = np.minimum(order[lo], order[hi]), np.maximum(order[lo], order[hi])
-    # later - earlier is the greedy's own difference, so the norms have its bits.
-    close = _value_norms(live[first[later]] - live[first[earlier]]) <= DEDUP_TOL
+    # later - earlier is the greedy's own difference, normed alone: the greedy's bits.
+    close = opcore.op_norms(live[first[later]] - live[first[earlier]]) <= DEDUP_TOL
     dropped = np.zeros(len(first), dtype=bool)
     for i, j in sorted(zip(later[close].tolist(), earlier[close].tolist())):
         dropped[i] |= not dropped[j]  # j < i is final: its own pairs came first
@@ -209,8 +207,8 @@ def ess_sup(f: QuantumRandomVariable, nu: OVM) -> float:
     Also evaluated through the threshold formulation
     inf{M >= 0 : nu({||f|| > M}) = 0}; the two must agree.
     """
-    by_range = _value_norms(np.reshape(ess_range(f, nu), (-1, f.dim, f.dim))).max(initial=0.0)
-    by_threshold = float(_value_norms(f.values[nu.massive]).max(initial=0.0))
+    by_range = opcore.op_norms(np.reshape(ess_range(f, nu), (-1, f.dim, f.dim))).max(initial=0.0)
+    by_threshold = float(opcore.op_norms(f.values[nu.massive]).max(initial=0.0))
     if abs(by_range - by_threshold) > 1e-10 * max(1.0, by_threshold):
         raise NumericalFailure("essential supremum formulations disagree")
     return by_threshold

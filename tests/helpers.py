@@ -14,7 +14,7 @@ from ovmkit.errors import DimMismatch, NotPositive, NotSelfAdjoint
 from ovmkit.lyapunov import kernel_witness
 from ovmkit.models import random_complex
 from ovmkit.ovm import PropertyReport, evaluate
-from ovmkit.qintegrate import DEDUP_TOL, QuantumRandomVariable, _value_norms
+from ovmkit.qintegrate import DEDUP_TOL, QuantumRandomVariable
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -80,11 +80,11 @@ def intervals_cell_by_cell(breakpoints, fractions) -> tuple:
 
 def ess_range_greedy(f, nu) -> list:
     """The reference essential range: each live value against every value
-    kept so far in one batched SVD, kept when all are farther than DEDUP_TOL."""
+    kept so far in one batched op_norms, kept when all are farther than DEDUP_TOL."""
     live = f.values[nu.massive]
     kept: list[int] = []
     for i, value in enumerate(live):
-        if not kept or _value_norms(value - live[kept]).min() > DEDUP_TOL:
+        if not kept or opcore.op_norms(value - live[kept]).min() > DEDUP_TOL:
             kept.append(i)
     return list(live[kept])
 

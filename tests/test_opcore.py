@@ -129,6 +129,69 @@ class TestOpNorm:
             assert opcore.op_norm(a) == want
 
 
+class TestOpNorms:
+    """The stack rule behind op_norm: each entry has op_norm's bits."""
+
+    @staticmethod
+    def kinds(d, rng):
+        """Exact-Hermitian, near-Hermitian (within HERM_TOL), non-Hermitian,
+        zero and negative-definite matrices of dimension d."""
+        exact = random_hermitian(d, rng)
+        near = exact.copy()
+        near[0, -1] += 1e-14j  # on the diagonal too when d = 1
+        non = exact + 0.3j * np.eye(d) + np.triu(np.ones((d, d)), 1)
+        negative = -random_gram(d, rng, ridge=0.5)
+        return [exact, near, non, np.zeros((d, d), dtype=complex), negative]
+
+    def test_kinds_take_both_paths(self):
+        for d in (1, 2, 3):
+            exact, near, non, zero, negative = self.kinds(d, RNG)
+            assert not np.array_equal(near, near.conj().T) and opcore.is_hermitian(near)
+            assert not opcore.is_hermitian(non)
+            assert np.linalg.eigvalsh(negative).max() < 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_entries_equal_op_norm_bit_for_bit(self, d):
+        kinds = self.kinds(d, RNG)
+        stacks = [
+            np.stack(kinds),                           # (k, d, d), mixed
+            np.stack([kinds[0], kinds[3], kinds[4]]),  # every matrix exactly Hermitian
+            np.stack([kinds[2], 2 * kinds[2]]),        # no matrix accepted
+            np.stack(kinds + [kinds[2]]).reshape(2, 3, d, d),
+            np.zeros((0, d, d)),
+        ]
+        for stack in stacks:
+            norms = opcore.op_norms(stack)
+            assert norms.shape == stack.shape[:-2] and norms.dtype == np.float64
+            for index in np.ndindex(stack.shape[:-2]):
+                assert norms[index].tobytes() == np.float64(opcore.op_norm(stack[index])).tobytes()
+
+    def test_mixed_one_by_one_stack(self):
+        # 1e-14j is within HERM_TOL of Hermitian: its symmetrization is 0.
+        stack = np.array([2.0, -3.0, 1e-14j, 4.0 + 1.0j, 0.0]).reshape(5, 1, 1)
+        assert opcore.op_norms(stack).tolist() == [2.0, 3.0, 0.0, abs(4.0 + 1.0j), 0.0]
+
+    def test_invalid_input(self):
+        for bad in (np.full((2, 2, 2), np.nan), np.array([[[1.0, np.inf], [0.0, 1.0]]]),
+                    np.ones((3, 2, 3)), np.ones(3), "abc"):
+            with pytest.raises(errors.InvalidInput):
+                opcore.op_norms(bad)
+
+    def test_exact_stack_takes_no_asymmetry_norm(self, monkeypatch):
+        # The exact-equality fast path decides an exactly Hermitian stack
+        # before any norm; a near-Hermitian one still takes them.
+        stack = np.stack([random_hermitian(3, RNG) for _ in range(4)])
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+        assert opcore.hermitian_flags(stack).tolist() == [True] * 4
+        opcore.op_norms(stack)
+        assert not calls
+        stack[1, 0, 2] += 1e-14
+        assert opcore.hermitian_flags(stack).tolist() == [True] * 4
+        assert calls
+
+
 class TestLoewner:
     def test_zero_below_identity(self):
         assert opcore.loewner_leq(np.zeros((2, 2)), np.diag([1.0, 1.0]))

@@ -449,9 +449,9 @@ def test_ess_range_norms_linear_in_distinct_values(monkeypatch):
     f = qrv(nu.space, random_qrv_values(2, m, rng_from_seed(32)))
     assert nu.massive.all()  # cached: its one op_norm, of nu(X), is the measure's
     evaluated, op_norms = [], []
-    value_norms, op_norm = qintegrate._value_norms, opcore.op_norm
-    monkeypatch.setattr(qintegrate, "_value_norms",
-                        lambda stack: evaluated.append(len(stack)) or value_norms(stack))
+    batched, op_norm = opcore.op_norms, opcore.op_norm
+    monkeypatch.setattr(opcore, "op_norms",
+                        lambda stack: evaluated.append(len(stack)) or batched(stack))
     monkeypatch.setattr(opcore, "op_norm", lambda a: op_norms.append(1) or op_norm(a))
     assert len(ess_range(f, nu)) == m
     assert sum(evaluated) <= 4 * m
@@ -488,6 +488,22 @@ class TestEssentialSup:
         nu = grid_ovm(SampleSpace.uniform(2), masses)
         cv = np.array([[[100.0]], [[1.0]]], dtype=complex)
         assert ess_sup(qrv(nu.space, cv), nu) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "non-hermitian"])
+    def test_equals_largest_op_norm_over_massive_items(self, hermitian):
+        # ess_sup and op_norm read one operator-norm rule, so the supremum is
+        # the largest op_norm(F_k) over the massive items, bit for bit.
+        rng = rng_from_seed(2424)
+        masses = random_povm(3, 40, rng).masses.copy()
+        masses[::7] = 0.0  # null cells, whose values must not count
+        nu = grid_ovm(SampleSpace.uniform(40), masses)
+        values = (random_qrv_values(3, 40, rng) if hermitian
+                  else random_complex(rng, (40, 3, 3)))
+        values[::7] *= 1e3
+        f = qrv(nu.space, values)
+        assert f.self_adjoint is hermitian and not nu.massive.all()
+        want = max(opcore.op_norm(value) for value in f.values[nu.massive])
+        assert ess_sup(f, nu) == want
 
     def test_disagreeing_formulations_raise_typed_error(self, monkeypatch):
         # An empty essential range contradicts the nonzero threshold value.
@@ -635,6 +651,23 @@ class TestJson:
         bad = ScalarStepFunction(space, np.array([1.0 + 1j, 2.0]))
         with pytest.raises(errors.Unsupported):
             scalar_to_json(bad)
+
+
+@pytest.mark.parametrize("c", [2, -0.5, np.float64(3.25), np.int64(-2), 1j],
+                         ids=["int", "float", "float64", "int64", "complex"])
+def test_scaling_is_the_same_from_either_side(c):
+    f = qrv(SampleSpace.uniform(5), random_qrv_values(2, 5, rng_from_seed(77)))
+    for scaled in (c * f, f * c):
+        assert isinstance(scaled, QuantumRandomVariable)
+        assert scaled.values.tobytes() == (c * f.values).tobytes()
+
+
+@pytest.mark.parametrize("c", ["a", True, None, [2.0]], ids=["str", "bool", "None", "list"])
+def test_scaling_by_a_non_number_is_typed_from_either_side(c):
+    f = qrv(SampleSpace.uniform(3), random_qrv_values(2, 3, rng_from_seed(78)))
+    for scale in (lambda: c * f, lambda: f * c):
+        with pytest.raises(errors.InvalidInput, match="scales by a number"):
+            scale()
 
 
 def test_tiny_asymmetry_builds_a_step_function():
