@@ -17,6 +17,9 @@ nonatomic measures, made algorithmic:
 2.  convex_combine: the mix t nu(E1) + (1 - t) nu(E2) lies in the range;
     step 1 over the massive cells where E1 and E2 differ realizes it; a
     mix with an indivisible one among them is rejected before any solve.
+    convexity_certificate realizes all its mixes at once: their phase-1
+    programs, d^2 rows each, step in lockstep as one numpy stack
+    (_phase_one_stack), bit for bit what solving them one by one gives.
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
     exact under the constant-density convention.
 
@@ -69,12 +72,15 @@ SIMPLEX_TOL = 1e-12
 # Smallest basis-column entry a ratio test divides by.
 PIVOT_TOL = 1e-9
 # Exchanges between refactorizations of the D x D basis inverse (D = d^2)
-# that _Basis keeps by product-form updates, for attain's simplex and
-# purify's crossover alike.
+# that _Basis and _phase_one_stack keep by product-form updates, for
+# attain's simplex, purify's crossover and the stacked mixes alike.
 REFACTOR_EVERY = 64
 # Degenerate pivots in a row after which pricing follows Bland's rule
 # until a pivot makes progress; Bland's rule cannot cycle.
 BLAND_AFTER = 8
+# Mixes convexity_certificate draws and solves as one stack, which bounds
+# the memory its phase-1 programs take.
+_STACK_MIXES = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,15 +374,21 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
         if target.shape[0] != nu.dim:
             raise ShapeMismatch(f"target dim {target.shape[0]} vs measure dim {nu.dim}")
     vec = _cell_fractions(nu, h)
-    frac = _divisible_fractions(nu, vec)
+    _divisible_fractions(nu, vec)
+    return _realize(nu, vec, h.atom_mask, target, 0)
 
+
+def _realize(nu: OVM, vec: np.ndarray, atom_mask, target, iterations: int) -> AttainResult:
+    """realize_intervals of cell fractions ``vec`` that _cell_fractions has
+    already snapped and cleared of null cells, whose fractional cells are
+    divisible, with the atoms of ``atom_mask``; ``iterations`` is recorded."""
     bp, cells = np.asarray(nu.space.breakpoints), np.flatnonzero(vec)
     lo, right = bp[cells], bp[cells + 1]
     hi = np.where(vec[cells] == 1.0, right, lo + vec[cells] * (right - lo))
     starts = np.flatnonzero(np.concatenate(([np.inf], hi[:-1])) != lo)
     ends = np.flatnonzero(hi != np.concatenate((lo[1:], [np.inf])))
 
-    final = FractionalSet(vec, h.atom_mask)
+    final = FractionalSet(vec, atom_mask)
     achieved = evaluate_fractional(nu, final)
     residual = 0.0 if target is None else opcore.op_norm(achieved - target)
     return AttainResult(
@@ -384,8 +396,8 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
         atom_indices=tuple(np.flatnonzero(final.atom_mask).tolist()),
         achieved=achieved,
         residual=residual,
-        iterations=0,
-        fractional_count=int(frac.size),
+        iterations=iterations,
+        fractional_count=int(_fractional_indices(vec).size),
     )
 
 
@@ -399,29 +411,60 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
     """
     if not 0.0 <= opcore.as_real(t, "mixing weight") <= 1.0:
         raise InvalidInput(f"mixing weight {t!r} outside [0, 1]")
-    s1, s2 = nu.space.mask(e1), nu.space.mask(e2)
-    if t in (0.0, 1.0):
-        e = e1 if t else e2
-        return realize_intervals(nu, FractionalSet.from_measurable(e), target=evaluate(nu, e))
+    result = _combine(nu, [(e1, e2, t)])[0]
+    if isinstance(result, AtomicObstruction):
+        raise result
+    return result
 
+
+def _combine(nu: OVM, mixes) -> list:
+    """convex_combine of each (e1, e2, t) in ``mixes``, t in [0, 1]: its
+    AttainResult, or the AtomicObstruction it raises.
+
+    Each mix is prepared in turn; every one that needs phase 1 is then
+    solved at once, by _phase_one for one mix and _phase_one_stack for
+    more, which gives the same bits.  Other errors are raised as a loop of
+    convex_combine calls would raise them, at the lowest mix: NotPositive
+    before any solve (every mix that reaches one passes that check first),
+    NumericalFailure for a step limit or a positive phase-1 optimum.
+    """
     m = nu.space.n_cells
-    differing = np.flatnonzero((s1[m:] != s2[m:]) & nu.massive[m:]).tolist()
-    if differing:
-        raise AtomicObstruction(
-            f"atom selections differ on massive sites {differing}", cells=differing)
-    if not nu.positive:
-        raise NotPositive("convex combination is defined for positive OVMs")
-    h0 = FractionalSet(t * s1[:m] + (1.0 - t) * s2[:m], (s1 & s2)[m:])
-    target = evaluate_fractional(nu, h0)
-    vec = _cell_fractions(nu, h0)
-    moving = _divisible_fractions(nu, vec)
-    coords = nu.cell_coords[moving].T / (nu.total_norm or 1.0)
-    h, _, objective, steps = _phase_one(coords, coords @ vec[moving])
-    if objective > SIMPLEX_TOL:
-        raise NumericalFailure(f"phase-1 optimum {objective:.3e} on a mix in the range")
-    vec[moving] = _snap(h)
-    h_set = FractionalSet(vec, h0.atom_mask)
-    return replace(realize_intervals(nu, h_set, target=target), iterations=steps)
+    out, pending, problems = [], [], []
+    for e1, e2, t in mixes:
+        s1, s2 = nu.space.mask(e1), nu.space.mask(e2)
+        if t in (0.0, 1.0):
+            e, s = (e1, s1) if t else (e2, s2)
+            out.append(_realize(nu, s[:m].astype(float), e.atom_mask, evaluate(nu, e), 0))
+            continue
+        differing = np.flatnonzero((s1[m:] != s2[m:]) & nu.massive[m:]).tolist()
+        if differing:
+            out.append(AtomicObstruction(
+                f"atom selections differ on massive sites {differing}", cells=differing))
+            continue
+        if not nu.positive:
+            raise NotPositive("convex combination is defined for positive OVMs")
+        h0 = FractionalSet(t * s1[:m] + (1.0 - t) * s2[:m], (s1 & s2)[m:])
+        vec = _cell_fractions(nu, h0)
+        try:
+            moving = _divisible_fractions(nu, vec)
+        except AtomicObstruction as exc:
+            out.append(exc)
+            continue
+        coords = nu.cell_coords[moving].T / (nu.total_norm or 1.0)
+        pending.append((len(out), vec, moving, h0.atom_mask, evaluate_fractional(nu, h0)))
+        problems.append((coords, coords @ vec[moving]))
+        out.append(None)
+    solved = (_phase_one_stack(problems) if len(problems) > 1
+              else [_phase_one(*p) for p in problems])
+    for (i, vec, moving, atom_mask, target), lp in zip(pending, solved):
+        if isinstance(lp, NumericalFailure):
+            raise lp
+        h, _, objective, steps = lp
+        if objective > SIMPLEX_TOL:
+            raise NumericalFailure(f"phase-1 optimum {objective:.3e} on a mix in the range")
+        vec[moving] = _snap(h)
+        out[i] = _realize(nu, vec, atom_mask, target, steps)
+    return out
 
 
 def _entering(gain: np.ndarray, bland: bool) -> int | None:
@@ -429,6 +472,15 @@ def _entering(gain: np.ndarray, bland: bool) -> int | None:
     the lowest index with any gain; None at a phase-1 optimum."""
     q = int(np.argmax(gain > SIMPLEX_TOL) if bland else np.argmax(gain))
     return q if gain[q] > SIMPLEX_TOL else None
+
+
+def _prefix_start(coords: np.ndarray, goal: np.ndarray):
+    """Phase 1's start: the prefix vertex h = 1_[0, j) whose value is
+    nearest the goal, and the artificials' signs s (see _phase_one)."""
+    m = coords.shape[1]
+    prefix = np.hstack([np.zeros((coords.shape[0], 1)), np.cumsum(coords, axis=1)])
+    h = (np.arange(m) < np.argmin(np.linalg.norm(prefix - goal[:, None], axis=0))).astype(float)
+    return h, np.where(goal - coords @ h >= 0.0, 1.0, -1.0)
 
 
 def _phase_one(coords: np.ndarray, goal: np.ndarray):
@@ -452,9 +504,7 @@ def _phase_one(coords: np.ndarray, goal: np.ndarray):
     simplex multipliers, sum a, and the pivots plus bound flips taken.
     """
     n_rows, m = coords.shape
-    prefix = np.hstack([np.zeros((n_rows, 1)), np.cumsum(coords, axis=1)])
-    h = (np.arange(m) < np.argmin(np.linalg.norm(prefix - goal[:, None], axis=0))).astype(float)
-    sign = np.where(goal - coords @ h >= 0.0, 1.0, -1.0)
+    h, sign = _prefix_start(coords, goal)
     cols = np.hstack([coords, np.diag(sign)])
     value = np.concatenate([h, np.zeros(n_rows)])
     upper = np.concatenate([np.ones(m), np.full(n_rows, np.inf)])
@@ -489,6 +539,105 @@ def _phase_one(coords: np.ndarray, goal: np.ndarray):
         move[q] = 0.0
         degenerate = degenerate + 1 if t <= SIMPLEX_TOL else 0
     return value[:m], cost @ basis.binv, objective, steps
+
+
+def _phase_one_stack(problems) -> list:
+    """_phase_one on every (coords, goal) pair of ``problems``, all with the
+    same row count D, stepped in lockstep: one pass of the loop advances
+    every unfinished program by one _phase_one iteration, under the same
+    rules, and finished ones leave the stack.  Narrower programs are padded
+    with zero columns between their cells and their artificials; a pad has
+    no move, so it never enters.  Products over the D rows are stacked
+    np.matmul calls, which run the BLAS kernels of _phase_one's 2-d ones;
+    work over one program's cells (start, refactor right-hand side) runs
+    per program.  So each entry is _phase_one's (h, duals, objective,
+    steps) bit for bit, or the NumericalFailure it raises.
+    """
+    n_rows = problems[0][1].size
+    widths = np.array([coords.shape[1] for coords, _ in problems])
+    wide = int(widths.max())
+    n_cols = wide + n_rows
+    cols = np.zeros((len(problems), n_rows, n_cols))
+    value = np.zeros((len(problems), n_cols))
+    upper = np.concatenate([np.ones(wide), np.full(n_rows, np.inf)])
+    move = np.zeros((len(problems), n_cols))
+    for b, (coords, goal) in enumerate(problems):
+        h, sign = _prefix_start(coords, goal)
+        cols[b, :, :widths[b]] = coords
+        cols[b, :, wide:] = np.diag(sign)
+        value[b, :widths[b]] = h
+        move[b, :widths[b]] = 1.0 - 2.0 * h
+    basis = np.tile(np.arange(wide, n_cols), (len(problems), 1))
+    binv = np.empty((len(problems), n_rows, n_rows))
+    since = np.full(len(problems), REFACTOR_EVERY)
+    steps = np.zeros(len(problems), dtype=int)
+    degenerate = np.zeros(len(problems), dtype=int)
+    live = np.arange(len(problems))  # the program in each row of the arrays above
+    results = [None] * len(problems)
+    while live.size:
+        due = np.flatnonzero(since >= REFACTOR_EVERY)
+        if due.size:
+            binv[due] = np.linalg.inv(np.take_along_axis(cols[due], basis[due, None, :], axis=2))
+            rhs = np.stack([problems[live[r]][1] - cols[r][:, move[r] < 0].sum(axis=1)
+                            for r in due])
+            value[due[:, None], basis[due]] = (binv[due] @ rhs[:, :, None])[:, :, 0]
+            since[due] = 0
+        cost = (basis >= wide).astype(float)[:, None, :]
+        objective = (cost @ np.take_along_axis(value, basis, axis=1)[:, :, None])[:, 0, 0]
+        duals = cost @ binv
+        gain = (duals @ cols)[:, 0, :] * move
+        bland = degenerate >= BLAND_AFTER
+        q = np.where(bland, np.argmax(gain > SIMPLEX_TOL, axis=1), np.argmax(gain, axis=1))
+        enters = (objective > SIMPLEX_TOL) & (gain[np.arange(live.size), q] > SIMPLEX_TOL)
+        optimum = ~enters & ((objective <= SIMPLEX_TOL) | (since == 0))
+        since[~enters & ~optimum] = REFACTOR_EVERY  # confirm the optimum on a fresh factor
+        steps[enters] += 1
+        over = enters & (steps > 100 * (widths[live] + n_rows))
+        for r in np.flatnonzero(optimum):
+            results[live[r]] = (value[r, :widths[live[r]]].copy(), duals[r, 0],
+                                float(objective[r]), int(steps[r]))
+        for r in np.flatnonzero(over):
+            limit = 100 * (widths[live[r]] + n_rows)
+            results[live[r]] = NumericalFailure(f"simplex took more than {limit} steps")
+
+        p = np.flatnonzero(enters & ~over)  # _Basis.push, then a bound flip
+        qp, sign, bp = q[p], move[p, q[p]], basis[p]
+        column = (binv[p] @ cols[p, :, qp][:, :, None])[:, :, 0]
+        fall = sign[:, None] * column
+        at = np.take_along_axis(value[p], bp, axis=1)
+        room = np.full(fall.shape, np.inf)
+        np.divide(at, fall, out=room, where=fall > PIVOT_TOL)
+        np.divide(at - upper[bp], fall, out=room, where=fall < -PIVOT_TOL)
+        room = np.maximum(room, 0.0)
+        t = np.minimum(room.min(axis=1), 1.0)
+        value[p[:, None], bp] = at - t[:, None] * fall
+        value[p, qp] += sign * t
+        flip = t == 1.0
+        move[p[flip], qp[flip]] = -sign[flip]
+        degenerate[p[flip]] = 0
+
+        x = np.flatnonzero(~flip)  # or _Basis.blocking and exchange
+        px, qx, fx, cx, bx = p[x], qp[x], fall[x], column[x], bp[x]
+        ties = room[x] <= t[x, None] + SIMPLEX_TOL
+        r = np.where(bland[px], np.argmin(np.where(ties, bx, n_cols), axis=1),
+                     np.argmax(np.where(ties, np.abs(fx), -1.0), axis=1))
+        k = np.arange(x.size)
+        out, down = bx[k, r], fx[k, r] < 0.0
+        value[px, out] = np.where(down, upper[out], 0.0)
+        basis[px, r] = qx
+        binv[px, r] /= cx[k, r][:, None]
+        cx[k, r] = 0.0
+        binv[px] -= cx[:, :, None] * binv[px, r][:, None, :]
+        since[px] += 1
+        move[px, out] = np.where(down, -1.0, (out < widths[live[px]]).astype(float))
+        move[px, qx] = 0.0
+        degenerate[px] = np.where(t[x] <= SIMPLEX_TOL, degenerate[px] + 1, 0)
+
+        keep = ~(optimum | over)
+        if not keep.all():
+            live, cols, value, move, basis, binv, since, steps, degenerate = (
+                a[keep] for a in (live, cols, value, move, basis, binv, since, steps, degenerate))
+    return results
 
 
 def attain(nu: OVM, target) -> AttainResult:
@@ -597,10 +746,14 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
     """Stress the convexity claim on seeded random mixes.
 
     Each trial draws sets until their measures differ (mixing equal range
-    points tests nothing), then a strictly interior weight, and runs
-    convex_combine.  A failure is an AtomicObstruction or a residual
-    above 1e-6, recorded with its inputs.  Trials run and aggregate in
-    index order, so reports are reproducible bit for bit.
+    points tests nothing), then a strictly interior weight, all from one
+    PCG64 stream in trial order.  The trials are drawn first, up to
+    _STACK_MIXES at a time, and then realized together as convex_combine
+    realizes each (_combine): their phase-1 programs are solved as one
+    lockstep stack, which gives the same bits as solving them one by one.
+    A failure is an AtomicObstruction or a residual above 1e-6, recorded
+    with its inputs.  Trials aggregate in index order, so reports are
+    reproducible bit for bit.
     """
     trials = opcore.as_int(trials, "trials", low=0)
     seed = opcore.as_int(seed, "seed", low=0)
@@ -611,26 +764,28 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
     def draw_set():
         return MeasurableSet(rng.integers(0, 2, m) == 1, rng.integers(0, 2, n) == 1)
 
-    failures = []
-    max_residual = 0.0
-    max_intervals = 0
-    for trial in range(trials):
+    def draw_mix():
         e1, e2 = draw_set(), draw_set()
         for _ in range(1000):
             if opcore.op_norm(evaluate(nu, e1) - evaluate(nu, e2)) > distinct_tol:
                 break
             e1, e2 = draw_set(), draw_set()
-        t = float(rng.random())
-        try:
-            result = convex_combine(nu, e1, e2, t)
-        except AtomicObstruction as exc:
-            reason = f"AtomicObstruction: {exc}"
-        else:
-            max_residual = max(max_residual, result.residual)
-            max_intervals = max(max_intervals, result.interval_count)
-            reason = f"residual {result.residual:.3e}" if result.residual > 1e-6 else None
-        if reason:
-            failures.append(TrialFailure(trial, set_to_json(e1), set_to_json(e2), t, reason))
+        return e1, e2, float(rng.random())
+
+    failures = []
+    max_residual = 0.0
+    max_intervals = 0
+    for first in range(0, trials, _STACK_MIXES):
+        mixes = [draw_mix() for _ in range(min(_STACK_MIXES, trials - first))]
+        for trial, ((e1, e2, t), result) in enumerate(zip(mixes, _combine(nu, mixes)), first):
+            if isinstance(result, AtomicObstruction):
+                reason = f"AtomicObstruction: {result}"
+            else:
+                max_residual = max(max_residual, result.residual)
+                max_intervals = max(max_intervals, result.interval_count)
+                reason = f"residual {result.residual:.3e}" if result.residual > 1e-6 else None
+            if reason:
+                failures.append(TrialFailure(trial, set_to_json(e1), set_to_json(e2), t, reason))
     return CertificateReport(
         trials=trials,
         seed=seed,

@@ -117,14 +117,15 @@ def _hermitian_test(m: np.ndarray):
     ||A - A*||_F and (A + A*)/2; an exactly Hermitian stack takes no norm:
     (True, 0.0, m).  The norms are taken of (A - A*) / 2^k and A / 2^k, 2^k at
     most the largest entry modulus, so their squares cannot overflow; the
-    scale is a power of two, so the verdict is the unscaled formula's."""
+    scale is a power of two, so the verdict is the unscaled formula's.  The
+    mean is taken as A/2 + A*/2, which cannot overflow either."""
     adj = m.swapaxes(-1, -2).conj()
     if (m == adj).all():
         return True, 0.0, m
     scale = np.ldexp(1.0, np.frexp(np.abs(m).max(axis=(-2, -1), initial=0.0))[1] - 1)
     asym = np.linalg.norm((m - adj) / scale[..., None, None], axis=(-2, -1))
     size = np.linalg.norm(m / scale[..., None, None], axis=(-2, -1))
-    return asym <= HERM_TOL * np.maximum(1.0 / scale, size), asym * scale, (m + adj) / 2
+    return asym <= HERM_TOL * np.maximum(1.0 / scale, size), asym * scale, m / 2 + adj / 2
 
 
 def hermitian_stack(a) -> np.ndarray:
@@ -162,6 +163,16 @@ def _op_norms(m: np.ndarray) -> np.ndarray:
     if ok.any():
         out[ok] = np.abs(np.linalg.eigvalsh(sym[ok])).max(axis=-1)
     return out
+
+
+def _hermitian_psd(a) -> tuple[bool, bool]:
+    """For a (..., d, d) stack: does :func:`hermitian_flags` accept every
+    matrix, and is every one then PSD (:func:`psd_flags`)?  One Hermitian
+    test gives both verdicts."""
+    ok, _, sym = _hermitian_test(as_stack(a))
+    if not np.all(ok):
+        return False, False
+    return True, bool(_psd_ok(np.linalg.eigvalsh(sym)).all())
 
 
 def _psd_ok(w: np.ndarray) -> np.ndarray:

@@ -49,11 +49,11 @@ class QuantumRandomVariable:
 
     def __post_init__(self):
         values = self.space.item_stack(self.values, np.complex128, "values", matrices=True)
-        herm = bool(opcore.hermitian_flags(values).all())
+        herm, positive = opcore._hermitian_psd(values)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dim", values.shape[-1])
         object.__setattr__(self, "self_adjoint", herm)
-        object.__setattr__(self, "positive", bool(herm and opcore.psd_flags(values).all()))
+        object.__setattr__(self, "positive", positive)
 
     cell_values, atom_values = item_views("values")
 

@@ -1,6 +1,6 @@
 """Seeded random inputs that only the tests draw: Hermitian matrices,
 full-rank states and step-function values, the reference loops that
-vectorized or one-shot library code must match, and the references the
+vectorized, one-shot or stacked library code must match, and the references the
 tests check results against: tr(rho A), Loewner intervals and the
 positive/negative and real/imaginary parts of a step function."""
 
@@ -11,9 +11,10 @@ import numpy as np
 
 from ovmkit import opcore
 from ovmkit.errors import DimMismatch, NotPositive, NotSelfAdjoint
-from ovmkit.lyapunov import kernel_witness
+from ovmkit.errors import AtomicObstruction
+from ovmkit.lyapunov import CertificateReport, TrialFailure, convex_combine, kernel_witness
 from ovmkit.models import random_complex
-from ovmkit.ovm import PropertyReport, evaluate
+from ovmkit.ovm import MeasurableSet, PropertyReport, evaluate, set_to_json
 from ovmkit.qintegrate import DEDUP_TOL, QuantumRandomVariable
 
 
@@ -95,6 +96,40 @@ def supports_with_kernel(nu) -> list[tuple[int, ...]]:
     m = nu.space.n_cells
     return [support for size in range(1, m + 1) for support in combinations(range(m), size)
             if kernel_witness(nu, support) is not None]
+
+
+def certificate_trial_by_trial(nu, trials: int, seed: int) -> CertificateReport:
+    """The reference convexity certificate: each trial drawn, then realized
+    by one convex_combine call, before the next is drawn."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    m, n = nu.space.n_cells, nu.space.n_atoms
+    distinct_tol = 1e-12 * max(1.0, nu.total_norm)
+
+    def draw_set():
+        return MeasurableSet(rng.integers(0, 2, m) == 1, rng.integers(0, 2, n) == 1)
+
+    failures = []
+    max_residual = 0.0
+    max_intervals = 0
+    for trial in range(trials):
+        e1, e2 = draw_set(), draw_set()
+        for _ in range(1000):
+            if opcore.op_norm(evaluate(nu, e1) - evaluate(nu, e2)) > distinct_tol:
+                break
+            e1, e2 = draw_set(), draw_set()
+        t = float(rng.random())
+        try:
+            result = convex_combine(nu, e1, e2, t)
+        except AtomicObstruction as exc:
+            reason = f"AtomicObstruction: {exc}"
+        else:
+            max_residual = max(max_residual, result.residual)
+            max_intervals = max(max_intervals, result.interval_count)
+            reason = f"residual {result.residual:.3e}" if result.residual > 1e-6 else None
+        if reason:
+            failures.append(TrialFailure(trial, set_to_json(e1), set_to_json(e2), t, reason))
+    return CertificateReport(trials=trials, seed=seed, max_residual=max_residual,
+                             max_interval_count=max_intervals, failures=tuple(failures))
 
 
 def spectral_tol(nu) -> float:

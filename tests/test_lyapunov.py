@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     OperatorInterval,
+    certificate_trial_by_trial,
     intervals_cell_by_cell,
     random_hermitian,
     supports_with_kernel,
@@ -832,6 +833,81 @@ def test_degenerate_vertex_switches_to_bland(monkeypatch):
     assert again[3] == first[3]
 
 
+def _stack_programs(d, rng, count):
+    """``count`` phase-1 programs on d^2 rows with m = 2-300 cells each, the
+    goals cycling through an interior point, a vertex of the range's face in
+    a random direction, 1.01 times that vertex (infeasible), an interior
+    point over columns repeated ten times (ties for Bland's rule) and the
+    value of a 0/1 vector."""
+    programs = []
+    for j in range(count):
+        m = int(rng.integers(2, 301))
+        coords = random_povm(d, m, rng).cell_coords.T.copy()
+        kind = j % 5
+        if kind == 3:
+            coords = np.repeat(coords[:, :-(-m // 10)], 10, axis=1)[:, :m].copy()
+        if kind in (1, 2):
+            direction = rng.standard_normal(d * d)
+            direction[0] = abs(direction[0])  # for d = 1, the whole space
+            face = (direction @ coords > 0.0).astype(float)
+            goal = (1.0 if kind == 1 else 1.01) * (coords @ face)
+        else:
+            h = rng.random(m) if kind in (0, 3) else (rng.random(m) < 0.5).astype(float)
+            goal = coords @ h
+        programs.append((coords, goal))
+    return programs
+
+
+class TestPhaseOneStack:
+    """_phase_one_stack steps many programs in lockstep and must return what
+    _phase_one returns for each, bit for bit."""
+
+    @staticmethod
+    def assert_same(stacked, alone):
+        h, duals, objective, steps = alone
+        assert stacked[0].tobytes() == h.tobytes()
+        assert np.asarray(stacked[1]).tobytes() == np.asarray(duals).tobytes()
+        assert stacked[2] == objective
+        assert stacked[3] == steps
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_one_by_one(self, d):
+        programs = _stack_programs(d, rng_from_seed(2600 + d), 45)
+        alone = [lyapunov._phase_one(*p) for p in programs]
+        stacked = lyapunov._phase_one_stack(programs)
+        assert len(stacked) == len(programs)
+        for got, want in zip(stacked, alone):
+            self.assert_same(got, want)
+        assert sum(objective > lyapunov.SIMPLEX_TOL for _, _, objective, _ in alone) >= 8
+        if d > 1:  # refactored after REFACTOR_EVERY exchanges
+            assert max(steps for *_, steps in alone) > lyapunov.REFACTOR_EVERY
+
+    def test_degenerate_vertex_in_a_stack(self, monkeypatch):
+        # The degenerate vertex of test_degenerate_vertex_switches_to_bland,
+        # where pricing turns to Bland's rule, stacked with wider programs
+        # on the same nine rows.
+        coords = rng_from_seed(57).random((9, 60)) + 0.1
+        kernel = np.linalg.svd(coords[:8, 25:35])[2][8:]
+        angles = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        deltas = np.stack([np.cos(angles), np.sin(angles)], axis=1) @ kernel
+        delta = deltas[(deltas[:, :5] < 0.0).all(axis=1) & (deltas[:, 5:] > 0.0).all(axis=1)]
+        h = (np.arange(60) < 30).astype(float)
+        h[25:35] += 1e-3 * delta.mean(axis=0) / np.abs(delta.mean(axis=0)).max()
+        programs = [(coords, coords @ h)] + _stack_programs(3, rng_from_seed(2610), 5)
+        bland = []
+        entering = lyapunov._entering
+
+        def spy(gain, use_bland):
+            bland.append(use_bland)
+            return entering(gain, use_bland)
+
+        monkeypatch.setattr(lyapunov, "_entering", spy)
+        alone = [lyapunov._phase_one(*p) for p in programs]
+        assert any(bland)
+        for got, want in zip(lyapunov._phase_one_stack(programs), alone):
+            self.assert_same(got, want)
+
+
 def test_repeated_masses_attained_deterministically():
     # Twenty cells repeated twenty times each: ties everywhere.
     base = random_povm(4, 20, rng_from_seed(3)).cell_masses
@@ -1026,6 +1102,91 @@ class TestCertificate:
         assert a.max_residual == b.max_residual
         assert a.max_interval_count == b.max_interval_count
         assert tuple(asdict(f) for f in a.failures) == tuple(asdict(f) for f in b.failures)
+
+
+def _atom_measure(rng):
+    """Twelve divisible cells and three atoms, the middle one null."""
+    space = SampleSpace.uniform(12, atom_sites=(0.2, 0.5, 0.8))
+    x = rng.uniform(-1, 1, (15, 2, 2)) + 1j * rng.uniform(-1, 1, (15, 2, 2))
+    masses = x @ x.conj().swapaxes(1, 2) / 15
+    masses[13] = 0.0
+    return grid_ovm(space, masses[:12], masses[12:])
+
+
+def _indivisible_measure(rng):
+    """Ten cells, every third one indivisible."""
+    space = SampleSpace(0.0, 1.0, tuple(np.linspace(0.0, 1.0, 11)),
+                        divisible=tuple(k % 3 != 1 for k in range(10)))
+    return random_povm(2, 10, rng, space=space)
+
+
+class TestCertificateMatchesTrialByTrial:
+    """All trials drawn first and solved as one stack give the report of a
+    convex_combine call per trial (helpers.certificate_trial_by_trial)."""
+
+    @pytest.mark.parametrize("case", range(32))
+    def test_random_measures(self, case):
+        rng = rng_from_seed(2620 + case)
+        nu = random_povm(1 + case % 4, int(rng.integers(8, 101)), rng)
+        seed = 100 + case
+        assert (asdict(convexity_certificate(nu, 40, seed))
+                == asdict(certificate_trial_by_trial(nu, 40, seed)))
+
+    @pytest.mark.parametrize("build, reason", [
+        (_atom_measure, "AtomicObstruction: atom selections differ on massive sites"),
+        (_indivisible_measure, "AtomicObstruction: fractional cells ["),
+    ])
+    def test_obstructed_trials(self, build, reason):
+        nu = build(rng_from_seed(2653))
+        report = convexity_certificate(nu, 60, 17)
+        assert asdict(report) == asdict(certificate_trial_by_trial(nu, 60, 17))
+        assert 0 < sum(f.reason.startswith(reason) for f in report.failures) < 60
+        if build is _indivisible_measure:
+            assert all("are indivisible" in f.reason for f in report.failures)
+
+    def test_not_positive_from_both(self):
+        nu = scalar_grid([0.5, -0.5, 0.5, 0.5])
+        with pytest.raises(errors.NotPositive) as stacked:
+            convexity_certificate(nu, 10, 3)
+        with pytest.raises(errors.NotPositive) as looped:
+            certificate_trial_by_trial(nu, 10, 3)
+        assert str(stacked.value) == str(looped.value)
+
+    def test_blocks_of_trials(self, monkeypatch):
+        # 29 trials in stacks of 7: the last one holds a single mix, which
+        # goes to _phase_one.
+        monkeypatch.setattr(lyapunov, "_STACK_MIXES", 7)
+        nu = random_povm(2, 20, rng_from_seed(2657))
+        assert (asdict(convexity_certificate(nu, 29, 8))
+                == asdict(certificate_trial_by_trial(nu, 29, 8)))
+
+    def test_no_trials(self):
+        nu = random_povm(2, 12, rng_from_seed(2654))
+        report = convexity_certificate(nu, 0, 5)
+        assert asdict(report) == asdict(certificate_trial_by_trial(nu, 0, 5))
+        assert report.failures == () and report.max_residual == 0.0
+
+    def test_endpoint_weights_in_one_call(self):
+        # _combine realizes E2 at t = 0 and E1 at t = 1 as realize_intervals
+        # does, mixed in one call with mixes that need phase 1, which match
+        # one convex_combine call each.
+        nu = random_povm(2, 30, rng_from_seed(2655))
+        rng = rng_from_seed(2656)
+        mixes = [(random_set(nu.space, rng), random_set(nu.space, rng), t)
+                 for t in (0.0, 0.3, 1.0, 0.7, 0.0)]
+        for got, (e1, e2, t) in zip(lyapunov._combine(nu, mixes), mixes):
+            if t in (0.0, 1.0):
+                e = e1 if t else e2
+                want = realize_intervals(nu, FractionalSet.from_measurable(e),
+                                         target=evaluate(nu, e))
+            else:
+                want = convex_combine(nu, e1, e2, t)
+                assert got.iterations > 0
+            assert got.intervals == want.intervals
+            assert got.atom_indices == want.atom_indices
+            assert got.achieved.tobytes() == want.achieved.tobytes()
+            assert (got.residual, got.iterations, got.fractional_count) == (
+                want.residual, want.iterations, want.fractional_count)
 
 
 class TestOracleAgreement:

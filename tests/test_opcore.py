@@ -129,6 +129,29 @@ class TestOpNorm:
             assert opcore.op_norm(a) == want
 
 
+class TestNearLimitEntries:
+    # Near-Hermitian matrices whose entries are finite but whose A + A*
+    # overflows: the symmetrized mean is taken as A/2 + A*/2.
+    BIG = np.array([[1e308, 1e308], [1e308 * (1 + 1e-15), 1e308]])
+    OFF_DIAGONAL = np.array([[0.0, 1e308], [1e308 * (1 + 1e-15), 0.0]])
+
+    def test_symmetrized_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (self.BIG, self.OFF_DIAGONAL):
+                sym = opcore.hermitian(a)
+                assert np.isfinite(sym).all()
+                assert np.array_equal(sym, a / 2 + a.T / 2)
+
+    def test_norm_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # Eigenvalues +-1.0000000000000006e308, finite.
+            assert opcore.op_norm(self.OFF_DIAGONAL) == pytest.approx(1e308, rel=1e-14)
+            # The norm of BIG is 2e308, past the float range: inf, not NaN.
+            assert opcore.op_norm(self.BIG) == np.inf
+
+
 class TestOpNorms:
     """The stack rule behind op_norm: each entry has op_norm's bits."""
 

@@ -620,6 +620,32 @@ class TestAtomHandling:
         assert abs(lhs - rhs) <= 1e-10
 
 
+def test_build_runs_one_hermitian_test(monkeypatch):
+    # self_adjoint and positive of a near-Hermitian stack come from one test.
+    values = random_qrv_values(4, 1000, rng_from_seed(2660), positive=True)
+    values[:, 0, 1] += 1e-15
+    calls = []
+    test = opcore._hermitian_test
+    monkeypatch.setattr(opcore, "_hermitian_test", lambda m: calls.append(1) or test(m))
+    f = QuantumRandomVariable(SampleSpace.uniform(1000), values)
+    assert len(calls) == 1
+    assert f.self_adjoint and f.positive
+
+
+@pytest.mark.parametrize("kind", ["psd", "near_psd", "indefinite", "not_hermitian"])
+def test_build_verdicts_match_the_stack_rules(kind):
+    rng = rng_from_seed(2661)
+    values = random_qrv_values(3, 50, rng, positive=kind in ("psd", "near_psd"))
+    if kind == "near_psd":
+        values[:, 0, 1] += 1e-15
+    if kind == "not_hermitian":
+        values[7, 0, 1] += 0.5
+    f = QuantumRandomVariable(SampleSpace.uniform(50), values)
+    assert f.self_adjoint == bool(opcore.hermitian_flags(values).all())
+    assert f.positive == bool(f.self_adjoint and opcore.psd_flags(values).all())
+    assert f.positive == (kind != "indefinite" and kind != "not_hermitian")
+
+
 class TestRhoIndependence:
     def test_identity_independent_of_reference_state(self):
         nu = random_povm(2, 12, RNG)
