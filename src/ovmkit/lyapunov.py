@@ -17,9 +17,14 @@ nonatomic measures, made algorithmic:
 2.  convex_combine: the mix t nu(E1) + (1 - t) nu(E2) lies in the range;
     step 1 over the massive cells where E1 and E2 differ realizes it; a
     mix with an indivisible one among them is rejected before any solve.
-    convexity_certificate realizes all its mixes at once: their phase-1
-    programs, d^2 rows each, step in lockstep as one numpy stack
-    (_phase_one_stack), bit for bit what solving them one by one gives.
+    convexity_certificate works in stacks of trials throughout, and
+    convex_combine is its one-mix case (_combine): the trials' sets are
+    drawn as selector arrays and checked for distinct values at once, the
+    mixes are prepared as (B, m) arrays, targets and achieved values take
+    one stacked evaluation (ovm._set_values) and residuals one op_norms
+    call, and the phase-1 programs, d^2 rows each, step in lockstep as one
+    numpy stack (_phase_one_stack).  Every value is bit for bit what one
+    convex_combine call per trial gives.
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
     exact under the constant-density convention.
 
@@ -38,6 +43,7 @@ decides them all (demos.uhl_demo).
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +61,8 @@ from .ovm import (
     OVM,
     FractionalSet,
     MeasurableSet,
+    _set_values,
     direct_sum,
-    evaluate,
     evaluate_fractional,
     is_nonatomic,
     set_to_json,
@@ -81,6 +87,9 @@ BLAND_AFTER = 8
 # Mixes convexity_certificate draws and solves as one stack, which bounds
 # the memory its phase-1 programs take.
 _STACK_MIXES = 128
+# Pairs a redrawing trial of convexity_certificate draws and checks at once,
+# at most.
+_REDRAW_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,22 +208,28 @@ def _fractional_indices(h: np.ndarray) -> np.ndarray:
 
 
 def _cell_fractions(nu: OVM, h: FractionalSet) -> np.ndarray:
-    """The cell fractions of ``h``, snapped onto {0, 1} within SNAP_TOL,
-    with fractions on null cells (OVM.massive) dropped to 0: they change no
-    value of the measure."""
-    vec = _snap(nu.space.selector(h)[: nu.space.n_cells])
-    frac = _fractional_indices(vec)
-    vec[frac[~nu.massive[frac]]] = 0.0
+    """The cell fractions of ``h`` as _snapped gives them."""
+    return _snapped(nu, nu.space.selector(h)[: nu.space.n_cells])
+
+
+def _snapped(nu: OVM, cells: np.ndarray) -> np.ndarray:
+    """A copy of the (..., m) cell fractions ``cells``, snapped onto {0, 1}
+    within SNAP_TOL, with fractions on null cells (OVM.massive) dropped to 0:
+    they change no value of the measure."""
+    vec = _snap(cells)
+    vec[(vec > 0.0) & (vec < 1.0) & ~nu.massive[: nu.space.n_cells]] = 0.0
     return vec
 
 
-def _divisible_fractions(nu: OVM, vec: np.ndarray) -> np.ndarray:
-    """The fractional cells of ``vec``, AtomicObstruction if one is indivisible."""
-    frac = _fractional_indices(vec)
-    blocked = [k for k in frac.tolist() if not nu.space.divisible[k]]
-    if blocked:
-        raise AtomicObstruction(f"fractional cells {blocked} are indivisible", cells=blocked)
-    return frac
+def _obstructions(nu: OVM, vecs: np.ndarray) -> list:
+    """Per row of the (B, m) cell fractions ``vecs``: the AtomicObstruction
+    naming its fractional cells that are indivisible, or None."""
+    blocked = (vecs > 0.0) & (vecs < 1.0) & nu.space._indivisible
+    out = [None] * len(vecs)
+    for b in np.flatnonzero(blocked.any(axis=1)):
+        cells = np.flatnonzero(blocked[b]).tolist()
+        out[b] = AtomicObstruction(f"fractional cells {cells} are indivisible", cells=cells)
+    return out
 
 
 class _Basis:
@@ -374,31 +389,50 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
         if target.shape[0] != nu.dim:
             raise ShapeMismatch(f"target dim {target.shape[0]} vs measure dim {nu.dim}")
     vec = _cell_fractions(nu, h)
-    _divisible_fractions(nu, vec)
-    return _realize(nu, vec, h.atom_mask, target, 0)
-
-
-def _realize(nu: OVM, vec: np.ndarray, atom_mask, target, iterations: int) -> AttainResult:
-    """realize_intervals of cell fractions ``vec`` that _cell_fractions has
-    already snapped and cleared of null cells, whose fractional cells are
-    divisible, with the atoms of ``atom_mask``; ``iterations`` is recorded."""
-    bp, cells = np.asarray(nu.space.breakpoints), np.flatnonzero(vec)
-    lo, right = bp[cells], bp[cells + 1]
-    hi = np.where(vec[cells] == 1.0, right, lo + vec[cells] * (right - lo))
-    starts = np.flatnonzero(np.concatenate(([np.inf], hi[:-1])) != lo)
-    ends = np.flatnonzero(hi != np.concatenate((lo[1:], [np.inf])))
-
-    final = FractionalSet(vec, atom_mask)
+    if (obstruction := _obstructions(nu, vec[None])[0]) is not None:
+        raise obstruction
+    final = FractionalSet(vec, h.atom_mask)
     achieved = evaluate_fractional(nu, final)
     residual = 0.0 if target is None else opcore.op_norm(achieved - target)
+    return _result(nu, vec, final.atom_mask, achieved, residual, 0)
+
+
+def _intervals(nu: OVM, vecs: np.ndarray):
+    """The interval realization of each row of the (B, m) cell fractions
+    ``vecs``, which _cell_fractions has snapped and cleared of null cells:
+    over the nonzero cells in row-major order, their rows, interval pieces
+    [lo, hi) and whether each starts or ends an interval (see
+    realize_intervals)."""
+    bp = nu.space._edges
+    rows, cells = np.nonzero(vecs)
+    frac = vecs[rows, cells]
+    lo, right = bp[cells], bp[cells + 1]
+    hi = np.where(frac == 1.0, right, lo + frac * (right - lo))
+    starts = np.concatenate(([np.inf], hi[:-1])) != lo
+    starts[1:] |= rows[1:] != rows[:-1]
+    ends = np.ones_like(starts)
+    ends[:-1] = starts[1:]
+    return rows, lo, hi, starts, ends
+
+
+def _result(nu: OVM, vec: np.ndarray, atom_mask, achieved, residual, iterations) -> AttainResult:
+    """The AttainResult of realizing cell fractions ``vec`` (see _intervals)
+    and the atoms of ``atom_mask``, with the value, residual and step count given."""
+    _, lo, hi, starts, ends = _intervals(nu, vec[None])
     return AttainResult(
         intervals=tuple(zip(lo[starts].tolist(), hi[ends].tolist())),
-        atom_indices=tuple(np.flatnonzero(final.atom_mask).tolist()),
+        atom_indices=tuple(np.flatnonzero(atom_mask).tolist()),
         achieved=achieved,
         residual=residual,
         iterations=iterations,
         fractional_count=int(_fractional_indices(vec).size),
     )
+
+
+def _check_measure(nu) -> None:
+    """InvalidInput unless ``nu`` is an OVM."""
+    if not isinstance(nu, OVM):
+        raise InvalidInput(f"expected an OVM, got {type(nu).__name__}")
 
 
 def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> AttainResult:
@@ -409,62 +443,105 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
     and indivisible cell (t within SNAP_TOL of 0 or 1 counts as 0 or 1).
     E1 & E2 <= E <= E1 | E2; ``iterations`` counts phase-1 steps (step 2).
     """
+    _check_measure(nu)
     if not 0.0 <= opcore.as_real(t, "mixing weight") <= 1.0:
         raise InvalidInput(f"mixing weight {t!r} outside [0, 1]")
-    result = _combine(nu, [(e1, e2, t)])[0]
-    if isinstance(result, AtomicObstruction):
-        raise result
-    return result
+    mixes = _combine(nu, np.stack([nu.space.mask(e1), nu.space.mask(e2)])[None], np.array([t]))
+    if mixes.obstructions[0] is not None:
+        raise mixes.obstructions[0]
+    return mixes.result(nu, 0)
 
 
-def _combine(nu: OVM, mixes) -> list:
-    """convex_combine of each (e1, e2, t) in ``mixes``, t in [0, 1]: its
-    AttainResult, or the AtomicObstruction it raises.
+class _Mixes(NamedTuple):
+    """_combine's realizations, one row per mix: the cell fractions and atom
+    mask realized, the value achieved, its residual against the mix and the
+    phase-1 steps; ``obstructions`` holds each mix's AtomicObstruction or
+    None, and an obstructed mix's other entries are placeholders."""
 
-    Each mix is prepared in turn; every one that needs phase 1 is then
-    solved at once, by _phase_one for one mix and _phase_one_stack for
-    more, which gives the same bits.  Other errors are raised as a loop of
-    convex_combine calls would raise them, at the lowest mix: NotPositive
-    before any solve (every mix that reaches one passes that check first),
-    NumericalFailure for a step limit or a positive phase-1 optimum.
+    vecs: np.ndarray
+    atoms: np.ndarray
+    achieved: np.ndarray
+    residuals: np.ndarray
+    iterations: np.ndarray
+    obstructions: list
+
+    def result(self, nu: OVM, b: int) -> AttainResult:
+        """The AttainResult of unobstructed mix b."""
+        return _result(nu, self.vecs[b], self.atoms[b], self.achieved[b],
+                       float(self.residuals[b]), int(self.iterations[b]))
+
+
+def _combine(nu: OVM, picks: np.ndarray, t: np.ndarray) -> _Mixes:
+    """convex_combine of each mix b: the sets with the (m + n) selectors
+    picks[b, 0] and picks[b, 1], weight t[b] in [0, 1].
+
+    The mixes are prepared as (B, m) arrays; every program needing phase 1
+    is solved at once, by _phase_one for one and _phase_one_stack for
+    more; the values achieved and the targets take one stacked evaluation
+    (ovm._set_values), and the residuals one op_norms call.  Each mix gets
+    what it would get alone, bit for bit.  Other errors are raised as a
+    loop of convex_combine calls would raise them, at the lowest mix:
+    NotPositive before any solve (every mix that reaches one passes that
+    check first), NumericalFailure for a step limit or a positive phase-1
+    optimum.
     """
     m = nu.space.n_cells
-    out, pending, problems = [], [], []
-    for e1, e2, t in mixes:
-        s1, s2 = nu.space.mask(e1), nu.space.mask(e2)
-        if t in (0.0, 1.0):
-            e, s = (e1, s1) if t else (e2, s2)
-            out.append(_realize(nu, s[:m].astype(float), e.atom_mask, evaluate(nu, e), 0))
-            continue
-        differing = np.flatnonzero((s1[m:] != s2[m:]) & nu.massive[m:]).tolist()
-        if differing:
-            out.append(AtomicObstruction(
-                f"atom selections differ on massive sites {differing}", cells=differing))
-            continue
-        if not nu.positive:
-            raise NotPositive("convex combination is defined for positive OVMs")
-        h0 = FractionalSet(t * s1[:m] + (1.0 - t) * s2[:m], (s1 & s2)[m:])
-        vec = _cell_fractions(nu, h0)
-        try:
-            moving = _divisible_fractions(nu, vec)
-        except AtomicObstruction as exc:
-            out.append(exc)
-            continue
-        coords = nu.cell_coords[moving].T / (nu.total_norm or 1.0)
-        pending.append((len(out), vec, moving, h0.atom_mask, evaluate_fractional(nu, h0)))
-        problems.append((coords, coords @ vec[moving]))
-        out.append(None)
+    s1, s2 = picks[:, 0], picks[:, 1]
+    count = len(t)
+    obstructions = [None] * count
+    end = (t == 0.0) | (t == 1.0)
+    at_one = (t == 1.0)[:, None]
+    vecs = np.where(at_one, s1[:, :m], s2[:, :m]).astype(float)
+    atoms = np.where(at_one, s1[:, m:], s2[:, m:])
+    differing = (s1[:, m:] != s2[:, m:]) & nu.massive[m:]
+    split = differing.any(axis=1)
+    for b in np.flatnonzero(~end & split):
+        cells = np.flatnonzero(differing[b]).tolist()
+        obstructions[b] = AtomicObstruction(
+            f"atom selections differ on massive sites {cells}", cells=cells)
+    mixing = np.flatnonzero(~end & ~split)
+    if mixing.size and not nu.positive:
+        raise NotPositive("convex combination is defined for positive OVMs")
+
+    tm = t[mixing, None]
+    h0 = tm * s1[mixing, :m] + (1.0 - tm) * s2[mixing, :m]
+    h0 = np.where(h0 > 0.0, np.minimum(h0, 1.0), 0.0)  # FractionalSet's clamp
+    vec = _snapped(nu, h0)
+    free = np.ones(mixing.size, dtype=bool)
+    for b, obstruction in enumerate(_obstructions(nu, vec)):
+        if obstruction is not None:
+            obstructions[mixing[b]], free[b] = obstruction, False
+    solve, vec, h0 = mixing[free], vec[free], h0[free]
+    atoms[solve] = s1[solve, m:] & s2[solve, m:]
+
+    scale = nu.total_norm or 1.0
+    problems, moving = [], [_fractional_indices(row) for row in vec]
+    for row, cells in zip(vec, moving):
+        coords = nu.cell_coords[cells].T / scale
+        problems.append((coords, coords @ row[cells]))
     solved = (_phase_one_stack(problems) if len(problems) > 1
               else [_phase_one(*p) for p in problems])
-    for (i, vec, moving, atom_mask, target), lp in zip(pending, solved):
+    iterations = np.zeros(count, dtype=int)
+    for b, row, cells, lp in zip(solve, vec, moving, solved):
         if isinstance(lp, NumericalFailure):
             raise lp
         h, _, objective, steps = lp
         if objective > SIMPLEX_TOL:
             raise NumericalFailure(f"phase-1 optimum {objective:.3e} on a mix in the range")
-        vec[moving] = _snap(h)
-        out[i] = _realize(nu, vec, atom_mask, target, steps)
-    return out
+        row[cells] = _snap(h)
+        iterations[b] = steps
+    vecs[solve] = vec
+
+    # The values achieved, then the solved mixes' targets, from one call; at
+    # t = 0 or 1 the target is the value achieved, and the residual is 0.
+    done = np.flatnonzero([o is None for o in obstructions])
+    values = _set_values(nu.masses, np.vstack([np.hstack([vecs[done], atoms[done]]),
+                                               np.hstack([h0, atoms[solve]])]))
+    achieved = np.zeros((count, nu.dim, nu.dim), dtype=np.complex128)
+    achieved[done] = values[: done.size]
+    residuals = np.zeros(count)
+    residuals[solve] = opcore.op_norms(achieved[solve] - values[done.size :])
+    return _Mixes(vecs, atoms, achieved, residuals, iterations, obstructions)
 
 
 def _entering(gain: np.ndarray, bland: bool) -> int | None:
@@ -474,13 +551,23 @@ def _entering(gain: np.ndarray, bland: bool) -> int | None:
     return q if gain[q] > SIMPLEX_TOL else None
 
 
-def _prefix_start(coords: np.ndarray, goal: np.ndarray):
-    """Phase 1's start: the prefix vertex h = 1_[0, j) whose value is
-    nearest the goal, and the artificials' signs s (see _phase_one)."""
-    m = coords.shape[1]
-    prefix = np.hstack([np.zeros((coords.shape[0], 1)), np.cumsum(coords, axis=1)])
-    h = (np.arange(m) < np.argmin(np.linalg.norm(prefix - goal[:, None], axis=0))).astype(float)
-    return h, np.where(goal - coords @ h >= 0.0, 1.0, -1.0)
+def _prefix_starts(cells: np.ndarray, goals: np.ndarray) -> np.ndarray:
+    """Phase 1's start for the programs whose coords fill the (..., D, W)
+    stack ``cells`` from the left, zero-padded, and whose goals are the
+    (..., D) ``goals``: the prefix vertex h = 1_[0, j) whose value is
+    nearest the goal, shape (..., W).  The prefix sums are one cumsum,
+    sequential as each program's own; a pad repeats the last prefix, so
+    the lowest nearest j is within the program."""
+    prefix = np.concatenate([np.zeros((*cells.shape[:-1], 1)), np.cumsum(cells, axis=-1)], axis=-1)
+    nearest = np.argmin(np.linalg.norm(prefix - goals[..., None], axis=-2), axis=-1)
+    return (np.arange(cells.shape[-1]) < nearest[..., None]).astype(float)
+
+
+def _signs(coords: np.ndarray, goal: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The artificials' signs s at the start h (see _phase_one), from the
+    program's own coords @ h: a stacked product over padded columns would
+    add in another order."""
+    return np.where(goal - coords @ h >= 0.0, 1.0, -1.0)
 
 
 def _phase_one(coords: np.ndarray, goal: np.ndarray):
@@ -504,7 +591,8 @@ def _phase_one(coords: np.ndarray, goal: np.ndarray):
     simplex multipliers, sum a, and the pivots plus bound flips taken.
     """
     n_rows, m = coords.shape
-    h, sign = _prefix_start(coords, goal)
+    h = _prefix_starts(coords, goal)
+    sign = _signs(coords, goal, h)
     cols = np.hstack([coords, np.diag(sign)])
     value = np.concatenate([h, np.zeros(n_rows)])
     upper = np.concatenate([np.ones(m), np.full(n_rows, np.inf)])
@@ -561,12 +649,12 @@ def _phase_one_stack(problems) -> list:
     value = np.zeros((len(problems), n_cols))
     upper = np.concatenate([np.ones(wide), np.full(n_rows, np.inf)])
     move = np.zeros((len(problems), n_cols))
-    for b, (coords, goal) in enumerate(problems):
-        h, sign = _prefix_start(coords, goal)
+    for b, (coords, _) in enumerate(problems):
         cols[b, :, :widths[b]] = coords
-        cols[b, :, wide:] = np.diag(sign)
-        value[b, :widths[b]] = h
-        move[b, :widths[b]] = 1.0 - 2.0 * h
+    value[:, :wide] = _prefix_starts(cols[:, :, :wide], np.array([g for _, g in problems]))
+    cols[:, np.arange(n_rows), wide + np.arange(n_rows)] = [
+        _signs(coords, goal, h[:w]) for (coords, goal), h, w in zip(problems, value, widths)]
+    move[:, :wide] = np.where(np.arange(wide) < widths[:, None], 1.0 - 2.0 * value[:, :wide], 0.0)
     basis = np.tile(np.arange(wide, n_cols), (len(problems), 1))
     binv = np.empty((len(problems), n_rows, n_rows))
     since = np.full(len(problems), REFACTOR_EVERY)
@@ -747,45 +835,44 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
 
     Each trial draws sets until their measures differ (mixing equal range
     points tests nothing), then a strictly interior weight, all from one
-    PCG64 stream in trial order.  The trials are drawn first, up to
-    _STACK_MIXES at a time, and then realized together as convex_combine
-    realizes each (_combine): their phase-1 programs are solved as one
-    lockstep stack, which gives the same bits as solving them one by one.
-    A failure is an AtomicObstruction or a residual above 1e-6, recorded
-    with its inputs.  Trials aggregate in index order, so reports are
-    reproducible bit for bit.
+    PCG64 stream in trial order.  Trials are drawn up to _STACK_MIXES at a
+    time (_draw_mixes): each trial's first pair of sets and its weight, the
+    stream state saved after the pair, and then one distinctness check for
+    the whole stack.  At the first trial whose pair is equal the stream
+    rewinds to that state, the trial redraws as it would alone and takes
+    its weight, and the trials after it are drawn again; so the stream, and
+    every set and weight, is that of drawing trial by trial.  Each stack is
+    then realized as convex_combine realizes each mix (_combine), with
+    phase-1 programs solved as one lockstep stack.  A failure is an
+    AtomicObstruction or a residual above 1e-6, recorded with its inputs.
+    Trials aggregate in index order, and every value is bit for bit that of
+    a convex_combine call per trial, so reports are reproducible and equal
+    to the trial-by-trial loop's.
     """
+    _check_measure(nu)
     trials = opcore.as_int(trials, "trials", low=0)
     seed = opcore.as_int(seed, "seed", low=0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    m, n = nu.space.n_cells, nu.space.n_atoms
-    distinct_tol = 1e-12 * max(1.0, nu.total_norm)
-
-    def draw_set():
-        return MeasurableSet(rng.integers(0, 2, m) == 1, rng.integers(0, 2, n) == 1)
-
-    def draw_mix():
-        e1, e2 = draw_set(), draw_set()
-        for _ in range(1000):
-            if opcore.op_norm(evaluate(nu, e1) - evaluate(nu, e2)) > distinct_tol:
-                break
-            e1, e2 = draw_set(), draw_set()
-        return e1, e2, float(rng.random())
-
+    m = nu.space.n_cells
     failures = []
     max_residual = 0.0
     max_intervals = 0
     for first in range(0, trials, _STACK_MIXES):
-        mixes = [draw_mix() for _ in range(min(_STACK_MIXES, trials - first))]
-        for trial, ((e1, e2, t), result) in enumerate(zip(mixes, _combine(nu, mixes)), first):
-            if isinstance(result, AtomicObstruction):
-                reason = f"AtomicObstruction: {result}"
+        picks, weights = _draw_mixes(nu, rng, min(_STACK_MIXES, trials - first))
+        mixes = _combine(nu, picks, weights)
+        rows, _, _, starts, _ = _intervals(nu, mixes.vecs)
+        counts = np.bincount(rows[starts], minlength=len(weights)).tolist()
+        for b, (obstruction, residual) in enumerate(zip(mixes.obstructions,
+                                                        mixes.residuals.tolist())):
+            if obstruction is not None:
+                reason = f"AtomicObstruction: {obstruction}"
             else:
-                max_residual = max(max_residual, result.residual)
-                max_intervals = max(max_intervals, result.interval_count)
-                reason = f"residual {result.residual:.3e}" if result.residual > 1e-6 else None
+                max_residual = max(max_residual, residual)
+                max_intervals = max(max_intervals, counts[b])
+                reason = f"residual {residual:.3e}" if residual > 1e-6 else None
             if reason:
-                failures.append(TrialFailure(trial, set_to_json(e1), set_to_json(e2), t, reason))
+                e1, e2 = (set_to_json(MeasurableSet(s[:m], s[m:])) for s in picks[b])
+                failures.append(TrialFailure(first + b, e1, e2, float(weights[b]), reason))
     return CertificateReport(
         trials=trials,
         seed=seed,
@@ -793,6 +880,74 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
         max_interval_count=max_intervals,
         failures=tuple(failures),
     )
+
+
+def _draw_mixes(nu: OVM, rng: np.random.Generator, count: int):
+    """``count`` trials of convexity_certificate drawn from ``rng``: their
+    (count, 2, m + n) selector pairs and weights, with the stream left as
+    drawing them one by one leaves it.
+
+    Trials are drawn speculatively, a window at a time: each one's first
+    pair, the stream state after it and its weight; then the window's
+    pairs are checked at once.  At the first pair whose values are equal
+    within the certificate's tolerance the stream rewinds to the state
+    saved after it, and the trial redraws: up to 1000 pairs are checked in
+    all, the first distinct one is kept (or else a 1001st, unchecked), and
+    then its weight is drawn.  The redraws are drawn and checked in growing
+    chunks the same way, rewinding to the state after the pair kept.  A
+    window or chunk runs at most about twice past where the last one
+    stopped, so a measure whose pairs are often equal discards few draws.
+    """
+    m, n = nu.space.n_cells, nu.space.n_atoms
+    distinct_tol = 1e-12 * max(1.0, nu.total_norm)
+    picks = np.empty((count, 2, m + n), dtype=bool)
+    weights = np.empty(count)
+    spare = np.empty((_REDRAW_CHUNK, 2, m + n), dtype=bool)
+
+    def draw(pairs, size, weights=None) -> list:
+        """Draw ``size`` pairs into ``pairs``, each followed by a weight when
+        ``weights`` is given; the stream states after each pair."""
+        saved = []
+        for j in range(size):
+            for s in (0, 1):
+                pairs[j, s, :m] = rng.integers(0, 2, m) == 1
+                pairs[j, s, m:] = rng.integers(0, 2, n) == 1
+            saved.append(rng.bit_generator.state)
+            if weights is not None:
+                weights[j] = rng.random()
+        return saved
+
+    def distinct(pairs):
+        values = _set_values(nu.masses, pairs.reshape(-1, m + n))
+        return opcore.op_norms(values[::2] - values[1::2]) > distinct_tol
+
+    def redraw(k):
+        checks, size = 1, 1
+        while checks < 1000:
+            size = min(2 * size, _REDRAW_CHUNK, 1000 - checks)
+            saved = draw(spare, size)
+            kept = np.flatnonzero(distinct(spare[:size]))
+            if kept.size:
+                picks[k] = spare[kept[0]]
+                rng.bit_generator.state = saved[kept[0]]
+                return
+            checks += size
+        draw(picks[k:], 1)
+
+    k, window = 0, count
+    while k < count:
+        size = min(window, count - k)
+        saved = draw(picks[k:], size, weights[k:])
+        equal = np.flatnonzero(~distinct(picks[k : k + size]))
+        if not equal.size:
+            k, window = k + size, 2 * window
+            continue
+        j = int(equal[0])
+        rng.bit_generator.state = saved[j]
+        redraw(k + j)
+        weights[k + j] = rng.random()
+        k, window = k + j + 1, 2 * (j + 1)
+    return picks, weights
 
 
 def attain_to_json(result: AttainResult) -> dict:

@@ -127,9 +127,19 @@ class SampleSpace:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        w = np.diff(np.asarray(self.breakpoints))
+        w = np.diff(self._edges)
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        """The breakpoints as a read-only array."""
+        return opcore.readonly(self.breakpoints, np.float64)
+
+    @cached_property
+    def _indivisible(self) -> np.ndarray:
+        """Per cell: is it indivisible?  Read-only."""
+        return opcore.readonly(np.logical_not(self.divisible), bool)
 
     def item_stack(self, values, dtype, what: str, matrices: bool = False) -> np.ndarray:
         """``values`` as a read-only ``dtype`` copy with one entry per item,
@@ -392,6 +402,87 @@ def sum_items(stack: np.ndarray) -> np.ndarray:
     return out
 
 
+# Complex entries that a stacked product or masked sum of _set_values
+# holds at once; it bounds those temporaries whatever the item count.
+_CHUNK_ENTRIES = 1 << 14
+# Item count from which _set_values sums each 0/1 row with sum_items, one
+# call per row, instead of one masked sum over every item of a block of
+# rows: the masked sum pays per item, selected or not, and a row of this
+# many items pays more there than its own call costs.
+_GATHER_ITEMS = 256
+
+
+def _set_list(sets, what: str) -> list:
+    """``sets`` as a list; InvalidInput when it is not a sequence."""
+    try:
+        return list(sets)
+    except TypeError:
+        raise InvalidInput(f"{what} must be a sequence of MeasurableSets, got {sets!r}") from None
+
+
+def _set_masks(space: SampleSpace, sets: list) -> np.ndarray:
+    """The (s, m + n) bool selectors of the MeasurableSets ``sets`` (SampleSpace.mask)."""
+    return np.array([space.mask(e) for e in sets], bool).reshape(
+        len(sets), space.n_cells + space.n_atoms)
+
+
+def _set_values(stack: np.ndarray, weights) -> np.ndarray:
+    """The value of each row of the (s, k) selector stack ``weights`` over
+    the (k, d, d) item stack ``stack``, shape (s, d, d): bit for bit what
+    evaluate_fractional gives each row as a set's selector.
+
+    A 0/1 row is sum_items of its selected items, added in item order:
+    - from _GATHER_ITEMS items on, one call per row: sum_items itself, or
+      from d = 3 on one np.add.reduce over the items (the d^2 entries its
+      inner loop), which adds in the same order without writing each
+      partial sum;
+    - below that, a block of rows at a time: one np.add.reduce over an
+      (items, rows x d^2 + 1) copy of the masses, with zeros for the items
+      a row leaves out.  Adding zeros changes no bit once the sum is added
+      into zeros, as sum_items does, and the spare zero column keeps the
+      items the outer loop for a single 1 x 1 row.
+    numpy would sum an inner reduction axis pairwise, in another order.
+
+    Any other row is tensordot's product: one (1, k) @ (k, d^2) matmul per
+    row of a stacked call (a 2-d product of the rows adds in another
+    order), or for k = d = 1 the complex product np.dot writes out for two
+    1 x 1 operands.  Temporaries hold about _CHUNK_ENTRIES complex entries.
+    """
+    weights = np.asarray(weights)
+    count, d = len(stack), stack.shape[-1]
+    flat = stack.reshape(count, d * d)
+    out = np.empty((len(weights), d * d), dtype=np.complex128)
+    if weights.dtype == bool:
+        whole, picks = np.ones(len(weights), dtype=bool), weights
+    else:
+        whole = ((weights == 1.0) | (weights == 0.0)).all(axis=1)
+        picks = weights[whole] == 1.0
+    rows = np.flatnonzero(whole)
+    if count >= _GATHER_ITEMS:
+        for row, pick in zip(rows, picks):
+            items = flat[pick]
+            out[row] = 0.0 + np.add.reduce(items, axis=0) if d >= 3 else sum_items(items)
+    else:
+        step = max(1, _CHUNK_ENTRIES // (count * d * d))
+        for lo in range(0, rows.size, step):
+            part, pick = rows[lo : lo + step], picks[lo : lo + step]
+            items = np.zeros((count, part.size * d * d + 1), dtype=np.complex128)
+            np.copyto(items[:, :-1].reshape(count, part.size, d * d), flat[:, None, :],
+                      where=pick.T[:, :, None])
+            out[part] = (0.0 + np.add.reduce(items, axis=0)[:-1]).reshape(part.size, d * d)
+    rows = np.flatnonzero(~whole)
+    if count == d == 1:  # tensordot's product of two 1 x 1 operands, which skips BLAS
+        w, x = weights[rows, 0], flat[0, 0]
+        out.real[rows, 0] = w * x.real - 0.0 * x.imag
+        out.imag[rows, 0] = w * x.imag + 0.0 * x.real
+        rows = rows[:0]
+    step = max(1, _CHUNK_ENTRIES // count)
+    for lo in range(0, rows.size, step):
+        part = rows[lo : lo + step]
+        out[part] = (weights[part, None, :] @ flat)[:, 0]
+    return out.reshape(len(weights), d, d)
+
+
 def evaluate(nu: OVM, e: MeasurableSet) -> np.ndarray:
     """nu(E): sum of the selected masses; InvalidInput for a FractionalSet
     (evaluate_fractional sums those)."""
@@ -468,10 +559,11 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     if not np.isfinite(4.0 * reach * reach):
         raise InvalidInput(f"masses too large: products of set values near {reach:.3e}^2 "
                            "overflow float64")
-    count, d = len(sample_sets), nu.dim
+    sample_sets = _set_list(sample_sets, "sample sets")
+    picks = _set_masks(nu.space, sample_sets)
+    count, d = len(picks), nu.dim
     flat = nu.masses.reshape(len(nu.masses), d * d)
     values = np.array([evaluate(nu, e) for e in sample_sets]).reshape(count, d, d)
-    picks = np.array([nu.space.mask(e) for e in sample_sets], bool).reshape(count, len(flat))
     spectral = all(
         opcore.op_norms(((picks & row).astype(float) @ flat).reshape(count, d, d) - value @ values)
         .max() <= tol for row, value in zip(picks, values))

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import opcore
 from .errors import DerivativeDoesNotExist, NotPositive
-from .ovm import (OVM, InducedMeasure, MeasurableSet, SampleSpace, evaluate, induced_measure,
-                  sum_items)
+from .ovm import (OVM, InducedMeasure, MeasurableSet, SampleSpace, _set_list, _set_masks,
+                  _set_values, induced_measure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,14 +98,13 @@ def rn_derivative(nu: OVM, rho) -> StepDensity:
 def rn_consistency(nu: OVM, rho, sets: list[MeasurableSet]) -> float:
     """Max residual of the reconstruction nu_ij(E) = sum_E R_ij * nu_rho.
 
-    Checked entrywise over every sampled set; propagates
-    DerivativeDoesNotExist.
+    Checked entrywise over every sampled set, both sides of every set from
+    one stacked evaluation each; propagates DerivativeDoesNotExist, and
+    raises InvalidInput when ``sets`` is not a sequence of MeasurableSets.
     """
     dens = rn_derivative(nu, rho)
     pieces = dens.values * dens.reference.traces[:, None, None]
-    worst = 0.0
-    for e in sets:
-        lhs = evaluate(nu, e)  # InvalidInput for anything but a MeasurableSet
-        rhs = sum_items(pieces[nu.space.selector(e) & dens.defined])
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    picks = _set_masks(nu.space, _set_list(sets, "sets"))
+    lhs = _set_values(nu.masses, picks)
+    rhs = _set_values(pieces, picks & dens.defined)
+    return float(np.abs(lhs - rhs).max(initial=0.0))

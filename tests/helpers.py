@@ -98,9 +98,13 @@ def supports_with_kernel(nu) -> list[tuple[int, ...]]:
             if kernel_witness(nu, support) is not None]
 
 
-def certificate_trial_by_trial(nu, trials: int, seed: int) -> CertificateReport:
+def certificate_trial_by_trial(nu, trials: int, seed: int, redraws=None,
+                               draws=None) -> CertificateReport:
     """The reference convexity certificate: each trial drawn, then realized
-    by one convex_combine call, before the next is drawn."""
+    by one convex_combine call, before the next is drawn.  The index of
+    each trial whose first pair of sets had equal values is appended to
+    the list ``redraws``, and each trial's (E1, E2, t) to the list
+    ``draws``, when they are given."""
     rng = np.random.Generator(np.random.PCG64(seed))
     m, n = nu.space.n_cells, nu.space.n_atoms
     distinct_tol = 1e-12 * max(1.0, nu.total_norm)
@@ -113,11 +117,15 @@ def certificate_trial_by_trial(nu, trials: int, seed: int) -> CertificateReport:
     max_intervals = 0
     for trial in range(trials):
         e1, e2 = draw_set(), draw_set()
-        for _ in range(1000):
+        for check in range(1000):
             if opcore.op_norm(evaluate(nu, e1) - evaluate(nu, e2)) > distinct_tol:
                 break
+            if check == 0 and redraws is not None:
+                redraws.append(trial)
             e1, e2 = draw_set(), draw_set()
         t = float(rng.random())
+        if draws is not None:
+            draws.append((e1, e2, t))
         try:
             result = convex_combine(nu, e1, e2, t)
         except AtomicObstruction as exc:

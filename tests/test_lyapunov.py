@@ -15,7 +15,7 @@ from helpers import (
     random_hermitian,
     supports_with_kernel,
 )
-from ovmkit import errors, lyapunov, opcore
+from ovmkit import errors, lyapunov, opcore, ovm
 from ovmkit.demos import uhl_demo
 from ovmkit.lyapunov import (
     _null_direction,
@@ -1174,7 +1174,10 @@ class TestCertificateMatchesTrialByTrial:
         rng = rng_from_seed(2656)
         mixes = [(random_set(nu.space, rng), random_set(nu.space, rng), t)
                  for t in (0.0, 0.3, 1.0, 0.7, 0.0)]
-        for got, (e1, e2, t) in zip(lyapunov._combine(nu, mixes), mixes):
+        picks = np.array([[nu.space.mask(e1), nu.space.mask(e2)] for e1, e2, _ in mixes])
+        combined = lyapunov._combine(nu, picks, np.array([t for _, _, t in mixes]))
+        results = [combined.result(nu, b) for b in range(len(mixes))]
+        for got, (e1, e2, t) in zip(results, mixes):
             if t in (0.0, 1.0):
                 e = e1 if t else e2
                 want = realize_intervals(nu, FractionalSet.from_measurable(e),
@@ -1187,6 +1190,102 @@ class TestCertificateMatchesTrialByTrial:
             assert got.achieved.tobytes() == want.achieved.tobytes()
             assert (got.residual, got.iterations, got.fractional_count) == (
                 want.residual, want.iterations, want.fractional_count)
+
+
+def _two_cell_scalar():
+    """Two cells of mass 1/2: three pairs of sets in eight have equal values."""
+    return scalar_grid([0.5, 0.5])
+
+
+def _assert_draws(nu, draws, stacks):
+    """The (picks, weights) ``stacks`` drawn in turn hold the reference's
+    (E1, E2, t) ``draws``, bit for bit."""
+    got = [(pair[0].tolist(), pair[1].tolist(), float(w))
+           for picks, weights in stacks for pair, w in zip(picks, weights)]
+    assert got == [(nu.space.mask(e1).tolist(), nu.space.mask(e2).tolist(), t)
+                   for e1, e2, t in draws]
+
+
+class TestCertificateStream:
+    """Trials drawn as a stack and rewound at the first equal pair give the
+    sets, weights and report of drawing trial by trial, wherever in a stack
+    the redraws fall."""
+
+    @pytest.mark.parametrize("seed, redrawn", [
+        (33, [0, 5, 11]),  # the first, a middle and the last trial of the stack
+        (30, [8]),
+        (4, [0, 6, 9]),
+        (5, [1, 11]),
+        (7, [0, 1, 2, 3, 5, 7, 9, 10, 11]),
+    ])
+    @pytest.mark.parametrize("stack", [128, 7])
+    def test_redraws_anywhere_in_a_stack(self, monkeypatch, seed, redrawn, stack):
+        # In stacks of 7 the redraws of seed 4 fall on the last trial of the
+        # first stack, and those of seed 33 on the first trial of the first
+        # stack and the last of the second.
+        monkeypatch.setattr(lyapunov, "_STACK_MIXES", stack)
+        nu = _two_cell_scalar()
+        redraws = []
+        want = certificate_trial_by_trial(nu, 12, seed, redraws)
+        assert redraws == redrawn
+        assert asdict(convexity_certificate(nu, 12, seed)) == asdict(want)
+        # The draws themselves, and the stream they leave: 12 trials and
+        # then 3 more from the same generator are the reference's first 15.
+        draws = []
+        certificate_trial_by_trial(nu, 15, seed, draws=draws)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        _assert_draws(nu, draws, [lyapunov._draw_mixes(nu, rng, 12),
+                                  lyapunov._draw_mixes(nu, rng, 3)])
+
+    @pytest.mark.parametrize("stack", [128, 7])
+    def test_many_trials_of_a_redrawing_measure(self, monkeypatch, stack):
+        monkeypatch.setattr(lyapunov, "_STACK_MIXES", stack)
+        nu = direct_sum(_two_cell_scalar(), scalar_grid([0.25, 0.25]))
+        redraws, draws = [], []
+        want = certificate_trial_by_trial(nu, 60, 2811, redraws, draws)
+        assert 10 < len(redraws) < 50
+        assert asdict(convexity_certificate(nu, 60, 2811)) == asdict(want)
+        rng = np.random.Generator(np.random.PCG64(2811))
+        _assert_draws(nu, draws, [lyapunov._draw_mixes(nu, rng, 60)])
+
+    @pytest.mark.parametrize("stack", [128, 7])
+    def test_zero_measure_exhausts_every_redraw(self, monkeypatch, stack):
+        # Every pair of sets of the zero measure is equal: each trial checks
+        # 1000 pairs and keeps the 1001st, unchecked.
+        monkeypatch.setattr(lyapunov, "_STACK_MIXES", stack)
+        nu = grid_ovm(SampleSpace.uniform(4), np.zeros((4, 1, 1), dtype=complex))
+        redraws = []
+        draws = []
+        want = certificate_trial_by_trial(nu, 3, 5, redraws, draws)
+        assert redraws == [0, 1, 2]
+        assert asdict(convexity_certificate(nu, 3, 5)) == asdict(want)
+        rng = np.random.Generator(np.random.PCG64(5))
+        _assert_draws(nu, draws, [lyapunov._draw_mixes(nu, rng, 3)])
+
+    def test_no_per_trial_calls_without_redraws(self, monkeypatch):
+        # A certificate whose pairs all differ takes its set values from
+        # two stacked evaluations (the pairs; the achieved values and
+        # targets) and makes no evaluate, evaluate_fractional or op_norm call.
+        nu = random_povm(2, 40, rng_from_seed(7))
+        assert nu.total_norm > 0.0  # cached before counting
+        calls = {"evaluate": 0, "evaluate_fractional": 0, "op_norm": 0, "_set_values": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module, name in [(ovm, "evaluate"), (ovm, "evaluate_fractional"),
+                             (lyapunov, "evaluate_fractional"), (opcore, "op_norm"),
+                             (lyapunov, "_set_values")]:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        redraws = []
+        want = certificate_trial_by_trial(nu, 100, 5, redraws)
+        assert redraws == []
+        calls.update(dict.fromkeys(calls, 0))
+        assert asdict(convexity_certificate(nu, 100, 5)) == asdict(want)
+        assert calls == {"evaluate": 0, "evaluate_fractional": 0, "op_norm": 0, "_set_values": 2}
 
 
 class TestOracleAgreement:

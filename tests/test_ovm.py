@@ -1,6 +1,7 @@
 """Measure representations: evaluation, induced/entry measures, axioms."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from ovmkit.models import (
     singular_blocks,
     uhl_model,
 )
-from ovmkit.lyapunov import attain, convex_combine, joint_attain, kernel_witness, purify
+from ovmkit.lyapunov import (attain, convex_combine, convexity_certificate, joint_attain,
+                              kernel_witness, purify)
 from ovmkit.qintegrate import (
     QuantumRandomVariable,
     ess_equal,
@@ -202,6 +204,15 @@ TYPED_INPUTS = {
                             [_HALF], ([1], [None], [FractionalSet((1.0, 0.0))])),
     "check_ovm_properties sets": (lambda sets: check_ovm_properties(lebesgue_identity(2, 2), sets),
                                   [_HALF], ([1], [FractionalSet((1.0, 0.0))])),
+    "convexity_certificate measure": (lambda nu: convexity_certificate(nu, 3, 1),
+                                      lebesgue_identity(4, 2), (None, "x", np.eye(2))),
+    "convex_combine measure": (lambda nu: convex_combine(nu, _HALF, _HALF, 0.5),
+                               lebesgue_identity(2, 2), (None, "x")),
+    "check_ovm_properties set sequence": (
+        lambda sets: check_ovm_properties(lebesgue_identity(2, 2), sets), [_HALF], (None, 3)),
+    "rn_consistency set sequence": (
+        lambda sets: rn_consistency(lebesgue_identity(2, 2), np.eye(2) / 2, sets), [_HALF],
+        (None, 3)),
     "integrate step function": (lambda f: integrate(lebesgue_identity(2, 2), f), _CHI,
                                 (None, np.eye(2), lebesgue_identity(2, 2))),
     "ess_range step function": (lambda f: ess_range(f, lebesgue_identity(2, 2)), _CHI,
@@ -297,6 +308,102 @@ def test_set_function_adds_items_in_order(d):
         assert evaluate(joint, e)[:d, :d].tobytes() == value.tobytes()
     everything = np.ones(m + 3, dtype=bool)
     assert nu.total_mass().tobytes() == sum_in_item_order(nu.masses, everything).tobytes()
+
+
+def _stack_cases(d, rng):
+    """Measures with K = m + n items from 1 to 2000: masses over six orders
+    of magnitude with -0.0 entries and a null last item."""
+    for m, n in ((1, 0), (2, 0), (5, 2), (8, 0), (9, 3), (64, 2), (333, 3), (1997, 3)):
+        space = SampleSpace.uniform(m, atom_sites=tuple(np.linspace(0.1, 0.9, n)))
+        masses = signed_zero_masses(d, m + n, rng)
+        yield grid_ovm(space, masses[:m], masses[m:] if n else None)
+
+
+def _stack_rows(space, rng):
+    """Sets and fractional sets on ``space``: random, empty, whole, single
+    atoms, fractions with whole cells among them and all-0/1 fractions."""
+    m, n = space.n_cells, space.n_atoms
+    sets = [random_set(space, rng) for _ in range(6)]
+    sets += [MeasurableSet.empty(space), MeasurableSet.full(space)]
+    sets += [MeasurableSet.from_indices(space, atoms=[k]) for k in range(n)]
+    fractions = [rng.random(m), np.where(rng.random(m) < 0.5, 1.0, rng.random(m)),
+                 (rng.random(m) < 0.5).astype(float), np.zeros(m)]
+    sets += [FractionalSet(h, rng.integers(0, 2, n) == 1) for h in fractions]
+    return sets
+
+
+class TestSetValues:
+    """ovm._set_values gives each row the bits evaluate or
+    evaluate_fractional give its set."""
+
+    @staticmethod
+    def check(nu, sets):
+        # All rows in one call, and each row alone.
+        weights = np.array([nu.space.selector(e) for e in sets], dtype=float)
+        values = ovm._set_values(nu.masses, weights)
+        assert values.shape == (len(sets), nu.dim, nu.dim)
+        for value, row, e in zip(values, weights, sets):
+            want = (evaluate(nu, e) if isinstance(e, MeasurableSet)
+                    else evaluate_fractional(nu, e))
+            assert value.tobytes() == want.tobytes()
+            assert ovm._set_values(nu.masses, row[None])[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rows_match_one_by_one(self, d):
+        rng = rng_from_seed(2810 + d)
+        for nu in _stack_cases(d, rng):
+            self.check(nu, _stack_rows(nu.space, rng))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_direct_sum(self, d):
+        rng = rng_from_seed(2815 + d)
+        for nu in _stack_cases(d, rng):
+            joint = direct_sum(nu, grid_ovm(nu.space, nu.cell_masses[::-1], nu.atom_masses))
+            self.check(joint, _stack_rows(nu.space, rng))
+
+    @pytest.mark.parametrize("gather", [1, 10**9])
+    def test_whole_rows_gathered_or_masked(self, monkeypatch, gather):
+        # Every 0/1 row summed per row over its gathered items, or all of
+        # them in one masked call: the same bits either way.
+        monkeypatch.setattr(ovm, "_GATHER_ITEMS", gather)
+        for d in (1, 3):
+            rng = rng_from_seed(2822 + d)
+            for nu in _stack_cases(d, rng):
+                self.check(nu, _stack_rows(nu.space, rng))
+
+    def test_chunks_of_fractional_rows(self, monkeypatch):
+        # Two entries per chunk: one fractional row at a time, same bits.
+        monkeypatch.setattr(ovm, "_CHUNK_ENTRIES", 2)
+        rng = rng_from_seed(2818)
+        for nu in _stack_cases(2, rng):
+            self.check(nu, _stack_rows(nu.space, rng))
+
+    def test_bool_selectors_and_no_rows(self):
+        nu = random_povm(2, 30, rng_from_seed(2819))
+        picks = rng_from_seed(2820).integers(0, 2, (5, 30)) == 1
+        values = ovm._set_values(nu.masses, picks)
+        for value, pick in zip(values, picks):
+            assert value.tobytes() == evaluate(nu, MeasurableSet(pick)).tobytes()
+        assert ovm._set_values(nu.masses, np.zeros((0, 30), dtype=bool)).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("rows, items, whole", [(256, 2000, False), (512, 200, True)])
+    def test_temporaries_bounded(self, rows, items, whole):
+        # 256 fractional rows over 2000 items would convert 8 MB at once,
+        # and a masked sum of 512 whole rows over 200 items would copy
+        # 6.5 MB; in chunks the peak stays under 2 MB.
+        assert items < ovm._GATHER_ITEMS or not whole
+        rng = rng_from_seed(2821)
+        stack = signed_zero_masses(2, items, rng)
+        weights = rng.random((rows, items))
+        if whole:
+            weights = (weights < 0.5).astype(float)
+        tracemalloc.start()
+        try:
+            ovm._set_values(stack, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestEvaluate:
