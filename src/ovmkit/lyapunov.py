@@ -87,9 +87,6 @@ BLAND_AFTER = 8
 # Mixes convexity_certificate draws and solves as one stack, which bounds
 # the memory its phase-1 programs take.
 _STACK_MIXES = 128
-# Pairs a redrawing trial of convexity_certificate draws and checks at once,
-# at most.
-_REDRAW_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,7 +443,7 @@ def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> A
     _check_measure(nu)
     if not 0.0 <= opcore.as_real(t, "mixing weight") <= 1.0:
         raise InvalidInput(f"mixing weight {t!r} outside [0, 1]")
-    mixes = _combine(nu, np.stack([nu.space.mask(e1), nu.space.mask(e2)])[None], np.array([t]))
+    mixes = _combine(nu, np.array([[nu.space.mask(e1), nu.space.mask(e2)]]), np.array([t]))
     if mixes.obstructions[0] is not None:
         raise mixes.obstructions[0]
     return mixes.result(nu, 0)
@@ -486,62 +483,59 @@ def _combine(nu: OVM, picks: np.ndarray, t: np.ndarray) -> _Mixes:
     optimum.
     """
     m = nu.space.n_cells
-    s1, s2 = picks[:, 0], picks[:, 1]
+    s1, s2, a1, a2 = picks[:, 0, :m], picks[:, 1, :m], picks[:, 0, m:], picks[:, 1, m:]
     count = len(t)
     obstructions = [None] * count
-    end = (t == 0.0) | (t == 1.0)
-    at_one = (t == 1.0)[:, None]
-    vecs = np.where(at_one, s1[:, :m], s2[:, :m]).astype(float)
-    atoms = np.where(at_one, s1[:, m:], s2[:, m:])
-    differing = (s1[:, m:] != s2[:, m:]) & nu.massive[m:]
-    split = differing.any(axis=1)
-    for b in np.flatnonzero(~end & split):
-        cells = np.flatnonzero(differing[b]).tolist()
-        obstructions[b] = AtomicObstruction(
-            f"atom selections differ on massive sites {cells}", cells=cells)
-    mixing = np.flatnonzero(~end & ~split)
-    if mixing.size and not nu.positive:
+    at_zero, at_one = t == 0.0, t == 1.0
+    end = (at_zero | at_one).tolist()
+    differing = (a1 != a2) & nu.massive[m:]
+    for b in np.flatnonzero(differing.any(axis=1)).tolist():
+        if not end[b]:
+            cells = np.flatnonzero(differing[b]).tolist()
+            obstructions[b] = AtomicObstruction(
+                f"atom selections differ on massive sites {cells}", cells=cells)
+    if not nu.positive and obstructions.count(None) > sum(end):  # a mix to solve
         raise NotPositive("convex combination is defined for positive OVMs")
 
-    tm = t[mixing, None]
-    h0 = tm * s1[mixing, :m] + (1.0 - tm) * s2[mixing, :m]
-    h0 = np.where(h0 > 0.0, np.minimum(h0, 1.0), 0.0)  # FractionalSet's clamp
-    vec = _snapped(nu, h0)
-    free = np.ones(mixing.size, dtype=bool)
-    for b, obstruction in enumerate(_obstructions(nu, vec)):
-        if obstruction is not None:
-            obstructions[mixing[b]], free[b] = obstruction, False
-    solve, vec, h0 = mixing[free], vec[free], h0[free]
-    atoms[solve] = s1[solve, m:] & s2[solve, m:]
+    # Every mix, formed in t's precision, held in float64 and clamped as
+    # FractionalSet holds it: at t = 0 or 1 that is E2's or E1's cell mask
+    # exactly.  The atoms are E1's at t = 1, E2's at t = 0 and E1 & E2's
+    # otherwise.
+    tc = t[:, None]
+    h0 = np.asarray(tc * s1 + (1.0 - tc) * s2, dtype=float)
+    h0 = np.where(h0 > 0.0, np.minimum(h0, 1.0), 0.0)
+    atoms = (a1 | at_zero[:, None]) & (a2 | at_one[:, None])
+    vecs = _snapped(nu, h0)
+    for b, obstruction in enumerate(_obstructions(nu, vecs)):
+        if obstructions[b] is None:
+            obstructions[b] = obstruction
+    solve = [b for b in range(count) if not end[b] and obstructions[b] is None]
 
     scale = nu.total_norm or 1.0
-    problems, moving = [], [_fractional_indices(row) for row in vec]
-    for row, cells in zip(vec, moving):
+    problems, moving = [], [_fractional_indices(vecs[b]) for b in solve]
+    for b, cells in zip(solve, moving):
         coords = nu.cell_coords[cells].T / scale
-        problems.append((coords, coords @ row[cells]))
+        problems.append((coords, coords @ vecs[b, cells]))
     solved = (_phase_one_stack(problems) if len(problems) > 1
               else [_phase_one(*p) for p in problems])
     iterations = np.zeros(count, dtype=int)
-    for b, row, cells, lp in zip(solve, vec, moving, solved):
+    for b, cells, lp in zip(solve, moving, solved):
         if isinstance(lp, NumericalFailure):
             raise lp
         h, _, objective, steps = lp
         if objective > SIMPLEX_TOL:
             raise NumericalFailure(f"phase-1 optimum {objective:.3e} on a mix in the range")
-        row[cells] = _snap(h)
+        vecs[b, cells] = _snap(h)
         iterations[b] = steps
-    vecs[solve] = vec
 
     # The values achieved, then the solved mixes' targets, from one call; at
     # t = 0 or 1 the target is the value achieved, and the residual is 0.
-    done = np.flatnonzero([o is None for o in obstructions])
-    values = _set_values(nu.masses, np.vstack([np.hstack([vecs[done], atoms[done]]),
-                                               np.hstack([h0, atoms[solve]])]))
-    achieved = np.zeros((count, nu.dim, nu.dim), dtype=np.complex128)
-    achieved[done] = values[: done.size]
+    values = _set_values(nu.masses, np.concatenate(
+        [np.concatenate([vecs, h0[solve]]), np.concatenate([atoms, atoms[solve]])], axis=1))
     residuals = np.zeros(count)
-    residuals[solve] = opcore.op_norms(achieved[solve] - values[done.size :])
-    return _Mixes(vecs, atoms, achieved, residuals, iterations, obstructions)
+    if solve:
+        residuals[solve] = opcore.op_norms(values[solve] - values[count:])
+    return _Mixes(vecs, atoms, values[:count], residuals, iterations, obstructions)
 
 
 def _entering(gain: np.ndarray, bland: bool) -> int | None:
@@ -891,18 +885,16 @@ def _draw_mixes(nu: OVM, rng: np.random.Generator, count: int):
     pair, the stream state after it and its weight; then the window's
     pairs are checked at once.  At the first pair whose values are equal
     within the certificate's tolerance the stream rewinds to the state
-    saved after it, and the trial redraws: up to 1000 pairs are checked in
-    all, the first distinct one is kept (or else a 1001st, unchecked), and
-    then its weight is drawn.  The redraws are drawn and checked in growing
-    chunks the same way, rewinding to the state after the pair kept.  A
-    window or chunk runs at most about twice past where the last one
-    stopped, so a measure whose pairs are often equal discards few draws.
+    saved after it, and the trial redraws one pair at a time: up to 1000
+    pairs are checked in all, the first distinct one is kept (or else a
+    1001st, unchecked), and then its weight is drawn.  A window runs at
+    most about twice past where the last one stopped, so a measure whose
+    pairs are often equal discards few draws.
     """
     m, n = nu.space.n_cells, nu.space.n_atoms
     distinct_tol = 1e-12 * max(1.0, nu.total_norm)
     picks = np.empty((count, 2, m + n), dtype=bool)
     weights = np.empty(count)
-    spare = np.empty((_REDRAW_CHUNK, 2, m + n), dtype=bool)
 
     def draw(pairs, size, weights=None) -> list:
         """Draw ``size`` pairs into ``pairs``, each followed by a weight when
@@ -922,16 +914,10 @@ def _draw_mixes(nu: OVM, rng: np.random.Generator, count: int):
         return opcore.op_norms(values[::2] - values[1::2]) > distinct_tol
 
     def redraw(k):
-        checks, size = 1, 1
-        while checks < 1000:
-            size = min(2 * size, _REDRAW_CHUNK, 1000 - checks)
-            saved = draw(spare, size)
-            kept = np.flatnonzero(distinct(spare[:size]))
-            if kept.size:
-                picks[k] = spare[kept[0]]
-                rng.bit_generator.state = saved[kept[0]]
+        for _ in range(999):  # the first pair took the first of 1000 checks
+            draw(picks[k:], 1)
+            if distinct(picks[k : k + 1])[0]:
                 return
-            checks += size
         draw(picks[k:], 1)
 
     k, window = 0, count

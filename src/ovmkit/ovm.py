@@ -403,7 +403,8 @@ def sum_items(stack: np.ndarray) -> np.ndarray:
 
 
 # Complex entries that a stacked product or masked sum of _set_values
-# holds at once; it bounds those temporaries whatever the item count.
+# holds at once; it bounds those temporaries whatever the item count (a
+# row summed by sum_items holds its own items, as evaluate does).
 _CHUNK_ENTRIES = 1 << 14
 # Item count from which _set_values sums each 0/1 row with sum_items, one
 # call per row, instead of one masked sum over every item of a block of
@@ -432,10 +433,8 @@ def _set_values(stack: np.ndarray, weights) -> np.ndarray:
     evaluate_fractional gives each row as a set's selector.
 
     A 0/1 row is sum_items of its selected items, added in item order:
-    - from _GATHER_ITEMS items on, one call per row: sum_items itself, or
-      from d = 3 on one np.add.reduce over the items (the d^2 entries its
-      inner loop), which adds in the same order without writing each
-      partial sum;
+    - from _GATHER_ITEMS items on, one sum_items call per row, on the
+      (k, d, d) items as evaluate sums them;
     - below that, a block of rows at a time: one np.add.reduce over an
       (items, rows x d^2 + 1) copy of the masses, with zeros for the items
       a row leaves out.  Adding zeros changes no bit once the sum is added
@@ -446,7 +445,10 @@ def _set_values(stack: np.ndarray, weights) -> np.ndarray:
     Any other row is tensordot's product: one (1, k) @ (k, d^2) matmul per
     row of a stacked call (a 2-d product of the rows adds in another
     order), or for k = d = 1 the complex product np.dot writes out for two
-    1 x 1 operands.  Temporaries hold about _CHUNK_ENTRIES complex entries.
+    1 x 1 operands.  The blocks of rows and the products hold about
+    _CHUNK_ENTRIES complex entries at once, whatever the item count; a
+    sum_items call holds one row's selected items and their partial sums,
+    O(k d^2) entries, as evaluate does.
     """
     weights = np.asarray(weights)
     count, d = len(stack), stack.shape[-1]
@@ -460,8 +462,7 @@ def _set_values(stack: np.ndarray, weights) -> np.ndarray:
     rows = np.flatnonzero(whole)
     if count >= _GATHER_ITEMS:
         for row, pick in zip(rows, picks):
-            items = flat[pick]
-            out[row] = 0.0 + np.add.reduce(items, axis=0) if d >= 3 else sum_items(items)
+            out[row] = sum_items(stack[pick]).ravel()
     else:
         step = max(1, _CHUNK_ENTRIES // (count * d * d))
         for lo in range(0, rows.size, step):

@@ -617,6 +617,22 @@ class TestConvexCombine:
             assert result.residual <= 1e-9
             assert result.iterations <= m // 4
 
+    def test_longdouble_weight_mixes_as_a_float64_fractional_set(self):
+        # The mix is formed in the weight's own precision and held in
+        # float64, as FractionalSet holds it: the residual is measured
+        # against that FractionalSet's value, bit for bit.
+        rng = rng_from_seed(2890)
+        nu = random_povm(2, 30, rng)
+        for t in (np.longdouble(0.3), np.longdouble(1) / 3, np.longdouble(0.7) ** 3,
+                  np.nextafter(np.longdouble(1), np.longdouble(0))):
+            e1, e2 = random_set(nu.space, rng), random_set(nu.space, rng)
+            result = convex_combine(nu, e1, e2, t)
+            mix = FractionalSet(t * e1.cell_mask + (1 - t) * e2.cell_mask,
+                                e1.atom_mask & e2.atom_mask)
+            target = evaluate_fractional(nu, mix)
+            assert result.achieved.dtype == np.complex128
+            assert result.residual == opcore.op_norm(result.achieved - target)
+
     def test_not_positive_rejected(self):
         nu = scalar_grid([0.5, -0.5, 0.5, 0.5])
         e1 = MeasurableSet((True, True, False, False))

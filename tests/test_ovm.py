@@ -386,14 +386,17 @@ class TestSetValues:
             assert value.tobytes() == evaluate(nu, MeasurableSet(pick)).tobytes()
         assert ovm._set_values(nu.masses, np.zeros((0, 30), dtype=bool)).shape == (0, 2, 2)
 
-    @pytest.mark.parametrize("rows, items, whole", [(256, 2000, False), (512, 200, True)])
-    def test_temporaries_bounded(self, rows, items, whole):
+    @pytest.mark.parametrize("rows, items, whole, d",
+                             [(256, 2000, False, 2), (512, 200, True, 2), (64, 2000, True, 4)])
+    def test_temporaries_bounded(self, rows, items, whole, d):
         # 256 fractional rows over 2000 items would convert 8 MB at once,
         # and a masked sum of 512 whole rows over 200 items would copy
-        # 6.5 MB; in chunks the peak stays under 2 MB.
-        assert items < ovm._GATHER_ITEMS or not whole
+        # 6.5 MB; in chunks the peak stays under 2 MB.  From _GATHER_ITEMS
+        # items on, each whole row is one sum_items call holding that row's
+        # items, as evaluate does: 64 rows of 2000 items at d = 4 held at
+        # once would copy 16 MB.
         rng = rng_from_seed(2821)
-        stack = signed_zero_masses(2, items, rng)
+        stack = signed_zero_masses(d, items, rng)
         weights = rng.random((rows, items))
         if whole:
             weights = (weights < 0.5).astype(float)
