@@ -61,6 +61,7 @@ from .ovm import (
     OVM,
     FractionalSet,
     MeasurableSet,
+    _check_measure,
     _set_values,
     direct_sum,
     evaluate_fractional,
@@ -426,12 +427,6 @@ def _result(nu: OVM, vec: np.ndarray, atom_mask, achieved, residual, iterations)
     )
 
 
-def _check_measure(nu) -> None:
-    """InvalidInput unless ``nu`` is an OVM."""
-    if not isinstance(nu, OVM):
-        raise InvalidInput(f"expected an OVM, got {type(nu).__name__}")
-
-
 def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> AttainResult:
     """Realize t * nu(E1) + (1 - t) * nu(E2) as nu(E) for an interval set E.
 
@@ -734,6 +729,7 @@ def attain(nu: OVM, target) -> AttainResult:
     tr(W A) exceeds sum_k max(0, tr(W M_k)), the largest tr(W B) over the
     range, by ``gap`` > 0.
     """
+    _check_measure(nu)
     if not nu.positive:
         raise NotPositive("attainment is defined for positive OVMs")
     if not is_nonatomic(nu):

@@ -13,6 +13,10 @@ other shape with InvalidInput; :func:`hermitian`, :func:`is_hermitian`,
 apply the stack rules to it.  Hermitian eigendecomposition gives the PSD
 check, the PSD square root and the norm of a matrix the Hermitian test
 accepts (max |eigenvalue|); any other takes its largest singular value.
+No other module calls eigvalsh or eigh.  The value classes validate a
+stack with one private pass, one Hermitian test and one eigvalsh, which
+gives their PSD flag and their norms (OVM.norms, QuantumRandomVariable.norms)
+bit for bit as op_norms would, without decomposing the stack again.
 
 Also provides the real coordinatization of the d^2-dimensional real space
 of Hermitian matrices used by the feasibility solver: an orthonormal basis
@@ -116,16 +120,25 @@ def _hermitian_test(m: np.ndarray):
     """Per matrix of a finite stack: ||A - A*||_F <= HERM_TOL * max(1, ||A||_F),
     ||A - A*||_F and (A + A*)/2; an exactly Hermitian stack takes no norm:
     (True, 0.0, m).  The norms are taken of (A - A*) / 2^k and A / 2^k, 2^k at
-    most the largest entry modulus, so their squares cannot overflow; the
-    scale is a power of two, so the verdict is the unscaled formula's.  The
-    mean is taken as A/2 + A*/2, which cannot overflow either."""
+    most the largest entry modulus or 2^-1022, whichever is larger, so their
+    squares cannot overflow and 1 / 2^k, which the threshold and numpy's
+    complex division both take, stays finite; the scale is a power of two,
+    so the verdict is the unscaled formula's.  The mean is taken as
+    A/2 + A*/2, which cannot overflow either; a matrix with every entry
+    below 2^-1021, where halving may round off a subnormal's last bit,
+    takes (A + A*)/2 instead, which keeps its exactly Hermitian entries."""
     adj = m.swapaxes(-1, -2).conj()
     if (m == adj).all():
         return True, 0.0, m
-    scale = np.ldexp(1.0, np.frexp(np.abs(m).max(axis=(-2, -1), initial=0.0))[1] - 1)
+    exponent = np.frexp(np.abs(m).max(axis=(-2, -1), initial=0.0))[1]
+    scale = np.ldexp(1.0, np.maximum(exponent - 1, -1022))
     asym = np.linalg.norm((m - adj) / scale[..., None, None], axis=(-2, -1))
     size = np.linalg.norm(m / scale[..., None, None], axis=(-2, -1))
-    return asym <= HERM_TOL * np.maximum(1.0 / scale, size), asym * scale, m / 2 + adj / 2
+    sym = m / 2 + adj / 2
+    tiny = exponent <= -1021
+    if tiny.any():
+        sym[tiny] = (m[tiny] + adj[tiny]) / 2
+    return asym <= HERM_TOL * np.maximum(1.0 / scale, size), asym * scale, sym
 
 
 def hermitian_stack(a) -> np.ndarray:
@@ -165,20 +178,27 @@ def _op_norms(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermitian_psd(a) -> tuple[bool, bool]:
-    """For a (..., d, d) stack: does :func:`hermitian_flags` accept every
-    matrix, and is every one then PSD (:func:`psd_flags`)?  One Hermitian
-    test gives both verdicts."""
+def _hermitian_spectrum(a):
+    """One Hermitian test and one eigvalsh of a (..., d, d) stack, for the
+    value classes that validate a stack and then read its norms:
+    (sym, psd, norms), where sym is what :func:`hermitian_stack` returns,
+    psd says whether :func:`psd_flags` accepts every matrix, and norms are
+    :func:`op_norms` bit for bit, since both decompose that same array.  A
+    stack that the test does not wholly accept gives None."""
     ok, _, sym = _hermitian_test(as_stack(a))
     if not np.all(ok):
-        return False, False
-    return True, bool(_psd_ok(np.linalg.eigvalsh(sym)).all())
+        return None
+    w = np.linalg.eigvalsh(sym)
+    norms = np.abs(w).max(axis=-1, initial=0.0)
+    return sym, bool(_psd_ok(w, norms).all()), norms
 
 
-def _psd_ok(w: np.ndarray) -> np.ndarray:
-    """Per ascending spectrum w (..., d): min w >= -TOL_PSD * max(1, max |w|)."""
-    scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
-    return (w >= -TOL_PSD * scale[..., None]).all(axis=-1)
+def _psd_ok(w: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """Per ascending spectrum w (..., d): min w >= -TOL_PSD * max(1, max |w|);
+    ``norms`` is max |w| where the caller has it already."""
+    if norms is None:
+        norms = np.abs(w).max(axis=-1, initial=0.0)
+    return (w >= -TOL_PSD * np.maximum(1.0, norms)[..., None]).all(axis=-1)
 
 
 def psd_flags(a) -> np.ndarray:

@@ -298,10 +298,14 @@ class OVM:
 
     ``masses`` is one (m + n, d, d) stack, validated once and kept
     read-only: nu of cell k (density M_k / w_k on it) for k < m, then nu of
-    each atom.  ``dim`` and ``positive`` are derived from it, and
-    ``cell_masses`` and ``atom_masses`` are views of it.  ``norms``,
-    ``coords`` and ``massive`` are cached over all m + n items.  Direct
-    sums keep their components as well as the block-diagonal masses.
+    each atom.  ``dim``, ``positive`` and ``norms`` are derived from it, and
+    ``cell_masses`` and ``atom_masses`` are views of it.  ``norms``, the
+    read-only operator norms of the m + n masses (max |eigenvalue|),
+    comes from the eigenvalues that the validation computes for
+    ``positive``: opcore.op_norms of the masses bit for bit, without a
+    second decomposition.  ``coords`` and ``massive`` are cached over all
+    m + n items on first use.  Direct sums keep their components as well
+    as the block-diagonal masses.
     """
 
     space: SampleSpace
@@ -310,16 +314,22 @@ class OVM:
     components: tuple["OVM", ...] = ()
     dim: int = field(init=False)
     positive: bool = field(init=False)
+    norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         masses = self.space.item_stack(self.masses, np.complex128, "masses", matrices=True)
         if self.variant not in ("grid", "atomic", "mixed", "direct_sum"):
             raise InvalidInput(f"unknown variant {self.variant!r}")
-        masses = opcore.hermitian_stack(masses)  # a new array if symmetrized
+        spectrum = opcore._hermitian_spectrum(masses)
+        if spectrum is None:  # hermitian_stack names the first non-Hermitian mass
+            opcore.hermitian_stack(masses)
+        masses, positive, norms = spectrum  # masses: a new array if symmetrized
         masses.setflags(write=False)
+        norms.setflags(write=False)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "dim", masses.shape[-1])
-        object.__setattr__(self, "positive", bool(opcore.psd_flags(masses).all()))
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "norms", norms)
         object.__setattr__(self, "components", tuple(self.components))
 
     cell_masses, atom_masses = item_views("masses")
@@ -345,11 +355,6 @@ class OVM:
     def total_norm(self) -> float:
         """||nu(X)||, the operator norm of the total mass."""
         return opcore.op_norm(self.total_mass())
-
-    @cached_property
-    def norms(self) -> np.ndarray:
-        """Operator norms of the m + n masses, read-only: max |eigenvalue| (op_norms)."""
-        return opcore.readonly(opcore.op_norms(self.masses), np.float64)
 
     @cached_property
     def massive(self) -> np.ndarray:
@@ -519,8 +524,15 @@ def entry_measure(nu: OVM, i: int, j: int) -> EntryMeasure:
     return EntryMeasure(entries[: nu.space.n_cells], entries[nu.space.n_cells :])
 
 
+def _check_measure(nu) -> None:
+    """InvalidInput unless ``nu`` is an OVM."""
+    if not isinstance(nu, OVM):
+        raise InvalidInput(f"expected an OVM, got {type(nu).__name__}")
+
+
 def atoms(nu: OVM) -> list[tuple[float, np.ndarray]]:
     """Atom sites carrying non-null mass (OVM.massive), as (site, mass) pairs."""
+    _check_measure(nu)
     massive = nu.massive[nu.space.n_cells :]
     return [(site, mass)
             for site, mass, live in zip(nu.space.atom_sites, nu.atom_masses, massive) if live]
@@ -528,8 +540,7 @@ def atoms(nu: OVM) -> list[tuple[float, np.ndarray]]:
 
 def is_nonatomic(nu: OVM) -> bool:
     """No massive atom sites, and every massive cell is divisible."""
-    cells = nu.massive[: nu.space.n_cells]
-    return not atoms(nu) and bool(np.all(np.asarray(nu.space.divisible) | ~cells))
+    return not atoms(nu) and not (nu.space._indivisible & nu.massive[: nu.space.n_cells]).any()
 
 
 @dataclass(frozen=True)
@@ -546,7 +557,8 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     """Check the OVM axioms on the given sample algebra.
 
     Spectrality, nu(E n F) = nu(E) nu(F), is tested on all ordered pairs
-    from ``sample_sets``, one row of pairs at a time: for each E, the
+    from ``sample_sets``, one row of pairs at a time.  The values nu(E)
+    come from one _set_values call, with evaluate's bits; for each E, the
     values nu(E n F) of every F come from one product of intersection
     selectors with the mass stack, and their defects take one op_norms
     call; the check stops at the first row with a defect above ``tol``.
@@ -564,7 +576,7 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     picks = _set_masks(nu.space, sample_sets)
     count, d = len(picks), nu.dim
     flat = nu.masses.reshape(len(nu.masses), d * d)
-    values = np.array([evaluate(nu, e) for e in sample_sets]).reshape(count, d, d)
+    values = _set_values(nu.masses, picks)
     spectral = all(
         opcore.op_norms(((picks & row).astype(float) @ flat).reshape(count, d, d) - value @ values)
         .max() <= tol for row, value in zip(picks, values))

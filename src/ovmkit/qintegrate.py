@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,11 @@ class QuantumRandomVariable:
     """Matrix-valued step function: one (m + n, d, d) stack ``values``, the
     cell values then the atom values, validated once and kept read-only.
     ``dim``, ``self_adjoint`` and ``positive`` are derived from it, and
-    ``cell_values`` and ``atom_values`` are views of it."""
+    ``cell_values`` and ``atom_values`` are views of it.  ``norms``, the
+    read-only operator norms of the m + n values (opcore.op_norms, bit for
+    bit, as OVM.norms), is kept from the eigenvalues that the validation
+    computes when the values are self-adjoint, and otherwise taken by
+    op_norms on first use."""
 
     space: SampleSpace
     values: np.ndarray = field(repr=False)
@@ -49,13 +54,21 @@ class QuantumRandomVariable:
 
     def __post_init__(self):
         values = self.space.item_stack(self.values, np.complex128, "values", matrices=True)
-        herm, positive = opcore._hermitian_psd(values)
+        spectrum = opcore._hermitian_spectrum(values)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dim", values.shape[-1])
-        object.__setattr__(self, "self_adjoint", herm)
-        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "self_adjoint", spectrum is not None)
+        object.__setattr__(self, "positive", spectrum is not None and spectrum[1])
+        if spectrum is not None:  # fills the cached norms below
+            spectrum[2].setflags(write=False)
+            object.__setattr__(self, "norms", spectrum[2])
 
     cell_values, atom_values = item_views("values")
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Operator norms of the m + n values, read-only (opcore.op_norms)."""
+        return opcore.readonly(opcore.op_norms(self.values), np.float64)
 
     def __add__(self, other):
         _check_same(self, other)
@@ -157,7 +170,7 @@ def ess_support(f: QuantumRandomVariable, nu: OVM) -> MeasurableSet:
     _check_pair(f, nu)
     # The MASS_TOL test is on the value F_k of f, not on nu, whose null
     # items are those OVM.massive marks False.
-    live = (opcore.op_norms(f.values) > MASS_TOL) & nu.massive
+    live = (f.norms > MASS_TOL) & nu.massive
     return MeasurableSet(live[: nu.space.n_cells], live[nu.space.n_cells :])
 
 
@@ -208,7 +221,7 @@ def ess_sup(f: QuantumRandomVariable, nu: OVM) -> float:
     inf{M >= 0 : nu({||f|| > M}) = 0}; the two must agree.
     """
     by_range = opcore.op_norms(np.reshape(ess_range(f, nu), (-1, f.dim, f.dim))).max(initial=0.0)
-    by_threshold = float(opcore.op_norms(f.values[nu.massive]).max(initial=0.0))
+    by_threshold = float(f.norms[nu.massive].max(initial=0.0))
     if abs(by_range - by_threshold) > 1e-10 * max(1.0, by_threshold):
         raise NumericalFailure("essential supremum formulations disagree")
     return by_threshold

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import opcore
 from .errors import DerivativeDoesNotExist, NotPositive
-from .ovm import (OVM, InducedMeasure, MeasurableSet, SampleSpace, _set_list, _set_masks,
-                  _set_values, induced_measure)
+from .ovm import (OVM, InducedMeasure, MeasurableSet, SampleSpace, _check_measure, _set_list,
+                  _set_masks, _set_values, induced_measure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +61,7 @@ class StepDensity:
 
 def _reference(nu: OVM, rho) -> tuple[InducedMeasure, tuple[tuple[str, int], ...]]:
     """The induced measure nu_rho and the failures of rn_exists read off it."""
+    _check_measure(nu)
     if not nu.positive:
         raise NotPositive("derivative is defined for positive OVMs")
     ind = induced_measure(nu, rho)

@@ -18,6 +18,18 @@ from ovmkit.ovm import MeasurableSet, PropertyReport, evaluate, set_to_json
 from ovmkit.qintegrate import DEDUP_TOL, QuantumRandomVariable
 
 
+def count_decompositions(monkeypatch) -> list:
+    """The shapes of the arrays that np.linalg.eigvalsh and eigh decompose
+    from now on (for the rest of the test), in call order."""
+    shapes = []
+    for name in ("eigvalsh", "eigh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *args, _fn=fn, **kw: shapes.append(np.shape(a))
+                            or _fn(a, *args, **kw))
+    return shapes
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     x = random_complex(rng, (dim, dim))
     return scale * (x + x.conj().T) / 2

@@ -200,6 +200,24 @@ class TestOpNorms:
             with pytest.raises(errors.InvalidInput):
                 opcore.op_norms(bad)
 
+    def test_subnormal_stack_without_overflow(self):
+        # A largest entry below 2^-1022 is scaled by 2^-1022, not by itself,
+        # so 1 / scale stays finite: no overflow and no NaN asymmetry.  An
+        # exactly Hermitian subnormal matrix is accepted and kept as it is
+        # beside a near-Hermitian one, and its norm is its largest |eigenvalue|.
+        near = np.eye(2) + 1e-14j * np.array([[0.0, 1.0], [1.0, 0.0]])
+        smalls = [np.array([[0.0, 5e-324], [5e-324, 0.0]]), np.diag([1e-310, 0.0]),
+                  np.array([[3e-323, 1e-323 + 5e-324j], [1e-323 - 5e-324j, 0.0]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for small in smalls:
+                stack = np.stack([small, near])
+                assert opcore.hermitian_flags(stack).tolist() == [True, True]
+                assert np.array_equal(opcore.hermitian_stack(stack)[0], small)
+                norms = opcore.op_norms(stack)
+                assert norms[0] == np.abs(np.linalg.eigvalsh(small)).max() > 0.0
+                assert norms.tolist() == [opcore.op_norm(small), 1.0]
+
     def test_exact_stack_takes_no_asymmetry_norm(self, monkeypatch):
         # The exact-equality fast path decides an exactly Hermitian stack
         # before any norm; a near-Hermitian one still takes them.

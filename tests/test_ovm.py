@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     OperatorInterval,
+    count_decompositions,
     properties_pair_by_pair,
     random_state,
     signed_zero_masses,
@@ -54,7 +55,7 @@ from ovmkit.ovm import (
     induced_measure,
     is_nonatomic,
 )
-from ovmkit.rnderiv import rn_consistency
+from ovmkit.rnderiv import rn_consistency, rn_derivative, rn_exists
 
 RNG = rng_from_seed(414243)
 
@@ -208,6 +209,14 @@ TYPED_INPUTS = {
                                       lebesgue_identity(4, 2), (None, "x", np.eye(2))),
     "convex_combine measure": (lambda nu: convex_combine(nu, _HALF, _HALF, 0.5),
                                lebesgue_identity(2, 2), (None, "x")),
+    "attain measure": (lambda nu: attain(nu, np.eye(2) / 2), lebesgue_identity(2, 2),
+                       (None, "x")),
+    "atoms measure": (atoms, lebesgue_identity(2, 2), (None, "x")),
+    "is_nonatomic measure": (is_nonatomic, lebesgue_identity(2, 2), (None, "x")),
+    "rn_derivative measure": (lambda nu: rn_derivative(nu, np.eye(2) / 2),
+                              lebesgue_identity(2, 2), (None, "x")),
+    "rn_exists measure": (lambda nu: rn_exists(nu, np.eye(2) / 2), lebesgue_identity(2, 2),
+                          (None, "x")),
     "check_ovm_properties set sequence": (
         lambda sets: check_ovm_properties(lebesgue_identity(2, 2), sets), [_HALF], (None, 3)),
     "rn_consistency set sequence": (
@@ -778,9 +787,9 @@ class TestSpectralReference:
                                       FractionalSet((0.5, 0.5))])
 
     def test_calls_per_set_not_per_pair(self, monkeypatch):
-        # s sets cost s evaluate calls and one op_norm (the probability
-        # flag), not one of each per ordered pair.
-        calls = {"evaluate": 0, "op_norm": 0}
+        # s sets cost one stacked _set_values call, no evaluate call, and one
+        # op_norm (the probability flag), not one of each per ordered pair.
+        calls = {"evaluate": 0, "_set_values": 0, "op_norm": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -792,9 +801,40 @@ class TestSpectralReference:
         sets = _sample_sets(nu.space, rng_from_seed(10))
         assert nu.total_norm == 1.0  # cached before counting
         monkeypatch.setattr(ovm, "evaluate", counted("evaluate", ovm.evaluate))
+        monkeypatch.setattr(ovm, "_set_values", counted("_set_values", ovm._set_values))
         monkeypatch.setattr(opcore, "op_norm", counted("op_norm", opcore.op_norm))
         assert check_ovm_properties(nu, sets).spectral
-        assert calls == {"evaluate": len(sets), "op_norm": 1}
+        assert calls == {"evaluate": 0, "_set_values": 1, "op_norm": 1}
+
+
+class TestOneSpectrum:
+    """The mass stack is decomposed once, when the OVM is built, and every
+    reader of its norms reads what that decomposition gave."""
+
+    def test_mass_stack_decomposed_once(self, monkeypatch):
+        shapes = count_decompositions(monkeypatch)
+        nu = random_povm(3, 200, rng_from_seed(2901))
+        sets = [MeasurableSet.full(nu.space), MeasurableSet.empty(nu.space)]
+        assert attain(nu, nu.total_mass() / 2).residual <= 1e-9
+        assert is_nonatomic(nu)
+        assert rn_derivative(nu, np.eye(3) / 3).defined.all()
+        assert check_ovm_properties(nu, sets).positive
+        assert shapes.count(nu.masses.shape) == 1
+
+    @pytest.mark.parametrize("kind", ["exact", "near", "with_atoms"])
+    def test_norms_are_op_norms_bit_for_bit(self, kind):
+        rng = rng_from_seed(2903)
+        masses = random_povm(3, 40, rng).masses.copy()  # exactly Hermitian
+        if kind != "exact":
+            masses[:, 0, 1] += 1e-15  # symmetrized by the build
+        sites = (0.1, 0.2, 0.3) if kind == "with_atoms" else ()
+        space = SampleSpace.uniform(40 - len(sites), atom_sites=sites)
+        nu = ovm.OVM(space, masses, "mixed" if sites else "grid")
+        assert np.array_equal(nu.masses, masses) == (kind == "exact")
+        assert nu.norms.tobytes() == opcore.op_norms(nu.masses).tobytes()
+        assert nu.norms.shape == (40,) and not nu.norms.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            nu.norms = np.zeros(40)
 
 
 class TestStackValidation:

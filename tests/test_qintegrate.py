@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    count_decompositions,
     ess_range_greedy,
     pos_neg_parts,
     random_hermitian,
@@ -630,6 +631,39 @@ def test_build_runs_one_hermitian_test(monkeypatch):
     f = QuantumRandomVariable(SampleSpace.uniform(1000), values)
     assert len(calls) == 1
     assert f.self_adjoint and f.positive
+
+
+@pytest.mark.parametrize("kind", ["exact", "near", "mixed", "not_hermitian"])
+def test_norms_are_op_norms_bit_for_bit(kind):
+    # Kept from the build's eigenvalues when the values are self-adjoint
+    # (exactly or after symmetrization), else taken by op_norms on first
+    # read (mixed: eigenvalues and singular values; not_hermitian: SVD only).
+    rng = rng_from_seed(2904)
+    values = random_qrv_values(3, 60, rng)
+    if kind == "near":
+        values[:, 0, 1] += 1e-15
+    if kind == "mixed":
+        values[::5, 0, 1] += 0.5
+    if kind == "not_hermitian":
+        values = random_complex(rng, (60, 3, 3))
+    f = QuantumRandomVariable(SampleSpace.uniform(60), values)
+    assert f.self_adjoint == (kind in ("exact", "near"))
+    assert ("norms" in vars(f)) == f.self_adjoint
+    assert f.norms.tobytes() == opcore.op_norms(values).tobytes()
+    assert f.norms is f.norms and not f.norms.flags.writeable
+
+
+def test_values_decomposed_once(monkeypatch):
+    # Building a step function, ess_support and ess_sup decompose the value
+    # stack once; the essential range of three values takes its own small norms.
+    nu = random_povm(3, 200, rng_from_seed(2905))
+    assert nu.massive.all()
+    shapes = count_decompositions(monkeypatch)
+    values = random_qrv_values(3, 3, rng_from_seed(2906))[np.arange(200) % 3]
+    f = qrv(nu.space, values)
+    assert ess_support(f, nu) == MeasurableSet.full(nu.space)
+    assert ess_sup(f, nu) == opcore.op_norms(values[:3]).max()
+    assert shapes.count(values.shape) == 1
 
 
 @pytest.mark.parametrize("kind", ["psd", "near_psd", "indefinite", "not_hermitian"])
