@@ -66,9 +66,9 @@ class TargetNotInHull(OvmError):
 
 
 class NumericalFailure(OvmError):
-    """An invariant a solver relies on failed under floating point, e.g.
-    two formulations of one quantity disagree or a loop stopped making
-    progress."""
+    """An invariant a solver relies on failed under floating point, e.g. a
+    phase-1 optimum is positive on a target in the range or a loop stopped
+    making progress."""
 
 
 class SizeLimit(OvmError):

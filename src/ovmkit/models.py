@@ -27,20 +27,18 @@ def lebesgue_identity(m: int, dim: int = 1, a: float = 0.0, b: float = 1.0) -> O
     return grid_ovm(space, masses)
 
 
-def uhl_model(m: int, normalized: bool = True) -> OVM:
+def uhl_model(m: int) -> OVM:
     """Indicator-valued measure at fixed resolution: d = m, indivisible cells.
 
-    Cell k carries the diagonal matrix unit e_kk (weighted by the cell
-    width when ``normalized`` is False).  Classical integration against it
-    is injective and its range is a non-convex corner set, the two
+    Cell k carries the diagonal matrix unit e_kk.  Classical integration
+    against it is injective and its range is a non-convex corner set, the two
     features that make it the counterexample to unconditional convexity.
     """
     if opcore.as_int(m, "cell count") < 2:
         raise InvalidInput("need at least two cells")
     space = SampleSpace.uniform(m, divisible=False)
     masses = np.zeros((m, m, m), dtype=np.complex128)
-    for k in range(m):
-        masses[k, k, k] = 1.0 if normalized else space.weights[k]
+    masses[np.arange(m), np.arange(m), np.arange(m)] = 1.0
     return grid_ovm(space, masses)
 
 

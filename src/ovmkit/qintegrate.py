@@ -9,7 +9,8 @@ f_s against nu_rho forces exactly that conjugation, independent of rho.
 Essential support, range, and supremum are computed up to nu-null cells
 (OVM.massive), with operator-norm balls as the neighborhood system; for
 step functions these notions are exact, and tolerances only absorb
-round-off.
+round-off, each relative to one scale, ess_sup f, as OVM.massive is to
+||nu(X)||: the verdicts on c f are those on f for every c > 0.
 """
 
 from __future__ import annotations
@@ -21,17 +22,11 @@ from functools import cached_property
 import numpy as np
 
 from . import opcore
-from .errors import (
-    DimMismatch,
-    InvalidInput,
-    NumericalFailure,
-    ShapeMismatch,
-    Unsupported,
-)
+from .errors import DimMismatch, InvalidInput, ShapeMismatch, Unsupported
 from .ovm import MASS_TOL, OVM, MeasurableSet, SampleSpace, item_views, join_items
 from .rnderiv import rn_derivative
 
-# Operator-norm gap under which two step values are considered equal.
+# Operator-norm gap, relative to ess_sup f, under which two values of f are equal.
 DEDUP_TOL = 1e-10
 
 
@@ -165,12 +160,19 @@ def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunctio
     return ScalarStepFunction(nu.space, out)
 
 
+def _sup_norm(f: QuantumRandomVariable, nu: OVM) -> float:
+    # ess_sup f, the scale of every essential tolerance; the others read it here,
+    # not through ess_sup, so that a wrapped ess_sup counts only callers' requests.
+    _check_pair(f, nu)
+    return float(f.norms[nu.massive].max(initial=0.0))
+
+
 def ess_support(f: QuantumRandomVariable, nu: OVM) -> MeasurableSet:
     """Cells and atoms where f is nonzero modulo nu-null sets."""
-    _check_pair(f, nu)
-    # The MASS_TOL test is on the value F_k of f, not on nu, whose null
-    # items are those OVM.massive marks False.
-    live = (f.norms > MASS_TOL) & nu.massive
+    # The MASS_TOL test is on the value F_k of f against ess_sup f, not on
+    # nu, whose null items are those OVM.massive marks False.
+    cut = MASS_TOL * _sup_norm(f, nu)
+    live = (f.norms > cut) & nu.massive
     return MeasurableSet(live[: nu.space.n_cells], live[nu.space.n_cells :])
 
 
@@ -179,27 +181,27 @@ def ess_range(f: QuantumRandomVariable, nu: OVM) -> list[np.ndarray]:
 
     Exact for step functions: a value attained on positive mass has every
     neighborhood of nonzero measure, and no other operator does.
-    Deduplicated under operator-norm distance DEDUP_TOL, cells before atoms: a
-    live value is kept when it lies farther than DEDUP_TOL from every value kept
-    before it.  The output equals that greedy first-occurrence dedup bit for
-    bit, but only pairs within sqrt(d) DEDUP_TOL along one fixed projection get
+    Deduplicated under operator-norm distance tol = DEDUP_TOL ess_sup(f), cells
+    before atoms: a live value is kept when it lies farther than tol from every
+    value kept before it.  The output equals that greedy first-occurrence dedup
+    bit for bit, but only pairs within sqrt(d) tol along one fixed projection get
     an operator norm: O(m log m) for m values, and O(m^2) at worst, when many
     values share one projection but differ elsewhere.
     """
-    _check_pair(f, nu)
+    tol = DEDUP_TOL * _sup_norm(f, nu)
     live = f.values[nu.massive]
     flat = live.reshape(len(live), f.dim**2)
     # A copy of a kept value is within 0 of it, a copy of a dropped one within
-    # DEDUP_TOL of the kept value that dropped it: the greedy drops both.
+    # tol of the kept value that dropped it: the greedy drops both.
     first = np.sort(np.unique(flat, axis=0, return_index=True)[1])
     coords = flat[first].view(np.float64)
     u = np.sin(np.arange(1.0, coords.shape[1] + 1.0))  # any fixed direction will do
     proj = coords @ u / np.linalg.norm(u)
-    # ||A - B||_op <= DEDUP_TOL gives |<u, A - B>| <= ||A - B||_F <= sqrt(d) DEDUP_TOL.
+    # ||A - B||_op <= tol gives |<u, A - B>| <= ||A - B||_F <= sqrt(d) tol.
     # Rounding: n eps |u|.|x| <= n^1.5 eps M per projection (n coordinates, the largest
     # M), eps (|p| + reach) at the window's end; 1 + 1e-6 holds the norms' few eps.
     slack = 4 * u.size**1.5 * np.finfo(float).eps * np.abs(coords).max(initial=0.0)
-    reach = np.sqrt(f.dim) * DEDUP_TOL * (1 + 1e-6) + slack
+    reach = np.sqrt(f.dim) * tol * (1 + 1e-6) + slack
     order = np.argsort(proj)
     width = np.searchsorted(proj[order], proj[order] + reach, side="right")
     width -= np.arange(1, len(order) + 1)  # partners after each sorted position
@@ -207,7 +209,7 @@ def ess_range(f: QuantumRandomVariable, nu: OVM) -> list[np.ndarray]:
     hi = lo + 1 + np.arange(len(lo)) - np.repeat(np.cumsum(width) - width, width)
     earlier, later = np.minimum(order[lo], order[hi]), np.maximum(order[lo], order[hi])
     # later - earlier is the greedy's own difference, normed alone: the greedy's bits.
-    close = opcore.op_norms(live[first[later]] - live[first[earlier]]) <= DEDUP_TOL
+    close = opcore.op_norms(live[first[later]] - live[first[earlier]]) <= tol
     dropped = np.zeros(len(first), dtype=bool)
     for i, j in sorted(zip(later[close].tolist(), earlier[close].tolist())):
         dropped[i] |= not dropped[j]  # j < i is final: its own pairs came first
@@ -215,19 +217,13 @@ def ess_range(f: QuantumRandomVariable, nu: OVM) -> list[np.ndarray]:
 
 
 def ess_sup(f: QuantumRandomVariable, nu: OVM) -> float:
-    """sup of operator norms over the essential range (0 if a.e. zero).
-
-    Also evaluated through the threshold formulation
-    inf{M >= 0 : nu({||f|| > M}) = 0}; the two must agree.
-    """
-    by_range = opcore.op_norms(np.reshape(ess_range(f, nu), (-1, f.dim, f.dim))).max(initial=0.0)
-    by_threshold = float(f.norms[nu.massive].max(initial=0.0))
-    if abs(by_range - by_threshold) > 1e-10 * max(1.0, by_threshold):
-        raise NumericalFailure("essential supremum formulations disagree")
-    return by_threshold
+    """ess sup f = inf{M >= 0 : nu(||f|| > M) = 0}, the paper's essential
+    bound: for a step function, the largest operator norm over the massive
+    items (0 if f is zero almost everywhere)."""
+    return _sup_norm(f, nu)
 
 
 def ess_equal(f: QuantumRandomVariable, g: QuantumRandomVariable, nu: OVM) -> bool:
-    """Equality in the L-infinity quotient: ess_sup(f - g) below tolerance."""
-    gap = ess_sup(f - g, nu)
-    return gap <= 1e-10 * max(1.0, ess_sup(f, nu), ess_sup(g, nu))
+    """Equality in the L-infinity quotient: ess_sup(f - g) <= 1e-10 max(ess_sup f, ess_sup g)."""
+    scale = _sup_norm(f, nu)  # checks f before f - g is formed
+    return _sup_norm(f - g, nu) <= 1e-10 * max(scale, _sup_norm(g, nu))

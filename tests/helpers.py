@@ -93,11 +93,13 @@ def intervals_cell_by_cell(breakpoints, fractions) -> tuple:
 
 def ess_range_greedy(f, nu) -> list:
     """The reference essential range: each live value against every value
-    kept so far in one batched op_norms, kept when all are farther than DEDUP_TOL."""
+    kept so far in one batched op_norms, kept when all are farther than
+    DEDUP_TOL times the largest live norm."""
     live = f.values[nu.massive]
+    tol = DEDUP_TOL * opcore.op_norms(live).max(initial=0.0)
     kept: list[int] = []
     for i, value in enumerate(live):
-        if not kept or opcore.op_norms(value - live[kept]).min() > DEDUP_TOL:
+        if not kept or opcore.op_norms(value - live[kept]).min() > tol:
             kept.append(i)
     return list(live[kept])
 

@@ -35,6 +35,7 @@ from ovmkit.qintegrate import (
     ess_equal,
     ess_range,
     ess_sup,
+    ess_support,
     indicator,
     integrate,
     qrv,
@@ -226,9 +227,13 @@ TYPED_INPUTS = {
                                 (None, np.eye(2), lebesgue_identity(2, 2))),
     "ess_range step function": (lambda f: ess_range(f, lebesgue_identity(2, 2)), _CHI,
                                 (None, "x")),
+    "ess_support step function": (lambda f: ess_support(f, lebesgue_identity(2, 2)), _CHI,
+                                  (None, "x", 5)),
     "ess_sup measure": (lambda nu: ess_sup(_CHI, nu), lebesgue_identity(2, 2), (None, _CHI)),
     "ess_equal step function": (lambda g: ess_equal(_CHI, g, lebesgue_identity(2, 2)), _CHI,
                                 (None, 0.0)),
+    "ess_equal first step function": (lambda f: ess_equal(f, _CHI, lebesgue_identity(2, 2)),
+                                      _CHI, (None, "x", 5)),
     "step function sum": (lambda g: _CHI + g, _CHI, (3, None, np.eye(2))),
     "step function scalar": (lambda c: c * _CHI, 2.0 - 1.0j, ("a", None, [1.0], True)),
     "direct_sum component": (lambda o: direct_sum(lebesgue_identity(2, 2), o),
@@ -431,9 +436,10 @@ class TestEvaluate:
     def test_weighted_indicator_model(self):
         # Width-weighted diagonal units: selecting cells 0 and 2 of three
         # gives diag(w0, 0, w2).
-        nu = uhl_model(3, normalized=False)
+        space = SampleSpace.uniform(3, divisible=False)
+        w = space.weights
+        nu = grid_ovm(space, [np.diag(w_k * np.eye(3)[k]) for k, w_k in enumerate(w)])
         e = MeasurableSet.from_indices(nu.space, cells=[0, 2])
-        w = nu.space.weights
         assert np.allclose(evaluate(nu, e), np.diag([w[0], 0.0, w[2]]), atol=1e-15)
 
     def test_mask_mismatch(self):

@@ -25,6 +25,7 @@ from ovmkit.models import (
     rng_from_seed,
 )
 from ovmkit.ovm import (
+    MASS_TOL,
     FractionalSet,
     MeasurableSet,
     SampleSpace,
@@ -373,25 +374,30 @@ class TestEssentialRange:
 
 def ess_range_pairwise(f, nu):
     """Reference for ess_range's dedup: one op_norm per (value, kept value)
-    pair, first occurrence kept, cells before atoms."""
+    pair, first occurrence kept, cells before atoms, and values within
+    DEDUP_TOL times the largest live op_norm are one."""
     out = []
     m = nu.space.n_cells
-    for live_values in (f.cell_values[nu.massive[:m]], f.atom_values[nu.massive[m:]]):
+    lives = (f.cell_values[nu.massive[:m]], f.atom_values[nu.massive[m:]])
+    tol = qintegrate.DEDUP_TOL * max((opcore.op_norm(v) for vs in lives for v in vs), default=0.0)
+    for live_values in lives:
         for value in live_values:
-            if all(opcore.op_norm(value - seen) > qintegrate.DEDUP_TOL for seen in out):
+            if all(opcore.op_norm(value - seen) > tol for seen in out):
                 out.append(value.copy())
     return out
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_ess_range_matches_pairwise_reference(seed):
-    """Seeded stacks drawn from a pool holding, besides four base values,
-    copies moved by DEDUP_TOL / 2 (the same value) and by 2 * DEDUP_TOL (a
-    new one); Hermitian and general values, null cells and atoms."""
+    """Seeded stacks drawn from a pool holding, besides four base values of
+    norm 1, copies moved by DEDUP_TOL / 2 (the same value) and by
+    2 * DEDUP_TOL (a new one), in units of the largest live norm, about 1;
+    Hermitian and general values, null cells and atoms."""
     rng = rng_from_seed(900 + seed)
     d, m, n = 1 + seed % 3, 40, 4
     space = SampleSpace.uniform(m, atom_sites=tuple((k + 0.5) / n for k in range(n)))
     base = random_qrv_values(d, 4, rng) if seed % 2 else random_complex(rng, (4, d, d))
+    base /= opcore.op_norms(base)[:, None, None]
     nudge = random_complex(rng, (d, d))
     nudge /= opcore.op_norm(nudge)
     tol = qintegrate.DEDUP_TOL
@@ -411,10 +417,10 @@ def test_ess_range_matches_pairwise_reference(seed):
        n=st.integers(0, 3), hermitian=st.booleans(), scale=st.integers(-3, 8),
        spike=st.booleans(), nulls=st.sampled_from(["none", "some", "one live", "all"]))
 def test_ess_range_matches_greedy_bit_for_bit(seed, d, m, n, hermitian, scale, spike, nulls):
-    """Values drawn from a pool of base values, their copies moved by
-    DEDUP_TOL * (1/2, 1 - 1e-3, 1 + 1e-3, 2) and signed zeros, at scales
-    1e-3 to 1e8; a spike puts 10^scale in one entry of small values, so
-    near pairs differ only far below the rounding of their projections."""
+    """Values drawn from a pool of base values of one norm s, their copies
+    moved by DEDUP_TOL * s * (1/2, 1 - 1e-3, 1 + 1e-3, 2) and signed zeros,
+    at scales 1e-3 to 1e8; a spike puts 10^scale in one entry of values
+    whose other entries are about 1."""
     rng = rng_from_seed(seed)
     base = random_complex(rng, (int(rng.integers(1, 5)), d, d))
     if hermitian:
@@ -422,10 +428,11 @@ def test_ess_range_matches_greedy_bit_for_bit(seed, d, m, n, hermitian, scale, s
     if spike:
         base[:, 0, 0] = 10.0**scale
     else:
-        base *= 10.0**scale
+        base *= 10.0**scale / opcore.op_norms(base)[:, None, None]
+    s = opcore.op_norms(base).max()
     nudge = random_complex(rng, (d, d))
     nudge /= opcore.op_norm(nudge)
-    moved = [base + t * qintegrate.DEDUP_TOL * nudge for t in (0.5, 1 - 1e-3, 1 + 1e-3, 2)]
+    moved = [base + t * qintegrate.DEDUP_TOL * s * nudge for t in (0.5, 1 - 1e-3, 1 + 1e-3, 2)]
     pool = np.concatenate([base, *moved, np.zeros_like(base), -0.0 * base])
     values = pool[rng.integers(0, len(pool), m + n)]
     masses = random_qrv_values(d, m + n, rng, positive=True)
@@ -444,7 +451,7 @@ def test_ess_range_matches_greedy_bit_for_bit(seed, d, m, n, hermitian, scale, s
 def test_ess_range_norms_linear_in_distinct_values(monkeypatch):
     # m distinct values: the greedy takes one norm per (value, earlier kept
     # value) pair, about m^2 / 2; the projection sweep confirms only the
-    # candidate pairs, and ess_sup takes its range norms in one batch.
+    # candidate pairs.
     m = 400
     nu = random_povm(2, m, rng_from_seed(31))
     f = qrv(nu.space, random_qrv_values(2, m, rng_from_seed(32)))
@@ -506,14 +513,31 @@ class TestEssentialSup:
         want = max(opcore.op_norm(value) for value in f.values[nu.massive])
         assert ess_sup(f, nu) == want
 
-    def test_disagreeing_formulations_raise_typed_error(self, monkeypatch):
-        # An empty essential range contradicts the nonzero threshold value.
-        nu = lebesgue_identity(4, 2)
-        f = constant_qrv(nu.space, np.eye(2))
-        monkeypatch.setattr(qintegrate, "ess_range", lambda f, nu: [])
-        with pytest.raises(errors.NumericalFailure) as err:
-            ess_sup(f, nu)
-        assert isinstance(err.value, errors.OvmError)
+    def test_near_copy_of_the_top_value(self):
+        # (A, A + E) with ||E|| just below 1e-10 along A's top eigenvector,
+        # which an absolute dedup at DEDUP_TOL merged: ess_sup is ||A + E||
+        # by the threshold formula, whatever the range keeps.
+        a = np.array([[-0.076838, -0.10889, 0.332513],
+                      [-0.10889, 0.070969, -0.137489],
+                      [0.332513, -0.137489, 0.433952]])
+        b = np.array([[-0.07683799998113831, -0.10889000001238316, 0.33251300003710876],
+                      [-0.10889000001238316, 0.07096900000812986, -0.13748900002436282],
+                      [0.33251300003710876, -0.13748900002436282, 0.4339520000730084]])
+        nu = lebesgue_identity(2, 3)
+        f = qrv(nu.space, np.stack([a, b]))
+        assert ess_sup(f, nu) == opcore.op_norm(b) > opcore.op_norm(a)
+
+    def test_reads_no_decomposition(self, monkeypatch):
+        # The threshold formula reads the norms the build kept: no
+        # eigendecomposition and no op_norms call, however many values.
+        nu = random_povm(3, 300, rng_from_seed(3101))
+        f = qrv(nu.space, random_qrv_values(3, 300, rng_from_seed(3102)))
+        assert nu.massive.all() and f.self_adjoint
+        shapes = count_decompositions(monkeypatch)
+        calls = []
+        monkeypatch.setattr(opcore, "op_norms", lambda stack: calls.append(1))
+        assert ess_sup(f, nu) == f.norms.max()
+        assert shapes == [] and calls == []
 
 
 def _null_reads(nu, f, rho, nu_ref):
@@ -547,6 +571,87 @@ def test_null_items_scale_invariant(seed, d, m):
     want = _null_reads(nu, f, rho, nu)
     for c in (1e-13, 1e-8, 1e8):
         assert _null_reads(grid_ovm(space, c * masses), f, rho, nu) == want, c
+
+
+def essential_draw(rng, d, m, n, hermitian, pooled, null_share):
+    """(nu, f) on m cells and n atoms with a share of null items: m + n
+    distinct values, or values pooled from four of norm 1, their copies moved
+    by DEDUP_TOL * (1/2, 1 - 1e-3, 1 + 1e-3, 2), values of norm
+    MASS_TOL * (1/2, 2) and zeros."""
+    values = random_complex(rng, (4 if pooled else m + n, d, d))
+    nudge = random_complex(rng, (d, d))
+    if hermitian:
+        values = (values + values.conj().transpose(0, 2, 1)) / 2
+        nudge = (nudge + nudge.conj().T) / 2
+    nudge /= opcore.op_norm(nudge)
+    if pooled:
+        values /= opcore.op_norms(values)[:, None, None]
+        moved = [values + t * qintegrate.DEDUP_TOL * nudge for t in (0.5, 1 - 1e-3, 1 + 1e-3, 2)]
+        tiny = [t * MASS_TOL * nudge for t in (0.5, 2)]
+        pool = np.concatenate([values, *moved, tiny, np.zeros((1, d, d))])
+        values = pool[rng.integers(0, len(pool), m + n)]
+    masses = random_qrv_values(d, m + n, rng, positive=True)
+    masses[rng.random(m + n) < null_share] = 0.0
+    space = SampleSpace.uniform(m, atom_sites=tuple((k + 0.5) / n for k in range(n)))
+    return grid_ovm(space, masses[:m], atom_masses=masses[m:]), qrv(space, values[:m], values[m:])
+
+
+def assert_sup_bounds_range_norms(f, nu):
+    # Every value the range drops lies within DEDUP_TOL ess_sup(f) of a kept
+    # one, so the largest kept norm is ess_sup f less at most that distance.
+    sup = ess_sup(f, nu)
+    top = opcore.op_norms(np.reshape(ess_range(f, nu), (-1, f.dim, f.dim))).max(initial=0.0)
+    assert top <= sup <= top + (qintegrate.DEDUP_TOL + 8 * np.finfo(float).eps) * sup
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ess_sup_bounds_the_range_norms(seed):
+    rng = rng_from_seed(3110 + seed)
+    nu, f = essential_draw(rng, 1 + seed % 4, 50, seed % 3, seed % 2 == 0, seed % 3 > 0,
+                           0.2 * (seed % 4))
+    assert_sup_bounds_range_norms(f, nu)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), m=st.integers(1, 60),
+       n=st.integers(0, 3), hermitian=st.booleans(), pooled=st.booleans(),
+       null_share=st.sampled_from([0.0, 0.3, 1.0]))
+def test_ess_sup_bounds_the_range_norms_property(seed, d, m, n, hermitian, pooled, null_share):
+    nu, f = essential_draw(rng_from_seed(seed), d, m, n, hermitian, pooled, null_share)
+    assert_sup_bounds_range_norms(f, nu)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), m=st.integers(1, 40),
+       n=st.integers(0, 2), pooled=st.booleans(), null_share=st.sampled_from([0.0, 0.3]),
+       k=st.integers(-400, 400), gap=st.floats(-11.0, -9.0))
+def test_essential_notions_scale_free(seed, d, m, n, pooled, null_share, k, gap):
+    # Tolerances relative to ess_sup f give c f the verdicts of f, and scaling
+    # by c = 2^k is exact: the values, ess_sup and the norms that op_norms
+    # takes of them scale bit for bit for |k| <= 400.  Hermitian values only:
+    # the Hermitian test keeps an absolute floor below unit norm.
+    rng = rng_from_seed(seed)
+    nu, f = essential_draw(rng, d, m, n, True, pooled, null_share)
+    g = f + 10.0**gap * ess_sup(f, nu) * random_step(nu.space, d, rng)
+    c = 2.0**k
+    assert ess_sup(c * f, nu) == c * ess_sup(f, nu)
+    assert ess_support(c * f, nu) == ess_support(f, nu)
+    assert ess_equal(c * f, c * g, nu) == ess_equal(f, g, nu)
+    got, want = ess_range(c * f, nu), ess_range(f, nu)
+    assert len(got) == len(want)
+    assert all(a.tobytes() == (c * b).tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("c", [1e-11, 1e-13])
+def test_three_values_at_a_small_scale(c):
+    # c (diag(1, 0), diag(0, 1), diag(2, 2)) on three equal cells: three
+    # values, none zero, whatever c is.
+    nu = lebesgue_identity(3, 2)
+    f = c * qrv(nu.space, np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 2 * np.eye(2)]))
+    assert len(ess_range(f, nu)) == 3
+    assert not ess_equal(f, 0 * f, nu)
+    assert ess_support(f, nu) == MeasurableSet.full(nu.space)
+    assert ess_sup(f, nu) == 2 * c
 
 
 class TestEssEqual:
