@@ -6,6 +6,9 @@ form, as batched numpy calls: the Hermitian test and symmetrization
 (:func:`hermitian_flags`, :func:`hermitian_stack`; one private test with
 an exact-equality fast path), the operator norm (:func:`op_norms`), the
 PSD verdict (:func:`psd_flags`) and the PSD square root (:func:`psd_roots`).
+The square root has one rule, one private eigh that gives a validated
+stack's eigenvalues and roots and one private verdict on those eigenvalues:
+psd_roots applies both, and an OVM keeps the pair for its integrals.
 These, :func:`as_stack` and :func:`herm_coords` take stacks (a single matrix
 is a stack too).  Everything else takes one ``(d, d)`` matrix and rejects any
 other shape with InvalidInput; :func:`hermitian`, :func:`is_hermitian`,
@@ -214,12 +217,26 @@ def psd_roots(a) -> np.ndarray:
     Eigenvalues within the PSD tolerance below 0 are clamped to 0; a
     genuinely negative spectrum raises NotPositive, naming the first.
     """
-    w, v = np.linalg.eigh(hermitian_stack(a))
+    w, roots = _spectral_roots(hermitian_stack(a))
+    _require_psd(w)
+    return roots
+
+
+def _spectral_roots(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, PSD roots) of a stack that :func:`hermitian_stack`
+    returned, from one eigh; eigenvalues below 0 are clamped to 0 in the
+    roots, whatever the PSD verdict (:func:`_require_psd`)."""
+    w, v = np.linalg.eigh(sym)
+    root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    return w, (root + np.conj(np.swapaxes(root, -1, -2))) / 2
+
+
+def _require_psd(w: np.ndarray) -> None:
+    """NotPositive, naming the first, unless every ascending spectrum of the
+    (..., d) stack w passes :func:`_psd_ok`."""
     bad = ~_psd_ok(w)
     if bad.any():
         raise NotPositive(f"matrix has eigenvalue {w[bad][0, 0]:.3e}")
-    root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    return (root + np.conj(np.swapaxes(root, -1, -2))) / 2
 
 
 def hermitian(a) -> np.ndarray:

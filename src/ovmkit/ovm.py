@@ -304,8 +304,9 @@ class OVM:
     comes from the eigenvalues that the validation computes for
     ``positive``: opcore.op_norms of the masses bit for bit, without a
     second decomposition.  ``coords`` and ``massive`` are cached over all
-    m + n items on first use.  Direct sums keep their components as well
-    as the block-diagonal masses.
+    m + n items on first use, and so are the masses' PSD roots with their
+    eigenvalues, on the first integral.  Direct sums keep their components
+    as well as the block-diagonal masses.
     """
 
     space: SampleSpace
@@ -362,6 +363,16 @@ class OVM:
         are null: they change no value of the measure beyond round-off."""
         return opcore.readonly(self.norms > MASS_TOL * self.total_norm, bool)
 
+    @cached_property
+    def _roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, PSD roots M_k^(1/2)) of the m + n masses, read-only,
+        from the one eigh that opcore.psd_roots of the masses takes; the
+        integrals read them, and check the eigenvalues, as psd_roots would."""
+        pair = opcore._spectral_roots(self.masses)
+        for x in pair:
+            x.setflags(write=False)
+        return pair
+
 
 def _zero_masses(count: int, dim: int) -> np.ndarray:
     return np.zeros((count, dim, dim), dtype=np.complex128)
@@ -371,7 +382,11 @@ def join_items(space: SampleSpace, cells, atoms, dim: int | None = None) -> np.n
     """The m + n stack of the cell and atom matrices, cells first, for the
     factories that take them apart; None stands for zeros.  The dimension
     is ``dim``, else that of the first half given; a half of any shape but
-    (its item count, dim, dim) raises ShapeMismatch."""
+    (its item count, dim, dim) raises ShapeMismatch, and no dimension at all
+    (both halves None) InvalidInput."""
+    _check_space(space)
+    if cells is None and atoms is None and dim is None:
+        raise InvalidInput("need cell or atom matrices to give the dimension")
     halves = [(None if x is None else opcore.as_array(x, np.complex128), count)
               for x, count in ((cells, space.n_cells), (atoms, space.n_atoms))]
     for x, count in halves:
@@ -530,6 +545,12 @@ def _check_measure(nu) -> None:
         raise InvalidInput(f"expected an OVM, got {type(nu).__name__}")
 
 
+def _check_space(space) -> None:
+    """InvalidInput unless ``space`` is a SampleSpace."""
+    if not isinstance(space, SampleSpace):
+        raise InvalidInput(f"expected a SampleSpace, got {type(space).__name__}")
+
+
 def atoms(nu: OVM) -> list[tuple[float, np.ndarray]]:
     """Atom sites carrying non-null mass (OVM.massive), as (site, mass) pairs."""
     _check_measure(nu)
@@ -679,11 +700,14 @@ def ovm_from_json(obj) -> OVM:
 
 
 def set_to_json(e: MeasurableSet) -> dict:
+    if not isinstance(e, MeasurableSet):
+        raise InvalidInput(f"expected a MeasurableSet, got {type(e).__name__}")
     return {"cells": np.flatnonzero(e.cell_mask).tolist(),
             "atoms": np.flatnonzero(e.atom_mask).tolist()}
 
 
 def set_from_json(space: SampleSpace, obj) -> MeasurableSet:
+    _check_space(space)
     if not isinstance(obj, dict):
         raise InvalidInput("set JSON must be an object")
     cells, atoms = obj.get("cells", []), obj.get("atoms", [])

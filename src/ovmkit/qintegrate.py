@@ -23,7 +23,8 @@ import numpy as np
 
 from . import opcore
 from .errors import DimMismatch, InvalidInput, ShapeMismatch, Unsupported
-from .ovm import MASS_TOL, OVM, MeasurableSet, SampleSpace, item_views, join_items
+from .ovm import (MASS_TOL, OVM, MeasurableSet, SampleSpace, _check_space, item_views,
+                  join_items)
 from .rnderiv import rn_derivative
 
 # Operator-norm gap, relative to ess_sup f, under which two values of f are equal.
@@ -119,6 +120,7 @@ def qrv(space: SampleSpace, cell_values, atom_values=None) -> QuantumRandomVaria
 
 def indicator(space: SampleSpace, dim: int, e: MeasurableSet) -> QuantumRandomVariable:
     """chi_E * I: the identity on E, zero elsewhere."""
+    _check_space(space)
     dim = opcore.as_int(dim, "dimension", low=1)
     values = np.zeros((space.n_cells + space.n_atoms, dim, dim), dtype=np.complex128)
     values[space.mask(e)] = np.eye(dim)
@@ -135,7 +137,8 @@ def integrate(nu: OVM, f: QuantumRandomVariable) -> np.ndarray:
     _check_pair(f, nu)
     if not nu.positive:
         raise Unsupported("integration is defined against positive OVMs")
-    roots = opcore.psd_roots(nu.masses)
+    w, roots = nu._roots
+    opcore._require_psd(w)
     out = np.zeros((nu.dim, nu.dim), dtype=np.complex128)
     out += np.add.reduce(roots @ f.values @ roots, axis=0)  # into zeros: no entry reads -0.0
     if f.self_adjoint:
@@ -146,7 +149,11 @@ def integrate(nu: OVM, f: QuantumRandomVariable) -> np.ndarray:
 def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunction:
     """The scalar integrand f_s: cellwise tr(s R_k^(1/2) F_k R_k^(1/2)).
 
-    Items where the derivative is undefined (null items) contribute 0.
+    Items where the derivative is undefined (null items) contribute 0.  With
+    t_k = tr(rho M_k) > 0 the density R_k = M_k / t_k has the root
+    M_k^(1/2) / sqrt(t_k), so f_s(k) = tr(s M_k^(1/2) F_k M_k^(1/2)) / t_k,
+    read from the measure's kept roots; R_k's PSD verdict, at its own scale,
+    is that of the eigenvalues of M_k divided by t_k.
     """
     _check_pair(f, nu)
     s_mat = opcore.as_matrix(getattr(s, "matrix", s))
@@ -154,9 +161,11 @@ def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunctio
         raise DimMismatch(f"state dim {s_mat.shape[0]} vs measure dim {nu.dim}")
     dens = rn_derivative(nu, rho)
     defined = dens.defined
-    roots = opcore.psd_roots(dens.values[defined])
+    traces = dens.reference.traces[defined]
+    w, roots = (x[defined] for x in nu._roots)
+    opcore._require_psd(w / traces[:, None])
     out = np.zeros(len(defined), dtype=np.complex128)
-    out[defined] = np.einsum("ij,kji->k", s_mat, roots @ f.values[defined] @ roots)
+    out[defined] = np.einsum("ij,kji->k", s_mat, roots @ f.values[defined] @ roots) / traces
     return ScalarStepFunction(nu.space, out)
 
 

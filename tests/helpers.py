@@ -18,14 +18,16 @@ from ovmkit.ovm import MeasurableSet, PropertyReport, evaluate, set_to_json
 from ovmkit.qintegrate import DEDUP_TOL, QuantumRandomVariable
 
 
-def count_decompositions(monkeypatch) -> list:
+def count_decompositions(monkeypatch, names: bool = False) -> list:
     """The shapes of the arrays that np.linalg.eigvalsh and eigh decompose
-    from now on (for the rest of the test), in call order."""
+    from now on (for the rest of the test), in call order; with ``names``,
+    (function name, shape) pairs."""
     shapes = []
     for name in ("eigvalsh", "eigh"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
-                            lambda a, *args, _fn=fn, **kw: shapes.append(np.shape(a))
+                            lambda a, *args, _fn=fn, _name=name, **kw:
+                            shapes.append((_name, np.shape(a)) if names else np.shape(a))
                             or _fn(a, *args, **kw))
     return shapes
 

@@ -240,6 +240,20 @@ TYPED_INPUTS = {
                              lebesgue_identity(2, 1), ("x", None)),
     "coords_to_herm vector": (opcore.coords_to_herm, [1.0, 0.0, 0.0, 1.0],
                               ("x", [[1, 2], [3, 4]], ["1", "0", "0", "1"], [True, 0, 0, 1])),
+    "qrv space": (lambda sp: qrv(sp, np.ones((2, 1, 1))), SampleSpace.uniform(2),
+                  (None, "x", 2, lebesgue_identity(2, 1))),
+    "qrv cell values": (lambda v: qrv(SampleSpace.uniform(2), v), np.ones((2, 1, 1)), (None,)),
+    "grid_ovm space": (lambda sp: grid_ovm(sp, np.ones((2, 1, 1))), SampleSpace.uniform(2),
+                       (None, "x", 2)),
+    "grid_ovm cell masses": (lambda x: grid_ovm(SampleSpace.uniform(2), x), np.ones((2, 1, 1)),
+                             (None,)),
+    "atomic_ovm atom masses": (lambda x: atomic_ovm(SampleSpace.uniform(1, atom_sites=(0.5,)), x),
+                               np.ones((1, 1, 1)), (None,)),
+    "indicator space": (lambda sp: indicator(sp, 2, _HALF), SampleSpace.uniform(2),
+                        (None, "x", _HALF)),
+    "set_to_json set": (ovm.set_to_json, _HALF, (None, "x", FractionalSet((0.5, 0.5)))),
+    "set_from_json space": (lambda sp: ovm.set_from_json(sp, {"cells": [0]}),
+                            SampleSpace.uniform(2), (None, "x")),
 }
 
 

@@ -15,6 +15,7 @@ from helpers import (
     random_qrv_values,
     random_state,
     real_imag_parts,
+    signed_zero_masses,
     trace_pair,
 )
 from ovmkit import errors, opcore, qintegrate
@@ -269,6 +270,49 @@ class TestIntegrandFs:
         f = random_step(nu.space, 2, RNG, positive=True)
         fs = integrand_fs(f, s, nu, rho)
         assert np.all(fs.cells.real >= -1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_the_density_root_formula(self, d):
+        # f_s(k) = tr(s R_k^(1/2) F_k R_k^(1/2)) with the roots of the
+        # densities themselves, on masses over six orders of magnitude with
+        # null cells and a null atom among massive ones; 0 where R is undefined.
+        rng = rng_from_seed(3201 + d)
+        masses = signed_zero_masses(d, 12, rng)
+        masses[[2, 5]] = 0.0
+        space = SampleSpace.uniform(9, atom_sites=(0.2, 0.5, 0.8))
+        nu = grid_ovm(space, masses[:9], masses[9:])
+        f = QuantumRandomVariable(space, random_complex(rng, (12, d, d)))
+        rho, s = random_state(d, rng), random_state(d, rng)
+        dens = rn_derivative(nu, rho)
+        defined = dens.defined
+        assert not defined[[2, 5, 11]].any() and defined.sum() == 9
+        roots = opcore.psd_roots(dens.values[defined])
+        expected = np.einsum("ij,kji->k", s.matrix, roots @ f.values[defined] @ roots)
+        fs = integrand_fs(f, s, nu, rho).values
+        scale = opcore.op_norms(dens.values[defined]) * f.norms[defined]
+        assert np.all(np.abs(fs[defined] - expected) <= 1e-12 * scale)
+        assert np.all(fs[~defined] == 0.0)
+
+
+def test_integrals_share_one_decomposition(monkeypatch):
+    # The measure's build takes one eigvalsh of its masses; integrate, an
+    # indicator integral and integrand_fs share one eigh of them, taken on
+    # the first integral and kept read-only.
+    rng = rng_from_seed(3205)
+    masses = random_povm(4, 300, rng).masses
+    space = SampleSpace.uniform(300)
+    f = qrv(space, random_qrv_values(4, 300, rng))
+    chi = indicator(space, 4, MeasurableSet(np.arange(300) % 3 == 0))
+    rho, s = random_state(4, rng), random_state(4, rng)
+    calls = count_decompositions(monkeypatch, names=True)
+    nu = grid_ovm(space, masses)
+    assert "_roots" not in vars(nu)
+    integrate(nu, f)
+    integrate(nu, chi)
+    integrand_fs(f, s, nu, rho)
+    assert [c for c in calls if c[1] == masses.shape] == [("eigvalsh", masses.shape),
+                                                         ("eigh", masses.shape)]
+    assert not any(x.flags.writeable for x in nu._roots)
 
 
 class TestEssentialSupport:
