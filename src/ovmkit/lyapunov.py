@@ -80,7 +80,8 @@ SIMPLEX_TOL = 1e-12
 PIVOT_TOL = 1e-9
 # Exchanges between refactorizations of the D x D basis inverse (D = d^2)
 # that _Basis and _phase_one_stack keep by product-form updates, for
-# attain's simplex, purify's crossover and the stacked mixes alike.
+# attain's simplex, purify's crossover and the stacked mixes alike.  A
+# refactor also solves the basic values afresh from the nonbasic ones.
 REFACTOR_EVERY = 64
 # Degenerate pivots in a row after which pricing follows Bland's rule
 # until a pivot makes progress; Bland's rule cannot cycle.
@@ -176,6 +177,7 @@ def kernel_witness(nu: OVM, support) -> KernelWitness | None:
     1e-10 * max(1, ||nu(X)||).  A support that is not a nonempty sequence
     of in-range indices raises InvalidInput.
     """
+    _check_measure(nu)
     try:
         cells = sorted({opcore.as_int(k, "kernel support index") for k in support})
     except TypeError:
@@ -232,23 +234,35 @@ def _obstructions(nu: OVM, vecs: np.ndarray) -> list:
 
 class _Basis:
     """A bounded-variable simplex basis over the columns of ``cols``, the
-    engine of attain's phase 1 and purify's crossover: ``basis[i]`` is row
-    i's basic column, ``value`` every column's value in [0, ``upper``].  Its
-    inverse binv is kept by product-form updates, refactored when ``due``."""
+    artificials last: the engine of attain's phase 1 and purify's crossover.
+    Row i holds basic column ``basis[i]``, its value ``xb[i]``, its upper
+    bound ``ub[i]`` and its phase-1 cost ``cost[i]`` (1 for an artificial),
+    updated in place at the exchanged row only.  ``value`` holds every
+    column's value in [0, ``upper``], the basic ones as of the last
+    ``settle`` (refactor settles).  The inverse binv is kept by product-form
+    updates, refactored when ``due``."""
 
     def __init__(self, cols, value, upper, basis):
         self.cols, self.value, self.upper, self.basis = cols, value, upper, basis
+        self.xb, self.ub = value[basis], upper[basis]
+        self.cost = (basis >= cols.shape[1] - len(basis)).astype(float)
         self.binv, self.since_refactor = None, REFACTOR_EVERY
 
     @property
     def due(self) -> bool:
         return self.since_refactor >= REFACTOR_EVERY
 
+    def settle(self) -> np.ndarray:
+        """``value`` with the basic values written back."""
+        self.value[self.basis] = self.xb
+        return self.value
+
     def refactor(self, rhs: np.ndarray):
         """Invert the basic columns afresh and solve the basic values from
         ``rhs``, the goal less the nonbasic columns' share."""
         self.binv = np.linalg.inv(self.cols[:, self.basis])
-        self.value[self.basis] = self.binv @ rhs
+        self.xb = self.binv @ rhs
+        self.settle()
         self.since_refactor = 0
 
     def push(self, q: int, sign: float, limit: float):
@@ -258,35 +272,33 @@ class _Basis:
         B^(-1) a_q, the rates ``fall`` of the basic values and their room."""
         column = self.binv @ self.cols[:, q]
         fall = sign * column
-        basis, value = self.basis, self.value
-        room = np.full(len(basis), np.inf)
-        down, up = fall > PIVOT_TOL, fall < -PIVOT_TOL
-        room[down] = value[basis[down]] / fall[down]
-        room[up] = (value[basis[up]] - self.upper[basis[up]]) / fall[up]
-        room = np.maximum(room, 0.0)
+        room = np.full(len(fall), np.inf)
+        np.divide(self.xb, fall, out=room, where=fall > PIVOT_TOL)
+        np.divide(self.xb - self.ub, fall, out=room, where=fall < -PIVOT_TOL)
+        np.maximum(room, 0.0, out=room)
         t = min(float(room.min()), limit)
-        value[basis] -= t * fall
-        value[q] += sign * t
+        self.xb -= t * fall
+        self.value[q] += sign * t
         return t, column, fall, room
 
     def blocking(self, room: np.ndarray, fall: np.ndarray, t: float, bland: bool = False) -> int:
         """The row that blocks a push of length t: of the rows with room
         within SIMPLEX_TOL of t, the largest |fall|, or under Bland's rule
         the lowest basic column."""
-        ties = np.flatnonzero(room <= t + SIMPLEX_TOL)
-        return int(ties[np.argmin(self.basis[ties])] if bland
-                   else ties[np.argmax(np.abs(fall[ties]))])
+        ties = room <= t + SIMPLEX_TOL
+        return int(np.where(ties, self.basis, len(self.value)).argmin() if bland
+                   else np.where(ties, np.abs(fall), -1.0).argmax())
 
     def exchange(self, r: int, q: int, column: np.ndarray, fall: np.ndarray) -> int:
-        """Column q, with basis column ``column``, takes row r; the column
-        leaving it is set to the bound it reached (its upper one when
-        fall[r] < 0) and returned."""
+        """Column q, never an artificial, with basis column ``column``, takes
+        row r; the column leaving it is set to the bound it reached (its upper
+        one when fall[r] < 0) and returned."""
         out = self.basis[r]
-        self.value[out] = self.upper[out] if fall[r] < 0.0 else 0.0
-        self.basis[r] = q
+        self.value[out] = self.ub[r] if fall[r] < 0.0 else 0.0
+        self.basis[r], self.xb[r], self.ub[r], self.cost[r] = q, self.value[q], self.upper[q], 0.0
         self.binv[r] /= column[r]
         column[r] = 0.0
-        self.binv -= np.outer(column, self.binv[r])
+        self.binv -= column[:, None] * self.binv[r]
         self.since_refactor += 1
         return out
 
@@ -313,6 +325,7 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
     non-injectivity hypothesis fails at this resolution).  Fractions on
     zero-mass cells are dropped to 0 up front: they change no value.
     """
+    _check_measure(nu)
     if not nu.positive:
         raise NotPositive("purification is defined for positive OVMs")
     vec = _cell_fractions(nu, h)
@@ -340,7 +353,8 @@ def purify(nu: OVM, h: FractionalSet) -> PurifyResult:
         if basis.due:
             basis.refactor(rhs())
         k = support[lo]
-        neighbour = value[lo - 1] if lo and support[lo - 1] == k - 1 else vec[k - 1] if k else None
+        neighbour = (basis.settle()[lo - 1] if lo and support[lo - 1] == k - 1
+                     else vec[k - 1] if k else None)
         up = neighbour == 1.0 if neighbour in (0.0, 1.0) else value[lo] >= 0.5
         own = 1.0 - value[lo] if up else value[lo]
         t, column, fall, room = basis.push(lo, 1.0 if up else -1.0, own)
@@ -382,6 +396,7 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
     equals the last interval's end, bit for bit, extends it.  Under constant
     densities the realized set carries exactly evaluate_fractional(nu, h).
     """
+    _check_measure(nu)
     if target is not None:
         target = opcore.as_matrix(target)
         if target.shape[0] != nu.dim:
@@ -536,7 +551,7 @@ def _combine(nu: OVM, picks: np.ndarray, t: np.ndarray) -> _Mixes:
 def _entering(gain: np.ndarray, bland: bool) -> int | None:
     """Dantzig's largest gain, lowest index on ties, or under Bland's rule
     the lowest index with any gain; None at a phase-1 optimum."""
-    q = int(np.argmax(gain > SIMPLEX_TOL) if bland else np.argmax(gain))
+    q = int((gain > SIMPLEX_TOL).argmax() if bland else gain.argmax())
     return q if gain[q] > SIMPLEX_TOL else None
 
 
@@ -591,12 +606,11 @@ def _phase_one(coords: np.ndarray, goal: np.ndarray):
     while True:
         if basis.due:
             basis.refactor(goal - cols[:, move < 0].sum(axis=1))
-        cost = (basis.basis >= m).astype(float)
-        objective = float(cost @ value[basis.basis])
+        objective = float(basis.cost @ basis.xb)
         if objective <= SIMPLEX_TOL:
             break
         bland = degenerate >= BLAND_AFTER
-        q = _entering((cost @ basis.binv @ cols) * move, bland)
+        q = _entering((basis.cost @ basis.binv @ cols) * move, bland)
         if q is None:
             if basis.since_refactor == 0:
                 break
@@ -615,7 +629,7 @@ def _phase_one(coords: np.ndarray, goal: np.ndarray):
         move[out] = -1.0 if fall[r] < 0.0 else float(out < m)
         move[q] = 0.0
         degenerate = degenerate + 1 if t <= SIMPLEX_TOL else 0
-    return value[:m], cost @ basis.binv, objective, steps
+    return basis.settle()[:m], basis.cost @ basis.binv, objective, steps
 
 
 def _phase_one_stack(problems) -> list:
@@ -757,6 +771,7 @@ def check_separation(nu: OVM, target, witness) -> float:
     """TargetNotInHull's ``gap``: tr(W A) - sum_k max(0, tr(W M_k)) over cells
     and atoms, for (d, d) A and Hermitian W.  The sum is the largest tr(W B)
     over the range, so a positive gap certifies that no set attains A."""
+    _check_measure(nu)
     a_mat = opcore.hermitian(target)
     w = opcore.herm_coords(opcore.as_matrix(witness))
     if a_mat.shape[0] != nu.dim or w.size != nu.dim * nu.dim:
@@ -791,6 +806,7 @@ def brute_force_range(nu: OVM) -> list[tuple[MeasurableSet, np.ndarray]]:
     Item k of the concatenated (cells, atoms) list corresponds to bit k
     of the enumeration index.
     """
+    _check_measure(nu)
     m, count = nu.space.n_cells, len(nu.masses)
     if count > 22:
         raise SizeLimit(f"{count} items exceed the enumeration limit of 22")
@@ -894,12 +910,12 @@ def _draw_mixes(nu: OVM, rng: np.random.Generator, count: int):
 
     def draw(pairs, size, weights=None) -> list:
         """Draw ``size`` pairs into ``pairs``, each followed by a weight when
-        ``weights`` is given; the stream states after each pair."""
+        ``weights`` is given; the stream states after each pair.  A pair is
+        one call: PCG64 serves integers(0, 2) from buffered 32-bit halves, so
+        it consumes the stream as the cells and atoms of each set in turn."""
         saved = []
         for j in range(size):
-            for s in (0, 1):
-                pairs[j, s, :m] = rng.integers(0, 2, m) == 1
-                pairs[j, s, m:] = rng.integers(0, 2, n) == 1
+            pairs[j] = (rng.integers(0, 2, 2 * (m + n)) == 1).reshape(2, m + n)
             saved.append(rng.bit_generator.state)
             if weights is not None:
                 weights[j] = rng.random()

@@ -22,10 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from . import opcore
-from .errors import DimMismatch, InvalidInput, ShapeMismatch, Unsupported
+from .errors import DerivativeDoesNotExist, DimMismatch, InvalidInput, ShapeMismatch, Unsupported
 from .ovm import (MASS_TOL, OVM, MeasurableSet, SampleSpace, _check_space, item_views,
                   join_items)
-from .rnderiv import rn_derivative
+from .rnderiv import _reference
 
 # Operator-norm gap, relative to ess_sup f, under which two values of f are equal.
 DEDUP_TOL = 1e-10
@@ -149,7 +149,7 @@ def integrate(nu: OVM, f: QuantumRandomVariable) -> np.ndarray:
 def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunction:
     """The scalar integrand f_s: cellwise tr(s R_k^(1/2) F_k R_k^(1/2)).
 
-    Items where the derivative is undefined (null items) contribute 0.  With
+    Null items contribute 0, and its errors are rn_derivative's.  With
     t_k = tr(rho M_k) > 0 the density R_k = M_k / t_k has the root
     M_k^(1/2) / sqrt(t_k), so f_s(k) = tr(s M_k^(1/2) F_k M_k^(1/2)) / t_k,
     read from the measure's kept roots; R_k's PSD verdict, at its own scale,
@@ -159,9 +159,11 @@ def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunctio
     s_mat = opcore.as_matrix(getattr(s, "matrix", s))
     if s_mat.shape[0] != nu.dim:
         raise DimMismatch(f"state dim {s_mat.shape[0]} vs measure dim {nu.dim}")
-    dens = rn_derivative(nu, rho)
-    defined = dens.defined
-    traces = dens.reference.traces[defined]
+    ind, failures = _reference(nu, rho)
+    if failures:
+        raise DerivativeDoesNotExist(failures)
+    defined = nu.massive
+    traces = ind.traces[defined]
     w, roots = (x[defined] for x in nu._roots)
     opcore._require_psd(w / traces[:, None])
     out = np.zeros(len(defined), dtype=np.complex128)

@@ -874,6 +874,20 @@ def _stack_programs(d, rng, count):
     return programs
 
 
+def _bland_program():
+    """The degenerate vertex of test_degenerate_vertex_switches_to_bland, on
+    nine rows: runs of zero-length pivots there hand pricing and the ratio
+    test to Bland's rule."""
+    coords = rng_from_seed(57).random((9, 60)) + 0.1
+    kernel = np.linalg.svd(coords[:8, 25:35])[2][8:]
+    angles = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    deltas = np.stack([np.cos(angles), np.sin(angles)], axis=1) @ kernel
+    delta = deltas[(deltas[:, :5] < 0.0).all(axis=1) & (deltas[:, 5:] > 0.0).all(axis=1)]
+    h = (np.arange(60) < 30).astype(float)
+    h[25:35] += 1e-3 * delta.mean(axis=0) / np.abs(delta.mean(axis=0)).max()
+    return coords, coords @ h
+
+
 class TestPhaseOneStack:
     """_phase_one_stack steps many programs in lockstep and must return what
     _phase_one returns for each, bit for bit."""
@@ -920,6 +934,32 @@ class TestPhaseOneStack:
         monkeypatch.setattr(lyapunov, "_entering", spy)
         alone = [lyapunov._phase_one(*p) for p in programs]
         assert any(bland)
+        for got, want in zip(lyapunov._phase_one_stack(programs), alone):
+            self.assert_same(got, want)
+
+    def test_flips_and_bland_exchanges_on_both_engines(self, monkeypatch):
+        # The row-ordered basic values, bounds and costs are updated by a
+        # bound flip (a push of length 1.0, the basis kept) and by an
+        # exchange whose leaving row Bland's rule picks; face targets take
+        # flips and the degenerate vertex takes Bland's rule.  The stack
+        # must match _phase_one through both.
+        programs = [_bland_program()] + _stack_programs(3, rng_from_seed(2604), 10)
+        lengths, bland = [], []
+        push, blocking = lyapunov._Basis.push, lyapunov._Basis.blocking
+
+        def push_spy(basis, q, sign, limit):
+            out = push(basis, q, sign, limit)
+            lengths.append(out[0])
+            return out
+
+        def blocking_spy(basis, room, fall, t, use_bland=False):
+            bland.append(use_bland)
+            return blocking(basis, room, fall, t, use_bland)
+
+        monkeypatch.setattr(lyapunov._Basis, "push", push_spy)
+        monkeypatch.setattr(lyapunov._Basis, "blocking", blocking_spy)
+        alone = [lyapunov._phase_one(*p) for p in programs]
+        assert lengths.count(1.0) >= 1 and any(bland)
         for got, want in zip(lyapunov._phase_one_stack(programs), alone):
             self.assert_same(got, want)
 
@@ -1175,6 +1215,21 @@ class TestCertificateMatchesTrialByTrial:
         nu = random_povm(2, 20, rng_from_seed(2657))
         assert (asdict(convexity_certificate(nu, 29, 8))
                 == asdict(certificate_trial_by_trial(nu, 29, 8)))
+
+    def test_odd_cells_massive_atoms_and_redraws(self):
+        # Each pair is one draw of 2 (m + n) bits; with m + n = 7 the second
+        # set starts mid-word.  Equal pairs are redrawn, and pairs that
+        # differ on a massive atom are obstructed.
+        space = SampleSpace.uniform(5, atom_sites=(0.3, 0.7))
+        masses = np.array([1, 1, 2, 2, 1, 2, 1], dtype=complex).reshape(7, 1, 1) / 10
+        nu = grid_ovm(space, masses[:5], masses[5:])
+        redraws, draws = [], []
+        want = certificate_trial_by_trial(nu, 40, 2813, redraws, draws)
+        assert redraws
+        assert any(f.reason.startswith("AtomicObstruction") for f in want.failures)
+        assert asdict(convexity_certificate(nu, 40, 2813)) == asdict(want)
+        rng = np.random.Generator(np.random.PCG64(2813))
+        _assert_draws(nu, draws, [lyapunov._draw_mixes(nu, rng, 40)])
 
     def test_no_trials(self):
         nu = random_povm(2, 12, rng_from_seed(2654))

@@ -28,8 +28,9 @@ from ovmkit.models import (
     singular_blocks,
     uhl_model,
 )
-from ovmkit.lyapunov import (attain, convex_combine, convexity_certificate, joint_attain,
-                              kernel_witness, purify)
+from ovmkit.lyapunov import (attain, brute_force_range, check_separation, convex_combine,
+                              convexity_certificate, joint_attain, kernel_witness, purify,
+                              realize_intervals)
 from ovmkit.qintegrate import (
     QuantumRandomVariable,
     ess_equal,
@@ -254,6 +255,15 @@ TYPED_INPUTS = {
     "set_to_json set": (ovm.set_to_json, _HALF, (None, "x", FractionalSet((0.5, 0.5)))),
     "set_from_json space": (lambda sp: ovm.set_from_json(sp, {"cells": [0]}),
                             SampleSpace.uniform(2), (None, "x")),
+    "purify measure": (lambda nu: purify(nu, FractionalSet((0.5, 0.5))), lebesgue_identity(2, 2),
+                       (None, "x", 5)),
+    "realize_intervals measure": (lambda nu: realize_intervals(nu, FractionalSet((0.5, 0.5))),
+                                  lebesgue_identity(2, 2), (None, "x", 5)),
+    "kernel_witness measure": (lambda nu: kernel_witness(nu, [0, 1]), lebesgue_identity(2, 2),
+                               (None, "x", 5)),
+    "check_separation measure": (lambda nu: check_separation(nu, np.eye(2) / 2, np.eye(2)),
+                                 lebesgue_identity(2, 2), (None, "x", 5)),
+    "brute_force_range measure": (brute_force_range, lebesgue_identity(2, 2), (None, "x", 5)),
 }
 
 

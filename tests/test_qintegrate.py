@@ -239,6 +239,22 @@ class TestIntegrandFs:
             rhs = np.dot(fs.cells, ind.cells) + np.dot(fs.atoms, ind.atoms)
             assert abs(lhs - rhs) <= 1e-10
 
+    def test_missing_derivative_raises_as_rn_derivative(self):
+        # A state blind to the second cell's mass and to the atom's: the
+        # derivative is undefined there, and integrand_fs raises what
+        # rn_derivative raises, with the same failures.
+        space = SampleSpace.uniform(3, atom_sites=(0.5,))
+        masses = np.array([np.diag([1.0, 1.0]), np.diag([0.0, 1.0]), np.diag([1.0, 0.0]),
+                           np.diag([0.0, 1.0])], dtype=complex) / 4
+        nu = grid_ovm(space, masses[:3], masses[3:])
+        rho = opcore.make_state(np.diag([1.0, 0.0]))
+        f = indicator(space, 2, MeasurableSet.full(space))
+        with pytest.raises(errors.DerivativeDoesNotExist) as want:
+            rn_derivative(nu, rho)
+        with pytest.raises(errors.DerivativeDoesNotExist) as got:
+            integrand_fs(f, rho, nu, rho)
+        assert got.value.failures == want.value.failures == (("cell", 1), ("atom", 0))
+
     def test_value_dim_must_match_the_measure(self):
         # A dimension-2 step function on a dimension-3 measure is a
         # DimMismatch, as in integrate, not numpy's matmul error.
