@@ -17,16 +17,12 @@ nonatomic measures, made algorithmic:
 2.  convex_combine: the mix t nu(E1) + (1 - t) nu(E2) lies in the range;
     step 1 over the massive cells where E1 and E2 differ realizes it; a
     mix with an indivisible one among them is rejected before any solve.
-    convexity_certificate works in stacks of trials throughout, and
-    convex_combine is its one-mix case (_combine): the trials' sets are
-    drawn as selector arrays and checked for distinct values at once, the
-    mixes are prepared as (B, m) arrays, targets and achieved values take
-    one stacked evaluation (ovm._set_values) and residuals one op_norms
-    call, and the phase-1 programs, d^2 rows each, step in lockstep as one
-    numpy stack (_phase_one_stack).  Every value is bit for bit what one
-    convex_combine call per trial gives.
+    It is the one-mix case of _combine, which convexity_certificate runs
+    on stacks of trials, their phase-1 programs stepping in lockstep
+    (_phase_one_stack), bit for bit a convex_combine call per trial.
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
-    exact under the constant-density convention.
+    exact under the constant-density convention; the value achieved is one
+    stacked evaluation (ovm._set_values) and the result is _result's.
 
 Every step reads the masses as rows of one m + n item stack in Hermitian
 coordinates (OVM.coords), scales tolerances by ||nu(X)||, and drops null
@@ -42,7 +38,7 @@ decides them all (demos.uhl_demo).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -246,7 +242,7 @@ class _Basis:
         self.cols, self.value, self.upper, self.basis = cols, value, upper, basis
         self.xb, self.ub = value[basis], upper[basis]
         self.cost = (basis >= cols.shape[1] - len(basis)).astype(float)
-        self.binv, self.since_refactor = None, REFACTOR_EVERY
+        self.room, self.binv, self.since_refactor = np.empty(len(basis)), None, REFACTOR_EVERY
 
     @property
     def due(self) -> bool:
@@ -269,14 +265,17 @@ class _Basis:
         """Move nonbasic column q by sign * t, and the basic values with it,
         for the longest t <= limit that keeps each basic value whose rate
         exceeds PIVOT_TOL in its bounds.  Returns t, the basis column
-        B^(-1) a_q, the rates ``fall`` of the basic values and their room."""
+        B^(-1) a_q, the rates ``fall`` of the basic values and their room
+        (a kept buffer).  Only t is clamped at 0, to +0.0: a room below 0
+        (round-off) ties with any t >= 0 in blocking, as a clamped one would."""
         column = self.binv @ self.cols[:, q]
         fall = sign * column
-        room = np.full(len(fall), np.inf)
+        room = self.room
+        room.fill(np.inf)
         np.divide(self.xb, fall, out=room, where=fall > PIVOT_TOL)
         np.divide(self.xb - self.ub, fall, out=room, where=fall < -PIVOT_TOL)
-        np.maximum(room, 0.0, out=room)
-        t = min(float(room.min()), limit)
+        t = float(room.min())
+        t = min(t if t > 0.0 else 0.0, limit)
         self.xb -= t * fall
         self.value[q] += sign * t
         return t, column, fall, room
@@ -404,10 +403,9 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
     vec = _cell_fractions(nu, h)
     if (obstruction := _obstructions(nu, vec[None])[0]) is not None:
         raise obstruction
-    final = FractionalSet(vec, h.atom_mask)
-    achieved = evaluate_fractional(nu, final)
+    achieved = _set_values(nu.masses, np.concatenate([vec, h.atom_mask])[None])[0]
     residual = 0.0 if target is None else opcore.op_norm(achieved - target)
-    return _result(nu, vec, final.atom_mask, achieved, residual, 0)
+    return _result(nu, vec, h.atom_mask, achieved, residual, 0)
 
 
 def _intervals(nu: OVM, vecs: np.ndarray):
@@ -559,11 +557,14 @@ def _prefix_starts(cells: np.ndarray, goals: np.ndarray) -> np.ndarray:
     """Phase 1's start for the programs whose coords fill the (..., D, W)
     stack ``cells`` from the left, zero-padded, and whose goals are the
     (..., D) ``goals``: the prefix vertex h = 1_[0, j) whose value is
-    nearest the goal, shape (..., W).  The prefix sums are one cumsum,
-    sequential as each program's own; a pad repeats the last prefix, so
-    the lowest nearest j is within the program."""
-    prefix = np.concatenate([np.zeros((*cells.shape[:-1], 1)), np.cumsum(cells, axis=-1)], axis=-1)
-    nearest = np.argmin(np.linalg.norm(prefix - goals[..., None], axis=-2), axis=-1)
+    nearest the goal, shape (..., W).  The prefix sums are one cumsum into
+    a fresh C-ordered array, so the distances add over the rows in sequence
+    whatever the layout of ``cells``, as each program's own; a pad repeats
+    the last prefix, so the lowest nearest j is within the program."""
+    gap = np.zeros((*cells.shape[:-1], cells.shape[-1] + 1))
+    np.cumsum(cells, axis=-1, out=gap[..., 1:])
+    gap -= goals[..., None]
+    nearest = np.argmin(np.sqrt(np.add.reduce(gap * gap, axis=-2)), axis=-1)
     return (np.arange(cells.shape[-1]) < nearest[..., None]).astype(float)
 
 
@@ -596,13 +597,13 @@ def _phase_one(coords: np.ndarray, goal: np.ndarray):
     """
     n_rows, m = coords.shape
     h = _prefix_starts(coords, goal)
-    sign = _signs(coords, goal, h)
-    cols = np.hstack([coords, np.diag(sign)])
+    cols = np.zeros((n_rows, m + n_rows))  # the program, filled once in C order
+    cols[:, :m], cols[:, m:] = coords, np.diag(_signs(coords, goal, h))
     value = np.concatenate([h, np.zeros(n_rows)])
     upper = np.concatenate([np.ones(m), np.full(n_rows, np.inf)])
     move = np.concatenate([1.0 - 2.0 * h, np.zeros(n_rows)])  # +1 at 0, -1 at 1, else 0
     basis = _Basis(cols, value, upper, np.arange(m, m + n_rows))
-    steps = degenerate = 0
+    steps, degenerate, gain = 0, 0, np.empty(m + n_rows)
     while True:
         if basis.due:
             basis.refactor(goal - cols[:, move < 0].sum(axis=1))
@@ -610,7 +611,9 @@ def _phase_one(coords: np.ndarray, goal: np.ndarray):
         if objective <= SIMPLEX_TOL:
             break
         bland = degenerate >= BLAND_AFTER
-        q = _entering((basis.cost @ basis.binv @ cols) * move, bland)
+        np.matmul(basis.cost @ basis.binv, cols, out=gain)
+        gain *= move
+        q = _entering(gain, bland)
         if q is None:
             if basis.since_refactor == 0:
                 break
@@ -699,8 +702,7 @@ def _phase_one_stack(problems) -> list:
         room = np.full(fall.shape, np.inf)
         np.divide(at, fall, out=room, where=fall > PIVOT_TOL)
         np.divide(at - upper[bp], fall, out=room, where=fall < -PIVOT_TOL)
-        room = np.maximum(room, 0.0)
-        t = np.minimum(room.min(axis=1), 1.0)
+        t = np.minimum(np.maximum(room.min(axis=1), 0.0), 1.0)  # as _Basis.push clamps t
         value[p[:, None], bp] = at - t[:, None] * fall
         value[p, qp] += sign * t
         flip = t == 1.0
@@ -736,7 +738,10 @@ def attain(nu: OVM, target) -> AttainResult:
 
     Phase 1 of the bounded-variable simplex finds a vertex h of the fiber
     {h in [0,1]^m : sum_k h_k M_k = target} in Hermitian coordinates; it
-    has at most d^2 fractional cells, realized as leftmost sub-intervals.
+    has at most d^2 fractional cells, realized as leftmost sub-intervals:
+    snapped (_snapped), evaluated once (ovm._set_values) and laid out by
+    _result, bit for bit realize_intervals of that vertex, whose obstruction
+    check a nonatomic measure cannot fail.
     ``iterations`` counts the simplex steps (pivots plus bound flips).
     Tolerances are relative to ||nu(X)||.  A phase-1 optimum with positive
     artificial sum raises TargetNotInHull with a separating witness W:
@@ -763,8 +768,9 @@ def attain(nu: OVM, target) -> AttainResult:
         raise TargetNotInHull(
             f"target outside the range: separation gap {gap:.3e} after {steps} simplex steps",
             witness=witness, gap=gap)
-    h_set = FractionalSet(_snap(h), np.zeros(nu.space.n_atoms, bool))
-    return replace(realize_intervals(nu, h_set, target=a_mat), iterations=steps)
+    vec, atoms = _snapped(nu, h), np.zeros(nu.space.n_atoms, bool)
+    achieved = _set_values(nu.masses, np.concatenate([vec, atoms])[None])[0]
+    return _result(nu, vec, atoms, achieved, opcore.op_norm(achieved - a_mat), steps)
 
 
 def check_separation(nu: OVM, target, witness) -> float:
@@ -842,18 +848,14 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
     Each trial draws sets until their measures differ (mixing equal range
     points tests nothing), then a strictly interior weight, all from one
     PCG64 stream in trial order.  Trials are drawn up to _STACK_MIXES at a
-    time (_draw_mixes): each trial's first pair of sets and its weight, the
-    stream state saved after the pair, and then one distinctness check for
-    the whole stack.  At the first trial whose pair is equal the stream
-    rewinds to that state, the trial redraws as it would alone and takes
-    its weight, and the trials after it are drawn again; so the stream, and
-    every set and weight, is that of drawing trial by trial.  Each stack is
-    then realized as convex_combine realizes each mix (_combine), with
-    phase-1 programs solved as one lockstep stack.  A failure is an
-    AtomicObstruction or a residual above 1e-6, recorded with its inputs.
-    Trials aggregate in index order, and every value is bit for bit that of
-    a convex_combine call per trial, so reports are reproducible and equal
-    to the trial-by-trial loop's.
+    time by _draw_mixes, which leaves the stream, and every set and weight,
+    as drawing trial by trial leaves them.  Each stack is then realized as
+    convex_combine realizes each mix (_combine), with phase-1 programs
+    solved as one lockstep stack.  A failure is an AtomicObstruction or a
+    residual above 1e-6, recorded with its inputs.  Trials aggregate in
+    index order, and every value is bit for bit that of a convex_combine
+    call per trial, so reports are reproducible and equal to the
+    trial-by-trial loop's.
     """
     _check_measure(nu)
     trials = opcore.as_int(trials, "trials", low=0)

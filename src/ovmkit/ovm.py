@@ -102,11 +102,7 @@ class SampleSpace:
             div = (True,) * (len(bp) - 1)
         if len(div) != len(bp) - 1:
             raise InvalidInput("divisible flags must match the cell count")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "atom_sites", sites)
-        object.__setattr__(self, "divisible", div)
+        vars(self).update(a=a, b=b, breakpoints=bp, atom_sites=sites, divisible=div)  # frozen
 
     @classmethod
     def uniform(cls, m: int, a: float = 0.0, b: float = 1.0,
@@ -157,13 +153,14 @@ class SampleSpace:
 
     def selector(self, e: "MeasurableSet | FractionalSet") -> np.ndarray:
         """The m + n selector of a set: cell mask or fractions, then atom
-        mask; InvalidInput for a non-set, ShapeMismatch for another layout."""
+        mask (without atoms, the set's own read-only cells); InvalidInput
+        for a non-set, ShapeMismatch for another layout."""
         if not isinstance(e, (MeasurableSet, FractionalSet)):
             raise InvalidInput(f"expected a MeasurableSet or FractionalSet, got {e!r}")
         cells = e.cell_fractions if isinstance(e, FractionalSet) else e.cell_mask
         if len(cells) != self.n_cells or len(e.atom_mask) != self.n_atoms:
             raise ShapeMismatch("set does not match the sample space")
-        return np.concatenate((cells, e.atom_mask))
+        return np.concatenate((cells, e.atom_mask)) if self.n_atoms else cells
 
     def mask(self, e: "MeasurableSet") -> np.ndarray:
         """The m + n bool selector of a MeasurableSet; InvalidInput for a
@@ -327,11 +324,8 @@ class OVM:
         masses, positive, norms = spectrum  # masses: a new array if symmetrized
         masses.setflags(write=False)
         norms.setflags(write=False)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "dim", masses.shape[-1])
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "norms", norms)
-        object.__setattr__(self, "components", tuple(self.components))
+        vars(self).update(masses=masses, dim=masses.shape[-1], positive=positive,  # frozen
+                          norms=norms, components=tuple(self.components))
 
     cell_masses, atom_masses = item_views("masses")
 
@@ -507,6 +501,7 @@ def _set_values(stack: np.ndarray, weights) -> np.ndarray:
 def evaluate(nu: OVM, e: MeasurableSet) -> np.ndarray:
     """nu(E): sum of the selected masses; InvalidInput for a FractionalSet
     (evaluate_fractional sums those)."""
+    _check_measure(nu)
     return sum_items(nu.masses[nu.space.mask(e)])
 
 
@@ -516,6 +511,7 @@ def evaluate_fractional(nu: OVM, h: FractionalSet) -> np.ndarray:
     A 0/1-valued h is summed as :func:`evaluate` sums its set, so agreement
     with the set function is exact, not merely within round-off.
     """
+    _check_measure(nu)
     weights = nu.space.selector(h)
     chosen = weights == 1.0
     if (chosen | (weights == 0.0)).all():
@@ -525,6 +521,7 @@ def evaluate_fractional(nu: OVM, h: FractionalSet) -> np.ndarray:
 
 def induced_measure(nu: OVM, rho) -> InducedMeasure:
     """nu_rho: per-cell/per-atom traces tr(rho M)."""
+    _check_measure(nu)
     r = opcore.as_matrix(getattr(rho, "matrix", rho))
     if r.shape[0] != nu.dim:
         raise DimMismatch(f"state dim {r.shape[0]} vs measure dim {nu.dim}")
@@ -534,6 +531,7 @@ def induced_measure(nu: OVM, rho) -> InducedMeasure:
 
 def entry_measure(nu: OVM, i: int, j: int) -> EntryMeasure:
     """The complex scalar measure of matrix entry (i, j)."""
+    _check_measure(nu)
     i, j = _index(i, nu.dim, "entry row"), _index(j, nu.dim, "entry column")
     entries = opcore.readonly(nu.masses[:, i, j], np.complex128)
     return EntryMeasure(entries[: nu.space.n_cells], entries[nu.space.n_cells :])
@@ -586,6 +584,7 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     For s sets it holds O(s (m + n) + s d^2) numbers, never s^2 matrices.
     A True flag is a non-falsification, not a certificate.
     """
+    _check_measure(nu)
     tol = 1e-9 * max(1.0, nu.total_norm) * max(1.0, nu.total_norm)
     # No set value exceeds the summed mass norms, so no defect
     # nu(E n F) - nu(E) nu(F) reaches 2 reach^2; the guard keeps twice that finite.
@@ -664,6 +663,7 @@ def space_from_json(obj) -> SampleSpace:
 
 
 def ovm_to_json(nu: OVM) -> dict:
+    _check_measure(nu)
     out = {
         "space": space_to_json(nu.space),
         "dim": nu.dim,

@@ -750,6 +750,56 @@ class TestAttain:
             attain(uhl_model(4), np.eye(4) / 2)
 
 
+def _null_cell_measure():
+    """random_povm(2, 200) with every ninth cell exactly null and every
+    ninth from the fifth null by OVM.massive's rule (1e-14 * I)."""
+    nu = random_povm(2, 200, rng_from_seed(3403))
+    masses = nu.cell_masses.copy()
+    masses[::9] = 0.0
+    masses[4::9] = 1e-14 * np.eye(2)
+    return grid_ovm(nu.space, masses)
+
+
+class TestAttainRealization:
+    """attain realizes its phase-1 vertex as _combine realizes a mix, bit for
+    bit what realize_intervals gives that vertex, snapped, with the steps."""
+
+    @staticmethod
+    def assert_realizes_vertex(nu, target):
+        a_mat = opcore.hermitian(target)
+        scale = nu.total_norm or 1.0
+        h, _, objective, steps = lyapunov._phase_one(nu.cell_coords.T / scale,
+                                                     opcore.herm_coords(a_mat) / scale)
+        if objective > lyapunov.SIMPLEX_TOL:
+            with pytest.raises(errors.TargetNotInHull):
+                attain(nu, target)
+            return
+        vertex = FractionalSet(lyapunov._snap(h), np.zeros(nu.space.n_atoms, bool))
+        want = replace(realize_intervals(nu, vertex, target=a_mat), iterations=steps)
+        got = attain(nu, target)
+        assert got.intervals == want.intervals
+        assert got.atom_indices == want.atom_indices
+        assert got.achieved.tobytes() == want.achieved.tobytes()
+        assert got.residual == want.residual
+        assert got.iterations == want.iterations
+        assert got.fractional_count == want.fractional_count
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [200, 1000, 2000])
+    def test_interior_grid(self, d, m):
+        nu = random_povm(d, m, rng_from_seed(3400 + 10 * d + m))
+        rng = rng_from_seed(d * m)
+        self.assert_realizes_vertex(nu, np.tensordot(rng.uniform(0.01, 0.99, m),
+                                                     nu.cell_masses, axes=1))
+
+    def test_null_cells_vertices_and_faces(self):
+        nu = _null_cell_measure()
+        assert (~nu.massive).sum() == 23 + 22
+        for target in (*_target_classes(nu, rng_from_seed(3404)).values(),
+                       evaluate(nu, MeasurableSet(rng_from_seed(3405).random(200) < 0.5))):
+            self.assert_realizes_vertex(nu, target)
+
+
 def _target_classes(nu, rng):
     """Interior, 0.999, face, nu(X) and 1.01 targets: the face is
     nu({k : tr(W M_k) > 0}) for a random Hermitian W, and 0.999 and 1.01
@@ -934,6 +984,22 @@ class TestPhaseOneStack:
         monkeypatch.setattr(lyapunov, "_entering", spy)
         alone = [lyapunov._phase_one(*p) for p in programs]
         assert any(bland)
+        for got, want in zip(lyapunov._phase_one_stack(programs), alone):
+            self.assert_same(got, want)
+
+    def test_prefix_tie_starts_alike(self):
+        # The goal lies halfway between the prefix vertices 1_[0, 9) and
+        # 1_[0, 10) of attain's own coordinates (the transposed, F-ordered
+        # cell rows) on 16 rows, so round-off in the distances picks the
+        # start.  Both engines must add the squared gaps over the rows in
+        # one order: numpy adds a contiguous axis pairwise from nine
+        # entries on and a strided one in sequence.
+        nu = random_povm(4, 24, rng_from_seed(0))
+        coords = nu.cell_coords.T / nu.total_norm
+        prefix = np.cumsum(coords, axis=1)
+        goal = (prefix[:, 8] + prefix[:, 9]) / 2
+        programs = [(coords, goal)] + _stack_programs(4, rng_from_seed(2611), 3)
+        alone = [lyapunov._phase_one(*p) for p in programs]
         for got, want in zip(lyapunov._phase_one_stack(programs), alone):
             self.assert_same(got, want)
 

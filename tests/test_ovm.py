@@ -264,6 +264,18 @@ TYPED_INPUTS = {
     "check_separation measure": (lambda nu: check_separation(nu, np.eye(2) / 2, np.eye(2)),
                                  lebesgue_identity(2, 2), (None, "x", 5)),
     "brute_force_range measure": (brute_force_range, lebesgue_identity(2, 2), (None, "x", 5)),
+    "check_ovm_properties measure": (lambda nu: check_ovm_properties(nu, [_HALF]),
+                                     lebesgue_identity(2, 2), (None, "x", 5)),
+    "entry_measure measure": (lambda nu: entry_measure(nu, 0, 1), lebesgue_identity(2, 2),
+                              (None, "x", 5)),
+    "evaluate measure": (lambda nu: evaluate(nu, _HALF), lebesgue_identity(2, 2),
+                         (None, "x", 5)),
+    "evaluate_fractional measure": (
+        lambda nu: evaluate_fractional(nu, FractionalSet((0.5, 0.5))), lebesgue_identity(2, 2),
+        (None, "x", 5)),
+    "induced_measure measure": (lambda nu: induced_measure(nu, np.eye(2) / 2),
+                                lebesgue_identity(2, 2), (None, "x", 5)),
+    "ovm_to_json measure": (ovm.ovm_to_json, lebesgue_identity(2, 2), (None, "x", 5)),
 }
 
 
