@@ -21,8 +21,7 @@ nonatomic measures, made algorithmic:
     on stacks of trials, their phase-1 programs stepping in lockstep
     (_phase_one_stack), bit for bit a convex_combine call per trial.
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
-    exact under the constant-density convention; the value achieved is one
-    stacked evaluation (ovm._set_values) and the result is _result's.
+    exact under the constant-density convention (_realized).
 
 Every step reads the masses as rows of one m + n item stack in Hermitian
 coordinates (OVM.coords), scales tolerances by ||nu(X)||, and drops null
@@ -266,8 +265,8 @@ class _Basis:
         for the longest t <= limit that keeps each basic value whose rate
         exceeds PIVOT_TOL in its bounds.  Returns t, the basis column
         B^(-1) a_q, the rates ``fall`` of the basic values and their room
-        (a kept buffer).  Only t is clamped at 0, to +0.0: a room below 0
-        (round-off) ties with any t >= 0 in blocking, as a clamped one would."""
+        (a kept buffer).  Only t is clamped, to +0.0 when not positive: a
+        negative room ties with any t >= 0 in blocking as a clamped one would."""
         column = self.binv @ self.cols[:, q]
         fall = sign * column
         room = self.room
@@ -403,9 +402,7 @@ def realize_intervals(nu: OVM, h: FractionalSet, target=None) -> AttainResult:
     vec = _cell_fractions(nu, h)
     if (obstruction := _obstructions(nu, vec[None])[0]) is not None:
         raise obstruction
-    achieved = _set_values(nu.masses, np.concatenate([vec, h.atom_mask])[None])[0]
-    residual = 0.0 if target is None else opcore.op_norm(achieved - target)
-    return _result(nu, vec, h.atom_mask, achieved, residual, 0)
+    return _realized(nu, vec, h.atom_mask, target, 0)
 
 
 def _intervals(nu: OVM, vecs: np.ndarray):
@@ -438,6 +435,15 @@ def _result(nu: OVM, vec: np.ndarray, atom_mask, achieved, residual, iterations)
         iterations=iterations,
         fractional_count=int(_fractional_indices(vec).size),
     )
+
+
+def _realized(nu: OVM, vec: np.ndarray, atom_mask, target, iterations) -> AttainResult:
+    """_result of snapped cell fractions ``vec`` and the atoms of ``atom_mask``,
+    valued by one ovm._set_values row, its residual taken against ``target``
+    (0.0 for None)."""
+    achieved = _set_values(nu.masses, np.concatenate([vec, atom_mask])[None])[0]
+    residual = 0.0 if target is None else opcore.op_norm(achieved - target)
+    return _result(nu, vec, atom_mask, achieved, residual, iterations)
 
 
 def convex_combine(nu: OVM, e1: MeasurableSet, e2: MeasurableSet, t: float) -> AttainResult:
@@ -702,7 +708,8 @@ def _phase_one_stack(problems) -> list:
         room = np.full(fall.shape, np.inf)
         np.divide(at, fall, out=room, where=fall > PIVOT_TOL)
         np.divide(at - upper[bp], fall, out=room, where=fall < -PIVOT_TOL)
-        t = np.minimum(np.maximum(room.min(axis=1), 0.0), 1.0)  # as _Basis.push clamps t
+        t = room.min(axis=1)
+        t = np.minimum(np.where(t > 0.0, t, 0.0), 1.0)  # as _Basis.push clamps t
         value[p[:, None], bp] = at - t[:, None] * fall
         value[p, qp] += sign * t
         flip = t == 1.0
@@ -738,10 +745,8 @@ def attain(nu: OVM, target) -> AttainResult:
 
     Phase 1 of the bounded-variable simplex finds a vertex h of the fiber
     {h in [0,1]^m : sum_k h_k M_k = target} in Hermitian coordinates; it
-    has at most d^2 fractional cells, realized as leftmost sub-intervals:
-    snapped (_snapped), evaluated once (ovm._set_values) and laid out by
-    _result, bit for bit realize_intervals of that vertex, whose obstruction
-    check a nonatomic measure cannot fail.
+    has at most d^2 fractional cells, snapped (_snapped) and realized as
+    leftmost sub-intervals by _realized, as realize_intervals realizes them.
     ``iterations`` counts the simplex steps (pivots plus bound flips).
     Tolerances are relative to ||nu(X)||.  A phase-1 optimum with positive
     artificial sum raises TargetNotInHull with a separating witness W:
@@ -768,9 +773,7 @@ def attain(nu: OVM, target) -> AttainResult:
         raise TargetNotInHull(
             f"target outside the range: separation gap {gap:.3e} after {steps} simplex steps",
             witness=witness, gap=gap)
-    vec, atoms = _snapped(nu, h), np.zeros(nu.space.n_atoms, bool)
-    achieved = _set_values(nu.masses, np.concatenate([vec, atoms])[None])[0]
-    return _result(nu, vec, atoms, achieved, opcore.op_norm(achieved - a_mat), steps)
+    return _realized(nu, _snapped(nu, h), np.zeros(nu.space.n_atoms, bool), a_mat, steps)
 
 
 def check_separation(nu: OVM, target, witness) -> float:

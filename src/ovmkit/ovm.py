@@ -102,7 +102,11 @@ class SampleSpace:
             div = (True,) * (len(bp) - 1)
         if len(div) != len(bp) - 1:
             raise InvalidInput("divisible flags must match the cell count")
-        vars(self).update(a=a, b=b, breakpoints=bp, atom_sites=sites, divisible=div)  # frozen
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "atom_sites", sites)
+        object.__setattr__(self, "divisible", div)
 
     @classmethod
     def uniform(cls, m: int, a: float = 0.0, b: float = 1.0,
@@ -153,14 +157,13 @@ class SampleSpace:
 
     def selector(self, e: "MeasurableSet | FractionalSet") -> np.ndarray:
         """The m + n selector of a set: cell mask or fractions, then atom
-        mask (without atoms, the set's own read-only cells); InvalidInput
-        for a non-set, ShapeMismatch for another layout."""
+        mask; InvalidInput for a non-set, ShapeMismatch for another layout."""
         if not isinstance(e, (MeasurableSet, FractionalSet)):
             raise InvalidInput(f"expected a MeasurableSet or FractionalSet, got {e!r}")
         cells = e.cell_fractions if isinstance(e, FractionalSet) else e.cell_mask
         if len(cells) != self.n_cells or len(e.atom_mask) != self.n_atoms:
             raise ShapeMismatch("set does not match the sample space")
-        return np.concatenate((cells, e.atom_mask)) if self.n_atoms else cells
+        return np.concatenate((cells, e.atom_mask))
 
     def mask(self, e: "MeasurableSet") -> np.ndarray:
         """The m + n bool selector of a MeasurableSet; InvalidInput for a
@@ -324,8 +327,11 @@ class OVM:
         masses, positive, norms = spectrum  # masses: a new array if symmetrized
         masses.setflags(write=False)
         norms.setflags(write=False)
-        vars(self).update(masses=masses, dim=masses.shape[-1], positive=positive,  # frozen
-                          norms=norms, components=tuple(self.components))
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "dim", masses.shape[-1])
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "norms", norms)
+        object.__setattr__(self, "components", tuple(self.components))
 
     cell_masses, atom_masses = item_views("masses")
 

@@ -51,8 +51,10 @@ class QuantumRandomVariable:
     def __post_init__(self):
         values = self.space.item_stack(self.values, np.complex128, "values", matrices=True)
         spectrum = opcore._hermitian_spectrum(values)
-        vars(self).update(values=values, dim=values.shape[-1], self_adjoint=spectrum is not None,
-                          positive=spectrum is not None and spectrum[1])  # frozen
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "dim", values.shape[-1])
+        object.__setattr__(self, "self_adjoint", spectrum is not None)
+        object.__setattr__(self, "positive", spectrum is not None and spectrum[1])
         if spectrum is not None:  # fills the cached norms below
             spectrum[2].setflags(write=False)
             object.__setattr__(self, "norms", spectrum[2])

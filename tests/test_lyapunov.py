@@ -761,8 +761,8 @@ def _null_cell_measure():
 
 
 class TestAttainRealization:
-    """attain realizes its phase-1 vertex as _combine realizes a mix, bit for
-    bit what realize_intervals gives that vertex, snapped, with the steps."""
+    """attain realizes its phase-1 vertex bit for bit as realize_intervals
+    realizes that vertex, snapped, with the steps added."""
 
     @staticmethod
     def assert_realizes_vertex(nu, target):

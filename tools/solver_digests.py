@@ -3,15 +3,14 @@ line per entry point, so that two commits can be compared with ``diff``.
 
     python3 tools/solver_digests.py                  # this checkout
     python3 tools/solver_digests.py --repo OTHER     # another checkout
-    python3 tools/solver_digests.py --seeds 10       # more measures per grid point
 
-For each (d, m) of the benchmark's ``interior`` grid and each seed, the
-measure is ``models.random_povm(d, m, models.rng_from_seed(seed))``, and
-the same stream then gives the kinds of inputs that workload runs: a
-target sum_k h_k M_k (h uniform in (0.01, 0.99)), two random sets and a
-weight in (0.05, 0.95).  Each measure yields two phase-1 programs:
-attain's (every cell, scaled by ||nu(X)||) and convex_combine's (the
-cells where the sets differ).
+For each (d, m) of the benchmark's ``interior`` grid and each seed from 1
+to SEEDS, the measure is ``models.random_povm(d, m,
+models.rng_from_seed(seed))``, and the same stream then gives the kinds of
+inputs that workload runs: a target sum_k h_k M_k (h uniform in
+(0.01, 0.99)), two random sets and a weight in (0.05, 0.95).  Each measure
+yields two phase-1 programs: attain's (every cell, scaled by ||nu(X)||)
+and convex_combine's (the cells where the sets differ).
 The lines hash:
 
 - ``_phase_one`` on every program: h, duals, objective and steps;
@@ -40,12 +39,13 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 GRID = tuple((d, m) for d in (1, 2, 3, 4) for m in (200, 1000, 2000))
+SEEDS = 10  # measures per grid point
 
 
-def cases(models, seeds: int):
+def cases(models):
     """(d, measure, target, e1, e2, t) for each grid point and seed."""
     for d, m in GRID:
-        for seed in range(1, seeds + 1):
+        for seed in range(1, SEEDS + 1):
             rng = models.rng_from_seed(seed)
             nu = models.random_povm(d, m, rng)
             target = np.tensordot(rng.uniform(0.01, 0.99, m), nu.cell_masses, axes=1)
@@ -91,7 +91,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ to use (default: this one)")
-    parser.add_argument("--seeds", type=int, default=10, help="measures per grid point")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.repo / "src")]
     import ovmkit
@@ -100,7 +99,7 @@ def main(argv=None) -> int:
     digests = {name: hashlib.sha256() for name in
                ("_phase_one", "_phase_one_stack", "attain", "convex_combine")}
     stacks, count, steps = {}, 0, 0
-    for d, nu, target, e1, e2, t in cases(models, args.seeds):
+    for d, nu, target, e1, e2, t in cases(models):
         for coords, goal in programs(opcore, nu, target, e1, e2, t):
             stacks.setdefault(d, []).append((coords, goal))
             try:
