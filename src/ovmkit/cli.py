@@ -377,8 +377,65 @@ def run_scenario(scenario) -> tuple[dict, int]:
 
 
 def report_to_json(report: dict) -> str:
-    """Canonical serialization: key-sorted, locale-independent."""
-    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Canonical serialization: key-sorted, locale-independent.  The text is
+    exactly ``json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True)
+    + "\\n"``, errors included (save for a container that holds itself),
+    written by :func:`_encode` rather than by json's pure-Python indenting
+    encoder."""
+    return _encode(report, "\n") + "\n"
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    return "Infinity" if x == math.inf else "-Infinity" if x == -math.inf else float.__repr__(x)
+
+
+def _key(key) -> str:
+    """A non-string dict key as json.dumps converts it, before it is escaped."""
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return _encode(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` as json.dumps(..., sort_keys=True, indent=2,
+    ensure_ascii=True) writes it at the line start ``newline`` ("\\n" and the
+    indent): the same type tests in the same order, float and int
+    subclasses by float.__repr__ and int.__repr__.  A list of finite floats
+    is joined in one call."""
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = None
+        if isinstance(value[0], float):
+            try:
+                body = ("," + inner).join(map(float.__repr__, value))
+            except TypeError:  # an item that is not a float
+                pass
+        if body is None or "n" in body:  # or a nan or inf among them
+            body = ("," + inner).join([_encode(x, inner) for x in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_ESCAPE(k if isinstance(k, str) else _key(k)) + ": " + _encode(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def report_to_csv(report: dict) -> str:

@@ -56,6 +56,7 @@ from .ovm import (
     OVM,
     FractionalSet,
     MeasurableSet,
+    _as_list,
     _check_measure,
     _set_values,
     direct_sum,
@@ -790,12 +791,14 @@ def check_separation(nu: OVM, target, witness) -> float:
 
 def joint_attain(ovms, targets) -> AttainResult:
     """One set E with nu_i(E) = A_i for every component, via the direct sum."""
-    ovms = tuple(ovms)
-    targets = tuple(targets)
+    ovms = _as_list(ovms, "ovms", "OVMs")
+    targets = _as_list(targets, "targets", "matrices")
     if len(ovms) != len(targets):
         raise InvalidInput("need one target per measure")
     if not ovms:
         raise InvalidInput("need at least one measure")
+    for nu in ovms:
+        _check_measure(nu)
     joint = direct_sum(*ovms) if len(ovms) > 1 else ovms[0]
     dims = [o.dim for o in ovms]
     block = np.zeros((joint.dim, joint.dim), dtype=np.complex128)

@@ -109,26 +109,23 @@ def single_atom_measure(mass: float = 1.0, site: float = 0.5) -> OVM:
     return atomic_ovm(SampleSpace.uniform(1, atom_sites=(site,)), np.full((1, 1, 1), mass))
 
 
-def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
-
-
 def random_povm(dim: int, m: int, rng: np.random.Generator,
                 space: SampleSpace | None = None) -> OVM:
     """Random quantum probability measure on an m-cell grid.
 
-    Per-cell Gram matrices are jointly renormalized, S^(-1/2) G_k S^(-1/2),
-    so the total mass is the identity up to round-off.
+    Per-cell Gram matrices G_k = X_k X_k* + 0.01 I are jointly
+    renormalized, S^(-1/2) G_k S^(-1/2), so the total mass is the identity
+    up to round-off.  X_k takes its real, then its imaginary d x d uniforms
+    on [-1, 1), cell after cell, all from one draw.
     """
     dim, m = opcore.as_int(dim, "dimension", low=1), opcore.as_int(m, "cell count", low=1)
     if space is None:
         space = SampleSpace.uniform(m)
     if space.n_cells != m:
         raise InvalidInput("cell count does not match the space")
-    grams = np.empty((m, dim, dim), dtype=np.complex128)
-    for k in range(m):
-        x = random_complex(rng, (dim, dim))
-        grams[k] = x @ x.conj().T + 0.01 * np.eye(dim)
+    parts = rng.uniform(-1.0, 1.0, (m, 2, dim, dim))
+    x = parts[:, 0] + 1j * parts[:, 1]
+    grams = x @ x.conj().swapaxes(-1, -2) + 0.01 * np.eye(dim)
     total = np.add.reduce(grams, axis=0)
     root = opcore.psd_sqrt(total)
     inv_root = np.linalg.inv(root)

@@ -63,9 +63,13 @@ def as_stack(a) -> np.ndarray:
     m = as_array(a, np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInput(f"expected a stack of square matrices, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidInput("matrix has non-finite entries")
+    _require_finite(m)
     return m
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise InvalidInput("matrix has non-finite entries")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -361,12 +365,47 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     """Decode :func:`matrix_to_json`'s form: "re" and "im" are d x d lists
     of real numbers (:func:`as_reals`: strings and bools raise InvalidInput)."""
-    if not isinstance(obj, dict) or not {"dim", "re", "im"} <= set(obj):
-        raise InvalidInput("matrix JSON must have keys dim, re, im")
-    d = as_int(obj["dim"], "matrix JSON dim", low=1)
-    rows = [row for part in (obj["re"], obj["im"]) if isinstance(part, list) and len(part) == d
-            for row in part]
-    if len(rows) != 2 * d or not all(isinstance(row, list) and len(row) == d for row in rows):
-        raise InvalidInput(f"matrix JSON arrays must be {d}x{d} lists")
-    re, im = as_reals([x for row in rows for x in row], "matrix JSON entry").reshape(2, d, d)
-    return as_matrix(re + 1j * im)
+    return matrix_stacks_from_json([obj])[0][0]
+
+
+_MATRIX_KEYS = frozenset(("dim", "re", "im"))
+
+
+def matrix_stacks_from_json(*lists) -> list:
+    """Each list of :func:`matrix_from_json` forms as one (k, d, d) stack,
+    None for an empty list: each item's structure is checked, then one
+    :func:`as_reals` and one finiteness test take the list's entries, item
+    by item, "re" then "im", row by row.  The first fault raises as
+    matrix_from_json on each item in turn, then np.stack on each list,
+    would: mixed dims in a list raise ValueError once every list is read."""
+    checked = []
+    for objs in lists:
+        items, dims, rows = list(objs), [], []
+        try:
+            for obj in items:
+                if not isinstance(obj, dict) or not _MATRIX_KEYS <= obj.keys():
+                    raise InvalidInput("matrix JSON must have keys dim, re, im")
+                d = as_int(obj["dim"], "matrix JSON dim", low=1)
+                re, im = obj["re"], obj["im"]
+                if not (isinstance(re, list) and isinstance(im, list) and len(re) == len(im) == d
+                        and all(isinstance(row, list) and len(row) == d for row in re + im)):
+                    raise InvalidInput(f"matrix JSON arrays must be {d}x{d} lists")
+                dims.append(d)
+                rows += re + im
+            values = as_reals([x for row in rows for x in row], "matrix JSON entry")
+            _require_finite(values)
+        except (InvalidInput, OverflowError):  # as_real's float() of a huge int
+            # Each item before the one whose structure failed, or every
+            # item, alone: the first at fault raises.
+            for obj in items[: len(dims)] if len(items) > 1 else ():
+                matrix_from_json(obj)
+            raise
+        checked.append((dims, values))
+    if any(len(set(dims)) > 1 for dims, _ in checked):
+        raise ValueError("all input arrays must have the same shape")
+    stacks = []
+    for dims, values in checked:
+        d = max(dims, default=0)
+        parts = values.reshape(len(dims), 2, d, d)
+        stacks.append(parts[:, 0] + 1j * parts[:, 1] if dims else None)
+    return stacks

@@ -433,12 +433,12 @@ _CHUNK_ENTRIES = 1 << 14
 _GATHER_ITEMS = 256
 
 
-def _set_list(sets, what: str) -> list:
-    """``sets`` as a list; InvalidInput when it is not a sequence."""
+def _as_list(items, what: str, of: str = "MeasurableSets") -> list:
+    """``items`` as a list; InvalidInput when it is not a sequence."""
     try:
-        return list(sets)
+        return list(items)
     except TypeError:
-        raise InvalidInput(f"{what} must be a sequence of MeasurableSets, got {sets!r}") from None
+        raise InvalidInput(f"{what} must be a sequence of {of}, got {items!r}") from None
 
 
 def _set_masks(space: SampleSpace, sets: list) -> np.ndarray:
@@ -598,7 +598,7 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     if not np.isfinite(4.0 * reach * reach):
         raise InvalidInput(f"masses too large: products of set values near {reach:.3e}^2 "
                            "overflow float64")
-    sample_sets = _set_list(sample_sets, "sample sets")
+    sample_sets = _as_list(sample_sets, "sample sets")
     picks = _set_masks(nu.space, sample_sets)
     count, d = len(picks), nu.dim
     flat = nu.masses.reshape(len(nu.masses), d * d)
@@ -697,9 +697,8 @@ def ovm_from_json(obj) -> OVM:
         raise InvalidInput("OVM JSON must carry a dim")
     try:
         d = opcore.as_int(obj["dim"], "OVM JSON dim", low=1)
-        cm, am = ([opcore.matrix_from_json(x) for x in obj.get(key, [])]
-                  for key in ("cell_masses", "atom_masses"))
-        cell, atom = (np.stack(x) if x else None for x in (cm, am))
+        cell, atom = opcore.matrix_stacks_from_json(
+            *(obj.get(key, []) for key in ("cell_masses", "atom_masses")))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed OVM JSON: {exc}") from exc
     return OVM(space, join_items(space, cell, atom, d), variant)

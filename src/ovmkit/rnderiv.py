@@ -15,7 +15,7 @@ import numpy as np
 
 from . import opcore
 from .errors import DerivativeDoesNotExist, NotPositive
-from .ovm import (OVM, InducedMeasure, MeasurableSet, SampleSpace, _check_measure, _set_list,
+from .ovm import (OVM, InducedMeasure, MeasurableSet, SampleSpace, _as_list, _check_measure,
                   _set_masks, _set_values, induced_measure)
 
 
@@ -105,7 +105,7 @@ def rn_consistency(nu: OVM, rho, sets: list[MeasurableSet]) -> float:
     """
     dens = rn_derivative(nu, rho)
     pieces = dens.values * dens.reference.traces[:, None, None]
-    picks = _set_masks(nu.space, _set_list(sets, "sets"))
+    picks = _set_masks(nu.space, _as_list(sets, "sets"))
     lhs = _set_values(nu.masses, picks)
     rhs = _set_values(pieces, picks & dens.defined)
     return float(np.abs(lhs - rhs).max(initial=0.0))

@@ -10,11 +10,11 @@ from itertools import combinations
 import numpy as np
 
 from ovmkit import opcore
-from ovmkit.errors import DimMismatch, NotPositive, NotSelfAdjoint
+from ovmkit.errors import DimMismatch, InvalidInput, NotPositive, NotSelfAdjoint
 from ovmkit.errors import AtomicObstruction
 from ovmkit.lyapunov import CertificateReport, TrialFailure, convex_combine, kernel_witness
-from ovmkit.models import random_complex
-from ovmkit.ovm import MeasurableSet, PropertyReport, evaluate, set_to_json
+from ovmkit.ovm import (OVM, MeasurableSet, PropertyReport, SampleSpace, evaluate, grid_ovm,
+                        set_to_json)
 from ovmkit.qintegrate import DEDUP_TOL, QuantumRandomVariable
 
 
@@ -30,6 +30,47 @@ def count_decompositions(monkeypatch, names: bool = False) -> list:
                             shapes.append((_name, np.shape(a)) if names else np.shape(a))
                             or _fn(a, *args, **kw))
     return shapes
+
+
+def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+
+
+def random_povm_cell_by_cell(dim: int, m: int, rng: np.random.Generator) -> OVM:
+    """The reference random_povm on SampleSpace.uniform(m): each cell's Gram
+    matrix from its own two random_complex draws, then the joint
+    renormalization."""
+    grams = np.empty((m, dim, dim), dtype=np.complex128)
+    for k in range(m):
+        x = random_complex(rng, (dim, dim))
+        grams[k] = x @ x.conj().T + 0.01 * np.eye(dim)
+    inv_root = np.linalg.inv(opcore.psd_sqrt(np.add.reduce(grams, axis=0)))
+    return grid_ovm(SampleSpace.uniform(m), inv_root @ grams @ inv_root)
+
+
+def matrix_from_json_alone(obj) -> np.ndarray:
+    """The reference decode of one matrix JSON form on its own: its keys,
+    its dim, its d x d "re" and "im" lists, then its entries (as_reals)
+    and their finiteness (as_matrix)."""
+    if not isinstance(obj, dict) or not {"dim", "re", "im"} <= set(obj):
+        raise InvalidInput("matrix JSON must have keys dim, re, im")
+    d = opcore.as_int(obj["dim"], "matrix JSON dim", low=1)
+    rows = [row for part in (obj["re"], obj["im"]) if isinstance(part, list) and len(part) == d
+            for row in part]
+    if len(rows) != 2 * d or not all(isinstance(row, list) and len(row) == d for row in rows):
+        raise InvalidInput(f"matrix JSON arrays must be {d}x{d} lists")
+    entries = opcore.as_reals([x for row in rows for x in row], "matrix JSON entry")
+    re, im = entries.reshape(2, d, d)
+    with np.errstate(invalid="ignore"):  # 1j * inf
+        return opcore.as_matrix(re + 1j * im)
+
+
+def matrix_stacks_one_by_one(*lists) -> list:
+    """The reference mass decode: every item of every list decoded by
+    matrix_from_json_alone, in order, then each list stacked by np.stack,
+    None for an empty list."""
+    decoded = [[matrix_from_json_alone(obj) for obj in objs] for objs in lists]
+    return [np.stack(x) if x else None for x in decoded]
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

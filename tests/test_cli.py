@@ -1,11 +1,13 @@
 """Scenario runner: exit codes, determinism, report contents."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +163,44 @@ class TestKinds:
         assert len(report["results"]["failures"]) == 25
 
 
+class _Int(int):
+    def __repr__(self):
+        return "not the integer"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not the float"
+
+
+def _json_values(unencodable: bool = False):
+    """Values as a report holds them: nested dicts, lists and tuples, empty
+    ones too; text with non-ASCII, control characters and quotes; nan,
+    +-inf, -0.0, subnormal floats and large integers; bool and None; float
+    and int subclasses; dict keys of every kind json converts.  With
+    ``unencodable``, values and keys that json rejects are mixed in."""
+    floats = st.floats(allow_subnormal=True) | st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e308, 0.1, -1e-7, 1e16])
+    text = st.text(max_size=8) | st.sampled_from(
+        ['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "</script>"])
+    integers = st.integers() | st.integers(-10**40, 10**40)
+    leaves = (st.none() | st.booleans() | integers | integers.map(_Int) | floats
+              | floats.map(np.float64) | floats.map(_Float) | text)
+    keys = (text | integers | integers.map(_Int) | floats | floats.map(np.float64)
+            | st.booleans() | st.none())
+    if unencodable:
+        leaves |= st.sampled_from([np.int64(1), np.bool_(True), object, {1}, b"x", 1j])
+        keys |= st.sampled_from([(1,), np.int64(2)])
+    return st.recursive(
+        leaves,
+        lambda inner: (st.lists(inner, max_size=5) | st.lists(floats, min_size=1, max_size=6)
+                       | st.lists(floats.map(np.float64), min_size=1, max_size=3)
+                       | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(text, inner, max_size=5)
+                       | st.dictionaries(keys, inner, max_size=3)),
+        max_leaves=25)
+
+
 class TestSerialization:
     def test_report_key_sorted(self):
         report, _ = cli.run_scenario(dict(LEBESGUE_SCENARIO))
@@ -168,6 +208,20 @@ class TestSerialization:
         parsed = json.loads(text)
         assert list(parsed) == sorted(parsed)
         assert text == cli.report_to_json(parsed)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_json_values() | _json_values(unencodable=True))
+    def test_report_to_json_is_json_dumps(self, value):
+        # The direct encoder writes json.dumps' bytes, and where json cannot
+        # encode a value it raises json's TypeError.
+        def outcome(encode):
+            try:
+                return encode(value)
+            except TypeError as exc:
+                return f"TypeError: {exc}"
+
+        assert outcome(cli.report_to_json) == outcome(
+            lambda v: json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True) + "\n")
 
     def test_csv_17_digits(self):
         report, _ = cli.run_scenario({"kind": "uhl", "cells": 4})

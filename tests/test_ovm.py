@@ -1,6 +1,7 @@
 """Measure representations: evaluation, induced/entry measures, axioms."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from helpers import (
     OperatorInterval,
     count_decompositions,
+    matrix_stacks_one_by_one,
     properties_pair_by_pair,
+    random_povm_cell_by_cell,
     random_state,
     signed_zero_masses,
     spectral_tol,
@@ -189,6 +192,11 @@ TYPED_INPUTS = {
                       np.eye(2) / 2, ("abc", [[1, 0], [0]], [["0.5", "0"], ["0", "0.5"]])),
     "joint_attain target": (lambda t: joint_attain([lebesgue_identity(4, 2)], [t]),
                             np.eye(2) / 2, ("x", [[1, 0], [0]])),
+    "joint_attain measures": (lambda ovms: joint_attain(ovms, [np.eye(2) / 2]),
+                              [lebesgue_identity(4, 2)],
+                              ("x", [1], [None], 5, 2.5, True, np.nan, 10**30, None)),
+    "joint_attain targets": (lambda ts: joint_attain([lebesgue_identity(4, 2)], ts),
+                             [np.eye(2) / 2], (5, 2.5, True, np.nan, 10**30, None)),
     "kernel_witness support": (lambda s: kernel_witness(random_povm(2, 6, RNG), s),
                                range(6), (5, None, np.int64(2), [[0, 1]])),
     "indicator set": (lambda e: indicator(SampleSpace.uniform(2), 2, e), _HALF,
@@ -1004,6 +1012,80 @@ class TestJson:
         obj = ovm.set_to_json(e)
         assert obj == {"cells": [1, 4], "atoms": [1]}
         assert ovm.set_from_json(space, obj) == e
+
+
+# One matrix JSON form each: two good ones and one of each fault.
+_MATRIX_FORMS = {
+    "good 1x1": {"dim": 1, "re": [[0.5]], "im": [[-0.0]]},
+    "good 2x2": {"dim": 2, "re": [[1, -0.0], [-0.0, 2.0]], "im": [[0.0, -0.5], [0.5, -0.0]]},
+    "non-dict item": [[0.5]],
+    "number item": 5,
+    "missing key": {"dim": 1, "re": [[0.5]]},
+    "string dim": {"dim": "1", "re": [[0.5]], "im": [[0.0]]},
+    "bool dim": {"dim": True, "re": [[0.5]], "im": [[0.0]]},
+    "zero dim": {"dim": 0, "re": [], "im": []},
+    "ragged rows": {"dim": 2, "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    "too few rows": {"dim": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    "string entry": {"dim": 1, "re": [["0.5"]], "im": [[0.0]]},
+    "bool entry": {"dim": 1, "re": [[0.5]], "im": [[True]]},
+    "nan entry": {"dim": 1, "re": [[float("nan")]], "im": [[0.0]]},
+    "inf entry": {"dim": 1, "re": [[0.5]], "im": [[float("-inf")]]},
+    "huge entry": {"dim": 1, "re": [[10**400]], "im": [[0.0]]},
+}
+
+
+def _decode_outcome(decode, *lists):
+    """The stacks' shapes and bytes, or the error's type and message."""
+    try:
+        return [None if x is None else (x.shape, x.tobytes()) for x in decode(*lists)]
+    except (errors.InvalidInput, ValueError, TypeError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestMassDecode:
+    """Each mass list is decoded as one stack, with the bits, and on a
+    malformed list the first error, of a matrix-by-matrix decode."""
+
+    def test_lists_of_up_to_three_items(self):
+        forms = list(_MATRIX_FORMS.values())
+        for count in range(4):
+            for items in itertools.product(forms, repeat=count):
+                assert (_decode_outcome(opcore.matrix_stacks_from_json, list(items))
+                        == _decode_outcome(matrix_stacks_one_by_one, list(items))), items
+
+    def test_two_lists(self):
+        # A fault in the first list comes before any in the second, and a
+        # list of mixed dims raises only once both lists have been read.
+        forms = [_MATRIX_FORMS[name] for name in
+                 ("good 1x1", "good 2x2", "missing key", "string entry", "nan entry")]
+        lists = [list(x) for count in range(3) for x in itertools.product(forms, repeat=count)]
+        for first, second in itertools.product(lists + [5, None], repeat=2):
+            assert (_decode_outcome(opcore.matrix_stacks_from_json, first, second)
+                    == _decode_outcome(matrix_stacks_one_by_one, first, second)), (first, second)
+
+    def test_mixed_dims_through_ovm_from_json(self):
+        obj = ovm.ovm_to_json(lebesgue_identity(2, 2))
+        obj["cell_masses"][1] = _MATRIX_FORMS["good 1x1"]
+        with pytest.raises(errors.InvalidInput, match="^malformed OVM JSON: all input arrays "
+                                                      "must have the same shape$"):
+            ovm.ovm_from_json(obj)
+
+    def test_round_trip_bits(self):
+        nu = random_povm(3, 24, rng_from_seed(5))
+        back = ovm.ovm_from_json(ovm.ovm_to_json(nu))
+        assert back.masses.tobytes() == nu.masses.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_random_povm_draws_the_cell_by_cell_stream(dim):
+    # One draw for every cell's uniforms is the per-cell loop's stream: the
+    # same masses bit for bit, and the generator left in the same state.
+    for m in (1, 2, 7, 40, 200):
+        for seed in (0, 1, 17, 2**40 + 3):
+            rng, ref = rng_from_seed(seed), rng_from_seed(seed)
+            got, want = random_povm(dim, m, rng), random_povm_cell_by_cell(dim, m, ref)
+            assert got.masses.tobytes() == want.masses.tobytes(), (m, seed)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestCachedValues:

@@ -11,6 +11,7 @@ from helpers import (
     count_decompositions,
     ess_range_greedy,
     pos_neg_parts,
+    random_complex,
     random_hermitian,
     random_qrv_values,
     random_state,
@@ -19,12 +20,7 @@ from helpers import (
     trace_pair,
 )
 from ovmkit import errors, opcore, qintegrate
-from ovmkit.models import (
-    lebesgue_identity,
-    random_complex,
-    random_povm,
-    rng_from_seed,
-)
+from ovmkit.models import lebesgue_identity, random_povm, rng_from_seed
 from ovmkit.ovm import (
     MASS_TOL,
     FractionalSet,
