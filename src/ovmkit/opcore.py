@@ -96,7 +96,10 @@ def as_real(value, what: str) -> float:
     integers and floats pass; anything else, bools included, raises InvalidInput."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidInput(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise InvalidInput(f"{what} out of the float range") from None
 
 
 def as_reals(values, what: str) -> np.ndarray:
@@ -394,7 +397,7 @@ def matrix_stacks_from_json(*lists) -> list:
                 rows += re + im
             values = as_reals([x for row in rows for x in row], "matrix JSON entry")
             _require_finite(values)
-        except (InvalidInput, OverflowError):  # as_real's float() of a huge int
+        except InvalidInput:
             # Each item before the one whose structure failed, or every
             # item, alone: the first at fault raises.
             for obj in items[: len(dims)] if len(items) > 1 else ():

@@ -251,10 +251,6 @@ class FractionalSet:
 
     __eq__ = _same_vectors
 
-    @classmethod
-    def from_measurable(cls, e: MeasurableSet) -> "FractionalSet":
-        return cls(e.cell_mask.astype(float), e.atom_mask)
-
 
 @dataclass(frozen=True, eq=False)
 class InducedMeasure:

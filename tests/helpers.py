@@ -13,8 +13,8 @@ from ovmkit import opcore
 from ovmkit.errors import DimMismatch, InvalidInput, NotPositive, NotSelfAdjoint
 from ovmkit.errors import AtomicObstruction
 from ovmkit.lyapunov import CertificateReport, TrialFailure, convex_combine, kernel_witness
-from ovmkit.ovm import (OVM, MeasurableSet, PropertyReport, SampleSpace, evaluate, grid_ovm,
-                        set_to_json)
+from ovmkit.ovm import (OVM, FractionalSet, MeasurableSet, PropertyReport, SampleSpace, evaluate,
+                        grid_ovm, set_to_json)
 from ovmkit.qintegrate import DEDUP_TOL, QuantumRandomVariable
 
 
@@ -71,6 +71,11 @@ def matrix_stacks_one_by_one(*lists) -> list:
     None for an empty list."""
     decoded = [[matrix_from_json_alone(obj) for obj in objs] for objs in lists]
     return [np.stack(x) if x else None for x in decoded]
+
+
+def fractional_from_measurable(e: MeasurableSet) -> FractionalSet:
+    """The fractional set with the cell fractions 1 on E and 0 elsewhere, and E's atoms."""
+    return FractionalSet(e.cell_mask.astype(float), e.atom_mask)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -145,6 +150,13 @@ def ess_range_greedy(f, nu) -> list:
         if not kept or opcore.op_norms(value - live[kept]).min() > tol:
             kept.append(i)
     return list(live[kept])
+
+
+def first_copies_structured(flat: np.ndarray) -> np.ndarray:
+    """The reference exact-copy pass: numpy's structured row unique, which
+    compares each row's real and imaginary parts one at a time by value, and
+    the first index of each distinct row, ascending."""
+    return np.sort(np.unique(flat, axis=0, return_index=True)[1])
 
 
 def supports_with_kernel(nu) -> list[tuple[int, ...]]:

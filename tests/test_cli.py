@@ -427,6 +427,18 @@ class TestMalformedInput:
         assert code == 1
         assert report["error"].startswith("InvalidInput: ")
 
+    def test_target_beyond_float_range(self, tmp_path):
+        # An integer past the float range is an InvalidInput like any other
+        # bad entry: an exit-1 report, no raw OverflowError.
+        config, out = tmp_path / "s.json", tmp_path / "r.json"
+        target = {"dim": 2, "re": [[10**400, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}
+        config.write_text(json.dumps({"kind": "attain", "ovm": SMALL_OVM, "target": target}),
+                          encoding="utf-8")
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+        text = out.read_text(encoding="utf-8")
+        assert json.loads(text)["error"] == "InvalidInput: matrix JSON entry out of the float range"
+        assert "OverflowError" not in text
+
     def test_item_counts_swapped_between_cells_and_atoms(self):
         # Two cells, no atoms: one cell mass and one atom mass total two
         # items but put the second one in the wrong place.

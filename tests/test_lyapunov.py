@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     OperatorInterval,
     certificate_trial_by_trial,
+    fractional_from_measurable,
     intervals_cell_by_cell,
     random_hermitian,
     supports_with_kernel,
@@ -166,7 +167,7 @@ class TestPurify:
 
     def test_indicator_input_untouched(self):
         nu = random_povm(2, 8, RNG)
-        h = FractionalSet.from_measurable(random_set(nu.space, RNG))
+        h = fractional_from_measurable(random_set(nu.space, RNG))
         result = purify(nu, h)
         assert result.iterations == 0
         assert np.array_equal(result.h_final.cell_fractions, h.cell_fractions)
@@ -646,7 +647,7 @@ class TestConvexCombine:
         for t in (0.3, 0.5, 0.9):
             result = convex_combine(nu, e, e, t)
             assert result.iterations == 0
-            whole = realize_intervals(nu, FractionalSet.from_measurable(e))
+            whole = realize_intervals(nu, fractional_from_measurable(e))
             assert result.intervals == whole.intervals
 
     def test_agreed_null_cell_stays(self):
@@ -1317,7 +1318,7 @@ class TestCertificateMatchesTrialByTrial:
         for got, (e1, e2, t) in zip(results, mixes):
             if t in (0.0, 1.0):
                 e = e1 if t else e2
-                want = realize_intervals(nu, FractionalSet.from_measurable(e),
+                want = realize_intervals(nu, fractional_from_measurable(e),
                                          target=evaluate(nu, e))
             else:
                 want = convex_combine(nu, e1, e2, t)

@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     OperatorInterval,
     count_decompositions,
+    fractional_from_measurable,
     matrix_stacks_one_by_one,
     properties_pair_by_pair,
     random_povm_cell_by_cell,
@@ -132,7 +133,7 @@ TYPED_INPUTS = {
                                  ((0.5,),), 0.5)),
     "matrix JSON real entry": (
         lambda x: opcore.matrix_from_json({"dim": 1, "re": [[x]], "im": [[0.0]]}),
-        0.5, ("0.5", " 0.25 ", True, False, None, [0.5])),
+        0.5, ("0.5", " 0.25 ", True, False, None, [0.5], 10**400)),
     "matrix JSON imaginary entry": (
         lambda x: opcore.matrix_from_json({"dim": 1, "re": [[0.5]], "im": [[x]]}),
         0, ("0", False, True)),
@@ -169,7 +170,7 @@ TYPED_INPUTS = {
     "dyadic_state levels": (dyadic_state, 3, (2.5, "3", True, -1)),
     "overlapping_measures count": (lambda n: overlapping_measures(n, 4, RNG),
                                    2, (2.0, "2", True, 0)),
-    "single_atom_measure mass": (single_atom_measure, 0.5, ("x", True, None)),
+    "single_atom_measure mass": (single_atom_measure, 0.5, ("x", True, None, 10**400)),
     "singular_demo lambdas": (lambda x: demos.singular_demo(2, [0.5, x]),
                               0.5, (True, False, "0.5")),
     "singular_demo cells per block": (lambda c: demos.singular_demo(2, [0.5, 0.5], c),
@@ -565,7 +566,7 @@ class TestEvaluateFractional:
     def test_indicator_agrees_exactly(self):
         nu = random_povm(2, 16, RNG)
         e = random_set(nu.space, RNG)
-        h = FractionalSet.from_measurable(e)
+        h = fractional_from_measurable(e)
         assert np.array_equal(evaluate_fractional(nu, h), evaluate(nu, e))
 
     def test_clamping(self):
@@ -1040,6 +1041,17 @@ def _decode_outcome(decode, *lists):
         return [None if x is None else (x.shape, x.tobytes()) for x in decode(*lists)]
     except (errors.InvalidInput, ValueError, TypeError, OverflowError) as exc:
         return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: opcore.as_real(10**400, "entry"),
+    lambda: opcore.as_reals([10**400], "entry"),
+    lambda: opcore.as_reals([1, -(10**400)], "entry"),
+], ids=["as_real", "as_reals first", "as_reals second"])
+def test_integer_beyond_float_range(call):
+    # One InvalidInput, whichever integer of a list is the huge one.
+    with pytest.raises(errors.InvalidInput, match="^entry out of the float range$"):
+        call()
 
 
 class TestMassDecode:

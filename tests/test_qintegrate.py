@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     count_decompositions,
     ess_range_greedy,
+    first_copies_structured,
     pos_neg_parts,
     random_complex,
     random_hermitian,
@@ -502,6 +503,32 @@ def test_ess_range_matches_greedy_bit_for_bit(seed, d, m, n, hermitian, scale, s
     got, want = ess_range(f, nu), ess_range_greedy(f, nu)
     assert len(got) == len(want) <= live.sum()
     assert all(np.array_equal(a, b) and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_first_copies_is_the_structured_row_set(d):
+    # One byte key per row finds the index set of numpy's structured row
+    # unique: pooled rows, rows equal but for the sign of a zero part, all
+    # equal rows, distinct rows, one row and none.
+    rng = rng_from_seed(3600 + d)
+    pool = random_complex(rng, (5, d * d))
+    pool[:, 0] = 1j * pool[:, 0].imag
+    pool[1::2, -1] = pool[1::2, -1].real
+    pool[4] = 0.0
+    pooled = pool[rng.integers(0, len(pool), 400)]
+    parts = pooled.view(np.float64).copy()
+    zero = parts == 0.0
+    parts[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    signed = parts.view(np.complex128)
+    distinct = len(first_copies_structured(pooled))
+    assert len({row.tobytes() for row in signed}) > distinct  # zeros of both signs
+    cases = {"pooled": pooled, "signed zeros": signed, "all equal": pooled[[3] * 50],
+             "distinct": random_complex(rng, (60, d * d)), "one": pooled[:1],
+             "none": pooled[:0]}
+    for name, flat in cases.items():
+        got, want = qintegrate._first_copies(flat), first_copies_structured(flat)
+        assert got.tolist() == want.tolist(), name
+    assert len(first_copies_structured(signed)) == distinct
 
 
 def test_ess_range_norms_linear_in_distinct_values(monkeypatch):
