@@ -92,6 +92,10 @@ def draw(d, m, distinct, nulls, seed):
     return masses, values, *states, mask, h, sets
 
 
+def attrs(obj, *names) -> list:
+    return [getattr(obj, name) for name in names]
+
+
 def fold(sha, out):
     """Fold an output (array, scalar or a list or tuple of them) into ``sha``."""
     if isinstance(out, (list, tuple)):
@@ -126,20 +130,19 @@ def main(argv=None) -> int:
             zeroed[mask] *= -0.0
             g, f0 = ok.qrv(space, moved), ok.qrv(space, zeroed)
             calls = {
-                "grid_ovm": lambda: (nu.masses, nu.norms, nu.massive, nu.positive),
-                "qrv": lambda: [(x.values, x.norms, x.self_adjoint, x.positive)
+                "grid_ovm": lambda: attrs(nu, "masses", "norms", "massive", "positive"),
+                "qrv": lambda: [attrs(x, "values", "norms", "self_adjoint", "positive")
                                 for x in (f, g, f0)],
                 "evaluate": lambda: ok.evaluate(nu, e),
                 "evaluate_fractional": lambda: ok.evaluate_fractional(nu, ok.FractionalSet(h)),
                 "induced_measure": lambda: ok.induced_measure(nu, rho).traces,
-                "rn_derivative": lambda: (lambda r: (r.values, r.defined))(
-                    ok.rn_derivative(nu, rho)),
+                "rn_derivative": lambda: attrs(ok.rn_derivative(nu, rho), "values", "defined"),
                 "rn_consistency": lambda: ok.rn_consistency(nu, rho, sets),
                 "integrate": lambda: ok.integrate(nu, f),
                 "indicator_integrate": lambda: ok.integrate(nu, ok.indicator(space, d, e)),
                 "integrand_fs": lambda: ok.integrand_fs(f, s, nu, rho).values,
-                "ess_support": lambda: [(x.cell_mask, x.atom_mask)
-                                        for x in (ok.ess_support(f, nu), ok.ess_support(f0, nu))],
+                "ess_support": lambda: [attrs(ok.ess_support(x, nu), "cell_mask", "atom_mask")
+                                        for x in (f, f0)],
                 "ess_range": lambda: [ok.ess_range(f, nu), ok.ess_range(f0, nu)],
                 "ess_sup": lambda: [ok.ess_sup(f, nu), ok.ess_sup(f0, nu)],
                 "ess_equal": lambda: [ok.ess_equal(f, x, nu) for x in (f, g, f0)],
