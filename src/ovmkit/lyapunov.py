@@ -52,6 +52,8 @@ from .errors import (
     SizeLimit,
     TargetNotInHull,
 )
+from .opcore import (CERT_TOL, DISTINCT_TOL, KERNEL_RCOND, KERNEL_TOL, PIVOT_TOL, SIGN_TOL,
+                     SIMPLEX_TOL, SNAP_TOL)
 from .ovm import (
     OVM,
     FractionalSet,
@@ -65,15 +67,6 @@ from .ovm import (
     set_to_json,
 )
 
-# Fractions within this of a bound snap onto it.
-SNAP_TOL = 1e-12
-# Relative singular-value cutoff of the SVD kernel test.
-KERNEL_RCOND = 1e-10
-# Simplex tolerance in units of ||nu(X)||: the artificial sum that counts
-# as attained, the least entering gain and the ratio-test tie width.
-SIMPLEX_TOL = 1e-12
-# Smallest basis-column entry a ratio test divides by.
-PIVOT_TOL = 1e-9
 # Exchanges between refactorizations of the D x D basis inverse (D = d^2)
 # that _Basis and _phase_one_stack keep by product-form updates, for
 # attain's simplex, purify's crossover and the stacked mixes alike.  A
@@ -160,7 +153,7 @@ def _null_direction(cols: np.ndarray) -> np.ndarray | None:
     c[pick] += 1.0
     c -= rows @ (rows.T @ c)
     c /= np.abs(c).max()
-    lead = int(np.argmax(np.abs(c) > 1e-12))
+    lead = int(np.argmax(np.abs(c) > SIGN_TOL))
     return -c if c[lead] < 0 else c
 
 
@@ -170,7 +163,7 @@ def kernel_witness(nu: OVM, support) -> KernelWitness | None:
     Dependence is detected by an SVD of the coordinate matrix, singular
     values cut at KERNEL_RCOND relative to the largest (_null_direction);
     the witness is additionally validated to keep sum c_k M_k below
-    1e-10 * max(1, ||nu(X)||).  A support that is not a nonempty sequence
+    KERNEL_TOL * max(1, ||nu(X)||).  A support that is not a nonempty sequence
     of in-range indices raises InvalidInput.
     """
     _check_measure(nu)
@@ -182,7 +175,7 @@ def kernel_witness(nu: OVM, support) -> KernelWitness | None:
         raise InvalidInput(f"kernel support must be nonempty indices in [0, {nu.space.n_cells})")
     c = _null_direction(nu.cell_coords[cells].T)
     if c is None or (opcore.op_norm(np.tensordot(c, nu.cell_masses[cells], 1))
-                     > 1e-10 * max(1.0, nu.total_norm)):
+                     > opcore.rel_tol(KERNEL_TOL, nu.total_norm)):
         return None
     coeffs = np.zeros(nu.space.n_cells)
     coeffs[cells] = c
@@ -858,7 +851,7 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
     as drawing trial by trial leaves them.  Each stack is then realized as
     convex_combine realizes each mix (_combine), with phase-1 programs
     solved as one lockstep stack.  A failure is an AtomicObstruction or a
-    residual above 1e-6, recorded with its inputs.  Trials aggregate in
+    residual above CERT_TOL, recorded with its inputs.  Trials aggregate in
     index order, and every value is bit for bit that of a convex_combine
     call per trial, so reports are reproducible and equal to the
     trial-by-trial loop's.
@@ -883,7 +876,7 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
             else:
                 max_residual = max(max_residual, residual)
                 max_intervals = max(max_intervals, counts[b])
-                reason = f"residual {residual:.3e}" if residual > 1e-6 else None
+                reason = f"residual {residual:.3e}" if residual > CERT_TOL else None
             if reason:
                 e1, e2 = (set_to_json(MeasurableSet(s[:m], s[m:])) for s in picks[b])
                 failures.append(TrialFailure(first + b, e1, e2, float(weights[b]), reason))
@@ -912,7 +905,7 @@ def _draw_mixes(nu: OVM, rng: np.random.Generator, count: int):
     pairs are often equal discards few draws.
     """
     m, n = nu.space.n_cells, nu.space.n_atoms
-    distinct_tol = 1e-12 * max(1.0, nu.total_norm)
+    distinct_tol = opcore.rel_tol(DISTINCT_TOL, nu.total_norm)
     picks = np.empty((count, 2, m + n), dtype=bool)
     weights = np.empty(count)
 

@@ -36,13 +36,32 @@ import numpy as np
 
 from .errors import DimMismatch, InvalidInput, NotPositive
 
-# Relative PSD slack: accepted when min eigenvalue >= -TOL_PSD * max(1, ||A||).
-TOL_PSD = 1e-9
-# Strict-positivity threshold for full-rank flags and derivative existence.
-RANK_TOL = 1e-10
-# Asymmetry ||A - A*||_F, relative to max(1, ||A||_F), below which a
-# matrix is silently symmetrized.
-HERM_TOL = 1e-12
+# Every tolerance of the library, named once: value, then what it is relative to
+# and what it decides.  Other modules import the names they read; each
+# tol * max(1, scale) floor is rel_tol(tol, scale).
+HERM_TOL = 1e-12  # of max(1, ||A||_F): asymmetry ||A - A*||_F absorbed by symmetrizing
+TOL_PSD = 1e-9  # of max(1, ||A||): eigenvalue below 0 that still counts as PSD
+RANK_TOL = 1e-10  # absolute (State.full_rank), of ||M_k|| (rn_exists): strictly positive
+UNIT_TOL = 1e-12  # absolute: |tr rho - 1| of a state, ||nu(X) - I|| of a probability
+MASS_TOL = 1e-12  # of ||nu(X)||, summed |traces|, ess_sup f: an item or value is null
+WIDTH_TOL = 1e-12  # of max(1, b - a): cell widths that sum to b - a
+SNAP_TOL = 1e-12  # absolute: a fraction this far past 0 or 1 (or inside) sits on it
+SPECTRAL_TOL = 1e-9  # of max(1, ||nu(X)||)^2: defect of nu(E n F) = nu(E) nu(F)
+DEDUP_TOL = 1e-10  # of ess_sup f (the larger of two, ess_equal): two values are equal
+NORM_SLACK = 1e-6  # relative: round-off of operator norms in ess_range's window
+KERNEL_RCOND = 1e-10  # of the largest singular value: the kernel SVD's rank cut
+KERNEL_TOL = 1e-10  # of max(1, ||nu(X)||): ||sum c_k M_k|| of a kernel witness
+SIGN_TOL = 1e-12  # of the peak entry, 1: first entry that signs a canonical null vector
+SIMPLEX_TOL = 1e-12  # of ||nu(X)||: artificial sum attained, least gain, ratio tie width
+PIVOT_TOL = 1e-9  # of ||nu(X)||: least basis-column entry a ratio test divides by
+DISTINCT_TOL = 1e-12  # of max(1, ||nu(X)||): two set values a convexity trial tells apart
+CERT_TOL = 1e-6  # absolute: residual at which a convexity trial fails
+
+
+def rel_tol(tol, scale, unit=1.0):
+    """``tol`` relative to ``scale``, floored at ``unit`` (1 in the caller's units):
+    tol * max(unit, scale), elementwise on arrays."""
+    return tol * np.maximum(unit, scale)
 
 
 def as_array(a, dtype) -> np.ndarray:
@@ -148,7 +167,7 @@ def _hermitian_test(m: np.ndarray):
     tiny = exponent <= -1021
     if tiny.any():
         sym[tiny] = (m[tiny] + adj[tiny]) / 2
-    return asym <= HERM_TOL * np.maximum(1.0 / scale, size), asym * scale, sym
+    return asym <= rel_tol(HERM_TOL, size, unit=1.0 / scale), asym * scale, sym
 
 
 def hermitian_stack(a) -> np.ndarray:
@@ -208,7 +227,7 @@ def _psd_ok(w: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     ``norms`` is max |w| where the caller has it already."""
     if norms is None:
         norms = np.abs(w).max(axis=-1, initial=0.0)
-    return (w >= -TOL_PSD * np.maximum(1.0, norms)[..., None]).all(axis=-1)
+    return (w >= -rel_tol(TOL_PSD, norms)[..., None]).all(axis=-1)
 
 
 def psd_flags(a) -> np.ndarray:
@@ -344,13 +363,13 @@ class State:
 
 def make_state(a) -> State:
     """Validate a matrix as a density operator: PSD within TOL_PSD and of
-    trace 1 within 1e-12."""
+    trace 1 within UNIT_TOL."""
     m = hermitian(a)
     w = np.linalg.eigvalsh(m)
     if not _psd_ok(w):
         raise NotPositive(f"state has eigenvalue {w[0]:.3e}")
     tr = float(m.trace().real)
-    if abs(tr - 1.0) > 1e-12:
+    if abs(tr - 1.0) > UNIT_TOL:
         raise InvalidInput(f"state trace {tr!r} is not 1")
     return State(matrix=readonly(m, np.complex128), full_rank=bool(w[0] > RANK_TOL))
 

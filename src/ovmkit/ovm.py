@@ -32,10 +32,7 @@ from .errors import (
     ShapeMismatch,
     SpaceMismatch,
 )
-
-# An item is null when its mass is at most this times the whole measure's
-# (OVM.massive, InducedMeasure.massive).
-MASS_TOL = 1e-12
+from .opcore import MASS_TOL, SNAP_TOL, SPECTRAL_TOL, UNIT_TOL, WIDTH_TOL
 
 
 def _index(k, count: int, what: str) -> int:
@@ -91,7 +88,7 @@ class SampleSpace:
         if any(x >= y for x, y in zip(bp, bp[1:])):
             raise InvalidInput("breakpoints must be strictly increasing")
         widths = [y - x for x, y in zip(bp, bp[1:])]
-        if abs(sum(widths) - (b - a)) > 1e-12 * max(1.0, b - a):
+        if abs(sum(widths) - (b - a)) > opcore.rel_tol(WIDTH_TOL, b - a):
             raise InvalidInput("cell widths do not sum to b - a")
         if len(set(sites)) != len(sites):
             raise InvalidInput("atom sites must be pairwise distinct")
@@ -231,7 +228,7 @@ class FractionalSet:
     (floats) and atom mask (bools; atoms are indivisible).
 
     Fractions are real numbers (opcore.as_reals); outside [0, 1] by at most
-    1e-12 they are clamped, and NaN and infinite ones rejected.
+    SNAP_TOL they are clamped, and NaN and infinite ones rejected.
     """
 
     cell_fractions: np.ndarray
@@ -241,7 +238,7 @@ class FractionalSet:
         fr = opcore.as_reals(self.cell_fractions, "cell fraction")
         if fr.ndim != 1:
             raise InvalidInput(f"cell fractions must be 1-d, got shape {fr.shape}")
-        outside = ~((fr >= -1e-12) & (fr <= 1.0 + 1e-12))  # NaN included
+        outside = ~((fr >= -SNAP_TOL) & (fr <= 1.0 + SNAP_TOL))  # NaN included
         if outside.any():
             raise InvalidInput(f"cell fraction {float(fr[outside][0])!r} outside [0, 1]")
         clamped = np.where(fr > 0.0, np.minimum(fr, 1.0), 0.0)  # -0.0 becomes 0.0
@@ -445,10 +442,10 @@ def _set_masks(space: SampleSpace, sets: list) -> np.ndarray:
 
 def _set_values(stack: np.ndarray, weights) -> np.ndarray:
     """The value of each row of the (s, k) selector stack ``weights`` over
-    the (k, d, d) item stack ``stack``, shape (s, d, d): bit for bit what
-    evaluate_fractional gives each row as a set's selector.
+    the (k, d, d) item stack ``stack``, shape (s, d, d).
 
-    A 0/1 row is sum_items of its selected items, added in item order:
+    A 0/1 row has evaluate's bits, sum_items of its selected items added
+    in item order:
     - from _GATHER_ITEMS items on, one sum_items call per row, on the
       (k, d, d) items as evaluate sums them;
     - below that, a block of rows at a time: one np.add.reduce over an
@@ -508,17 +505,10 @@ def evaluate(nu: OVM, e: MeasurableSet) -> np.ndarray:
 
 
 def evaluate_fractional(nu: OVM, h: FractionalSet) -> np.ndarray:
-    """sum_k h_k M_k over the cells plus the selected atom masses.
-
-    A 0/1-valued h is summed as :func:`evaluate` sums its set, so agreement
-    with the set function is exact, not merely within round-off.
-    """
+    """sum_k h_k M_k over the cells plus the selected atom masses, by _set_values:
+    a 0/1-valued h has :func:`evaluate`'s bits for its set, not merely its value."""
     _check_measure(nu)
-    weights = nu.space.selector(h)
-    chosen = weights == 1.0
-    if (chosen | (weights == 0.0)).all():
-        return sum_items(nu.masses[chosen])
-    return np.tensordot(weights, nu.masses, axes=1)
+    return _set_values(nu.masses, nu.space.selector(h)[None])[0]
 
 
 def induced_measure(nu: OVM, rho) -> InducedMeasure:
@@ -587,13 +577,14 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     A True flag is a non-falsification, not a certificate.
     """
     _check_measure(nu)
-    tol = 1e-9 * max(1.0, nu.total_norm) * max(1.0, nu.total_norm)
     # No set value exceeds the summed mass norms, so no defect
-    # nu(E n F) - nu(E) nu(F) reaches 2 reach^2; the guard keeps twice that finite.
+    # nu(E n F) - nu(E) nu(F) reaches 2 reach^2; the guard keeps twice that finite,
+    # and tol too, as ||nu(X)|| <= reach.
     reach = float(nu.norms.sum())
     if not np.isfinite(4.0 * reach * reach):
         raise InvalidInput(f"masses too large: products of set values near {reach:.3e}^2 "
                            "overflow float64")
+    tol = opcore.rel_tol(opcore.rel_tol(SPECTRAL_TOL, nu.total_norm), nu.total_norm)
     sample_sets = _as_list(sample_sets, "sample sets")
     picks = _set_masks(nu.space, sample_sets)
     count, d = len(picks), nu.dim
@@ -602,7 +593,7 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     spectral = all(
         opcore.op_norms(((picks & row).astype(float) @ flat).reshape(count, d, d) - value @ values)
         .max() <= tol for row, value in zip(picks, values))
-    probability = opcore.op_norm(nu.total_mass() - np.eye(nu.dim)) <= 1e-12
+    probability = opcore.op_norm(nu.total_mass() - np.eye(nu.dim)) <= UNIT_TOL
     return PropertyReport(positive=nu.positive, spectral=spectral, probability=probability)
 
 

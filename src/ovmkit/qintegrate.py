@@ -23,12 +23,9 @@ import numpy as np
 
 from . import opcore
 from .errors import DerivativeDoesNotExist, DimMismatch, InvalidInput, ShapeMismatch, Unsupported
-from .ovm import (MASS_TOL, OVM, MeasurableSet, SampleSpace, _check_space, item_views,
-                  join_items)
+from .opcore import DEDUP_TOL, MASS_TOL, NORM_SLACK
+from .ovm import OVM, MeasurableSet, SampleSpace, _check_space, item_views, join_items
 from .rnderiv import _reference
-
-# Operator-norm gap, relative to ess_sup f, under which two values of f are equal.
-DEDUP_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +116,14 @@ def qrv(space: SampleSpace, cell_values, atom_values=None) -> QuantumRandomVaria
 
 
 def indicator(space: SampleSpace, dim: int, e: MeasurableSet) -> QuantumRandomVariable:
-    """chi_E * I: the identity on E, zero elsewhere."""
+    """chi_E * I: the identity on E, zero elsewhere.  A dimension numpy cannot
+    shape into the (m + n, dim, dim) stack raises InvalidInput."""
     _check_space(space)
     dim = opcore.as_int(dim, "dimension", low=1)
-    values = np.zeros((space.n_cells + space.n_atoms, dim, dim), dtype=np.complex128)
+    try:
+        values = np.zeros((space.n_cells + space.n_atoms, dim, dim), dtype=np.complex128)
+    except ValueError:  # numpy refuses the shape before it allocates
+        raise InvalidInput(f"dimension {dim} too large for an (m + n, dim, dim) stack") from None
     values[space.mask(e)] = np.eye(dim)
     return QuantumRandomVariable(space, values)
 
@@ -218,9 +219,9 @@ def ess_range(f: QuantumRandomVariable, nu: OVM) -> list[np.ndarray]:
     proj = coords @ u / np.linalg.norm(u)
     # ||A - B||_op <= tol gives |<u, A - B>| <= ||A - B||_F <= sqrt(d) tol.
     # Rounding: n eps |u|.|x| <= n^1.5 eps M per projection (n coordinates, the largest
-    # M), eps (|p| + reach) at the window's end; 1 + 1e-6 holds the norms' few eps.
+    # M), eps (|p| + reach) at the window's end; 1 + NORM_SLACK holds the norms' few eps.
     slack = 4 * u.size**1.5 * np.finfo(float).eps * np.abs(coords).max(initial=0.0)
-    reach = np.sqrt(f.dim) * tol * (1 + 1e-6) + slack
+    reach = np.sqrt(f.dim) * tol * (1 + NORM_SLACK) + slack
     order = np.argsort(proj)
     width = np.searchsorted(proj[order], proj[order] + reach, side="right")
     width -= np.arange(1, len(order) + 1)  # partners after each sorted position
@@ -243,6 +244,6 @@ def ess_sup(f: QuantumRandomVariable, nu: OVM) -> float:
 
 
 def ess_equal(f: QuantumRandomVariable, g: QuantumRandomVariable, nu: OVM) -> bool:
-    """Equality in the L-infinity quotient: ess_sup(f - g) <= 1e-10 max(ess_sup f, ess_sup g)."""
+    """Equality in the L^inf quotient: ess_sup(f - g) <= DEDUP_TOL max(ess_sup f, ess_sup g)."""
     scale = _sup_norm(f, nu)  # checks f before f - g is formed
-    return _sup_norm(f - g, nu) <= 1e-10 * max(scale, _sup_norm(g, nu))
+    return _sup_norm(f - g, nu) <= DEDUP_TOL * max(scale, _sup_norm(g, nu))

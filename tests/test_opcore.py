@@ -1,11 +1,14 @@
 """Linear-algebra kernel: frozen examples plus sampled invariants."""
 
+import importlib
+import pkgutil
 import warnings
 
 import numpy as np
 import pytest
 
 from helpers import OperatorInterval, random_hermitian, trace_pair
+import ovmkit
 from ovmkit import errors, opcore
 from ovmkit.models import rng_from_seed
 
@@ -509,3 +512,43 @@ class TestStackRules:
         assert opcore.is_hermitian(a)
         assert opcore.psd_check(a)
         assert np.array_equal(opcore.hermitian(a), opcore.hermitian(a).conj().T)
+
+
+class TestToleranceTable:
+    def test_rel_tol_is_the_unit_floor_bit_for_bit(self):
+        # rel_tol(tol, s) is tol * max(1, s) on scalars, arrays and inf; unit
+        # takes the place of 1, per matrix when it is an array.
+        scales = [0.0, 1e-300, 0.25, 1.0, 1.0 + 2**-52, 3.0, 7e12, 1e300, np.inf]
+        for tol in (opcore.HERM_TOL, opcore.TOL_PSD, opcore.KERNEL_TOL, opcore.SPECTRAL_TOL):
+            want = np.array([tol * max(1.0, s) for s in scales])
+            got = np.array([opcore.rel_tol(tol, s) for s in scales])
+            assert got.tobytes() == want.tobytes()
+            assert opcore.rel_tol(tol, np.array(scales)).tobytes() == want.tobytes()
+            finite = scales[:-2] + [np.inf]  # tol s^2 overflows at s = 1e300
+            squared = [opcore.rel_tol(opcore.rel_tol(tol, s), s) for s in finite]
+            assert np.array(squared).tobytes() == np.array(
+                [tol * max(1.0, s) * max(1.0, s) for s in finite]).tobytes()
+            assert opcore.rel_tol(tol, 0.25, unit=0.5) == tol * 0.5
+            assert opcore.rel_tol(tol, 3.0, unit=0.5) == tol * 3.0
+            units = np.array([2.0**-10, 2.0**10])
+            assert opcore.rel_tol(tol, np.array([0.25, 0.25]), unit=units).tobytes() == (
+                tol * np.array([0.25, 2.0**10])).tobytes()
+
+    def test_modules_rebind_the_tables_own_objects(self):
+        # Each module reads opcore's constants, re-bound by import, so none can
+        # define a tolerance of its own beside the table.
+        names = {}
+        for info in pkgutil.iter_modules(ovmkit.__path__):
+            module = importlib.import_module(f"ovmkit.{info.name}")
+            for name, value in vars(module).items():
+                if name.isupper() and isinstance(value, float) and (
+                        "TOL" in name or "RCOND" in name or "SLACK" in name):
+                    assert value is getattr(opcore, name, None), (info.name, name)
+                    names.setdefault(info.name, set()).add(name)
+        assert len(names.pop("opcore")) == 17
+        assert names == {
+            "lyapunov": {"SNAP_TOL", "KERNEL_RCOND", "KERNEL_TOL", "SIGN_TOL", "SIMPLEX_TOL",
+                         "PIVOT_TOL", "DISTINCT_TOL", "CERT_TOL"},
+            "ovm": {"MASS_TOL", "SNAP_TOL", "SPECTRAL_TOL", "UNIT_TOL", "WIDTH_TOL"},
+            "qintegrate": {"DEDUP_TOL", "MASS_TOL", "NORM_SLACK"},
+        }

@@ -108,6 +108,14 @@ class TestIndicator:
             lhs = integrate(nu, indicator(nu.space, 3, e))
             assert opcore.op_norm(lhs - evaluate(nu, e)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("dim", [10**30, 2**40])
+    def test_dimension_numpy_cannot_shape_is_invalid_input(self, dim):
+        # numpy refuses both (m + n, dim, dim) shapes before it allocates:
+        # one exceeds its dimension limit, the other its size limit.
+        space = SampleSpace.uniform(4)
+        with pytest.raises(errors.InvalidInput, match="too large"):
+            indicator(space, dim, MeasurableSet.full(space))
+
 
 class TestPosNegParts:
     def test_diagonal_split(self):
