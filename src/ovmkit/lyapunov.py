@@ -142,7 +142,7 @@ def _null_direction(cols: np.ndarray) -> np.ndarray | None:
     1 - ||V_r e_k||^2 is at least half the largest, re-projected once
     against round-off, first nonzero entry positive.  The projector, and
     so the output, does not depend on how LAPACK picks V_r."""
-    _, sing, vt = np.linalg.svd(cols, full_matrices=False)
+    _, sing, vt = np.linalg.svd(cols / opcore._pow2_scales(cols), full_matrices=False)
     rank = int(np.sum(sing > KERNEL_RCOND * sing.max(initial=0.0)))
     if rank == cols.shape[1]:
         return None
@@ -163,7 +163,7 @@ def kernel_witness(nu: OVM, support) -> KernelWitness | None:
     Dependence is detected by an SVD of the coordinate matrix, singular
     values cut at KERNEL_RCOND relative to the largest (_null_direction);
     the witness is additionally validated to keep sum c_k M_k below
-    KERNEL_TOL * max(1, ||nu(X)||).  A support that is not a nonempty sequence
+    KERNEL_TOL * ||nu(X)||.  A support that is not a nonempty sequence
     of in-range indices raises InvalidInput.
     """
     _check_measure(nu)
@@ -175,7 +175,7 @@ def kernel_witness(nu: OVM, support) -> KernelWitness | None:
         raise InvalidInput(f"kernel support must be nonempty indices in [0, {nu.space.n_cells})")
     c = _null_direction(nu.cell_coords[cells].T)
     if c is None or (opcore.op_norm(np.tensordot(c, nu.cell_masses[cells], 1))
-                     > opcore.rel_tol(KERNEL_TOL, nu.total_norm)):
+                     > KERNEL_TOL * nu.total_norm):
         return None
     coeffs = np.zeros(nu.space.n_cells)
     coeffs[cells] = c
@@ -851,16 +851,16 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
     as drawing trial by trial leaves them.  Each stack is then realized as
     convex_combine realizes each mix (_combine), with phase-1 programs
     solved as one lockstep stack.  A failure is an AtomicObstruction or a
-    residual above CERT_TOL, recorded with its inputs.  Trials aggregate in
-    index order, and every value is bit for bit that of a convex_combine
-    call per trial, so reports are reproducible and equal to the
-    trial-by-trial loop's.
+    residual above CERT_TOL * ||nu(X)||, recorded with its inputs.  Trials
+    aggregate in index order, and every value is bit for bit that of a
+    convex_combine call per trial, so reports are reproducible and equal
+    to the trial-by-trial loop's.
     """
     _check_measure(nu)
     trials = opcore.as_int(trials, "trials", low=0)
     seed = opcore.as_int(seed, "seed", low=0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    m = nu.space.n_cells
+    m, cert_tol = nu.space.n_cells, CERT_TOL * nu.total_norm
     failures = []
     max_residual = 0.0
     max_intervals = 0
@@ -876,7 +876,7 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
             else:
                 max_residual = max(max_residual, residual)
                 max_intervals = max(max_intervals, counts[b])
-                reason = f"residual {residual:.3e}" if residual > CERT_TOL else None
+                reason = f"residual {residual:.3e}" if residual > cert_tol else None
             if reason:
                 e1, e2 = (set_to_json(MeasurableSet(s[:m], s[m:])) for s in picks[b])
                 failures.append(TrialFailure(first + b, e1, e2, float(weights[b]), reason))
@@ -905,7 +905,7 @@ def _draw_mixes(nu: OVM, rng: np.random.Generator, count: int):
     pairs are often equal discards few draws.
     """
     m, n = nu.space.n_cells, nu.space.n_atoms
-    distinct_tol = opcore.rel_tol(DISTINCT_TOL, nu.total_norm)
+    distinct_tol = DISTINCT_TOL * nu.total_norm
     picks = np.empty((count, 2, m + n), dtype=bool)
     weights = np.empty(count)
 

@@ -37,31 +37,26 @@ import numpy as np
 from .errors import DimMismatch, InvalidInput, NotPositive
 
 # Every tolerance of the library, named once: value, then what it is relative to
-# and what it decides.  Other modules import the names they read; each
-# tol * max(1, scale) floor is rel_tol(tol, scale).
-HERM_TOL = 1e-12  # of max(1, ||A||_F): asymmetry ||A - A*||_F absorbed by symmetrizing
-TOL_PSD = 1e-9  # of max(1, ||A||): eigenvalue below 0 that still counts as PSD
+# and what it decides.  Other modules import the names they read.  A tolerance
+# that judges a matrix or a measure is relative to that object's own norm, with
+# no floor, so a verdict on c nu is the verdict on nu.
+HERM_TOL = 1e-12  # of ||A||_F: asymmetry ||A - A*||_F absorbed by symmetrizing
+TOL_PSD = 1e-9  # of ||A||: eigenvalue below 0 that still counts as PSD
 RANK_TOL = 1e-10  # absolute (State.full_rank), of ||M_k|| (rn_exists): strictly positive
 UNIT_TOL = 1e-12  # absolute: |tr rho - 1| of a state, ||nu(X) - I|| of a probability
 MASS_TOL = 1e-12  # of ||nu(X)||, summed |traces|, ess_sup f: an item or value is null
-WIDTH_TOL = 1e-12  # of max(1, b - a): cell widths that sum to b - a
+WIDTH_TOL = 1e-12  # of max(1, b - a), in the space's units: cell widths that sum to b - a
 SNAP_TOL = 1e-12  # absolute: a fraction this far past 0 or 1 (or inside) sits on it
-SPECTRAL_TOL = 1e-9  # of max(1, ||nu(X)||)^2: defect of nu(E n F) = nu(E) nu(F)
+SPECTRAL_TOL = 1e-9  # of ||nu(X)||^2: defect of nu(E n F) = nu(E) nu(F)
 DEDUP_TOL = 1e-10  # of ess_sup f (the larger of two, ess_equal): two values are equal
 NORM_SLACK = 1e-6  # relative: round-off of operator norms in ess_range's window
 KERNEL_RCOND = 1e-10  # of the largest singular value: the kernel SVD's rank cut
-KERNEL_TOL = 1e-10  # of max(1, ||nu(X)||): ||sum c_k M_k|| of a kernel witness
+KERNEL_TOL = 1e-10  # of ||nu(X)||: ||sum c_k M_k|| of a kernel witness
 SIGN_TOL = 1e-12  # of the peak entry, 1: first entry that signs a canonical null vector
 SIMPLEX_TOL = 1e-12  # of ||nu(X)||: artificial sum attained, least gain, ratio tie width
 PIVOT_TOL = 1e-9  # of ||nu(X)||: least basis-column entry a ratio test divides by
-DISTINCT_TOL = 1e-12  # of max(1, ||nu(X)||): two set values a convexity trial tells apart
-CERT_TOL = 1e-6  # absolute: residual at which a convexity trial fails
-
-
-def rel_tol(tol, scale, unit=1.0):
-    """``tol`` relative to ``scale``, floored at ``unit`` (1 in the caller's units):
-    tol * max(unit, scale), elementwise on arrays."""
-    return tol * np.maximum(unit, scale)
+DISTINCT_TOL = 1e-12  # of ||nu(X)||: two set values a convexity trial tells apart
+CERT_TOL = 1e-6  # of ||nu(X)||: residual at which a convexity trial fails
 
 
 def as_array(a, dtype) -> np.ndarray:
@@ -145,35 +140,42 @@ def readonly(a, dtype) -> np.ndarray:
     return out
 
 
+def _pow2_scales(m: np.ndarray) -> np.ndarray:
+    """Per matrix of a (..., r, c) stack, the power of two 2^k at most its
+    largest entry modulus, or 2^-1022 if that is larger: A / 2^k has entries
+    below 2, 1 / 2^k is finite, and A / 2^k is the same array for A and for
+    A times any power of two (subnormal entries aside)."""
+    exponent = np.frexp(np.abs(m).max(axis=(-2, -1), initial=0.0))[1]
+    return np.ldexp(1.0, np.maximum(exponent - 1, -1022))
+
+
 def _hermitian_test(m: np.ndarray):
-    """Per matrix of a finite stack: ||A - A*||_F <= HERM_TOL * max(1, ||A||_F),
+    """Per matrix of a finite stack: ||A - A*||_F <= HERM_TOL * ||A||_F,
     ||A - A*||_F and (A + A*)/2; an exactly Hermitian stack takes no norm:
-    (True, 0.0, m).  The norms are taken of (A - A*) / 2^k and A / 2^k, 2^k at
-    most the largest entry modulus or 2^-1022, whichever is larger, so their
-    squares cannot overflow and 1 / 2^k, which the threshold and numpy's
-    complex division both take, stays finite; the scale is a power of two,
-    so the verdict is the unscaled formula's.  The mean is taken as
-    A/2 + A*/2, which cannot overflow either; a matrix with every entry
-    below 2^-1021, where halving may round off a subnormal's last bit,
-    takes (A + A*)/2 instead, which keeps its exactly Hermitian entries."""
+    (True, 0.0, m).  The norms are taken of (A - A*) / 2^k and A / 2^k, 2^k
+    from :func:`_pow2_scales`, so their squares cannot overflow, and the
+    verdict is the unscaled formula's, and that of A times any power of
+    two.  The mean is taken as A/2 + A*/2, which cannot overflow either; a
+    matrix with every entry below 2^-1021, where halving may round off a
+    subnormal's last bit, takes (A + A*)/2 instead, which keeps its exactly
+    Hermitian entries."""
     adj = m.swapaxes(-1, -2).conj()
     if (m == adj).all():
         return True, 0.0, m
-    exponent = np.frexp(np.abs(m).max(axis=(-2, -1), initial=0.0))[1]
-    scale = np.ldexp(1.0, np.maximum(exponent - 1, -1022))
+    scale = _pow2_scales(m)
     asym = np.linalg.norm((m - adj) / scale[..., None, None], axis=(-2, -1))
     size = np.linalg.norm(m / scale[..., None, None], axis=(-2, -1))
     sym = m / 2 + adj / 2
-    tiny = exponent <= -1021
+    tiny = scale < 2.0**-1021
     if tiny.any():
         sym[tiny] = (m[tiny] + adj[tiny]) / 2
-    return asym <= rel_tol(HERM_TOL, size, unit=1.0 / scale), asym * scale, sym
+    return asym <= HERM_TOL * size, asym * scale, sym
 
 
 def hermitian_stack(a) -> np.ndarray:
     """Validate and symmetrize a (..., d, d) stack.
 
-    Asymmetry ||A - A*||_F up to ``HERM_TOL * max(1, ||A||_F)`` is absorbed by
+    Asymmetry ||A - A*||_F up to ``HERM_TOL * ||A||_F`` is absorbed by
     (A + A*)/2; anything larger is rejected as a likely bug rather than
     round-off, naming the first such matrix.  An exactly Hermitian stack
     is returned as given.
@@ -199,12 +201,31 @@ def op_norms(a) -> np.ndarray:
 def _op_norms(m: np.ndarray) -> np.ndarray:
     ok, _, sym = _hermitian_test(m)
     if ok is True or ok.all():
-        return np.abs(np.linalg.eigvalsh(sym)).max(axis=-1, initial=0.0)
+        return np.abs(_decompose(sym)).max(axis=-1, initial=0.0)
     out = np.empty(ok.shape)
-    out[~ok] = np.linalg.svd(m[~ok], compute_uv=False)[:, 0]
+    out[~ok] = _decompose(m[~ok], "svd", compute_uv=False)[:, 0]
     if ok.any():
-        out[ok] = np.abs(np.linalg.eigvalsh(sym[ok])).max(axis=-1)
+        out[ok] = np.abs(_decompose(sym[ok])).max(axis=-1)
     return out
+
+
+def _decompose(m: np.ndarray, routine: str = "eigvalsh", **kwargs):
+    """np.linalg's ``routine`` (eigvalsh, eigh, or svd for singular values) of
+    the stack m, the values of 2^k A being those of A times 2^k, bit for bit.
+    That holds wherever LAPACK does not rescale a matrix, which it does, by
+    a factor that is not a power of two, when the largest entry lies outside
+    about [2^-458, 2^458].  Values that are 0 or of binary exponent within
+    +-400 (a matrix's largest value is within a factor d of its largest
+    entry) show that it rescaled none; otherwise each matrix is decomposed
+    again over its :func:`_pow2_scales`, which LAPACK never rescales, and
+    its values are scaled back."""
+    out = getattr(np.linalg, routine)(m, **kwargs)
+    if (np.abs(np.frexp(out[0] if isinstance(out, tuple) else out)[1]) < 400).all():
+        return out
+    scale = _pow2_scales(m)[..., None]
+    out = getattr(np.linalg, routine)(m / scale[..., None], **kwargs)
+    with np.errstate(over="ignore"):  # values past the float range are inf, as LAPACK's are
+        return (out[0] * scale, out[1]) if isinstance(out, tuple) else out * scale
 
 
 def _hermitian_spectrum(a):
@@ -217,23 +238,23 @@ def _hermitian_spectrum(a):
     ok, _, sym = _hermitian_test(as_stack(a))
     if not np.all(ok):
         return None
-    w = np.linalg.eigvalsh(sym)
+    w = _decompose(sym)
     norms = np.abs(w).max(axis=-1, initial=0.0)
     return sym, bool(_psd_ok(w, norms).all()), norms
 
 
 def _psd_ok(w: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
-    """Per ascending spectrum w (..., d): min w >= -TOL_PSD * max(1, max |w|);
+    """Per ascending spectrum w (..., d): min w >= -TOL_PSD * max |w|;
     ``norms`` is max |w| where the caller has it already."""
     if norms is None:
         norms = np.abs(w).max(axis=-1, initial=0.0)
-    return (w >= -rel_tol(TOL_PSD, norms)[..., None]).all(axis=-1)
+    return (w >= -TOL_PSD * norms[..., None]).all(axis=-1)
 
 
 def psd_flags(a) -> np.ndarray:
     """Per matrix of a (..., d, d) stack validated by :func:`hermitian_stack`:
-    is it PSD within TOL_PSD, min eigenvalue >= -TOL_PSD * max(1, ||A||)?"""
-    return _psd_ok(np.linalg.eigvalsh(hermitian_stack(a)))
+    is it PSD within TOL_PSD, min eigenvalue >= -TOL_PSD * ||A||?"""
+    return _psd_ok(_decompose(hermitian_stack(a)))
 
 
 def psd_roots(a) -> np.ndarray:
@@ -252,7 +273,7 @@ def _spectral_roots(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, PSD roots) of a stack that :func:`hermitian_stack`
     returned, from one eigh; eigenvalues below 0 are clamped to 0 in the
     roots, whatever the PSD verdict (:func:`_require_psd`)."""
-    w, v = np.linalg.eigh(sym)
+    w, v = _decompose(sym, "eigh")
     root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     return w, (root + np.conj(np.swapaxes(root, -1, -2))) / 2
 
@@ -291,11 +312,15 @@ def op_norm(a) -> float:
 
 
 def loewner_leq(a, b) -> bool:
-    """A <= B in the Loewner order, i.e. B - A is PSD within TOL_PSD."""
+    """A <= B in the Loewner order: A and B each pass :func:`hermitian_stack`
+    and B - A is PSD within TOL_PSD of max(||A||, ||B||).  The scale is that of
+    the operands, not of B - A, whose round-off is theirs."""
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != mb.shape:
         raise DimMismatch(f"dimensions {ma.shape[0]} vs {mb.shape[0]}")
-    return psd_check(mb - ma)
+    pair = hermitian_stack(np.stack([ma, mb]))
+    scale = np.abs(_decompose(pair)).max(initial=0.0)
+    return bool(_psd_ok(_decompose(pair[1] - pair[0]), scale))
 
 
 def herm_coords(a) -> np.ndarray:
@@ -365,7 +390,7 @@ def make_state(a) -> State:
     """Validate a matrix as a density operator: PSD within TOL_PSD and of
     trace 1 within UNIT_TOL."""
     m = hermitian(a)
-    w = np.linalg.eigvalsh(m)
+    w = _decompose(m)
     if not _psd_ok(w):
         raise NotPositive(f"state has eigenvalue {w[0]:.3e}")
     tr = float(m.trace().real)

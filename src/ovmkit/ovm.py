@@ -88,7 +88,8 @@ class SampleSpace:
         if any(x >= y for x, y in zip(bp, bp[1:])):
             raise InvalidInput("breakpoints must be strictly increasing")
         widths = [y - x for x, y in zip(bp, bp[1:])]
-        if abs(sum(widths) - (b - a)) > opcore.rel_tol(WIDTH_TOL, b - a):
+        # b - a is in the sample space's units, not a measure's scale: floored at 1.
+        if abs(sum(widths) - (b - a)) > WIDTH_TOL * max(1.0, b - a):
             raise InvalidInput("cell widths do not sum to b - a")
         if len(set(sites)) != len(sites):
             raise InvalidInput("atom sites must be pairwise distinct")
@@ -584,7 +585,7 @@ def check_ovm_properties(nu: OVM, sample_sets: list[MeasurableSet]) -> PropertyR
     if not np.isfinite(4.0 * reach * reach):
         raise InvalidInput(f"masses too large: products of set values near {reach:.3e}^2 "
                            "overflow float64")
-    tol = opcore.rel_tol(opcore.rel_tol(SPECTRAL_TOL, nu.total_norm), nu.total_norm)
+    tol = SPECTRAL_TOL * nu.total_norm * nu.total_norm
     sample_sets = _as_list(sample_sets, "sample sets")
     picks = _set_masks(nu.space, sample_sets)
     count, d = len(picks), nu.dim

@@ -153,8 +153,7 @@ def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunctio
     Null items contribute 0, and its errors are rn_derivative's.  With
     t_k = tr(rho M_k) > 0 the density R_k = M_k / t_k has the root
     M_k^(1/2) / sqrt(t_k), so f_s(k) = tr(s M_k^(1/2) F_k M_k^(1/2)) / t_k,
-    read from the measure's kept roots; R_k's PSD verdict, at its own scale,
-    is that of the eigenvalues of M_k divided by t_k.
+    read from the measure's kept roots.
     """
     _check_pair(f, nu)
     s_mat = opcore.as_matrix(getattr(s, "matrix", s))
@@ -166,7 +165,7 @@ def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunctio
     defined = nu.massive
     traces = ind.traces[defined]
     w, roots = (x[defined] for x in nu._roots)
-    opcore._require_psd(w / traces[:, None])
+    opcore._require_psd(w)
     out = np.zeros(len(defined), dtype=np.complex128)
     out[defined] = np.einsum("ij,kji->k", s_mat, roots @ f.values[defined] @ roots) / traces
     return ScalarStepFunction(nu.space, out)

@@ -176,7 +176,7 @@ def certificate_trial_by_trial(nu, trials: int, seed: int, redraws=None,
     ``draws``, when they are given."""
     rng = np.random.Generator(np.random.PCG64(seed))
     m, n = nu.space.n_cells, nu.space.n_atoms
-    distinct_tol = 1e-12 * max(1.0, nu.total_norm)
+    distinct_tol = 1e-12 * nu.total_norm
 
     def draw_set():
         return MeasurableSet(rng.integers(0, 2, m) == 1, rng.integers(0, 2, n) == 1)
@@ -202,7 +202,8 @@ def certificate_trial_by_trial(nu, trials: int, seed: int, redraws=None,
         else:
             max_residual = max(max_residual, result.residual)
             max_intervals = max(max_intervals, result.interval_count)
-            reason = f"residual {result.residual:.3e}" if result.residual > 1e-6 else None
+            reason = (f"residual {result.residual:.3e}" if result.residual > 1e-6 * nu.total_norm
+                      else None)
         if reason:
             failures.append(TrialFailure(trial, set_to_json(e1), set_to_json(e2), t, reason))
     return CertificateReport(trials=trials, seed=seed, max_residual=max_residual,
@@ -211,7 +212,7 @@ def certificate_trial_by_trial(nu, trials: int, seed: int, redraws=None,
 
 def spectral_tol(nu) -> float:
     """check_ovm_properties' spectrality tolerance for ``nu``."""
-    return 1e-9 * max(1.0, nu.total_norm) * max(1.0, nu.total_norm)
+    return 1e-9 * nu.total_norm * nu.total_norm
 
 
 def properties_pair_by_pair(nu, sample_sets) -> PropertyReport:

@@ -317,12 +317,12 @@ class TestKernelInterlacing:
 def svd_kernel(nu, support):
     """Reference kernel move on the index array ``support``: the SVD
     direction, kept only when sum c_k M_k stays within the drift bound
-    1e-10 * max(1, ||nu(X)||)."""
+    1e-10 * ||nu(X)||."""
     c = svd_null_direction(nu.cell_coords[support].T)
     if c is None:
         return None
     drift = np.tensordot(c, nu.cell_masses[support], axes=1)
-    if opcore.op_norm(drift) > 1e-10 * max(1.0, nu.total_norm):
+    if opcore.op_norm(drift) > 1e-10 * nu.total_norm:
         return None
     coeffs = np.zeros(nu.space.n_cells)
     coeffs[support] = c

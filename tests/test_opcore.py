@@ -114,7 +114,7 @@ class TestOpNorm:
                 a = scale * random_hermitian(d, rng)
                 if kind != "exact" and d > 1:
                     bump = np.zeros((d, d), dtype=complex)
-                    bump[0, 1] = (1e-14 if kind == "near" else 0.3) * max(1.0, scale)
+                    bump[0, 1] = (1e-14 if kind == "near" else 0.3) * np.linalg.norm(a)
                     a = a + bump
                 try:
                     want = float(np.abs(np.linalg.eigvalsh(opcore.hermitian_stack(a))).max())
@@ -193,9 +193,10 @@ class TestOpNorms:
                 assert norms[index].tobytes() == np.float64(opcore.op_norm(stack[index])).tobytes()
 
     def test_mixed_one_by_one_stack(self):
-        # 1e-14j is within HERM_TOL of Hermitian: its symmetrization is 0.
-        stack = np.array([2.0, -3.0, 1e-14j, 4.0 + 1.0j, 0.0]).reshape(5, 1, 1)
-        assert opcore.op_norms(stack).tolist() == [2.0, 3.0, 0.0, abs(4.0 + 1.0j), 0.0]
+        # 1e-14j is not Hermitian at any scale, and takes its singular value;
+        # 1 + 1e-14j is within HERM_TOL of |1 + 1e-14j|: its symmetrization is 1.
+        stack = np.array([2.0, -3.0, 1e-14j, 1.0 + 1e-14j, 4.0 + 1.0j, 0.0]).reshape(6, 1, 1)
+        assert opcore.op_norms(stack).tolist() == [2.0, 3.0, 1e-14, 1.0, abs(4.0 + 1.0j), 0.0]
 
     def test_invalid_input(self):
         for bad in (np.full((2, 2, 2), np.nan), np.array([[[1.0, np.inf], [0.0, 1.0]]]),
@@ -506,34 +507,21 @@ class TestStackRules:
             assert opcore.op_norm(a + a.T) == pytest.approx(2.5e160, rel=1e-12)
 
     def test_tiny_asymmetry_absorbed_below_unit_norm(self):
-        # ||A - A*||_F = 7.07e-13 <= 1e-12 * max(1, ||A||_F): symmetrized,
-        # and so a PSD step value rather than an error from psd_check.
-        a = np.array([[1e-3, 1e-3 + 5e-13], [1e-3, 1e-3]])
+        # ||A - A*||_F = 7.07e-16 <= HERM_TOL * ||A||_F = 2e-15: symmetrized,
+        # and so a PSD step value rather than an error from psd_check.  An
+        # asymmetry of 7.07e-13 is not absorbed at this norm, nor at c ||A||_F
+        # for any power of two c: the verdict is relative, with no floor.
+        a = np.array([[1e-3, 1e-3 + 5e-16], [1e-3, 1e-3]])
         assert opcore.is_hermitian(a)
         assert opcore.psd_check(a)
         assert np.array_equal(opcore.hermitian(a), opcore.hermitian(a).conj().T)
+        wide = np.array([[1e-3, 1e-3 + 5e-13], [1e-3, 1e-3]])
+        for k in (-900, -20, 0, 20, 900):
+            assert not opcore.is_hermitian(np.ldexp(wide, k))
+            assert opcore.is_hermitian(np.ldexp(a, k))
 
 
 class TestToleranceTable:
-    def test_rel_tol_is_the_unit_floor_bit_for_bit(self):
-        # rel_tol(tol, s) is tol * max(1, s) on scalars, arrays and inf; unit
-        # takes the place of 1, per matrix when it is an array.
-        scales = [0.0, 1e-300, 0.25, 1.0, 1.0 + 2**-52, 3.0, 7e12, 1e300, np.inf]
-        for tol in (opcore.HERM_TOL, opcore.TOL_PSD, opcore.KERNEL_TOL, opcore.SPECTRAL_TOL):
-            want = np.array([tol * max(1.0, s) for s in scales])
-            got = np.array([opcore.rel_tol(tol, s) for s in scales])
-            assert got.tobytes() == want.tobytes()
-            assert opcore.rel_tol(tol, np.array(scales)).tobytes() == want.tobytes()
-            finite = scales[:-2] + [np.inf]  # tol s^2 overflows at s = 1e300
-            squared = [opcore.rel_tol(opcore.rel_tol(tol, s), s) for s in finite]
-            assert np.array(squared).tobytes() == np.array(
-                [tol * max(1.0, s) * max(1.0, s) for s in finite]).tobytes()
-            assert opcore.rel_tol(tol, 0.25, unit=0.5) == tol * 0.5
-            assert opcore.rel_tol(tol, 3.0, unit=0.5) == tol * 3.0
-            units = np.array([2.0**-10, 2.0**10])
-            assert opcore.rel_tol(tol, np.array([0.25, 0.25]), unit=units).tobytes() == (
-                tol * np.array([0.25, 2.0**10])).tobytes()
-
     def test_modules_rebind_the_tables_own_objects(self):
         # Each module reads opcore's constants, re-bound by import, so none can
         # define a tolerance of its own beside the table.

@@ -928,17 +928,18 @@ def test_scaling_by_a_non_number_is_typed_from_either_side(c):
 
 def test_tiny_asymmetry_builds_a_step_function():
     # is_hermitian and psd_check's Hermitian validation apply one rule, so a
-    # value accepted as Hermitian is never rejected by the PSD check.
-    f = qrv(SampleSpace.uniform(1), [[[1e-3, 1e-3 + 5e-13], [1e-3, 1e-3]]])
+    # value accepted as Hermitian is never rejected by the PSD check.  The
+    # asymmetry 7.1e-13 is within HERM_TOL of ||A||_F = 2.
+    f = qrv(SampleSpace.uniform(1), [[[1.0, 1.0 + 5e-13], [1.0, 1.0]]])
     assert f.self_adjoint and f.positive
 
 
 def test_density_outside_the_psd_slack_is_rejected():
-    # M = diag(1e-3, -5e-10) is PSD within 1e-9 * max(1, ||M||); its
-    # density M / tr(rho M) = diag(2e6, -1) is not, at its own scale.
+    # M = diag(1e-3, -5e-10) is not PSD within TOL_PSD of ||M||, and neither is
+    # its density M / tr(rho M) = diag(2e6, -1): one verdict, read once.
     nu = grid_ovm(SampleSpace.uniform(1), np.array([np.diag([1e-3, -5e-10])], dtype=complex))
     rho = opcore.make_state(np.diag([1e-6, 1 - 1e-6]))
     f = qrv(nu.space, np.array([np.eye(2)], dtype=complex))
-    assert nu.positive
+    assert not nu.positive
     with pytest.raises(errors.NotPositive):
         integrand_fs(f, rho, nu, rho)
