@@ -124,10 +124,19 @@ _MODELS = {
 }
 
 
+def _read_json(path):
+    """The JSON value in the file at ``path``; nesting too deep to parse is
+    an InvalidInput, not a RecursionError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InvalidInput(f"JSON in {path} is nested too deeply") from None
+
+
 def _load_ovm(spec):
     if isinstance(spec, str):
-        with open(spec, encoding="utf-8") as fh:
-            spec = json.load(fh)
+        spec = _read_json(spec)
     if not isinstance(spec, dict):
         raise InvalidInput("ovm spec must be a JSON object or a file path")
     if "model" not in spec:
@@ -363,8 +372,7 @@ def run_scenario(scenario) -> tuple[dict, int]:
     """Run one scenario (dict or config file path); returns (report, code)."""
     try:
         if isinstance(scenario, (str, os.PathLike)):
-            with open(scenario, encoding="utf-8") as fh:
-                scenario = json.load(fh)
+            scenario = _read_json(scenario)
         params = validate_scenario(scenario)
         results, checks = SCENARIOS[params["kind"]].run(params)
     except (OvmError, ValueError, OverflowError, OSError) as exc:
@@ -505,8 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _scenario_from_args(args) -> dict:
     scenario = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            scenario = json.load(fh)
+        scenario = _read_json(args.config)
         if not isinstance(scenario, dict):
             raise InvalidInput("scenario config must be a JSON object")
     if args.command == "run":
@@ -538,7 +545,11 @@ def main(argv=None) -> int:
     fmt = args.format or _setting(scenario, "format")
     report, code = run_scenario(scenario)
     text = report_to_csv(report) if fmt == "csv" else report_to_json(report)
-    write_report(text, out_path)
+    try:
+        write_report(text, out_path)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     duration = time.perf_counter() - started
     status = {0: "pass", 1: "error", 2: "check-failure"}[code]
     print(f"# {status} in {duration:.3f}s", file=sys.stderr)

@@ -464,6 +464,42 @@ class TestMalformedInput:
         assert cli.main(["run", "--config", str(config)]) == 1
         assert "out must be a string" in json.loads(capsys.readouterr().out)["error"]
 
+    @pytest.mark.parametrize("where", ["directory", "under_a_file"])
+    def test_unwritable_out_is_error(self, tmp_path, capsys, where):
+        # An --out that names a directory, or a path under a file, ends in
+        # an error line and exit 1, with no raw OSError and no temp file left.
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        out = tmp_path / "dir" if where == "directory" else tmp_path / "file" / "r.json"
+        (tmp_path / "dir").mkdir()
+        assert cli.main(["uhl", "--cells", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
+
+
+def _deep_json(tmp_path) -> Path:
+    """A JSON file nested too deeply for json.load's recursion limit."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    return path
+
+
+class TestDeepJson:
+    @pytest.mark.parametrize("command", ["run", "uhl"])
+    def test_main_config(self, tmp_path, capsys, command):
+        path = _deep_json(tmp_path)
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: JSON in {path} is nested too deeply\n"
+
+    @pytest.mark.parametrize("scenario", [
+        lambda path: str(path),
+        lambda path: {"kind": "properties", "ovm": str(path)},
+    ], ids=["config", "ovm_spec"])
+    def test_run_scenario(self, tmp_path, scenario):
+        path = _deep_json(tmp_path)
+        report, code = cli.run_scenario(scenario(path))
+        assert code == 1
+        assert report["error"] == f"InvalidInput: JSON in {path} is nested too deeply"
+
 
 def test_csv_of_failed_operation_gives_its_error():
     report, code = cli.run_scenario(dict(LEBESGUE_SCENARIO, target={"total_fraction": 2.0}))
