@@ -30,6 +30,7 @@ from .lyapunov import attain, attain_to_json, convexity_certificate
 from .ovm import MeasurableSet, check_ovm_properties, ovm_from_json, set_from_json
 
 REPORT_SCHEMA = "ovm-report/2"
+MAX_DEPTH = 100  # lists and objects a scenario may nest (see run_scenario)
 
 
 def _is_int(value) -> bool:
@@ -93,8 +94,12 @@ class Key:
         return self.type.convert(value)
 
 
-def _read_keys(spec: dict, keys: dict[str, Key]) -> dict:
-    """Each declared key's checked value from ``spec``, else its default."""
+def _read_keys(spec: dict, keys: dict[str, Key], tag: str) -> dict:
+    """Each declared key's checked value from ``spec``, else its default; a
+    key neither declared nor ``tag`` (naming the kind or model) is invalid."""
+    for name in spec:
+        if name != tag and name not in keys:
+            raise InvalidInput(f"unknown key {name!r} for {tag} {spec[tag]!r}")
     out = {}
     for name, key in keys.items():
         if name in spec:
@@ -145,7 +150,7 @@ def _load_ovm(spec):
     if not isinstance(name, str) or name not in _MODELS:
         raise InvalidInput(f"unknown ovm model {name!r}")
     keys, build = _MODELS[name]
-    return build(_read_keys(spec, keys))
+    return build(_read_keys(spec, keys, "model"))
 
 
 def _load_target(spec: dict, nu):
@@ -155,9 +160,7 @@ def _load_target(spec: dict, nu):
 
 
 def _free_dim(nu) -> int:
-    if nu.components:
-        return sum(c.dim * c.dim for c in nu.components)
-    return nu.dim * nu.dim
+    return sum(c.dim * c.dim for c in nu.components or [nu])
 
 
 def _run_attain(p):
@@ -169,14 +172,10 @@ def _run_attain(p):
         result = attain(nu, target)
     except (TargetNotInHull, AtomicObstruction) as exc:
         return failed(exc)
-    results = {"attain": attain_to_json(result),
-               "target": opcore.matrix_to_json(target)}
-    checks = [
-        check("residual", result.residual <= tol, result.residual, tol),
-        check("interval_count", result.interval_count <= bound,
-              result.interval_count, bound),
-    ]
-    return results, checks
+    results = {"attain": attain_to_json(result), "target": opcore.matrix_to_json(target)}
+    return results, [check("residual", result.residual <= tol, result.residual, tol),
+                     check("interval_count", result.interval_count <= bound,
+                           result.interval_count, bound)]
 
 
 def _run_convexity(p):
@@ -216,8 +215,7 @@ def _run_properties(p):
                                       rng.integers(0, 2, nu.space.n_atoms) == 1) for _ in range(8)]
     flags = asdict(check_ovm_properties(nu, sample_sets))
     expect = p["expect"] or {}
-    unknown = sorted(set(expect) - flags.keys())
-    if unknown:
+    if unknown := sorted(set(expect) - flags.keys()):
         raise InvalidInput(f"expect names unknown flags {unknown}; the flags are {sorted(flags)}")
     results = {"properties": flags, "sets_tested": len(sample_sets)}
     if expect:
@@ -361,18 +359,30 @@ def validate_scenario(sc) -> dict:
     name = sc.get("kind")
     if not isinstance(name, str) or name not in SCENARIOS:
         raise InvalidInput(f"unknown scenario kind {name!r}")
-    keys = {**_COMMON, **SCENARIOS[name].keys}
-    for key in sc:
-        if key != "kind" and key not in keys:
-            raise InvalidInput(f"unknown key {key!r} for kind {name!r}")
-    return {"kind": name, **_read_keys(sc, keys)}
+    return {"kind": name, **_read_keys(sc, {**_COMMON, **SCENARIOS[name].keys}, "kind")}
+
+
+def _nested_deeper(value, depth: int) -> bool:
+    """Do lists, tuples and dicts nest more than ``depth`` deep in
+    ``value``?  Walked level by level, without recursion."""
+    nested = (list, tuple, dict)
+    level = [value] if isinstance(value, nested) else []
+    while level and depth:
+        level = [x for c in level for x in (c.values() if isinstance(c, dict) else c)
+                 if isinstance(x, nested)]
+        depth -= 1
+    return bool(level)
 
 
 def run_scenario(scenario) -> tuple[dict, int]:
-    """Run one scenario (dict or config file path); returns (report, code)."""
+    """Run one scenario (dict or config file path); returns (report, code).
+    One nested more than MAX_DEPTH deep is rejected before it runs: the
+    report echoes it, and the encoder takes two stack frames per level."""
     try:
         if isinstance(scenario, (str, os.PathLike)):
             scenario = _read_json(scenario)
+        if _nested_deeper(scenario, MAX_DEPTH):
+            raise InvalidInput(f"scenario nested more than {MAX_DEPTH} deep")
         params = validate_scenario(scenario)
         results, checks = SCENARIOS[params["kind"]].run(params)
     except (OvmError, ValueError, OverflowError, OSError) as exc:
@@ -511,11 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_from_args(args) -> dict:
-    scenario = {}
-    if args.config:
-        scenario = _read_json(args.config)
-        if not isinstance(scenario, dict):
-            raise InvalidInput("scenario config must be a JSON object")
+    scenario = _read_json(args.config) if args.config else {}
+    if not isinstance(scenario, dict):
+        raise InvalidInput("scenario config must be a JSON object")
     if args.command == "run":
         return scenario
     name = args.command.replace("-", "_")
@@ -550,9 +558,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
         return 1
-    duration = time.perf_counter() - started
     status = {0: "pass", 1: "error", 2: "check-failure"}[code]
-    print(f"# {status} in {duration:.3f}s", file=sys.stderr)
+    print(f"# {status} in {time.perf_counter() - started:.3f}s", file=sys.stderr)
     if code == 1 and "error" in report:
         print(f"error: {report['error']}", file=sys.stderr)
     return code

@@ -1,6 +1,7 @@
 """Seeded random inputs that only the tests draw: Hermitian matrices,
 full-rank states and step-function values, the reference loops that
-vectorized, one-shot or stacked library code must match, and the references the
+vectorized, one-shot or stacked library code must match, the numpy
+formulas that list-based library code must match, and the references the
 tests check results against: tr(rho A), Loewner intervals and the
 positive/negative and real/imaginary parts of a step function."""
 
@@ -107,6 +108,27 @@ def sum_in_item_order(stack: np.ndarray, selected) -> np.ndarray:
     for k in np.flatnonzero(selected):
         out += stack[k]
     return out
+
+
+def ratio_test_numpy(xb, ub, fall, limit):
+    """The reference ratio test of a simplex push, in numpy over the rows:
+    room x / f where f > PIVOT_TOL, (x - u) / f where f < -PIVOT_TOL, inf
+    elsewhere; t is the least room, clamped to +0.0 when not positive and
+    to ``limit``.  Returns (t, room)."""
+    room = np.full(len(xb), np.inf)
+    np.divide(xb, fall, out=room, where=fall > opcore.PIVOT_TOL)
+    np.divide(xb - ub, fall, out=room, where=fall < -opcore.PIVOT_TOL)
+    t = float(room.min())
+    return min(t if t > 0.0 else 0.0, limit), room
+
+
+def blocking_numpy(room, fall, basis, n_cols: int, t: float, bland: bool) -> int:
+    """The reference leaving row, in numpy over the rows: of the rows with
+    room within SIMPLEX_TOL of t, the first with the largest |fall|, or
+    under Bland's rule the lowest basic column (row 0 when none ties)."""
+    ties = room <= t + opcore.SIMPLEX_TOL
+    return int(np.where(ties, basis, n_cols).argmin() if bland
+               else np.where(ties, np.abs(fall), -1.0).argmax())
 
 
 def signed_zero_masses(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -501,6 +501,63 @@ class TestDeepJson:
         assert report["error"] == f"InvalidInput: JSON in {path} is nested too deeply"
 
 
+def _nest(depth: int, leaf=1):
+    """``leaf`` inside ``depth`` lists."""
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+class TestDeepScenario:
+    # A scenario is echoed in its report, whose encoder recurses once per
+    # level: a value nested 900 deep would end in a raw RecursionError
+    # after the scenario ran, so it is rejected before.
+    @pytest.mark.parametrize("scenario", [
+        {"kind": "properties", "ovm": {"model": "uhl", "cells": 4, "colour": _nest(900)}},
+        {"kind": "properties", "ovm": {"model": "uhl", "cells": 4},
+         "expect": {"positive": _nest(900)}},
+        {"kind": "attain", "ovm": SMALL_OVM, "target": {"total_fraction": 0.5,
+                                                         "note": _nest(900, {})}},
+    ], ids=["model_key", "expect_value", "target_key"])
+    def test_main_writes_an_error_report(self, tmp_path, scenario):
+        config, out = tmp_path / "c.json", tmp_path / "r.json"
+        config.write_text(json.dumps(scenario), encoding="utf-8")
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+        error = json.loads(out.read_text(encoding="utf-8"))["error"]
+        assert error == f"InvalidInput: scenario nested more than {cli.MAX_DEPTH} deep"
+
+    def test_depth_limit_is_exact(self):
+        # The scenario object is level 1, ``expect`` level 2, its lists the rest.
+        for depth, code in ((cli.MAX_DEPTH, 0), (cli.MAX_DEPTH + 1, 1)):
+            scenario = {"kind": "properties", "ovm": {"model": "uhl", "cells": 4},
+                        "expect": {"positive": _nest(depth - 3, [])}}
+            report, got = cli.run_scenario(scenario)
+            assert got == code
+            assert json.loads(cli.report_to_json(report)).get("scenario") == (
+                scenario if code == 0 else None)
+
+    def test_nesting_depth_counts_empty_containers(self):
+        assert not cli._nested_deeper(1, 0)
+        assert cli._nested_deeper([], 0) and not cli._nested_deeper([], 1)
+        assert cli._nested_deeper({"a": ({"b": [1, {}]},)}, 4)
+        assert not cli._nested_deeper({"a": ({"b": [1, {}]},)}, 5)
+
+
+class TestUnknownModelKey:
+    @pytest.mark.parametrize("spec", [
+        {"model": "uhl", "cells": 4, "colour": "red"},
+        {"model": "random_povm", "dim": 2, "cells": 8, "mass": 1.0},
+    ], ids=["uhl_colour", "random_povm_mass"])
+    def test_exit_one_report(self, tmp_path, spec):
+        config, out = tmp_path / "c.json", tmp_path / "r.json"
+        config.write_text(json.dumps({"kind": "properties", "ovm": spec}), encoding="utf-8")
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+        bad = next(key for key in spec if key not in cli._MODELS[spec["model"]][0]
+                   and key != "model")
+        assert json.loads(out.read_text(encoding="utf-8"))["error"] == (
+            f"InvalidInput: unknown key {bad!r} for model {spec['model']!r}")
+
+
 def test_csv_of_failed_operation_gives_its_error():
     report, code = cli.run_scenario(dict(LEBESGUE_SCENARIO, target={"total_fraction": 2.0}))
     assert code == 2

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     OperatorInterval,
+    blocking_numpy,
     certificate_trial_by_trial,
     fractional_from_measurable,
     intervals_cell_by_cell,
     random_hermitian,
+    ratio_test_numpy,
     supports_with_kernel,
 )
 from ovmkit import errors, lyapunov, opcore, ovm
@@ -937,6 +939,131 @@ def _bland_program():
     h = (np.arange(60) < 30).astype(float)
     h[25:35] += 1e-3 * delta.mean(axis=0) / np.abs(delta.mean(axis=0)).max()
     return coords, coords @ h
+
+
+def _basis_on_rows(column, xb, ub, basis=None):
+    """A _Basis whose rows hold basic values ``xb`` and upper bounds ``ub``,
+    with binv = I, so that nonbasic column 0 has basis column ``column``;
+    row i holds basic column basis[i] (default i + 1)."""
+    d = len(column)
+    order = np.arange(1, d + 1) if basis is None else np.asarray(basis)
+    value, upper = np.zeros(d + 1), np.ones(d + 1)
+    value[order], upper[order] = xb, ub
+    b = lyapunov._Basis(np.hstack([np.asarray(column, float)[:, None], np.eye(d)]),
+                        value, upper, order.copy())
+    b.binv, b.since_refactor = np.eye(d), 0
+    return b
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_ratio_test(b, q, sign, limit):
+    """_Basis.push and blocking, on the current state of ``b``, give the
+    numpy reference's t, rates, room and leaving rows bit for bit; returns
+    push's (t, room)."""
+    fall = sign * (b.binv @ b.cols[:, q])
+    want_t, want_room = ratio_test_numpy(b.xb, np.array(b.ub), fall, limit)
+    want_xb = b.xb - want_t * fall
+    t, _, got_fall, room = b.push(q, sign, limit)
+    assert type(t) is float and _bits(t) == _bits(want_t)
+    assert _bits(room) == _bits(want_room) and _bits(got_fall) == _bits(fall)
+    assert _bits(b.xb) == _bits(want_xb)
+    for bland in (False, True):
+        want = blocking_numpy(want_room, fall, b.basis, len(b.value), want_t, bland)
+        assert b.blocking(room, got_fall, t, bland) == want
+    return t, room
+
+
+PIVOT = opcore.PIVOT_TOL
+
+
+class TestBasisRatioTest:
+    """_Basis runs its ratio test and picks its leaving row over Python
+    floats; each must match the numpy formulas of helpers bit for bit."""
+
+    def test_rates_within_pivot_tol_have_no_room(self):
+        above = np.nextafter(PIVOT, 1.0)
+        column = [PIVOT, -PIVOT, PIVOT / 2, -PIVOT / 2, 0.0, -0.0, above, -above]
+        for sign in (1.0, -1.0):
+            b = _basis_on_rows(column, [0.5] * 8, [1.0] * 8)
+            t, room = _assert_ratio_test(b, 0, sign, 1.0)
+            assert room[:6] == [np.inf] * 6 and t == 1.0
+            assert np.isfinite(room[6:]).all()
+
+    def test_negative_room_clamps_t_to_positive_zero(self):
+        b = _basis_on_rows([1.0, -1.0, 0.5], [-1e-15, 1.0 + 1e-15, 0.5], [1.0, 1.0, 1.0])
+        t, room = _assert_ratio_test(b, 0, 1.0, 1.0)
+        assert room[0] < 0.0 and room[1] < 0.0 and _bits(t) == _bits(0.0)
+        assert b.blocking(room, [1.0, -1.0, 0.5], t) == 0
+
+    def test_artificial_with_infinite_bound(self):
+        for limit, want in ((1.0, 1.0), (2.0, 1.6)):
+            b = _basis_on_rows([-1.0, -0.5], [0.3, 0.2], [np.inf, 1.0])
+            t, room = _assert_ratio_test(b, 0, 1.0, limit)
+            assert room[0] == np.inf and t == want
+
+    def test_exact_fall_ties_take_the_first_row(self):
+        # Rows 0-2 have room 0.5 and |fall| 0.5; row 3 has room within
+        # SIMPLEX_TOL of it and a larger |fall|, unless it is moved away.
+        for nudge, want in ((0.0, 3), (1.0, 0)):
+            b = _basis_on_rows([0.5, -0.5, 0.5, 0.75], [0.25, 0.75, 0.25, 0.375 + nudge],
+                               [1.0] * 4)
+            t, room = _assert_ratio_test(b, 0, 1.0, 1.0)
+            assert t == 0.5 and room[:3] == [0.5] * 3
+            assert b.blocking(room, [0.5, -0.5, 0.5, 0.75], t) == want
+
+    def test_bland_takes_the_lowest_basic_column(self):
+        b = _basis_on_rows([0.25, 0.5, 0.5, 1.0], [0.5, 0.25, 0.25, 0.9], [1.0] * 4,
+                           basis=[4, 3, 1, 2])
+        fall = [0.25, 0.5, 0.5, 1.0]
+        t, room = _assert_ratio_test(b, 0, 1.0, 1.0)
+        assert t == 0.5 and b.blocking(room, fall, t, True) == 2
+        assert b.blocking(room, fall, t) == 1
+
+    def test_limit_below_every_room(self):
+        b = _basis_on_rows([0.5, -0.5], [0.4, 0.4], [1.0, np.inf])
+        t, room = _assert_ratio_test(b, 0, -1.0, 0.1)
+        assert t == 0.1 and min(room) > 0.1
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_numpy_on_mixed_rows(self, data):
+        d = data.draw(st.integers(1, 16))
+        column = data.draw(st.lists(st.sampled_from(
+            [0.0, -0.0, PIVOT, -PIVOT, PIVOT / 2, 2 * PIVOT, -2 * PIVOT, 0.5, -0.5, 0.25, 1.0,
+             -1.0, 3.0, -1e-3]),
+            min_size=d, max_size=d))
+        xb = data.draw(st.lists(st.sampled_from(
+            [0.0, -0.0, -1e-15, 1e-300, 0.125, 0.25, 0.5, 1.0, 1.0 + 1e-15]),
+            min_size=d, max_size=d))
+        ub = data.draw(st.lists(st.sampled_from([1.0, np.inf, 0.0]), min_size=d, max_size=d))
+        basis = 1 + np.array(data.draw(st.permutations(range(d))))
+        b = _basis_on_rows(column, xb, ub, basis)
+        _assert_ratio_test(b, 0, data.draw(st.sampled_from([1.0, -1.0])),
+                           data.draw(st.sampled_from([1.0, 0.5, 1e-13, 0.0])))
+
+    def test_every_step_of_phase_one_matches(self, monkeypatch):
+        # Flips, Dantzig and Bland exchanges on real programs.
+        push, steps = lyapunov._Basis.push, []
+
+        def push_spy(basis, q, sign, limit):
+            xb, ub = basis.xb.copy(), np.array(basis.ub)
+            fall = sign * (basis.binv @ basis.cols[:, q])
+            out = push(basis, q, sign, limit)
+            t, room = ratio_test_numpy(xb, ub, fall, limit)
+            assert _bits(out[0]) == _bits(t) and _bits(out[3]) == _bits(room)
+            for bland in (False, True):
+                want = blocking_numpy(room, fall, basis.basis, len(basis.value), t, bland)
+                assert basis.blocking(out[3], out[2], out[0], bland) == want
+            steps.append(out[0])
+            return out
+
+        monkeypatch.setattr(lyapunov._Basis, "push", push_spy)
+        for program in [_bland_program()] + _stack_programs(3, rng_from_seed(2604), 10):
+            lyapunov._phase_one(*program)
+        assert len(steps) > 100 and steps.count(1.0) >= 1
 
 
 class TestPhaseOneStack:

@@ -29,7 +29,10 @@ stack, in the same format, so its line equals ``_phase_one``'s while the
 engines agree bit for bit; and ``attain`` and ``convex_combine`` on every
 measure (intervals, the bytes achieved, residual, iterations, fractional
 count).  A last line gives ``_phase_one``'s step totals per d and program,
-``a`` for attain's and ``c`` for convex_combine's.
+``a`` for attain's and ``c`` for convex_combine's.  Stderr gets its time
+per step on the same groups, in microseconds: the median and quartiles,
+over the programs that take a step, of each one's wall time (set-up
+included) over its steps.  It varies from run to run; stdout does not.
 
 Calculus: for each (d, m, distinct, nulls) case of the ``calculus`` grid
 and seed 1 to CALCULUS_SEEDS, the tool's own PCG64 stream (no library
@@ -55,6 +58,7 @@ import argparse  # noqa: E402
 import copy  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
+import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -198,6 +202,14 @@ def realized(sha, call, error):
     sha.update(f"{r.residual!r} {r.iterations} {r.fractional_count}".encode())
 
 
+def quartiles(values) -> str:
+    """median[q1,q3] of ``values``, or - when there are none."""
+    if not values:
+        return "-"
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return f"{median:.1f}[{q1:.1f},{q3:.1f}]"
+
+
 def solver_lines():
     import ovmkit
     from ovmkit import lyapunov, models, opcore
@@ -206,12 +218,17 @@ def solver_lines():
                ("_phase_one", "_phase_one_stack", "attain", "convex_combine")}
     stacks, count = {}, 0
     kind_steps = {f"d{d}{kind}": 0 for kind in "ac" for d in (1, 2, 3, 4)}
+    step_us = {key: [] for key in kind_steps}
     for d, nu, target, e1, e2, t in solver_cases(models):
         for kind, coords, goal in programs(opcore, nu, target, e1, e2, t):
             stacks.setdefault(d, []).append((coords, goal))
             try:
+                started = time.perf_counter()
                 lp = lyapunov._phase_one(coords, goal)
+                elapsed = time.perf_counter() - started
                 kind_steps[f"d{d}{kind}"] += lp[3]
+                if lp[3]:
+                    step_us[f"d{d}{kind}"].append(1e6 * elapsed / lp[3])
             except ovmkit.OvmError as exc:
                 lp = exc
             solved(digests["_phase_one"], lp)
@@ -227,6 +244,8 @@ def solver_lines():
     for name, sha in digests.items():
         yield f"{name} programs={count} steps={steps} sha256={sha.hexdigest()}"
     yield "_phase_one steps " + " ".join(f"{key}={n}" for key, n in kind_steps.items())
+    print("_phase_one us/step median[q1,q3] "
+          + " ".join(f"{key}={quartiles(us)}" for key, us in step_us.items()), file=sys.stderr)
 
 
 # Calculus ---------------------------------------------------------------
