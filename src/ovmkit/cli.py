@@ -20,96 +20,44 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
 from . import __version__, demos, models, opcore
 from .demos import check, failed
 from .errors import AtomicObstruction, InvalidInput, OvmError, TargetNotInHull
+from .jsonkeys import Key, Type, is_int, is_number, list_of, read_keys, tag
 from .lyapunov import attain, attain_to_json, convexity_certificate
-from .ovm import MeasurableSet, check_ovm_properties, ovm_from_json, set_from_json
+from .ovm import (MeasurableSet, PropertyReport, check_ovm_properties, ovm_from_json,
+                  set_from_json)
 
 REPORT_SCHEMA = "ovm-report/2"
 MAX_DEPTH = 100  # lists and objects a scenario may nest (see run_scenario)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    try:
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _list_of(test) -> Callable[[object], bool]:
-    return lambda value: isinstance(value, list) and all(map(test, value))
-
-
-class Type(NamedTuple):
-    """What a key's JSON value must be, a test for it, and its conversion."""
-
-    what: str
-    accepts: Callable[[object], bool]
-    convert: Callable = lambda value: value
-
-
-_INT = Type("an integer", _is_int)
-_NUMBER = Type("a finite number", _is_number, float)
-_NUMBERS = Type("a list of numbers", _list_of(_is_number))
-_NUMBER_LISTS = Type("a list of number lists", _list_of(_NUMBERS.accepts))
+_INT = Type("an integer", is_int)
+_NUMBER = Type("a finite number", is_number, float)
+_NUMBERS = Type("a list of numbers", list_of(is_number))
+_NUMBER_LISTS = Type("a list of number lists", list_of(_NUMBERS.accepts))
 _OBJECT = Type("a JSON object", lambda value: isinstance(value, dict))
-_OBJECTS = Type("a list of JSON objects", _list_of(_OBJECT.accepts))
+_OBJECTS = Type("a list of JSON objects", list_of(_OBJECT.accepts))
 _TEXT = Type("a string", lambda value: isinstance(value, str))
+_BOOL = Type("a boolean", lambda value: isinstance(value, bool))
 _FORMAT = Type("json or csv", lambda value: value in ("json", "csv"))
 _OVM_SPEC = Type("an ovm spec: a JSON object or a file path",
                  lambda value: isinstance(value, (dict, str)))
 _MEASURES = Type(
     "an integer >= 1 or a non-empty list of ovm specs",
-    lambda value: (_is_int(value) and value >= 1)
-    or (isinstance(value, list) and len(value) > 0 and _list_of(_OVM_SPEC.accepts)(value)))
-_FAILURES = Type(
-    "a JSON object whose failures is an integer",
-    lambda value: isinstance(value, dict) and _is_int(value.get("failures", 0)))
-
-
-@dataclass(frozen=True)
-class Key:
-    """A scenario or model key: its type, its value when absent, and the
-    lower bound its runner needs (bounds the library checks stay there)."""
-
-    type: Type
-    default: object = None
-    low: int | None = None
-    required: bool = False
-
-    def read(self, name, value):
-        if not self.type.accepts(value):
-            raise InvalidInput(f"{name} must be {self.type.what}")
-        if self.low is not None and value < self.low:
-            raise InvalidInput(f"{name} must be at least {self.low}")
-        return self.type.convert(value)
-
-
-def _read_keys(spec: dict, keys: dict[str, Key], tag: str) -> dict:
-    """Each declared key's checked value from ``spec``, else its default; a
-    key neither declared nor ``tag`` (naming the kind or model) is invalid."""
-    for name in spec:
-        if name != tag and name not in keys:
-            raise InvalidInput(f"unknown key {name!r} for {tag} {spec[tag]!r}")
-    out = {}
-    for name, key in keys.items():
-        if name in spec:
-            out[name] = key.read(name, spec[name])
-        elif key.required:
-            raise InvalidInput(f"scenario needs {name}")
-        else:
-            out[name] = key.default
-    return out
-
+    lambda value: (is_int(value) and value >= 1)
+    or (isinstance(value, list) and len(value) > 0 and list_of(_OVM_SPEC.accepts)(value)))
+# The two kinds of ``expect`` object, each read by its own table.
+_FAILURES = Type("a JSON object whose failures is an integer", _OBJECT.accepts, functools.partial(
+    read_keys, keys={"failures": Key(_INT, 0)}, what="convexity expect"))
+_FLAGS = Type("a JSON object of booleans", _OBJECT.accepts, functools.partial(
+    read_keys, keys={f.name: Key(_BOOL) for f in fields(PropertyReport)},
+    what="properties expect"))
+_FRACTION = {"total_fraction": Key(_NUMBER)}
+_TAG = Key()  # a kind's or a model's name, read before the rest of its table
 
 _SEED = Key(_INT, 0, low=0)
 
@@ -142,21 +90,20 @@ def _read_json(path):
 def _load_ovm(spec):
     if isinstance(spec, str):
         spec = _read_json(spec)
-    if not isinstance(spec, dict):
-        raise InvalidInput("ovm spec must be a JSON object or a file path")
-    if "model" not in spec:
+    name = tag(spec, "model", "ovm spec")
+    if name is None:
         return ovm_from_json(spec)
-    name = spec["model"]
     if not isinstance(name, str) or name not in _MODELS:
         raise InvalidInput(f"unknown ovm model {name!r}")
     keys, build = _MODELS[name]
-    return build(_read_keys(spec, keys, "model"))
+    return build(read_keys(spec, {"model": _TAG, **keys}, f"model {name!r}"))
 
 
 def _load_target(spec: dict, nu):
-    if "total_fraction" in spec:
-        return Key(_NUMBER).read("total_fraction", spec["total_fraction"]) * nu.total_mass()
-    return opcore.matrix_from_json(spec)
+    if tag(spec, "total_fraction", "target") is None:
+        return opcore.matrix_from_json(spec)
+    fraction = read_keys(spec, _FRACTION, "total_fraction target")["total_fraction"]
+    return fraction * nu.total_mass()
 
 
 def _free_dim(nu) -> int:
@@ -181,7 +128,7 @@ def _run_attain(p):
 def _run_convexity(p):
     nu = _load_ovm(p["ovm"])
     tol = p["tol"]
-    expected_failures = (p["expect"] or {}).get("failures", 0)
+    expected_failures = p["expect"]["failures"]
     bound = nu.space.n_cells + _free_dim(nu)
     results = asdict(convexity_certificate(nu, p["trials"], p["seed"]))
     failures = len(results["failures"])
@@ -214,16 +161,10 @@ def _run_properties(p):
         sample_sets += [MeasurableSet(rng.integers(0, 2, nu.space.n_cells) == 1,
                                       rng.integers(0, 2, nu.space.n_atoms) == 1) for _ in range(8)]
     flags = asdict(check_ovm_properties(nu, sample_sets))
-    expect = p["expect"] or {}
-    if unknown := sorted(set(expect) - flags.keys()):
-        raise InvalidInput(f"expect names unknown flags {unknown}; the flags are {sorted(flags)}")
     results = {"properties": flags, "sets_tested": len(sample_sets)}
-    if expect:
-        checks = [check(f"flag_{name}", flags[name] == bool(val), flags[name], bool(val))
-                  for name, val in sorted(expect.items())]
-    else:
-        checks = [check("computed", True, True)]
-    return results, checks
+    checks = [check(f"flag_{name}", flags[name] == val, flags[name], val)
+              for name, val in sorted(p["expect"].items()) if val is not None]
+    return results, checks or [check("computed", True, True)]
 
 
 def _fmt(x) -> str:
@@ -284,12 +225,12 @@ class Kind:
 
 
 _COMMON = {"out": Key(_TEXT), "format": Key(_FORMAT, "json"), "tol": Key(_NUMBER, 1e-9)}
-_OVM = Key(_OVM_SPEC, required=True)
+_OVM = Key(_OVM_SPEC, required="scenario needs ovm")
 
 SCENARIOS = {
     "attain": Kind(
         "realize a target operator",
-        {"ovm": _OVM, "target": Key(_OBJECT, required=True)},
+        {"ovm": _OVM, "target": Key(_OBJECT, required="scenario needs target")},
         (Flag("--dim", int, 2), Flag("--cells", int, 16),
          Flag("--target-fraction", float, 0.5, "target = fraction * nu(X)")),
         _run_attain, "interval_lo,interval_hi", _interval_rows,
@@ -298,7 +239,7 @@ SCENARIOS = {
     "convexity": Kind(
         "seeded convexity certificate",
         {"ovm": _OVM, "trials": Key(_INT, 100, low=0), "seed": _SEED,
-         "expect": Key(_FAILURES)},
+         "expect": Key(_FAILURES, {"failures": 0})},
         (Flag("--dim", int, 2), Flag("--cells", int, 40), Flag("--trials", int),
          Flag("--seed", int)),
         _run_convexity, "trials,failures,max_residual,max_interval_count",
@@ -327,7 +268,7 @@ SCENARIOS = {
                     r["min_distance_to_half_total"])]),
     "singular_34": Kind(
         "joint attainment on singular measures",
-        {"measures": Key(_INT, 4), "lambdas": Key(_NUMBERS, required=True),
+        {"measures": Key(_INT, 4), "lambdas": Key(_NUMBERS, required="scenario needs lambdas"),
          "cells": Key(_INT, 4), "tol": Key(_NUMBER, 1e-10)},
         (Flag("--measures", int),
          Flag("--lambdas", _comma_floats, "0.1,0.5,0.9,0.3",
@@ -344,7 +285,7 @@ SCENARIOS = {
         _run_classical, "target,achieved,residual,fractional_count", _classical_rows),
     "properties": Kind(
         "axiom checks on an OVM",
-        {"ovm": _OVM, "sets": Key(_OBJECTS), "seed": _SEED, "expect": Key(_OBJECT)},
+        {"ovm": _OVM, "sets": Key(_OBJECTS), "seed": _SEED, "expect": Key(_FLAGS, {})},
         (Flag("--seed", int),),
         _run_properties, "flag,value",
         lambda r: sorted(r["properties"].items())),
@@ -354,12 +295,10 @@ SCENARIOS = {
 def validate_scenario(sc) -> dict:
     """Type- and range-check every key of a scenario before it runs;
     returns all of its kind's keys, defaults filled in."""
-    if not isinstance(sc, dict):
-        raise InvalidInput("scenario must be a JSON object")
-    name = sc.get("kind")
+    name = tag(sc, "kind", "scenario")
     if not isinstance(name, str) or name not in SCENARIOS:
         raise InvalidInput(f"unknown scenario kind {name!r}")
-    return {"kind": name, **_read_keys(sc, {**_COMMON, **SCENARIOS[name].keys}, "kind")}
+    return read_keys(sc, {"kind": _TAG, **_COMMON, **SCENARIOS[name].keys}, f"kind {name!r}")
 
 
 def _nested_deeper(value, depth: int) -> bool:

@@ -35,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimMismatch, InvalidInput, NotPositive
+from .jsonkeys import Key, read_keys
 
 # Every tolerance of the library, named once: value, then what it is relative to
 # and what it decides.  Other modules import the names they read.  A tolerance
@@ -415,7 +416,8 @@ def matrix_from_json(obj) -> np.ndarray:
     return matrix_stacks_from_json([obj])[0][0]
 
 
-_MATRIX_KEYS = frozenset(("dim", "re", "im"))
+_MATRIX_KEYS = dict.fromkeys(("dim", "re", "im"),
+                             Key(required="matrix JSON must have keys dim, re, im"))
 
 
 def matrix_stacks_from_json(*lists) -> list:
@@ -430,10 +432,9 @@ def matrix_stacks_from_json(*lists) -> list:
         items, dims, rows = list(objs), [], []
         try:
             for obj in items:
-                if not isinstance(obj, dict) or not _MATRIX_KEYS <= obj.keys():
-                    raise InvalidInput("matrix JSON must have keys dim, re, im")
-                d = as_int(obj["dim"], "matrix JSON dim", low=1)
-                re, im = obj["re"], obj["im"]
+                p = read_keys(obj, _MATRIX_KEYS, "matrix JSON")
+                d = as_int(p["dim"], "matrix JSON dim", low=1)
+                re, im = p["re"], p["im"]
                 if not (isinstance(re, list) and isinstance(im, list) and len(re) == len(im) == d
                         and all(isinstance(row, list) and len(row) == d for row in re + im)):
                     raise InvalidInput(f"matrix JSON arrays must be {d}x{d} lists")

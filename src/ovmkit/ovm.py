@@ -32,6 +32,7 @@ from .errors import (
     ShapeMismatch,
     SpaceMismatch,
 )
+from .jsonkeys import Key, Type, list_of, read_keys, tag
 from .opcore import MASS_TOL, SNAP_TOL, SPECTRAL_TOL, UNIT_TOL, WIDTH_TOL
 
 
@@ -631,6 +632,22 @@ def direct_sum(*ovms: OVM) -> OVM:
     return OVM(space, masses, "direct_sum", components=tuple(ovms))
 
 
+# The key table of each JSON object below (jsonkeys.read_keys): an OVM has one
+# per variant, a direct sum carrying its components and the others their masses.
+_LIST = Key(Type("a list", lambda value: isinstance(value, list)), ())
+_BOUNDS = "space JSON must carry a, b and breakpoints"
+_SPACE_KEYS = {"a": Key(required=_BOUNDS), "b": Key(required=_BOUNDS),
+               "breakpoints": Key(_LIST.type, required=_BOUNDS),
+               "atoms": _LIST, "divisible": _LIST}
+_OVM_KEYS = {"space": Key(required="OVM JSON must carry a space"),
+             "dim": Key(required="OVM JSON must carry a dim"),
+             "variant": Key(default="grid")}
+_MASSES_KEYS = {**_OVM_KEYS, "cell_masses": _LIST, "atom_masses": _LIST}
+_SUM_KEYS = {**_OVM_KEYS, "components": _LIST}
+_INDICES = Key(Type("a list of indices", list_of(lambda k: isinstance(k, int))), ())
+_SET_KEYS = {"cells": _INDICES, "atoms": _INDICES}
+
+
 def space_to_json(space: SampleSpace) -> dict:
     return {
         "a": space.a,
@@ -642,18 +659,8 @@ def space_to_json(space: SampleSpace) -> dict:
 
 
 def space_from_json(obj) -> SampleSpace:
-    if not isinstance(obj, dict) or not {"a", "b", "breakpoints"} <= obj.keys():
-        raise InvalidInput("space JSON must carry a, b and breakpoints")
-    try:
-        return SampleSpace(
-            a=obj["a"],
-            b=obj["b"],
-            breakpoints=tuple(obj["breakpoints"]),
-            atom_sites=tuple(obj.get("atoms", ())),
-            divisible=tuple(obj.get("divisible", ())),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed space JSON: {exc}") from exc
+    p = read_keys(obj, _SPACE_KEYS, "space JSON")
+    return SampleSpace(p["a"], p["b"], p["breakpoints"], p["atoms"], p["divisible"])
 
 
 def ovm_to_json(nu: OVM) -> dict:
@@ -672,24 +679,26 @@ def ovm_to_json(nu: OVM) -> dict:
 
 
 def ovm_from_json(obj) -> OVM:
-    if not isinstance(obj, dict) or "space" not in obj:
-        raise InvalidInput("OVM JSON must carry a space")
-    space = space_from_json(obj["space"])
-    variant = obj.get("variant", "grid")
-    if variant == "direct_sum":
-        comps = obj.get("components", [])
-        if not isinstance(comps, list):
-            raise InvalidInput("OVM JSON components must be a list")
-        return direct_sum(*[ovm_from_json(c) for c in comps])
-    if "dim" not in obj:
-        raise InvalidInput("OVM JSON must carry a dim")
+    """Decode :func:`ovm_to_json`'s form.  A direct sum's own space and dim
+    must be its components' space and the sum of their dims."""
+    direct = tag(obj, "variant", "OVM JSON") == "direct_sum"
+    p = read_keys(obj, _SUM_KEYS if direct else _MASSES_KEYS,
+                  "direct_sum OVM JSON" if direct else "OVM JSON")
+    space = space_from_json(p["space"])
+    d = opcore.as_int(p["dim"], "OVM JSON dim", low=1)
+    if direct:
+        nu = direct_sum(*[ovm_from_json(c) for c in p["components"]])
+        if nu.space != space:
+            raise SpaceMismatch("direct_sum OVM JSON space is not its components' space")
+        if nu.dim != d:
+            raise DimMismatch(f"direct_sum OVM JSON dim {d} is not {nu.dim}, the sum of its "
+                              "components' dims")
+        return nu
     try:
-        d = opcore.as_int(obj["dim"], "OVM JSON dim", low=1)
-        cell, atom = opcore.matrix_stacks_from_json(
-            *(obj.get(key, []) for key in ("cell_masses", "atom_masses")))
+        cell, atom = opcore.matrix_stacks_from_json(p["cell_masses"], p["atom_masses"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed OVM JSON: {exc}") from exc
-    return OVM(space, join_items(space, cell, atom, d), variant)
+    return OVM(space, join_items(space, cell, atom, d), p["variant"])
 
 
 def set_to_json(e: MeasurableSet) -> dict:
@@ -701,9 +710,5 @@ def set_to_json(e: MeasurableSet) -> dict:
 
 def set_from_json(space: SampleSpace, obj) -> MeasurableSet:
     _check_space(space)
-    if not isinstance(obj, dict):
-        raise InvalidInput("set JSON must be an object")
-    cells, atoms = obj.get("cells", []), obj.get("atoms", [])
-    if not all(isinstance(x, list) and all(isinstance(k, int) for k in x) for x in (cells, atoms)):
-        raise InvalidInput("set JSON cells and atoms must be lists of indices")
-    return MeasurableSet.from_indices(space, cells, atoms)
+    p = read_keys(obj, _SET_KEYS, "set JSON")
+    return MeasurableSet.from_indices(space, p["cells"], p["atoms"])

@@ -50,10 +50,15 @@ def random_povm_cell_by_cell(dim: int, m: int, rng: np.random.Generator) -> OVM:
 
 
 def matrix_from_json_alone(obj) -> np.ndarray:
-    """The reference decode of one matrix JSON form on its own: its keys,
-    its dim, its d x d "re" and "im" lists, then its entries (as_reals)
-    and their finiteness (as_matrix)."""
-    if not isinstance(obj, dict) or not {"dim", "re", "im"} <= set(obj):
+    """The reference decode of one matrix JSON form on its own: its keys
+    (no other, then all three), its dim, its d x d "re" and "im" lists,
+    then its entries (as_reals) and their finiteness (as_matrix)."""
+    if not isinstance(obj, dict):
+        raise InvalidInput("matrix JSON must be a JSON object")
+    for key in obj:
+        if key not in ("dim", "re", "im"):
+            raise InvalidInput(f"unknown key {key!r} for matrix JSON")
+    if not {"dim", "re", "im"} <= set(obj):
         raise InvalidInput("matrix JSON must have keys dim, re, im")
     d = opcore.as_int(obj["dim"], "matrix JSON dim", low=1)
     rows = [row for part in (obj["re"], obj["im"]) if isinstance(part, list) and len(part) == d

@@ -1,5 +1,6 @@
 """Scenario runner: exit codes, determinism, report contents."""
 
+import copy
 import json
 import math
 import os
@@ -387,6 +388,8 @@ SMALL_OVM = {"model": "lebesgue_identity", "dim": 2, "cells": 4}
 POVM = {"model": "random_povm", "dim": 2, "cells": 8}
 NO_DIM = {k: v for k, v in ovm.ovm_to_json(lebesgue_identity(4, 2)).items() if k != "dim"}
 TWO_CELLS = ovm.ovm_to_json(lebesgue_identity(2, 1, 0.0, 2.0))
+DIRECT_SUM = ovm.ovm_to_json(ovm.direct_sum(lebesgue_identity(2), lebesgue_identity(2, 2)))
+HALF_IDENTITY = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 
 
 class TestMalformedInput:
@@ -407,6 +410,7 @@ class TestMalformedInput:
         {"kind": "attain", "ovm": SMALL_OVM, "target": {"total_fraction": 0.5}, "seed": 3},
         {"kind": "properties", "ovm": {"model": "single_atom", "mass": 1.34e154}},
         {"kind": "properties", "ovm": SMALL_OVM, "expect": {"bounded": True}},
+        {"kind": "properties", "ovm": SMALL_OVM, "expect": {"positive": "no"}},
         {"kind": "properties",
          "ovm": dict(TWO_CELLS, space={"a": True, "b": 2, "breakpoints": [True, 1.5, 2]})},
         {"kind": "properties",
@@ -420,12 +424,41 @@ class TestMalformedInput:
             "sets_scalar", "targets_scalar", "measures_zero", "povm_dim_zero",
             "inline_ovm_without_dim", "trials_float", "trials_negative",
             "format_xml", "measures_text", "attain_seed", "properties_overflow",
-            "properties_expect_unknown_flag", "space_bool_coordinates", "space_nan_breakpoint",
+            "properties_expect_unknown_flag", "properties_expect_string",
+            "space_bool_coordinates", "space_nan_breakpoint",
             "target_string_entries", "cell_mass_string_and_bool_entries"])
     def test_exit_one_invalid_input(self, scenario):
         report, code = cli.run_scenario(scenario)
         assert code == 1
         assert report["error"].startswith("InvalidInput: ")
+
+    @pytest.mark.parametrize("scenario, what", [
+        ({"kind": "properties", "ovm": dict(TWO_CELLS, colour="red")}, "OVM JSON"),
+        ({"kind": "properties", "ovm": dict(DIRECT_SUM, colour="red")}, "direct_sum OVM JSON"),
+        ({"kind": "properties", "ovm": dict(TWO_CELLS, space=dict(TWO_CELLS["space"],
+                                                                  colour="red"))},
+         "space JSON"),
+        ({"kind": "properties", "ovm": dict(TWO_CELLS, cell_masses=[
+            dict(m, colour="red") for m in TWO_CELLS["cell_masses"]])}, "matrix JSON"),
+        ({"kind": "attain", "ovm": SMALL_OVM, "target": dict(HALF_IDENTITY, colour="red")},
+         "matrix JSON"),
+        ({"kind": "attain", "ovm": SMALL_OVM, "target": {"total_fraction": 0.5, "colour": "red"}},
+         "total_fraction target"),
+        ({"kind": "properties", "ovm": SMALL_OVM, "sets": [{"cells": [0], "colour": "red"}]},
+         "set JSON"),
+        ({"kind": "convexity", "ovm": POVM, "trials": 2, "expect": {"failures": 0,
+                                                                    "colour": "red"}},
+         "convexity expect"),
+        ({"kind": "properties", "ovm": SMALL_OVM, "expect": {"positive": True, "colour": "red"}},
+         "properties expect"),
+    ], ids=["inline_ovm", "direct_sum_ovm", "space", "cell_mass", "matrix_target",
+            "total_fraction_target", "set", "convexity_expect", "properties_expect"])
+    def test_stray_key(self, scenario, what):
+        # Every JSON object is closed: a key its table does not declare is
+        # an exit-1 report that names the key and the object.
+        report, code = cli.run_scenario(scenario)
+        assert code == 1
+        assert report["error"] == f"InvalidInput: unknown key 'colour' for {what}"
 
     def test_target_beyond_float_range(self, tmp_path):
         # An integer past the float range is an InvalidInput like any other
@@ -508,6 +541,15 @@ def _nest(depth: int, leaf=1):
     return leaf
 
 
+def _direct_sum_chain(links: int) -> dict:
+    """OVM JSON of ``links`` nested one-component direct sums of a two-cell
+    scalar measure."""
+    obj = ovm.ovm_to_json(lebesgue_identity(2))
+    for _ in range(links):
+        obj = {"space": obj["space"], "dim": 1, "variant": "direct_sum", "components": [obj]}
+    return obj
+
+
 class TestDeepScenario:
     # A scenario is echoed in its report, whose encoder recurses once per
     # level: a value nested 900 deep would end in a raw RecursionError
@@ -526,15 +568,26 @@ class TestDeepScenario:
         error = json.loads(out.read_text(encoding="utf-8"))["error"]
         assert error == f"InvalidInput: scenario nested more than {cli.MAX_DEPTH} deep"
 
-    def test_depth_limit_is_exact(self):
-        # The scenario object is level 1, ``expect`` level 2, its lists the rest.
-        for depth, code in ((cli.MAX_DEPTH, 0), (cli.MAX_DEPTH + 1, 1)):
-            scenario = {"kind": "properties", "ovm": {"model": "uhl", "cells": 4},
-                        "expect": {"positive": _nest(depth - 3, [])}}
-            report, got = cli.run_scenario(scenario)
-            assert got == code
-            assert json.loads(cli.report_to_json(report)).get("scenario") == (
-                scenario if code == 0 else None)
+    def test_depth_limit_is_exact(self, monkeypatch):
+        # A chain of one-component direct sums nests two levels per link
+        # above a two-cell OVM that nests four (its rows).  As a properties
+        # ovm (level 2) the chain reaches an even depth, as a classical
+        # measure (level 3) an odd one: each carrier runs at a limit of its
+        # depth and is rejected at one less.
+        chain = _direct_sum_chain((cli.MAX_DEPTH - 6) // 2)
+        carriers = {cli.MAX_DEPTH: {"kind": "properties", "ovm": chain},
+                    cli.MAX_DEPTH + 1: {"kind": "classical", "measures": [chain]}}
+        for depth, scenario in carriers.items():
+            assert cli._nested_deeper(scenario, depth - 1)
+            assert not cli._nested_deeper(scenario, depth)
+            monkeypatch.setattr(cli, "MAX_DEPTH", depth)
+            report, code = cli.run_scenario(scenario)
+            assert code == 0
+            assert json.loads(cli.report_to_json(report))["scenario"] == scenario
+            monkeypatch.setattr(cli, "MAX_DEPTH", depth - 1)
+            report, code = cli.run_scenario(scenario)
+            assert code == 1
+            assert report["error"] == f"InvalidInput: scenario nested more than {depth - 1} deep"
 
     def test_nesting_depth_counts_empty_containers(self):
         assert not cli._nested_deeper(1, 0)
@@ -629,3 +682,42 @@ def test_run_scenario_fuzz(scenario):
     assert code in (0, 1, 2)
     assert "schema" in report
     assert ("error" in report) == (code == 1)
+
+
+# Valid scenarios that hold, between them, one JSON object of each kind:
+# scenario, model shorthand, inline OVM of each variant, space, matrix (a
+# mass and a target), total_fraction target, set and both expects.
+_VALID = [
+    {"kind": "attain", "ovm": TWO_CELLS, "target": {"total_fraction": 0.5}},
+    {"kind": "attain", "ovm": SMALL_OVM, "target": HALF_IDENTITY},
+    {"kind": "properties", "ovm": DIRECT_SUM, "sets": [{"cells": [0], "atoms": []}],
+     "expect": {"positive": True}},
+    {"kind": "convexity", "ovm": POVM, "trials": 2, "expect": {"failures": 0}},
+]
+
+
+def _objects(value):
+    """Every JSON object in ``value``, ``value`` itself included."""
+    if isinstance(value, dict):
+        yield value
+    for child in value.values() if isinstance(value, dict) else value:
+        if isinstance(child, (dict, list)):
+            yield from _objects(child)
+
+
+@pytest.mark.parametrize("scenario", _VALID)
+def test_valid_scenarios_pass(scenario):
+    assert cli.run_scenario(scenario)[1] == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(range(len(_VALID))), st.data(), st.text(max_size=6))
+def test_stray_key_in_any_object(index, data, suffix):
+    # One key no table declares ("_" starts none), added to any object of
+    # a valid scenario, is an exit-1 report naming that key.
+    scenario = copy.deepcopy(_VALID[index])
+    key = "_" + suffix
+    data.draw(st.sampled_from(list(_objects(scenario))))[key] = 1
+    report, code = cli.run_scenario(scenario)
+    assert code == 1
+    assert report["error"].startswith(f"InvalidInput: unknown key {key!r} for ")

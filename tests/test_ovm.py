@@ -1007,6 +1007,48 @@ class TestJson:
         assert back.dim == 3
         assert np.array_equal(back.cell_masses, nu.cell_masses)
 
+    def test_direct_sum_dim_must_be_its_components(self):
+        obj = dict(ovm.ovm_to_json(direct_sum(lebesgue_identity(4), lebesgue_identity(4, 2))),
+                   dim=7)
+        with pytest.raises(errors.DimMismatch, match="^direct_sum OVM JSON dim 7 is not 3, "
+                                                     "the sum of its components' dims$"):
+            ovm.ovm_from_json(obj)
+
+    def test_direct_sum_space_must_be_its_components(self):
+        obj = ovm.ovm_to_json(direct_sum(lebesgue_identity(4), lebesgue_identity(4, 2)))
+        obj["space"] = ovm.space_to_json(SampleSpace.uniform(4, b=2.0))
+        with pytest.raises(errors.SpaceMismatch, match="^direct_sum OVM JSON space is not "
+                                                       "its components' space$"):
+            ovm.ovm_from_json(obj)
+
+    def test_direct_sum_rejects_the_masses_variant_keys(self):
+        nu = lebesgue_identity(4)
+        obj = dict(ovm.ovm_to_json(direct_sum(nu, nu)),
+                   cell_masses=ovm.ovm_to_json(nu)["cell_masses"])
+        with pytest.raises(errors.InvalidInput,
+                           match="^unknown key 'cell_masses' for direct_sum OVM JSON$"):
+            ovm.ovm_from_json(obj)
+
+    def test_masses_variant_rejects_components(self):
+        nu = lebesgue_identity(4)
+        obj = dict(ovm.ovm_to_json(nu), components=[ovm.ovm_to_json(nu)])
+        with pytest.raises(errors.InvalidInput, match="^unknown key 'components' for OVM JSON$"):
+            ovm.ovm_from_json(obj)
+
+    def test_library_readers_reject_unknown_keys(self):
+        space = SampleSpace.uniform(3)
+        cases = [
+            (ovm.space_from_json, dict(ovm.space_to_json(space), colour=1), "space JSON"),
+            (opcore.matrix_from_json, dict(opcore.matrix_to_json(np.eye(2)), colour=1),
+             "matrix JSON"),
+            (lambda obj: ovm.set_from_json(space, obj), {"cells": [1], "colour": 1}, "set JSON"),
+            (ovm.ovm_from_json, dict(ovm.ovm_to_json(grid_ovm(space, np.ones((3, 1, 1)) / 3)),
+                                     colour=1), "OVM JSON"),
+        ]
+        for read, obj, what in cases:
+            with pytest.raises(errors.InvalidInput, match=f"^unknown key 'colour' for {what}$"):
+                read(obj)
+
     def test_set_round_trip(self):
         space = SampleSpace.uniform(5, atom_sites=(0.1, 0.9))
         e = MeasurableSet.from_indices(space, cells=[1, 4], atoms=[1])
@@ -1022,6 +1064,7 @@ _MATRIX_FORMS = {
     "non-dict item": [[0.5]],
     "number item": 5,
     "missing key": {"dim": 1, "re": [[0.5]]},
+    "stray key": {"dim": 1, "re": [[0.5]], "im": [[0.0]], "colour": "red"},
     "string dim": {"dim": "1", "re": [[0.5]], "im": [[0.0]]},
     "bool dim": {"dim": True, "re": [[0.5]], "im": [[0.0]]},
     "zero dim": {"dim": 0, "re": [], "im": []},

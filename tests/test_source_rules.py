@@ -1,5 +1,6 @@
 """Source rules on the library: every operator norm and Hermitian spectrum is
-taken in opcore, and every tolerance is named once, in opcore's table.
+taken in opcore, every tolerance is named once, in opcore's table, and
+every JSON object's keys are read by jsonkeys' one reader.
 
 Each rule reads one module's source and returns its (line, finding) pairs,
 so the tests feed it the library's own files and planted violations alike.
@@ -89,7 +90,30 @@ def tolerances_outside_table(name: str, source: str) -> list[tuple[int, str]]:
     return found
 
 
-RULES = [spectra_outside_opcore, tolerances_outside_table]
+def json_keys_outside_reader(name: str, source: str) -> list[tuple[int, str]]:
+    """jsonkeys is the one reader of a JSON object's keys: no function
+    named *_from_json, and no cli._load_* function, reads keys itself.  It
+    calls no .get() or .keys() and tests no "key" in an object."""
+    if name == "jsonkeys.py":
+        return []
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not (isinstance(func, ast.FunctionDef) and (
+                func.name.endswith("_from_json")
+                or name == "cli.py" and func.name.startswith("_load_"))):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("get", "keys")):
+                found.append((node.lineno, f"{func.name} calls .{node.func.attr}()"))
+            if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
+                    and isinstance(node.left.value, str)
+                    and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)):
+                found.append((node.lineno, f"{func.name} tests {node.left.value!r} in an object"))
+    return found
+
+
+RULES = [spectra_outside_opcore, tolerances_outside_table, json_keys_outside_reader]
 
 
 def _source(name: str) -> str:
@@ -120,8 +144,15 @@ def test_library_keeps_rule(rule):
      "(w >= -TOL_PSD * np.maximum(1.0, norms)[..., None])", tolerances_outside_table),
     ("lyapunov.py", "opcore.op_norm(achieved - target)",
      "float(np.abs(np.linalg.eigvalsh(achieved - target)).max())", spectra_outside_opcore),
+    ("opcore.py", 'p = read_keys(obj, _MATRIX_KEYS, "matrix JSON")',
+     "p = obj if _MATRIX_KEYS.keys() <= obj else {}", json_keys_outside_reader),
+    ("ovm.py", 'direct = tag(obj, "variant", "OVM JSON") == "direct_sum"',
+     'direct = obj.get("variant") == "direct_sum"', json_keys_outside_reader),
+    ("cli.py", 'if tag(spec, "total_fraction", "target") is None:',
+     'if "total_fraction" not in spec:', json_keys_outside_reader),
 ], ids=["literal_in_make_state", "literal_in_ess_equal", "floor_in_psd_ok",
-        "eigvalsh_in_lyapunov"])
+        "eigvalsh_in_lyapunov", "keys_in_matrix_stacks", "get_in_ovm_from_json",
+        "in_in_load_target"])
 def test_rule_finds_planted_violation(name, old, new, rule):
     source, line = _planted(name, old, new)
     assert rule(name, _source(name)) == []
@@ -137,6 +168,9 @@ def test_rule_finds_planted_violation(name, old, new, rule):
     ("ok = err <= TOL_PSD * max(1, scale)", tolerances_outside_table),
     ("ok = err <= opcore.RANK_RCOND * max(scale, 1.0)", tolerances_outside_table),
     ("tol = 3e-9", tolerances_outside_table),
+    ("def space_from_json(obj): return obj.get('a')", json_keys_outside_reader),
+    ("def set_from_json(space, obj): return 'cells' in obj", json_keys_outside_reader),
+    ("def f_from_json(obj): return [o.keys() for o in obj]", json_keys_outside_reader),
 ])
 def test_rule_finds_snippet(snippet, rule):
     assert [line for line, _ in rule("ovm.py", snippet)] == [1]
@@ -149,6 +183,12 @@ def test_rule_finds_snippet(snippet, rule):
     ("ovm.py", "ok = err <= TOL_PSD * scale", tolerances_outside_table),
     ("opcore.py", "TOL = 1e-12", tolerances_outside_table),
     ("cli.py", "tol = 1e-10", tolerances_outside_table),
+    ("ovm.py", "def space_to_json(obj): return obj.get('a')", json_keys_outside_reader),
+    ("ovm.py", "def _load_ovm(spec): return 'model' in spec", json_keys_outside_reader),
+    ("cli.py", "def _load_ovm(spec): return name not in _MODELS", json_keys_outside_reader),
+    ("ovm.py", "def ovm_from_json(obj): return read_keys(obj, KEYS, 'OVM')",
+     json_keys_outside_reader),
+    ("jsonkeys.py", "def tag_from_json(obj): return obj.get('kind')", json_keys_outside_reader),
 ])
 def test_rule_spares_snippet(name, snippet, rule):
     assert rule(name, snippet) == []
