@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 from . import __version__, demos, models, opcore
 from .demos import check, failed
 from .errors import AtomicObstruction, InvalidInput, OvmError, TargetNotInHull
-from .jsonkeys import Key, Type, is_int, is_number, list_of, read_keys, tag
+from .jsonkeys import Key, Type, read_keys, tag
 from .lyapunov import attain, attain_to_json, convexity_certificate
 from .ovm import (MeasurableSet, PropertyReport, check_ovm_properties, ovm_from_json,
                   set_from_json)
@@ -35,12 +35,28 @@ REPORT_SCHEMA = "ovm-report/2"
 MAX_DEPTH = 100  # lists and objects a scenario may nest (see run_scenario)
 
 
-_INT = Type("an integer", is_int)
-_NUMBER = Type("a finite number", is_number, float)
-_NUMBERS = Type("a list of numbers", list_of(is_number))
-_NUMBER_LISTS = Type("a list of number lists", list_of(_NUMBERS.accepts))
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _list_of(test) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+_INT = Type("an integer", _is_int)
+_NUMBER = Type("a finite number", _is_number, float)
+_NUMBERS = Type("a list of numbers", _list_of(_is_number))
+_NUMBER_LISTS = Type("a list of number lists", _list_of(_NUMBERS.accepts))
 _OBJECT = Type("a JSON object", lambda value: isinstance(value, dict))
-_OBJECTS = Type("a list of JSON objects", list_of(_OBJECT.accepts))
+_OBJECTS = Type("a list of JSON objects", _list_of(_OBJECT.accepts))
 _TEXT = Type("a string", lambda value: isinstance(value, str))
 _BOOL = Type("a boolean", lambda value: isinstance(value, bool))
 _FORMAT = Type("json or csv", lambda value: value in ("json", "csv"))
@@ -48,8 +64,8 @@ _OVM_SPEC = Type("an ovm spec: a JSON object or a file path",
                  lambda value: isinstance(value, (dict, str)))
 _MEASURES = Type(
     "an integer >= 1 or a non-empty list of ovm specs",
-    lambda value: (is_int(value) and value >= 1)
-    or (isinstance(value, list) and len(value) > 0 and list_of(_OVM_SPEC.accepts)(value)))
+    lambda value: (_is_int(value) and value >= 1)
+    or (isinstance(value, list) and len(value) > 0 and _list_of(_OVM_SPEC.accepts)(value)))
 # The two kinds of ``expect`` object, each read by its own table.
 _FAILURES = Type("a JSON object whose failures is an integer", _OBJECT.accepts, functools.partial(
     read_keys, keys={"failures": Key(_INT, 0)}, what="convexity expect"))

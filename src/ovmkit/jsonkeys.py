@@ -4,26 +4,9 @@ entries, and :func:`read_keys` rejects any other key."""
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 from .errors import InvalidInput
-
-
-def is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_number(value) -> bool:
-    try:
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def list_of(test) -> Callable[[object], bool]:
-    return lambda value: isinstance(value, list) and all(map(test, value))
 
 
 class Type(NamedTuple):

@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     SpaceMismatch,
 )
-from .jsonkeys import Key, Type, list_of, read_keys, tag
+from .jsonkeys import Key, Type, read_keys, tag
 from .opcore import MASS_TOL, SNAP_TOL, SPECTRAL_TOL, UNIT_TOL, WIDTH_TOL
 
 
@@ -644,8 +644,7 @@ _OVM_KEYS = {"space": Key(required="OVM JSON must carry a space"),
              "variant": Key(default="grid")}
 _MASSES_KEYS = {**_OVM_KEYS, "cell_masses": _LIST, "atom_masses": _LIST}
 _SUM_KEYS = {**_OVM_KEYS, "components": _LIST}
-_INDICES = Key(Type("a list of indices", list_of(lambda k: isinstance(k, int))), ())
-_SET_KEYS = {"cells": _INDICES, "atoms": _INDICES}
+_SET_KEYS = {"cells": _LIST, "atoms": _LIST}  # from_indices checks each index
 
 
 def space_to_json(space: SampleSpace) -> dict:
