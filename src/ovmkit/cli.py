@@ -66,14 +66,14 @@ _MEASURES = Type(
     "an integer >= 1 or a non-empty list of ovm specs",
     lambda value: (_is_int(value) and value >= 1)
     or (isinstance(value, list) and len(value) > 0 and _list_of(_OVM_SPEC.accepts)(value)))
+_TAG = Key()  # a kind's or a model's name, read before the rest of its table
+_FRACTION = {"total_fraction": Key(_NUMBER)}  # a target that is not a matrix
 # The two kinds of ``expect`` object, each read by its own table.
 _FAILURES = Type("a JSON object whose failures is an integer", _OBJECT.accepts, functools.partial(
     read_keys, keys={"failures": Key(_INT, 0)}, what="convexity expect"))
 _FLAGS = Type("a JSON object of booleans", _OBJECT.accepts, functools.partial(
     read_keys, keys={f.name: Key(_BOOL) for f in fields(PropertyReport)},
     what="properties expect"))
-_FRACTION = {"total_fraction": Key(_NUMBER)}
-_TAG = Key()  # a kind's or a model's name, read before the rest of its table
 
 _SEED = Key(_INT, 0, low=0)
 
