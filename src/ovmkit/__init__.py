@@ -15,7 +15,6 @@ from .errors import (  # noqa: F401
     DimMismatch,
     InvalidInput,
     NotPositive,
-    NotSelfAdjoint,
     NumericalFailure,
     OvmError,
     ShapeMismatch,

@@ -94,13 +94,18 @@ _MODELS = {
 
 
 def _read_json(path):
-    """The JSON value in the file at ``path``; nesting too deep to parse is
-    an InvalidInput, not a RecursionError."""
+    """The JSON value in the file at ``path``; text that is not UTF-8 or
+    not JSON, and nesting too deep to parse, are an InvalidInput that
+    names the file, not a decoder error or a RecursionError."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise InvalidInput(f"JSON in {path} is nested too deeply") from None
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"{path} is not valid JSON: {exc}") from None
 
 
 def _load_ovm(spec):

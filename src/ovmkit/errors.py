@@ -13,10 +13,6 @@ class NotPositive(OvmError):
     """A matrix required to be positive semidefinite is not."""
 
 
-class NotSelfAdjoint(OvmError):
-    """A matrix or step function required to be self-adjoint is not."""
-
-
 class DimMismatch(OvmError):
     """Operator dimensions disagree."""
 

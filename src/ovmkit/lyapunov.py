@@ -142,7 +142,7 @@ def _null_direction(cols: np.ndarray) -> np.ndarray | None:
     1 - ||V_r e_k||^2 is at least half the largest, re-projected once
     against round-off, first nonzero entry positive.  The projector, and
     so the output, does not depend on how LAPACK picks V_r."""
-    _, sing, vt = np.linalg.svd(cols / opcore._pow2_scales(cols), full_matrices=False)
+    _, sing, vt = opcore._decompose(cols, "svd", full_matrices=False)
     rank = int(np.sum(sing > KERNEL_RCOND * sing.max(initial=0.0)))
     if rank == cols.shape[1]:
         return None
@@ -758,7 +758,7 @@ def attain(nu: OVM, target) -> AttainResult:
     a_mat = opcore.hermitian(target)
     if a_mat.shape[0] != nu.dim:
         raise ShapeMismatch(f"target dim {a_mat.shape[0]} vs measure dim {nu.dim}")
-    goal = opcore.herm_coords(a_mat)
+    goal = opcore._herm_coords(a_mat)
     scale = nu.total_norm or 1.0
     h, duals, objective, steps = _phase_one(nu.cell_coords.T / scale, goal / scale)
     if objective > SIMPLEX_TOL:
@@ -781,7 +781,7 @@ def check_separation(nu: OVM, target, witness) -> float:
     w = opcore.herm_coords(opcore.as_matrix(witness))
     if a_mat.shape[0] != nu.dim or w.size != nu.dim * nu.dim:
         raise ShapeMismatch(f"target and witness must be {nu.dim} x {nu.dim}")
-    return float(w @ opcore.herm_coords(a_mat) - np.maximum(nu.coords @ w, 0.0).sum())
+    return float(w @ opcore._herm_coords(a_mat) - np.maximum(nu.coords @ w, 0.0).sum())
 
 
 def joint_attain(ovms, targets) -> AttainResult:

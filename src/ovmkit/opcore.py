@@ -7,8 +7,8 @@ form, as batched numpy calls: the Hermitian test and symmetrization
 an exact-equality fast path), the operator norm (:func:`op_norms`), the
 PSD verdict (:func:`psd_flags`) and the PSD square root (:func:`psd_roots`).
 The square root has one rule, one private eigh that gives a validated
-stack's eigenvalues and roots and one private verdict on those eigenvalues:
-psd_roots applies both, and an OVM keeps the pair for its integrals.
+stack's eigenvalues and roots: psd_roots judges the eigenvalues, and an
+OVM, judged at build, keeps the roots for its integrals.
 These, :func:`as_stack` and :func:`herm_coords` take stacks (a single matrix
 is a stack too).  Everything else takes one ``(d, d)`` matrix and rejects any
 other shape with InvalidInput; :func:`hermitian`, :func:`is_hermitian`,
@@ -16,10 +16,11 @@ other shape with InvalidInput; :func:`hermitian`, :func:`is_hermitian`,
 apply the stack rules to it.  Hermitian eigendecomposition gives the PSD
 check, the PSD square root and the norm of a matrix the Hermitian test
 accepts (max |eigenvalue|); any other takes its largest singular value.
-No other module calls eigvalsh or eigh.  The value classes validate a
-stack with one private pass, one Hermitian test and one eigvalsh, which
-gives their PSD flag and their norms (OVM.norms, QuantumRandomVariable.norms)
-bit for bit as op_norms would, without decomposing the stack again.
+No other module decomposes a matrix.  The value classes validate a stack
+with one private pass, one Hermitian test and one decomposition of each
+matrix, which gives their PSD flag and their norms (OVM.norms,
+QuantumRandomVariable.norms) bit for bit as op_norms would; the stack's
+readers take its coordinates by herm_coords' private map, untested again.
 
 Also provides the real coordinatization of the d^2-dimensional real space
 of Hermitian matrices used by the feasibility solver: an orthonormal basis
@@ -196,52 +197,53 @@ def hermitian_flags(a) -> np.ndarray:
 def op_norms(a) -> np.ndarray:
     """Operator norms of a (..., d, d) stack: max |eigenvalue| of the matrix
     :func:`hermitian_stack` returns where it accepts, else the largest singular value."""
-    return _op_norms(as_stack(a))
+    return _spectrum(as_stack(a))[2]
 
 
-def _op_norms(m: np.ndarray) -> np.ndarray:
+def _spectrum(m: np.ndarray):
+    """One Hermitian test of the finite stack m and one decomposition of
+    each matrix: (sym, w, norms).  sym is what :func:`hermitian_stack`
+    returns and w its eigenvalues, both None unless the test accepts every
+    matrix; norms are as :func:`op_norms` says."""
     ok, _, sym = _hermitian_test(m)
     if ok is True or ok.all():
-        return np.abs(_decompose(sym)).max(axis=-1, initial=0.0)
-    out = np.empty(ok.shape)
-    out[~ok] = _decompose(m[~ok], "svd", compute_uv=False)[:, 0]
+        w = _decompose(sym)
+        return sym, w, np.abs(w).max(axis=-1, initial=0.0)
+    norms = np.empty(ok.shape)
+    norms[~ok] = _decompose(m[~ok], "svd", compute_uv=False)[:, 0]
     if ok.any():
-        out[ok] = np.abs(_decompose(sym[ok])).max(axis=-1)
-    return out
+        norms[ok] = np.abs(_decompose(sym[ok])).max(axis=-1)
+    return None, None, norms
 
 
 def _decompose(m: np.ndarray, routine: str = "eigvalsh", **kwargs):
-    """np.linalg's ``routine`` (eigvalsh, eigh, or svd for singular values) of
-    the stack m, the values of 2^k A being those of A times 2^k, bit for bit.
-    That holds wherever LAPACK does not rescale a matrix, which it does, by
-    a factor that is not a power of two, when the largest entry lies outside
-    about [2^-458, 2^458].  Values that are 0 or of binary exponent within
-    +-400 (a matrix's largest value is within a factor d of its largest
-    entry) show that it rescaled none; otherwise each matrix is decomposed
-    again over its :func:`_pow2_scales`, which LAPACK never rescales, and
-    its values are scaled back."""
+    """np.linalg's ``routine`` (eigvalsh, eigh, or svd: an SVD triple keeps
+    its values second) of the stack m, the values of 2^k A being those of A
+    times 2^k, bit for bit.  That holds wherever LAPACK does not rescale a
+    matrix, which it does, by a factor that is not a power of two, when
+    the largest entry lies outside about [2^-458, 2^458].  Values that are
+    0 or of binary exponent within +-400 (a matrix's largest value is
+    within a factor d of its largest entry) show that it rescaled none;
+    otherwise each matrix is decomposed again over its :func:`_pow2_scales`,
+    which LAPACK never rescales, and its values are scaled back."""
     out = getattr(np.linalg, routine)(m, **kwargs)
-    if (np.abs(np.frexp(out[0] if isinstance(out, tuple) else out)[1]) < 400).all():
+    at = int(isinstance(out, tuple) and len(out) == 3)  # where out keeps the values
+    if (np.abs(np.frexp(out[at] if isinstance(out, tuple) else out)[1]) < 400).all():
         return out
     scale = _pow2_scales(m)[..., None]
     out = getattr(np.linalg, routine)(m / scale[..., None], **kwargs)
     with np.errstate(over="ignore"):  # values past the float range are inf, as LAPACK's are
-        return (out[0] * scale, out[1]) if isinstance(out, tuple) else out * scale
+        if not isinstance(out, tuple):
+            return out * scale
+        return tuple(x * scale if i == at else x for i, x in enumerate(out))
 
 
 def _hermitian_spectrum(a):
-    """One Hermitian test and one eigvalsh of a (..., d, d) stack, for the
-    value classes that validate a stack and then read its norms:
-    (sym, psd, norms), where sym is what :func:`hermitian_stack` returns,
-    psd says whether :func:`psd_flags` accepts every matrix, and norms are
-    :func:`op_norms` bit for bit, since both decompose that same array.  A
-    stack that the test does not wholly accept gives None."""
-    ok, _, sym = _hermitian_test(as_stack(a))
-    if not np.all(ok):
-        return None
-    w = _decompose(sym)
-    norms = np.abs(w).max(axis=-1, initial=0.0)
-    return sym, bool(_psd_ok(w, norms).all()), norms
+    """(sym, psd, norms) of a (..., d, d) stack from one :func:`_spectrum`,
+    for the value classes: psd says whether :func:`psd_flags` accepts every
+    matrix, and norms are :func:`op_norms` bit for bit."""
+    sym, w, norms = _spectrum(as_stack(a))
+    return sym, sym is not None and bool(_psd_ok(w, norms).all()), norms
 
 
 def _psd_ok(w: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
@@ -266,25 +268,19 @@ def psd_roots(a) -> np.ndarray:
     genuinely negative spectrum raises NotPositive, naming the first.
     """
     w, roots = _spectral_roots(hermitian_stack(a))
-    _require_psd(w)
+    bad = ~_psd_ok(w)
+    if bad.any():
+        raise NotPositive(f"matrix has eigenvalue {w[bad][0, 0]:.3e}")
     return roots
 
 
 def _spectral_roots(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, PSD roots) of a stack that :func:`hermitian_stack`
     returned, from one eigh; eigenvalues below 0 are clamped to 0 in the
-    roots, whatever the PSD verdict (:func:`_require_psd`)."""
+    roots, whatever the PSD verdict."""
     w, v = _decompose(sym, "eigh")
     root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     return w, (root + np.conj(np.swapaxes(root, -1, -2))) / 2
-
-
-def _require_psd(w: np.ndarray) -> None:
-    """NotPositive, naming the first, unless every ascending spectrum of the
-    (..., d) stack w passes :func:`_psd_ok`."""
-    bad = ~_psd_ok(w)
-    if bad.any():
-        raise NotPositive(f"matrix has eigenvalue {w[bad][0, 0]:.3e}")
 
 
 def hermitian(a) -> np.ndarray:
@@ -309,7 +305,7 @@ def psd_sqrt(a) -> np.ndarray:
 
 def op_norm(a) -> float:
     """:func:`op_norms` of one (d, d) matrix."""
-    return float(_op_norms(as_matrix(a)))
+    return float(_spectrum(as_matrix(a))[2])
 
 
 def loewner_leq(a, b) -> bool:
@@ -333,7 +329,11 @@ def herm_coords(a) -> np.ndarray:
     dot(herm_coords(A), herm_coords(B)) == tr(AB).  A (..., d, d) stack
     maps to (..., d^2), validated by :func:`hermitian_stack`.
     """
-    m = hermitian_stack(a)
+    return _herm_coords(hermitian_stack(a))
+
+
+def _herm_coords(m: np.ndarray) -> np.ndarray:
+    """:func:`herm_coords` of a stack that :func:`hermitian_stack` returned."""
     d = m.shape[-1]
     iu, ju = _upper_pairs(d)
     off = m[..., iu, ju]
@@ -454,6 +454,7 @@ def matrix_stacks_from_json(*lists) -> list:
     stacks = []
     for dims, values in checked:
         d = max(dims, default=0)
-        parts = values.reshape(len(dims), 2, d, d)
-        stacks.append(parts[:, 0] + 1j * parts[:, 1] if dims else None)
+        stack = np.empty((len(dims), d, d), np.complex128)
+        stack.real, stack.imag = values.reshape(len(dims), 2, d, d).swapaxes(0, 1)
+        stacks.append(stack if dims else None)  # each part keeps its signed zeros
     return stacks

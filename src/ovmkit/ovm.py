@@ -299,9 +299,9 @@ class OVM:
     comes from the eigenvalues that the validation computes for
     ``positive``: opcore.op_norms of the masses bit for bit, without a
     second decomposition.  ``coords`` and ``massive`` are cached over all
-    m + n items on first use, and so are the masses' PSD roots with their
-    eigenvalues, on the first integral.  Direct sums keep their components
-    as well as the block-diagonal masses.
+    m + n items on first use, and so are the masses' PSD roots, on the
+    first integral.  A direct sum, and only a direct sum, keeps its
+    components: OVMs over its space whose block join is its masses, bit for bit.
     """
 
     space: SampleSpace
@@ -316,17 +316,24 @@ class OVM:
         masses = self.space.item_stack(self.masses, np.complex128, "masses", matrices=True)
         if self.variant not in ("grid", "atomic", "mixed", "direct_sum"):
             raise InvalidInput(f"unknown variant {self.variant!r}")
-        spectrum = opcore._hermitian_spectrum(masses)
-        if spectrum is None:  # hermitian_stack names the first non-Hermitian mass
+        components = tuple(_as_list(self.components, "direct sum components", "OVMs"))
+        if bool(components) != (self.variant == "direct_sum"):
+            raise InvalidInput("a direct_sum OVM needs components, and no other variant takes any")
+        sym, positive, norms = opcore._hermitian_spectrum(masses)  # sym: new if symmetrized
+        if sym is None:  # hermitian_stack names the first non-Hermitian mass
             opcore.hermitian_stack(masses)
-        masses, positive, norms = spectrum  # masses: a new array if symmetrized
-        masses.setflags(write=False)
+        if components and not (all(isinstance(o, OVM) and o.space == self.space
+                                   for o in components)
+                               and _block_join(components).tobytes() == sym.tobytes()):
+            raise InvalidInput("direct_sum masses must be the block join of its components, "
+                               "OVMs over its space")
+        sym.setflags(write=False)
         norms.setflags(write=False)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "dim", masses.shape[-1])
+        object.__setattr__(self, "masses", sym)
+        object.__setattr__(self, "dim", sym.shape[-1])
         object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "norms", norms)
-        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "components", components)
 
     cell_masses, atom_masses = item_views("masses")
 
@@ -338,7 +345,7 @@ class OVM:
     def coords(self) -> np.ndarray:
         """herm_coords of the masses, shape (m + n, d^2), read-only: row k
         is item k's mass in the orthonormal trace-inner-product basis."""
-        coords = opcore.herm_coords(self.masses)
+        coords = opcore._herm_coords(self.masses)
         coords.setflags(write=False)
         return coords
 
@@ -359,14 +366,13 @@ class OVM:
         return opcore.readonly(self.norms > MASS_TOL * self.total_norm, bool)
 
     @cached_property
-    def _roots(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, PSD roots M_k^(1/2)) of the m + n masses, read-only,
-        from the one eigh that opcore.psd_roots of the masses takes; the
-        integrals read them, and check the eigenvalues, as psd_roots would."""
-        pair = opcore._spectral_roots(self.masses)
-        for x in pair:
-            x.setflags(write=False)
-        return pair
+    def _roots(self) -> np.ndarray:
+        """PSD roots M_k^(1/2) of the m + n masses, read-only, from the one
+        eigh that opcore.psd_roots of the masses takes; the integrals read
+        them and the PSD verdict ``positive``, judged at build."""
+        roots = opcore._spectral_roots(self.masses)[1]
+        roots.setflags(write=False)
+        return roots
 
 
 def _zero_masses(count: int, dim: int) -> np.ndarray:
@@ -623,13 +629,16 @@ def direct_sum(*ovms: OVM) -> OVM:
     space = ovms[0].space
     if any(o.space != space for o in ovms):
         raise SpaceMismatch("direct sum components must share one sample space")
-    dims = [o.dim for o in ovms]
-    d = sum(dims)
-    offsets = np.cumsum([0] + dims)
-    masses = _zero_masses(space.n_cells + space.n_atoms, d)
+    return OVM(space, _block_join(ovms), "direct_sum", components=ovms)
+
+
+def _block_join(ovms) -> np.ndarray:
+    """The block-diagonal stack of the masses of OVMs over one space, in order."""
+    offsets = np.cumsum([0] + [o.dim for o in ovms])
+    masses = _zero_masses(len(ovms[0].masses), offsets[-1])
     for o, lo in zip(ovms, offsets):
         masses[:, lo : lo + o.dim, lo : lo + o.dim] = o.masses
-    return OVM(space, masses, "direct_sum", components=tuple(ovms))
+    return masses
 
 
 # The key table of each JSON object below (jsonkeys.read_keys): an OVM has one

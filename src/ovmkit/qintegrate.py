@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -35,33 +34,26 @@ class QuantumRandomVariable:
     ``dim``, ``self_adjoint`` and ``positive`` are derived from it, and
     ``cell_values`` and ``atom_values`` are views of it.  ``norms``, the
     read-only operator norms of the m + n values (opcore.op_norms, bit for
-    bit, as OVM.norms), is kept from the eigenvalues that the validation
-    computes when the values are self-adjoint, and otherwise taken by
-    op_norms on first use."""
+    bit, as OVM.norms), comes from the one decomposition of the validation."""
 
     space: SampleSpace
     values: np.ndarray = field(repr=False)
     dim: int = field(init=False)
     self_adjoint: bool = field(init=False)
     positive: bool = field(init=False)
+    norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         values = self.space.item_stack(self.values, np.complex128, "values", matrices=True)
-        spectrum = opcore._hermitian_spectrum(values)
+        sym, positive, norms = opcore._hermitian_spectrum(values)
+        norms.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dim", values.shape[-1])
-        object.__setattr__(self, "self_adjoint", spectrum is not None)
-        object.__setattr__(self, "positive", spectrum is not None and spectrum[1])
-        if spectrum is not None:  # fills the cached norms below
-            spectrum[2].setflags(write=False)
-            object.__setattr__(self, "norms", spectrum[2])
+        object.__setattr__(self, "self_adjoint", sym is not None)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "norms", norms)
 
     cell_values, atom_values = item_views("values")
-
-    @cached_property
-    def norms(self) -> np.ndarray:
-        """Operator norms of the m + n values, read-only (opcore.op_norms)."""
-        return opcore.readonly(opcore.op_norms(self.values), np.float64)
 
     def __add__(self, other):
         _check_same(self, other)
@@ -131,15 +123,15 @@ def indicator(space: SampleSpace, dim: int, e: MeasurableSet) -> QuantumRandomVa
 def integrate(nu: OVM, f: QuantumRandomVariable) -> np.ndarray:
     """Quantum expected value: sum_k M_k^(1/2) F_k M_k^(1/2) plus atoms.
 
-    Hermitian (and PSD) output for self-adjoint (positive) f.  The tests
-    check it against the four-part split through positive/negative and
-    real/imaginary parts.
+    Hermitian (and PSD) output for self-adjoint (positive) f.  The measure's
+    PSD verdict is the one taken at its build (OVM.positive), and the roots
+    its kept ones.  The tests check it against the four-part split through
+    positive/negative and real/imaginary parts.
     """
     _check_pair(f, nu)
     if not nu.positive:
         raise Unsupported("integration is defined against positive OVMs")
-    w, roots = nu._roots
-    opcore._require_psd(w)
+    roots = nu._roots
     out = np.zeros((nu.dim, nu.dim), dtype=np.complex128)
     out += np.add.reduce(roots @ f.values @ roots, axis=0)  # into zeros: no entry reads -0.0
     if f.self_adjoint:
@@ -164,8 +156,7 @@ def integrand_fs(f: QuantumRandomVariable, s, nu: OVM, rho) -> ScalarStepFunctio
         raise DerivativeDoesNotExist(failures)
     defined = nu.massive
     traces = ind.traces[defined]
-    w, roots = (x[defined] for x in nu._roots)
-    opcore._require_psd(w)
+    roots = nu._roots[defined]
     out = np.zeros(len(defined), dtype=np.complex128)
     out[defined] = np.einsum("ij,kji->k", s_mat, roots @ f.values[defined] @ roots) / traces
     return ScalarStepFunction(nu.space, out)

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from ovmkit import opcore
-from ovmkit.errors import DimMismatch, InvalidInput, NotPositive, NotSelfAdjoint
+from ovmkit.errors import DimMismatch, InvalidInput, NotPositive, OvmError
 from ovmkit.errors import AtomicObstruction
 from ovmkit.lyapunov import CertificateReport, TrialFailure, convex_combine, kernel_witness
 from ovmkit.ovm import (OVM, FractionalSet, MeasurableSet, PropertyReport, SampleSpace, evaluate,
@@ -66,9 +66,9 @@ def matrix_from_json_alone(obj) -> np.ndarray:
     if len(rows) != 2 * d or not all(isinstance(row, list) and len(row) == d for row in rows):
         raise InvalidInput(f"matrix JSON arrays must be {d}x{d} lists")
     entries = opcore.as_reals([x for row in rows for x in row], "matrix JSON entry")
-    re, im = entries.reshape(2, d, d)
-    with np.errstate(invalid="ignore"):  # 1j * inf
-        return opcore.as_matrix(re + 1j * im)
+    m = np.empty((d, d), np.complex128)
+    m.real, m.imag = entries.reshape(2, d, d)
+    return opcore.as_matrix(m)
 
 
 def matrix_stacks_one_by_one(*lists) -> list:
@@ -290,6 +290,10 @@ def _split_psd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     plus = (v * np.maximum(w, 0.0)[:, None, :]) @ vh
     minus = (v * np.maximum(-w, 0.0)[:, None, :]) @ vh
     return plus, minus
+
+
+class NotSelfAdjoint(OvmError):
+    """A step function that pos_neg_parts splits is not self-adjoint."""
 
 
 def pos_neg_parts(f: QuantumRandomVariable):

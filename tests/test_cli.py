@@ -534,6 +534,38 @@ class TestDeepJson:
         assert report["error"] == f"InvalidInput: JSON in {path} is nested too deeply"
 
 
+# A config file that is not JSON or not UTF-8, and the error that names it.
+_UNREADABLE = {
+    "truncated": (b'{"kind": "uhl", ', "is not valid JSON: Expecting property name enclosed "
+                  "in double quotes: line 1 column 17 (char 16)"),
+    "not_utf8": (b'{"kind": "\xff"}', "is not UTF-8: invalid start byte at byte 10"),
+}
+
+
+class TestUnreadableJson:
+    @pytest.mark.parametrize("command", ["run", "uhl"])
+    @pytest.mark.parametrize("name", list(_UNREADABLE))
+    def test_main_config(self, tmp_path, capsys, command, name):
+        path = tmp_path / "s.json"
+        content, message = _UNREADABLE[name]
+        path.write_bytes(content)
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path} {message}\n"
+
+    @pytest.mark.parametrize("scenario", [
+        lambda path: str(path),
+        lambda path: {"kind": "properties", "ovm": str(path)},
+    ], ids=["config", "ovm_spec"])
+    @pytest.mark.parametrize("name", list(_UNREADABLE))
+    def test_run_scenario(self, tmp_path, scenario, name):
+        path = tmp_path / "s.json"
+        content, message = _UNREADABLE[name]
+        path.write_bytes(content)
+        report, code = cli.run_scenario(scenario(path))
+        assert code == 1
+        assert report["error"] == f"InvalidInput: {path} {message}"
+
+
 def _nest(depth: int, leaf=1):
     """``leaf`` inside ``depth`` lists."""
     for _ in range(depth):

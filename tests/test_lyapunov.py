@@ -1617,11 +1617,11 @@ class TestCoordinateMatrix:
 
     def test_masses_coordinatized_once(self, monkeypatch):
         # Every caller reads the measure's cached coordinates: however often
-        # they run, herm_coords sees the mass stack once.
+        # they run, the coordinate map sees the mass stack once.
         rng = rng_from_seed(818283)
         nu = random_povm(2, 30, rng)
         h = FractionalSet(tuple(rng.random(30)))
-        herm_coords = opcore.herm_coords
+        herm_coords = opcore._herm_coords
         stacks = []
 
         def spy(a):
@@ -1629,10 +1629,25 @@ class TestCoordinateMatrix:
                 stacks.append(np.shape(a))
             return herm_coords(a)
 
-        monkeypatch.setattr(opcore, "herm_coords", spy)
+        monkeypatch.setattr(opcore, "_herm_coords", spy)
         for _ in range(2):
             coordinate_matrix(nu, range(10))
             kernel_witness(nu, range(30))
             purify(nu, h)
             attain(nu, evaluate_fractional(nu, h))
         assert stacks == [(30, 2, 2)]
+
+    def test_validated_stacks_are_not_validated_again(self, monkeypatch):
+        # The public herm_coords validates its argument.  The measure's
+        # coordinates, attain's goal and check_separation's target come
+        # from stacks already validated, so only the caller's witness takes it.
+        nu = random_povm(2, 30, rng_from_seed(818284))
+        target = nu.total_mass() / 2
+        calls = []
+        herm_coords = opcore.herm_coords
+        monkeypatch.setattr(opcore, "herm_coords", lambda a: calls.append(1) or herm_coords(a))
+        assert nu.coords.shape == (30, 4)
+        assert attain(nu, target).residual <= 1e-9
+        assert calls == []
+        assert check_separation(nu, target, np.eye(2)) < 0.0
+        assert calls == [1]

@@ -2,10 +2,13 @@
 
 import dataclasses
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     OperatorInterval,
@@ -988,6 +991,70 @@ class TestDirectSum:
     def test_space_mismatch(self):
         with pytest.raises(errors.SpaceMismatch):
             direct_sum(lebesgue_identity(4), lebesgue_identity(8))
+
+    def test_constructor_holds_the_direct_sum_invariant(self):
+        # Components exactly on a direct sum, each an OVM over its space,
+        # whose block join is its masses bit for bit.
+        parts = (lebesgue_identity(4), random_povm(2, 4, rng_from_seed(3301)))
+        nu = direct_sum(*parts)
+        elsewhere = grid_ovm(SampleSpace.uniform(4, b=2.0), parts[0].cell_masses)
+        flipped = nu.masses.copy()
+        flipped.imag[0, 0, 0] = -flipped.imag[0, 0, 0]  # a signed zero: equal, not the join
+        assert np.array_equal(flipped, nu.masses)
+        assert ovm.OVM(nu.space, nu.masses, "direct_sum", parts).masses.tobytes() == \
+            nu.masses.tobytes()
+        cases = [
+            (nu.masses, "direct_sum", (), "needs components"),
+            (nu.masses, "grid", parts, "needs components"),
+            (nu.masses[:, :1, :1], "mixed", parts[:1], "needs components"),
+            (nu.masses, "direct_sum", (parts[0], nu.masses), "block join"),
+            (nu.masses, "direct_sum", (elsewhere, parts[1]), "block join"),
+            (2 * nu.masses, "direct_sum", parts, "block join"),
+            (nu.masses, "direct_sum", parts[::-1], "block join"),
+            (flipped, "direct_sum", parts, "block join"),
+        ]
+        for masses, variant, components, match in cases:
+            with pytest.raises(errors.InvalidInput, match=match):
+                ovm.OVM(nu.space, masses, variant, components)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_every_accepted_ovm_round_trips_bit_for_bit(self, data):
+        # Constructor arguments drawn around the direct-sum invariant: any
+        # variant; zero to two components, each an OVM or a direct sum over
+        # the space, an OVM over another space of as many items, or not an
+        # OVM; masses that are the components' join, a copy of it with one
+        # entry changed, or a random stack.
+        space, other = SampleSpace.uniform(3, atom_sites=(0.5,)), SampleSpace.uniform(4)
+        rng = rng_from_seed(data.draw(st.integers(0, 2**32 - 1)))
+
+        def component():
+            kind = data.draw(st.sampled_from(["ovm", "sum", "other space", "not an OVM"]))
+            masses = random_povm(data.draw(st.integers(1, 2)), 4, rng).masses
+            if kind == "not an OVM":
+                return masses
+            nu = ovm.OVM(other if kind == "other space" else space, masses,
+                         "grid" if kind == "other space" else "mixed")
+            return direct_sum(nu, nu) if kind == "sum" else nu
+
+        components = tuple(component() for _ in range(data.draw(st.integers(0, 2))))
+        ovms = [c for c in components if isinstance(c, ovm.OVM)]
+        masses = ovm._block_join(ovms).copy() if ovms else random_povm(2, 4, rng).masses.copy()
+        change = data.draw(st.sampled_from(["none", "signed zero", "scale", "random"]))
+        if change == "signed zero":
+            masses.imag[0, 0, 0] = -masses.imag[0, 0, 0]
+        elif change == "scale":
+            masses[-1] *= 2.0
+        elif change == "random":
+            masses = random_povm(masses.shape[-1], 4, rng).masses
+        variant = data.draw(st.sampled_from(["grid", "atomic", "mixed", "direct_sum"]))
+        try:
+            nu = ovm.OVM(space, masses, variant, components)
+        except errors.InvalidInput:
+            return
+        back = ovm.ovm_from_json(json.loads(json.dumps(ovm.ovm_to_json(nu))))
+        assert (back.space, back.variant) == (nu.space, nu.variant)
+        assert back.masses.tobytes() == nu.masses.tobytes()
 
 
 class TestJson:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    NotSelfAdjoint,
     count_decompositions,
     ess_range_greedy,
     first_copies_structured,
@@ -21,6 +22,7 @@ from helpers import (
     trace_pair,
 )
 from ovmkit import errors, opcore, qintegrate
+from ovmkit.lyapunov import attain, check_separation
 from ovmkit.models import lebesgue_identity, random_povm, rng_from_seed
 from ovmkit.ovm import (
     MASS_TOL,
@@ -155,7 +157,7 @@ class TestPosNegParts:
     def test_rejects_non_self_adjoint(self):
         space = SampleSpace.uniform(1)
         f = qrv(space, np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex))
-        with pytest.raises(errors.NotSelfAdjoint):
+        with pytest.raises(NotSelfAdjoint):
             pos_neg_parts(f)
 
 
@@ -333,7 +335,32 @@ def test_integrals_share_one_decomposition(monkeypatch):
     integrand_fs(f, s, nu, rho)
     assert [c for c in calls if c[1] == masses.shape] == [("eigvalsh", masses.shape),
                                                          ("eigh", masses.shape)]
-    assert not any(x.flags.writeable for x in nu._roots)
+    assert not nu._roots.flags.writeable
+
+
+def test_mass_stack_judged_once_at_build(monkeypatch):
+    # One Hermitian test and one PSD verdict of the mass stack, both taken
+    # when the measure is built: its coordinates, attain (goal and result),
+    # check_separation and the integrals read them and judge it no more.
+    rng = rng_from_seed(3207)
+    masses = random_povm(3, 200, rng).masses
+    space = SampleSpace.uniform(200)
+    f = qrv(space, random_qrv_values(3, 200, rng))
+    rho, s = random_state(3, rng), random_state(3, rng)
+    seen = []
+    for name in ("_hermitian_test", "_psd_ok"):
+        judge = getattr(opcore, name)
+        monkeypatch.setattr(opcore, name, lambda m, *args, _judge=judge, _name=name:
+                            seen.append((_name, np.shape(m))) or _judge(m, *args))
+    nu = grid_ovm(space, masses)
+    at_build = list(seen)
+    assert nu.coords.shape == (200, 9)
+    assert attain(nu, nu.total_mass() / 2).residual <= 1e-9
+    assert check_separation(nu, nu.total_mass() / 2, np.eye(3)) < 0.0
+    integrate(nu, f)
+    integrand_fs(f, s, nu, rho)
+    judged = [(name, shape) for name, shape in seen if shape[0] == 200]
+    assert judged == at_build == [("_hermitian_test", (200, 3, 3)), ("_psd_ok", (200, 3))]
 
 
 class TestEssentialSupport:
@@ -831,9 +858,10 @@ def test_build_runs_one_hermitian_test(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["exact", "near", "mixed", "not_hermitian"])
 def test_norms_are_op_norms_bit_for_bit(kind):
-    # Kept from the build's eigenvalues when the values are self-adjoint
-    # (exactly or after symmetrization), else taken by op_norms on first
-    # read (mixed: eigenvalues and singular values; not_hermitian: SVD only).
+    # Set at build for every stack, from its one decomposition: eigenvalues
+    # when the values are self-adjoint (exactly or after symmetrization),
+    # else as op_norms takes them (mixed: eigenvalues and singular values;
+    # not_hermitian: SVD only).
     rng = rng_from_seed(2904)
     values = random_qrv_values(3, 60, rng)
     if kind == "near":
@@ -844,7 +872,7 @@ def test_norms_are_op_norms_bit_for_bit(kind):
         values = random_complex(rng, (60, 3, 3))
     f = QuantumRandomVariable(SampleSpace.uniform(60), values)
     assert f.self_adjoint == (kind in ("exact", "near"))
-    assert ("norms" in vars(f)) == f.self_adjoint
+    assert "norms" in vars(f)
     assert f.norms.tobytes() == opcore.op_norms(values).tobytes()
     assert f.norms is f.norms and not f.norms.flags.writeable
 

@@ -1,6 +1,7 @@
-"""Source rules on the library: every operator norm and Hermitian spectrum is
-taken in opcore, every tolerance is named once, in opcore's table, and
-every JSON object's keys are read by jsonkeys' one reader.
+"""Source rules on the library: every operator norm and every eigen- and
+singular value decomposition is taken in opcore, every tolerance is named
+once, in opcore's table, and every JSON object's keys are read by
+jsonkeys' one reader.
 
 Each rule reads one module's source and returns its (line, finding) pairs,
 so the tests feed it the library's own files and planted violations alike.
@@ -15,21 +16,21 @@ LIBRARY = Path(__file__).resolve().parent.parent / "src" / "ovmkit"
 
 
 def spectra_outside_opcore(name: str, source: str) -> list[tuple[int, str]]:
-    """opcore.op_norms is the one operator-norm rule, and every Hermitian
-    spectrum is taken in opcore: no other module calls eigvalsh, eigh, an
-    SVD with compute_uv=False or np.linalg.norm(..., 2)."""
+    """opcore.op_norms is the one operator-norm rule, and every eigen- and
+    singular value decomposition, with its 2^k rule, is taken in opcore:
+    no other module names eigvalsh, eigh, svd or opcore._pow2_scales, or
+    calls np.linalg.norm(..., 2)."""
     if name == "opcore.py":
         return []
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in ("eigvalsh", "eigh"):
-            found.append((node.lineno, node.attr))
+        named = (node.attr if isinstance(node, ast.Attribute)
+                 else node.name if isinstance(node, ast.alias) else getattr(node, "id", None))
+        if named in ("eigvalsh", "eigh", "svd", "_pow2_scales"):
+            found.append((node.lineno, named))
         if not isinstance(node, ast.Call):
             continue
         kw = {k.arg: k.value for k in node.keywords}
-        uv = kw.get("compute_uv")
-        if isinstance(uv, ast.Constant) and uv.value is False:
-            found.append((node.lineno, "compute_uv=False"))
         func = node.func
         if (isinstance(func, ast.Attribute) and func.attr == "norm"
                 and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"):
@@ -144,6 +145,11 @@ def test_library_keeps_rule(rule):
      "(w >= -TOL_PSD * np.maximum(1.0, norms)[..., None])", tolerances_outside_table),
     ("lyapunov.py", "opcore.op_norm(achieved - target)",
      "float(np.abs(np.linalg.eigvalsh(achieved - target)).max())", spectra_outside_opcore),
+    ("lyapunov.py", 'opcore._decompose(cols, "svd", full_matrices=False)',
+     "np.linalg.svd(cols, full_matrices=False)", spectra_outside_opcore),
+    ("lyapunov.py", 'opcore._decompose(cols, "svd", full_matrices=False)',
+     'opcore._decompose(cols / opcore._pow2_scales(cols), "svd", full_matrices=False)',
+     spectra_outside_opcore),
     ("opcore.py", 'p = read_keys(obj, _MATRIX_KEYS, "matrix JSON")',
      "p = obj if _MATRIX_KEYS.keys() <= obj else {}", json_keys_outside_reader),
     ("ovm.py", 'direct = tag(obj, "variant", "OVM JSON") == "direct_sum"',
@@ -151,7 +157,8 @@ def test_library_keeps_rule(rule):
     ("cli.py", 'if tag(spec, "total_fraction", "target") is None:',
      'if "total_fraction" not in spec:', json_keys_outside_reader),
 ], ids=["literal_in_make_state", "literal_in_ess_equal", "floor_in_psd_ok",
-        "eigvalsh_in_lyapunov", "keys_in_matrix_stacks", "get_in_ovm_from_json",
+        "eigvalsh_in_lyapunov", "svd_in_lyapunov", "pow2_scales_in_lyapunov",
+        "keys_in_matrix_stacks", "get_in_ovm_from_json",
         "in_in_load_target"])
 def test_rule_finds_planted_violation(name, old, new, rule):
     source, line = _planted(name, old, new)
@@ -160,9 +167,18 @@ def test_rule_finds_planted_violation(name, old, new, rule):
     assert [at for at, _ in found] == [line]
 
 
+def test_spectra_rule_finds_the_scaled_kernel_svd():
+    # The kernel SVD that kept its own 2^k rule beside opcore's: both names.
+    line = "_, sing, vt = np.linalg.svd(cols / opcore._pow2_scales(cols), full_matrices=False)"
+    assert spectra_outside_opcore("lyapunov.py", line) == [(1, "svd"), (1, "_pow2_scales")]
+
+
 @pytest.mark.parametrize("snippet, rule", [
     ("w = np.linalg.eigh(a)[0]", spectra_outside_opcore),
     ("s = np.linalg.svd(a, compute_uv=False)", spectra_outside_opcore),
+    ("_, s, vt = np.linalg.svd(a, full_matrices=False)", spectra_outside_opcore),
+    ("from numpy.linalg import svd as decompose", spectra_outside_opcore),
+    ("k = opcore._pow2_scales(a)", spectra_outside_opcore),
     ("n = np.linalg.norm(a, 2)", spectra_outside_opcore),
     ("n = np.linalg.norm(a, ord=2)", spectra_outside_opcore),
     ("ok = err <= TOL_PSD * max(1, scale)", tolerances_outside_table),
@@ -179,6 +195,7 @@ def test_rule_finds_snippet(snippet, rule):
 @pytest.mark.parametrize("name, snippet, rule", [
     ("opcore.py", "w = np.linalg.eigvalsh(a)", spectra_outside_opcore),
     ("ovm.py", "n = np.linalg.norm(a)", spectra_outside_opcore),
+    ("lyapunov.py", 'out = opcore._decompose(cols, "svd")', spectra_outside_opcore),
     ("ovm.py", "width = WIDTH_TOL * max(1.0, span)", tolerances_outside_table),
     ("ovm.py", "ok = err <= TOL_PSD * scale", tolerances_outside_table),
     ("opcore.py", "TOL = 1e-12", tolerances_outside_table),
