@@ -142,7 +142,7 @@ def _null_direction(cols: np.ndarray) -> np.ndarray | None:
     1 - ||V_r e_k||^2 is at least half the largest, re-projected once
     against round-off, first nonzero entry positive.  The projector, and
     so the output, does not depend on how LAPACK picks V_r."""
-    _, sing, vt = opcore._decompose(cols, "svd", full_matrices=False)
+    sing, vt = opcore._kernel_svd(cols)
     rank = int(np.sum(sing > KERNEL_RCOND * sing.max(initial=0.0)))
     if rank == cols.shape[1]:
         return None

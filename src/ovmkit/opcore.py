@@ -217,25 +217,28 @@ def _spectrum(m: np.ndarray):
 
 
 def _decompose(m: np.ndarray, routine: str = "eigvalsh", **kwargs):
-    """np.linalg's ``routine`` (eigvalsh, eigh, or svd: an SVD triple keeps
-    its values second) of the stack m, the values of 2^k A being those of A
-    times 2^k, bit for bit.  That holds wherever LAPACK does not rescale a
-    matrix, which it does, by a factor that is not a power of two, when
-    the largest entry lies outside about [2^-458, 2^458].  Values that are
-    0 or of binary exponent within +-400 (a matrix's largest value is
-    within a factor d of its largest entry) show that it rescaled none;
-    otherwise each matrix is decomposed again over its :func:`_pow2_scales`,
-    which LAPACK never rescales, and its values are scaled back."""
+    """np.linalg's ``routine`` (eigvalsh, eigh, or svd for singular values) of
+    the stack m, the values of 2^k A being those of A times 2^k, bit for bit.
+    That holds wherever LAPACK does not rescale a matrix, which it does, by
+    a factor that is not a power of two, when the largest entry lies outside
+    about [2^-458, 2^458].  Values that are 0 or of binary exponent within
+    +-400 (a matrix's largest value is within a factor d of its largest
+    entry) show that it rescaled none; otherwise each matrix is decomposed
+    again over its :func:`_pow2_scales`, which LAPACK never rescales, and
+    its values are scaled back."""
     out = getattr(np.linalg, routine)(m, **kwargs)
-    at = int(isinstance(out, tuple) and len(out) == 3)  # where out keeps the values
-    if (np.abs(np.frexp(out[at] if isinstance(out, tuple) else out)[1]) < 400).all():
+    if (np.abs(np.frexp(out[0] if isinstance(out, tuple) else out)[1]) < 400).all():
         return out
     scale = _pow2_scales(m)[..., None]
     out = getattr(np.linalg, routine)(m / scale[..., None], **kwargs)
     with np.errstate(over="ignore"):  # values past the float range are inf, as LAPACK's are
-        if not isinstance(out, tuple):
-            return out * scale
-        return tuple(x * scale if i == at else x for i, x in enumerate(out))
+        return (out[0] * scale, out[1]) if isinstance(out, tuple) else out * scale
+
+
+def _kernel_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(singular values, V^T) of the (r, c) matrix m over its :func:`_pow2_scales`,
+    left so divided: finite for every finite m, for a cut relative to the largest."""
+    return tuple(np.linalg.svd(m / _pow2_scales(m), full_matrices=False)[1:])
 
 
 def _hermitian_spectrum(a):

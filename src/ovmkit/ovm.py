@@ -301,7 +301,8 @@ class OVM:
     second decomposition.  ``coords`` and ``massive`` are cached over all
     m + n items on first use, and so are the masses' PSD roots, on the
     first integral.  A direct sum, and only a direct sum, keeps its
-    components: OVMs over its space whose block join is its masses, bit for bit.
+    components: OVMs over its space whose block join is its masses, bit for
+    bit; masses None stand for that join, built here once.
     """
 
     space: SampleSpace
@@ -313,20 +314,24 @@ class OVM:
     norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        masses = self.space.item_stack(self.masses, np.complex128, "masses", matrices=True)
         if self.variant not in ("grid", "atomic", "mixed", "direct_sum"):
             raise InvalidInput(f"unknown variant {self.variant!r}")
         components = tuple(_as_list(self.components, "direct sum components", "OVMs"))
         if bool(components) != (self.variant == "direct_sum"):
             raise InvalidInput("a direct_sum OVM needs components, and no other variant takes any")
+        if not all(isinstance(o, OVM) for o in components):
+            raise InvalidInput("direct sum components must be OVMs")
+        if any(o.space != self.space for o in components):
+            raise SpaceMismatch("direct sum components must share one sample space")
+        join = _block_join(components) if components else None
+        given = self.masses is not None or join is None  # else the join is the masses
+        masses = self.space.item_stack(self.masses if given else join, np.complex128,
+                                       "masses", matrices=True)
         sym, positive, norms = opcore._hermitian_spectrum(masses)  # sym: new if symmetrized
         if sym is None:  # hermitian_stack names the first non-Hermitian mass
             opcore.hermitian_stack(masses)
-        if components and not (all(isinstance(o, OVM) and o.space == self.space
-                                   for o in components)
-                               and _block_join(components).tobytes() == sym.tobytes()):
-            raise InvalidInput("direct_sum masses must be the block join of its components, "
-                               "OVMs over its space")
+        if join is not None and given and join.tobytes() != sym.tobytes():
+            raise InvalidInput("direct_sum masses must be the block join of its components")
         sym.setflags(write=False)
         norms.setflags(write=False)
         object.__setattr__(self, "masses", sym)
@@ -624,12 +629,9 @@ def direct_sum(*ovms: OVM) -> OVM:
         ovms = tuple(ovms[0])
     if not ovms:
         raise InvalidInput("need at least one component")
-    if not all(isinstance(o, OVM) for o in ovms):
+    if not isinstance(ovms[0], OVM):
         raise InvalidInput("direct sum components must be OVMs")
-    space = ovms[0].space
-    if any(o.space != space for o in ovms):
-        raise SpaceMismatch("direct sum components must share one sample space")
-    return OVM(space, _block_join(ovms), "direct_sum", components=ovms)
+    return OVM(ovms[0].space, None, "direct_sum", components=ovms)
 
 
 def _block_join(ovms) -> np.ndarray:

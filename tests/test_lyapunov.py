@@ -153,6 +153,17 @@ class TestKernelWitness:
         lead = next(c for c in w.coefficients if abs(c) > 1e-12)
         assert lead > 0
 
+    def test_masses_near_the_float_maximum(self):
+        # Two dependent masses whose total norm is finite but whose
+        # coordinate matrix has singular values past the float range: the
+        # witness is the one of the same masses times 2^-1000, bit for bit.
+        masses = np.array([1.5e308, 1e300])[:, None, None] * np.eye(2)
+        w = kernel_witness(grid_ovm(SampleSpace.uniform(2), masses), [0, 1])
+        small = kernel_witness(grid_ovm(SampleSpace.uniform(2), np.ldexp(masses, -1000)), [0, 1])
+        assert w is not None
+        assert w.coefficients.tobytes() == small.coefficients.tobytes()
+        assert w.coefficients[1] == -1.0
+
     def test_empty_support_rejected(self):
         with pytest.raises(errors.InvalidInput):
             kernel_witness(scalar_grid([1.0]), [])

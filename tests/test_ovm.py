@@ -994,27 +994,29 @@ class TestDirectSum:
 
     def test_constructor_holds_the_direct_sum_invariant(self):
         # Components exactly on a direct sum, each an OVM over its space,
-        # whose block join is its masses bit for bit.
+        # whose block join is its masses bit for bit; masses None are the join.
         parts = (lebesgue_identity(4), random_povm(2, 4, rng_from_seed(3301)))
         nu = direct_sum(*parts)
         elsewhere = grid_ovm(SampleSpace.uniform(4, b=2.0), parts[0].cell_masses)
         flipped = nu.masses.copy()
         flipped.imag[0, 0, 0] = -flipped.imag[0, 0, 0]  # a signed zero: equal, not the join
         assert np.array_equal(flipped, nu.masses)
-        assert ovm.OVM(nu.space, nu.masses, "direct_sum", parts).masses.tobytes() == \
-            nu.masses.tobytes()
+        for masses in (nu.masses, None):
+            assert ovm.OVM(nu.space, masses, "direct_sum", parts).masses.tobytes() == \
+                nu.masses.tobytes()
         cases = [
-            (nu.masses, "direct_sum", (), "needs components"),
-            (nu.masses, "grid", parts, "needs components"),
-            (nu.masses[:, :1, :1], "mixed", parts[:1], "needs components"),
-            (nu.masses, "direct_sum", (parts[0], nu.masses), "block join"),
-            (nu.masses, "direct_sum", (elsewhere, parts[1]), "block join"),
-            (2 * nu.masses, "direct_sum", parts, "block join"),
-            (nu.masses, "direct_sum", parts[::-1], "block join"),
-            (flipped, "direct_sum", parts, "block join"),
+            (nu.masses, "direct_sum", (), errors.InvalidInput, "needs components"),
+            (nu.masses, "grid", parts, errors.InvalidInput, "needs components"),
+            (nu.masses[:, :1, :1], "mixed", parts[:1], errors.InvalidInput, "needs components"),
+            (nu.masses, "direct_sum", (parts[0], nu.masses), errors.InvalidInput, "must be OVMs"),
+            (nu.masses, "direct_sum", (elsewhere, parts[1]), errors.SpaceMismatch, "one sample"),
+            (None, "direct_sum", (elsewhere, parts[1]), errors.SpaceMismatch, "one sample"),
+            (2 * nu.masses, "direct_sum", parts, errors.InvalidInput, "block join"),
+            (nu.masses, "direct_sum", parts[::-1], errors.InvalidInput, "block join"),
+            (flipped, "direct_sum", parts, errors.InvalidInput, "block join"),
         ]
-        for masses, variant, components, match in cases:
-            with pytest.raises(errors.InvalidInput, match=match):
+        for masses, variant, components, error, match in cases:
+            with pytest.raises(error, match=match):
                 ovm.OVM(nu.space, masses, variant, components)
 
     @given(st.data())
@@ -1024,7 +1026,7 @@ class TestDirectSum:
         # variant; zero to two components, each an OVM or a direct sum over
         # the space, an OVM over another space of as many items, or not an
         # OVM; masses that are the components' join, a copy of it with one
-        # entry changed, or a random stack.
+        # entry changed, a random stack, or None.
         space, other = SampleSpace.uniform(3, atom_sites=(0.5,)), SampleSpace.uniform(4)
         rng = rng_from_seed(data.draw(st.integers(0, 2**32 - 1)))
 
@@ -1040,17 +1042,19 @@ class TestDirectSum:
         components = tuple(component() for _ in range(data.draw(st.integers(0, 2))))
         ovms = [c for c in components if isinstance(c, ovm.OVM)]
         masses = ovm._block_join(ovms).copy() if ovms else random_povm(2, 4, rng).masses.copy()
-        change = data.draw(st.sampled_from(["none", "signed zero", "scale", "random"]))
+        change = data.draw(st.sampled_from(["none", "signed zero", "scale", "random", "None"]))
         if change == "signed zero":
             masses.imag[0, 0, 0] = -masses.imag[0, 0, 0]
         elif change == "scale":
             masses[-1] *= 2.0
         elif change == "random":
             masses = random_povm(masses.shape[-1], 4, rng).masses
+        elif change == "None":
+            masses = None
         variant = data.draw(st.sampled_from(["grid", "atomic", "mixed", "direct_sum"]))
         try:
             nu = ovm.OVM(space, masses, variant, components)
-        except errors.InvalidInput:
+        except (errors.InvalidInput, errors.ShapeMismatch, errors.SpaceMismatch):
             return
         back = ovm.ovm_from_json(json.loads(json.dumps(ovm.ovm_to_json(nu))))
         assert (back.space, back.variant) == (nu.space, nu.variant)

@@ -145,11 +145,10 @@ def test_library_keeps_rule(rule):
      "(w >= -TOL_PSD * np.maximum(1.0, norms)[..., None])", tolerances_outside_table),
     ("lyapunov.py", "opcore.op_norm(achieved - target)",
      "float(np.abs(np.linalg.eigvalsh(achieved - target)).max())", spectra_outside_opcore),
-    ("lyapunov.py", 'opcore._decompose(cols, "svd", full_matrices=False)',
-     "np.linalg.svd(cols, full_matrices=False)", spectra_outside_opcore),
-    ("lyapunov.py", 'opcore._decompose(cols, "svd", full_matrices=False)',
-     'opcore._decompose(cols / opcore._pow2_scales(cols), "svd", full_matrices=False)',
-     spectra_outside_opcore),
+    ("lyapunov.py", "opcore._kernel_svd(cols)",
+     "np.linalg.svd(cols, full_matrices=False)[1:]", spectra_outside_opcore),
+    ("lyapunov.py", "opcore._kernel_svd(cols)",
+     "opcore._kernel_svd(cols / opcore._pow2_scales(cols))", spectra_outside_opcore),
     ("opcore.py", 'p = read_keys(obj, _MATRIX_KEYS, "matrix JSON")',
      "p = obj if _MATRIX_KEYS.keys() <= obj else {}", json_keys_outside_reader),
     ("ovm.py", 'direct = tag(obj, "variant", "OVM JSON") == "direct_sum"',
@@ -168,7 +167,7 @@ def test_rule_finds_planted_violation(name, old, new, rule):
 
 
 def test_spectra_rule_finds_the_scaled_kernel_svd():
-    # The kernel SVD that kept its own 2^k rule beside opcore's: both names.
+    # The kernel SVD as lyapunov once took it, beside opcore's: both names.
     line = "_, sing, vt = np.linalg.svd(cols / opcore._pow2_scales(cols), full_matrices=False)"
     assert spectra_outside_opcore("lyapunov.py", line) == [(1, "svd"), (1, "_pow2_scales")]
 
@@ -196,6 +195,7 @@ def test_rule_finds_snippet(snippet, rule):
     ("opcore.py", "w = np.linalg.eigvalsh(a)", spectra_outside_opcore),
     ("ovm.py", "n = np.linalg.norm(a)", spectra_outside_opcore),
     ("lyapunov.py", 'out = opcore._decompose(cols, "svd")', spectra_outside_opcore),
+    ("lyapunov.py", "sing, vt = opcore._kernel_svd(cols)", spectra_outside_opcore),
     ("ovm.py", "width = WIDTH_TOL * max(1.0, span)", tolerances_outside_table),
     ("ovm.py", "ok = err <= TOL_PSD * scale", tolerances_outside_table),
     ("opcore.py", "TOL = 1e-12", tolerances_outside_table),
