@@ -324,13 +324,12 @@ class OVM:
         if any(o.space != self.space for o in components):
             raise SpaceMismatch("direct sum components must share one sample space")
         join = _block_join(components) if components else None
-        given = self.masses is not None or join is None  # else the join is the masses
-        masses = self.space.item_stack(self.masses if given else join, np.complex128,
-                                       "masses", matrices=True)
+        masses = self.space.item_stack(join if self.masses is None else self.masses,
+                                       np.complex128, "masses", matrices=True)
         sym, positive, norms = opcore._hermitian_spectrum(masses)  # sym: new if symmetrized
         if sym is None:  # hermitian_stack names the first non-Hermitian mass
             opcore.hermitian_stack(masses)
-        if join is not None and given and join.tobytes() != sym.tobytes():
+        if join is not None and self.masses is not None and join.tobytes() != sym.tobytes():
             raise InvalidInput("direct_sum masses must be the block join of its components")
         sym.setflags(write=False)
         norms.setflags(write=False)

@@ -167,7 +167,7 @@ def test_rule_finds_planted_violation(name, old, new, rule):
 
 
 def test_spectra_rule_finds_the_scaled_kernel_svd():
-    # The kernel SVD as lyapunov once took it, beside opcore's: both names.
+    # A kernel SVD taken outside opcore with its own 2^k rule: both names.
     line = "_, sing, vt = np.linalg.svd(cols / opcore._pow2_scales(cols), full_matrices=False)"
     assert spectra_outside_opcore("lyapunov.py", line) == [(1, "svd"), (1, "_pow2_scales")]
 
