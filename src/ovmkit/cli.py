@@ -245,13 +245,14 @@ class Kind:
         return {f.dest: getattr(args, f.dest) for f in self.flags}
 
 
-_COMMON = {"out": Key(_TEXT), "format": Key(_FORMAT, "json"), "tol": Key(_NUMBER, 1e-9)}
+_COMMON = {"out": Key(_TEXT), "format": Key(_FORMAT, "json")}
 _OVM = Key(_OVM_SPEC, required="scenario needs ovm")
+_TOL = Key(_NUMBER, 1e-9)  # first in each table that reads it: its fault is reported first
 
 SCENARIOS = {
     "attain": Kind(
         "realize a target operator",
-        {"ovm": _OVM, "target": Key(_OBJECT, required="scenario needs target")},
+        {"tol": _TOL, "ovm": _OVM, "target": Key(_OBJECT, required="scenario needs target")},
         (Flag("--dim", int, 2), Flag("--cells", int, 16),
          Flag("--target-fraction", float, 0.5, "target = fraction * nu(X)")),
         _run_attain, "interval_lo,interval_hi", _interval_rows,
@@ -259,7 +260,7 @@ SCENARIOS = {
                         "target": {"total_fraction": a.target_fraction}}),
     "convexity": Kind(
         "seeded convexity certificate",
-        {"ovm": _OVM, "trials": Key(_INT, 100, low=0), "seed": _SEED,
+        {"tol": _TOL, "ovm": _OVM, "trials": Key(_INT, 100, low=0), "seed": _SEED,
          "expect": Key(_FAILURES, {"failures": 0})},
         (Flag("--dim", int, 2), Flag("--cells", int, 40), Flag("--trials", int),
          Flag("--seed", int)),
@@ -289,8 +290,8 @@ SCENARIOS = {
                     r["min_distance_to_half_total"])]),
     "singular_34": Kind(
         "joint attainment on singular measures",
-        {"measures": Key(_INT, 4), "lambdas": Key(_NUMBERS, required="scenario needs lambdas"),
-         "cells": Key(_INT, 4), "tol": Key(_NUMBER, 1e-10)},
+        {"tol": Key(_NUMBER, 1e-10), "measures": Key(_INT, 4),
+         "lambdas": Key(_NUMBERS, required="scenario needs lambdas"), "cells": Key(_INT, 4)},
         (Flag("--measures", int),
          Flag("--lambdas", _comma_floats, "0.1,0.5,0.9,0.3",
               "comma-separated targets in [0, 1]"),
@@ -299,7 +300,7 @@ SCENARIOS = {
         "interval_lo,interval_hi", _interval_rows),
     "classical": Kind(
         "classical Lyapunov attainment",
-        {"measures": Key(_MEASURES, 3), "cells": Key(_INT, 64),
+        {"tol": _TOL, "measures": Key(_MEASURES, 3), "cells": Key(_INT, 64),
          "trials": Key(_INT, 1, low=0), "seed": _SEED, "targets": Key(_NUMBER_LISTS)},
         (Flag("--measures", int), Flag("--cells", int), Flag("--trials", int),
          Flag("--seed", int)),
@@ -446,11 +447,12 @@ def write_report(text: str, out_path: str | None):
         raise
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="scenario JSON file; flags override its keys")
-    parser.add_argument("--out", help="report output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"))
-    parser.add_argument("--tol", type=float, help="primary residual tolerance override")
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as InvalidInput: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidInput(message)
 
 
 @functools.cache
@@ -460,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     mutate it.  Every flag default is an int, float or string (argparse
     converts a string default afresh on each parse) and each parse returns
     a new Namespace, so the shared parser parses as a fresh one would."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ovmkit",
         description="Operator-valued measure scenario runner.",
     )
@@ -473,7 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, kind in SCENARIOS.items():
         p = sub.add_parser(name.replace("_", "-"), help=kind.help)
-        _add_common(p)
+        fixed = "--out, --format, --tol" if "tol" in kind.keys else "--out, --format"
+        p.add_argument("--config", help=f"scenario JSON file; {fixed} override its keys, "
+                       "the other flags fill only the keys it lacks")
+        p.add_argument("--out", help="report output path (default stdout)")
+        p.add_argument("--format", choices=("json", "csv"))
+        if "tol" in kind.keys:
+            p.add_argument("--tol", type=float, help="primary residual tolerance override")
         for flag in kind.flags:
             default = kind.keys[flag.dest].default if flag.default is None else flag.default
             p.add_argument(flag.name, type=flag.type, default=default, help=flag.help)
@@ -488,7 +496,7 @@ def _scenario_from_args(args) -> dict:
         return scenario
     name = args.command.replace("-", "_")
     scenario.setdefault("kind", name)
-    if args.tol is not None:
+    if getattr(args, "tol", None) is not None:
         scenario["tol"] = args.tol
     for key, value in SCENARIOS[name].flag_keys(args).items():
         scenario.setdefault(key, value)
@@ -502,9 +510,9 @@ def _setting(scenario, name):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
         scenario = _scenario_from_args(args)
     except (OvmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import models, opcore
 from .errors import AtomicObstruction, InvalidInput, SpaceMismatch, TargetNotInHull
-from .lyapunov import attain_to_json, joint_attain, kernel_witness
-from .ovm import OVM, MeasurableSet, check_ovm_properties, induced_measure
+from .lyapunov import attain, attain_to_json, joint_attain, kernel_witness
+from .ovm import OVM, MeasurableSet, check_ovm_properties, direct_sum
 from .rnderiv import rn_consistency, rn_derivative
 
 
@@ -39,34 +39,23 @@ _RN_NOTE = (
 def paper_example_13(levels: int):
     """Reproduce the harmonic-cell diagonal model's induced density and
     operator derivative coefficients; returns (results, checks)."""
-    levels = opcore.as_int(levels, "levels")
     nu, rho = models.harmonic_diag_model(levels)
-    ind = induced_measure(nu, rho)
     dens = rn_derivative(nu, rho)
-    rows = []
-    worst_density = 0.0
-    worst_entry = 0.0
-    for cell in range(nu.space.n_cells):
-        n = levels - cell
-        width = float(nu.space.weights[cell])
-        density = float(ind.cells[cell]) / width
-        expected_density = (2.0**n + 1.0) / 2.0 ** (n + 1)
-        r = dens.values[cell]
-        rn_00 = float(r[0, 0].real)
-        rn_nn = float(r[n, n].real)
-        expected_rn = 2.0 ** (n + 1) / (2.0**n + 1.0)
-        worst_density = max(worst_density, abs(density - expected_density))
-        worst_entry = max(worst_entry,
-                          abs(rn_00 - expected_rn), abs(rn_nn - expected_rn))
-        rows.append({
-            "n": n,
-            "cell": [nu.space.breakpoints[cell], nu.space.breakpoints[cell + 1]],
-            "density": density,
-            "expected_density": expected_density,
-            "rn_entry_00": rn_00,
-            "rn_entry_nn": rn_nn,
-            "expected_rn_entry": expected_rn,
-        })
+    levels = nu.space.n_cells
+    n = np.arange(levels, 0, -1)  # cell k is I_n, n = levels - k
+    power = np.ldexp(1.0, n)  # 2^n
+    density = dens.reference.cells / nu.space.weights
+    expected_density = (power + 1.0) / (2.0 * power)
+    rn_00, rn_nn = dens.values[:, 0, 0].real, dens.values[np.arange(levels), n, n].real
+    expected_rn = 2.0 * power / (power + 1.0)
+    worst_density = float(np.abs(density - expected_density).max(initial=0.0))
+    worst_entry = float(np.abs(np.stack([rn_00, rn_nn]) - expected_rn).max(initial=0.0))
+    bp = nu.space.breakpoints
+    columns = zip(n.tolist(), bp, bp[1:], density.tolist(), expected_density.tolist(),
+                  rn_00.tolist(), rn_nn.tolist(), expected_rn.tolist())
+    rows = [{"n": k, "cell": [lo, hi], "density": d, "expected_density": ed,
+             "rn_entry_00": r00, "rn_entry_nn": rnn, "expected_rn_entry": er}
+            for k, lo, hi, d, ed, r00, rnn, er in columns]
     if levels <= 12:
         masks = (np.arange(1 << levels)[:, None] >> np.arange(levels) & 1) == 1
     else:
@@ -163,8 +152,8 @@ def singular_demo(measures: int, lambdas, cells_per_block: int = 4,
 def classical_demo(measures, cells: int = 64, trials: int = 1, seed: int = 0,
                    targets=None, tol: float = 1e-9):
     """Classical Lyapunov attainment on scalar measures: ``measures`` seeded
-    random ones on ``cells`` cells, or the given list or tuple of OVMs; returns
-    (results, checks)."""
+    random ones on ``cells`` cells, or the given list or tuple of OVMs, all
+    targets attained on their one direct sum; returns (results, checks)."""
     rng = models.rng_from_seed(seed)
     if isinstance(measures, (list, tuple)):
         mus = list(measures)
@@ -186,6 +175,8 @@ def classical_demo(measures, cells: int = 64, trials: int = 1, seed: int = 0,
         draws = (rng.random(m) for _ in range(opcore.as_int(trials, "trials", low=0)))
         targets = [[float(np.tensordot(h, mu.cell_masses[:, 0, 0].real, axes=1)) for mu in mus]
                    for h in draws]
+    targets = list(targets)
+    joint = direct_sum(mus) if n > 1 and targets else mus[0]  # built only for a target
     rows = []
     worst_residual = 0.0
     worst_fractional = 0
@@ -197,7 +188,7 @@ def classical_demo(measures, cells: int = 64, trials: int = 1, seed: int = 0,
         if len(tup) != n:
             raise InvalidInput("each target tuple needs one value per measure")
         try:
-            result = joint_attain(mus, [np.array([[x]]) for x in tup])
+            result = attain(joint, np.diag(tup))
         except (TargetNotInHull, AtomicObstruction) as exc:
             failure = f"{type(exc).__name__}: {exc}"
             rows.append({"target": tup, "error": failure})

@@ -121,13 +121,14 @@ def as_real(value, what: str) -> float:
 def as_reals(values, what: str) -> np.ndarray:
     """``values`` as a float array: a numeric (integer or float) ndarray is
     checked by its dtype alone, any other sequence by each distinct entry
-    type once with :func:`as_real`, so strings and bools raise InvalidInput."""
+    type once with :func:`as_real`, in order of first appearance, so strings
+    and bools raise InvalidInput that names the first bad entry."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
         try:
             values = tuple(values)
         except TypeError:
             raise InvalidInput(f"{what}s must be a sequence, got {values!r}") from None
-        for kind in set(map(type, values)):
+        for kind in dict.fromkeys(map(type, values)):
             as_real(next(x for x in values if type(x) is kind), what)
     try:
         return np.array(values, dtype=float)
@@ -207,8 +208,7 @@ def _spectrum(m: np.ndarray):
     matrix; norms are as :func:`op_norms` says."""
     ok, _, sym = _hermitian_test(m)
     if ok is True or ok.all():
-        w = _decompose(sym)
-        return sym, w, np.abs(w).max(axis=-1, initial=0.0)
+        return sym, *_eigen_norms(sym)
     norms = np.empty(ok.shape)
     norms[~ok] = _decompose(m[~ok], "svd", compute_uv=False)[:, 0]
     if ok.any():
@@ -241,12 +241,11 @@ def _kernel_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.linalg.svd(m / _pow2_scales(m), full_matrices=False)[1:])
 
 
-def _hermitian_spectrum(a):
-    """(sym, psd, norms) of a (..., d, d) stack from one :func:`_spectrum`,
-    for the value classes: psd says whether :func:`psd_flags` accepts every
-    matrix, and norms are :func:`op_norms` bit for bit."""
-    sym, w, norms = _spectrum(as_stack(a))
-    return sym, sym is not None and bool(_psd_ok(w, norms).all()), norms
+def _eigen_norms(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, norms) of a stack that :func:`hermitian_stack` returned,
+    from one decomposition: the norms are :func:`op_norms` bit for bit."""
+    w = _decompose(sym)
+    return w, np.abs(w).max(axis=-1, initial=0.0)
 
 
 def _psd_ok(w: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:

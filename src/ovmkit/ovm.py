@@ -326,16 +326,15 @@ class OVM:
         join = _block_join(components) if components else None
         masses = self.space.item_stack(join if self.masses is None else self.masses,
                                        np.complex128, "masses", matrices=True)
-        sym, positive, norms = opcore._hermitian_spectrum(masses)  # sym: new if symmetrized
-        if sym is None:  # hermitian_stack names the first non-Hermitian mass
-            opcore.hermitian_stack(masses)
+        sym = opcore.hermitian_stack(masses)  # new if symmetrized
         if join is not None and self.masses is not None and join.tobytes() != sym.tobytes():
             raise InvalidInput("direct_sum masses must be the block join of its components")
+        w, norms = opcore._eigen_norms(sym)
         sym.setflags(write=False)
         norms.setflags(write=False)
         object.__setattr__(self, "masses", sym)
         object.__setattr__(self, "dim", sym.shape[-1])
-        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "positive", bool(opcore._psd_ok(w, norms).all()))
         object.__setattr__(self, "norms", norms)
         object.__setattr__(self, "components", components)
 
@@ -524,11 +523,12 @@ def evaluate_fractional(nu: OVM, h: FractionalSet) -> np.ndarray:
 
 
 def induced_measure(nu: OVM, rho) -> InducedMeasure:
-    """nu_rho: per-cell/per-atom traces tr(rho M)."""
+    """nu_rho: per-item traces tr(rho M) of a rho that hermitian_stack accepts, as given."""
     _check_measure(nu)
     r = opcore.as_matrix(getattr(rho, "matrix", rho))
     if r.shape[0] != nu.dim:
         raise DimMismatch(f"state dim {r.shape[0]} vs measure dim {nu.dim}")
+    opcore.hermitian_stack(r)
     traces = np.einsum("ij,kji->k", r, nu.masses).real
     return InducedMeasure(nu.space, traces)
 

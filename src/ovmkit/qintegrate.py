@@ -45,7 +45,8 @@ class QuantumRandomVariable:
 
     def __post_init__(self):
         values = self.space.item_stack(self.values, np.complex128, "values", matrices=True)
-        sym, positive, norms = opcore._hermitian_spectrum(values)
+        sym, w, norms = opcore._spectrum(opcore.as_stack(values))
+        positive = sym is not None and bool(opcore._psd_ok(w, norms).all())
         norms.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dim", values.shape[-1])

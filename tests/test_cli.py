@@ -14,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ovmkit
-from ovmkit import cli, ovm
-from ovmkit.models import lebesgue_identity, single_atom_measure
+from ovmkit import cli, demos, ovm
+from ovmkit.errors import InvalidInput
+from ovmkit.models import harmonic_diag_model, lebesgue_identity, single_atom_measure
+from ovmkit.ovm import induced_measure
+from ovmkit.rnderiv import rn_derivative
 
 LEBESGUE_SCENARIO = {
     "kind": "attain",
@@ -131,6 +134,18 @@ class TestKinds:
         assert code == 0
         assert all(row["fractional_count"] <= 3 for row in report["results"]["targets"])
 
+    def test_classical_builds_one_joint_measure(self, monkeypatch):
+        # Every target of a classical demo is attained on one direct sum,
+        # and a demo without targets builds none.
+        joins = []
+        block_join = ovm._block_join
+        monkeypatch.setattr(ovm, "_block_join", lambda ovms: joins.append(1) or block_join(ovms))
+        results, checks = demos.classical_demo(3, 64, 5, 7)
+        assert len(results["targets"]) == 5 and all(c["passed"] for c in checks)
+        assert len(joins) == 1
+        assert demos.classical_demo(3, 64, 0, 7)[0]["targets"] == []
+        assert len(joins) == 1
+
     def test_classical_atomic_exit_two(self):
         atom = single_atom_measure()
         scenario = {"kind": "classical",
@@ -155,6 +170,32 @@ class TestKinds:
                     "expect": {"spectral": True}}
         report, code = cli.run_scenario(scenario)
         assert code == 2
+
+    @pytest.mark.parametrize("levels", [2, 8, 13, 40])
+    def test_paper_example_13_rows_match_the_cellwise_formulas(self, levels):
+        # The rows and worst errors, computed over all cells at once, are
+        # those of the formulas taken cell by cell, bit for bit.
+        report, code = cli.run_scenario({"kind": "paper_example_13", "levels": levels})
+        assert code == 0
+        nu, rho = harmonic_diag_model(levels)
+        traces = induced_measure(nu, rho).cells
+        values = rn_derivative(nu, rho).values
+        rows, worst_density, worst_entry = [], 0.0, 0.0
+        for cell in range(levels):
+            n = levels - cell
+            density = float(traces[cell]) / float(nu.space.weights[cell])
+            expected_density = (2.0**n + 1.0) / 2.0 ** (n + 1)
+            rn_00, rn_nn = float(values[cell, 0, 0].real), float(values[cell, n, n].real)
+            expected_rn = 2.0 ** (n + 1) / (2.0**n + 1.0)
+            worst_density = max(worst_density, abs(density - expected_density))
+            worst_entry = max(worst_entry, abs(rn_00 - expected_rn), abs(rn_nn - expected_rn))
+            rows.append({"n": n, "cell": list(nu.space.breakpoints[cell:cell + 2]),
+                         "density": density, "expected_density": expected_density,
+                         "rn_entry_00": rn_00, "rn_entry_nn": rn_nn,
+                         "expected_rn_entry": expected_rn})
+        assert report["results"]["cells"] == rows
+        assert [c["value"] for c in report["checks"][:2]] == [worst_density, worst_entry]
+        assert report["results"]["levels"] == levels
 
     def test_convexity_atomic_expected_failures(self):
         scenario = {"kind": "convexity", "ovm": {"model": "single_atom"},
@@ -345,6 +386,72 @@ class TestMain:
     def test_missing_config_is_error(self, tmp_path):
         code = cli.main(["run", "--config", str(tmp_path / "absent.json")])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["uhl", "--cells", "abc"], ["uhl", "--bogus"], ["nope"], [], ["run"],
+        ["uhl", "--tol", "0.5"], ["attain", "--tol", "x"],
+    ], ids=["bad_int", "unknown_flag", "unknown_subcommand", "no_subcommand",
+            "run_without_config", "tol_on_uhl", "bad_tol"])
+    def test_malformed_command_line_exits_one(self, argv, capsys):
+        # Exit code 2 means a check failed; a command line argparse rejects
+        # is malformed input, so main returns 1 with an error line.
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["uhl", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_config_keys_win_over_kind_flags(self, tmp_path):
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps({"cells": 6}), encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert cli.main(["uhl", "--config", str(config), "--cells", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["results"]["cells"] == 6
+
+
+_TOL_KINDS = {"attain": 1e-9, "convexity": 1e-9, "singular_34": 1e-10, "classical": 1e-9}
+
+
+class TestTolerance:
+    """``tol`` is a key, and ``--tol`` a flag, of exactly the kinds that read it."""
+
+    def test_declared_where_read(self):
+        declared = {name: kind.keys["tol"].default for name, kind in cli.SCENARIOS.items()
+                    if "tol" in kind.keys}
+        assert declared == _TOL_KINDS
+        assert "tol" not in cli._COMMON
+
+    @pytest.mark.parametrize("name", sorted(cli.SCENARIOS))
+    def test_flag_where_read(self, name):
+        parse = cli.build_parser().parse_args
+        if name in _TOL_KINDS:
+            assert parse([name.replace("_", "-"), "--tol", "0.5"]).tol == 0.5
+        else:
+            with pytest.raises(InvalidInput, match="unrecognized arguments: --tol"):
+                parse([name.replace("_", "-"), "--tol", "0.5"])
+
+    @pytest.mark.parametrize("scenario", [
+        {"kind": "uhl", "cells": 4}, {"kind": "paper_example_13", "levels": 3},
+        {"kind": "properties", "ovm": {"model": "lebesgue_identity", "cells": 4}}])
+    def test_key_rejected_where_unread(self, scenario):
+        report, code = cli.run_scenario(dict(scenario, tol=1e-3))
+        assert code == 1
+        assert report["error"] == f"InvalidInput: unknown key 'tol' for kind {scenario['kind']!r}"
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "attain"}, {"kind": "convexity", "trials": 2}, {"kind": "singular_34"},
+        {"kind": "classical", "cells": 8}])
+    def test_flag_overrides_config(self, tmp_path, config):
+        path, out = tmp_path / "s.json", tmp_path / "r.json"
+        path.write_text(json.dumps(dict(config, tol=0.5)), encoding="utf-8")
+        command = config["kind"].replace("_", "-")
+        assert cli.main([command, "--config", str(path), "--tol", "0.25",
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["scenario"]["tol"] == 0.25
 
 
 class TestOvmLoading:

@@ -1,6 +1,7 @@
 """Linear-algebra kernel: frozen examples plus sampled invariants."""
 
 import importlib
+import itertools
 import pkgutil
 import warnings
 
@@ -519,6 +520,15 @@ class TestStackRules:
         for k in (-900, -20, 0, 20, 900):
             assert not opcore.is_hermitian(np.ldexp(wide, k))
             assert opcore.is_hermitian(np.ldexp(a, k))
+
+
+@pytest.mark.parametrize("first, second", itertools.permutations([True, [1], "x", None, b"y"], 2))
+def test_as_reals_names_the_first_bad_entry(first, second):
+    # Entry types are checked in order of first appearance, not in a set's
+    # order, which follows their addresses and so varies between processes.
+    with pytest.raises(errors.InvalidInput) as caught:
+        opcore.as_reals([0, first, 1.0, second], "entry")
+    assert str(caught.value) == f"entry must be a real number, got {first!r}"
 
 
 class TestToleranceTable:

@@ -45,6 +45,7 @@ from ovmkit.qintegrate import (
     ess_sup,
     ess_support,
     indicator,
+    integrand_fs,
     integrate,
     qrv,
 )
@@ -189,6 +190,8 @@ TYPED_INPUTS = {
     "make_state matrix": (opcore.make_state, np.eye(2) / 2, ([[object()]], "abc", [[1, 0], [0]])),
     "induced_measure state": (lambda r: induced_measure(lebesgue_identity(4, 2), r),
                               np.eye(2) / 2, ([[1, 0], [0]], "abc")),
+    "induced_measure Hermitian state": (lambda r: induced_measure(random_povm(2, 4, RNG), r),
+                                        np.eye(2) / 2, ([[1, 1j], [0, 0]], [[0.5, 1], [0, 0.5]])),
     "grid_ovm masses": (lambda x: grid_ovm(SampleSpace.uniform(2), x),
                         np.ones((2, 1, 1)), ("abc", [[[1]], [[1, 2]]], [[[None]], [[1]]],
                                              [[["1"]], [["1"]]])),
@@ -631,6 +634,32 @@ class TestInducedMeasure:
         with pytest.raises(errors.DimMismatch):
             induced_measure(lebesgue_identity(4, 2), np.eye(3) / 3)
 
+    @pytest.mark.parametrize("call", [
+        induced_measure, rn_exists, rn_derivative,
+        lambda nu, rho: rn_consistency(nu, rho, [MeasurableSet.full(nu.space)]),
+        lambda nu, rho: integrand_fs(indicator(nu.space, 2, MeasurableSet.full(nu.space)),
+                                     np.eye(2) / 2, nu, rho)],
+        ids=["induced_measure", "rn_exists", "rn_derivative", "rn_consistency", "integrand_fs"])
+    def test_state_must_be_hermitian(self, call):
+        # A rho that hermitian_stack rejects is rejected with its message,
+        # not read through the real part of its traces.
+        rho = np.array([[1, 1j], [0, 0]])
+        with pytest.raises(errors.InvalidInput) as caught:
+            call(random_povm(2, 4, RNG), rho)
+        with pytest.raises(errors.InvalidInput) as single:
+            opcore.hermitian(rho)
+        assert str(caught.value) == str(single.value)
+
+    def test_accepted_state_taken_as_given(self):
+        # Asymmetry within HERM_TOL passes, and the traces are those of rho
+        # itself, not of its symmetrization, bit for bit.
+        nu = random_povm(2, 12, RNG)
+        rho = random_state(2, RNG).matrix.copy()
+        rho[0, 1] += 1e-15
+        assert not np.array_equal(rho, opcore.hermitian(rho))
+        traces = np.einsum("ij,kji->k", rho, nu.masses).real
+        assert induced_measure(nu, rho).traces.tobytes() == traces.tobytes()
+
 
 class TestEntryMeasure:
     def test_diagonal_entries_nonnegative(self):
@@ -900,6 +929,25 @@ class TestStackValidation:
         with pytest.raises(errors.InvalidInput) as single:
             opcore.hermitian(masses[3])
         assert str(caught.value) == str(single.value)
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_one_test_and_no_decomposition_before_a_rejection(self, monkeypatch, hermitian):
+        # A build runs one Hermitian test of the mass stack; only a stack
+        # that passes it is decomposed, once.
+        masses = random_povm(2, 6, RNG).cell_masses.copy()
+        if not hermitian:
+            masses[4, 0, 1] += 0.25
+        space, seen = SampleSpace.uniform(6), []
+        for name in ("_hermitian_test", "_decompose"):
+            spied = getattr(opcore, name)
+            monkeypatch.setattr(opcore, name, lambda m, *a, _f=spied, _name=name, **k:
+                                seen.append(_name) or _f(m, *a, **k))
+        if hermitian:
+            assert grid_ovm(space, masses).positive
+        else:
+            with pytest.raises(errors.InvalidInput, match="not Hermitian"):
+                grid_ovm(space, masses)
+        assert seen == ["_hermitian_test"] + ["_decompose"] * hermitian
 
     def test_positive_flag_per_mass(self):
         masses = random_povm(3, 8, RNG).cell_masses.copy()

@@ -6,7 +6,7 @@ commits can be compared with ``diff``.
     python3 tools/digests.py --drop schema --drop checks.1.value
 
 The library and the benchmark's inputs come from the ``src/`` and
-``perfbench/`` of the checkout given by ``--repo``.  Three sections run in
+``perfbench/`` of the checkout given by ``--repo``.  Four sections run in
 one process, in this order; in each, a library error is part of the output,
 hashed by its type and message.
 
@@ -46,6 +46,10 @@ the ``grid_ovm`` and ``qrv`` builds, ``evaluate``, ``evaluate_fractional``,
 ``induced_measure``, ``rn_derivative``, ``rn_consistency`` on the 8 sets,
 ``integrate`` of f and of ``indicator`` E, ``integrand_fs``, and
 ``ess_support``, ``ess_range``, ``ess_sup`` and ``ess_equal`` of f, g and f0.
+
+Errors: the reports, hashed as above, of the malformed configs in
+MALFORMED, whose error text must be the same in every process; printed
+last, so the lines before them keep their places.
 """
 
 import os
@@ -78,6 +82,14 @@ CALCULUS_CASES = (
     (4, 1000, False, False),
 )
 CALCULUS_SEEDS = 10  # input draws per case
+# Malformed configs: an entry list with two bad entry types (the first is
+# named), and a key that the kind does not read.
+MALFORMED = (
+    ("error/space_entry_types", {"kind": "properties", "ovm": {
+        "space": {"a": 0, "b": 1.0, "breakpoints": [0, True, [1], 1.0]}, "dim": 1,
+        "cell_masses": []}}),
+    ("error/uhl_tol", {"kind": "uhl", "cells": 4, "tol": 1e-9}),
+)
 
 
 def digest(text: str) -> str:
@@ -146,10 +158,10 @@ def scenarios(cli):
         yield f"default/{name}", cli._scenario_from_args(args)
 
 
-def report_lines(paths):
+def report_lines(paths, configs=scenarios):
     from ovmkit import cli
 
-    for name, scenario in scenarios(cli):
+    for name, scenario in configs(cli):
         report, code = cli.run_scenario(scenario)
         json_text, csv_text = views(cli, report, paths)
         yield f"{name} exit={code} json={digest(json_text)} csv={digest(csv_text)}"
@@ -350,7 +362,8 @@ def main(argv=None) -> int:
                         help="report key to remove before hashing; repeatable")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.repo / "src"), str(args.repo / "perfbench")]
-    for section in (report_lines(args.drop), solver_lines(), calculus_lines()):
+    for section in (report_lines(args.drop), solver_lines(), calculus_lines(),
+                    report_lines(args.drop, lambda cli: MALFORMED)):
         for line in section:
             print(line)
     return 0
