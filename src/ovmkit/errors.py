@@ -68,4 +68,7 @@ class NumericalFailure(OvmError):
 
 
 class SizeLimit(OvmError):
-    """Instance too large for exhaustive enumeration."""
+    """An input past one of opcore's named size limits, raised before the
+    work starts: a phase-1 program with more entries than PROGRAM_ENTRIES,
+    a certificate with more trials than CERT_TRIALS, or an enumeration of
+    more items than ENUMERATION_ITEMS."""

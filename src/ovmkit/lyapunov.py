@@ -18,7 +18,8 @@ nonatomic measures, made algorithmic:
     step 1 over the massive cells where E1 and E2 differ realizes it; a
     mix with an indivisible one among them is rejected before any solve.
     It is the one-mix case of _combine, which convexity_certificate runs
-    on stacks of trials, their phase-1 programs stepping in lockstep
+    on stacks of trials, each drawn by one read of the stream (_draw_mixes)
+    and set up once, its phase-1 programs stepping in lockstep
     (_phase_one_stack), bit for bit a convex_combine call per trial.
 3.  Realize the final fractions as leftmost sub-intervals of their cells,
     exact under the constant-density convention (_realized).
@@ -49,7 +50,6 @@ from .errors import (
     NotPositive,
     NumericalFailure,
     ShapeMismatch,
-    SizeLimit,
     TargetNotInHull,
 )
 from .opcore import (CERT_TOL, DISTINCT_TOL, KERNEL_RCOND, KERNEL_TOL, PIVOT_TOL, SIGN_TOL,
@@ -485,14 +485,14 @@ def _combine(nu: OVM, picks: np.ndarray, t: np.ndarray) -> _Mixes:
     picks[b, 0] and picks[b, 1], weight t[b] in [0, 1].
 
     The mixes are prepared as (B, m) arrays; every program needing phase 1
-    is solved at once, by _phase_one for one and _phase_one_stack for
-    more; the values achieved and the targets take one stacked evaluation
-    (ovm._set_values), and the residuals one op_norms call.  Each mix gets
-    what it would get alone, bit for bit.  Other errors are raised as a
-    loop of convex_combine calls would raise them, at the lowest mix:
-    NotPositive before any solve (every mix that reaches one passes that
-    check first), NumericalFailure for a step limit or a positive phase-1
-    optimum.
+    is solved at once, by _phase_one for one and _phase_one_stack, set up
+    once (_solve_stack), for more; the values achieved and the targets take
+    one stacked evaluation (ovm._set_values), and the residuals one op_norms
+    call.  Each mix gets what it would get alone, bit for bit.  Other errors
+    are raised as a loop of convex_combine calls would raise them, at the
+    lowest mix: NotPositive before any solve (every mix that reaches one
+    passes that check first), NumericalFailure for a step limit or a
+    positive phase-1 optimum.
     """
     m = nu.space.n_cells
     s1, s2, a1, a2 = picks[:, 0, :m], picks[:, 1, :m], picks[:, 0, m:], picks[:, 1, m:]
@@ -522,22 +522,15 @@ def _combine(nu: OVM, picks: np.ndarray, t: np.ndarray) -> _Mixes:
             obstructions[b] = obstruction
     solve = [b for b in range(count) if not end[b] and obstructions[b] is None]
 
-    scale = nu.total_norm or 1.0
-    problems, moving = [], [_fractional_indices(vecs[b]) for b in solve]
-    for b, cells in zip(solve, moving):
-        coords = nu.cell_coords[cells].T / scale
-        problems.append((coords, coords @ vecs[b, cells]))
-    solved = (_phase_one_stack(problems) if len(problems) > 1
-              else [_phase_one(*p) for p in problems])
     iterations = np.zeros(count, dtype=int)
-    for b, cells, lp in zip(solve, moving, solved):
-        if isinstance(lp, NumericalFailure):
-            raise lp
-        h, _, objective, steps = lp
-        if objective > SIMPLEX_TOL:
-            raise NumericalFailure(f"phase-1 optimum {objective:.3e} on a mix in the range")
+    if len(solve) > 1:
+        _solve_stack(nu, vecs, solve, iterations)
+    elif solve:
+        b = solve[0]
+        cells = _fractional_indices(vecs[b])
+        coords = nu.cell_coords[cells].T / (nu.total_norm or 1.0)
+        h, iterations[b] = _solved(_phase_one(coords, coords @ vecs[b, cells]))
         vecs[b, cells] = _snap(h)
-        iterations[b] = steps
 
     # The values achieved, then the solved mixes' targets, from one call; at
     # t = 0 or 1 the target is the value achieved, and the residual is 0.
@@ -547,6 +540,37 @@ def _combine(nu: OVM, picks: np.ndarray, t: np.ndarray) -> _Mixes:
     if solve:
         residuals[solve] = opcore.op_norms(values[solve] - values[count:])
     return _Mixes(vecs, atoms, values[:count], residuals, iterations, obstructions)
+
+
+def _solved(lp) -> tuple:
+    """A mix's phase-1 fractions and steps; raises its NumericalFailure."""
+    if isinstance(lp, NumericalFailure):
+        raise lp
+    h, _, objective, steps = lp
+    if objective > SIMPLEX_TOL:
+        raise NumericalFailure(f"phase-1 optimum {objective:.3e} on a mix in the range")
+    return h, steps
+
+
+def _solve_stack(nu: OVM, vecs: np.ndarray, solve: list, iterations: np.ndarray):
+    """_combine's phase 1 for two or more mixes, the rows ``solve`` of the
+    snapped fractions ``vecs``, set up once: their fractional cells from one
+    mask, their scaled coordinates in one zero-padded (B, W, D) array whose
+    F-ordered views c[b, :w].T are laid out as nu.cell_coords[cells].T /
+    scale is (same goal products), the fractions snapped and scattered back
+    in one pass; raises the lowest mix's failure (_solved)."""
+    frac = vecs[solve]
+    rows, cells = np.nonzero((frac > 0.0) & (frac < 1.0))
+    width = np.bincount(rows, minlength=len(solve))
+    first = np.cumsum(width) - width
+    c = np.zeros((len(solve), int(width.max()), nu.cell_coords.shape[1]))
+    c[rows, np.arange(rows.size) - first[rows]] = nu.cell_coords[cells] / (nu.total_norm or 1.0)
+    x = frac[rows, cells]
+    problems = [(c[b, :w].T, c[b, :w].T @ x[o : o + w])
+                for b, (w, o) in enumerate(zip(width.tolist(), first.tolist()))]
+    solved = [_solved(lp) for lp in _phase_one_stack(problems)]
+    iterations[solve] = [steps for _, steps in solved]
+    vecs[np.asarray(solve)[rows], cells] = _snap(np.concatenate([h for h, _ in solved]))
 
 
 def _entering(gain: np.ndarray, bland: bool) -> int | None:
@@ -599,6 +623,7 @@ def _phase_one(coords: np.ndarray, goal: np.ndarray):
     simplex multipliers, sum a, and the pivots plus bound flips taken.
     """
     n_rows, m = coords.shape
+    opcore.within_limit(n_rows * (m + n_rows), opcore.PROGRAM_ENTRIES, "phase-1 program entries")
     h = _prefix_starts(coords, goal)
     cols = np.zeros((n_rows, m + n_rows))  # the program, filled once in C order
     cols[:, :m], cols[:, m:] = coords, np.diag(_signs(coords, goal, h))
@@ -648,59 +673,66 @@ def _phase_one_stack(problems) -> list:
     np.matmul calls, which run the BLAS kernels of _phase_one's 2-d ones;
     work over one program's cells (start, refactor right-hand side) runs
     per program.  So each entry is _phase_one's (h, duals, objective,
-    steps) bit for bit, or the NumericalFailure it raises.
+    steps) bit for bit, or the NumericalFailure it raises.  A pass reads the
+    basic values once, applies Bland's rule only while a program follows
+    it, and updates B^(-1) on one gathered block.
     """
     n_rows = problems[0][1].size
-    widths = np.array([coords.shape[1] for coords, _ in problems])
-    wide = int(widths.max())
+    width = np.array([coords.shape[1] for coords, _ in problems])
+    wide = int(width.max())
     n_cols = wide + n_rows
+    opcore.within_limit(len(problems) * n_rows * n_cols, opcore.PROGRAM_ENTRIES,
+                        "phase-1 stack entries")
     cols = np.zeros((len(problems), n_rows, n_cols))
     value = np.zeros((len(problems), n_cols))
     upper = np.concatenate([np.ones(wide), np.full(n_rows, np.inf)])
     move = np.zeros((len(problems), n_cols))
     for b, (coords, _) in enumerate(problems):
-        cols[b, :, :widths[b]] = coords
+        cols[b, :, :width[b]] = coords
     value[:, :wide] = _prefix_starts(cols[:, :, :wide], np.array([g for _, g in problems]))
     cols[:, np.arange(n_rows), wide + np.arange(n_rows)] = [
-        _signs(coords, goal, h[:w]) for (coords, goal), h, w in zip(problems, value, widths)]
-    move[:, :wide] = np.where(np.arange(wide) < widths[:, None], 1.0 - 2.0 * value[:, :wide], 0.0)
+        _signs(coords, goal, h[:w]) for (coords, goal), h, w in zip(problems, value, width)]
+    move[:, :wide] = np.where(np.arange(wide) < width[:, None], 1.0 - 2.0 * value[:, :wide], 0.0)
     basis = np.tile(np.arange(wide, n_cols), (len(problems), 1))
     binv = np.empty((len(problems), n_rows, n_rows))
     since = np.full(len(problems), REFACTOR_EVERY)
     steps, degenerate = np.zeros(len(problems), dtype=int), np.zeros(len(problems), dtype=int)
+    limit = 100 * (width + n_rows)
     live = np.arange(len(problems))  # the program in each row of the arrays above
+    row = np.arange(len(problems))
     results = [None] * len(problems)
     while live.size:
         due = np.flatnonzero(since >= REFACTOR_EVERY)
         if due.size:
-            binv[due] = np.linalg.inv(np.take_along_axis(cols[due], basis[due, None, :], axis=2))
+            binv[due] = np.linalg.inv(cols[due[:, None], :, basis[due]].transpose(0, 2, 1))
             rhs = np.stack([problems[live[r]][1] - cols[r][:, move[r] < 0].sum(axis=1)
                             for r in due])
             value[due[:, None], basis[due]] = (binv[due] @ rhs[:, :, None])[:, :, 0]
             since[due] = 0
+        xb = value[row[:, None], basis]
         cost = (basis >= wide).astype(float)[:, None, :]
-        objective = (cost @ np.take_along_axis(value, basis, axis=1)[:, :, None])[:, 0, 0]
+        objective = (cost @ xb[:, :, None])[:, 0, 0]
         duals = cost @ binv
         gain = (duals @ cols)[:, 0, :] * move
         bland = degenerate >= BLAND_AFTER
-        q = np.where(bland, np.argmax(gain > SIMPLEX_TOL, axis=1), np.argmax(gain, axis=1))
-        enters = (objective > SIMPLEX_TOL) & (gain[np.arange(live.size), q] > SIMPLEX_TOL)
+        q = np.argmax(gain, axis=1)
+        if bland.any():
+            q = np.where(bland, np.argmax(gain > SIMPLEX_TOL, axis=1), q)
+        enters = (objective > SIMPLEX_TOL) & (gain[row, q] > SIMPLEX_TOL)
         optimum = ~enters & ((objective <= SIMPLEX_TOL) | (since == 0))
         since[~enters & ~optimum] = REFACTOR_EVERY  # confirm the optimum on a fresh factor
         steps[enters] += 1
-        over = enters & (steps > 100 * (widths[live] + n_rows))
+        over = enters & (steps > limit)
         for r in np.flatnonzero(optimum):
-            results[live[r]] = (value[r, :widths[live[r]]].copy(), duals[r, 0],
+            results[live[r]] = (value[r, :width[r]].copy(), duals[r, 0],
                                 float(objective[r]), int(steps[r]))
         for r in np.flatnonzero(over):
-            limit = 100 * (widths[live[r]] + n_rows)
-            results[live[r]] = NumericalFailure(f"simplex took more than {limit} steps")
+            results[live[r]] = NumericalFailure(f"simplex took more than {limit[r]} steps")
 
         p = np.flatnonzero(enters & ~over)  # _Basis.push, then a bound flip
-        qp, sign, bp = q[p], move[p, q[p]], basis[p]
+        qp, sign, bp, at = q[p], move[p, q[p]], basis[p], xb[p]
         column = (binv[p] @ cols[p, :, qp][:, :, None])[:, :, 0]
         fall = sign[:, None] * column
-        at = np.take_along_axis(value[p], bp, axis=1)
         room = np.full(fall.shape, np.inf)
         np.divide(at, fall, out=room, where=fall > PIVOT_TOL)
         np.divide(at - upper[bp], fall, out=room, where=fall < -PIVOT_TOL)
@@ -709,30 +741,36 @@ def _phase_one_stack(problems) -> list:
         value[p[:, None], bp] = at - t[:, None] * fall
         value[p, qp] += sign * t
         flip = t == 1.0
-        move[p[flip], qp[flip]] = -sign[flip]
-        degenerate[p[flip]] = 0
+        if flip.any():
+            move[p[flip], qp[flip]] = -sign[flip]
+            degenerate[p[flip]] = 0
 
         x = np.flatnonzero(~flip)  # or _Basis.blocking and exchange
         px, qx, fx, cx, bx = p[x], qp[x], fall[x], column[x], bp[x]
         ties = room[x] <= t[x, None] + SIMPLEX_TOL
-        r = np.where(bland[px], np.argmin(np.where(ties, bx, n_cols), axis=1),
-                     np.argmax(np.where(ties, np.abs(fx), -1.0), axis=1))
         k = np.arange(x.size)
+        r = np.argmax(np.where(ties, np.abs(fx), -1.0), axis=1)
+        if bland[px].any():
+            r = np.where(bland[px], np.argmin(np.where(ties, bx, n_cols), axis=1), r)
         out, down = bx[k, r], fx[k, r] < 0.0
         value[px, out] = np.where(down, upper[out], 0.0)
         basis[px, r] = qx
-        binv[px, r] /= cx[k, r][:, None]
+        block = binv[px]
+        block[k, r] /= cx[k, r][:, None]
         cx[k, r] = 0.0
-        binv[px] -= cx[:, :, None] * binv[px, r][:, None, :]
+        block -= cx[:, :, None] * block[k, r][:, None, :]
+        binv[px] = block
         since[px] += 1
-        move[px, out] = np.where(down, -1.0, (out < widths[live[px]]).astype(float))
+        move[px, out] = np.where(down, -1.0, (out < width[px]).astype(float))
         move[px, qx] = 0.0
         degenerate[px] = np.where(t[x] <= SIMPLEX_TOL, degenerate[px] + 1, 0)
 
         keep = ~(optimum | over)
         if not keep.all():
-            live, cols, value, move, basis, binv, since, steps, degenerate = (
-                a[keep] for a in (live, cols, value, move, basis, binv, since, steps, degenerate))
+            live, cols, value, move, basis, binv, since, steps, degenerate, limit, width = (
+                a[keep] for a in (live, cols, value, move, basis, binv, since, steps,
+                                  degenerate, limit, width))
+            row = row[: live.size]
     return results
 
 
@@ -814,8 +852,7 @@ def brute_force_range(nu: OVM) -> list[tuple[MeasurableSet, np.ndarray]]:
     """
     _check_measure(nu)
     m, count = nu.space.n_cells, len(nu.masses)
-    if count > 22:
-        raise SizeLimit(f"{count} items exceed the enumeration limit of 22")
+    opcore.within_limit(count, opcore.ENUMERATION_ITEMS, "enumerated items")
     values = np.zeros((1, nu.dim, nu.dim), dtype=np.complex128)
     masks = np.zeros((1, count), dtype=bool)
     for item, mass in zip(np.eye(count, dtype=bool), nu.masses):
@@ -859,6 +896,7 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
     """
     _check_measure(nu)
     trials = opcore.as_int(trials, "trials", low=0)
+    opcore.within_limit(trials, opcore.CERT_TRIALS, "certificate trials")
     seed = opcore.as_int(seed, "seed", low=0)
     rng = np.random.Generator(np.random.PCG64(seed))
     m, cert_tol = nu.space.n_cells, CERT_TOL * nu.total_norm
@@ -884,61 +922,57 @@ def convexity_certificate(nu: OVM, trials: int, seed: int) -> CertificateReport:
 
 
 def _draw_mixes(nu: OVM, rng: np.random.Generator, count: int):
-    """``count`` trials of convexity_certificate drawn from ``rng``: their
-    (count, 2, m + n) selector pairs and weights, with the stream left as
-    drawing them one by one leaves it.
+    """``count`` trials of convexity_certificate drawn from ``rng``, a PCG64
+    generator holding no buffered half word: their (count, 2, m + n)
+    selector pairs and weights, the generator's state left as drawing them
+    one by one leaves it.
 
-    Trials are drawn speculatively, a window at a time: each one's first
-    pair, the stream state after it and its weight; then the window's
-    pairs are checked at once.  At the first pair whose values are equal
-    within the certificate's tolerance the stream rewinds to the state
-    saved after it, and the trial redraws one pair at a time: up to 1000
-    pairs are checked in all, the first distinct one is kept (or else a
-    1001st, unchecked), and then its weight is drawn.  A window runs at
-    most about twice past where the last one stopped, so a measure whose
-    pairs are often equal discards few draws.
+    Drawn one by one, a trial takes m + n + 1 words: integers(0, 2) gives
+    bit 31 of each 32-bit half, low half first (E1's items, then E2's), and
+    random() gives (word >> 11) * 2**-53.  So a window of trials is one
+    random_raw read, and its pairs are checked at once.  At the first pair
+    whose values are equal within the certificate's tolerance the stream
+    rewinds to just after it (the window's start state, advanced), and the
+    trial redraws one pair at a time: up to 1000 pairs are checked, the
+    first distinct one kept (or else a 1001st, unchecked), then its weight
+    drawn.  A window runs at most about twice past where the last stopped.
     """
     m, n = nu.space.n_cells, nu.space.n_atoms
-    distinct_tol = DISTINCT_TOL * nu.total_norm
-    picks, weights = np.empty((count, 2, m + n), dtype=bool), np.empty(count)
-
-    def draw(pairs, size, weights=None) -> list:
-        """Draw ``size`` pairs into ``pairs``, each followed by a weight when
-        ``weights`` is given; the stream states after each pair.  A pair is
-        one call: PCG64 serves integers(0, 2) from buffered 32-bit halves, so
-        it consumes the stream as the cells and atoms of each set in turn."""
-        saved = []
-        for j in range(size):
-            pairs[j] = (rng.integers(0, 2, 2 * (m + n)) == 1).reshape(2, m + n)
-            saved.append(rng.bit_generator.state)
-            if weights is not None:
-                weights[j] = rng.random()
-        return saved
+    items, distinct_tol = m + n, DISTINCT_TOL * nu.total_norm
+    picks, weights = np.empty((count, 2, items), dtype=bool), np.empty(count)
+    halves = np.array([31, 63], dtype=np.uint64)  # bit 31 of the low, then the high half
 
     def distinct(pairs):
-        values = _set_values(nu.masses, pairs.reshape(-1, m + n))
+        values = _set_values(nu.masses, pairs.reshape(-1, items))
         return opcore.op_norms(values[::2] - values[1::2]) > distinct_tol
 
     def redraw(k):
-        for _ in range(999):  # the first pair took the first of 1000 checks
-            draw(picks[k:], 1)
-            if distinct(picks[k : k + 1])[0]:
+        for check in range(1000):  # the first pair took the first of 1000 checks
+            picks[k] = (rng.integers(0, 2, 2 * items) == 1).reshape(2, items)
+            if check == 999 or distinct(picks[k : k + 1])[0]:
                 return
-        draw(picks[k:], 1)
 
-    k, window = 0, count
+    k, window, last = 0, count, None
     while k < count:
         size = min(window, count - k)
-        saved = draw(picks[k:], size, weights[k:])
+        start = rng.bit_generator.state
+        words = rng.bit_generator.random_raw(size * (items + 1)).reshape(size, items + 1)
+        picks[k : k + size] = ((words[:, :items, None] >> halves) & 1).reshape(size, 2, items) == 1
+        weights[k : k + size] = (words[:, items] >> 11) * 2.0**-53
         equal = np.flatnonzero(~distinct(picks[k : k + size]))
         if not equal.size:
-            k, window = k + size, 2 * window
+            k, window, last = k + size, 2 * window, words[-1, items - 1]
             continue
         j = int(equal[0])
-        rng.bit_generator.state = saved[j]
+        rng.bit_generator.state = start
+        rng.bit_generator.advance(j * (items + 1) + items)
         redraw(k + j)
         weights[k + j] = rng.random()
-        k, window = k + j + 1, 2 * (j + 1)
+        k, window, last = k + j + 1, 2 * (j + 1), None
+    if last is not None:  # integers leaves the last high half in its spent buffer
+        state = rng.bit_generator.state
+        state["uinteger"] = int(last >> 32)
+        rng.bit_generator.state = state
     return picks, weights
 
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidInput, NotPositive
+from .errors import DimMismatch, InvalidInput, NotPositive, SizeLimit
 from .jsonkeys import Key, read_keys
 
 # Every tolerance of the library, named once: value, then what it is relative to
@@ -59,6 +59,20 @@ SIMPLEX_TOL = 1e-12  # of ||nu(X)||: artificial sum attained, least gain, ratio 
 PIVOT_TOL = 1e-9  # of ||nu(X)||: least basis-column entry a ratio test divides by
 DISTINCT_TOL = 1e-12  # of ||nu(X)||: two set values a convexity trial tells apart
 CERT_TOL = 1e-6  # of ||nu(X)||: residual at which a convexity trial fails
+
+# Every size limit of the library, named once: the most one call may allocate
+# or loop over, checked by within_limit before the call starts.  Each sits far
+# above any case the tests, digests and benchmark run.
+PROGRAM_ENTRIES = 2**26  # float64 entries of the phase-1 columns one solve holds (512 MiB)
+CERT_TRIALS = 10**6  # trials of one convexity certificate
+ENUMERATION_ITEMS = 22  # items whose 2^count sets brute_force_range lists
+
+
+def within_limit(size: int, limit: int, what: str) -> None:
+    """Raise SizeLimit, naming ``what``, its ``size`` and the ``limit``, when
+    ``size`` exceeds it.  Callers pass the table entry read at call time."""
+    if size > limit:
+        raise SizeLimit(f"{what}: {size} exceeds the limit of {limit}")
 
 
 def as_array(a, dtype) -> np.ndarray:

@@ -194,32 +194,41 @@ def supports_with_kernel(nu) -> list[tuple[int, ...]]:
             if kernel_witness(nu, support) is not None]
 
 
-def certificate_trial_by_trial(nu, trials: int, seed: int, redraws=None,
-                               draws=None) -> CertificateReport:
-    """The reference convexity certificate: each trial drawn, then realized
-    by one convex_combine call, before the next is drawn.  The index of
-    each trial whose first pair of sets had equal values is appended to
-    the list ``redraws``, and each trial's (E1, E2, t) to the list
-    ``draws``, when they are given."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+def draw_trial(nu, rng, trial: int = 0, redraws=None) -> tuple:
+    """The reference draw of one convexity trial from ``rng``: sets drawn
+    cells then atoms, a pair redrawn until its values differ (up to 1000
+    checks, then a 1001st pair unchecked), then the weight; (E1, E2, t).
+    ``trial`` is appended to the list ``redraws``, when given, if the first
+    pair had equal values."""
     m, n = nu.space.n_cells, nu.space.n_atoms
     distinct_tol = 1e-12 * nu.total_norm
 
     def draw_set():
         return MeasurableSet(rng.integers(0, 2, m) == 1, rng.integers(0, 2, n) == 1)
 
+    e1, e2 = draw_set(), draw_set()
+    for check in range(1000):
+        if opcore.op_norm(evaluate(nu, e1) - evaluate(nu, e2)) > distinct_tol:
+            break
+        if check == 0 and redraws is not None:
+            redraws.append(trial)
+        e1, e2 = draw_set(), draw_set()
+    return e1, e2, float(rng.random())
+
+
+def certificate_trial_by_trial(nu, trials: int, seed: int, redraws=None,
+                               draws=None) -> CertificateReport:
+    """The reference convexity certificate: each trial drawn (draw_trial),
+    then realized by one convex_combine call, before the next is drawn.
+    The index of each trial whose first pair of sets had equal values is
+    appended to the list ``redraws``, and each trial's (E1, E2, t) to the
+    list ``draws``, when they are given."""
+    rng = np.random.Generator(np.random.PCG64(seed))
     failures = []
     max_residual = 0.0
     max_intervals = 0
     for trial in range(trials):
-        e1, e2 = draw_set(), draw_set()
-        for check in range(1000):
-            if opcore.op_norm(evaluate(nu, e1) - evaluate(nu, e2)) > distinct_tol:
-                break
-            if check == 0 and redraws is not None:
-                redraws.append(trial)
-            e1, e2 = draw_set(), draw_set()
-        t = float(rng.random())
+        e1, e2, t = draw_trial(nu, rng, trial, redraws)
         if draws is not None:
             draws.append((e1, e2, t))
         try:

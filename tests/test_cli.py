@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ovmkit
-from ovmkit import cli, demos, ovm
+from ovmkit import cli, demos, opcore, ovm
 from ovmkit.errors import InvalidInput
 from ovmkit.models import harmonic_diag_model, lebesgue_identity, single_atom_measure
 from ovmkit.ovm import induced_measure
@@ -748,6 +748,30 @@ class TestUnknownModelKey:
                    and key != "model")
         assert json.loads(out.read_text(encoding="utf-8"))["error"] == (
             f"InvalidInput: unknown key {bad!r} for model {spec['model']!r}")
+
+
+class TestSizeLimits:
+    """Well-formed configs too large to finish are exit-1 SizeLimit reports,
+    raised before the allocation or loop they would start.  Each test sets
+    the limit it reads first."""
+
+    def test_classical_program_too_large(self, monkeypatch):
+        # 200 scalar measures make a joint measure of dimension 200, whose
+        # phase-1 program has 40,000 rows: 12 GiB of columns.
+        monkeypatch.setattr(opcore, "PROGRAM_ENTRIES", 2**26)
+        report, code = cli.run_scenario({"kind": "classical", "measures": 200, "cells": 64})
+        assert code == 1
+        assert report["error"] == (
+            f"SizeLimit: phase-1 program entries: {40000 * 40064} exceeds the limit of {2**26}")
+
+    def test_certificate_too_long(self, monkeypatch):
+        monkeypatch.setattr(opcore, "CERT_TRIALS", 10**6)
+        scenario = {"kind": "convexity", "trials": 10**30,
+                    "ovm": {"model": "random_povm", "dim": 2, "cells": 20, "seed": 1}}
+        report, code = cli.run_scenario(scenario)
+        assert code == 1
+        assert report["error"] == (
+            f"SizeLimit: certificate trials: {10**30} exceeds the limit of {10**6}")
 
 
 def test_csv_of_failed_operation_gives_its_error():

@@ -12,6 +12,7 @@ from helpers import (
     OperatorInterval,
     blocking_numpy,
     certificate_trial_by_trial,
+    draw_trial,
     fractional_from_measurable,
     intervals_cell_by_cell,
     random_hermitian,
@@ -1562,6 +1563,126 @@ class TestCertificateStream:
         calls.update(dict.fromkeys(calls, 0))
         assert asdict(convexity_certificate(nu, 100, 5)) == asdict(want)
         assert calls == {"evaluate": 0, "evaluate_fractional": 0, "op_norm": 0, "_set_values": 2}
+
+
+@st.composite
+def _stream_cases(draw):
+    """A measure, a seed, up to 300 trials and a stack size of 7 or 128.  The
+    measure is a random POVM on 1-40 cells with up to two atoms, the second
+    null, or a scalar measure of up to four equal items, cells and atoms,
+    whose pairs are often equal, so that windows rewind."""
+    rng = rng_from_seed(draw(st.integers(0, 2**32 - 1)))
+    atoms = draw(st.integers(0, 2))
+    sites = (0.25, 0.75)[:atoms]
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 4 - atoms))
+        masses = np.full((m + atoms, 1, 1), 1.0 / (m + atoms), dtype=complex)
+    else:
+        m = draw(st.integers(1, 40))
+        masses = random_povm(draw(st.integers(1, 3)), m + atoms, rng).cell_masses.copy()
+        masses[m + 1 :] = 0.0
+    nu = grid_ovm(SampleSpace.uniform(m, atom_sites=sites), masses[:m], masses[m:])
+    return (nu, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 300)),
+            draw(st.sampled_from([7, 128])))
+
+
+class TestStreamContract:
+    """_draw_mixes reads a window of trials from one random_raw call and
+    rewinds by advance: the sets, weights and generator state it leaves are
+    those of drawing trial by trial (helpers.draw_trial)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_stream_cases())
+    def test_stacked_draws_match_trial_by_trial(self, case):
+        nu, seed, trials, stack = case
+        reference = np.random.Generator(np.random.PCG64(seed))
+        draws = [draw_trial(nu, reference) for _ in range(trials)]
+        rng = np.random.Generator(np.random.PCG64(seed))
+        stacks = [lyapunov._draw_mixes(nu, rng, min(stack, trials - first))
+                  for first in range(0, trials, stack)]
+        _assert_draws(nu, draws, stacks)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_one_raw_read_per_window_and_no_integers(self, monkeypatch):
+        # 300 trials whose first pairs all differ are three windows, 128,
+        # 128 and 44 trials of m + 1 = 41 words each.
+        nu = random_povm(2, 40, rng_from_seed(7))
+        redraws = []
+        want = certificate_trial_by_trial(nu, 300, 5, redraws)
+        assert redraws == []
+        reads, integers = [], []
+
+        class RawSpy(np.random.PCG64):
+            def random_raw(self, size=None, output=True):
+                reads.append(size)
+                return super().random_raw(size, output)
+
+        class IntegersSpy(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                integers.append(args)
+                return super().integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "PCG64", RawSpy)
+        monkeypatch.setattr(np.random, "Generator", IntegersSpy)
+        assert asdict(convexity_certificate(nu, 300, 5)) == asdict(want)
+        assert reads == [128 * 41, 128 * 41, 44 * 41]
+        assert integers == []
+
+
+def _refuse(*args):
+    raise AssertionError("work started past a size limit")
+
+
+class TestSizeLimits:
+    """Phase-1 programs and certificates past opcore's size limits raise
+    SizeLimit, naming the size and the limit, before any work starts.  Each
+    test sets the limit it reads first."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3), st.lists(st.integers(0, 40), min_size=1, max_size=4),
+           st.integers(1, 4000))
+    def test_program_entries(self, d, widths, limit):
+        rng = rng_from_seed(limit)
+        programs = []
+        for m in widths:
+            coords = random_povm(d, max(m, 1), rng).cell_coords.T[:, :m].copy()
+            programs.append((coords, coords @ np.full(m, 0.5)))
+        rows = d * d
+        alone = rows * (widths[0] + rows)
+        stacked = len(widths) * rows * (max(widths) + rows)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(opcore, "PROGRAM_ENTRIES", limit)
+            if alone > limit:
+                patch.setattr(lyapunov, "_prefix_starts", _refuse)
+                with pytest.raises(errors.SizeLimit,
+                                   match=f"program entries: {alone} exceeds the limit of {limit}$"):
+                    lyapunov._phase_one(*programs[0])
+            else:
+                assert lyapunov._phase_one(*programs[0])[2] <= lyapunov.SIMPLEX_TOL
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(opcore, "PROGRAM_ENTRIES", limit)
+            if stacked > limit:
+                patch.setattr(lyapunov, "_prefix_starts", _refuse)
+                with pytest.raises(errors.SizeLimit,
+                                   match=f"stack entries: {stacked} exceeds the limit of {limit}$"):
+                    lyapunov._phase_one_stack(programs)
+            else:
+                assert len(lyapunov._phase_one_stack(programs)) == len(widths)
+
+    def test_certificate_trials(self, monkeypatch):
+        monkeypatch.setattr(opcore, "CERT_TRIALS", 50)
+        nu = random_povm(2, 12, rng_from_seed(21))
+        assert convexity_certificate(nu, 50, 1).trials == 50
+        monkeypatch.setattr(lyapunov, "_draw_mixes", _refuse)
+        with pytest.raises(errors.SizeLimit, match="trials: 51 exceeds the limit of 50$"):
+            convexity_certificate(nu, 51, 1)
+
+    def test_a_certificate_that_could_not_finish(self, monkeypatch):
+        # 10**30 trials once ran past a 6 s timeout.
+        monkeypatch.setattr(opcore, "CERT_TRIALS", 10**6)
+        monkeypatch.setattr(lyapunov, "_draw_mixes", _refuse)
+        with pytest.raises(errors.SizeLimit, match=f"trials: {10**30} exceeds the limit of"):
+            convexity_certificate(random_povm(2, 20, rng_from_seed(1)), 10**30, 1)
 
 
 class TestOracleAgreement:

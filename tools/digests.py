@@ -49,7 +49,17 @@ the ``grid_ovm`` and ``qrv`` builds, ``evaluate``, ``evaluate_fractional``,
 
 Errors: the reports, hashed as above, of the malformed configs in
 MALFORMED, whose error text must be the same in every process; printed
-last, so the lines before them keep their places.
+after the sections above, so the lines before them keep their places.
+
+Certificate stream: one line, printed last, on the solver section's
+measures at seed 1 and CERTIFICATE_REDRAWS, a scalar measure whose pairs
+of sets often have equal values, so that the draws rewind.  It hashes,
+per measure, the picks and weights of ``_draw_mixes`` drawing
+CERTIFICATE_TRIALS trials from a fresh PCG64 at CERTIFICATE_SEED, and the
+fields of ``convexity_certificate`` with those trials and that seed.
+Stderr gets the certificate's time per 100 trials on ``random_povm``
+measures at (d, m) = (2, 40) and (3, 200), the median and quartiles over
+CERTIFICATE_TIMINGS seeds, in milliseconds.
 """
 
 import os
@@ -90,6 +100,12 @@ MALFORMED = (
         "cell_masses": []}}),
     ("error/uhl_tol", {"kind": "uhl", "cells": 4, "tol": 1e-9}),
 )
+CERTIFICATE_SEED = 1
+CERTIFICATE_TRIALS = 300
+# A scalar measure of four cells and two atoms, every item of mass 1/6:
+# about one pair of sets in four has equal values.
+CERTIFICATE_REDRAWS = (4, (0.3, 0.7))  # cells, atom sites
+CERTIFICATE_TIMINGS = 9  # seeds per timed (d, m)
 
 
 def digest(text: str) -> str:
@@ -354,6 +370,41 @@ def calculus_lines():
         yield f"{name} inputs={count} sha256={sha.hexdigest()}"
 
 
+# Certificate stream -----------------------------------------------------
+
+
+def certificate_lines():
+    import dataclasses
+
+    import ovmkit
+    from ovmkit import lyapunov, models
+
+    cells, sites = CERTIFICATE_REDRAWS
+    space = ovmkit.SampleSpace.uniform(cells, atom_sites=sites)
+    items = space.n_cells + space.n_atoms
+    masses = np.full((items, 1, 1), 1.0 / items, dtype=complex)
+    measures = [models.random_povm(d, m, models.rng_from_seed(1)) for d, m in SOLVER_GRID]
+    measures.append(ovmkit.grid_ovm(space, masses[: space.n_cells], masses[space.n_cells :]))
+    sha = hashlib.sha256()
+    for nu in measures:
+        rng = np.random.Generator(np.random.PCG64(CERTIFICATE_SEED))
+        fold_bytes(sha, *lyapunov._draw_mixes(nu, rng, CERTIFICATE_TRIALS))
+        report = lyapunov.convexity_certificate(nu, CERTIFICATE_TRIALS, CERTIFICATE_SEED)
+        sha.update(repr(dataclasses.asdict(report)).encode())
+    yield (f"convexity_certificate measures={len(measures)} trials={CERTIFICATE_TRIALS} "
+           f"sha256={sha.hexdigest()}")
+    timed = {}
+    for d, m in ((2, 40), (3, 200)):
+        nu = models.random_povm(d, m, models.rng_from_seed(7))
+        timed[f"d{d}m{m}"] = []
+        for seed in range(CERTIFICATE_TIMINGS):
+            started = time.perf_counter()
+            lyapunov.convexity_certificate(nu, 100, seed)
+            timed[f"d{d}m{m}"].append(1e3 * (time.perf_counter() - started))
+    print("convexity_certificate ms/100 trials median[q1,q3] "
+          + " ".join(f"{key}={quartiles(ms)}" for key, ms in timed.items()), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent,
@@ -363,7 +414,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.repo / "src"), str(args.repo / "perfbench")]
     for section in (report_lines(args.drop), solver_lines(), calculus_lines(),
-                    report_lines(args.drop, lambda cli: MALFORMED)):
+                    report_lines(args.drop, lambda cli: MALFORMED), certificate_lines()):
         for line in section:
             print(line)
     return 0
