@@ -9,7 +9,7 @@ import numpy as np
 
 from . import models, opcore
 from .errors import AtomicObstruction, InvalidInput, SpaceMismatch, TargetNotInHull
-from .lyapunov import attain, attain_to_json, joint_attain, kernel_witness
+from .lyapunov import _program_limit, attain, attain_to_json, joint_attain, kernel_witness
 from .ovm import OVM, MeasurableSet, check_ovm_properties, direct_sum
 from .rnderiv import rn_consistency, rn_derivative
 
@@ -153,7 +153,10 @@ def classical_demo(measures, cells: int = 64, trials: int = 1, seed: int = 0,
                    targets=None, tol: float = 1e-9):
     """Classical Lyapunov attainment on scalar measures: ``measures`` seeded
     random ones on ``cells`` cells, or the given list or tuple of OVMs, all
-    targets attained on their one direct sum; returns (results, checks)."""
+    targets attained on their one direct sum; returns (results, checks).
+    When there is a target, the joint phase-1 program (n^2 rows for n
+    measures) is sized before any measure or direct sum is built: past
+    PROGRAM_ENTRIES it raises attain's SizeLimit."""
     rng = models.rng_from_seed(seed)
     if isinstance(measures, (list, tuple)):
         mus = list(measures)
@@ -165,17 +168,22 @@ def classical_demo(measures, cells: int = 64, trials: int = 1, seed: int = 0,
             raise InvalidInput("classical measures must have dimension 1")
         if any(mu.space != mus[0].space for mu in mus):
             raise SpaceMismatch("classical measures must share one sample space")
+        n, m = len(mus), mus[0].space.n_cells
     else:
-        mus = models.overlapping_measures(opcore.as_int(measures, "measures", low=1), cells, rng)
-    n = len(mus)
-    m = mus[0].space.n_cells
+        n = opcore.as_int(measures, "measures", low=1)
+        m = opcore.as_int(cells, "cell count", low=1)
+        mus = None
+    drawn = opcore.as_int(trials, "trials", low=0) if targets is None else 0
+    targets = None if targets is None else list(targets)
+    if drawn or targets:
+        _program_limit(n * n, m)
+    if mus is None:
+        mus = models.overlapping_measures(n, m, rng)
     totals = [float(mu.total_mass()[0, 0].real) for mu in mus]
 
     if targets is None:
-        draws = (rng.random(m) for _ in range(opcore.as_int(trials, "trials", low=0)))
         targets = [[float(np.tensordot(h, mu.cell_masses[:, 0, 0].real, axes=1)) for mu in mus]
-                   for h in draws]
-    targets = list(targets)
+                   for h in (rng.random(m) for _ in range(drawn))]
     joint = direct_sum(mus) if n > 1 and targets else mus[0]  # built only for a target
     rows = []
     worst_residual = 0.0

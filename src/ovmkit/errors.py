@@ -70,5 +70,6 @@ class NumericalFailure(OvmError):
 class SizeLimit(OvmError):
     """An input past one of opcore's named size limits, raised before the
     work starts: a phase-1 program with more entries than PROGRAM_ENTRIES,
-    a certificate with more trials than CERT_TRIALS, or an enumeration of
-    more items than ENUMERATION_ITEMS."""
+    a certificate with more trials than CERT_TRIALS, an enumeration of
+    more items than ENUMERATION_ITEMS, or a (k, d, d) stack made from a
+    bare dimension with more entries than STACK_ENTRIES."""

@@ -602,6 +602,12 @@ def _signs(coords: np.ndarray, goal: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.where(goal - coords @ h >= 0.0, 1.0, -1.0)
 
 
+def _program_limit(n_rows: int, m: int) -> None:
+    """SizeLimit when _phase_one's columns for n_rows rows and m cells,
+    n_rows * (m + n_rows) entries, exceed PROGRAM_ENTRIES."""
+    opcore.within_limit(n_rows * (m + n_rows), opcore.PROGRAM_ENTRIES, "phase-1 program entries")
+
+
 def _phase_one(coords: np.ndarray, goal: np.ndarray):
     """Phase 1 of the bounded-variable revised simplex on _Basis: minimize
     the sum of artificials a_i >= 0, one per row, subject to
@@ -623,7 +629,7 @@ def _phase_one(coords: np.ndarray, goal: np.ndarray):
     simplex multipliers, sum a, and the pivots plus bound flips taken.
     """
     n_rows, m = coords.shape
-    opcore.within_limit(n_rows * (m + n_rows), opcore.PROGRAM_ENTRIES, "phase-1 program entries")
+    _program_limit(n_rows, m)
     h = _prefix_starts(coords, goal)
     cols = np.zeros((n_rows, m + n_rows))  # the program, filled once in C order
     cols[:, :m], cols[:, m:] = coords, np.diag(_signs(coords, goal, h))

@@ -22,7 +22,9 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 def lebesgue_identity(m: int, dim: int = 1, a: float = 0.0, b: float = 1.0) -> OVM:
     """nu(E) = |E| * I on [a, b) with m equal cells."""
     space = SampleSpace.uniform(m, a, b)
-    eye = np.eye(opcore.as_int(dim, "dimension", low=1), dtype=np.complex128)
+    dim = opcore.as_int(dim, "dimension", low=1)
+    opcore.within_stack_limit(space.n_cells, dim)
+    eye = np.eye(dim, dtype=np.complex128)
     masses = space.weights[:, None, None] * eye
     return grid_ovm(space, masses)
 
@@ -36,6 +38,7 @@ def uhl_model(m: int) -> OVM:
     """
     if opcore.as_int(m, "cell count") < 2:
         raise InvalidInput("need at least two cells")
+    opcore.within_stack_limit(m, m)
     space = SampleSpace.uniform(m, divisible=False)
     masses = np.zeros((m, m, m), dtype=np.complex128)
     masses[np.arange(m), np.arange(m), np.arange(m)] = 1.0
@@ -123,6 +126,7 @@ def random_povm(dim: int, m: int, rng: np.random.Generator,
         space = SampleSpace.uniform(m)
     if space.n_cells != m:
         raise InvalidInput("cell count does not match the space")
+    opcore.within_stack_limit(m, dim)
     parts = rng.uniform(-1.0, 1.0, (m, 2, dim, dim))
     x = parts[:, 0] + 1j * parts[:, 1]
     grams = x @ x.conj().swapaxes(-1, -2) + 0.01 * np.eye(dim)

@@ -18,9 +18,11 @@ check, the PSD square root and the norm of a matrix the Hermitian test
 accepts (max |eigenvalue|); any other takes its largest singular value.
 No other module decomposes a matrix.  The value classes validate a stack
 with one private pass, one Hermitian test and one decomposition of each
-matrix, which gives their PSD flag and their norms (OVM.norms,
-QuantumRandomVariable.norms) bit for bit as op_norms would; the stack's
-readers take its coordinates by herm_coords' private map, untested again.
+matrix (an OVM) or one decomposition of each distinct value (a
+QuantumRandomVariable, whose step values often repeat), which gives their
+PSD flag and their norms (OVM.norms, QuantumRandomVariable.norms) bit for
+bit as op_norms would; the stack's readers take its coordinates by
+herm_coords' private map, untested again.
 
 Also provides the real coordinatization of the d^2-dimensional real space
 of Hermitian matrices used by the feasibility solver: an orthonormal basis
@@ -30,6 +32,7 @@ the symmetric/antisymmetric pair for each i < j.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,6 +69,7 @@ CERT_TOL = 1e-6  # of ||nu(X)||: residual at which a convexity trial fails
 PROGRAM_ENTRIES = 2**26  # float64 entries of the phase-1 columns one solve holds (512 MiB)
 CERT_TRIALS = 10**6  # trials of one convexity certificate
 ENUMERATION_ITEMS = 22  # items whose 2^count sets brute_force_range lists
+STACK_ENTRIES = 2**25  # complex entries of a (k, d, d) stack made from a bare d (512 MiB)
 
 
 def within_limit(size: int, limit: int, what: str) -> None:
@@ -73,6 +77,16 @@ def within_limit(size: int, limit: int, what: str) -> None:
     ``size`` exceeds it.  Callers pass the table entry read at call time."""
     if size > limit:
         raise SizeLimit(f"{what}: {size} exceeds the limit of {limit}")
+
+
+def within_stack_limit(count: int, dim: int) -> None:
+    """Check a (count, dim, dim) complex stack before it is allocated: one
+    whose bytes no array can index raises InvalidInput, one of more than
+    STACK_ENTRIES entries SizeLimit (:func:`within_limit`)."""
+    entries = count * dim * dim
+    if 16 * entries > sys.maxsize:  # complex128 bytes past numpy's index range
+        raise InvalidInput(f"dimension {dim} too large for a ({count}, dim, dim) stack")
+    within_limit(entries, STACK_ENTRIES, "stack entries")
 
 
 def as_array(a, dtype) -> np.ndarray:
@@ -107,7 +121,8 @@ def as_matrix(a) -> np.ndarray:
     m = as_array(a, np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
-    return as_stack(m)
+    _require_finite(m)
+    return m
 
 
 def as_int(value, what: str, low: int | None = None) -> int:
@@ -197,7 +212,12 @@ def hermitian_stack(a) -> np.ndarray:
     round-off, naming the first such matrix.  An exactly Hermitian stack
     is returned as given.
     """
-    ok, asym, sym = _hermitian_test(as_stack(a))
+    return _symmetrized(as_stack(a))
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """:func:`hermitian_stack` of a finite stack, taken as given."""
+    ok, asym, sym = _hermitian_test(m)
     if ok is not True and not ok.all():
         raise InvalidInput(f"matrix is not Hermitian (asymmetry {asym[~ok][0]:.3e})")
     return sym
@@ -228,6 +248,38 @@ def _spectrum(m: np.ndarray):
     if ok.any():
         norms[ok] = np.abs(_decompose(sym[ok])).max(axis=-1)
     return None, None, norms
+
+
+def _step_verdicts(m: np.ndarray) -> tuple[bool, bool, np.ndarray]:
+    """(self-adjoint, PSD, norms) of the finite C-ordered (k, d, d) stack m
+    of a step function's values, from one decomposition of each distinct value.
+
+    A stack of k >= 128 matrices with d >= 2 and two neighbours equal bit
+    for bit (-0.0 and 0.0 differ) runs :func:`_spectrum` on its distinct
+    values, keyed by their bytes, and scatters the norms back.  Any other
+    takes the whole stack: at d = 1, below 128 matrices (an indicator's 0
+    and I decompose in under 1 us each) or with no repeat, the sort costs
+    about what it saves or more.  Equal matrices give equal LAPACK values,
+    and _decompose's rescale is decided over the same set of values, so
+    the verdicts and norms are the whole stack's bit for bit."""
+    k, d = len(m), m.shape[-1]
+    inverse = None
+    if d >= 2 and k >= 128:
+        bits = m.view(np.int64).reshape(k, -1)
+        same = bits[1:, 0] == bits[:-1, 0]  # first entries first: 5.8 -> 1.8 us at (200, 2, 2)
+        if same.any() and (bits[1:][same] == bits[:-1][same]).all(axis=1).any():
+            # np.unique's first occurrences and inverse, at under half its
+            # cost on void keys: a stable sort of the byte keys, then groups.
+            keys = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1]))).ravel()
+            order = keys.argsort(kind="stable")
+            ranked = bits[order]
+            first = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
+            inverse = np.empty(k, np.intp)
+            inverse[order] = np.cumsum(first) - 1
+            m = m[order[first]]
+    sym, w, norms = _spectrum(m)
+    positive = sym is not None and bool(_psd_ok(w, norms).all())
+    return sym is not None, positive, norms if inverse is None else norms[inverse]
 
 
 def _decompose(m: np.ndarray, routine: str = "eigvalsh", **kwargs):
@@ -301,7 +353,7 @@ def _spectral_roots(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def hermitian(a) -> np.ndarray:
     """:func:`hermitian_stack` of one (d, d) matrix."""
-    return hermitian_stack(as_matrix(a))
+    return _symmetrized(as_matrix(a))
 
 
 def is_hermitian(a) -> bool:

@@ -379,6 +379,8 @@ class OVM:
 
 
 def _zero_masses(count: int, dim: int) -> np.ndarray:
+    """The (count, dim, dim) zero stack, sized first (opcore.within_stack_limit)."""
+    opcore.within_stack_limit(count, dim)
     return np.zeros((count, dim, dim), dtype=np.complex128)
 
 
@@ -523,12 +525,13 @@ def evaluate_fractional(nu: OVM, h: FractionalSet) -> np.ndarray:
 
 
 def induced_measure(nu: OVM, rho) -> InducedMeasure:
-    """nu_rho: per-item traces tr(rho M) of a rho that hermitian_stack accepts, as given."""
+    """nu_rho: per-item traces tr(rho M) of a rho that hermitian_stack accepts, as given.
+    rho is parsed once: its shape, its finiteness, its dim, then the Hermitian test."""
     _check_measure(nu)
     r = opcore.as_matrix(getattr(rho, "matrix", rho))
     if r.shape[0] != nu.dim:
         raise DimMismatch(f"state dim {r.shape[0]} vs measure dim {nu.dim}")
-    opcore.hermitian_stack(r)
+    opcore._symmetrized(r)
     traces = np.einsum("ij,kji->k", r, nu.masses).real
     return InducedMeasure(nu.space, traces)
 

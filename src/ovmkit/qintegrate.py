@@ -23,7 +23,8 @@ import numpy as np
 from . import opcore
 from .errors import DerivativeDoesNotExist, DimMismatch, InvalidInput, ShapeMismatch, Unsupported
 from .opcore import DEDUP_TOL, MASS_TOL, NORM_SLACK
-from .ovm import OVM, MeasurableSet, SampleSpace, _check_space, item_views, join_items
+from .ovm import (OVM, MeasurableSet, SampleSpace, _check_space, _zero_masses, item_views,
+                  join_items)
 from .rnderiv import _reference
 
 
@@ -34,7 +35,8 @@ class QuantumRandomVariable:
     ``dim``, ``self_adjoint`` and ``positive`` are derived from it, and
     ``cell_values`` and ``atom_values`` are views of it.  ``norms``, the
     read-only operator norms of the m + n values (opcore.op_norms, bit for
-    bit, as OVM.norms), comes from the one decomposition of the validation."""
+    bit, as OVM.norms), comes from the validation's one decomposition of
+    each distinct value (opcore._step_verdicts)."""
 
     space: SampleSpace
     values: np.ndarray = field(repr=False)
@@ -45,12 +47,11 @@ class QuantumRandomVariable:
 
     def __post_init__(self):
         values = self.space.item_stack(self.values, np.complex128, "values", matrices=True)
-        sym, w, norms = opcore._spectrum(opcore.as_stack(values))
-        positive = sym is not None and bool(opcore._psd_ok(w, norms).all())
+        self_adjoint, positive, norms = opcore._step_verdicts(opcore.as_stack(values))
         norms.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dim", values.shape[-1])
-        object.__setattr__(self, "self_adjoint", sym is not None)
+        object.__setattr__(self, "self_adjoint", self_adjoint)
         object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "norms", norms)
 
@@ -109,14 +110,11 @@ def qrv(space: SampleSpace, cell_values, atom_values=None) -> QuantumRandomVaria
 
 
 def indicator(space: SampleSpace, dim: int, e: MeasurableSet) -> QuantumRandomVariable:
-    """chi_E * I: the identity on E, zero elsewhere.  A dimension numpy cannot
-    shape into the (m + n, dim, dim) stack raises InvalidInput."""
+    """chi_E * I: the identity on E, zero elsewhere.  The (m + n, dim, dim)
+    stack is sized before it is allocated (opcore.within_stack_limit)."""
     _check_space(space)
     dim = opcore.as_int(dim, "dimension", low=1)
-    try:
-        values = np.zeros((space.n_cells + space.n_atoms, dim, dim), dtype=np.complex128)
-    except ValueError:  # numpy refuses the shape before it allocates
-        raise InvalidInput(f"dimension {dim} too large for an (m + n, dim, dim) stack") from None
+    values = _zero_masses(space.n_cells + space.n_atoms, dim)
     values[space.mask(e)] = np.eye(dim)
     return QuantumRandomVariable(space, values)
 

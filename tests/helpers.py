@@ -33,6 +33,14 @@ def count_decompositions(monkeypatch, names: bool = False) -> list:
     return shapes
 
 
+def step_verdicts_whole_stack(values: np.ndarray) -> tuple[bool, bool, np.ndarray]:
+    """The reference step-function verdicts: (self-adjoint, PSD, norms) of a
+    finite (k, d, d) stack from one _spectrum of the whole stack, every
+    value decomposed however often it repeats."""
+    sym, w, norms = opcore._spectrum(values)
+    return sym is not None, sym is not None and bool(opcore._psd_ok(w, norms).all()), norms
+
+
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ovmkit
-from ovmkit import cli, demos, opcore, ovm
+from ovmkit import cli, demos, models, opcore, ovm
 from ovmkit.errors import InvalidInput
 from ovmkit.models import harmonic_diag_model, lebesgue_identity, single_atom_measure
 from ovmkit.ovm import induced_measure
@@ -763,6 +764,40 @@ class TestSizeLimits:
         assert code == 1
         assert report["error"] == (
             f"SizeLimit: phase-1 program entries: {40000 * 40064} exceeds the limit of {2**26}")
+
+    def test_classical_program_sized_before_any_measure(self, monkeypatch):
+        # The joint program is sized from the config alone: no measure and
+        # no direct sum is built, so the report takes milliseconds.
+        monkeypatch.setattr(opcore, "PROGRAM_ENTRIES", 2**26)
+        built = []
+        for module, name in ((models, "overlapping_measures"), (demos, "direct_sum")):
+            monkeypatch.setattr(module, name, lambda *args, _name=name: built.append(_name))
+        started = time.perf_counter()
+        report, code = cli.run_scenario({"kind": "classical", "measures": 200, "cells": 64})
+        assert time.perf_counter() - started < 0.1
+        assert (code, built) == (1, [])
+        assert report["error"] == (
+            f"SizeLimit: phase-1 program entries: {40000 * 40064} exceeds the limit of {2**26}")
+
+    def test_classical_without_targets_builds_no_program(self, monkeypatch):
+        monkeypatch.setattr(opcore, "PROGRAM_ENTRIES", 2**26)
+        report, code = cli.run_scenario(
+            {"kind": "classical", "measures": 200, "cells": 4, "trials": 0})
+        assert code == 0 and report["results"]["targets"] == []
+
+    @pytest.mark.parametrize("ovm_spec", [
+        {"model": "lebesgue_identity", "cells": 16, "dim": 10**5},
+        {"model": "random_povm", "cells": 16, "dim": 10**5},
+        {"space": {"a": 0, "b": 1, "breakpoints": [0, 0.5, 1]}, "dim": 10**5,
+         "cell_masses": []},
+    ], ids=["lebesgue_identity", "random_povm", "inline zeros"])
+    def test_stack_too_large(self, monkeypatch, ovm_spec):
+        monkeypatch.setattr(opcore, "STACK_ENTRIES", 2**25)
+        count = 2 if "space" in ovm_spec else 16
+        report, code = cli.run_scenario({"kind": "properties", "ovm": ovm_spec})
+        assert code == 1
+        assert report["error"] == (
+            f"SizeLimit: stack entries: {count * 10**10} exceeds the limit of {2**25}")
 
     def test_certificate_too_long(self, monkeypatch):
         monkeypatch.setattr(opcore, "CERT_TRIALS", 10**6)

@@ -660,6 +660,77 @@ class TestInducedMeasure:
         traces = np.einsum("ij,kji->k", rho, nu.masses).real
         assert induced_measure(nu, rho).traces.tobytes() == traces.tobytes()
 
+    def test_state_parsed_once(self, monkeypatch):
+        # One complex as_array, of rho, per call, whatever form rho takes;
+        # the result's build parses its float traces.
+        nu = random_povm(2, 12, RNG)
+        calls = []
+        as_array = opcore.as_array
+        monkeypatch.setattr(opcore, "as_array", lambda a, dtype: calls.append(dtype)
+                            or as_array(a, dtype))
+        for rho in (random_state(2, RNG), np.eye(2) / 2, [[0.5, 0.0], [0.0, 0.5]]):
+            calls.clear()
+            induced_measure(nu, rho)
+            assert calls == [np.complex128, np.float64]
+
+    @pytest.mark.parametrize("rho, error, message", [
+        ([[np.nan, 1.0, 0.0]], errors.InvalidInput, "square matrix"),
+        ([[np.nan, 1.0], [0.0, 0.0]], errors.InvalidInput, "non-finite"),
+        ([[1.0, 1.0], [0.0, 0.0]], errors.DimMismatch, "state dim 2 vs measure dim 3"),
+        (np.diag([1.0, 0.0, 0.0]) + np.eye(3, k=1), errors.InvalidInput, "not Hermitian"),
+    ], ids=["shape", "finite", "dim", "hermitian"])
+    def test_state_faults_in_order(self, rho, error, message):
+        # Each rho breaks the rule it is named for and every later one.
+        with pytest.raises(error, match=message):
+            induced_measure(random_povm(3, 4, RNG), rho)
+
+
+class TestStackLimit:
+    """A (count, dim, dim) stack made from a bare dimension is sized before
+    it is allocated.  Each test sets the limit it reads first."""
+
+    _SITES = {
+        "lebesgue_identity": lambda count, dim: lebesgue_identity(count, dim),
+        "random_povm": lambda count, dim: random_povm(dim, count, rng_from_seed(5)),
+        "uhl_model": lambda count, dim: uhl_model(count),
+        "indicator": lambda count, dim: indicator(SampleSpace.uniform(count), dim,
+                                                  MeasurableSet.full(SampleSpace.uniform(count))),
+        "zero masses": lambda count, dim: ovm.join_items(SampleSpace.uniform(count), None,
+                                                         None, dim),
+        "direct_sum": lambda count, dim: direct_sum([lebesgue_identity(count, 1)] * dim),
+    }
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(site=st.sampled_from(sorted(_SITES)), count=st.integers(2, 12),
+           dim=st.integers(1, 6), slack=st.integers(-3, 3))
+    def test_limit_raises_before_the_stack(self, site, count, dim, slack):
+        dim = count if site == "uhl_model" else dim
+        entries = count * dim * dim
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(opcore, "STACK_ENTRIES", max(entries + slack, 1))
+            if entries <= opcore.STACK_ENTRIES:
+                self._SITES[site](count, dim)
+            else:
+                with pytest.raises(errors.SizeLimit,
+                                   match=f"^stack entries: {entries} exceeds the limit of "
+                                         f"{opcore.STACK_ENTRIES}$"):
+                    self._SITES[site](count, dim)
+
+    def test_random_povm_draws_nothing_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(opcore, "STACK_ENTRIES", 100)
+        rng = rng_from_seed(6)
+        state = rng.bit_generator.state
+        with pytest.raises(errors.SizeLimit):
+            random_povm(5, 5, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("dim", [10**30, 2**40])
+    def test_unindexable_stack_is_invalid_input(self, monkeypatch, dim):
+        # No array holds these bytes, whatever the limit.
+        monkeypatch.setattr(opcore, "STACK_ENTRIES", 2**25)
+        with pytest.raises(errors.InvalidInput, match="too large"):
+            lebesgue_identity(4, dim)
+
 
 class TestEntryMeasure:
     def test_diagonal_entries_nonnegative(self):

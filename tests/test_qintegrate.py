@@ -19,6 +19,7 @@ from helpers import (
     random_state,
     real_imag_parts,
     signed_zero_masses,
+    step_verdicts_whole_stack,
     trace_pair,
 )
 from ovmkit import errors, opcore, qintegrate
@@ -902,6 +903,87 @@ def test_build_verdicts_match_the_stack_rules(kind):
     assert f.self_adjoint == bool(opcore.hermitian_flags(values).all())
     assert f.positive == bool(f.self_adjoint and opcore.psd_flags(values).all())
     assert f.positive == (kind != "indefinite" and kind != "not_hermitian")
+
+
+def _step_values(rng, d, m, pattern, modifier, positive):
+    """A (m, d, d) stack of step values from a pool of 2 to 6: in runs, drawn
+    at random, cyclic (no two neighbours equal), all one value, in runs over
+    values and their twins, equal to them but for -0.0 where they hold 0.0,
+    or drawn at random from values that share their real parts.  The
+    modifier makes the pool near-Hermitian (1e-15), half of it not
+    Hermitian, or scales it by 2^+-500 (_decompose's rescale)."""
+    pool = random_qrv_values(d, int(rng.integers(2, 7)), rng, positive=positive)
+    unit = 1.0 if d > 1 else 1j  # an entry that a d = 1 value holds as 0
+    if pattern == "real":
+        pool = pool[0].real + 1j * np.arange(1, len(pool) + 1)[:, None, None] * pool[0].imag
+    if pattern == "twins":
+        pool[:, ~np.eye(d, dtype=bool)] = 0.0
+        pool.imag = 0.0
+        twins = pool.copy()
+        twins[:, ~np.eye(d, dtype=bool)] = complex(-0.0, -0.0)
+        twins.imag = -0.0
+        pool = np.concatenate([pool, twins])
+    if modifier == "near":
+        pool[:, 0, -1] += 1e-15 * unit
+    elif modifier == "mixed":
+        pool[::2, 0, -1] += 0.5 * unit
+    elif modifier in ("up", "down"):
+        pool *= 2.0 ** (500 if modifier == "up" else -500)
+    k = len(pool)
+    labels = {
+        "runs": lambda: np.repeat(rng.integers(0, k, m), rng.integers(1, 6, m))[:m],
+        "pool": lambda: rng.integers(0, k, m),
+        "real": lambda: rng.integers(0, k, m),
+        "cyclic": lambda: np.arange(m) % k,
+        "equal": lambda: np.zeros(m, dtype=int),
+        "twins": lambda: np.repeat(rng.permutation(np.arange(k).reshape(2, -1).T.ravel()),
+                                   m // k + 1)[:m],
+    }[pattern]()
+    return pool[labels]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 300),
+       pattern=st.sampled_from(["runs", "pool", "cyclic", "equal", "twins", "real"]),
+       modifier=st.sampled_from(["exact", "near", "mixed", "up", "down"]),
+       positive=st.booleans())
+def test_step_verdicts_are_the_whole_stack_verdicts(seed, d, m, pattern, modifier, positive):
+    # Decomposing each distinct value once gives the whole stack's verdicts
+    # and norms bit for bit, whichever path the stack takes.
+    values = _step_values(rng_from_seed(seed), d, m, pattern, modifier, positive)
+    self_adjoint, psd, norms = step_verdicts_whole_stack(values)
+    got = opcore._step_verdicts(values)
+    assert got[:2] == (self_adjoint, psd)
+    assert got[2].tobytes() == norms.tobytes()
+    f = QuantumRandomVariable(SampleSpace.uniform(m), values)
+    assert (f.self_adjoint, f.positive) == (self_adjoint, psd)
+    assert f.norms.tobytes() == norms.tobytes()
+
+
+def test_step_function_decomposes_each_distinct_value_once(monkeypatch):
+    # Four values in runs over 200 cells: one eigvalsh of the four, never of
+    # the stack; ess_support and ess_sup read the kept norms.
+    nu = random_povm(3, 200, rng_from_seed(2907))
+    assert nu.massive.all()
+    pool = random_qrv_values(3, 4, rng_from_seed(2908))
+    values = pool[np.repeat([2, 0, 3, 1, 0, 2, 3, 1], 25)]
+    sup = opcore.op_norms(pool).max()
+    shapes = count_decompositions(monkeypatch, names=True)
+    f = qrv(nu.space, values)
+    assert shapes == [("eigvalsh", (4, 3, 3))]
+    assert ess_support(f, nu) == MeasurableSet.full(nu.space)
+    assert ess_sup(f, nu) == sup
+    assert shapes == [("eigvalsh", (4, 3, 3))]
+
+
+def test_indicator_decomposes_two_values(monkeypatch):
+    # chi_E I takes the values 0 and I: its build decomposes those two.
+    space = SampleSpace.uniform(300)
+    shapes = count_decompositions(monkeypatch)
+    chi = indicator(space, 4, MeasurableSet(np.arange(300) % 7 < 3))
+    assert shapes == [(2, 4, 4)]
+    assert chi.positive and chi.norms.tolist() == (np.arange(300) % 7 < 3).tolist()
 
 
 class TestRhoIndependence:

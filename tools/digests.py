@@ -60,6 +60,13 @@ fields of ``convexity_certificate`` with those trials and that seed.
 Stderr gets the certificate's time per 100 trials on ``random_povm``
 measures at (d, m) = (2, 40) and (3, 200), the median and quartiles over
 CERTIFICATE_TIMINGS seeds, in milliseconds.
+
+Decompositions: one line, printed after all of the above, giving for
+each public function of the calculus section the number of matrices it
+passed to np.linalg's eigvalsh, eigh and svd over all its inputs, as
+``name=eigvalsh/eigh/svd``.  A build counts under its function (``grid_ovm``,
+``qrv``), and a measure's square roots under the first integral that
+takes them.  The counts are exact, so they are the same on every run.
 """
 
 import os
@@ -69,6 +76,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import copy  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
@@ -310,6 +318,30 @@ def draw(d, m, distinct, nulls, seed):
     return masses, values, *states, mask, h, sets
 
 
+DECOMPOSITIONS = ("eigvalsh", "eigh", "svd")
+
+
+@contextlib.contextmanager
+def decompositions(tally: dict):
+    """Add to ``tally[routine]`` the matrices that np.linalg's ``routine``
+    takes, for each routine of DECOMPOSITIONS, while the block runs."""
+    originals = {name: getattr(np.linalg, name) for name in DECOMPOSITIONS}
+
+    def tallied(name, fn):
+        def call(a, *args, **kwargs):
+            tally[name] += int(np.prod(np.shape(a)[:-2]))
+            return fn(a, *args, **kwargs)
+        return call
+
+    for name, fn in originals.items():
+        setattr(np.linalg, name, tallied(name, fn))
+    try:
+        yield
+    finally:
+        for name, fn in originals.items():
+            setattr(np.linalg, name, fn)
+
+
 def attrs(obj, *names) -> list:
     return [getattr(obj, name) for name in names]
 
@@ -327,8 +359,14 @@ def fold(sha, out):
         sha.update(repr(out).encode())
 
 
-def calculus_lines():
+def calculus_lines(counts: dict):
+    """The calculus section's lines; ``counts`` gets each function's
+    decomposition tally (:func:`decompositions`)."""
     import ovmkit as ok
+
+    def counted(name, call):
+        with decompositions(counts.setdefault(name, dict.fromkeys(DECOMPOSITIONS, 0))):
+            return call()
 
     digests, count = {}, 0
     for d, m, distinct, nulls in CALCULUS_CASES:
@@ -336,11 +374,11 @@ def calculus_lines():
         for seed in range(1, CALCULUS_SEEDS + 1):
             masses, values, rho, s, mask, h, sample = draw(d, m, distinct, nulls, seed)
             e, sets = ok.MeasurableSet(tuple(mask)), [ok.MeasurableSet(tuple(x)) for x in sample]
-            nu, f = ok.grid_ovm(space, masses), ok.qrv(space, values)
             moved = values + 1e-12 * np.abs(values).max() * _herm(np.ones((d, d)))
             zeroed = values.copy()
             zeroed[mask] *= -0.0
-            g, f0 = ok.qrv(space, moved), ok.qrv(space, zeroed)
+            nu = counted("grid_ovm", lambda: ok.grid_ovm(space, masses))
+            f, g, f0 = counted("qrv", lambda: [ok.qrv(space, x) for x in (values, moved, zeroed)])
             calls = {
                 "grid_ovm": lambda: attrs(nu, "masses", "norms", "massive", "positive"),
                 "qrv": lambda: [attrs(x, "values", "norms", "self_adjoint", "positive")
@@ -361,13 +399,19 @@ def calculus_lines():
             }
             for name, call in calls.items():
                 try:
-                    out = call()
+                    out = counted(name, call)
                 except ok.OvmError as exc:
                     out = error_text(exc)
                 fold(digests.setdefault(name, hashlib.sha256()), out)
             count += 1
     for name, sha in digests.items():
         yield f"{name} inputs={count} sha256={sha.hexdigest()}"
+
+
+def decomposition_lines(counts: dict):
+    yield ("matrices decomposed eigvalsh/eigh/svd "
+           + " ".join(f"{name}=" + "/".join(str(n) for n in tally.values())
+                      for name, tally in counts.items()))
 
 
 # Certificate stream -----------------------------------------------------
@@ -413,8 +457,10 @@ def main(argv=None) -> int:
                         help="report key to remove before hashing; repeatable")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.repo / "src"), str(args.repo / "perfbench")]
-    for section in (report_lines(args.drop), solver_lines(), calculus_lines(),
-                    report_lines(args.drop, lambda cli: MALFORMED), certificate_lines()):
+    counts = {}
+    for section in (report_lines(args.drop), solver_lines(), calculus_lines(counts),
+                    report_lines(args.drop, lambda cli: MALFORMED), certificate_lines(),
+                    decomposition_lines(counts)):
         for line in section:
             print(line)
     return 0
